@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .counterexample import counterexample_report
 from .corpus import Corpus, claim_cases, generate_corpus, parse_corpus_spec
-from .lattice import LatticeVector
+from .lattice import EnumerationLimitError, LatticeVector
 from .norms import (
     LatticeNorm,
     NormAssignment,
@@ -147,19 +147,6 @@ def _run_verify(args) -> VerificationReport:
         return counterexample_report(n=args.n, k=args.k, seed=args.seed)
     if claim == "gap":
         return _run_gap(args)
-    if claim == "cor23":
-        if args.A is None or args.B is None:
-            raise UsageError("verify cor23 needs --A and --B matrix files")
-        A, B = load_matrix(args.A), load_matrix(args.B)
-        _require_exact(args, A, B)
-        return verify_cor23(
-            A,
-            B,
-            assignment_from_args(args, default="1"),
-            samples=args.samples,
-            seed=args.seed,
-            tol=tol,
-        )
     if args.corpus is not None:
         try:
             corpus = parse_corpus_spec(args.corpus)
@@ -189,9 +176,33 @@ def _run_verify(args) -> VerificationReport:
                         case["A"], case["C"], case["B0"], seed=corpus.seed, tol=tol
                     )
                 )
+            elif claim == "cor23":
+                reports.append(
+                    verify_cor23(
+                        case["A"],
+                        case["B"],
+                        assignment_from_args(args, default="1"),
+                        samples=args.samples,
+                        seed=corpus.seed,
+                        tol=tol,
+                    )
+                )
             else:
                 raise UsageError(f"--corpus is not supported for {claim}")
         return _aggregate(claim, reports, corpus)
+    if claim == "cor23":
+        if args.A is None or args.B is None:
+            raise UsageError("verify cor23 needs --A and --B (or --corpus)")
+        A, B = load_matrix(args.A), load_matrix(args.B)
+        _require_exact(args, A, B)
+        return verify_cor23(
+            A,
+            B,
+            assignment_from_args(args, default="1"),
+            samples=args.samples,
+            seed=args.seed,
+            tol=tol,
+        )
     if claim == "cor22":
         if args.A is None or args.B is None:
             raise UsageError("verify cor22 needs --A and --B (or --corpus)")
@@ -431,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,16 +22,23 @@ verifies every step of the derivation that does not depend on singularity:
   continuity of f), whereas with a singular f the left side is nonzero
   while the right side vanishes.
 
-All arithmetic is exact (Fractions); nothing here pretends to simulate a
-singular functional.
+All arithmetic is exact; nothing here pretends to simulate a singular
+functional.  The double-partition infimum is computed by an integer kernel
+(every split piece and every partition block scaled to Python ints over a
+common denominator, evaluated as numpy object-array expressions), and the
+tests check it against ``g_double_prime_term``, the term-by-term Fraction
+reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from .lattice import (
     ENUMERATION_CAP,
@@ -50,7 +57,7 @@ from .operators import (
     trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
-from .scalars import scalar_to_json
+from .scalars import ScalarModeError, scalar_to_json
 from .superop import Superoperator, matrix_deviation, vector_deviation
 
 
@@ -160,6 +167,10 @@ def single_support_check(f: CoordinateFunctional, partition: Partition) -> int:
 # the double-partition infimum
 # ---------------------------------------------------------------------------
 
+#: Entries of the kernel's (pieces, n, blocks) intermediates per chunk of
+#: partitions, so its memory stays bounded whatever the partition budget.
+_KERNEL_CHUNK_ENTRIES = 1 << 16
+
 
 def _e_partitions(
     f: CoordinateFunctional, partition_budget: int
@@ -212,6 +223,26 @@ def g_double_prime_term(
     return total
 
 
+def _scaled_integers(values, denominator: int) -> list:
+    """The integers v * denominator for Fractions v whose denominators divide it."""
+    return [v.numerator * (denominator // v.denominator) for v in values]
+
+
+def _partition_chunks(partitions: Sequence[Partition], max_blocks: int):
+    """Consecutive runs of whole partitions with at most ``max_blocks`` blocks
+    each (a single larger partition gets a run of its own)."""
+    chunk: List[Partition] = []
+    blocks = 0
+    for partition in partitions:
+        if chunk and blocks + len(partition) > max_blocks:
+            yield chunk
+            chunk, blocks = [], 0
+        chunk.append(partition)
+        blocks += len(partition)
+    if chunk:
+        yield chunk
+
+
 def inf_G_double_prime(
     T: RegularOperator,
     f: CoordinateFunctional,
@@ -226,9 +257,19 @@ def inf_G_double_prime(
     seeded random convex).  Every member dominates the component-formula
     infimum; the combination (singleton split, atomic partition) attains it,
     so the returned vector equals ``meet_via_components(T, f)`` exactly.
+
+    The sums are evaluated by an integer kernel: every split piece is scaled
+    by the common denominator D_T of all pieces and every partition block by
+    the common denominator D_X of all blocks, so each term
+    T_i x_j ^ f(x_j) T_i e  is  min(P_i X_j, rowsum(P_i) X_j[k]) / (D_T D_X)
+    over numpy object arrays of Python ints, which cannot overflow.  The
+    result equals the minimum of ``g_double_prime_term`` over the same splits
+    and partitions exactly.
     """
     if T.shape != (f.dim, f.dim):
         raise ValueError(f"expected a {f.dim}x{f.dim} operator, got {T.shape}")
+    if not T.is_exact:
+        raise ScalarModeError("the double-partition infimum needs an exact operator")
     if not T.is_positive():
         raise ValueError("the partition infimum applies to positive operators")
     if f.dim > ENUMERATION_CAP:
@@ -237,23 +278,35 @@ def inf_G_double_prime(
         )
     partitions = _e_partitions(f, partition_budget)
     splits = _positive_splits(T, operator_split_samples, seed)
-    n = f.dim
-    best: Optional[LatticeVector] = None
-    for split in splits:
-        pieces_cols = []
-        pieces_Te = []
-        for piece in split.pieces:
-            cols = [piece.column(c) for c in range(n)]
-            Te = LatticeVector.zero(n)
-            for col in cols:
-                Te = Te + col
-            pieces_cols.append(cols)
-            pieces_Te.append(Te)
-        for partition in partitions:
-            value = g_double_prime_term(pieces_cols, pieces_Te, partition, f)
-            best = value if best is None else best.meet(value)
+    n, k = f.dim, f.index
+    pieces = [piece for split in splits for piece in split.pieces]
+    D_T = math.lcm(*(v.denominator for piece in pieces for v in piece.entries))
+    D_X = math.lcm(
+        *(v.denominator for p in partitions for x in p.pieces for v in x.entries)
+    )
+    # P[i] = D_T T_i as an n x n integer matrix; P e = its row sums.
+    P = np.array(
+        [_scaled_integers(piece.entries, D_T) for piece in pieces], dtype=object
+    ).reshape(len(pieces), n, n)
+    Pe = P.sum(axis=2)[:, :, None]
+    split_starts = np.cumsum([0] + [len(split) for split in splits[:-1]])
+    max_blocks = max(1, _KERNEL_CHUNK_ENTRIES // (len(pieces) * n))
+    best = None
+    for chunk in _partition_chunks(partitions, max_blocks):
+        # X[j] = D_X x_j for every block of every partition in the chunk.
+        X = np.array(
+            [_scaled_integers(x.entries, D_X) for p in chunk for x in p.pieces],
+            dtype=object,
+        )
+        terms = np.minimum(P @ X.T, Pe * X[:, k])  # (pieces, n, blocks)
+        per_split = np.add.reduceat(terms, split_starts, axis=0)
+        block_starts = np.cumsum([0] + [len(p) for p in chunk[:-1]])
+        sums = np.add.reduceat(per_split, block_starts, axis=2)
+        low = np.minimum.reduce(sums, axis=(0, 2))
+        best = low if best is None else np.minimum(best, low)
     assert best is not None
-    return best
+    D = D_T * D_X
+    return LatticeVector([Fraction(v, D) for v in best])
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,15 @@ def coerce_entries(values):
     """Normalize a sequence of scalars to a (tuple, mode) pair.
 
     All-exact input yields Fractions; the presence of any float converts
-    everything to float.
+    everything to float.  Input that is already all ``Fraction`` or all
+    ``float`` (exact types, no subclasses) is returned without re-parsing.
     """
+    values = tuple(values)
+    types = set(map(type, values))
+    if types == {Fraction}:
+        return values, EXACT
+    if types == {float}:
+        return values, FLOAT
     parsed = [parse_scalar(v) for v in values]
     if any(isinstance(v, float) for v in parsed):
         return tuple(float(v) for v in parsed), FLOAT

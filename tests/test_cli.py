@@ -82,6 +82,14 @@ def test_verify_counterexample(capsys):
     assert json.loads(capsys.readouterr().out)["claim_id"] == "counterexample"
 
 
+def test_verify_cor23_corpus(capsys):
+    assert main(["verify", "cor23", "--corpus", "seed=1,count=2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["claim_id"] == "cor23"
+    assert report["status"] == "pass"
+    assert report["details"]["cases"] == 2
+
+
 def test_verify_gap_via_m(capsys):
     assert main(["verify", "gap", "--m", "1", "--samples", "20"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -214,6 +222,14 @@ def test_counterexample_subcommand(tmp_path, capsys):
 
 def test_counterexample_rejects_bad_k(capsys):
     assert main(["counterexample", "--n", "3", "--k", "9"]) == 2
+
+
+def test_counterexample_over_enumeration_cap_exits_2(capsys):
+    assert main(["counterexample", "--n", "21", "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "enumeration cap" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exits_2():

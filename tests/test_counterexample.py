@@ -18,7 +18,15 @@ from rieszops import (
     meet_via_components,
     single_support_check,
 )
-from rieszops.counterexample import admissible_components, contrast_table
+from rieszops import counterexample
+from rieszops.counterexample import (
+    _e_partitions,
+    _positive_splits,
+    admissible_components,
+    contrast_table,
+    g_double_prime_term,
+)
+from rieszops.scalars import ScalarModeError
 
 from conftest import positive_fractions_st
 
@@ -163,6 +171,73 @@ def test_double_partition_infimum_on_B_is_e():
     e = LatticeVector.ones(3)
     assert inf_G_double_prime(B, f).eq(e)
     assert meet_via_components(B, f).eq(e)
+
+
+def _reference_inf_G(T, f, partition_budget, operator_split_samples, seed):
+    """The double-partition infimum as a Fraction loop over
+    ``g_double_prime_term``, the reference for the integer kernel."""
+    n = f.dim
+    partitions = _e_partitions(f, partition_budget)
+    best = None
+    for split in _positive_splits(T, operator_split_samples, seed):
+        pieces_cols = [[piece.column(c) for c in range(n)] for piece in split.pieces]
+        pieces_Te = []
+        for cols in pieces_cols:
+            Te = LatticeVector.zero(n)
+            for col in cols:
+                Te = Te + col
+            pieces_Te.append(Te)
+        for partition in partitions:
+            value = g_double_prime_term(pieces_cols, pieces_Te, partition, f)
+            best = value if best is None else best.meet(value)
+    return best
+
+
+def _random_positive(rng, n, scale=1):
+    return RegularOperator(
+        n,
+        n,
+        [scale * Fraction(rng.randint(0, 20), rng.randint(1, 9)) for _ in range(n * n)],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_integer_kernel_matches_reference_loop(n):
+    rng = Random(n)
+    for k in range(n):
+        f = CoordinateFunctional(n, k)
+        for T in (build_B(f), _random_positive(rng, n)):
+            for budget in (1, 6, 10, 40):
+                for samples in (1, 2, 12):
+                    got = inf_G_double_prime(T, f, budget, samples, seed=k)
+                    want = _reference_inf_G(T, f, budget, samples, k)
+                    assert got.entries == want.entries, (k, T, budget, samples)
+                    assert all(type(v) is Fraction for v in got.entries)
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**12, 7), Fraction(10**12, 7) ** 2])
+def test_integer_kernel_on_large_integers(scale):
+    f = CoordinateFunctional(4, 2)
+    T = _random_positive(Random(11), 4, scale)
+    got = inf_G_double_prime(T, f, partition_budget=15, operator_split_samples=12)
+    assert got.entries == _reference_inf_G(T, f, 15, 12, 0).entries
+    assert got.eq(meet_via_components(T, f))
+
+
+def test_integer_kernel_chunks_agree(monkeypatch):
+    f = CoordinateFunctional(5, 1)
+    T = _random_positive(Random(3), 5)
+    whole = inf_G_double_prime(T, f, partition_budget=52, operator_split_samples=6)
+    # One partition per chunk: the running minimum over chunks is the same.
+    monkeypatch.setattr(counterexample, "_KERNEL_CHUNK_ENTRIES", 1)
+    chunked = inf_G_double_prime(T, f, partition_budget=52, operator_split_samples=6)
+    assert chunked.entries == whole.entries
+
+
+def test_double_partition_infimum_rejects_float_operator():
+    f = CoordinateFunctional(2, 0)
+    with pytest.raises(ScalarModeError):
+        inf_G_double_prime(build_B(f).to_float(), f)
 
 
 # ---------------------------------------------------------------------------

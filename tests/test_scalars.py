@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +52,38 @@ def test_coerce_float_contagion():
     assert mode == FLOAT
     assert all(isinstance(e, float) for e in entries)
     assert entries[0] == 1.0
+
+
+def test_coerce_already_typed_input():
+    fractions = [Fraction(1, 2), Fraction(-3)]
+    assert coerce_entries(fractions) == (tuple(fractions), EXACT)
+    assert coerce_entries(iter([0.5, -2.0])) == ((0.5, -2.0), FLOAT)
+    assert coerce_entries([]) == ((), EXACT)
+
+
+def test_coerce_rejects_bool_among_fractions():
+    with pytest.raises(TypeError):
+        coerce_entries([Fraction(1), True, Fraction(2)])
+
+
+def test_coerce_mixed_fraction_float_gives_float():
+    entries, mode = coerce_entries([Fraction(1, 2), 0.25])
+    assert mode == FLOAT
+    assert entries == (0.5, 0.25)
+    assert all(type(e) is float for e in entries)
+
+
+def test_coerce_numpy_and_subclass_entries_are_normalized():
+    entries, mode = coerce_entries([np.float64(0.5), np.float64(1.5)])
+    assert mode == FLOAT
+    assert all(type(e) is float for e in entries)
+
+    class Half(Fraction):
+        pass
+
+    entries, mode = coerce_entries([Half(1, 2), Fraction(1)])
+    assert mode == EXACT
+    assert all(type(e) is Fraction for e in entries)
 
 
 def test_scalar_to_json_roundtrip():
