@@ -36,6 +36,7 @@ def invocations(config: BatteryConfig) -> list:
         ("cor22_rect", ["verify", "cor22", "--corpus", mixed]),
         ("prop21", ["verify", "prop21", "--corpus", corpus]),
         ("synnatzschke_a", ["verify", "synnatzschke_a", "--corpus", corpus]),
+        ("cor23", ["verify", "cor23", "--corpus", corpus]),
         (
             "gap",
             ["gap", "--m", "3", "--samples", str(config.samples)],

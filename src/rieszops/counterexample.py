@@ -32,7 +32,6 @@ reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -57,7 +56,7 @@ from .operators import (
     trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
-from .scalars import ScalarModeError, scalar_to_json
+from .scalars import ScalarModeError, scalar_to_json, scaled_integers
 from .superop import Superoperator, matrix_deviation, vector_deviation
 
 
@@ -223,11 +222,6 @@ def g_double_prime_term(
     return total
 
 
-def _scaled_integers(values, denominator: int) -> list:
-    """The integers v * denominator for Fractions v whose denominators divide it."""
-    return [v.numerator * (denominator // v.denominator) for v in values]
-
-
 def _partition_chunks(partitions: Sequence[Partition], max_blocks: int):
     """Consecutive runs of whole partitions with at most ``max_blocks`` blocks
     each (a single larger partition gets a run of its own)."""
@@ -280,24 +274,23 @@ def inf_G_double_prime(
     splits = _positive_splits(T, operator_split_samples, seed)
     n, k = f.dim, f.index
     pieces = [piece for split in splits for piece in split.pieces]
-    D_T = math.lcm(*(v.denominator for piece in pieces for v in piece.entries))
-    D_X = math.lcm(
-        *(v.denominator for p in partitions for x in p.pieces for v in x.entries)
-    )
     # P[i] = D_T T_i as an n x n integer matrix; P e = its row sums.
-    P = np.array(
-        [_scaled_integers(piece.entries, D_T) for piece in pieces], dtype=object
-    ).reshape(len(pieces), n, n)
+    P_ints, D_T = scaled_integers(v for piece in pieces for v in piece.entries)
+    P = np.array(P_ints, dtype=object).reshape(len(pieces), n, n)
     Pe = P.sum(axis=2)[:, :, None]
+    # X_all[j] = D_X x_j for every block of every partition, in order.
+    X_ints, D_X = scaled_integers(
+        v for p in partitions for x in p.pieces for v in x.entries
+    )
+    X_all = np.array(X_ints, dtype=object).reshape(-1, n)
     split_starts = np.cumsum([0] + [len(split) for split in splits[:-1]])
     max_blocks = max(1, _KERNEL_CHUNK_ENTRIES // (len(pieces) * n))
     best = None
+    first = 0
     for chunk in _partition_chunks(partitions, max_blocks):
-        # X[j] = D_X x_j for every block of every partition in the chunk.
-        X = np.array(
-            [_scaled_integers(x.entries, D_X) for p in chunk for x in p.pieces],
-            dtype=object,
-        )
+        blocks = sum(len(p) for p in chunk)
+        X = X_all[first : first + blocks]
+        first += blocks
         terms = np.minimum(P @ X.T, Pe * X[:, k])  # (pieces, n, blocks)
         per_split = np.add.reduceat(terms, split_starts, axis=0)
         block_starts = np.cumsum([0] + [len(p) for p in chunk[:-1]])

@@ -22,6 +22,12 @@ the gap between the operator norm and the regular norm of the same map
 (``gap_report``), which collapses like 2^-m along the sign-matrix family
 H_2^{(x) m}.
 
+For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
+the left side exactly (``superop_regular_norm_1chain``) by enumerating the
+y^x extreme points of the domain's unit ball in an integer kernel over numpy
+object arrays of Python ints; a domain with more than ``EXTREME_POINT_CAP``
+(2^20) extreme points raises ``EnumerationLimitError``.
+
 Norm values stay exact (``Fraction``) whenever the closed form involves no
 roots and the inputs are exact; witness vectors are always float-mode unit
 vectors (attainment is certified to 1e-9, not bitwise).
@@ -36,10 +42,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import DimensionMismatchError, LatticeVector
+from .lattice import DimensionMismatchError, EnumerationLimitError, LatticeVector
 from .operators import RegularOperator, rank_one
 from .reports import VerificationReport, digest_inputs, make_report
-from .scalars import DEFAULT_TOLERANCE, scalar_to_json
+from .scalars import (
+    DEFAULT_TOLERANCE,
+    ScalarModeError,
+    scalar_to_json,
+    scaled_integers,
+)
 
 INF = math.inf
 
@@ -458,51 +469,55 @@ def _all_ones_1chain(assignment: NormAssignment) -> bool:
     )
 
 
-def superop_regular_norm_1chain(
-    A: RegularOperator, B: RegularOperator
-):
+#: Most extreme points (y^x) that ``superop_regular_norm_1chain`` enumerates:
+#: a 7 x 7 domain (823,543 points) is within it, an 8 x 8 one is not.
+EXTREME_POINT_CAP = 1 << 20
+
+#: Extreme points per chunk of the enumeration kernel, so that its
+#: (points, z, x) and (points, z, w) intermediates stay bounded.
+_KERNEL_CHUNK_POINTS = 1 << 10
+
+
+def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fraction:
     """Exact regular norm of T |-> ATB for the all-(l1 -> l1) assignment.
 
     The unit ball of the max-column-sum norm on y x x matrices has extreme
-    points with one signed unit per column; for the positive map
-    M_{|A|,|B|} the supremum sits at a positive extreme point, so a finite
-    enumeration over the y^x column assignments computes the norm exactly.
+    points T_a with one signed unit per column (column j is e_{a_j}, up to
+    sign); for the positive map M_{|A|,|B|} the supremum sits at a positive
+    extreme point, so a finite enumeration over the y^x column assignments a
+    computes the norm exactly.
+
+    The enumeration runs as an integer kernel: |A| is scaled to integers
+    over its common denominator D_A and |B| over D_B, and for each chunk of
+    assignments the images |A| T_a |B| = |A|[:, a] |B| are formed as numpy
+    object arrays of Python ints, which cannot overflow; the largest column
+    sum over all of them, over D_A D_B, is the norm.  Exact operators only
+    (``ScalarModeError`` otherwise); more than ``EXTREME_POINT_CAP`` extreme
+    points raise ``EnumerationLimitError`` before any work is done.
     """
-    absA = A.modulus_closed_form()
-    absB = B.modulus_closed_form()
-    y = A.cols
-    x = B.rows
-    one = Fraction(1) if A.is_exact else 1.0
-    best = None
-    assignment = [0] * x
-    while True:
-        T = RegularOperator(
-            y,
-            x,
-            [
-                one if i == assignment[j] else one * 0
-                for i in range(y)
-                for j in range(x)
-            ],
+    if not (A.is_exact and B.is_exact):
+        raise ScalarModeError("the extreme-point enumeration needs exact operators")
+    y, x = A.cols, B.rows
+    points = y**x
+    if points > EXTREME_POINT_CAP:
+        raise EnumerationLimitError(
+            f"{y}^{x} = {points} extreme points exceed enumeration cap "
+            f"{EXTREME_POINT_CAP}"
         )
-        value = _max_column_sum(absA @ T @ absB)
-        if best is None or value > best:
-            best = value
-        pos = 0
-        while pos < x:
-            assignment[pos] += 1
-            if assignment[pos] < y:
-                break
-            assignment[pos] = 0
-            pos += 1
-        if pos == x:
-            return best
-
-
-def _max_column_sum(M: RegularOperator):
-    return max(
-        sum(abs(M.entry(i, j)) for i in range(M.rows)) for j in range(M.cols)
-    )
+    a_ints, D_A = scaled_integers(A.modulus_closed_form().entries)
+    b_ints, D_B = scaled_integers(B.modulus_closed_form().entries)
+    absA = np.array(a_ints, dtype=object).reshape(A.rows, y)
+    absB = np.array(b_ints, dtype=object).reshape(x, B.cols)
+    # Digit j of an assignment code (base y) is a_j; under the cap every y**j
+    # fits in int64.  np.unravel_index would need x axes, and numpy has 64.
+    radix = y ** np.arange(x, dtype=np.int64)
+    best = 0
+    for start in range(0, points, _KERNEL_CHUNK_POINTS):
+        codes = np.arange(start, min(start + _KERNEL_CHUNK_POINTS, points))
+        a = codes[:, None] // radix % y  # (N, x)
+        images = absA.T[a].swapaxes(1, 2) @ absB  # |A| T_a |B|: (N, z, w)
+        best = max(best, images.sum(axis=1).max())
+    return Fraction(best, D_A * D_B)
 
 
 def verify_cor23(
@@ -521,7 +536,8 @@ def verify_cor23(
     above by sampling positive T of unit regular norm.  PASS iff the witness
     reaches the product within ``tol`` and no sample exceeds it by more than
     ``tol``; for the all-l1 assignment on exact inputs, the left side is
-    additionally enumerated exactly and must equal the product on the nose.
+    additionally enumerated exactly and must equal the product on the nose
+    (``EnumerationLimitError`` beyond ``EXTREME_POINT_CAP`` extreme points).
     """
     n_W, n_X, n_Y, n_Z = (
         assignment.n_W,

@@ -15,6 +15,7 @@ exact and a float container raise ``ScalarModeError``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -62,6 +63,18 @@ def coerce_entries(values):
     if any(isinstance(v, float) for v in parsed):
         return tuple(float(v) for v in parsed), FLOAT
     return tuple(parsed), EXACT
+
+
+def scaled_integers(values):
+    """Exact scalars over their common denominator: (integers, D).
+
+    D is the lcm of the denominators of the ``Fraction`` values and the
+    integers are v * D, in order, so v == Fraction(integer, D) for each v.
+    The integer kernels compute on these Python ints, which cannot overflow.
+    """
+    values = tuple(values)
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 def scalar_to_json(x):

@@ -151,6 +151,18 @@ def test_exact_flag_rejects_floats(tmp_path, capsys):
     assert "float entries" in capsys.readouterr().err
 
 
+def test_verify_cor23_over_extreme_point_cap_exits_2(tmp_path, capsys):
+    # 8 x 8 exact factors: 8^8 extreme points, above the enumeration cap.
+    entries = [str(i % 5 - 2) for i in range(64)]
+    a = _write(tmp_path / "a8.json", {"rows": 8, "cols": 8, "entries": entries})
+    b = _write(tmp_path / "b8.json", {"rows": 8, "cols": 8, "entries": entries})
+    assert main(["verify", "cor23", "--A", a, "--B", b, "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "enumeration cap" in err
+    assert "Traceback" not in err
+
+
 def test_bad_norm_exponent_exits_2(matrix_files, capsys):
     a, b = matrix_files
     assert main(["verify", "cor23", "--A", a, "--B", b, "--p-in", "0.5"]) == 2

@@ -1,10 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rieszops import norms
+from rieszops.corpus import random_matrix
+from rieszops.lattice import EnumerationLimitError
+from rieszops.scalars import ScalarModeError
 from rieszops import (
     LatticeNorm,
     LatticeVector,
@@ -250,6 +256,103 @@ def test_1chain_enumeration_equals_product(A, B):
     n1 = LatticeNorm(p=1.0)
     rhs = operator_norm(abs(A), n1, n1).value * operator_norm(abs(B), n1, n1).value
     assert lhs == rhs
+
+
+def _reference_1chain(A: RegularOperator, B: RegularOperator):
+    """The per-extreme-point Fraction loop: build every positive extreme point
+    T_a of the domain's unit ball, compose |A| T_a |B| and take the largest
+    max column sum."""
+    absA = A.modulus_closed_form()
+    absB = B.modulus_closed_form()
+    y, x = A.cols, B.rows
+    best = None
+    for assignment in itertools.product(range(y), repeat=x):
+        T = RegularOperator(
+            y,
+            x,
+            [
+                Fraction(1) if i == assignment[j] else Fraction(0)
+                for i in range(y)
+                for j in range(x)
+            ],
+        )
+        M = absA @ T @ absB
+        value = max(
+            sum(abs(M.entry(i, j)) for i in range(M.rows)) for j in range(M.cols)
+        )
+        if best is None or value > best:
+            best = value
+    return best
+
+
+def _chain_pair(rng: Random, w: int, x: int, y: int, z: int):
+    """A (z x y) and B (x x w) with seeded rational entries of mixed sign."""
+    return random_matrix(rng, z, y), random_matrix(rng, x, w)
+
+
+def _assert_kernel_matches_reference(A, B):
+    value = superop_regular_norm_1chain(A, B)
+    reference = _reference_1chain(A, B)
+    assert type(value) is Fraction
+    assert type(reference) is Fraction
+    assert value == reference
+
+
+def test_1chain_kernel_matches_reference_every_small_shape():
+    rng = Random(2301)
+    for w, x, y, z in itertools.product((1, 2, 3), repeat=4):
+        _assert_kernel_matches_reference(*_chain_pair(rng, w, x, y, z))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4, 3), (3, 4, 3, 4), (4, 4, 4, 4)])
+def test_1chain_kernel_matches_reference_larger_shapes(dims):
+    _assert_kernel_matches_reference(*_chain_pair(Random(2302), *dims))
+
+
+def test_1chain_kernel_all_zero_A():
+    A = RegularOperator(3, 2, [Fraction(0)] * 6)
+    B = random_matrix(Random(2303), 3, 2)
+    _assert_kernel_matches_reference(A, B)
+    assert superop_regular_norm_1chain(A, B) == 0
+
+
+def test_1chain_kernel_scaled_entries():
+    scale = Fraction(10**12, 7)
+    A, B = _chain_pair(Random(2304), 3, 3, 3, 3)
+    _assert_kernel_matches_reference(A.scale(scale), B)
+    _assert_kernel_matches_reference(A.scale(scale), B.scale(scale))
+
+
+def test_1chain_kernel_spans_several_chunks():
+    # 3^7 = 2187 extreme points: three chunks, the last one partial.
+    dims = (2, 7, 3, 2)
+    assert 2 * norms._KERNEL_CHUNK_POINTS < 3**7 < 3 * norms._KERNEL_CHUNK_POINTS
+    _assert_kernel_matches_reference(*_chain_pair(Random(2305), *dims))
+
+
+def test_1chain_kernel_one_row_domain_with_many_columns():
+    # y = 1: a single extreme point, with more columns than numpy has axes.
+    _assert_kernel_matches_reference(*_chain_pair(Random(2306), 2, 70, 1, 2))
+
+
+def test_1chain_rejects_float_operators():
+    A = RegularOperator.from_rows([[0.5, 1.0], [2.0, 0.0]])
+    B = RegularOperator.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(ScalarModeError):
+        superop_regular_norm_1chain(A, B)
+    with pytest.raises(ScalarModeError):
+        superop_regular_norm_1chain(B, A)
+
+
+def test_1chain_over_cap_raises_before_any_work(monkeypatch):
+    def no_work(values):
+        raise AssertionError("the cap must be checked before any scaling")
+
+    monkeypatch.setattr(norms, "scaled_integers", no_work)
+    A, B = _chain_pair(Random(2307), 8, 8, 8, 8)
+    assert 8**8 > norms.EXTREME_POINT_CAP
+    with pytest.raises(EnumerationLimitError, match="enumeration cap"):
+        superop_regular_norm_1chain(A, B)
 
 
 @given(matrices(rows=2, cols=2), matrices(rows=2, cols=2))
