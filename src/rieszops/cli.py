@@ -11,8 +11,9 @@ gap              operator-norm vs regular-norm ratio explorer
 counterexample   the finite transcription lab report
 
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
-2 = usage error / malformed input.  Reports are canonical JSON: identical
-invocations (same inputs, same --seed) produce byte-identical bytes.
+2 = usage error, malformed input or a request over a work or memory cap.
+Reports are canonical JSON: identical invocations (same inputs, same
+--seed) produce byte-identical bytes; the wall time goes to stderr only.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import argparse
 import json
 import math
 import sys
+import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -266,6 +269,17 @@ def _run_gap(args) -> VerificationReport:
     )
 
 
+def _run_counterexample(args) -> VerificationReport:
+    return counterexample_report(
+        n=args.n,
+        k=args.k,
+        seed=args.seed,
+        t_samples=args.t_samples,
+        partition_budget=args.partition_budget,
+        operator_split_samples=args.split_samples,
+    )
+
+
 def _run_corpus(args) -> int:
     try:
         corpus = Corpus(
@@ -402,7 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finish_report(report: VerificationReport, args) -> int:
+def _finish_report(run, args) -> int:
+    """Run one report-producing command, time it, emit the report.
+
+    The wall time goes to the stderr summary only; the report bytes stay a
+    pure function of (inputs, seed).
+    """
+    t0 = time.perf_counter()
+    report = run(args)
+    report = replace(report, runtime_ms=(time.perf_counter() - t0) * 1e3)
     if args.json:
         emit_report(report, args.json)
     else:
@@ -421,23 +443,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "verify":
-            return _finish_report(_run_verify(args), args)
+            return _finish_report(_run_verify, args)
         if args.command == "corpus":
             return _run_corpus(args)
         if args.command == "norm":
             return _run_norm(args)
         if args.command == "gap":
-            return _finish_report(_run_gap(args), args)
+            return _finish_report(_run_gap, args)
         if args.command == "counterexample":
-            report = counterexample_report(
-                n=args.n,
-                k=args.k,
-                seed=args.seed,
-                t_samples=args.t_samples,
-                partition_budget=args.partition_budget,
-                operator_split_samples=args.split_samples,
-            )
-            return _finish_report(report, args)
+            return _finish_report(_run_counterexample, args)
         raise UsageError(f"unknown command: {args.command}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

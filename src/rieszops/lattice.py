@@ -46,7 +46,7 @@ class DimensionMismatchError(ValueError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """A component/partition stream would exceed the enumeration cap."""
+    """A request would exceed a work or memory cap."""
 
 
 @dataclass(frozen=True)

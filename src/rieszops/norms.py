@@ -22,6 +22,12 @@ the gap between the operator norm and the regular norm of the same map
 (``gap_report``), which collapses like 2^-m along the sign-matrix family
 H_2^{(x) m}.
 
+Both verifiers sample a stack of T and form every image A T_s B as one
+batched BLAS product ``A @ stack @ B``; a stack of more than
+``SAMPLE_STACK_CAP`` (2^24) floats raises ``EnumerationLimitError`` before
+anything is drawn, and so does a ``hadamard_tensor_power`` of more than
+``HADAMARD_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
+
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
 y^x extreme points of the domain's unit ball in an integer kernel over numpy
@@ -457,6 +463,21 @@ def batched_operator_norm(
     return out
 
 
+#: Most floats in one sampled stack: the samples T_s, the partial products
+#: A T_s and the images A T_s B each hold at most this many (128 MiB).
+SAMPLE_STACK_CAP = 1 << 24
+
+
+def _check_sample_stack(samples: int, A: RegularOperator, B: RegularOperator):
+    """Refuse a sampling run whose stacks would exceed ``SAMPLE_STACK_CAP``."""
+    entries = max(A.cols * B.rows, A.rows * B.rows, A.rows * B.cols)
+    if samples * entries > SAMPLE_STACK_CAP:
+        raise EnumerationLimitError(
+            f"{samples} samples of {entries} entries exceed sample stack cap "
+            f"{SAMPLE_STACK_CAP}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # regular-norm multiplicativity
 # ---------------------------------------------------------------------------
@@ -538,7 +559,10 @@ def verify_cor23(
     ``tol``; for the all-l1 assignment on exact inputs, the left side is
     additionally enumerated exactly and must equal the product on the nose
     (``EnumerationLimitError`` beyond ``EXTREME_POINT_CAP`` extreme points).
+    More than ``SAMPLE_STACK_CAP`` floats in a sampled stack raise
+    ``EnumerationLimitError`` before anything is drawn.
     """
+    _check_sample_stack(samples, A, B)
     n_W, n_X, n_Y, n_Z = (
         assignment.n_W,
         assignment.n_X,
@@ -578,7 +602,7 @@ def verify_cor23(
             stack = stack[keep] / t_norms[keep][:, None, None]
             arr_A = np.array(absA.as_floats())
             arr_B = np.array(absB.as_floats())
-            images = np.einsum("ij,sjk,kl->sil", arr_A, stack, arr_B)
+            images = arr_A @ stack @ arr_B
             values = batched_operator_norm(images, n_W, n_Z, positive=True)
             max_sample = float(values.max())
     sample_excess = max(0.0, max_sample - product_f)
@@ -647,10 +671,22 @@ def verify_cor23(
 # ---------------------------------------------------------------------------
 
 
+#: Most entries (4^m) of ``hadamard_tensor_power``: m <= 10.
+HADAMARD_ENTRY_CAP = 1 << 20
+
+
 def hadamard_tensor_power(m: int) -> RegularOperator:
-    """H_2^{(x) m}: the 2^m x 2^m sign matrix with |H| = all-ones."""
+    """H_2^{(x) m}: the 2^m x 2^m sign matrix with |H| = all-ones.
+
+    More than ``HADAMARD_ENTRY_CAP`` entries raise ``EnumerationLimitError``
+    before anything is built.
+    """
     if m < 0:
         raise ValueError("tensor power must be nonnegative")
+    if 4**m > HADAMARD_ENTRY_CAP:
+        raise EnumerationLimitError(
+            f"H_2^(x){m} has 4^{m} entries, above entry cap {HADAMARD_ENTRY_CAP}"
+        )
     H = RegularOperator.from_rows([[1, 1], [1, -1]])
     out = RegularOperator.identity(1)
     from .superop import kron
@@ -673,8 +709,11 @@ def gap_report(
     T (mixed signs), sharpened for 2 -> 2 norms by the singular-vector
     witness T = v_A u_B^T which attains ||A|| ||B||.  Reported as an
     exploration (status ``info``): the ratio can sink far below 1, e.g. at
-    rate 2^-m along A = B = hadamard_tensor_power(m).
+    rate 2^-m along A = B = hadamard_tensor_power(m).  More than
+    ``SAMPLE_STACK_CAP`` floats in a sampled stack raise
+    ``EnumerationLimitError`` before anything is drawn.
     """
+    _check_sample_stack(samples, A, B)
     n_W, n_X, n_Y, n_Z = (
         assignment.n_W,
         assignment.n_X,
@@ -709,7 +748,7 @@ def gap_report(
         if not keep.any():
             continue
         normalized = stack[keep] / t_norms[keep][:, None, None]
-        images = np.einsum("ij,sjk,kl->sil", arr_A, normalized, arr_B)
+        images = arr_A @ normalized @ arr_B
         values = batched_operator_norm(images, n_W, n_Z, positive=False)
         idx = int(values.argmax())
         if float(values[idx]) > best:

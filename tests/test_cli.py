@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -163,6 +164,27 @@ def test_verify_cor23_over_extreme_point_cap_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["gap", "--m", "1", "--samples", "1000000000000"], "sample stack cap"),
+        (["gap", "--m", "30"], "entry cap"),
+        (["verify", "cor23", "--samples", "1000000000000"], "sample stack cap"),
+    ],
+)
+def test_oversized_request_exits_2_at_once(argv, cap, matrix_files, capsys):
+    if argv[0] == "verify":
+        a, b = matrix_files
+        argv = argv + ["--A", a, "--B", b]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert cap in err
+    assert "Traceback" not in err
+
+
 def test_bad_norm_exponent_exits_2(matrix_files, capsys):
     a, b = matrix_files
     assert main(["verify", "cor23", "--A", a, "--B", b, "--p-in", "0.5"]) == 2
@@ -189,6 +211,17 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert main(args + ["--json", out1]) == 0
     assert main(args + ["--json", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_console_line_reports_runtime_but_json_does_not(tmp_path, capsys):
+    outs = [str(tmp_path / "g1.json"), str(tmp_path / "g2.json")]
+    for out in outs:
+        assert main(["gap", "--m", "2", "--samples", "30", "--json", out]) == 0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("[INFO] gap")
+        assert err.endswith(" ms)")
+    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    assert "runtime_ms" not in json.loads(open(outs[0]).read())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszops import norms
+from rieszops import norms, superop
 from rieszops.corpus import random_matrix
 from rieszops.lattice import EnumerationLimitError
 from rieszops.scalars import ScalarModeError
@@ -396,9 +396,92 @@ def test_verify_cor23_mixed_assignment():
     assert report.details["witness_shortfall"] <= 1e-9
 
 
+def _reference_max_sample(A, B, assignment, samples, seed):
+    """Redraw verify_cor23's seeded positive stack and contract it with the
+    three-operand einsum, independently of the batched matmul."""
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(0.0, 1.0, size=(samples, A.cols, B.rows))
+    t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y, positive=True)
+    stack = stack / t_norms[:, None, None]
+    images = np.einsum("ij,sjk,kl->sil", _np(abs(A)), stack, _np(abs(B)))
+    return float(
+        batched_operator_norm(images, assignment.n_W, assignment.n_Z, positive=True).max()
+    )
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 4, 3), (3, 4, 3, 4)])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_verify_cor23_sampled_images_match_einsum(dims, p):
+    A, B = _chain_pair(Random(2308), *dims)
+    assignment = NormAssignment.uniform(p)
+    report = verify_cor23(A, B, assignment, samples=300, seed=5)
+    reference = _reference_max_sample(A, B, assignment, 300, 5)
+    assert report.details["max_sample"] == pytest.approx(reference, rel=1e-13)
+
+
+def _refuse_draws(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no draw")
+
+    monkeypatch.setattr(norms.np.random, "default_rng", no_draw)
+
+
+def test_sample_stack_cap_raises_before_drawing(monkeypatch):
+    _refuse_draws(monkeypatch)
+    A = RegularOperator.from_rows([[1, -2], [3, 4]])
+    samples = norms.SAMPLE_STACK_CAP // 4 + 1
+    with pytest.raises(EnumerationLimitError, match="sample stack cap"):
+        verify_cor23(A, A, NormAssignment.uniform(1.0), samples=samples)
+    with pytest.raises(EnumerationLimitError, match="sample stack cap"):
+        gap_report(A, A, NormAssignment.uniform(2.0), samples=samples)
+    # Exactly at the cap the run goes on to the draw.
+    with pytest.raises(AssertionError, match="no draw"):
+        gap_report(A, A, NormAssignment.uniform(2.0), samples=samples - 1)
+
+
+def test_sample_stack_cap_counts_the_partial_products(monkeypatch):
+    # A is 64 x 1 and B is 64 x 1: T and A T B have 64 entries, A T has 4096.
+    _refuse_draws(monkeypatch)
+    A = RegularOperator(64, 1, [Fraction(1)] * 64)
+    B = RegularOperator(64, 1, [Fraction(1)] * 64)
+    samples = norms.SAMPLE_STACK_CAP // 4096 + 1
+    assert samples * 64 <= norms.SAMPLE_STACK_CAP
+    with pytest.raises(EnumerationLimitError, match="sample stack cap"):
+        gap_report(A, B, NormAssignment.uniform(2.0), samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # gap exploration
 # ---------------------------------------------------------------------------
+
+
+def test_hadamard_tensor_power_cap_raises_before_building(monkeypatch):
+    def no_kron(*args):
+        raise AssertionError("the cap must be checked before any kron")
+
+    monkeypatch.setattr(superop, "kron", no_kron)
+    assert 4**10 <= norms.HADAMARD_ENTRY_CAP < 4**11
+    for m in (11, 30):
+        with pytest.raises(EnumerationLimitError, match="entry cap"):
+            hadamard_tensor_power(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gap_report_hadamard_witness_properties(m, seed):
+    # H^T H = 2^m I, so every unit T attains ||H T H||_2 = 2^m: best_T is one
+    # of many tied maximisers, checked by its properties rather than its bytes.
+    H = hadamard_tensor_power(m)
+    report = gap_report(H, H, NormAssignment.uniform(2.0), samples=200, seed=seed)
+    operator_side = report.details["operator_side"]
+    assert operator_side == pytest.approx(2.0**m, rel=1e-12)
+    (witness,) = report.witnesses
+    assert witness["role"] == "best_T"
+    T = np.array(witness["entries"], dtype=float).reshape(witness["rows"], witness["cols"])
+    assert np.linalg.norm(T, 2) == pytest.approx(1.0, abs=1e-12)
+    H_np = _np(H)
+    image = np.einsum("ij,jk,kl->il", H_np, T, H_np)
+    assert np.linalg.norm(image, 2) == pytest.approx(operator_side, rel=1e-12)
 
 
 def test_hadamard_tensor_power_orthogonality():
