@@ -33,7 +33,9 @@ from .lattice import EnumerationLimitError, LatticeVector
 from .norms import (
     LatticeNorm,
     NormAssignment,
+    check_sample_stack,
     gap_report,
+    hadamard_order,
     hadamard_tensor_power,
     operator_norm,
     regular_norm,
@@ -254,8 +256,10 @@ def _run_verify(args) -> VerificationReport:
 
 def _run_gap(args) -> VerificationReport:
     if getattr(args, "m", None) is not None:
-        H = hadamard_tensor_power(args.m)
-        A = B = H
+        # Refuse an oversized sample stack before building the Fraction H.
+        n = hadamard_order(args.m)
+        check_sample_stack(args.samples, (n, n), (n, n))
+        A = B = hadamard_tensor_power(args.m)
     else:
         if args.A is None or args.B is None:
             raise UsageError("gap needs either --m or both --A and --B")

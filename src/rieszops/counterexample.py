@@ -270,8 +270,20 @@ def inf_G_double_prime(
         raise EnumerationLimitError(
             f"dimension {f.dim} exceeds enumeration cap {ENUMERATION_CAP}"
         )
-    partitions = _e_partitions(f, partition_budget)
-    splits = _positive_splits(T, operator_split_samples, seed)
+    return _double_partition_inf(
+        f,
+        _e_partitions(f, partition_budget),
+        _positive_splits(T, operator_split_samples, seed),
+    )
+
+
+def _double_partition_inf(
+    f: CoordinateFunctional,
+    partitions: Sequence[Partition],
+    splits: Sequence[OperatorPartition],
+) -> LatticeVector:
+    """The kernel of ``inf_G_double_prime`` over given e-partitions and
+    given positive splits of T (exact, n x n, already validated)."""
     n, k = f.dim, f.index
     pieces = [piece for split in splits for piece in split.pieces]
     # P[i] = D_T T_i as an n x n integer matrix; P e = its row sums.
@@ -420,21 +432,13 @@ def counterexample_report(
     if g_samples is None:
         g_samples = max(1, t_samples // 2)
     g_checks = [B] + test_ops[2 : 2 + g_samples]
-    splits_per_check = len(
-        _positive_splits(B, operator_split_samples, seed)
-    )
-    partitions_per_split = len(_e_partitions(f, partition_budget))
-    for T in g_checks:
-        g_inf = inf_G_double_prime(
-            T,
-            f,
-            partition_budget=partition_budget,
-            operator_split_samples=operator_split_samples,
-            seed=seed,
-        )
+    partitions = _e_partitions(f, partition_budget)
+    g_splits = [_positive_splits(T, operator_split_samples, seed) for T in g_checks]
+    for T, splits in zip(g_checks, g_splits):
+        g_inf = _double_partition_inf(f, partitions, splits)
         deviations.append(vector_deviation(g_inf, meet_via_components(T, f)))
     # The homomorphism dichotomy on every enumerated disjoint partition.
-    for partition in _e_partitions(f, partition_budget):
+    for partition in partitions:
         single_support_check(f, partition)
 
     inputs = {"n": n, "k": k, "t_samples": t_samples}
@@ -446,8 +450,8 @@ def counterexample_report(
         "partition_budget": partition_budget,
         "operator_split_samples": operator_split_samples,
         "g_checks": len(g_checks),
-        "splits_sampled": len(g_checks) * splits_per_check,
-        "partitions_per_split": partitions_per_split,
+        "splits_sampled": len(g_checks) * len(g_splits[0]),
+        "partitions_per_split": len(partitions),
     }
     return make_report(
         claim_id="counterexample",

@@ -468,9 +468,14 @@ def batched_operator_norm(
 SAMPLE_STACK_CAP = 1 << 24
 
 
-def _check_sample_stack(samples: int, A: RegularOperator, B: RegularOperator):
-    """Refuse a sampling run whose stacks would exceed ``SAMPLE_STACK_CAP``."""
-    entries = max(A.cols * B.rows, A.rows * B.rows, A.rows * B.cols)
+def check_sample_stack(samples: int, a_shape: tuple, b_shape: tuple):
+    """Refuse a sampling run whose stacks would exceed ``SAMPLE_STACK_CAP``.
+
+    ``a_shape`` = (z, y) and ``b_shape`` = (x, w) are the shapes of A and B,
+    so a caller can check a run before it builds the factors.
+    """
+    (z, y), (x, w) = a_shape, b_shape
+    entries = max(y * x, z * x, z * w)
     if samples * entries > SAMPLE_STACK_CAP:
         raise EnumerationLimitError(
             f"{samples} samples of {entries} entries exceed sample stack cap "
@@ -562,7 +567,7 @@ def verify_cor23(
     More than ``SAMPLE_STACK_CAP`` floats in a sampled stack raise
     ``EnumerationLimitError`` before anything is drawn.
     """
-    _check_sample_stack(samples, A, B)
+    check_sample_stack(samples, A.shape, B.shape)
     n_W, n_X, n_Y, n_Z = (
         assignment.n_W,
         assignment.n_X,
@@ -675,11 +680,10 @@ def verify_cor23(
 HADAMARD_ENTRY_CAP = 1 << 20
 
 
-def hadamard_tensor_power(m: int) -> RegularOperator:
-    """H_2^{(x) m}: the 2^m x 2^m sign matrix with |H| = all-ones.
+def hadamard_order(m: int) -> int:
+    """2^m, the side of H_2^{(x) m}, once m is checked.
 
-    More than ``HADAMARD_ENTRY_CAP`` entries raise ``EnumerationLimitError``
-    before anything is built.
+    More than ``HADAMARD_ENTRY_CAP`` entries raise ``EnumerationLimitError``.
     """
     if m < 0:
         raise ValueError("tensor power must be nonnegative")
@@ -687,6 +691,16 @@ def hadamard_tensor_power(m: int) -> RegularOperator:
         raise EnumerationLimitError(
             f"H_2^(x){m} has 4^{m} entries, above entry cap {HADAMARD_ENTRY_CAP}"
         )
+    return 1 << m
+
+
+def hadamard_tensor_power(m: int) -> RegularOperator:
+    """H_2^{(x) m}: the 2^m x 2^m sign matrix with |H| = all-ones.
+
+    More than ``HADAMARD_ENTRY_CAP`` entries raise ``EnumerationLimitError``
+    before anything is built.
+    """
+    hadamard_order(m)
     H = RegularOperator.from_rows([[1, 1], [1, -1]])
     out = RegularOperator.identity(1)
     from .superop import kron
@@ -713,7 +727,7 @@ def gap_report(
     ``SAMPLE_STACK_CAP`` floats in a sampled stack raise
     ``EnumerationLimitError`` before anything is drawn.
     """
-    _check_sample_stack(samples, A, B)
+    check_sample_stack(samples, A.shape, B.shape)
     n_W, n_X, n_Y, n_Z = (
         assignment.n_W,
         assignment.n_X,

@@ -22,6 +22,18 @@ The verifiers check, with exact rational arithmetic:
 * ``verify_synnatzschke_a`` -- for a positive right factor B0:
                               |M_{A,B0}| = M_{|A|,B0}  and
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
+
+In exact mode the operator-partition supremum runs as an integer kernel:
+the pieces of all partitions, A0, B and w are scaled to Python ints over
+common denominators (``scalars.scaled_integers``) and the images |A0 P B| w
+are formed as numpy object-array products, in chunks of at most
+``_KERNEL_CHUNK_ENTRIES`` image entries, with the per-partition sums
+carried across chunks.  ``partition_superop_sum`` stays the Fraction (and
+float-mode) loop the kernel is tested against.
+
+``kron`` refuses a product of more than ``KRON_ENTRY_CAP`` (2^20) entries
+with ``EnumerationLimitError`` before multiplying anything, so a rep of
+large inputs cannot exhaust memory.
 """
 
 from __future__ import annotations
@@ -30,7 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .lattice import DimensionMismatchError, LatticeVector
+import numpy as np
+
+from .lattice import DimensionMismatchError, EnumerationLimitError, LatticeVector
 from .operators import (
     OperatorPartition,
     OperatorSplitScheme,
@@ -38,7 +52,7 @@ from .operators import (
     operator_partitions,
 )
 from .reports import VerificationReport, make_report
-from .scalars import DEFAULT_TOLERANCE, ScalarModeError, zero_of
+from .scalars import DEFAULT_TOLERANCE, ScalarModeError, scaled_integers, zero_of
 
 
 class FactorlessSuperoperatorError(RuntimeError):
@@ -49,10 +63,26 @@ class FactorlessSuperoperatorError(RuntimeError):
     """
 
 
+#: Entries a ``kron`` may produce: H_2^{(x) 10} (norms.HADAMARD_ENTRY_CAP
+#: entries) still builds, while the rep of two 40 x 40 factors (2.56 million
+#: Fractions) is refused.
+KRON_ENTRY_CAP = 1 << 20
+
+
 def kron(P: RegularOperator, Q: RegularOperator) -> RegularOperator:
-    """Kronecker product P (x) Q: block matrix of P[i,j] * Q."""
+    """Kronecker product P (x) Q: block matrix of P[i,j] * Q.
+
+    A product of more than ``KRON_ENTRY_CAP`` entries raises
+    ``EnumerationLimitError`` before anything is multiplied.
+    """
     if P.mode != Q.mode:
         raise ScalarModeError(f"scalar mode mismatch: {P.mode} vs {Q.mode}")
+    entries_out = P.rows * Q.rows * P.cols * Q.cols
+    if entries_out > KRON_ENTRY_CAP:
+        raise EnumerationLimitError(
+            f"kron of {P.shape} and {Q.shape} has {entries_out} entries, "
+            f"above kron entry cap {KRON_ENTRY_CAP}"
+        )
     entries = []
     for pr in range(P.rows):
         for qr in range(Q.rows):
@@ -353,6 +383,17 @@ def partition_superop_sum(
     return total
 
 
+#: Entries of the kernel's per-chunk image intermediates (A0 P and A0 P B),
+#: so its memory stays bounded however many pieces the partitions have.
+_KERNEL_CHUNK_ENTRIES = 1 << 16
+
+
+def _scaled_array(values, shape):
+    """Exact scalars as an object array of Python ints, and their denominator."""
+    ints, D = scaled_integers(values)
+    return np.array(ints, dtype=object).reshape(shape), D
+
+
 def operator_partition_sup(
     A0: RegularOperator,
     B: RegularOperator,
@@ -366,6 +407,18 @@ def operator_partition_sup(
     attained and equals A0 T |B| w exactly; coarser strategies give
     componentwise smaller-or-equal values (cancellation inside |A0 T_j B|
     only ever loses mass).
+
+    Exact inputs go through an integer kernel: every piece of every
+    partition is scaled by the common denominator D_T of all pieces, and
+    A0, B and w by their own D_A, D_B, D_w, so each partition's value is
+    sum_j |A P_j B| W / (D_A D_T D_B D_w)  over numpy object arrays of
+    Python ints, which cannot overflow.  The images are formed in chunks of
+    pieces holding at most ``_KERNEL_CHUNK_ENTRIES`` entries, with the
+    per-partition sums carried across chunks, so an atomic partition's
+    y x pieces never need y x z w image entries at once.  The result equals
+    the entrywise maximum of ``partition_superop_sum(...).apply(w)`` over
+    the same partitions exactly.  Inputs that are not all exact run that
+    loop itself, so float results (and mode-mismatch errors) are unchanged.
     """
     if not A0.is_positive():
         raise ValueError("the partition supremum needs a positive left factor")
@@ -381,13 +434,33 @@ def operator_partition_sup(
         )
     if not w.is_positive():
         raise ValueError("the partition supremum is evaluated at positive w")
-    best: Optional[LatticeVector] = None
-    for partition in _iter_operator_partitions(T, strategy):
-        value = partition_superop_sum(A0, B, partition).apply(w)
-        best = value if best is None else best.join(value)
-    if best is None:
+    partitions = list(_iter_operator_partitions(T, strategy))
+    if not partitions:
         raise ValueError("empty partition strategy")
-    return best
+    if not (A0.is_exact and B.is_exact and T.is_exact and w.is_exact):
+        best: Optional[LatticeVector] = None
+        for partition in partitions:
+            value = partition_superop_sum(A0, B, partition).apply(w)
+            best = value if best is None else best.join(value)
+        return best
+    (z, y), (x, cols) = A0.shape, B.shape
+    pieces = [piece for partition in partitions for piece in partition.pieces]
+    P, D_T = _scaled_array(
+        (v for piece in pieces for v in piece.entries), (len(pieces), y, x)
+    )
+    A, D_A = _scaled_array(A0.entries, (z, y))
+    Bm, D_B = _scaled_array(B.entries, (x, cols))
+    W, D_w = _scaled_array(w.entries, (cols,))
+    owner = np.repeat(np.arange(len(partitions)), [len(p) for p in partitions])
+    sums = np.zeros((len(partitions), z), dtype=object)
+    step = max(1, _KERNEL_CHUNK_ENTRIES // (z * max(x, cols)))
+    for start in range(0, len(pieces), step):
+        values = np.abs(A @ P[start : start + step] @ Bm) @ W  # (pieces, z)
+        ids = owner[start : start + step]
+        firsts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        sums[ids[firsts]] += np.add.reduceat(values, firsts, axis=0)
+    D = D_A * D_T * D_B * D_w
+    return LatticeVector([Fraction(v, D) for v in np.maximum.reduce(sums, axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +494,11 @@ def verify_prop21(
     M_absB = Superoperator.build(A0, B.modulus_closed_form())
     M_joinBD = Superoperator.build(A0, B.join_closed_form(D))
 
-    dev_modulus = matrix_deviation(M_B.modulus().apply_rep(T), M_absB.apply(T))
+    modulus_at_T = M_absB.apply(T)
+    dev_modulus = matrix_deviation(M_B.modulus().apply_rep(T), modulus_at_T)
     dev_join = matrix_deviation(M_B.join(M_D).apply_rep(T), M_joinBD.apply(T))
 
-    rhs_at_w = M_absB.apply(T).apply(w)
+    rhs_at_w = modulus_at_T.apply(w)
     atomic_value = operator_partition_sup(
         A0, B, T, w, OperatorSplitScheme(kind="atomic")
     )
@@ -456,7 +530,7 @@ def verify_prop21(
         deviations=[dev_modulus, dev_join, dev_atomic, dev_coarse],
         exact=exact,
         witnesses=(
-            {"role": "modulus_at_T", **M_absB.apply(T).to_json()},
+            {"role": "modulus_at_T", **modulus_at_T.to_json()},
             {"role": "partition_sup_at_w", **atomic_value.to_json()},
         ),
         seed=seed,

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from rieszops import cli
 from rieszops.cli import main
 from rieszops.reports import canonical_json
 
@@ -182,6 +183,31 @@ def test_oversized_request_exits_2_at_once(argv, cap, matrix_files, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert cap in err
+    assert "Traceback" not in err
+
+
+def test_gap_stack_cap_is_checked_before_building_H(monkeypatch, capsys):
+    def no_hadamard(m):
+        raise AssertionError("the stack cap must be checked before H is built")
+
+    monkeypatch.setattr(cli, "hadamard_tensor_power", no_hadamard)
+    assert main(["gap", "--m", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "sample stack cap" in err
+    assert "Traceback" not in err
+
+
+def test_verify_prop21_over_kron_cap_exits_2(tmp_path, capsys):
+    # 40 x 40 factors: each rep would hold 1600 x 1600 Fractions.
+    entries = [str(i % 7) for i in range(1600)]
+    a = _write(tmp_path / "a40.json", {"rows": 40, "cols": 40, "entries": entries})
+    t0 = time.perf_counter()
+    assert main(["verify", "prop21", "--A0", a, "--B", a]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "kron entry cap" in err
     assert "Traceback" not in err
 
 

@@ -279,3 +279,25 @@ def test_counterexample_report_all_coordinates(n, k):
     report = counterexample_report(n=n, k=k, seed=1, t_samples=2)
     assert report.status == "pass"
     assert report.max_deviation == 0
+
+
+def test_counterexample_report_enumerates_each_list_once(monkeypatch):
+    calls = {"partitions": 0, "splits": []}
+
+    def counted_partitions(f, budget):
+        calls["partitions"] += 1
+        return _e_partitions(f, budget)
+
+    def counted_splits(T, samples, seed):
+        calls["splits"].append(T)
+        return _positive_splits(T, samples, seed)
+
+    monkeypatch.setattr(counterexample, "_e_partitions", counted_partitions)
+    monkeypatch.setattr(counterexample, "_positive_splits", counted_splits)
+    report = counterexample_report(n=4, k=2, seed=3, t_samples=4)
+    assert report.status == "pass"
+    # One e-partition list for the report; one split list per g-check
+    # operator, B first.
+    assert calls["partitions"] == 1
+    assert len(calls["splits"]) == report.details["g_checks"] == 3
+    assert calls["splits"][0] == build_B(CoordinateFunctional(4, 1))

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ from rieszops import (
     verify_prop21,
     verify_synnatzschke_a,
 )
+from rieszops import norms, superop
+from rieszops.lattice import EnumerationLimitError
+from rieszops.operators import operator_partitions
+from rieszops.superop import partition_superop_sum
 
 from conftest import fractions_st, matrices, positive_fractions_st, superop_quadruple_dims
 
@@ -198,6 +204,112 @@ def test_partition_sup_input_validation():
         operator_partition_sup(A0, B, T - T - T, w)
     with pytest.raises(ValueError):
         operator_partition_sup(A0, B, T, -w)
+
+
+def _reference_partition_sup(A0, B, T, w, schemes):
+    """The supremum as the Fraction loop over ``partition_superop_sum``, the
+    reference for the integer kernel."""
+    best = None
+    for scheme in schemes:
+        for partition in operator_partitions(T, scheme):
+            value = partition_superop_sum(A0, B, partition).apply(w)
+            best = value if best is None else best.join(value)
+    return best
+
+
+_ATOMIC = OperatorSplitScheme(kind="atomic")
+_SINGLETON = OperatorSplitScheme(kind="singleton")
+
+
+def _kernel_strategies(seed):
+    signed = OperatorSplitScheme(kind="random", parts=3, samples=4, seed=seed)
+    return ((_ATOMIC,), (_SINGLETON,), (signed,), (_ATOMIC, _SINGLETON, signed))
+
+
+def _seeded_case(rng, dims, scale=1, zero_share=0.0):
+    w, x, y, z = dims
+
+    def entries(count, positive):
+        low = 0 if positive else -9
+        return [
+            0 if rng.random() < zero_share
+            else scale * Fraction(rng.randint(low, 9), rng.randint(1, 7))
+            for _ in range(count)
+        ]
+
+    A0 = RegularOperator(z, y, entries(z * y, True))
+    B = RegularOperator(x, w, entries(x * w, False))
+    T = RegularOperator(y, x, entries(y * x, True))
+    v = LatticeVector(entries(w, True))
+    return A0, B, T, v
+
+
+def _assert_kernel_matches(A0, B, T, v, schemes):
+    got = operator_partition_sup(A0, B, T, v, schemes)
+    want = _reference_partition_sup(A0, B, T, v, schemes)
+    assert got.entries == want.entries, (A0, B, T, v, schemes)
+    assert all(type(e) is Fraction for e in got.entries)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_partition_sup_kernel_matches_reference_loop(w, x):
+    rng = Random(10 * w + x)
+    for y, z in itertools.product((1, 2, 3), repeat=2):
+        case = _seeded_case(rng, (w, x, y, z), zero_share=0.25)
+        for schemes in _kernel_strategies(seed=y * z):
+            _assert_kernel_matches(*case, schemes)
+
+
+def test_partition_sup_kernel_on_4x4x4x4_and_special_inputs():
+    rng = Random(4)
+    for schemes in _kernel_strategies(seed=4):
+        _assert_kernel_matches(*_seeded_case(rng, (4, 4, 4, 4)), schemes)
+        # An all-zero T: the atomic scheme falls back to the partition [T].
+        A0, B, _, v = _seeded_case(rng, (3, 2, 3, 2))
+        _assert_kernel_matches(A0, B, RegularOperator.zero(3, 2), v, schemes)
+        for scale in (Fraction(10**12, 7), Fraction(10**12, 7) ** 2):
+            _assert_kernel_matches(*_seeded_case(rng, (3, 4, 3, 4), scale), schemes)
+
+
+def test_partition_sup_kernel_chunks_agree(monkeypatch):
+    rng = Random(5)
+    A0, B, T, v = _seeded_case(rng, (4, 4, 4, 4), zero_share=0.2)
+    schemes = _kernel_strategies(seed=5)[-1]
+    whole = operator_partition_sup(A0, B, T, v, schemes)
+    # 16 image entries per piece: one piece per chunk, so every partition of
+    # more than one piece has its sum carried across chunks.
+    monkeypatch.setattr(superop, "_KERNEL_CHUNK_ENTRIES", 1)
+    chunked = operator_partition_sup(A0, B, T, v, schemes)
+    assert chunked.entries == whole.entries
+    assert chunked.entries == _reference_partition_sup(A0, B, T, v, schemes).entries
+
+
+def test_partition_sup_float_mode_runs_the_loop():
+    A0 = RegularOperator.from_rows([[0.5, 1.25], [2.0, 0.0]])
+    B = RegularOperator.from_rows([[1.5, -0.5], [-0.5, 1.0]])
+    T = RegularOperator.from_rows([[0.1, 0.0], [0.3, 0.7]])
+    v = LatticeVector([0.2, 1.1])
+    for schemes in _kernel_strategies(seed=6):
+        got = operator_partition_sup(A0, B, T, v, schemes)
+        assert got.entries == _reference_partition_sup(A0, B, T, v, schemes).entries
+        assert all(type(e) is float for e in got.entries)
+
+
+def test_kron_cap_raises_before_any_product(monkeypatch):
+    def no_entry(self, i, j):
+        raise AssertionError("the cap must be checked before any product")
+
+    monkeypatch.setattr(RegularOperator, "entry", no_entry)
+    assert superop.KRON_ENTRY_CAP >= norms.HADAMARD_ENTRY_CAP
+    column = RegularOperator(1024, 1, [Fraction(1)] * 1024)
+    taller = RegularOperator(1025, 1, [Fraction(1)] * 1025)
+    with pytest.raises(EnumerationLimitError, match="kron entry cap"):
+        kron(taller, column)
+    # Exactly at the cap the check passes and the products begin.
+    assert 1024 * 1024 == superop.KRON_ENTRY_CAP
+    with pytest.raises(AssertionError, match="before any product"):
+        kron(column, column)
 
 
 # ---------------------------------------------------------------------------
