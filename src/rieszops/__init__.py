@@ -23,20 +23,18 @@ from .counterexample import (
 )
 from .corpus import Corpus, claim_cases, generate_corpus, parse_corpus_spec
 from .lattice import (
-    BandProjection,
     Component,
     DimensionMismatchError,
     LatticeVector,
     Partition,
-    PartitionScheme,
     atomic_partition,
+    default_partitions,
     disjoint_partitions,
     dyadic_partition,
     enumerate_components,
     halves_partition,
     refinement_chain,
     trivial_partition,
-    vector_partitions,
 )
 from .norms import (
     LatticeNorm,
@@ -56,13 +54,11 @@ from .norms import (
 )
 from .operators import (
     OperatorPartition,
-    OperatorSplitScheme,
     OracleResult,
     RegularOperator,
     atomic_operator_partition,
     meet_oracle,
     modulus_oracle,
-    operator_partitions,
     random_operator_partition,
     rank_one,
     refinement_sums,
@@ -80,7 +76,6 @@ from .scalars import DEFAULT_TOLERANCE, ScalarModeError, parse_scalar, scalar_to
 from .superop import (
     FactorlessSuperoperatorError,
     Superoperator,
-    build,
     kron,
     operator_partition_sup,
     unvec,
@@ -93,7 +88,6 @@ from .superop import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandProjection",
     "Component",
     "CoordinateFunctional",
     "Corpus",
@@ -105,18 +99,16 @@ __all__ = [
     "NormAssignment",
     "NormResult",
     "OperatorPartition",
-    "OperatorSplitScheme",
     "OracleResult",
     "Partition",
-    "PartitionScheme",
     "RegularOperator",
     "ScalarModeError",
     "Superoperator",
     "VerificationReport",
     "atomic_operator_partition",
     "atomic_partition",
+    "default_partitions",
     "batched_operator_norm",
-    "build",
     "build_B",
     "canonical_json",
     "claim_cases",
@@ -143,7 +135,6 @@ __all__ = [
     "norming_vector",
     "operator_norm",
     "operator_partition_sup",
-    "operator_partitions",
     "parse_corpus_spec",
     "parse_scalar",
     "random_operator_partition",
@@ -160,7 +151,6 @@ __all__ = [
     "unvec",
     "vec",
     "vector_norm",
-    "vector_partitions",
     "verify_cor22",
     "verify_cor23",
     "verify_prop21",

@@ -43,6 +43,7 @@ from .norms import (
 )
 from .operators import RegularOperator
 from .reports import (
+    CLAIM_IDS,
     VerificationReport,
     canonical_json,
     digest_inputs,
@@ -51,9 +52,6 @@ from .reports import (
 )
 from .scalars import DEFAULT_TOLERANCE, scalar_to_json
 from .superop import verify_cor22, verify_prop21, verify_synnatzschke_a
-
-CLAIMS = ("prop21", "cor22", "cor23", "synnatzschke_a", "counterexample", "gap")
-
 
 class UsageError(Exception):
     """Bad invocation or malformed input file (exit code 2)."""
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run one claim verifier")
-    p_verify.add_argument("claim", choices=CLAIMS)
+    p_verify.add_argument("claim", choices=CLAIM_IDS)
     p_verify.add_argument("--corpus", help="seed=S,dims=WxXxYxZ,count=N[,...]")
     for flag in ("--A", "--B", "--A0", "--C", "--B0", "--D", "--T", "--w"):
         p_verify.add_argument(flag, metavar="FILE")

@@ -56,8 +56,8 @@ from .operators import (
     trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
-from .scalars import ScalarModeError, scalar_to_json, scaled_integers
-from .superop import Superoperator, matrix_deviation, vector_deviation
+from .scalars import ScalarModeError, scaled_array
+from .superop import Superoperator, deviation
 
 
 @dataclass(frozen=True)
@@ -287,14 +287,14 @@ def _double_partition_inf(
     n, k = f.dim, f.index
     pieces = [piece for split in splits for piece in split.pieces]
     # P[i] = D_T T_i as an n x n integer matrix; P e = its row sums.
-    P_ints, D_T = scaled_integers(v for piece in pieces for v in piece.entries)
-    P = np.array(P_ints, dtype=object).reshape(len(pieces), n, n)
+    P, D_T = scaled_array(
+        (v for piece in pieces for v in piece.entries), (len(pieces), n, n)
+    )
     Pe = P.sum(axis=2)[:, :, None]
     # X_all[j] = D_X x_j for every block of every partition, in order.
-    X_ints, D_X = scaled_integers(
-        v for p in partitions for x in p.pieces for v in x.entries
+    X_all, D_X = scaled_array(
+        (v for p in partitions for x in p.pieces for v in x.entries), (-1, n)
     )
-    X_all = np.array(X_ints, dtype=object).reshape(-1, n)
     split_starts = np.cumsum([0] + [len(split) for split in splits[:-1]])
     max_blocks = max(1, _KERNEL_CHUNK_ENTRIES // (len(pieces) * n))
     best = None
@@ -311,7 +311,7 @@ def _double_partition_inf(
         best = low if best is None else np.minimum(best, low)
     assert best is not None
     D = D_T * D_X
-    return LatticeVector([Fraction(v, D) for v in best])
+    return LatticeVector._trusted((n,), [Fraction(v, D) for v in best])
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +404,11 @@ def counterexample_report(
         raise EnumerationLimitError(
             f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}"
         )
+    if t_samples < 0 or operator_split_samples < 0:
+        raise ValueError(
+            "t_samples and operator_split_samples must be nonnegative, got "
+            f"{t_samples} and {operator_split_samples}"
+        )
     f = CoordinateFunctional(n, k - 1)
     e = LatticeVector.ones(n)
     B = build_B(f)
@@ -414,13 +419,13 @@ def counterexample_report(
     deviations = []
     # The meet evaluated at B and then at e comes out to e itself.
     lambda_B_e = Lambda.apply(B).apply(e)
-    deviations.append(vector_deviation(lambda_B_e, e))
+    deviations.append(deviation(lambda_B_e, e))
     # Finite restoration of the factorized meet.
     restored = Superoperator.build(eye, IB)
-    deviations.append(matrix_deviation(Lambda.rep, restored.rep))
+    deviations.append(deviation(Lambda.rep, restored.rep))
     # At the identity the meet picks out column k.
     deviations.append(
-        vector_deviation(Lambda.apply(eye).apply(e), f.as_vector())
+        deviation(Lambda.apply(eye).apply(e), f.as_vector())
     )
     # The component formula agrees with the superoperator meet on random
     # positive operators, and the double-partition infimum agrees with both.
@@ -428,7 +433,7 @@ def counterexample_report(
     test_ops = [B, eye] + [_random_positive_matrix(rng, n) for _ in range(t_samples)]
     for T in test_ops:
         component_inf = meet_via_components(T, f)
-        deviations.append(vector_deviation(component_inf, Lambda.apply(T).apply(e)))
+        deviations.append(deviation(component_inf, Lambda.apply(T).apply(e)))
     if g_samples is None:
         g_samples = max(1, t_samples // 2)
     g_checks = [B] + test_ops[2 : 2 + g_samples]
@@ -436,7 +441,7 @@ def counterexample_report(
     g_splits = [_positive_splits(T, operator_split_samples, seed) for T in g_checks]
     for T, splits in zip(g_checks, g_splits):
         g_inf = _double_partition_inf(f, partitions, splits)
-        deviations.append(vector_deviation(g_inf, meet_via_components(T, f)))
+        deviations.append(deviation(g_inf, meet_via_components(T, f)))
     # The homomorphism dichotomy on every enumerated disjoint partition.
     for partition in partitions:
         single_support_check(f, partition)

@@ -4,17 +4,20 @@ This is the one Dedekind complete vector lattice that is finitely
 representable, so every order-theoretic statement about it can be checked
 mechanically.  Vectors carry either exact rational entries or floats (see
 ``scalars``); all lattice operations (meet, join, modulus, positive and
-negative parts) act componentwise.
+negative parts) act componentwise.  They are written once, on the private
+``_Entrywise`` base (a shape plus a flat tuple of entries) that
+``operators.RegularOperator`` shares, since the lattice structure of the
+matrix spaces is entrywise too.
 
 Besides the vector type the module provides the combinatorial machinery the
 Riesz-Kantorovich formulas quantify over: components of a positive element,
-disjoint and positive partitions, partition-refinement schemes, and band
-projections (coordinate-subset masks).
+disjoint and positive partitions, the refinement chain, and
+``default_partitions``, the family the partition oracles try by default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Iterator, Optional, Sequence
@@ -28,6 +31,7 @@ from .scalars import (
     eq,
     is_zero,
     le,
+    one_of,
     scalar_to_json,
     zero_of,
 )
@@ -49,28 +53,30 @@ class EnumerationLimitError(RuntimeError):
     """A request would exceed a work or memory cap."""
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """Element of R^n with componentwise order.
+@dataclass(frozen=True, init=False, repr=False)
+class _Entrywise:
+    """A shape plus a flat tuple of entries, all ``Fraction`` or all ``float``.
 
-    Entries are normalized at construction: all-``Fraction``/int input gives
-    an exact vector, any float entry gives a float vector.  Instances are
-    immutable and hashable.
+    The coordinate-model lattice structure is entrywise on R^n, on the
+    matrix spaces and on the Kronecker rep alike, so ``LatticeVector`` and
+    ``operators.RegularOperator`` share this one implementation of it.
+    Results of entrywise operations come from ``_trusted``, which skips
+    ``coerce_entries``: entrywise arithmetic on typed entries stays typed.
     """
 
-    entries: tuple = field()
+    shape: tuple
+    entries: tuple
 
-    def __init__(self, entries: Sequence):
-        coerced, _ = coerce_entries(entries)
-        if not coerced:
-            raise ValueError("a lattice vector needs at least one entry")
-        object.__setattr__(self, "entries", coerced)
+    @classmethod
+    def _trusted(cls, shape: tuple, entries):
+        """An instance from entries already in one scalar mode (no checks)."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "shape", shape)
+        object.__setattr__(obj, "entries", tuple(entries))
+        return obj
 
-    # -- structure -----------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+    def _like(self, entries):
+        return self._trusted(self.shape, entries)
 
     @property
     def mode(self) -> str:
@@ -80,36 +86,133 @@ class LatticeVector:
     def is_exact(self) -> bool:
         return self.mode == EXACT
 
-    def _check_compatible(self, other: "LatticeVector"):
-        if not isinstance(other, LatticeVector):
-            raise TypeError(f"expected LatticeVector, got {type(other).__name__}")
-        if self.dim != other.dim:
+    def _check_compatible(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(
+                f"expected {type(self).__name__}, got {type(other).__name__}"
+            )
+        if self.shape != other.shape:
             raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
+                f"shape mismatch: {self.shape} vs {other.shape}"
             )
         if self.mode != other.mode:
             raise ScalarModeError(
                 f"scalar mode mismatch: {self.mode} vs {other.mode}"
             )
 
+    # -- ring operations -------------------------------------------------
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._like([a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return self._like([a - b for a, b in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return self._like([-a for a in self.entries])
+
+    def scale(self, c):
+        if self.is_exact:
+            if isinstance(c, float):
+                raise ScalarModeError(
+                    f"cannot scale an exact {type(self).__name__} by a float"
+                )
+            c = Fraction(c)
+        else:
+            c = float(c)
+        return self._like([c * a for a in self.entries])
+
+    def __mul__(self, c):
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+    # -- lattice operations ------------------------------------------------
+
+    def _min(self, other):
+        self._check_compatible(other)
+        return self._like([min(a, b) for a, b in zip(self.entries, other.entries)])
+
+    def _max(self, other):
+        self._check_compatible(other)
+        return self._like([max(a, b) for a, b in zip(self.entries, other.entries)])
+
+    def __abs__(self):
+        return self._like([abs(a) for a in self.entries])
+
+    def pos_part(self):
+        zero = zero_of(self.mode)
+        return self._like([max(a, zero) for a in self.entries])
+
+    def neg_part(self):
+        zero = zero_of(self.mode)
+        return self._like([max(-a, zero) for a in self.entries])
+
+    # -- order ------------------------------------------------------------
+
+    def le(self, other, tol: float = DEFAULT_TOLERANCE) -> bool:
+        self._check_compatible(other)
+        return all(le(a, b, tol) for a, b in zip(self.entries, other.entries))
+
+    def eq(self, other, tol: float = DEFAULT_TOLERANCE) -> bool:
+        self._check_compatible(other)
+        return all(eq(a, b, tol) for a, b in zip(self.entries, other.entries))
+
+    def is_positive(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+        zero = zero_of(self.mode)
+        return all(le(zero, a, tol) for a in self.entries)
+
+    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+        return all(is_zero(a, tol) for a in self.entries)
+
+    def to_float(self):
+        """The same element in float mode (no-op in float mode)."""
+        if not self.is_exact:
+            return self
+        return self._like([float(a) for a in self.entries])
+
+
+class LatticeVector(_Entrywise):
+    """Element of R^n with componentwise order.
+
+    Entries are normalized at construction: all-``Fraction``/int input gives
+    an exact vector, any float entry gives a float vector.  Instances are
+    immutable and hashable.
+    """
+
+    def __init__(self, entries: Sequence):
+        coerced, _ = coerce_entries(entries)
+        if not coerced:
+            raise ValueError("a lattice vector needs at least one entry")
+        object.__setattr__(self, "shape", (len(coerced),))
+        object.__setattr__(self, "entries", coerced)
+
+    @property
+    def dim(self) -> int:
+        return self.shape[0]
+
+    meet = _Entrywise._min
+    join = _Entrywise._max
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int, mode: str = EXACT) -> "LatticeVector":
-        return cls([zero_of(mode)] * dim)
+        return cls._trusted((dim,), [zero_of(mode)] * dim)
 
     @classmethod
     def unit(cls, dim: int, index: int, mode: str = EXACT) -> "LatticeVector":
         if not 0 <= index < dim:
             raise IndexError(f"unit index {index} out of range for dim {dim}")
         entries = [zero_of(mode)] * dim
-        entries[index] = Fraction(1) if mode == EXACT else 1.0
-        return cls(entries)
+        entries[index] = one_of(mode)
+        return cls._trusted((dim,), entries)
 
     @classmethod
     def ones(cls, dim: int, mode: str = EXACT) -> "LatticeVector":
-        one = Fraction(1) if mode == EXACT else 1.0
-        return cls([one] * dim)
+        return cls._trusted((dim,), [one_of(mode)] * dim)
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeVector":
@@ -124,72 +227,9 @@ class LatticeVector:
     def to_json(self) -> dict:
         return {"dim": self.dim, "entries": [scalar_to_json(x) for x in self.entries]}
 
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        self._check_compatible(other)
-        return LatticeVector([a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        self._check_compatible(other)
-        return LatticeVector([a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector([-a for a in self.entries])
-
-    def scale(self, c) -> "LatticeVector":
-        if isinstance(c, float) and self.is_exact:
-            raise ScalarModeError("cannot scale an exact vector by a float")
-        if isinstance(c, (int, Fraction)) and not self.is_exact:
-            c = float(c)
-        return LatticeVector([c * a for a in self.entries])
-
-    def __mul__(self, c) -> "LatticeVector":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def dot(self, other: "LatticeVector"):
         self._check_compatible(other)
         return sum(a * b for a, b in zip(self.entries, other.entries))
-
-    # -- lattice operations ------------------------------------------------
-
-    def meet(self, other: "LatticeVector") -> "LatticeVector":
-        self._check_compatible(other)
-        return LatticeVector([min(a, b) for a, b in zip(self.entries, other.entries)])
-
-    def join(self, other: "LatticeVector") -> "LatticeVector":
-        self._check_compatible(other)
-        return LatticeVector([max(a, b) for a, b in zip(self.entries, other.entries)])
-
-    def __abs__(self) -> "LatticeVector":
-        return LatticeVector([abs(a) for a in self.entries])
-
-    def pos_part(self) -> "LatticeVector":
-        zero = zero_of(self.mode)
-        return LatticeVector([max(a, zero) for a in self.entries])
-
-    def neg_part(self) -> "LatticeVector":
-        zero = zero_of(self.mode)
-        return LatticeVector([max(-a, zero) for a in self.entries])
-
-    # -- order ------------------------------------------------------------
-
-    def le(self, other: "LatticeVector", tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_compatible(other)
-        return all(le(a, b, tol) for a, b in zip(self.entries, other.entries))
-
-    def eq(self, other: "LatticeVector", tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_compatible(other)
-        return all(eq(a, b, tol) for a, b in zip(self.entries, other.entries))
-
-    def is_positive(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        zero = zero_of(self.mode)
-        return all(le(zero, a, tol) for a in self.entries)
-
-    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return all(is_zero(a, tol) for a in self.entries)
 
     # -- support ------------------------------------------------------------
 
@@ -201,18 +241,12 @@ class LatticeVector:
         """Zero out every entry whose index is not in ``indices``."""
         keep = set(indices)
         zero = zero_of(self.mode)
-        return LatticeVector(
+        return self._like(
             [a if i in keep else zero for i, a in enumerate(self.entries)]
         )
 
     def as_floats(self) -> tuple:
         return tuple(float(a) for a in self.entries)
-
-    def to_float(self) -> "LatticeVector":
-        """The same vector in float mode (no-op on float vectors)."""
-        if not self.is_exact:
-            return self
-        return LatticeVector([float(a) for a in self.entries])
 
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self.entries)
@@ -234,14 +268,6 @@ class Component:
 
     base: LatticeVector
     piece: LatticeVector
-
-    def is_valid(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        residual = self.base - self.piece
-        return (
-            self.piece.is_positive(tol)
-            and residual.is_positive(tol)
-            and self.piece.meet(residual).is_zero(tol)
-        )
 
 
 def enumerate_components(
@@ -416,45 +442,12 @@ def random_convex_partition(
         else:
             columns.append([a * (c / denom) for c in weights])
     pieces = [
-        LatticeVector([columns[i][p] for i in range(w.dim)]) for p in range(parts)
+        w._like([columns[i][p] for i in range(w.dim)]) for p in range(parts)
     ]
     kept = [p for p in pieces if not p.is_zero()]
     if not kept:
         kept = [pieces[0]]
     return Partition(w, tuple(kept))
-
-
-@dataclass(frozen=True)
-class PartitionScheme:
-    """Configuration for a family of partitions of a positive vector.
-
-    Kinds: ``trivial`` (just {w}), ``halves``, ``atomic``, ``dyadic``
-    (atoms split into 2^depth equal parts), ``random`` (seeded convex
-    splits, ``samples`` of them with ``parts`` pieces each).
-    """
-
-    kind: str = "atomic"
-    depth: int = 1
-    parts: int = 3
-    samples: int = 5
-    seed: int = 0
-
-
-def vector_partitions(w: LatticeVector, scheme: PartitionScheme) -> Iterator[Partition]:
-    if scheme.kind == "trivial":
-        yield trivial_partition(w)
-    elif scheme.kind == "halves":
-        yield halves_partition(w)
-    elif scheme.kind == "atomic":
-        yield atomic_partition(w)
-    elif scheme.kind == "dyadic":
-        yield dyadic_partition(w, scheme.depth)
-    elif scheme.kind == "random":
-        rng = Random(scheme.seed)
-        for _ in range(scheme.samples):
-            yield random_convex_partition(w, scheme.parts, rng)
-    else:
-        raise ValueError(f"unknown partition scheme kind: {scheme.kind!r}")
 
 
 def refinement_chain(w: LatticeVector) -> list:
@@ -471,53 +464,8 @@ def refinement_chain(w: LatticeVector) -> list:
     ]
 
 
-# ---------------------------------------------------------------------------
-# band projections
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BandProjection:
-    """Order projection onto the band of a coordinate subset.
-
-    Acts by zeroing every entry outside ``support`` (0-based indices); the
-    complement projection uses the complementary support, and together they
-    sum to the identity.
-    """
-
-    dim: int
-    support: frozenset
-
-    def apply(self, v: LatticeVector) -> LatticeVector:
-        if v.dim != self.dim:
-            raise DimensionMismatchError(
-                f"projection dim {self.dim} vs vector dim {v.dim}"
-            )
-        return v.restrict(self.support)
-
-    def complement(self) -> "BandProjection":
-        return BandProjection(
-            self.dim, frozenset(range(self.dim)) - self.support
-        )
-
-    def diagonal(self, mode: str = EXACT) -> LatticeVector:
-        """The 0/1 diagonal realizing this projection as a matrix."""
-        one = Fraction(1) if mode == EXACT else 1.0
-        return LatticeVector(
-            [one if i in self.support else zero_of(mode) for i in range(self.dim)]
-        )
-
-
-def band_projection(dim: int, support) -> BandProjection:
-    support = frozenset(support)
-    for i in support:
-        if not 0 <= i < dim:
-            raise IndexError(f"support index {i} out of range for dim {dim}")
-    return BandProjection(dim, support)
-
-
-def positive_band_projection(v: LatticeVector) -> BandProjection:
-    """Projection onto the band generated by the positive part of v."""
-    zero = zero_of(v.mode)
-    support = frozenset(i for i, a in enumerate(v.entries) if a > zero)
-    return BandProjection(v.dim, support)
+def default_partitions(w: LatticeVector) -> list:
+    """The partition oracles' default family: the refinement chain of w,
+    then 5 seeded random convex splits into 3 pieces (one ``Random(0)``)."""
+    rng = Random(0)
+    return refinement_chain(w) + [random_convex_partition(w, 3, rng) for _ in range(5)]

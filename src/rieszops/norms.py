@@ -55,7 +55,7 @@ from .scalars import (
     DEFAULT_TOLERANCE,
     ScalarModeError,
     scalar_to_json,
-    scaled_integers,
+    scaled_array,
 )
 
 INF = math.inf
@@ -472,8 +472,11 @@ def check_sample_stack(samples: int, a_shape: tuple, b_shape: tuple):
     """Refuse a sampling run whose stacks would exceed ``SAMPLE_STACK_CAP``.
 
     ``a_shape`` = (z, y) and ``b_shape`` = (x, w) are the shapes of A and B,
-    so a caller can check a run before it builds the factors.
+    so a caller can check a run before it builds the factors.  A negative
+    sample count raises ``ValueError``.
     """
+    if samples < 0:
+        raise ValueError(f"the sample count must be nonnegative, got {samples}")
     (z, y), (x, w) = a_shape, b_shape
     entries = max(y * x, z * x, z * w)
     if samples * entries > SAMPLE_STACK_CAP:
@@ -530,10 +533,8 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
             f"{y}^{x} = {points} extreme points exceed enumeration cap "
             f"{EXTREME_POINT_CAP}"
         )
-    a_ints, D_A = scaled_integers(A.modulus_closed_form().entries)
-    b_ints, D_B = scaled_integers(B.modulus_closed_form().entries)
-    absA = np.array(a_ints, dtype=object).reshape(A.rows, y)
-    absB = np.array(b_ints, dtype=object).reshape(x, B.cols)
+    absA, D_A = scaled_array(A.modulus_closed_form().entries, (A.rows, y))
+    absB, D_B = scaled_array(B.modulus_closed_form().entries, (x, B.cols))
     # Digit j of an assignment code (base y) is a_j; under the cap every y**j
     # fits in int64.  np.unravel_index would need x axes, and numpy has 64.
     radix = y ** np.arange(x, dtype=np.int64)

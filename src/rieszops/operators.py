@@ -2,7 +2,8 @@
 
 A regular operator here is a matrix acting on column vectors; between
 finite-dimensional spaces every operator is regular and order continuous,
-and the lattice operations admit entrywise closed forms:
+and the lattice operations admit entrywise closed forms, which
+``RegularOperator`` shares with ``LatticeVector`` through one base class:
 
 * ``|A|``      -- entrywise absolute value,
 * ``(S v T)`` -- entrywise max,  ``(S ^ T)`` -- entrywise min.
@@ -15,10 +16,11 @@ over positive partitions of a positive test vector:
 * ``(S^T) w = inf { sum_i min(S w_i, T w_i) : w_i >= 0, sum_i w_i = w }``
 
 ``modulus_oracle`` and ``meet_oracle`` evaluate those partition sums over
-configurable partition families (trivial / halves / atomic / dyadic /
-seeded random convex splits) and report the best bound seen.  In the
-coordinate model the atomic partition attains the supremum/infimum exactly,
-which the test-suite pins down.
+the partitions they are given (by default ``lattice.default_partitions``:
+the refinement chain trivial / halves / atomic / dyadic, then seeded random
+convex splits) and report the best bound seen.  In the coordinate model the
+atomic partition attains the supremum/infimum exactly, which the
+test-suite pins down.
 
 ``OperatorPartition`` models the operator-side decompositions
 ``sum_j |T_j| = T`` used by the superoperator formulas.
@@ -29,43 +31,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lattice import (
+    SPLIT_DENOMINATOR,
     DimensionMismatchError,
     LatticeVector,
     Partition,
-    PartitionScheme,
-    atomic_partition,
+    _Entrywise,
+    _integer_composition,
+    default_partitions,
     refinement_chain,
-    trivial_partition,
-    vector_partitions,
 )
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
-    FLOAT,
     ScalarModeError,
     coerce_entries,
-    eq,
     is_zero,
-    le,
+    one_of,
     scalar_to_json,
     zero_of,
 )
 
 
-@dataclass(frozen=True)
-class RegularOperator:
+class RegularOperator(_Entrywise):
     """Matrix operator between coordinate Riesz spaces (rows x cols).
 
     Entries are stored row-major as a flat tuple, all exact rationals or
-    all floats (mixed input is coerced to float).
+    all floats (mixed input is coerced to float).  The entrywise ring,
+    lattice and order operations come from the shared base in ``lattice``.
     """
-
-    rows: int
-    cols: int
-    entries: tuple
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         if rows <= 0 or cols <= 0:
@@ -76,56 +72,44 @@ class RegularOperator:
                 f"expected {rows * cols} entries for a {rows}x{cols} operator, "
                 f"got {len(coerced)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "shape", (rows, cols))
         object.__setattr__(self, "entries", coerced)
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def shape(self) -> tuple:
-        return (self.rows, self.cols)
+    def rows(self) -> int:
+        return self.shape[0]
 
     @property
-    def mode(self) -> str:
-        return FLOAT if isinstance(self.entries[0], float) else EXACT
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == EXACT
+    def cols(self) -> int:
+        return self.shape[1]
 
     def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        return self.entries[i * self.shape[1] + j]
 
     def row(self, i: int) -> LatticeVector:
-        return LatticeVector(self.entries[i * self.cols : (i + 1) * self.cols])
+        return LatticeVector._trusted(
+            (self.cols,), self.entries[i * self.cols : (i + 1) * self.cols]
+        )
 
     def column(self, j: int) -> LatticeVector:
-        return LatticeVector([self.entry(i, j) for i in range(self.rows)])
-
-    def _check_same_shape(self, other: "RegularOperator"):
-        if not isinstance(other, RegularOperator):
-            raise TypeError(f"expected RegularOperator, got {type(other).__name__}")
-        if self.shape != other.shape:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.shape} vs {other.shape}"
-            )
-        if self.mode != other.mode:
-            raise ScalarModeError(
-                f"scalar mode mismatch: {self.mode} vs {other.mode}"
-            )
+        return LatticeVector._trusted(
+            (self.rows,), [self.entry(i, j) for i in range(self.rows)]
+        )
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int, mode: str = EXACT) -> "RegularOperator":
-        one = Fraction(1) if mode == EXACT else 1.0
-        zero = zero_of(mode)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        one, zero = one_of(mode), zero_of(mode)
+        return cls._trusted(
+            (n, n), [one if i == j else zero for i in range(n) for j in range(n)]
+        )
 
     @classmethod
     def zero(cls, rows: int, cols: int, mode: str = EXACT) -> "RegularOperator":
-        return cls(rows, cols, [zero_of(mode)] * (rows * cols))
+        return cls._trusted((rows, cols), [zero_of(mode)] * (rows * cols))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RegularOperator":
@@ -140,9 +124,8 @@ class RegularOperator:
     def diagonal(cls, diag: LatticeVector) -> "RegularOperator":
         n = diag.dim
         zero = zero_of(diag.mode)
-        return cls(
-            n,
-            n,
+        return cls._trusted(
+            (n, n),
             [diag.entries[i] if i == j else zero for i in range(n) for j in range(n)],
         )
 
@@ -151,10 +134,9 @@ class RegularOperator:
         cls, rows: int, cols: int, i: int, j: int, mode: str = EXACT
     ) -> "RegularOperator":
         """E_ij: 1 in entry (i, j), zero elsewhere."""
-        one = Fraction(1) if mode == EXACT else 1.0
         entries = [zero_of(mode)] * (rows * cols)
-        entries[i * cols + j] = one
-        return cls(rows, cols, entries)
+        entries[i * cols + j] = one_of(mode)
+        return cls._trusted((rows, cols), entries)
 
     @classmethod
     def from_json(cls, data: dict) -> "RegularOperator":
@@ -174,14 +156,6 @@ class RegularOperator:
     def as_floats(self) -> list:
         return [[float(self.entry(i, j)) for j in range(self.cols)]
                 for i in range(self.rows)]
-
-    def to_float(self) -> "RegularOperator":
-        """The same operator in float mode (no-op on float operators)."""
-        if not self.is_exact:
-            return self
-        return RegularOperator(
-            self.rows, self.cols, [float(a) for a in self.entries]
-        )
 
     # -- algebra ----------------------------------------------------------
 
@@ -227,104 +201,25 @@ class RegularOperator:
         return self.compose(other)
 
     def transpose(self) -> "RegularOperator":
-        return RegularOperator(
-            self.cols,
-            self.rows,
+        return self._trusted(
+            (self.cols, self.rows),
             [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def __add__(self, other: "RegularOperator") -> "RegularOperator":
-        self._check_same_shape(other)
-        return RegularOperator(
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other: "RegularOperator") -> "RegularOperator":
-        self._check_same_shape(other)
-        return RegularOperator(
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self) -> "RegularOperator":
-        return RegularOperator(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, c) -> "RegularOperator":
-        if isinstance(c, float) and self.is_exact:
-            raise ScalarModeError("cannot scale an exact operator by a float")
-        if isinstance(c, (int, Fraction)) and not self.is_exact:
-            c = float(c)
-        return RegularOperator(self.rows, self.cols, [c * a for a in self.entries])
-
-    def __mul__(self, c) -> "RegularOperator":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    # -- order and lattice closed forms -------------------------------------
-
-    def is_positive(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        zero = zero_of(self.mode)
-        return all(le(zero, a, tol) for a in self.entries)
-
-    def le(self, other: "RegularOperator", tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_same_shape(other)
-        return all(le(a, b, tol) for a, b in zip(self.entries, other.entries))
-
-    def eq(self, other: "RegularOperator", tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_same_shape(other)
-        return all(eq(a, b, tol) for a, b in zip(self.entries, other.entries))
-
-    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return all(is_zero(a, tol) for a in self.entries)
+    # -- lattice closed forms ---------------------------------------------
 
     def modulus_closed_form(self) -> "RegularOperator":
         """|A|: entrywise absolute value (coordinate-model closed form)."""
-        return RegularOperator(self.rows, self.cols, [abs(a) for a in self.entries])
+        return abs(self)
 
-    def __abs__(self) -> "RegularOperator":
-        return self.modulus_closed_form()
-
-    def pos_part(self) -> "RegularOperator":
-        zero = zero_of(self.mode)
-        return RegularOperator(
-            self.rows, self.cols, [max(a, zero) for a in self.entries]
-        )
-
-    def neg_part(self) -> "RegularOperator":
-        zero = zero_of(self.mode)
-        return RegularOperator(
-            self.rows, self.cols, [max(-a, zero) for a in self.entries]
-        )
-
-    def join_closed_form(self, other: "RegularOperator") -> "RegularOperator":
-        self._check_same_shape(other)
-        return RegularOperator(
-            self.rows,
-            self.cols,
-            [max(a, b) for a, b in zip(self.entries, other.entries)],
-        )
-
-    def meet_closed_form(self, other: "RegularOperator") -> "RegularOperator":
-        self._check_same_shape(other)
-        return RegularOperator(
-            self.rows,
-            self.cols,
-            [min(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+    join_closed_form = _Entrywise._max
+    meet_closed_form = _Entrywise._min
 
     def disjoint_with(
         self, other: "RegularOperator", tol: float = DEFAULT_TOLERANCE
     ) -> bool:
         """|self| ^ |other| = 0."""
-        return (
-            self.modulus_closed_form()
-            .meet_closed_form(other.modulus_closed_form())
-            .is_zero(tol)
-        )
+        return abs(self).meet_closed_form(abs(other)).is_zero(tol)
 
     def __repr__(self) -> str:
         return f"RegularOperator({self.rows}x{self.cols}, {self.to_lists()!r})"
@@ -341,7 +236,7 @@ def rank_one(functional: LatticeVector, value: LatticeVector) -> RegularOperator
         for i in range(value.dim)
         for j in range(functional.dim)
     ]
-    return RegularOperator(value.dim, functional.dim, entries)
+    return RegularOperator._trusted((value.dim, functional.dim), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +256,7 @@ def partition_meet_sum(
     S: RegularOperator, T: RegularOperator, partition: Partition
 ) -> LatticeVector:
     """sum_i min(S w_i, T w_i) for one positive partition of w."""
-    S._check_same_shape(T)
+    S._check_compatible(T)
     total = LatticeVector.zero(S.rows, S.mode)
     for piece in partition.pieces:
         total = total + S.apply(piece).meet(T.apply(piece))
@@ -385,29 +280,52 @@ class OracleResult:
     partitions_tried: int
 
 
-_DEFAULT_SCHEMES = (
-    PartitionScheme(kind="trivial"),
-    PartitionScheme(kind="halves"),
-    PartitionScheme(kind="atomic"),
-    PartitionScheme(kind="dyadic", depth=1),
-    PartitionScheme(kind="random", parts=3, samples=5, seed=0),
-)
-
-
-def _iter_scheme_partitions(
-    w: LatticeVector, schemes: Sequence[PartitionScheme]
-) -> Iterator[Partition]:
-    for scheme in schemes:
-        yield from vector_partitions(w, scheme)
+def _best_over_partitions(
+    w: LatticeVector,
+    partitions: Optional[Sequence[Partition]],
+    evaluate,
+    improve,
+    closed: LatticeVector,
+    tol: float,
+) -> OracleResult:
+    """Run a partition oracle: fold ``improve`` (join or meet) over the
+    values ``evaluate`` gives on each partition of w, first attainer kept."""
+    if partitions is None:
+        partitions = default_partitions(w)
+    best: Optional[LatticeVector] = None
+    best_partition: Optional[Partition] = None
+    tried = 0
+    for partition in partitions:
+        if partition.target != w:
+            raise ValueError("a partition does not split the test vector w")
+        tried += 1
+        value = evaluate(partition)
+        if best is None:
+            best, best_partition = value, partition
+            continue
+        candidate = improve(best, value)
+        if not candidate.eq(best, tol):
+            best_partition = partition
+        best = candidate
+    if best is None:
+        raise ValueError("no partitions to try")
+    return OracleResult(
+        value=best,
+        best_partition=best_partition,
+        closed_form=closed,
+        attained=best.eq(closed, tol),
+        partitions_tried=tried,
+    )
 
 
 def modulus_oracle(
     A: RegularOperator,
     w: LatticeVector,
-    schemes: Sequence[PartitionScheme] = _DEFAULT_SCHEMES,
+    partitions: Optional[Sequence[Partition]] = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> OracleResult:
-    """Evaluate sup { sum_i |A w_i| } over the given partition families.
+    """Evaluate sup { sum_i |A w_i| } over the given partitions of w
+    (default: ``lattice.default_partitions(w)``).
 
     The supremum is directed (refinements only increase the sum) and in the
     coordinate model it is attained by the atomic partition, where the sum
@@ -419,27 +337,13 @@ def modulus_oracle(
         raise DimensionMismatchError(
             f"operator expects dim {A.cols}, vector has dim {w.dim}"
         )
-    closed = A.modulus_closed_form().apply(w)
-    best: Optional[LatticeVector] = None
-    best_partition: Optional[Partition] = None
-    tried = 0
-    for partition in _iter_scheme_partitions(w, schemes):
-        tried += 1
-        value = partition_modulus_sum(A, partition)
-        if best is None:
-            best, best_partition = value, partition
-            continue
-        candidate = best.join(value)
-        if not candidate.eq(best, tol):
-            best_partition = partition
-        best = candidate
-    assert best is not None and best_partition is not None
-    return OracleResult(
-        value=best,
-        best_partition=best_partition,
-        closed_form=closed,
-        attained=best.eq(closed, tol),
-        partitions_tried=tried,
+    return _best_over_partitions(
+        w,
+        partitions,
+        lambda partition: partition_modulus_sum(A, partition),
+        LatticeVector.join,
+        A.modulus_closed_form().apply(w),
+        tol,
     )
 
 
@@ -447,38 +351,25 @@ def meet_oracle(
     S: RegularOperator,
     T: RegularOperator,
     w: LatticeVector,
-    schemes: Sequence[PartitionScheme] = _DEFAULT_SCHEMES,
+    partitions: Optional[Sequence[Partition]] = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> OracleResult:
-    """Evaluate inf { sum_i min(S w_i, T w_i) } over the given families."""
+    """Evaluate inf { sum_i min(S w_i, T w_i) } over the given partitions
+    of w (default: ``lattice.default_partitions(w)``)."""
     if not w.is_positive():
         raise ValueError("the meet oracle needs a positive test vector")
     if w.dim != S.cols:
         raise DimensionMismatchError(
             f"operator expects dim {S.cols}, vector has dim {w.dim}"
         )
-    S._check_same_shape(T)
-    closed = S.meet_closed_form(T).apply(w)
-    best: Optional[LatticeVector] = None
-    best_partition: Optional[Partition] = None
-    tried = 0
-    for partition in _iter_scheme_partitions(w, schemes):
-        tried += 1
-        value = partition_meet_sum(S, T, partition)
-        if best is None:
-            best, best_partition = value, partition
-            continue
-        candidate = best.meet(value)
-        if not candidate.eq(best, tol):
-            best_partition = partition
-        best = candidate
-    assert best is not None and best_partition is not None
-    return OracleResult(
-        value=best,
-        best_partition=best_partition,
-        closed_form=closed,
-        attained=best.eq(closed, tol),
-        partitions_tried=tried,
+    S._check_compatible(T)
+    return _best_over_partitions(
+        w,
+        partitions,
+        lambda partition: partition_meet_sum(S, T, partition),
+        LatticeVector.meet,
+        S.meet_closed_form(T).apply(w),
+        tol,
     )
 
 
@@ -536,27 +427,12 @@ def atomic_operator_partition(T: RegularOperator) -> OperatorPartition:
     return OperatorPartition(T, tuple(pieces))
 
 
-def signed_operator_partition(
-    T: RegularOperator, signs: Sequence[int]
-) -> OperatorPartition:
-    """Atomic pieces with chosen signs: sum stays |sum of moduli| = T."""
-    atomic = atomic_operator_partition(T)
-    if len(signs) != len(atomic.pieces):
-        raise ValueError("one sign per atomic piece required")
-    pieces = [
-        piece if s >= 0 else -piece for piece, s in zip(atomic.pieces, signs)
-    ]
-    return OperatorPartition(T, tuple(pieces))
-
-
 def random_operator_partition(
     T: RegularOperator, parts: int, rng: Random, signed: bool = True
 ) -> OperatorPartition:
     """Split each entry of T >= 0 across ``parts`` pieces with random convex
     weights (grid 1/16, exact in rational mode) and, when ``signed``, random
     signs; unsigned splits give positive decompositions sum T_i = T."""
-    from .lattice import SPLIT_DENOMINATOR, _integer_composition
-
     denom = SPLIT_DENOMINATOR
     grids = []
     for a in T.entries:
@@ -572,39 +448,9 @@ def random_operator_partition(
     pieces = []
     for p in range(parts):
         entries = [grids[k][p] for k in range(len(T.entries))]
-        op = RegularOperator(T.rows, T.cols, entries)
+        op = T._like(entries)
         if not op.is_zero():
             pieces.append(op)
     if not pieces:
         pieces = [T]
     return OperatorPartition(T, tuple(pieces))
-
-
-@dataclass(frozen=True)
-class OperatorSplitScheme:
-    """Configuration for a family of operator partitions of a positive T.
-
-    Kinds: ``singleton`` ({T} itself), ``atomic`` (matrix-unit pieces,
-    which attain the Riesz-Kantorovich supremum in this model), ``random``
-    (seeded signed convex entry splits, ``samples`` of them).
-    """
-
-    kind: str = "atomic"
-    parts: int = 3
-    samples: int = 5
-    seed: int = 0
-
-
-def operator_partitions(
-    T: RegularOperator, scheme: OperatorSplitScheme
-) -> Iterator[OperatorPartition]:
-    if scheme.kind == "singleton":
-        yield trivial_operator_partition(T)
-    elif scheme.kind == "atomic":
-        yield atomic_operator_partition(T)
-    elif scheme.kind == "random":
-        rng = Random(scheme.seed)
-        for _ in range(scheme.samples):
-            yield random_operator_partition(T, scheme.parts, rng)
-    else:
-        raise ValueError(f"unknown operator split kind: {scheme.kind!r}")

@@ -19,6 +19,8 @@ import math
 import numbers
 from fractions import Fraction
 
+import numpy as np
+
 DEFAULT_TOLERANCE = 1e-9
 
 EXACT = "exact"
@@ -30,11 +32,18 @@ class ScalarModeError(TypeError):
 
 
 def parse_scalar(value):
-    """Parse a JSON-ish scalar: 'p/q' string, int, or float."""
+    """Parse a JSON-ish scalar: 'p/q' string, int, or float.
+
+    A zero denominator ("1/0") raises ``ValueError``, like any other
+    malformed scalar string.
+    """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {value!r}") from None
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
@@ -75,6 +84,13 @@ def scaled_integers(values):
     values = tuple(values)
     D = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def scaled_array(values, shape):
+    """``scaled_integers`` as a numpy object array of Python ints of the
+    given shape, and the common denominator D."""
+    ints, D = scaled_integers(values)
+    return np.array(ints, dtype=object).reshape(shape), D
 
 
 def scalar_to_json(x):

@@ -14,7 +14,9 @@ The verifiers check, with exact rational arithmetic:
                               (M_{A0,B} v M_{A0,D})(T) = A0 T (B v D),
                               plus attainment of the operator-partition
                               supremum  sup { sum_j |A0 T_j B| w }  by the
-                              atomic splitting of T.
+                              atomic splitting of T, while the singleton
+                              and 5 seeded random signed splittings stay
+                              below it.
 * ``verify_cor22``         -- |M_{A,B}| = M_{|A|,|B|} at rep level, pairwise
                               disjointness of the four sign-corner
                               superoperators M_{A+-,B+-}, and the signed
@@ -23,13 +25,16 @@ The verifiers check, with exact rational arithmetic:
                               |M_{A,B0}| = M_{|A|,B0}  and
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
 
-In exact mode the operator-partition supremum runs as an integer kernel:
-the pieces of all partitions, A0, B and w are scaled to Python ints over
-common denominators (``scalars.scaled_integers``) and the images |A0 P B| w
+``operator_partition_sup`` takes the operator partitions themselves (by
+default the atomic one).  In exact mode it runs as an integer kernel: the
+pieces of all partitions, A0, B and w are scaled to Python ints over
+common denominators (``scalars.scaled_array``) and the images |A0 P B| w
 are formed as numpy object-array products, in chunks of at most
 ``_KERNEL_CHUNK_ENTRIES`` image entries, with the per-partition sums
 carried across chunks.  ``partition_superop_sum`` stays the Fraction (and
-float-mode) loop the kernel is tested against.
+float-mode) loop the kernel is tested against.  The verifiers measure every
+identity by ``deviation``, the largest entrywise |X - Y| of two vectors or
+two operators.
 
 ``kron`` refuses a product of more than ``KRON_ENTRY_CAP`` (2^20) entries
 with ``EnumerationLimitError`` before multiplying anything, so a rep of
@@ -40,19 +45,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from random import Random
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .lattice import DimensionMismatchError, EnumerationLimitError, LatticeVector
 from .operators import (
     OperatorPartition,
-    OperatorSplitScheme,
     RegularOperator,
-    operator_partitions,
+    atomic_operator_partition,
+    random_operator_partition,
+    trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
-from .scalars import DEFAULT_TOLERANCE, ScalarModeError, scaled_integers, zero_of
+from .scalars import (
+    DEFAULT_TOLERANCE,
+    ScalarModeError,
+    scalar_to_json,
+    scaled_array,
+    zero_of,
+)
 
 
 class FactorlessSuperoperatorError(RuntimeError):
@@ -89,13 +102,14 @@ def kron(P: RegularOperator, Q: RegularOperator) -> RegularOperator:
             for pc in range(P.cols):
                 for qc in range(Q.cols):
                     entries.append(P.entry(pr, pc) * Q.entry(qr, qc))
-    return RegularOperator(P.rows * Q.rows, P.cols * Q.cols, entries)
+    return RegularOperator._trusted((P.rows * Q.rows, P.cols * Q.cols), entries)
 
 
 def vec(T: RegularOperator) -> LatticeVector:
     """Column-major stacking of a matrix into a vector."""
-    return LatticeVector(
-        [T.entry(i, j) for j in range(T.cols) for i in range(T.rows)]
+    return LatticeVector._trusted(
+        (T.rows * T.cols,),
+        [T.entry(i, j) for j in range(T.cols) for i in range(T.rows)],
     )
 
 
@@ -106,7 +120,7 @@ def unvec(v: LatticeVector, rows: int, cols: int) -> RegularOperator:
             f"cannot reshape dim {v.dim} into {rows}x{cols}"
         )
     entries = [v.entries[j * rows + i] for i in range(rows) for j in range(cols)]
-    return RegularOperator(rows, cols, entries)
+    return RegularOperator._trusted((rows, cols), entries)
 
 
 @dataclass(frozen=True)
@@ -156,11 +170,6 @@ class Superoperator:
         return cls(dims=(w, x, y, z), rep=rep, factors=(A, B))
 
     @classmethod
-    def identity(cls, n: int, mode: str = "exact") -> "Superoperator":
-        eye = RegularOperator.identity(n, mode)
-        return cls.build(eye, eye)
-
-    @classmethod
     def from_json(cls, data: dict) -> "Superoperator":
         w, x, y, z = (int(d) for d in data["dims"])
         if "A" in data or "B" in data:
@@ -186,10 +195,6 @@ class Superoperator:
     @property
     def mode(self) -> str:
         return self.rep.mode
-
-    @property
-    def has_factors(self) -> bool:
-        return self.factors is not None
 
     @property
     def factor_A(self) -> RegularOperator:
@@ -326,25 +331,15 @@ class Superoperator:
         return f"Superoperator(dims={self.dims}, {tag})"
 
 
-def build(A: RegularOperator, B: RegularOperator) -> Superoperator:
-    """Module-level alias for ``Superoperator.build``."""
-    return Superoperator.build(A, B)
-
-
 # ---------------------------------------------------------------------------
 # deviation helpers
 # ---------------------------------------------------------------------------
 
 
-def matrix_deviation(X: RegularOperator, Y: RegularOperator):
-    """Largest entrywise |X - Y| (Fraction in exact mode, float otherwise)."""
-    diff = X - Y
-    return max(abs(a) for a in diff.entries)
-
-
-def vector_deviation(x: LatticeVector, y: LatticeVector):
-    diff = x - y
-    return max(abs(a) for a in diff.entries)
+def deviation(X, Y):
+    """Largest entrywise |X - Y| of two vectors or two operators
+    (Fraction in exact mode, float otherwise)."""
+    return max(abs(a) for a in (X - Y).entries)
 
 
 def one_sided_excess(x: LatticeVector, upper: LatticeVector):
@@ -358,18 +353,6 @@ def one_sided_excess(x: LatticeVector, upper: LatticeVector):
 # ---------------------------------------------------------------------------
 # the operator-partition supremum
 # ---------------------------------------------------------------------------
-
-SchemeLike = Union[OperatorSplitScheme, Sequence[OperatorSplitScheme]]
-
-
-def _iter_operator_partitions(
-    T: RegularOperator, strategy: SchemeLike
-) -> Iterator[OperatorPartition]:
-    if isinstance(strategy, OperatorSplitScheme):
-        strategy = (strategy,)
-    for scheme in strategy:
-        yield from operator_partitions(T, scheme)
-
 
 def partition_superop_sum(
     A0: RegularOperator,
@@ -388,25 +371,20 @@ def partition_superop_sum(
 _KERNEL_CHUNK_ENTRIES = 1 << 16
 
 
-def _scaled_array(values, shape):
-    """Exact scalars as an object array of Python ints, and their denominator."""
-    ints, D = scaled_integers(values)
-    return np.array(ints, dtype=object).reshape(shape), D
-
-
 def operator_partition_sup(
     A0: RegularOperator,
     B: RegularOperator,
     T: RegularOperator,
     w: LatticeVector,
-    strategy: SchemeLike = OperatorSplitScheme(kind="atomic"),
+    partitions: Optional[Sequence[OperatorPartition]] = None,
 ) -> LatticeVector:
-    """sup over partitions (sum_j |T_j| = T) of  (sum_j |A0 T_j B|) w.
+    """sup over the given partitions (sum_j |T_j| = T) of  (sum_j |A0 T_j B|) w.
 
-    Requires A0 >= 0 and T >= 0.  With the atomic strategy the supremum is
-    attained and equals A0 T |B| w exactly; coarser strategies give
-    componentwise smaller-or-equal values (cancellation inside |A0 T_j B|
-    only ever loses mass).
+    Requires A0 >= 0 and T >= 0, and every partition must split T itself
+    (``ValueError`` otherwise).  The default is the atomic partition, at
+    which the supremum is attained and equals A0 T |B| w exactly; coarser
+    partitions give componentwise smaller-or-equal values (cancellation
+    inside |A0 T_j B| only ever loses mass).
 
     Exact inputs go through an integer kernel: every piece of every
     partition is scaled by the common denominator D_T of all pieces, and
@@ -434,9 +412,13 @@ def operator_partition_sup(
         )
     if not w.is_positive():
         raise ValueError("the partition supremum is evaluated at positive w")
-    partitions = list(_iter_operator_partitions(T, strategy))
+    if partitions is None:
+        partitions = [atomic_operator_partition(T)]
+    partitions = list(partitions)
     if not partitions:
-        raise ValueError("empty partition strategy")
+        raise ValueError("no operator partitions to try")
+    if any(partition.target != T for partition in partitions):
+        raise ValueError("an operator partition does not split T")
     if not (A0.is_exact and B.is_exact and T.is_exact and w.is_exact):
         best: Optional[LatticeVector] = None
         for partition in partitions:
@@ -445,12 +427,12 @@ def operator_partition_sup(
         return best
     (z, y), (x, cols) = A0.shape, B.shape
     pieces = [piece for partition in partitions for piece in partition.pieces]
-    P, D_T = _scaled_array(
+    P, D_T = scaled_array(
         (v for piece in pieces for v in piece.entries), (len(pieces), y, x)
     )
-    A, D_A = _scaled_array(A0.entries, (z, y))
-    Bm, D_B = _scaled_array(B.entries, (x, cols))
-    W, D_w = _scaled_array(w.entries, (cols,))
+    A, D_A = scaled_array(A0.entries, (z, y))
+    Bm, D_B = scaled_array(B.entries, (x, cols))
+    W, D_w = scaled_array(w.entries, (cols,))
     owner = np.repeat(np.arange(len(partitions)), [len(p) for p in partitions])
     sums = np.zeros((len(partitions), z), dtype=object)
     step = max(1, _KERNEL_CHUNK_ENTRIES // (z * max(x, cols)))
@@ -460,7 +442,8 @@ def operator_partition_sup(
         firsts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
         sums[ids[firsts]] += np.add.reduceat(values, firsts, axis=0)
     D = D_A * D_T * D_B * D_w
-    return LatticeVector([Fraction(v, D) for v in np.maximum.reduce(sums, axis=0)])
+    best = np.maximum.reduce(sums, axis=0)
+    return LatticeVector._trusted((z,), [Fraction(v, D) for v in best])
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +478,23 @@ def verify_prop21(
     M_joinBD = Superoperator.build(A0, B.join_closed_form(D))
 
     modulus_at_T = M_absB.apply(T)
-    dev_modulus = matrix_deviation(M_B.modulus().apply_rep(T), modulus_at_T)
-    dev_join = matrix_deviation(M_B.join(M_D).apply_rep(T), M_joinBD.apply(T))
+    dev_modulus = deviation(M_B.modulus().apply_rep(T), modulus_at_T)
+    dev_join = deviation(M_B.join(M_D).apply_rep(T), M_joinBD.apply(T))
 
     rhs_at_w = modulus_at_T.apply(w)
     atomic_value = operator_partition_sup(
-        A0, B, T, w, OperatorSplitScheme(kind="atomic")
+        A0, B, T, w, [atomic_operator_partition(T)]
     )
-    dev_atomic = vector_deviation(atomic_value, rhs_at_w)
+    dev_atomic = deviation(atomic_value, rhs_at_w)
 
+    rng = Random(seed or 0)
     coarse = operator_partition_sup(
         A0,
         B,
         T,
         w,
-        (
-            OperatorSplitScheme(kind="singleton"),
-            OperatorSplitScheme(kind="random", parts=3, samples=5, seed=seed or 0),
-        ),
+        [trivial_operator_partition(T)]
+        + [random_operator_partition(T, 3, rng) for _ in range(5)],
     )
     dev_coarse = one_sided_excess(coarse, rhs_at_w)
 
@@ -535,10 +517,10 @@ def verify_prop21(
         ),
         seed=seed,
         details={
-            "modulus_identity_deviation": _dev_json(dev_modulus),
-            "join_identity_deviation": _dev_json(dev_join),
-            "atomic_attainment_deviation": _dev_json(dev_atomic),
-            "coarse_strategy_excess": _dev_json(dev_coarse),
+            "modulus_identity_deviation": scalar_to_json(dev_modulus),
+            "join_identity_deviation": scalar_to_json(dev_join),
+            "atomic_attainment_deviation": scalar_to_json(dev_atomic),
+            "coarse_strategy_excess": scalar_to_json(dev_coarse),
         },
         tol=tol,
     )
@@ -559,7 +541,7 @@ def verify_cor22(
     """
     M = Superoperator.build(A, B)
     M_abs = Superoperator.build(A.modulus_closed_form(), B.modulus_closed_form())
-    dev_modulus = matrix_deviation(M.modulus().rep, M_abs.rep)
+    dev_modulus = deviation(M.modulus().rep, M_abs.rep)
 
     Ap, An = A.pos_part(), A.neg_part()
     Bp, Bn = B.pos_part(), B.neg_part()
@@ -578,7 +560,7 @@ def verify_cor22(
             dev_disjoint = max(dev_disjoint, worst)
 
     signed = corners[0] - corners[1] - corners[2] + corners[3]
-    dev_expansion = matrix_deviation(signed.rep, M.rep)
+    dev_expansion = deviation(signed.rep, M.rep)
 
     exact = A.is_exact and B.is_exact
     inputs = {"A": A.to_json(), "B": B.to_json()}
@@ -590,9 +572,9 @@ def verify_cor22(
         witnesses=({"role": "modulus_rep", **M.modulus().rep.to_json()},),
         seed=seed,
         details={
-            "modulus_rep_deviation": _dev_json(dev_modulus),
-            "corner_disjointness_deviation": _dev_json(dev_disjoint),
-            "signed_expansion_deviation": _dev_json(dev_expansion),
+            "modulus_rep_deviation": scalar_to_json(dev_modulus),
+            "corner_disjointness_deviation": scalar_to_json(dev_disjoint),
+            "signed_expansion_deviation": scalar_to_json(dev_expansion),
         },
         tol=tol,
     )
@@ -614,10 +596,10 @@ def verify_synnatzschke_a(
         raise ValueError("the right factor B0 must be positive")
     M_A = Superoperator.build(A, B0)
     M_C = Superoperator.build(C, B0)
-    dev_modulus = matrix_deviation(
+    dev_modulus = deviation(
         M_A.modulus().rep, Superoperator.build(A.modulus_closed_form(), B0).rep
     )
-    dev_join = matrix_deviation(
+    dev_join = deviation(
         M_A.join(M_C).rep,
         Superoperator.build(A.join_closed_form(C), B0).rep,
     )
@@ -631,14 +613,9 @@ def verify_synnatzschke_a(
         witnesses=({"role": "join_rep", **M_A.join(M_C).rep.to_json()},),
         seed=seed,
         details={
-            "modulus_rep_deviation": _dev_json(dev_modulus),
-            "join_rep_deviation": _dev_json(dev_join),
+            "modulus_rep_deviation": scalar_to_json(dev_modulus),
+            "join_rep_deviation": scalar_to_json(dev_join),
         },
         tol=tol,
     )
 
-
-def _dev_json(value):
-    from .scalars import scalar_to_json
-
-    return scalar_to_json(value)

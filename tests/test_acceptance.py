@@ -29,7 +29,7 @@ from rieszops.corpus import (
     mixed_dims_prop21_cases,
     square_matrix_cases,
 )
-from rieszops.lattice import PartitionScheme
+from rieszops.lattice import atomic_partition
 
 import conftest
 
@@ -166,7 +166,6 @@ def test_criterion_3_norm_multiplicativity_200_cases():
 
 def test_criterion_4_partition_oracle_equivalence():
     t0 = time.perf_counter()
-    atomic_only = (PartitionScheme(kind="atomic"),)
     checks = 0
     for size, count in ((2, 200), (3, 200)):
         for case in square_matrix_cases(
@@ -175,7 +174,7 @@ def test_criterion_4_partition_oracle_equivalence():
             B = case["B"]
             closed = B.modulus_closed_form()
             for w in case["ws"]:
-                result = modulus_oracle(B, w, schemes=atomic_only)
+                result = modulus_oracle(B, w, partitions=[atomic_partition(w)])
                 assert result.attained
                 assert result.value.eq(closed.apply(w))
                 sums = refinement_sums(B, w)

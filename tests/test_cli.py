@@ -153,6 +153,50 @@ def test_exact_flag_rejects_floats(tmp_path, capsys):
     assert "float entries" in capsys.readouterr().err
 
 
+def _assert_usage_error(capsys, argv, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_zero_denominator_in_matrix_file_exits_2(tmp_path, matrix_files, capsys):
+    a, _ = matrix_files
+    bad = _write(tmp_path / "z.json", {"rows": 1, "cols": 2, "entries": ["1/0", "1"]})
+    _assert_usage_error(capsys, ["verify", "cor22", "--A", bad, "--B", a], "zero denominator")
+
+
+def test_zero_denominator_in_vector_file_exits_2(tmp_path, matrix_files, capsys):
+    _, b = matrix_files
+    pos = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    w = _write(tmp_path / "w.json", {"dim": 2, "entries": ["1", "3/0"]})
+    argv = ["verify", "prop21", "--A0", pos, "--B", b, "--w", w]
+    _assert_usage_error(capsys, argv, "zero denominator")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--m", "2", "--samples", "-5"],
+        ["verify", "cor23", "--samples", "-3"],
+        ["counterexample", "--n", "4", "--k", "1", "--t-samples", "-1"],
+        ["counterexample", "--n", "4", "--k", "1", "--split-samples", "-2"],
+    ],
+)
+def test_negative_sample_counts_exit_2(argv, matrix_files, capsys):
+    if argv[0] == "verify":
+        a, _ = matrix_files
+        argv = argv + ["--A", a, "--B", a]
+    _assert_usage_error(capsys, argv, "nonnegative")
+
+
+def test_zero_samples_stay_valid(matrix_files, capsys):
+    a, _ = matrix_files
+    assert main(["gap", "--m", "2", "--samples", "0"]) == 0
+    assert main(["verify", "cor23", "--A", a, "--B", a, "--samples", "0"]) == 0
+
+
 def test_verify_cor23_over_extreme_point_cap_exits_2(tmp_path, capsys):
     # 8 x 8 exact factors: 8^8 extreme points, above the enumeration cap.
     entries = [str(i % 5 - 2) for i in range(64)]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +9,7 @@ from rieszops import (
     DimensionMismatchError,
     LatticeVector,
     Partition,
-    PartitionScheme,
+    RegularOperator,
     atomic_partition,
     disjoint_partitions,
     dyadic_partition,
@@ -16,14 +17,8 @@ from rieszops import (
     halves_partition,
     refinement_chain,
     trivial_partition,
-    vector_partitions,
 )
-from rieszops.lattice import (
-    BandProjection,
-    band_projection,
-    positive_band_projection,
-    random_convex_partition,
-)
+from rieszops.lattice import random_convex_partition
 from rieszops.scalars import ScalarModeError
 
 from conftest import fractions_st, vectors
@@ -104,6 +99,63 @@ def test_support_and_restrict():
 
 
 # ---------------------------------------------------------------------------
+# the entrywise core shared by vectors and operators
+# ---------------------------------------------------------------------------
+
+#: kind -> (make from 4 entries, make with another shape, meet name, join name)
+CONTAINERS = {
+    "vector": (LatticeVector, lambda e: LatticeVector(e[:3]), "meet", "join"),
+    "operator": (
+        lambda e: RegularOperator(2, 2, e),
+        lambda e: RegularOperator(4, 1, e),
+        "meet_closed_form",
+        "join_closed_form",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_entrywise_core_contract(kind):
+    make, make_other_shape, meet, join = CONTAINERS[kind]
+    exact, exact2 = make([1, "-1/2", 0, "7/3"]), make(["2", -3, "1/5", 0])
+    flt, flt2 = make([1.0, -0.5, 0.0, 2.5]), make([0.25, 3.0, -1.0, 0.0])
+    binary = (
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: getattr(x, meet)(y),
+        lambda x, y: getattr(x, join)(y),
+        lambda x, y: x.le(y),
+        lambda x, y: x.eq(y),
+    )
+    for op in binary:
+        with pytest.raises(ScalarModeError):
+            op(exact, flt)
+        with pytest.raises(DimensionMismatchError):
+            op(exact, make_other_shape([1, 2, 3, 4]))
+    with pytest.raises(ScalarModeError):
+        exact.scale(0.5)
+    for x, y, scalar_type in ((exact, exact2, Fraction), (flt, flt2, float)):
+        results = [
+            x + y,
+            x - y,
+            -x,
+            abs(x),
+            x.pos_part(),
+            x.neg_part(),
+            getattr(x, meet)(y),
+            getattr(x, join)(y),
+            x.scale(3),
+            Fraction(1, 3) * x,
+            x * np.int64(2),
+        ]
+        for result in results:
+            assert type(result) is type(x) and result.shape == x.shape
+            assert {type(e) for e in result.entries} == {scalar_type}
+        assert (x + y).entries == tuple(a + b for a, b in zip(x.entries, y.entries))
+        assert {type(e) for e in x.to_float().entries} == {float}
+
+
+# ---------------------------------------------------------------------------
 # components
 # ---------------------------------------------------------------------------
 
@@ -113,7 +165,8 @@ def test_components_of_ones_are_all_subsets():
     comps = list(enumerate_components(e))
     assert len(comps) == 8
     for c in comps:
-        assert c.is_valid()
+        residual = c.base - c.piece
+        assert c.piece.is_positive() and residual.is_positive()
         # x ^ (e - x) = 0 by definition of a component
         assert c.piece.meet(e - c.piece).is_zero()
     assert comps[0].piece.is_zero()
@@ -183,39 +236,14 @@ def test_random_convex_partition_is_exact():
 
 def test_vector_partitions_schemes():
     w = LatticeVector([2, 3])
-    for kind, expected in (("trivial", 1), ("atomic", 1), ("halves", 1)):
-        got = list(vector_partitions(w, PartitionScheme(kind=kind)))
-        assert len(got) == expected
-    rand = list(vector_partitions(w, PartitionScheme(kind="random", samples=4, seed=1)))
+    for make in (trivial_partition, atomic_partition, halves_partition):
+        assert make(w).target == w
+    rng = Random(1)
+    rand = [random_convex_partition(w, 3, rng) for _ in range(4)]
     assert len(rand) == 4
-    with pytest.raises(ValueError):
-        list(vector_partitions(w, PartitionScheme(kind="nope")))
 
 
 @given(vectors(positive=True))
 def test_refinement_chain_targets(w):
     for p in refinement_chain(w):
         assert p.target.eq(w)
-
-
-# ---------------------------------------------------------------------------
-# band projections
-# ---------------------------------------------------------------------------
-
-
-def test_band_projection_idempotent_and_complement():
-    P = band_projection(4, {0, 2})
-    v = LatticeVector([1, 2, 3, 4])
-    Pv = P.apply(v)
-    assert Pv.entries == (Fraction(1), Fraction(0), Fraction(3), Fraction(0))
-    assert P.apply(Pv).eq(Pv)
-    Q = P.complement()
-    assert (P.apply(v) + Q.apply(v)).eq(v)
-    assert P.diagonal().meet(Q.diagonal()).is_zero()
-
-
-def test_positive_band_projection_selects_support():
-    v = LatticeVector([0, 5, 0])
-    P = positive_band_projection(v)
-    assert isinstance(P, BandProjection)
-    assert P.support == frozenset({1})

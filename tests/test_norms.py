@@ -345,10 +345,10 @@ def test_1chain_rejects_float_operators():
 
 
 def test_1chain_over_cap_raises_before_any_work(monkeypatch):
-    def no_work(values):
+    def no_work(values, shape):
         raise AssertionError("the cap must be checked before any scaling")
 
-    monkeypatch.setattr(norms, "scaled_integers", no_work)
+    monkeypatch.setattr(norms, "scaled_array", no_work)
     A, B = _chain_pair(Random(2307), 8, 8, 8, 8)
     assert 8**8 > norms.EXTREME_POINT_CAP
     with pytest.raises(EnumerationLimitError, match="enumeration cap"):

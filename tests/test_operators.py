@@ -7,19 +7,16 @@ from hypothesis import given, strategies as st
 from rieszops import (
     LatticeVector,
     OperatorPartition,
-    OperatorSplitScheme,
     RegularOperator,
     atomic_operator_partition,
     meet_oracle,
     modulus_oracle,
-    operator_partitions,
     random_operator_partition,
     rank_one,
     refinement_sums,
     trivial_operator_partition,
 )
-from rieszops.lattice import DimensionMismatchError
-from rieszops.operators import signed_operator_partition
+from rieszops.lattice import DimensionMismatchError, atomic_partition, default_partitions
 
 from conftest import matrices, matrix_pairs_same_shape, vectors
 
@@ -141,6 +138,25 @@ def test_modulus_oracle_rejects_bad_input():
         modulus_oracle(A, LatticeVector([1]))
 
 
+def test_oracles_try_the_partitions_they_are_given():
+    S = RegularOperator.from_rows([[1, -2, 0], [3, 1, -1]])
+    T = RegularOperator.from_rows([[0, 1, 2], [-1, 1, 0]])
+    w = LatticeVector([1, 2, 3])
+    family = default_partitions(w)
+    assert len(family) == 9
+    for run in (lambda p: modulus_oracle(S, w, p), lambda p: meet_oracle(S, T, w, p)):
+        by_default, given = run(None), run(family)
+        assert by_default.partitions_tried == given.partitions_tried == 9
+        assert by_default.value == given.value
+        assert by_default.best_partition == given.best_partition
+        only_atomic = run([atomic_partition(w)])
+        assert only_atomic.attained and only_atomic.partitions_tried == 1
+        with pytest.raises(ValueError):
+            run([])
+        with pytest.raises(ValueError):
+            run([atomic_partition(LatticeVector([1, 1, 1]))])
+
+
 # ---------------------------------------------------------------------------
 # rank-one operators
 # ---------------------------------------------------------------------------
@@ -190,27 +206,11 @@ def test_random_operator_partition_modulus_sum(T, parts):
         assert piece.is_positive()
 
 
-def test_signed_partition_flips_chosen_atoms():
-    T = RegularOperator.from_rows([[4, 4], [4, 4]])
-    p = signed_operator_partition(T, signs=[1, -1, 1, -1])
-    negatives = [piece for piece in p.pieces if any(e < 0 for e in piece.entries)]
-    assert len(negatives) == 2
-    total = RegularOperator.zero(2, 2)
-    for piece in p.pieces:
-        total = total + abs(piece)
-    assert total.eq(T)
-
-
 def test_operator_partitions_schemes():
     T = RegularOperator.from_rows([[1, 2], [0, 3]])
-    singles = list(operator_partitions(T, OperatorSplitScheme(kind="singleton")))
-    assert len(singles) == 1
-    atoms = list(operator_partitions(T, OperatorSplitScheme(kind="atomic")))
-    assert len(atoms) == 1
-    assert len(atoms[0].pieces) == 3  # one per nonzero entry
-    rands = list(
-        operator_partitions(T, OperatorSplitScheme(kind="random", samples=3, seed=2))
-    )
-    assert len(rands) == 3
-    with pytest.raises(ValueError):
-        list(operator_partitions(T, OperatorSplitScheme(kind="bogus")))
+    assert trivial_operator_partition(T).pieces == (T,)
+    atoms = atomic_operator_partition(T)
+    assert len(atoms.pieces) == 3  # one per nonzero entry
+    rng = Random(2)
+    rands = [random_operator_partition(T, 3, rng) for _ in range(3)]
+    assert all(p.target == T for p in rands)

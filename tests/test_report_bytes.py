@@ -1,0 +1,50 @@
+"""The report-byte oracle: the exact reports of the verification battery.
+
+``scripts/verify_all.py --seed 7 --count 20`` writes one canonical report
+per claim.  The eight whose values are all exact rationals are pinned here
+by sha256, so a refactor that moves any byte of them fails at once.
+``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from rieszops.cli import main
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "verify_all.py"
+
+DIGESTS = {
+    "cor22": "9da1cbfb11db84050867a04398ca4f0cc996fa7fdab3bbb388bacfb2bcfc63d5",
+    "cor22_rect": "d10f26337cfb305d0abaccfcd6ae5f30d7c03053291eb6ac5afcde3fb201e8a9",
+    "prop21": "71a30d4aeb1e6aa56bbebdaac19153e9be8190867b86216ef410c89265e52078",
+    "synnatzschke_a": "fd0b944be3ee3a55c9e6d61a3e1f945e664ce2a7746130f0461c7be0eca1c1da",
+    "counterexample_k1": "6be3b1b33ec2f17d933ac55f534d1b44b65bb98d183fa0a3800ceab9c0549593",
+    "counterexample_k2": "9776280627326d7a7a12e71d81776567cf06bd74ce70ab524dda8a8bcb692c76",
+    "counterexample_k3": "b08c1393c7f8130e341cfe0745afec2f5202179449b987cac446d9d13ee73c3b",
+    "counterexample_k4": "023883e1f8e8aa189dc7385e47a1cc2717aaf45515513c8ba2752fd3f8631cb6",
+}
+
+
+def _battery(seed, count):
+    spec = importlib.util.spec_from_file_location("verify_all", SCRIPT)
+    verify_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verify_all)
+    config = verify_all.BatteryConfig(seed=seed, count=count)
+    return dict(verify_all.invocations(config))
+
+
+BATTERY = _battery(seed=7, count=20)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_exact_battery_report_bytes(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    assert main(BATTERY[name] + ["--seed", "7", "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+def test_the_pinned_reports_are_the_exact_ones():
+    assert set(BATTERY) - set(DIGESTS) == {"gap", "cor23"}

@@ -25,6 +25,13 @@ def test_parse_scalar_fraction_string():
     assert parse_scalar("4") == Fraction(4)
 
 
+def test_parse_scalar_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        coerce_entries(["1", "-3/0"])
+
+
 def test_parse_scalar_int_and_float():
     assert parse_scalar(3) == Fraction(3)
     assert isinstance(parse_scalar(3), Fraction)

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from rieszops import (
     FactorlessSuperoperatorError,
     LatticeVector,
-    OperatorSplitScheme,
     RegularOperator,
     Superoperator,
-    build,
+    atomic_operator_partition,
     kron,
+    random_operator_partition,
+    trivial_operator_partition,
     operator_partition_sup,
     unvec,
     vec,
@@ -23,7 +24,6 @@ from rieszops import (
 )
 from rieszops import norms, superop
 from rieszops.lattice import EnumerationLimitError
-from rieszops.operators import operator_partitions
 from rieszops.superop import partition_superop_sum
 
 from conftest import fractions_st, matrices, positive_fractions_st, superop_quadruple_dims
@@ -74,7 +74,7 @@ def test_vec_is_column_major(T):
 @given(superop_case())
 def test_rep_agrees_with_direct_product(case):
     A, B, T = case
-    M = build(A, B)
+    M = Superoperator.build(A, B)
     direct = (A @ T) @ B
     assert M.apply(T).eq(direct)
     assert M.apply_rep(T).eq(direct)
@@ -83,7 +83,7 @@ def test_rep_agrees_with_direct_product(case):
 @given(superop_case())
 def test_rep_matches_numpy_kron(case):
     A, B, T = case
-    M = build(A, B)
+    M = Superoperator.build(A, B)
     theirs = np.kron(_np(B).T, _np(A))
     assert np.allclose(_np(M.rep), theirs)
 
@@ -94,8 +94,8 @@ def test_composition_factorizes(case):
     # M_{A,B} o M_{C,D} = M_{AC, DB}; choose C, D to make shapes line up
     C = RegularOperator.identity(A.cols)
     D = RegularOperator.identity(B.rows)
-    M1 = build(A, B)
-    M2 = build(C, D)
+    M1 = Superoperator.build(A, B)
+    M2 = Superoperator.build(C, D)
     composed = M1.compose(M2)
     assert composed.factor_A.eq(A @ C)
     assert composed.factor_B.eq(D @ B)
@@ -103,7 +103,8 @@ def test_composition_factorizes(case):
 
 
 def test_identity_superoperator():
-    M = Superoperator.identity(3)
+    eye = RegularOperator.identity(3)
+    M = Superoperator.build(eye, eye)
     T = RegularOperator.from_rows([[1, 2, 0], [3, 4, -1], [5, 6, 2]])
     assert M.apply(T).eq(T)
 
@@ -111,7 +112,7 @@ def test_identity_superoperator():
 @given(superop_case())
 def test_json_roundtrip_preserves_factors(case):
     A, B, _ = case
-    M = build(A, B)
+    M = Superoperator.build(A, B)
     again = Superoperator.from_json(M.to_json())
     assert again.rep.eq(M.rep)
     assert again.factor_A.eq(A)
@@ -125,7 +126,7 @@ def test_json_roundtrip_preserves_factors(case):
 @given(superop_case())
 def test_lattice_operations_on_rep(case):
     A, B, T = case
-    M = build(A, B)
+    M = Superoperator.build(A, B)
     assert M.modulus().rep.eq(abs(M.rep))
     assert M.pos_part().rep.eq(M.rep.pos_part())
     assert (M.pos_part().rep - M.neg_part().rep).eq(M.rep)
@@ -139,18 +140,19 @@ def test_lattice_operations_on_rep(case):
 @given(superop_case())
 def test_modulus_factorizes(case):
     A, B, _ = case
-    assert build(A, B).modulus().rep.eq(build(abs(A), abs(B)).rep)
+    M_abs = Superoperator.build(abs(A), abs(B))
+    assert Superoperator.build(A, B).modulus().rep.eq(M_abs.rep)
 
 
 @given(superop_case())
 def test_corner_decomposition(case):
     A, B, _ = case
-    M = build(A, B)
+    M = Superoperator.build(A, B)
     corners = [
-        build(A.pos_part(), B.pos_part()),
-        build(A.pos_part(), B.neg_part()),
-        build(A.neg_part(), B.pos_part()),
-        build(A.neg_part(), B.neg_part()),
+        Superoperator.build(A.pos_part(), B.pos_part()),
+        Superoperator.build(A.pos_part(), B.neg_part()),
+        Superoperator.build(A.neg_part(), B.pos_part()),
+        Superoperator.build(A.neg_part(), B.neg_part()),
     ]
     # pairwise disjoint positive superoperators
     for i in range(4):
@@ -176,7 +178,7 @@ def test_corner_decomposition(case):
 def test_atomic_partition_sup_attains(case):
     A0, B, T = case
     w = LatticeVector.ones(B.cols)
-    sup = operator_partition_sup(A0, B, T, w, OperatorSplitScheme(kind="atomic"))
+    sup = operator_partition_sup(A0, B, T, w, [atomic_operator_partition(T)])
     rhs = (A0 @ T @ abs(B)).apply(w)
     assert sup.eq(rhs)
 
@@ -187,7 +189,7 @@ def test_singleton_partition_sup_is_dominated(case):
     A0, B, T = case
     w = LatticeVector.ones(B.cols)
     single = operator_partition_sup(
-        A0, B, T, w, OperatorSplitScheme(kind="singleton")
+        A0, B, T, w, [trivial_operator_partition(T)]
     )
     rhs = (A0 @ T @ abs(B)).apply(w)
     assert single.le(rhs)
@@ -204,26 +206,31 @@ def test_partition_sup_input_validation():
         operator_partition_sup(A0, B, T - T - T, w)
     with pytest.raises(ValueError):
         operator_partition_sup(A0, B, T, -w)
+    with pytest.raises(ValueError):
+        operator_partition_sup(A0, B, T, w, [])
+    other = atomic_operator_partition(T + T)
+    with pytest.raises(ValueError):
+        operator_partition_sup(A0, B, T, w, [atomic_operator_partition(T), other])
 
 
-def _reference_partition_sup(A0, B, T, w, schemes):
+def _reference_partition_sup(A0, B, T, w, partitions):
     """The supremum as the Fraction loop over ``partition_superop_sum``, the
     reference for the integer kernel."""
     best = None
-    for scheme in schemes:
-        for partition in operator_partitions(T, scheme):
-            value = partition_superop_sum(A0, B, partition).apply(w)
-            best = value if best is None else best.join(value)
+    for partition in partitions:
+        value = partition_superop_sum(A0, B, partition).apply(w)
+        best = value if best is None else best.join(value)
     return best
 
 
-_ATOMIC = OperatorSplitScheme(kind="atomic")
-_SINGLETON = OperatorSplitScheme(kind="singleton")
-
-
-def _kernel_strategies(seed):
-    signed = OperatorSplitScheme(kind="random", parts=3, samples=4, seed=seed)
-    return ((_ATOMIC,), (_SINGLETON,), (signed,), (_ATOMIC, _SINGLETON, signed))
+def _kernel_strategies(T, seed):
+    """Atomic, singleton and 4 seeded signed random partitions of T, alone
+    and combined."""
+    atomic = [atomic_operator_partition(T)]
+    singleton = [trivial_operator_partition(T)]
+    rng = Random(seed)
+    signed = [random_operator_partition(T, 3, rng) for _ in range(4)]
+    return (atomic, singleton, signed, atomic + singleton + signed)
 
 
 def _seeded_case(rng, dims, scale=1, zero_share=0.0):
@@ -257,25 +264,28 @@ def test_partition_sup_kernel_matches_reference_loop(w, x):
     rng = Random(10 * w + x)
     for y, z in itertools.product((1, 2, 3), repeat=2):
         case = _seeded_case(rng, (w, x, y, z), zero_share=0.25)
-        for schemes in _kernel_strategies(seed=y * z):
+        for schemes in _kernel_strategies(case[2], seed=y * z):
             _assert_kernel_matches(*case, schemes)
 
 
 def test_partition_sup_kernel_on_4x4x4x4_and_special_inputs():
     rng = Random(4)
-    for schemes in _kernel_strategies(seed=4):
-        _assert_kernel_matches(*_seeded_case(rng, (4, 4, 4, 4)), schemes)
-        # An all-zero T: the atomic scheme falls back to the partition [T].
+    for kind in range(4):
+        case = _seeded_case(rng, (4, 4, 4, 4))
+        _assert_kernel_matches(*case, _kernel_strategies(case[2], seed=4)[kind])
+        # An all-zero T: the atomic partition falls back to the partition [T].
         A0, B, _, v = _seeded_case(rng, (3, 2, 3, 2))
-        _assert_kernel_matches(A0, B, RegularOperator.zero(3, 2), v, schemes)
+        zero = RegularOperator.zero(3, 2)
+        _assert_kernel_matches(A0, B, zero, v, _kernel_strategies(zero, seed=4)[kind])
         for scale in (Fraction(10**12, 7), Fraction(10**12, 7) ** 2):
-            _assert_kernel_matches(*_seeded_case(rng, (3, 4, 3, 4), scale), schemes)
+            case = _seeded_case(rng, (3, 4, 3, 4), scale)
+            _assert_kernel_matches(*case, _kernel_strategies(case[2], seed=4)[kind])
 
 
 def test_partition_sup_kernel_chunks_agree(monkeypatch):
     rng = Random(5)
     A0, B, T, v = _seeded_case(rng, (4, 4, 4, 4), zero_share=0.2)
-    schemes = _kernel_strategies(seed=5)[-1]
+    schemes = _kernel_strategies(T, seed=5)[-1]
     whole = operator_partition_sup(A0, B, T, v, schemes)
     # 16 image entries per piece: one piece per chunk, so every partition of
     # more than one piece has its sum carried across chunks.
@@ -290,7 +300,7 @@ def test_partition_sup_float_mode_runs_the_loop():
     B = RegularOperator.from_rows([[1.5, -0.5], [-0.5, 1.0]])
     T = RegularOperator.from_rows([[0.1, 0.0], [0.3, 0.7]])
     v = LatticeVector([0.2, 1.1])
-    for schemes in _kernel_strategies(seed=6):
+    for schemes in _kernel_strategies(T, seed=6):
         got = operator_partition_sup(A0, B, T, v, schemes)
         assert got.entries == _reference_partition_sup(A0, B, T, v, schemes).entries
         assert all(type(e) is float for e in got.entries)
@@ -360,7 +370,7 @@ def test_verify_synnatzschke_a_rejects_signed_right_factor():
 def test_float_mode_superoperator():
     A = RegularOperator.from_rows([[0.5, -1.25], [2.0, 0.0]])
     B = RegularOperator.from_rows([[1.5, 0.5], [-0.5, 1.0]])
-    M = build(A, B)
+    M = Superoperator.build(A, B)
     T = RegularOperator.from_rows([[1.0, 0.0], [0.0, 1.0]])
     assert M.apply(T).eq(M.apply_rep(T))
     report = verify_cor22(A, B)
