@@ -5,7 +5,9 @@ Covers every claim the CLI knows: the modulus factorization and corner
 decomposition over a seeded corpus, the positive-left-factor and
 positive-right-factor identities, norm multiplicativity on the l1 chain,
 the finite meet lab, and the norm-gap exploration.  Exit code 0 iff every
-verifiable claim passes.
+verifiable claim passes.  Each claim's line on stdout ends in its wall
+time, e.g. ``cor22 -> reports/cor22.json  [ok]  (412 ms)``; the report
+files do not carry it.
 
 Usage:
     python scripts/verify_all.py --out reports/ --seed 7 --count 100
@@ -14,6 +16,7 @@ Usage:
 import argparse
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 from rieszops.cli import main as cli_main
@@ -72,9 +75,11 @@ def main(argv=None) -> int:
     failures = []
     for name, argv_run in invocations(config):
         path = os.path.join(config.out_dir, f"{name}.json")
+        t0 = time.perf_counter()
         code = cli_main(argv_run + ["--seed", str(config.seed), "--json", path])
+        elapsed_ms = (time.perf_counter() - t0) * 1000
         marker = "ok" if code == 0 else f"EXIT {code}"
-        print(f"{name:<20} -> {path}  [{marker}]")
+        print(f"{name:<20} -> {path}  [{marker}]  ({elapsed_ms:.0f} ms)")
         if code != 0:
             failures.append(name)
     if failures:

@@ -23,19 +23,21 @@ verifies every step of the derivation that does not depend on singularity:
   while the right side vanishes.
 
 All arithmetic is exact; nothing here pretends to simulate a singular
-functional.  The double-partition infimum is computed by an integer kernel
-(every split piece and every partition block scaled to Python ints over a
-common denominator, evaluated as numpy object-array expressions), and the
-tests check it against ``g_double_prime_term``, the term-by-term Fraction
-reference.
+functional.  The component infimum and the double-partition infimum are
+exact-only integer kernels (operators and partition blocks scaled to Python
+ints over common denominators, evaluated as numpy object-array expressions);
+the tests check them against Fraction loops (``g_double_prime_term`` for the
+second).  ``counterexample_report`` refuses a request whose work bound
+exceeds ``LAB_WORK_CAP`` before it does any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .lattice import (
     Partition,
     atomic_partition,
     disjoint_partitions,
-    enumerate_components,
 )
 from .operators import (
     OperatorPartition,
@@ -58,6 +59,15 @@ from .operators import (
 from .reports import VerificationReport, make_report
 from .scalars import ScalarModeError, scaled_array
 from .superop import Superoperator, deviation
+
+#: Entries per chunk of the kernels' intermediates (component images, and
+#: (pieces, n, blocks) terms), so their memory stays bounded.
+_KERNEL_CHUNK_ENTRIES = 1 << 16
+
+#: Most integer operations (``_lab_work``) one lab report may need, and the
+#: least that one test operator, split piece or e-partition counts for.
+LAB_WORK_CAP = 1 << 26
+_OBJECT_WORK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -107,15 +117,6 @@ def identity_meet_B(f: CoordinateFunctional) -> RegularOperator:
     return eye.meet_closed_form(build_B(f))
 
 
-def admissible_components(f: CoordinateFunctional) -> Iterator[LatticeVector]:
-    """Components x of e = ones with f(x) = 1 (subsets containing k)."""
-    e = LatticeVector.ones(f.dim)
-    one = Fraction(1)
-    for component in enumerate_components(e):
-        if component.piece.entries[f.index] == one:
-            yield component.piece
-
-
 def meet_via_components(
     T: RegularOperator, f: CoordinateFunctional
 ) -> LatticeVector:
@@ -123,18 +124,32 @@ def meet_via_components(
 
     For positive T the infimum is attained simultaneously in every
     coordinate at the minimal admissible component x = e_k, i.e. it equals
-    column k of T; the enumeration checks that rather than assuming it.
+    column k of T; the kernel checks that rather than assuming it.  Exact
+    only: with T scaled to ints over D_T, each T x is a column sum over one
+    of the 2^(n-1) admissible components (subsets containing k).  A table,
+    built by doubling, holds the sums over the low coordinates, as many as
+    fit ``_KERNEL_CHUNK_ENTRIES`` entries; each chunk adds its high columns.
     """
     if T.shape != (f.dim, f.dim):
         raise ValueError(f"expected a {f.dim}x{f.dim} operator, got {T.shape}")
+    if not T.is_exact:
+        raise ScalarModeError("the component infimum needs an exact operator")
     if not T.is_positive():
         raise ValueError("the component formula applies to positive operators")
-    best: Optional[LatticeVector] = None
-    for x in admissible_components(f):
-        value = T.apply(x)
-        best = value if best is None else best.meet(value)
-    assert best is not None  # x = e is always admissible
-    return best
+    n, k = f.dim, f.index
+    P, D_T = scaled_array(T.entries, (n, n))
+    others = [j for j in range(n) if j != k]
+    low = min(len(others), max(0, (_KERNEL_CHUNK_ENTRIES // n).bit_length() - 1))
+    table = P[:, [k]]
+    for j in others[:low]:
+        table = np.concatenate([table, table + P[:, [j]]], axis=1)
+    high = others[low:]
+    best = None
+    for code in range(1 << len(high)):
+        base = P[:, [j for bit, j in enumerate(high) if code >> bit & 1]].sum(axis=1)
+        chunk_min = (table + base[:, None]).min(axis=1)
+        best = chunk_min if best is None else np.minimum(best, chunk_min)
+    return LatticeVector._trusted((n,), [Fraction(v, D_T) for v in best])
 
 
 def single_support_check(f: CoordinateFunctional, partition: Partition) -> int:
@@ -165,10 +180,6 @@ def single_support_check(f: CoordinateFunctional, partition: Partition) -> int:
 # ---------------------------------------------------------------------------
 # the double-partition infimum
 # ---------------------------------------------------------------------------
-
-#: Entries of the kernel's (pieces, n, blocks) intermediates per chunk of
-#: partitions, so its memory stays bounded whatever the partition budget.
-_KERNEL_CHUNK_ENTRIES = 1 << 16
 
 
 def _e_partitions(
@@ -270,6 +281,7 @@ def inf_G_double_prime(
         raise EnumerationLimitError(
             f"dimension {f.dim} exceeds enumeration cap {ENUMERATION_CAP}"
         )
+    _check_partition_budget(partition_budget)
     return _double_partition_inf(
         f,
         _e_partitions(f, partition_budget),
@@ -380,6 +392,29 @@ def contrast_table(f: CoordinateFunctional) -> list:
     ]
 
 
+def _check_partition_budget(partition_budget: int) -> None:
+    if partition_budget < 1:
+        raise ValueError(f"partition_budget must be at least 1, got {partition_budget}")
+
+
+def _lab_work(
+    n: int, test_ops: int, g_checks: int, split_samples: int, partition_budget: int
+) -> int:
+    """Upper bound on the lab's integer operations: per test operator its
+    2^(n-1) component sums of n^2 and the rep mat-vec, the rep's n^4
+    entries, and per g-check pieces x n^2 x blocks (at most n blocks per
+    e-partition); each Python object counts at least ``_OBJECT_WORK``."""
+    pieces = 1 + (n * n if split_samples > 1 else 0) + 4 * max(0, split_samples - 2)
+    bell = [1]  # a row of the Bell triangle; e has bell[-1] disjoint partitions
+    for _ in range(n - 1):
+        bell = list(accumulate(bell, initial=bell[-1]))
+    partitions = min(partition_budget, bell[-1]) + 1
+    objects = test_ops + g_checks * pieces + partitions
+    kernel = g_checks * pieces * n**3 * partitions
+    per_test_op = (1 << (n - 1)) * n * n + n**4
+    return test_ops * per_test_op + n**4 + kernel + objects * _OBJECT_WORK
+
+
 def counterexample_report(
     n: int,
     k: int,
@@ -409,6 +444,18 @@ def counterexample_report(
             "t_samples and operator_split_samples must be nonnegative, got "
             f"{t_samples} and {operator_split_samples}"
         )
+    _check_partition_budget(partition_budget)
+    if g_samples is None:
+        g_samples = max(1, t_samples // 2)
+    g_indices = [0, *range(2 + t_samples)[2 : 2 + g_samples]]  # B, then T_1, ...
+    work = _lab_work(
+        n, 2 + t_samples, len(g_indices), operator_split_samples, partition_budget
+    )
+    if work > LAB_WORK_CAP:
+        raise EnumerationLimitError(
+            f"the lab needs up to {work} integer operations, over the lab "
+            f"work cap {LAB_WORK_CAP}"
+        )
     f = CoordinateFunctional(n, k - 1)
     e = LatticeVector.ones(n)
     B = build_B(f)
@@ -416,32 +463,31 @@ def counterexample_report(
     Lambda, M_II, M_IB = meet_superoperator(f)
     eye = RegularOperator.identity(n)
 
+    # One meet image at e and one component infimum per test operator.
+    rng = Random(seed)
+    test_ops = [B, eye] + [_random_positive_matrix(rng, n) for _ in range(t_samples)]
+    images = [Lambda.apply(T).apply(e) for T in test_ops]
+    component_infs = [meet_via_components(T, f) for T in test_ops]
+
     deviations = []
     # The meet evaluated at B and then at e comes out to e itself.
-    lambda_B_e = Lambda.apply(B).apply(e)
-    deviations.append(deviation(lambda_B_e, e))
+    deviations.append(deviation(images[0], e))
     # Finite restoration of the factorized meet.
     restored = Superoperator.build(eye, IB)
     deviations.append(deviation(Lambda.rep, restored.rep))
     # At the identity the meet picks out column k.
-    deviations.append(
-        deviation(Lambda.apply(eye).apply(e), f.as_vector())
-    )
+    deviations.append(deviation(images[1], f.as_vector()))
     # The component formula agrees with the superoperator meet on random
     # positive operators, and the double-partition infimum agrees with both.
-    rng = Random(seed)
-    test_ops = [B, eye] + [_random_positive_matrix(rng, n) for _ in range(t_samples)]
-    for T in test_ops:
-        component_inf = meet_via_components(T, f)
-        deviations.append(deviation(component_inf, Lambda.apply(T).apply(e)))
-    if g_samples is None:
-        g_samples = max(1, t_samples // 2)
-    g_checks = [B] + test_ops[2 : 2 + g_samples]
+    for component_inf, image in zip(component_infs, images):
+        deviations.append(deviation(component_inf, image))
     partitions = _e_partitions(f, partition_budget)
-    g_splits = [_positive_splits(T, operator_split_samples, seed) for T in g_checks]
-    for T, splits in zip(g_checks, g_splits):
+    g_splits = [
+        _positive_splits(test_ops[i], operator_split_samples, seed) for i in g_indices
+    ]
+    for i, splits in zip(g_indices, g_splits):
         g_inf = _double_partition_inf(f, partitions, splits)
-        deviations.append(deviation(g_inf, meet_via_components(T, f)))
+        deviations.append(deviation(g_inf, component_infs[i]))
     # The homomorphism dichotomy on every enumerated disjoint partition.
     for partition in partitions:
         single_support_check(f, partition)
@@ -449,13 +495,13 @@ def counterexample_report(
     inputs = {"n": n, "k": k, "t_samples": t_samples}
     details = {
         "identity_meet_B": IB.to_json(),
-        "lambda_B_at_e": lambda_B_e.to_json(),
-        "lambda_at_identity": Lambda.apply(eye).apply(e).to_json(),
+        "lambda_B_at_e": images[0].to_json(),
+        "lambda_at_identity": images[1].to_json(),
         "contrast_table": contrast_table(f),
         "partition_budget": partition_budget,
         "operator_split_samples": operator_split_samples,
-        "g_checks": len(g_checks),
-        "splits_sampled": len(g_checks) * len(g_splits[0]),
+        "g_checks": len(g_indices),
+        "splits_sampled": len(g_indices) * len(g_splits[0]),
         "partitions_per_split": len(partitions),
     }
     return make_report(

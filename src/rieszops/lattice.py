@@ -306,9 +306,7 @@ class Partition:
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("a partition needs at least one piece")
-        total = pieces[0]
-        for p in pieces[1:]:
-            total = total + p
+        total = sum(pieces[1:], pieces[0])
         for p in pieces:
             if not p.is_positive():
                 raise ValueError("partition pieces must be positive")
@@ -416,14 +414,8 @@ def dyadic_partition(w: LatticeVector, depth: int = 1) -> Partition:
 
 def _integer_composition(rng: Random, total: int, parts: int) -> list:
     """Random composition of ``total`` into ``parts`` nonnegative integers."""
-    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
-    prev = 0
-    out = []
-    for c in cuts:
-        out.append(c - prev)
-        prev = c
-    out.append(total - prev)
-    return out
+    cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 def random_convex_partition(

@@ -24,12 +24,17 @@ test-suite pins down.
 
 ``OperatorPartition`` models the operator-side decompositions
 ``sum_j |T_j| = T`` used by the superoperator formulas.
+
+Exact ``RegularOperator.apply`` runs on scaled integers: the same row dot
+products as in float mode, over the matrix's and the vector's common
+denominators, with one ``Fraction`` per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
@@ -51,6 +56,7 @@ from .scalars import (
     is_zero,
     one_of,
     scalar_to_json,
+    scaled_integers,
     zero_of,
 )
 
@@ -168,13 +174,16 @@ class RegularOperator(_Entrywise):
             raise ScalarModeError(
                 f"scalar mode mismatch: operator {self.mode}, vector {v.mode}"
             )
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(
-                sum(self.entries[base + j] * v.entries[j] for j in range(self.cols))
-            )
-        return LatticeVector(out)
+        if self.is_exact:
+            A, D_A = scaled_integers(self.entries)
+            x, D_v = scaled_integers(v.entries)
+        else:
+            A, x = self.entries, v.entries
+        c = self.cols
+        sums = [sum(map(mul, A[i : i + c], x)) for i in range(0, len(A), c)]
+        if not self.is_exact:
+            return LatticeVector(sums)
+        return LatticeVector._trusted((self.rows,), [Fraction(s, D_A * D_v) for s in sums])
 
     def compose(self, other: "RegularOperator") -> "RegularOperator":
         """Matrix product self @ other."""
@@ -396,9 +405,7 @@ class OperatorPartition:
             raise ValueError("an operator partition needs at least one piece")
         if not target.is_positive():
             raise ValueError("operator partitions target a positive operator")
-        total = pieces[0].modulus_closed_form()
-        for p in pieces[1:]:
-            total = total + p.modulus_closed_form()
+        total = sum((abs(p) for p in pieces[1:]), abs(pieces[0]))
         if not total.eq(target):
             raise ValueError("moduli of the pieces do not sum to the target")
         object.__setattr__(self, "target", target)
@@ -414,14 +421,14 @@ def trivial_operator_partition(T: RegularOperator) -> OperatorPartition:
 
 def atomic_operator_partition(T: RegularOperator) -> OperatorPartition:
     """Split T >= 0 into matrix-unit pieces t_ij E_ij (nonzero entries only)."""
+    tol = 0.0 if T.is_exact else DEFAULT_TOLERANCE
+    zeros = [zero_of(T.mode)] * len(T.entries)
     pieces = []
-    for i in range(T.rows):
-        for j in range(T.cols):
-            t = T.entry(i, j)
-            if not is_zero(t, 0.0 if T.is_exact else DEFAULT_TOLERANCE):
-                pieces.append(
-                    RegularOperator.matrix_unit(T.rows, T.cols, i, j, T.mode) * t
-                )
+    for index, t in enumerate(T.entries):
+        if not is_zero(t, tol):
+            entries = list(zeros)
+            entries[index] = t
+            pieces.append(T._like(entries))
     if not pieces:
         pieces = [T]
     return OperatorPartition(T, tuple(pieces))

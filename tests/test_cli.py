@@ -347,6 +347,32 @@ def test_counterexample_over_enumeration_cap_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("budget", ["-3", "0"])
+def test_counterexample_nonpositive_partition_budget_exits_2(budget, capsys):
+    argv = ["counterexample", "--n", "4", "--k", "1", "--partition-budget", budget]
+    _assert_usage_error(capsys, argv, "partition_budget must be at least 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--n", "20", "--k", "1"],
+        ["counterexample", "--n", "12", "--k", "1", "--partition-budget", "100000000"],
+    ],
+)
+def test_counterexample_over_lab_work_cap_exits_2_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    _assert_usage_error(capsys, argv, "lab work cap")
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_counterexample_n16_lab_runs_under_the_cap(capsys):
+    argv = ["counterexample", "--n", "16", "--k", "1", "--t-samples", "1",
+            "--split-samples", "1", "--partition-budget", "4"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
 def test_usage_error_exits_2():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

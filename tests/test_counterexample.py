@@ -9,9 +9,11 @@ from rieszops import (
     LatticeVector,
     Partition,
     RegularOperator,
+    Superoperator,
     build_B,
     counterexample_report,
     disjoint_partitions,
+    enumerate_components,
     identity_meet_B,
     inf_G_double_prime,
     meet_superoperator,
@@ -22,10 +24,10 @@ from rieszops import counterexample
 from rieszops.counterexample import (
     _e_partitions,
     _positive_splits,
-    admissible_components,
     contrast_table,
     g_double_prime_term,
 )
+from rieszops.lattice import EnumerationLimitError
 from rieszops.scalars import ScalarModeError
 
 from conftest import positive_fractions_st
@@ -83,6 +85,14 @@ def test_identity_meet_B_is_matrix_unit(f):
 # ---------------------------------------------------------------------------
 # components and partitions of e
 # ---------------------------------------------------------------------------
+
+
+def admissible_components(f):
+    """Components x of e = ones with f(x) = 1 (subsets containing k)."""
+    e = LatticeVector.ones(f.dim)
+    for component in enumerate_components(e):
+        if component.piece.entries[f.index] == 1:
+            yield component.piece
 
 
 @given(functionals())
@@ -150,6 +160,60 @@ def test_meet_via_components_rejects_signed_input():
     T = RegularOperator.from_rows([[1, -1], [0, 1]])
     with pytest.raises(ValueError):
         meet_via_components(T, f)
+
+
+def test_meet_via_components_rejects_float_operator():
+    f = CoordinateFunctional(3, 1)
+    with pytest.raises(ScalarModeError):
+        meet_via_components(build_B(f).to_float(), f)
+
+
+def _reference_meet_via_components(T, f):
+    """The component infimum as a Fraction loop: T applied to every
+    admissible component, met entrywise; the reference for the kernel."""
+    best = None
+    for x in admissible_components(f):
+        value = T.apply(x)
+        best = value if best is None else best.meet(value)
+    return best
+
+
+def _lab_operators(rng, n):
+    """Positive test operators: random, with zero rows, scaled, zero."""
+    T = _random_positive(rng, n)
+    rows = [list(T.entries[i * n : (i + 1) * n]) for i in range(n)]
+    for i in range(0, n, 3):
+        rows[i] = [0] * n
+    big = Fraction(10**12, 7)
+    return [
+        T,
+        RegularOperator.from_rows(rows),
+        _random_positive(rng, n, big),
+        _random_positive(rng, n, big**2),
+        RegularOperator.zero(n, n),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_component_kernel_matches_reference_loop(n):
+    rng = Random(100 + n)
+    for k in range(n):
+        f = CoordinateFunctional(n, k)
+        for T in [build_B(f)] + _lab_operators(rng, n):
+            got = meet_via_components(T, f)
+            assert got.entries == _reference_meet_via_components(T, f).entries
+            assert all(type(v) is Fraction for v in got.entries)
+
+
+def test_component_kernel_chunks_agree(monkeypatch):
+    # One component per chunk: the running minimum over chunks is the same.
+    monkeypatch.setattr(counterexample, "_KERNEL_CHUNK_ENTRIES", 1)
+    rng = Random(8)
+    for k in (0, 3, 6):
+        f = CoordinateFunctional(7, k)
+        for T in _lab_operators(rng, 7):
+            got = meet_via_components(T, f)
+            assert got.entries == _reference_meet_via_components(T, f).entries
 
 
 @given(functionals(max_dim=3))
@@ -240,6 +304,15 @@ def test_double_partition_infimum_rejects_float_operator():
         inf_G_double_prime(build_B(f).to_float(), f)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_nonpositive_partition_budget_is_rejected(budget):
+    f = CoordinateFunctional(3, 0)
+    with pytest.raises(ValueError, match="partition_budget"):
+        inf_G_double_prime(build_B(f), f, partition_budget=budget)
+    with pytest.raises(ValueError, match="partition_budget"):
+        counterexample_report(n=3, k=1, partition_budget=budget)
+
+
 # ---------------------------------------------------------------------------
 # the assembled report
 # ---------------------------------------------------------------------------
@@ -301,3 +374,41 @@ def test_counterexample_report_enumerates_each_list_once(monkeypatch):
     assert calls["partitions"] == 1
     assert len(calls["splits"]) == report.details["g_checks"] == 3
     assert calls["splits"][0] == build_B(CoordinateFunctional(4, 1))
+
+
+def test_counterexample_report_computes_each_lab_quantity_once(monkeypatch):
+    applied, component_calls = [], []
+    superop_apply = Superoperator.apply
+
+    def counted_apply(self, T):
+        applied.append(T)
+        return superop_apply(self, T)
+
+    def counted_components(T, f):
+        component_calls.append(T)
+        return meet_via_components(T, f)
+
+    monkeypatch.setattr(Superoperator, "apply", counted_apply)
+    monkeypatch.setattr(counterexample, "meet_via_components", counted_components)
+    report = counterexample_report(n=4, k=3, seed=5, t_samples=3)
+    assert report.status == "pass"
+    # B, I and three random operators: one meet image and one component
+    # infimum each, reused by the g-checks and the report details.
+    assert len(applied) == len(component_calls) == 5
+    assert applied == component_calls
+    assert len(set(map(id, applied))) == 5
+
+
+def test_lab_work_cap_is_checked_before_any_work(monkeypatch):
+    def no_build(A, B):
+        raise AssertionError("the work cap must be checked before any build")
+
+    monkeypatch.setattr(Superoperator, "build", no_build)
+    with pytest.raises(EnumerationLimitError, match="cap"):
+        counterexample_report(n=20, k=1)
+    with pytest.raises(EnumerationLimitError, match="cap"):
+        counterexample_report(n=12, k=1, partition_budget=10**8)
+    monkeypatch.setattr(counterexample, "LAB_WORK_CAP", 1000)
+    with pytest.raises(EnumerationLimitError, match="cap"):
+        counterexample_report(n=3, k=1)
+

@@ -32,6 +32,45 @@ def test_identity_and_apply():
     assert I.apply(v).eq(v)
 
 
+def _reference_apply(A, v):
+    """A v as the per-entry loop over A's scalars (the pre-integer code)."""
+    out = []
+    for i in range(A.rows):
+        base = i * A.cols
+        out.append(sum(A.entries[base + j] * v.entries[j] for j in range(A.cols)))
+    return out
+
+
+def _apply_cases():
+    rng = Random(21)
+    big = Fraction(10**12, 7)
+    shapes = [(r, c) for r in range(1, 5) for c in range(1, 5)] + [(1, 70), (70, 1)]
+    for rows, cols in shapes:
+        for scale in (1, big, big**2):
+            entries = [
+                scale * Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                for _ in range(rows * cols)
+            ]
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(cols)]
+            yield RegularOperator(rows, cols, entries), LatticeVector(v)
+        yield RegularOperator(rows, cols, entries), LatticeVector.zero(cols)
+
+
+def test_exact_apply_matches_fraction_loop():
+    for A, v in _apply_cases():
+        got = A.apply(v)
+        assert got.entries == tuple(_reference_apply(A, v))
+        assert all(type(x) is Fraction for x in got.entries)
+
+
+def test_float_apply_keeps_the_loop_bit_for_bit():
+    for A, v in _apply_cases():
+        Af, vf = A.to_float(), v.to_float()
+        got = Af.apply(vf)
+        assert got.entries == tuple(_reference_apply(Af, vf))
+        assert all(type(x) is float for x in got.entries)
+
+
 def test_from_rows_and_entry_layout():
     A = RegularOperator.from_rows([[1, 2], [3, 4]])
     assert A.entry(0, 1) == Fraction(2)

@@ -3,11 +3,13 @@
 ``scripts/verify_all.py --seed 7 --count 20`` writes one canonical report
 per claim.  The eight whose values are all exact rationals are pinned here
 by sha256, so a refactor that moves any byte of them fails at once.
-``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.
+``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.  Three
+larger meet labs (n = 6, 8, 10, seed 7) are pinned the same way.
 """
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -28,10 +30,34 @@ DIGESTS = {
 }
 
 
-def _battery(seed, count):
+LARGER_LABS = {
+    "lab_n6_k2": (
+        ["--n", "6", "--k", "2", "--t-samples", "3", "--split-samples", "4",
+         "--partition-budget", "20"],
+        "b056d03c2dd2c6c1a2f78abda8c86dd8f7a12343a72a53c4650cf3b8e1416de4",
+    ),
+    "lab_n8_k3": (
+        ["--n", "8", "--k", "3", "--t-samples", "2", "--split-samples", "3",
+         "--partition-budget", "12"],
+        "9d1400504d46aace0f85c698520ba7bbceed56e0d9384aa0bda48cc2ea9438af",
+    ),
+    "lab_n10_k1": (
+        ["--n", "10", "--k", "1", "--t-samples", "1", "--split-samples", "2",
+         "--partition-budget", "6"],
+        "a62e328353499d44de721b2e1e5d79385c472cb9715fdc5b480ec516d6137e51",
+    ),
+}
+
+
+def _load_script():
     spec = importlib.util.spec_from_file_location("verify_all", SCRIPT)
     verify_all = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(verify_all)
+    return verify_all
+
+
+def _battery(seed, count):
+    verify_all = _load_script()
     config = verify_all.BatteryConfig(seed=seed, count=count)
     return dict(verify_all.invocations(config))
 
@@ -48,3 +74,20 @@ def test_exact_battery_report_bytes(name, tmp_path):
 
 def test_the_pinned_reports_are_the_exact_ones():
     assert set(BATTERY) - set(DIGESTS) == {"gap", "cor23"}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_LABS))
+def test_larger_lab_report_bytes(name, tmp_path):
+    flags, digest = LARGER_LABS[name]
+    path = tmp_path / f"{name}.json"
+    assert main(["counterexample", *flags, "--seed", "7", "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_battery_lines_end_in_wall_time(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "--count", "2", "--samples", "10"]
+    assert _load_script().main(argv) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " -> " in line]
+    assert len(lines) == len(BATTERY)
+    for line in lines:
+        assert re.fullmatch(r"\S+ +-> \S+\.json  \[ok\]  \(\d+ ms\)", line), line
