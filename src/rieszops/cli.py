@@ -10,8 +10,16 @@ norm             operator norm and regular norm of one matrix
 gap              operator-norm vs regular-norm ratio explorer
 counterexample   the finite transcription lab report
 
+``verify`` runs every claim with input files through one claim table: the
+claim's input roles and their shapes and signs come from
+``corpus.CLAIM_ROLES`` and ``corpus.ROLES``, so the same roles are loaded
+from ``--A``/``--B``/... files or drawn from the corpus.  Inputs a claim
+may leave out come from ``DEFAULTS`` (D = -B, C = -A, all-ones T and w in
+the scalar mode of B); ``--exact`` checks every loaded input.
+
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
-2 = usage error, malformed input or a request over a work or memory cap.
+2 = usage error, malformed input (including files that mix exact and
+float entries) or a request over a work or memory cap.
 Reports are canonical JSON: identical invocations (same inputs, same
 --seed) produce byte-identical bytes; the wall time goes to stderr only.
 """
@@ -24,11 +32,17 @@ import math
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .counterexample import counterexample_report
-from .corpus import Corpus, claim_cases, generate_corpus, parse_corpus_spec
+from .corpus import (
+    CLAIM_ROLES,
+    ROLES,
+    Corpus,
+    claim_cases,
+    generate_corpus,
+    parse_corpus_spec,
+)
 from .lattice import EnumerationLimitError, LatticeVector
 from .norms import (
     LatticeNorm,
@@ -45,12 +59,13 @@ from .operators import RegularOperator
 from .reports import (
     CLAIM_IDS,
     VerificationReport,
+    _write_canonical,
     canonical_json,
-    digest_inputs,
     emit_report,
+    make_report,
     render_console,
 )
-from .scalars import DEFAULT_TOLERANCE, scalar_to_json
+from .scalars import DEFAULT_TOLERANCE, ScalarModeError, one_of, scalar_to_json
 from .superop import verify_cor22, verify_prop21, verify_synnatzschke_a
 
 class UsageError(Exception):
@@ -67,20 +82,14 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_matrix(path: str) -> RegularOperator:
+def _load(path: str, cls=RegularOperator):
+    """A matrix (a vector for ``cls=LatticeVector``) from a JSON input file."""
     data = _load_json(path)
     try:
-        return RegularOperator.from_json(data)
+        return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path} is not a valid matrix file: {exc}") from exc
-
-
-def load_vector(path: str) -> LatticeVector:
-    data = _load_json(path)
-    try:
-        return LatticeVector.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path} is not a valid vector file: {exc}") from exc
+        kind = "matrix" if cls is RegularOperator else "vector"
+        raise UsageError(f"{path} is not a valid {kind} file: {exc}") from exc
 
 
 def parse_p(text: str) -> float:
@@ -105,12 +114,8 @@ def assignment_from_args(args, default: str) -> NormAssignment:
 
 
 def _require_exact(args, *operands):
-    if getattr(args, "exact", False):
-        for op in operands:
-            if op is not None and not op.is_exact:
-                raise UsageError(
-                    "--exact was given but an input contains float entries"
-                )
+    if getattr(args, "exact", False) and not all(op.is_exact for op in operands):
+        raise UsageError("--exact was given but an input contains float entries")
 
 
 # ---------------------------------------------------------------------------
@@ -119,137 +124,83 @@ def _require_exact(args, *operands):
 
 
 def _aggregate(claim_id: str, reports, corpus: Corpus) -> VerificationReport:
-    reports = list(reports)
-    exact = all(r.exact for r in reports)
-    if exact:
-        max_dev = max((r.max_deviation for r in reports), default=Fraction(0))
-    else:
-        max_dev = max((float(r.max_deviation) for r in reports), default=0.0)
     failures = [i for i, r in enumerate(reports) if r.status == "fail"]
-    status = "fail" if failures else "pass"
-    witnesses = reports[failures[0]].witnesses if failures else ()
-    return VerificationReport(
+    return make_report(
         claim_id=claim_id,
-        status=status,
-        inputs_digest=digest_inputs({"corpus": corpus.to_json()}),
-        max_deviation=max_dev,
-        exact=exact,
-        witnesses=witnesses,
+        inputs={"corpus": corpus.to_json()},
+        deviations=[r.max_deviation for r in reports],
+        exact=all(r.exact for r in reports),
+        witnesses=reports[failures[0]].witnesses if failures else (),
         seed=corpus.seed,
-        details={
-            "cases": len(reports),
-            "failed_cases": failures[:10],
-        },
+        details={"cases": len(reports), "failed_cases": failures[:10]},
+        status="fail" if failures else "pass",
     )
 
 
-def _run_verify(args) -> VerificationReport:
+#: The inputs a claim may leave out, built from those it was given; T and
+#: w are all-ones in the scalar mode of B.
+DEFAULTS = {
+    "C": lambda x: -x["A"],
+    "D": lambda x: -x["B"],
+    "T": lambda x: RegularOperator(
+        x["A0"].cols,
+        x["B"].rows,
+        [one_of(x["B"].mode)] * (x["A0"].cols * x["B"].rows),
+    ),
+    "w": lambda x: LatticeVector.ones(x["B"].cols, x["B"].mode),
+}
+
+
+def _load_inputs(args) -> dict:
+    """The claim's inputs by role: the given files, then the defaults."""
+    roles = CLAIM_ROLES[args.claim]
+    required = [role for role in roles if role not in DEFAULTS]
+    if any(getattr(args, role) is None for role in required):
+        flags = " and ".join(f"--{role}" for role in required)
+        raise UsageError(f"verify {args.claim} needs {flags} (or --corpus)")
+    inputs = {}
+    for role in roles:
+        path = getattr(args, role)
+        if path is not None:
+            vector = len(ROLES[role][0]) == 1
+            inputs[role] = _load(path, LatticeVector if vector else RegularOperator)
+    for role in roles:
+        if role not in inputs:
+            inputs[role] = DEFAULTS[role](inputs)
+    _require_exact(args, *inputs.values())
+    return inputs
+
+
+def _call_verifier(args, inputs: dict, seed: int) -> VerificationReport:
+    """One verifier call, with the claim's roles as positional arguments."""
     claim = args.claim
-    tol = args.tolerance
-    if claim == "counterexample":
+    extra = {}
+    if claim == "cor23":
+        extra = {"assignment": assignment_from_args(args, "1"), "samples": args.samples}
+    # Built per call, so that it sees the module's names as bound now.
+    verifier = {
+        "cor22": verify_cor22,
+        "prop21": verify_prop21,
+        "synnatzschke_a": verify_synnatzschke_a,
+        "cor23": verify_cor23,
+    }[claim]
+    positional = [inputs[role] for role in CLAIM_ROLES[claim]]
+    return verifier(*positional, seed=seed, tol=args.tolerance, **extra)
+
+
+def _run_verify(args) -> VerificationReport:
+    if args.claim == "counterexample":
         return counterexample_report(n=args.n, k=args.k, seed=args.seed)
-    if claim == "gap":
+    if args.claim == "gap":
         return _run_gap(args)
     if args.corpus is not None:
-        try:
-            corpus = parse_corpus_spec(args.corpus)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        reports = []
-        for case in claim_cases(corpus, claim):
-            if claim == "cor22":
-                reports.append(
-                    verify_cor22(case["A"], case["B"], seed=corpus.seed, tol=tol)
-                )
-            elif claim == "prop21":
-                reports.append(
-                    verify_prop21(
-                        case["A0"],
-                        case["B"],
-                        case["D"],
-                        case["T"],
-                        case["w"],
-                        seed=corpus.seed,
-                        tol=tol,
-                    )
-                )
-            elif claim == "synnatzschke_a":
-                reports.append(
-                    verify_synnatzschke_a(
-                        case["A"], case["C"], case["B0"], seed=corpus.seed, tol=tol
-                    )
-                )
-            elif claim == "cor23":
-                reports.append(
-                    verify_cor23(
-                        case["A"],
-                        case["B"],
-                        assignment_from_args(args, default="1"),
-                        samples=args.samples,
-                        seed=corpus.seed,
-                        tol=tol,
-                    )
-                )
-            else:
-                raise UsageError(f"--corpus is not supported for {claim}")
-        return _aggregate(claim, reports, corpus)
-    if claim == "cor23":
-        if args.A is None or args.B is None:
-            raise UsageError("verify cor23 needs --A and --B (or --corpus)")
-        A, B = load_matrix(args.A), load_matrix(args.B)
-        _require_exact(args, A, B)
-        return verify_cor23(
-            A,
-            B,
-            assignment_from_args(args, default="1"),
-            samples=args.samples,
-            seed=args.seed,
-            tol=tol,
-        )
-    if claim == "cor22":
-        if args.A is None or args.B is None:
-            raise UsageError("verify cor22 needs --A and --B (or --corpus)")
-        A, B = load_matrix(args.A), load_matrix(args.B)
-        _require_exact(args, A, B)
-        return verify_cor22(A, B, seed=args.seed, tol=tol)
-    if claim == "prop21":
-        if args.A0 is None or args.B is None:
-            raise UsageError("verify prop21 needs --A0 and --B (or --corpus)")
-        A0, B = load_matrix(args.A0), load_matrix(args.B)
-        D = load_matrix(args.D) if args.D else -B
-        T = (
-            load_matrix(args.T)
-            if args.T
-            else RegularOperator(
-                A0.cols,
-                B.rows,
-                [Fraction(1)] * (A0.cols * B.rows),
-            )
-        )
-        w = (
-            load_vector(args.w)
-            if args.w
-            else LatticeVector.ones(B.cols)
-        )
-        _require_exact(args, A0, B, D, T)
-        try:
-            return verify_prop21(A0, B, D, T, w, seed=args.seed, tol=tol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    if claim == "synnatzschke_a":
-        if args.A is None or args.B0 is None:
-            raise UsageError(
-                "verify synnatzschke_a needs --A and --B0 (or --corpus)"
-            )
-        A = load_matrix(args.A)
-        C = load_matrix(args.C) if args.C else -A
-        B0 = load_matrix(args.B0)
-        _require_exact(args, A, C, B0)
-        try:
-            return verify_synnatzschke_a(A, C, B0, seed=args.seed, tol=tol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown claim: {claim}")
+        corpus = parse_corpus_spec(args.corpus)
+        reports = [
+            _call_verifier(args, case, corpus.seed)
+            for case in claim_cases(corpus, args.claim)
+        ]
+        return _aggregate(args.claim, reports, corpus)
+    return _call_verifier(args, _load_inputs(args), args.seed)
 
 
 def _run_gap(args) -> VerificationReport:
@@ -261,7 +212,8 @@ def _run_gap(args) -> VerificationReport:
     else:
         if args.A is None or args.B is None:
             raise UsageError("gap needs either --m or both --A and --B")
-        A, B = load_matrix(args.A), load_matrix(args.B)
+        A, B = _load(args.A), _load(args.B)
+        _require_exact(args, A, B)
     return gap_report(
         A,
         B,
@@ -283,48 +235,38 @@ def _run_counterexample(args) -> VerificationReport:
 
 
 def _run_corpus(args) -> int:
-    try:
-        corpus = Corpus(
-            seed=args.seed,
-            dims=tuple(int(d) for d in args.dims.split("x")),
-            count=args.count,
-            distribution=args.distribution,
-            sign_mode=args.sign,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    corpus = Corpus(
+        seed=args.seed,
+        dims=tuple(int(d) for d in args.dims.split("x")),
+        count=args.count,
+        distribution=args.distribution,
+        sign_mode=args.sign,
+    )
     manifest = generate_corpus(corpus, args.out)
     print(f"wrote {len(manifest['files'])} files to {args.out}")
     return 0
 
 
 def _run_norm(args) -> int:
-    A = load_matrix(args.A)
+    A = _load(args.A)
     _require_exact(args, A)
     n_from = LatticeNorm(p=parse_p(args.p_from))
     n_to = LatticeNorm(p=parse_p(args.p_to))
     op = operator_norm(A, n_from, n_to, seed=args.seed)
     reg = regular_norm(A, n_from, n_to, seed=args.seed)
     payload = {
-        "operator_norm": {
-            "value": scalar_to_json(op.value),
-            "certified": op.certified,
-            "method": op.method,
-            "witness": op.witness.to_json(),
-        },
-        "regular_norm": {
-            "value": scalar_to_json(reg.value),
-            "certified": reg.certified,
-            "method": reg.method,
-            "witness": reg.witness.to_json(),
-        },
+        key: {
+            "value": scalar_to_json(result.value),
+            "certified": result.certified,
+            "method": result.method,
+            "witness": result.witness.to_json(),
+        }
+        for key, result in (("operator_norm", op), ("regular_norm", reg))
     }
-    text = canonical_json(payload)
     if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        _write_canonical(payload, args.json)
     else:
-        print(text)
+        print(canonical_json(payload))
     return 0
 
 
@@ -455,10 +397,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "counterexample":
             return _finish_report(_run_counterexample, args)
         raise UsageError(f"unknown command: {args.command}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError, EnumerationLimitError) as exc:
+    except (
+        UsageError, ValueError, IndexError, EnumerationLimitError, ScalarModeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

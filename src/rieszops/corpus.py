@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .lattice import LatticeVector
 from .operators import RegularOperator
-from .reports import canonical_json
+from .reports import _write_canonical
 
 GRID_MAX = 5
 GRID_MAX_DENOMINATOR = 8
@@ -142,43 +142,49 @@ def corpus_pairs(corpus: Corpus) -> Iterator[tuple]:
         yield A, B
 
 
+#: Each input role of the claim verifiers: its shape, as indices into
+#: ``Corpus.dims`` = (w, x, y, z) (one index for a vector), and its sign
+#: ("positive", or None for the corpus's own sign mode).
+ROLES = {
+    "A": ((3, 2), None), "C": ((3, 2), None), "A0": ((3, 2), "positive"),
+    "B": ((1, 0), None), "D": ((1, 0), None), "B0": ((1, 0), "positive"),
+    "T": ((2, 1), "positive"), "w": ((0,), "positive"),
+}
+
+#: The roles of each claim with a corpus schema, in draw order (which is
+#: also the order of the verifier's positional arguments).
+CLAIM_ROLES = {
+    "cor22": ("A", "B"),
+    "prop21": ("A0", "B", "D", "T", "w"),
+    "synnatzschke_a": ("A", "C", "B0"),
+    "cor23": ("A", "B"),
+}
+
+
+def _draw_role(rng: Random, corpus: Corpus, role: str):
+    shape, sign = ROLES[role]
+    sizes = [corpus.dims[i] for i in shape]
+    sign = sign or corpus.sign_mode
+    if len(sizes) == 1:
+        return random_vector(rng, *sizes, corpus.distribution, sign)
+    return random_matrix(rng, *sizes, corpus.distribution, sign)
+
+
 def claim_cases(corpus: Corpus, claim_id: str) -> Iterator[dict]:
     """Per-claim input bundles drawn deterministically from the corpus.
 
-    Positivity requirements (A0 for the positive-left-factor identities,
-    B0 for the positive-right-factor ones, T and w throughout) are built in
-    by construction, not by rejection sampling.
+    Each case maps the claim's roles (``CLAIM_ROLES``) to inputs drawn in
+    that order from one ``Random(corpus.seed)``, with the shapes and signs
+    of ``ROLES``.  Positivity requirements (A0 for the positive-left-factor
+    identities, B0 for the positive-right-factor ones, T and w throughout)
+    are built in by construction, not by rejection sampling.  A claim
+    without a schema raises ``ValueError``.
     """
+    if claim_id not in CLAIM_ROLES:
+        raise ValueError(f"no corpus schema for claim {claim_id!r}")
     rng = Random(corpus.seed)
-    w, x, y, z = corpus.dims
-    dist = corpus.distribution
     for _ in range(corpus.count):
-        if claim_id == "cor22":
-            yield {
-                "A": random_matrix(rng, z, y, dist, corpus.sign_mode),
-                "B": random_matrix(rng, x, w, dist, corpus.sign_mode),
-            }
-        elif claim_id == "prop21":
-            yield {
-                "A0": random_matrix(rng, z, y, dist, "positive"),
-                "B": random_matrix(rng, x, w, dist, corpus.sign_mode),
-                "D": random_matrix(rng, x, w, dist, corpus.sign_mode),
-                "T": random_matrix(rng, y, x, dist, "positive"),
-                "w": random_vector(rng, w, dist, "positive"),
-            }
-        elif claim_id == "synnatzschke_a":
-            yield {
-                "A": random_matrix(rng, z, y, dist, corpus.sign_mode),
-                "C": random_matrix(rng, z, y, dist, corpus.sign_mode),
-                "B0": random_matrix(rng, x, w, dist, "positive"),
-            }
-        elif claim_id == "cor23":
-            yield {
-                "A": random_matrix(rng, z, y, dist, corpus.sign_mode),
-                "B": random_matrix(rng, x, w, dist, corpus.sign_mode),
-            }
-        else:
-            raise ValueError(f"no corpus schema for claim {claim_id!r}")
+        yield {role: _draw_role(rng, corpus, role) for role in CLAIM_ROLES[claim_id]}
 
 
 def mixed_dims_pairs(
@@ -240,17 +246,6 @@ def square_matrix_cases(
 # ---------------------------------------------------------------------------
 
 
-def _write_canonical(obj: dict, path: str) -> bytes:
-    data = (canonical_json(obj) + "\n").encode("ascii")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return data
-
-
 def generate_corpus(corpus: Corpus, out_dir: str) -> dict:
     """Write the corpus's matrix files plus a manifest with digests.
 
@@ -262,10 +257,9 @@ def generate_corpus(corpus: Corpus, out_dir: str) -> dict:
     for idx, (A, B) in enumerate(corpus_pairs(corpus)):
         for tag, op in (("A", A), ("B", B)):
             name = f"{tag}_{idx:04d}.json"
-            data = _write_canonical(op.to_json(), os.path.join(out_dir, name))
-            files.append(
-                {"name": name, "sha256": hashlib.sha256(data).hexdigest()}
-            )
+            text = _write_canonical(op.to_json(), os.path.join(out_dir, name))
+            digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+            files.append({"name": name, "sha256": digest})
     manifest = {"params": corpus.to_json(), "files": files}
     _write_canonical(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest

@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .corpus import random_matrix
 from .lattice import (
     ENUMERATION_CAP,
     EnumerationLimitError,
@@ -54,6 +55,7 @@ from .operators import (
     RegularOperator,
     atomic_operator_partition,
     random_operator_partition,
+    rank_one,
     trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
@@ -103,12 +105,7 @@ class CoordinateFunctional:
 
 def build_B(f: CoordinateFunctional) -> RegularOperator:
     """The rank-one operator f (x) e:  B w = w_k * e  (column k all ones)."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    n = f.dim
-    return RegularOperator(
-        n, n, [one if j == f.index else zero for _ in range(n) for j in range(n)]
-    )
+    return rank_one(f.as_vector(), LatticeVector.ones(f.dim))
 
 
 def identity_meet_B(f: CoordinateFunctional) -> RegularOperator:
@@ -339,15 +336,6 @@ def meet_superoperator(f: CoordinateFunctional):
     return M_II.meet(M_IB), M_II, M_IB
 
 
-def _random_positive_matrix(rng: Random, n: int) -> RegularOperator:
-    entries = []
-    for _ in range(n * n):
-        den = rng.randint(1, 8)
-        num = rng.randint(0, 5 * den)
-        entries.append(Fraction(num, den))
-    return RegularOperator(n, n, entries)
-
-
 def contrast_table(f: CoordinateFunctional) -> list:
     """Finite-model values next to the l_infinity values they diverge from.
 
@@ -429,7 +417,9 @@ def counterexample_report(
     ``k`` is 1-based (1 <= k <= n).  All checks are exact; the report's
     details carry the contrast table against the l_infinity world.
     ``g_samples`` bounds how many random operators get the (expensive)
-    double-partition infimum treatment; default scales with ``t_samples``.
+    double-partition infimum treatment besides B (0 checks B only); the
+    default scales with ``t_samples``, and a negative count raises
+    ``ValueError``.
     """
     if n < 2:
         raise ValueError("the construction needs n >= 2")
@@ -447,6 +437,8 @@ def counterexample_report(
     _check_partition_budget(partition_budget)
     if g_samples is None:
         g_samples = max(1, t_samples // 2)
+    if g_samples < 0:
+        raise ValueError(f"g_samples must be nonnegative, got {g_samples}")
     g_indices = [0, *range(2 + t_samples)[2 : 2 + g_samples]]  # B, then T_1, ...
     work = _lab_work(
         n, 2 + t_samples, len(g_indices), operator_split_samples, partition_budget
@@ -465,7 +457,9 @@ def counterexample_report(
 
     # One meet image at e and one component infimum per test operator.
     rng = Random(seed)
-    test_ops = [B, eye] + [_random_positive_matrix(rng, n) for _ in range(t_samples)]
+    test_ops = [B, eye] + [
+        random_matrix(rng, n, n, "rational", "positive") for _ in range(t_samples)
+    ]
     images = [Lambda.apply(T).apply(e) for T in test_ops]
     component_infs = [meet_via_components(T, f) for T in test_ops]
 

@@ -7,7 +7,8 @@ mechanically.  Vectors carry either exact rational entries or floats (see
 negative parts) act componentwise.  They are written once, on the private
 ``_Entrywise`` base (a shape plus a flat tuple of entries) that
 ``operators.RegularOperator`` shares, since the lattice structure of the
-matrix spaces is entrywise too.
+matrix spaces is entrywise too; so are the atom splitter and the random
+convex splitter behind the vector and the operator partitions.
 
 Besides the vector type the module provides the combinatorial machinery the
 Riesz-Kantorovich formulas quantify over: components of a positive element,
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from random import Random
 from typing import Iterator, Optional, Sequence
 
@@ -51,6 +53,12 @@ class DimensionMismatchError(ValueError):
 
 class EnumerationLimitError(RuntimeError):
     """A request would exceed a work or memory cap."""
+
+
+def _integer_composition(rng: Random, total: int, parts: int) -> list:
+    """Random composition of ``total`` into ``parts`` nonnegative integers."""
+    cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -172,6 +180,37 @@ class _Entrywise:
         if not self.is_exact:
             return self
         return self._like([float(a) for a in self.entries])
+
+    # -- splitters (the partitions' pieces) ----------------------------------
+
+    def _atoms(self) -> tuple:
+        """One piece per nonzero entry, holding that entry alone; an all-zero
+        element gives (self,) so downstream formulas stay total."""
+        zero = zero_of(self.mode)
+        pieces = []
+        for index, a in enumerate(self.entries):
+            if not is_zero(a):
+                entries = [zero] * len(self.entries)
+                entries[index] = a
+                pieces.append(self._like(entries))
+        return tuple(pieces) or (self,)
+
+    def _convex_split(self, parts: int, rng: Random, signed: bool = False) -> tuple:
+        """Split each entry over ``parts`` pieces with random convex weights
+        on the grid k/SPLIT_DENOMINATOR (exact in rational mode), each share
+        with a random sign when ``signed``, so the moduli of the pieces sum
+        to a positive self; all-zero pieces are dropped, (self,) if none is
+        left."""
+        ratio = Fraction if self.is_exact else truediv
+        grids = []
+        for a in self.entries:
+            weights = _integer_composition(rng, SPLIT_DENOMINATOR, parts)
+            shares = [a * ratio(c, SPLIT_DENOMINATOR) for c in weights]
+            if signed:
+                shares = [s if rng.random() < 0.5 else -s for s in shares]
+            grids.append(shares)
+        pieces = [self._like(column) for column in zip(*grids)]
+        return tuple(p for p in pieces if not p.is_zero()) or (self,)
 
 
 class LatticeVector(_Entrywise):
@@ -338,10 +377,7 @@ def atomic_partition(w: LatticeVector) -> Partition:
     """
     if not w.is_positive():
         raise ValueError("atomic partitions are defined for positive vectors")
-    support = w.support()
-    if not support:
-        return Partition(w, (w,))
-    return Partition(w, tuple(w.restrict([i]) for i in support))
+    return Partition(w, w._atoms())
 
 
 def _set_partitions(items: tuple, max_parts: int) -> Iterator[list]:
@@ -371,9 +407,9 @@ def disjoint_partitions(
     """
     if not e.is_positive():
         raise ValueError("disjoint partitions are defined for positive vectors")
-    if max_parts is None:
-        max_parts = max(1, len(e.support()))
     support = e.support()
+    if max_parts is None:
+        max_parts = max(1, len(support))
     if len(support) > cap:
         raise EnumerationLimitError(
             f"support size {len(support)} exceeds enumeration cap {cap}"
@@ -412,12 +448,6 @@ def dyadic_partition(w: LatticeVector, depth: int = 1) -> Partition:
     return Partition(w, tuple(pieces))
 
 
-def _integer_composition(rng: Random, total: int, parts: int) -> list:
-    """Random composition of ``total`` into ``parts`` nonnegative integers."""
-    cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
-    return [b - a for a, b in zip(cuts, cuts[1:])]
-
-
 def random_convex_partition(
     w: LatticeVector, parts: int, rng: Random
 ) -> Partition:
@@ -425,21 +455,7 @@ def random_convex_partition(
     convex weights on the grid k/SPLIT_DENOMINATOR (exact in rational mode)."""
     if not w.is_positive():
         raise ValueError("convex splits are defined for positive vectors")
-    denom = SPLIT_DENOMINATOR
-    columns = []
-    for a in w.entries:
-        weights = _integer_composition(rng, denom, parts)
-        if w.is_exact:
-            columns.append([a * Fraction(c, denom) for c in weights])
-        else:
-            columns.append([a * (c / denom) for c in weights])
-    pieces = [
-        w._like([columns[i][p] for i in range(w.dim)]) for p in range(parts)
-    ]
-    kept = [p for p in pieces if not p.is_zero()]
-    if not kept:
-        kept = [pieces[0]]
-    return Partition(w, tuple(kept))
+    return Partition(w, w._convex_split(parts, rng))
 
 
 def refinement_chain(w: LatticeVector) -> list:

@@ -44,15 +44,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .lattice import DimensionMismatchError, EnumerationLimitError, LatticeVector
 from .operators import RegularOperator, rank_one
-from .reports import VerificationReport, digest_inputs, make_report
+from .reports import VerificationReport, make_report
 from .scalars import (
     DEFAULT_TOLERANCE,
+    FLOAT,
     ScalarModeError,
     scalar_to_json,
     scaled_array,
@@ -101,14 +102,9 @@ class LatticeNorm:
             return list(self.weights.entries)
         one = Fraction(1) if exact else 1.0
         return [one] * dim
+
     def np_weights(self, dim: int) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(dim)
-        if self.weights.dim != dim:
-            raise DimensionMismatchError(
-                f"norm weights have dim {self.weights.dim}, expected {dim}"
-            )
-        return np.array(self.weights.as_floats())
+        return np.array([float(u) for u in self.weight_list(dim, exact=False)])
 
     def to_json(self) -> dict:
         return {
@@ -280,12 +276,6 @@ def norming_functional(x: LatticeVector, n: LatticeNorm) -> LatticeVector:
 # ---------------------------------------------------------------------------
 
 
-def _unit_scaled(index: int, dim: int, scale) -> LatticeVector:
-    entries = [scale * 0] * dim
-    entries[index] = scale
-    return LatticeVector(entries)
-
-
 def _boyd_ascent(
     Af: RegularOperator,
     n_from: LatticeNorm,
@@ -334,7 +324,7 @@ def operator_norm(
             vector_norm(A.column(j), n_to) / u[j] for j in range(A.cols)
         ]
         best = max(range(A.cols), key=lambda j: values[j])
-        witness = _unit_scaled(best, A.cols, 1.0 / float(u[best]))
+        witness = LatticeVector.unit(A.cols, best, FLOAT).scale(1.0 / float(u[best]))
         return NormResult(values[best], witness, True, "max_column")
 
     if n_to.p == INF:
@@ -372,7 +362,7 @@ def operator_norm(
     rng = np.random.default_rng(seed)
     starts_list = [LatticeVector([1.0] * A.cols)]
     starts_list += [
-        _unit_scaled(j, A.cols, 1.0) for j in range(min(A.cols, starts))
+        LatticeVector.unit(A.cols, j, FLOAT) for j in range(min(A.cols, starts))
     ]
     for _ in range(starts):
         vec = rng.standard_normal(A.cols)
@@ -486,6 +476,31 @@ def check_sample_stack(samples: int, a_shape: tuple, b_shape: tuple):
         )
 
 
+def _largest_image(
+    arr_A: np.ndarray,
+    stack: np.ndarray,
+    arr_B: np.ndarray,
+    assignment: NormAssignment,
+    positive: bool,
+):
+    """The largest norm (W -> Z) of the images A T B of a stack of T scaled
+    to unit norm (X -> Y), formed as one batched product, and its T; None if
+    every T of the stack is zero."""
+    t_norms = batched_operator_norm(
+        stack, assignment.n_X, assignment.n_Y, positive=positive
+    )
+    keep = t_norms > 0.0
+    if not keep.any():
+        return None
+    normalized = stack[keep] / t_norms[keep][:, None, None]
+    images = arr_A @ normalized @ arr_B
+    values = batched_operator_norm(
+        images, assignment.n_W, assignment.n_Z, positive=positive
+    )
+    idx = int(values.argmax())
+    return float(values[idx]), normalized[idx]
+
+
 # ---------------------------------------------------------------------------
 # regular-norm multiplicativity
 # ---------------------------------------------------------------------------
@@ -569,12 +584,8 @@ def verify_cor23(
     ``EnumerationLimitError`` before anything is drawn.
     """
     check_sample_stack(samples, A.shape, B.shape)
-    n_W, n_X, n_Y, n_Z = (
-        assignment.n_W,
-        assignment.n_X,
-        assignment.n_Y,
-        assignment.n_Z,
-    )
+    n_W, n_X = assignment.n_W, assignment.n_X
+    n_Y, n_Z = assignment.n_Y, assignment.n_Z
     absA = A.modulus_closed_form()
     absB = B.modulus_closed_form()
     rnA = operator_norm(absA, n_Y, n_Z, seed=seed)
@@ -602,15 +613,10 @@ def verify_cor23(
     max_sample = 0.0
     if samples > 0:
         stack = rng.uniform(0.0, 1.0, size=(samples, A.cols, B.rows))
-        t_norms = batched_operator_norm(stack, n_X, n_Y, positive=True)
-        keep = t_norms > 0.0
-        if keep.any():
-            stack = stack[keep] / t_norms[keep][:, None, None]
-            arr_A = np.array(absA.as_floats())
-            arr_B = np.array(absB.as_floats())
-            images = arr_A @ stack @ arr_B
-            values = batched_operator_norm(images, n_W, n_Z, positive=True)
-            max_sample = float(values.max())
+        arr_A, arr_B = np.array(absA.as_floats()), np.array(absB.as_floats())
+        largest = _largest_image(arr_A, stack, arr_B, assignment, positive=True)
+        if largest is not None:
+            max_sample = largest[0]
     sample_excess = max(0.0, max_sample - product_f)
 
     # Exact closed form for the flagship assignment.
@@ -729,12 +735,8 @@ def gap_report(
     ``EnumerationLimitError`` before anything is drawn.
     """
     check_sample_stack(samples, A.shape, B.shape)
-    n_W, n_X, n_Y, n_Z = (
-        assignment.n_W,
-        assignment.n_X,
-        assignment.n_Y,
-        assignment.n_Z,
-    )
+    n_W, n_X = assignment.n_W, assignment.n_X
+    n_Y, n_Z = assignment.n_Y, assignment.n_Z
     rnA = regular_norm(A, n_Y, n_Z, seed=seed)
     rnB = regular_norm(B, n_W, n_X, seed=seed)
     denom = rnA.value_float * rnB.value_float
@@ -758,17 +760,9 @@ def gap_report(
     best = 0.0
     best_T = witness_T
     for stack in candidates:
-        t_norms = batched_operator_norm(stack, n_X, n_Y, positive=False)
-        keep = t_norms > 0.0
-        if not keep.any():
-            continue
-        normalized = stack[keep] / t_norms[keep][:, None, None]
-        images = arr_A @ normalized @ arr_B
-        values = batched_operator_norm(images, n_W, n_Z, positive=False)
-        idx = int(values.argmax())
-        if float(values[idx]) > best:
-            best = float(values[idx])
-            best_T = normalized[idx]
+        largest = _largest_image(arr_A, stack, arr_B, assignment, positive=False)
+        if largest is not None and largest[0] > best:
+            best, best_T = largest
     rho = best / denom if denom > 0.0 else 0.0
 
     inputs = {

@@ -25,9 +25,11 @@ test-suite pins down.
 ``OperatorPartition`` models the operator-side decompositions
 ``sum_j |T_j| = T`` used by the superoperator formulas.
 
-Exact ``RegularOperator.apply`` runs on scaled integers: the same row dot
-products as in float mode, over the matrix's and the vector's common
-denominators, with one ``Fraction`` per output entry.
+``RegularOperator.apply`` and ``compose`` share one matrix product: row dot
+products against the columns of the right factor.  Exact operands run it
+on scaled integers, over the two factors' common denominators, with one
+``Fraction`` per output entry; float operands sum the same products left
+to right.
 """
 
 from __future__ import annotations
@@ -39,12 +41,10 @@ from random import Random
 from typing import Optional, Sequence
 
 from .lattice import (
-    SPLIT_DENOMINATOR,
     DimensionMismatchError,
     LatticeVector,
     Partition,
     _Entrywise,
-    _integer_composition,
     default_partitions,
     refinement_chain,
 )
@@ -53,7 +53,6 @@ from .scalars import (
     EXACT,
     ScalarModeError,
     coerce_entries,
-    is_zero,
     one_of,
     scalar_to_json,
     scaled_integers,
@@ -108,10 +107,7 @@ class RegularOperator(_Entrywise):
 
     @classmethod
     def identity(cls, n: int, mode: str = EXACT) -> "RegularOperator":
-        one, zero = one_of(mode), zero_of(mode)
-        return cls._trusted(
-            (n, n), [one if i == j else zero for i in range(n) for j in range(n)]
-        )
+        return cls.diagonal(LatticeVector.ones(n, mode))
 
     @classmethod
     def zero(cls, rows: int, cols: int, mode: str = EXACT) -> "RegularOperator":
@@ -165,6 +161,28 @@ class RegularOperator(_Entrywise):
 
     # -- algebra ----------------------------------------------------------
 
+    def _product(self, right: Sequence, width: int) -> list:
+        """Row-major entries of self @ R for the self.cols x width matrix R
+        with row-major entries ``right`` (same scalar mode): row dot column,
+        summed left to right from int 0; exact entries as scaled integers
+        over the two common denominators, with one ``Fraction`` per entry."""
+        if self.is_exact:
+            A, D_A = scaled_integers(self.entries)
+            R, D_R = scaled_integers(right)
+        else:
+            A, R = self.entries, right
+        c = self.cols
+        columns = [R[j::width] for j in range(width)]
+        sums = [
+            sum(map(mul, A[i : i + c], column))
+            for i in range(0, len(A), c)
+            for column in columns
+        ]
+        if not self.is_exact:
+            return sums
+        D = D_A * D_R
+        return [Fraction(s, D) for s in sums]
+
     def apply(self, v: LatticeVector) -> LatticeVector:
         if v.dim != self.cols:
             raise DimensionMismatchError(
@@ -174,16 +192,7 @@ class RegularOperator(_Entrywise):
             raise ScalarModeError(
                 f"scalar mode mismatch: operator {self.mode}, vector {v.mode}"
             )
-        if self.is_exact:
-            A, D_A = scaled_integers(self.entries)
-            x, D_v = scaled_integers(v.entries)
-        else:
-            A, x = self.entries, v.entries
-        c = self.cols
-        sums = [sum(map(mul, A[i : i + c], x)) for i in range(0, len(A), c)]
-        if not self.is_exact:
-            return LatticeVector(sums)
-        return LatticeVector._trusted((self.rows,), [Fraction(s, D_A * D_v) for s in sums])
+        return LatticeVector._trusted((self.rows,), self._product(v.entries, 1))
 
     def compose(self, other: "RegularOperator") -> "RegularOperator":
         """Matrix product self @ other."""
@@ -195,16 +204,9 @@ class RegularOperator(_Entrywise):
             raise ScalarModeError(
                 f"scalar mode mismatch: {self.mode} vs {other.mode}"
             )
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(
-                    sum(
-                        self.entry(i, k) * other.entry(k, j)
-                        for k in range(self.cols)
-                    )
-                )
-        return RegularOperator(self.rows, other.cols, out)
+        return self._trusted(
+            (self.rows, other.cols), self._product(other.entries, other.cols)
+        )
 
     def __matmul__(self, other: "RegularOperator") -> "RegularOperator":
         return self.compose(other)
@@ -421,17 +423,7 @@ def trivial_operator_partition(T: RegularOperator) -> OperatorPartition:
 
 def atomic_operator_partition(T: RegularOperator) -> OperatorPartition:
     """Split T >= 0 into matrix-unit pieces t_ij E_ij (nonzero entries only)."""
-    tol = 0.0 if T.is_exact else DEFAULT_TOLERANCE
-    zeros = [zero_of(T.mode)] * len(T.entries)
-    pieces = []
-    for index, t in enumerate(T.entries):
-        if not is_zero(t, tol):
-            entries = list(zeros)
-            entries[index] = t
-            pieces.append(T._like(entries))
-    if not pieces:
-        pieces = [T]
-    return OperatorPartition(T, tuple(pieces))
+    return OperatorPartition(T, T._atoms())
 
 
 def random_operator_partition(
@@ -440,24 +432,4 @@ def random_operator_partition(
     """Split each entry of T >= 0 across ``parts`` pieces with random convex
     weights (grid 1/16, exact in rational mode) and, when ``signed``, random
     signs; unsigned splits give positive decompositions sum T_i = T."""
-    denom = SPLIT_DENOMINATOR
-    grids = []
-    for a in T.entries:
-        weights = _integer_composition(rng, denom, parts)
-        if signed:
-            signs = [1 if rng.random() < 0.5 else -1 for _ in range(parts)]
-        else:
-            signs = [1] * parts
-        if T.is_exact:
-            grids.append([s * a * Fraction(c, denom) for s, c in zip(signs, weights)])
-        else:
-            grids.append([s * a * (c / denom) for s, c in zip(signs, weights)])
-    pieces = []
-    for p in range(parts):
-        entries = [grids[k][p] for k in range(len(T.entries))]
-        op = T._like(entries)
-        if not op.is_zero():
-            pieces.append(op)
-    if not pieces:
-        pieces = [T]
-    return OperatorPartition(T, tuple(pieces))
+    return OperatorPartition(T, T._convex_split(parts, rng, signed))

@@ -185,15 +185,12 @@ def make_report(
     )
 
 
-def emit_report(report: VerificationReport, path: str) -> str:
-    """Write the canonical JSON form atomically (write + rename).
-
-    Returns the serialized text.  Two calls with equal reports produce
-    byte-identical files; a failed write never leaves a partial report.
-    """
-    text = canonical_json(report.to_json()) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+def _write_canonical(obj, path: str) -> str:
+    """Write ``canonical_json(obj)`` and a newline atomically (write +
+    rename) and return that text.  Two calls with equal objects write
+    byte-identical files; a failed write never leaves a partial file."""
+    text = canonical_json(obj) + "\n"
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
@@ -201,6 +198,11 @@ def emit_report(report: VerificationReport, path: str) -> str:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
     return text
+
+
+def emit_report(report: VerificationReport, path: str) -> str:
+    """Write the report's canonical JSON form atomically; returns the text."""
+    return _write_canonical(report.to_json(), path)
 
 
 def render_console(report: VerificationReport) -> str:

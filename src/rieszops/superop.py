@@ -198,21 +198,19 @@ class Superoperator:
 
     @property
     def factor_A(self) -> RegularOperator:
-        if self.factors is None:
-            raise FactorlessSuperoperatorError(
-                "this superoperator has no A, B factorization (it is the "
-                "result of a lattice operation); use its rep instead"
-            )
-        return self.factors[0]
+        return self._factors()[0]
 
     @property
     def factor_B(self) -> RegularOperator:
+        return self._factors()[1]
+
+    def _factors(self) -> tuple:
         if self.factors is None:
             raise FactorlessSuperoperatorError(
                 "this superoperator has no A, B factorization (it is the "
                 "result of a lattice operation); use its rep instead"
             )
-        return self.factors[1]
+        return self.factors
 
     def input_shape(self) -> tuple:
         w, x, y, z = self.dims
@@ -230,13 +228,16 @@ class Superoperator:
 
     # -- action -------------------------------------------------------------
 
-    def apply(self, T: RegularOperator) -> RegularOperator:
-        """A T B via factors when available, rep action otherwise."""
+    def _check_input(self, T: RegularOperator):
         if T.shape != self.input_shape():
             raise DimensionMismatchError(
                 f"superoperator expects {self.input_shape()} inputs, "
                 f"got {T.shape}"
             )
+
+    def apply(self, T: RegularOperator) -> RegularOperator:
+        """A T B via factors when available, rep action otherwise."""
+        self._check_input(T)
         if self.factors is not None:
             A, B = self.factors
             return A @ T @ B
@@ -244,11 +245,7 @@ class Superoperator:
 
     def apply_rep(self, T: RegularOperator) -> RegularOperator:
         """Action through the matrix rep only (coherence cross-check)."""
-        if T.shape != self.input_shape():
-            raise DimensionMismatchError(
-                f"superoperator expects {self.input_shape()} inputs, "
-                f"got {T.shape}"
-            )
+        self._check_input(T)
         z, w = self.output_shape()
         return unvec(self.rep.apply(vec(T)), z, w)
 
@@ -474,12 +471,12 @@ def verify_prop21(
         raise ValueError("the argument T must be positive")
     M_B = Superoperator.build(A0, B)
     M_D = Superoperator.build(A0, D)
-    M_absB = Superoperator.build(A0, B.modulus_closed_form())
-    M_joinBD = Superoperator.build(A0, B.join_closed_form(D))
 
-    modulus_at_T = M_absB.apply(T)
+    modulus_at_T = A0 @ T @ abs(B)
     dev_modulus = deviation(M_B.modulus().apply_rep(T), modulus_at_T)
-    dev_join = deviation(M_B.join(M_D).apply_rep(T), M_joinBD.apply(T))
+    dev_join = deviation(
+        M_B.join(M_D).apply_rep(T), A0 @ T @ B.join_closed_form(D)
+    )
 
     rhs_at_w = modulus_at_T.apply(w)
     atomic_value = operator_partition_sup(
@@ -541,7 +538,8 @@ def verify_cor22(
     """
     M = Superoperator.build(A, B)
     M_abs = Superoperator.build(A.modulus_closed_form(), B.modulus_closed_form())
-    dev_modulus = deviation(M.modulus().rep, M_abs.rep)
+    modulus = M.modulus()
+    dev_modulus = deviation(modulus.rep, M_abs.rep)
 
     Ap, An = A.pos_part(), A.neg_part()
     Bp, Bn = B.pos_part(), B.neg_part()
@@ -569,7 +567,7 @@ def verify_cor22(
         inputs=inputs,
         deviations=[dev_modulus, dev_disjoint, dev_expansion],
         exact=exact,
-        witnesses=({"role": "modulus_rep", **M.modulus().rep.to_json()},),
+        witnesses=({"role": "modulus_rep", **modulus.rep.to_json()},),
         seed=seed,
         details={
             "modulus_rep_deviation": scalar_to_json(dev_modulus),
@@ -599,9 +597,9 @@ def verify_synnatzschke_a(
     dev_modulus = deviation(
         M_A.modulus().rep, Superoperator.build(A.modulus_closed_form(), B0).rep
     )
+    join = M_A.join(M_C)
     dev_join = deviation(
-        M_A.join(M_C).rep,
-        Superoperator.build(A.join_closed_form(C), B0).rep,
+        join.rep, Superoperator.build(A.join_closed_form(C), B0).rep
     )
     exact = A.is_exact and C.is_exact and B0.is_exact
     inputs = {"A": A.to_json(), "C": C.to_json(), "B0": B0.to_json()}
@@ -610,7 +608,7 @@ def verify_synnatzschke_a(
         inputs=inputs,
         deviations=[dev_modulus, dev_join],
         exact=exact,
-        witnesses=({"role": "join_rep", **M_A.join(M_C).rep.to_json()},),
+        witnesses=({"role": "join_rep", **join.rep.to_json()},),
         seed=seed,
         details={
             "modulus_rep_deviation": scalar_to_json(dev_modulus),

@@ -143,6 +143,21 @@ def test_missing_required_inputs_exits_2(capsys):
     assert "needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "claim,flags",
+    [
+        ("cor22", "--A and --B"),
+        ("prop21", "--A0 and --B"),
+        ("synnatzschke_a", "--A and --B0"),
+        ("cor23", "--A and --B"),
+    ],
+)
+def test_required_flag_messages(claim, flags, capsys):
+    assert main(["verify", claim]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: verify {claim} needs {flags} (or --corpus)\n"
+
+
 def test_bad_corpus_spec_exits_2(capsys):
     assert main(["verify", "cor22", "--corpus", "seed=7,mystery=1"]) == 2
 
@@ -159,6 +174,49 @@ def _assert_usage_error(capsys, argv, needle):
     assert err.startswith("error: ")
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def float_files(tmp_path):
+    a = _write(tmp_path / "fa.json", {"rows": 2, "cols": 2, "entries": [0.5, 1.5, 2.0, 1.0]})
+    b = _write(tmp_path / "fb.json", {"rows": 2, "cols": 2, "entries": [1.0, -0.5, 0.25, 2.0]})
+    return a, b
+
+
+def test_float_files_prop21_defaults_follow_B(float_files, capsys):
+    a, b = float_files
+    assert main(["verify", "prop21", "--A0", a, "--B", b]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["exact"] is False
+
+
+@pytest.mark.parametrize(
+    "claim,roles",
+    [
+        ("cor22", ["--A", "--B"]),
+        ("synnatzschke_a", ["--A", "--B0"]),
+        ("prop21", ["--A0", "--B"]),
+    ],
+)
+def test_mixed_exact_and_float_files_exit_2(claim, roles, float_files, tmp_path, capsys):
+    exact = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    argv = ["verify", claim, roles[0], exact, roles[1], float_files[0]]
+    _assert_usage_error(capsys, argv, "scalar mode mismatch")
+
+
+@pytest.mark.parametrize("command", [["gap"], ["verify", "gap"]])
+def test_exact_flag_checks_gap_files(command, float_files, capsys):
+    a, b = float_files
+    _assert_usage_error(capsys, command + ["--A", a, "--B", b, "--exact"], "float entries")
+
+
+def test_exact_flag_checks_the_vector_file(tmp_path, matrix_files, capsys):
+    _, b = matrix_files
+    pos = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    w = _write(tmp_path / "w.json", {"dim": 2, "entries": [1.0, 0.5]})
+    argv = ["verify", "prop21", "--A0", pos, "--B", b, "--w", w, "--exact"]
+    _assert_usage_error(capsys, argv, "float entries")
 
 
 def test_zero_denominator_in_matrix_file_exits_2(tmp_path, matrix_files, capsys):

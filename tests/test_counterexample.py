@@ -342,6 +342,18 @@ def test_counterexample_report_validates_inputs():
         counterexample_report(n=3, k=4)
 
 
+@pytest.mark.parametrize("g_samples", [-1, -3])
+def test_negative_g_samples_are_rejected(g_samples):
+    with pytest.raises(ValueError, match="g_samples must be nonnegative"):
+        counterexample_report(n=3, k=1, t_samples=5, g_samples=g_samples)
+
+
+def test_zero_g_samples_check_B_only():
+    report = counterexample_report(n=3, k=1, t_samples=5, g_samples=0)
+    assert report.status == "pass"
+    assert report.details["g_checks"] == 1
+
+
 def test_contrast_table_uses_one_based_coordinates():
     table = contrast_table(CoordinateFunctional(4, 2))
     assert "E_{3,3}" in table[0]["finite_value"]

@@ -16,7 +16,12 @@ from rieszops import (
     refinement_sums,
     trivial_operator_partition,
 )
-from rieszops.lattice import DimensionMismatchError, atomic_partition, default_partitions
+from rieszops.lattice import (
+    DimensionMismatchError,
+    atomic_partition,
+    default_partitions,
+    random_convex_partition,
+)
 
 from conftest import matrices, matrix_pairs_same_shape, vectors
 
@@ -82,6 +87,47 @@ def test_from_rows_and_entry_layout():
 def test_json_roundtrip():
     A = RegularOperator.from_rows([[Fraction(1, 3), -2], [0, Fraction(7, 2)]])
     assert RegularOperator.from_json(A.to_json()).eq(A)
+
+
+def _reference_compose(A, B):
+    """A @ B as the Fraction/float triple loop over entry() (the code that
+    ``compose`` ran before it shared ``apply``'s product)."""
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            out.append(sum(A.entry(i, k) * B.entry(k, j) for k in range(A.cols)))
+    return out
+
+
+def _compose_cases():
+    rng = Random(22)
+    big = Fraction(10**12, 7)
+    shapes = [(r, k, c) for r in range(1, 5) for k in range(1, 5) for c in range(1, 5)]
+    for rows, inner, cols in shapes + [(1, 70, 1)]:
+        for scale in (1, big):
+            A = [scale * Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                 for _ in range(rows * inner)]
+            B = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(inner * cols)]
+            yield RegularOperator(rows, inner, A), RegularOperator(inner, cols, B)
+
+
+def test_exact_compose_matches_the_reference_loop():
+    for A, B in _compose_cases():
+        got = A @ B
+        assert got.shape == (A.rows, B.cols)
+        assert got.entries == tuple(_reference_compose(A, B))
+        assert all(type(x) is Fraction for x in got.entries)
+
+
+def test_float_compose_keeps_the_loop_bit_for_bit():
+    signed_zeros = RegularOperator(2, 2, [0.0, -0.0, -0.0, -0.0])
+    cases = [(A.to_float(), B.to_float()) for A, B in _compose_cases()]
+    cases += [(signed_zeros, signed_zeros), (signed_zeros, -signed_zeros)]
+    cases.append((RegularOperator(1, 2, [1e300, -1e300]), RegularOperator(2, 1, [1e300, 1e-300])))
+    for A, B in cases:
+        got = (A @ B).entries
+        want = _reference_compose(A, B)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @given(matrices(rows=2, cols=3), matrices(rows=3, cols=2), vectors(dim=2))
@@ -243,6 +289,26 @@ def test_random_operator_partition_modulus_sum(T, parts):
         assert total.eq(T)
     for piece in positive.pieces:
         assert piece.is_positive()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("seed", range(5))
+def test_vector_and_operator_splitters_agree_on_one_column(mode, seed):
+    w = LatticeVector([3, 0, Fraction(5, 2), 1])
+    w = w if mode == "exact" else w.to_float()
+    T = RegularOperator(w.dim, 1, w.entries)
+    for parts in (1, 2, 3, 5):
+        vector_split = random_convex_partition(w, parts, Random(seed))
+        operator_split = random_operator_partition(T, parts, Random(seed), signed=False)
+        assert [p.entries for p in vector_split.pieces] == [
+            p.entries for p in operator_split.pieces
+        ]
+    zero = LatticeVector.zero(3)
+    assert random_convex_partition(zero, 3, Random(seed)).pieces == (zero,)
+    Z = RegularOperator.zero(3, 1)
+    assert random_operator_partition(Z, 3, Random(seed)).pieces == (Z,)
+    assert atomic_partition(zero).pieces == (zero,)
+    assert atomic_operator_partition(Z).pieces == (Z,)
 
 
 def test_operator_partitions_schemes():

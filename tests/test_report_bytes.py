@@ -4,11 +4,15 @@
 per claim.  The eight whose values are all exact rationals are pinned here
 by sha256, so a refactor that moves any byte of them fails at once.
 ``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.  Three
-larger meet labs (n = 6, 8, 10, seed 7) are pinned the same way.
+larger meet labs (n = 6, 8, 10, seed 7) are pinned the same way, and so
+are seven single verifier runs: on float files, with explicit and with
+default inputs, and on float and exact corpora.  None of those touches
+BLAS, so their float bits do not depend on the machine.
 """
 
 import hashlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -47,6 +51,60 @@ LARGER_LABS = {
         "a62e328353499d44de721b2e1e5d79385c472cb9715fdc5b480ec516d6137e51",
     ),
 }
+
+
+#: Runs over the files of a float corpus (``corpus --dims 3x3x3x3 --count 2
+#: --seed 11 --distribution float --sign positive``) plus ``w.json``, and
+#: over seeded corpora; "{X}" stands for the path of file X.
+VERIFIER_RUNS = {
+    "cor22_files": (
+        "cor22 --A {A_0000} --B {B_0000}",
+        "fbe6349d8fa7094c4058eedcceec7779ad2f683655cbe9c262ef00c8ed908685",
+    ),
+    "synnatzschke_a_files": (
+        "synnatzschke_a --A {A_0000} --C {A_0001} --B0 {B_0000}",
+        "3bae888fb49d7d2c02578c306e804edf727c1b2d3817934e488f9ee9a5d1f482",
+    ),
+    "prop21_files": (
+        "prop21 --A0 {A_0000} --B {B_0000} --D {B_0001} --T {A_0001} --w {w}",
+        "5be627514c16940bb7c93ebeb82a5a2005dd6a6ce65ec9a605a0f1361e44c3d6",
+    ),
+    "prop21_float_corpus": (
+        "prop21 --corpus seed=3,dims=2x3x3x2,count=10,distribution=float",
+        "b1c7004426083aad6085eb578bb55ccfd144e37467de140772f404ee2eb08979",
+    ),
+    "cor22_float_corpus": (
+        "cor22 --corpus seed=3,dims=2x3x2x3,count=10,distribution=float",
+        "65e7505e89fd8213beeaea2b69fa789ded08160a063b4ca56f9679063ae47291",
+    ),
+    "prop21_corpus": (
+        "prop21 --corpus seed=4,dims=2x3x3x2,count=10",
+        "0a6d559b15e56217212cff223745de50be9bcf9fbe7a4e9259c9f13d4f3bb1de",
+    ),
+    "synnatzschke_a_corpus": (
+        "synnatzschke_a --corpus seed=5,dims=3x2x3x2,count=10",
+        "1dfb7c759c1dbc5b80e0aa87bd2f60dfeb043675a9e368b333f8ef2a3a957d8d",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def float_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("float_corpus")
+    argv = ["corpus", "--out", str(out), "--dims", "3x3x3x3", "--count", "2",
+            "--seed", "11", "--distribution", "float", "--sign", "positive"]
+    assert main(argv) == 0
+    (out / "w.json").write_text(json.dumps({"dim": 3, "entries": [0.5, 1.25, 2.0]}))
+    return {path.stem: str(path) for path in out.glob("*.json")}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_RUNS))
+def test_verifier_report_bytes(name, float_corpus, tmp_path):
+    template, digest = VERIFIER_RUNS[name]
+    path = tmp_path / f"{name}.json"
+    argv = ["verify", *template.format(**float_corpus).split(), "--json", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def _load_script():

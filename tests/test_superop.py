@@ -349,6 +349,26 @@ def test_verify_prop21_passes_exactly(case):
     assert report.max_deviation == 0
 
 
+def test_verify_prop21_builds_two_reps(monkeypatch):
+    built = []
+    build = Superoperator.build.__func__
+
+    def counted_build(cls, A, B):
+        built.append((A, B))
+        return build(cls, A, B)
+
+    monkeypatch.setattr(Superoperator, "build", classmethod(counted_build))
+    A0 = RegularOperator.from_rows([[1, 2], [0, 3]])
+    B = RegularOperator.from_rows([[1, -1], [2, 0]])
+    D = RegularOperator.from_rows([[0, 1], [-1, 1]])
+    T = RegularOperator.from_rows([[1, 0], [2, 1]])
+    report = verify_prop21(A0, B, D, T, LatticeVector.ones(2), seed=1)
+    assert report.status == "pass"
+    # M_{A0,B} and M_{A0,D} only: A0 T |B| and A0 T (B v D) come from the
+    # factors directly.
+    assert built == [(A0, B), (A0, D)]
+
+
 @given(superop_case(positive_B=True))
 @settings(max_examples=20)
 def test_verify_synnatzschke_a_passes_exactly(case):
