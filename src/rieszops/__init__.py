@@ -74,7 +74,6 @@ from .reports import (
 )
 from .scalars import DEFAULT_TOLERANCE, ScalarModeError, parse_scalar, scalar_to_json
 from .superop import (
-    FactorlessSuperoperatorError,
     Superoperator,
     kron,
     operator_partition_sup,
@@ -93,7 +92,6 @@ __all__ = [
     "Corpus",
     "DEFAULT_TOLERANCE",
     "DimensionMismatchError",
-    "FactorlessSuperoperatorError",
     "LatticeNorm",
     "LatticeVector",
     "NormAssignment",

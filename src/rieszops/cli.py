@@ -15,7 +15,10 @@ claim's input roles and their shapes and signs come from
 ``corpus.CLAIM_ROLES`` and ``corpus.ROLES``, so the same roles are loaded
 from ``--A``/``--B``/... files or drawn from the corpus.  Inputs a claim
 may leave out come from ``DEFAULTS`` (D = -B, C = -A, all-ones T and w in
-the scalar mode of B); ``--exact`` checks every loaded input.
+the scalar mode of B); ``--exact`` checks every loaded input.  A file flag
+the claim does not read, any file flag next to ``--corpus``, and ``--m``
+next to ``--A``/``--B`` are usage errors, so a run never passes on other
+inputs than the ones named.
 
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
 2 = usage error, malformed input (including files that mix exact and
@@ -188,23 +191,41 @@ def _call_verifier(args, inputs: dict, seed: int) -> VerificationReport:
     return verifier(*positional, seed=seed, tol=args.tolerance, **extra)
 
 
+def _flags(roles) -> str:
+    return ", ".join(f"--{role}" for role in roles)
+
+
 def _run_verify(args) -> VerificationReport:
-    if args.claim == "counterexample":
+    # Refuse every input flag the run would not read, before opening files.
+    claim = args.claim
+    given = [role for role in ROLES if getattr(args, role) is not None]
+    reads = {**CLAIM_ROLES, "gap": ("A", "B")}.get(claim, ())
+    stray = [role for role in given if role not in reads]
+    if stray:
+        raise UsageError(f"verify {claim} does not take {_flags(stray)}")
+    if args.corpus is not None:
+        if claim not in CLAIM_ROLES:
+            raise UsageError(f"verify {claim} does not take --corpus")
+        if given:
+            raise UsageError(f"--corpus cannot be combined with {_flags(given)}")
+    if claim == "counterexample":
         return counterexample_report(n=args.n, k=args.k, seed=args.seed)
-    if args.claim == "gap":
+    if claim == "gap":
         return _run_gap(args)
     if args.corpus is not None:
         corpus = parse_corpus_spec(args.corpus)
         reports = [
             _call_verifier(args, case, corpus.seed)
-            for case in claim_cases(corpus, args.claim)
+            for case in claim_cases(corpus, claim)
         ]
-        return _aggregate(args.claim, reports, corpus)
+        return _aggregate(claim, reports, corpus)
     return _call_verifier(args, _load_inputs(args), args.seed)
 
 
 def _run_gap(args) -> VerificationReport:
-    if getattr(args, "m", None) is not None:
+    if args.m is not None:
+        if args.A is not None or args.B is not None:
+            raise UsageError("gap takes either --m or --A and --B, not both")
         # Refuse an oversized sample stack before building the Fraction H.
         n = hadamard_order(args.m)
         check_sample_stack(args.samples, (n, n), (n, n))

@@ -132,16 +132,6 @@ def parse_corpus_spec(spec: str) -> Corpus:
     )
 
 
-def corpus_pairs(corpus: Corpus) -> Iterator[tuple]:
-    """The corpus's (A, B) pairs, in order."""
-    rng = Random(corpus.seed)
-    w, x, y, z = corpus.dims
-    for _ in range(corpus.count):
-        A = random_matrix(rng, z, y, corpus.distribution, corpus.sign_mode)
-        B = random_matrix(rng, x, w, corpus.distribution, corpus.sign_mode)
-        yield A, B
-
-
 #: Each input role of the claim verifiers: its shape, as indices into
 #: ``Corpus.dims`` = (w, x, y, z) (one index for a vector), and its sign
 #: ("positive", or None for the corpus's own sign mode).
@@ -249,13 +239,14 @@ def square_matrix_cases(
 def generate_corpus(corpus: Corpus, out_dir: str) -> dict:
     """Write the corpus's matrix files plus a manifest with digests.
 
-    Files: A_0000.json, B_0000.json, ... and manifest.json.  Re-running
-    with the same parameters reproduces every byte.
+    The (A, B) pairs are the ``cor22`` cases of ``claim_cases``.  Files:
+    A_0000.json, B_0000.json, ... and manifest.json.  Re-running with the
+    same parameters reproduces every byte.
     """
     os.makedirs(out_dir, exist_ok=True)
     files = []
-    for idx, (A, B) in enumerate(corpus_pairs(corpus)):
-        for tag, op in (("A", A), ("B", B)):
+    for idx, case in enumerate(claim_cases(corpus, "cor22")):
+        for tag, op in case.items():
             name = f"{tag}_{idx:04d}.json"
             text = _write_canonical(op.to_json(), os.path.join(out_dir, name))
             digest = hashlib.sha256(text.encode("ascii")).hexdigest()

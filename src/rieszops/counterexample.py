@@ -329,11 +329,9 @@ def _double_partition_inf(
 
 
 def meet_superoperator(f: CoordinateFunctional):
-    """(M_{I,I} ^ M_{I,B}, M_{I,I}, M_{I,B}) for B = f (x) e."""
+    """M_{I,I} ^ M_{I,B} for B = f (x) e."""
     eye = RegularOperator.identity(f.dim)
-    M_II = Superoperator.build(eye, eye)
-    M_IB = Superoperator.build(eye, build_B(f))
-    return M_II.meet(M_IB), M_II, M_IB
+    return Superoperator.build(eye, eye).meet(Superoperator.build(eye, build_B(f)))
 
 
 def contrast_table(f: CoordinateFunctional) -> list:
@@ -452,7 +450,7 @@ def counterexample_report(
     e = LatticeVector.ones(n)
     B = build_B(f)
     IB = identity_meet_B(f)
-    Lambda, M_II, M_IB = meet_superoperator(f)
+    Lambda = meet_superoperator(f)
     eye = RegularOperator.identity(n)
 
     # One meet image at e and one component infimum per test operator.

@@ -226,12 +226,6 @@ class RegularOperator(_Entrywise):
     join_closed_form = _Entrywise._max
     meet_closed_form = _Entrywise._min
 
-    def disjoint_with(
-        self, other: "RegularOperator", tol: float = DEFAULT_TOLERANCE
-    ) -> bool:
-        """|self| ^ |other| = 0."""
-        return abs(self).meet_closed_form(abs(other)).is_zero(tol)
-
     def __repr__(self) -> str:
         return f"RegularOperator({self.rows}x{self.cols}, {self.to_lists()!r})"
 

@@ -100,10 +100,6 @@ def scalar_to_json(x):
     return float(x)
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, Fraction)
-
-
 def eq(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Mode-aware scalar equality."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):

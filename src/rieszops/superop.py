@@ -4,8 +4,11 @@ Given A (z x y) and B (x x w), the map M(T) = A T B sends y x x matrices to
 z x w matrices.  Because the matrix space with entrywise order is itself a
 coordinate Riesz space, M is an operator between coordinate Riesz spaces and
 all the machinery of ``operators`` applies to its matrix representation:
-under column-major stacking, rep(M) = B^T (x) A (Kronecker product), so
-moduli, meets, and joins of superoperators are entrywise on rep.
+under column-major stacking, rep(M) = B^T (x) A (Kronecker product).  A
+``Superoperator`` is that rep and nothing else: its action is
+unvec(rep vec(T)), and its sums, moduli, meets and joins are entrywise on
+rep.  The factors A and B are not kept, since a lattice operation's result
+is generally not a two-sided multiplication.
 
 The verifiers check, with exact rational arithmetic:
 
@@ -68,14 +71,6 @@ from .scalars import (
 )
 
 
-class FactorlessSuperoperatorError(RuntimeError):
-    """Factor access on a superoperator that only has a matrix rep.
-
-    Meets/moduli of superoperators generally admit no A, B factorization;
-    recovering one is not attempted.
-    """
-
-
 #: Entries a ``kron`` may produce: H_2^{(x) 10} (norms.HADAMARD_ENTRY_CAP
 #: entries) still builds, while the rep of two 40 x 40 factors (2.56 million
 #: Fractions) is refused.
@@ -129,14 +124,12 @@ class Superoperator:
 
     ``dims = (w, x, y, z)`` are the four underlying coordinate-space
     dimensions; ``rep`` is the (z*w) x (y*x) matrix acting on column-stacked
-    inputs.  When the map arose as T |-> A T B the factors are retained;
-    lattice operations drop them (their results are generally not
-    two-sided multiplications).
+    inputs.  The action and the lattice operations all go through ``rep``,
+    which for T |-> A T B is B^T (x) A.
     """
 
     dims: tuple
     rep: RegularOperator
-    factors: Optional[tuple] = None
 
     def __post_init__(self):
         w, x, y, z = self.dims
@@ -147,15 +140,6 @@ class Superoperator:
                 f"rep shape {self.rep.shape} does not match dims {self.dims}: "
                 f"expected {(z * w, y * x)}"
             )
-        if self.factors is not None:
-            A, B = self.factors
-            if A.shape != (z, y) or B.shape != (x, w):
-                raise DimensionMismatchError(
-                    f"factor shapes {A.shape}, {B.shape} do not match dims "
-                    f"{self.dims}: expected {(z, y)} and {(x, w)}"
-                )
-
-    # -- construction -------------------------------------------------------
 
     @classmethod
     def build(cls, A: RegularOperator, B: RegularOperator) -> "Superoperator":
@@ -166,59 +150,16 @@ class Superoperator:
             )
         z, y = A.shape
         x, w = B.shape
-        rep = kron(B.transpose(), A)
-        return cls(dims=(w, x, y, z), rep=rep, factors=(A, B))
+        return cls(dims=(w, x, y, z), rep=kron(B.transpose(), A))
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Superoperator":
-        w, x, y, z = (int(d) for d in data["dims"])
-        if "A" in data or "B" in data:
-            A = RegularOperator.from_json(data["A"])
-            B = RegularOperator.from_json(data["B"])
-            M = cls.build(A, B)
-            if M.dims != (w, x, y, z):
-                raise DimensionMismatchError(
-                    f"declared dims {(w, x, y, z)} do not match factors {M.dims}"
-                )
-            return M
-        rep = RegularOperator.from_json(data["rep"])
-        return cls(dims=(w, x, y, z), rep=rep, factors=None)
-
-    def to_json(self) -> dict:
-        if self.factors is not None:
-            A, B = self.factors
-            return {"dims": list(self.dims), "A": A.to_json(), "B": B.to_json()}
-        return {"dims": list(self.dims), "rep": self.rep.to_json()}
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        return self.rep.mode
-
-    @property
-    def factor_A(self) -> RegularOperator:
-        return self._factors()[0]
-
-    @property
-    def factor_B(self) -> RegularOperator:
-        return self._factors()[1]
-
-    def _factors(self) -> tuple:
-        if self.factors is None:
-            raise FactorlessSuperoperatorError(
-                "this superoperator has no A, B factorization (it is the "
-                "result of a lattice operation); use its rep instead"
+    def apply(self, T: RegularOperator) -> RegularOperator:
+        """M(T) = unvec(rep vec(T)), a z x w matrix for a y x x input T."""
+        w, x, y, z = self.dims
+        if T.shape != (y, x):
+            raise DimensionMismatchError(
+                f"superoperator expects {(y, x)} inputs, got {T.shape}"
             )
-        return self.factors
-
-    def input_shape(self) -> tuple:
-        w, x, y, z = self.dims
-        return (y, x)
-
-    def output_shape(self) -> tuple:
-        w, x, y, z = self.dims
-        return (z, w)
+        return unvec(self.rep.apply(vec(T)), z, w)
 
     def _check_compatible(self, other: "Superoperator"):
         if self.dims != other.dims:
@@ -226,106 +167,26 @@ class Superoperator:
                 f"superoperator dims mismatch: {self.dims} vs {other.dims}"
             )
 
-    # -- action -------------------------------------------------------------
-
-    def _check_input(self, T: RegularOperator):
-        if T.shape != self.input_shape():
-            raise DimensionMismatchError(
-                f"superoperator expects {self.input_shape()} inputs, "
-                f"got {T.shape}"
-            )
-
-    def apply(self, T: RegularOperator) -> RegularOperator:
-        """A T B via factors when available, rep action otherwise."""
-        self._check_input(T)
-        if self.factors is not None:
-            A, B = self.factors
-            return A @ T @ B
-        return self.apply_rep(T)
-
-    def apply_rep(self, T: RegularOperator) -> RegularOperator:
-        """Action through the matrix rep only (coherence cross-check)."""
-        self._check_input(T)
-        z, w = self.output_shape()
-        return unvec(self.rep.apply(vec(T)), z, w)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other; factor form (A A', B' B) survives when present."""
-        if other.output_shape() != self.input_shape():
-            raise DimensionMismatchError(
-                f"cannot compose: inner shapes {other.output_shape()} vs "
-                f"{self.input_shape()}"
-            )
-        w, x, y, z = self.dims
-        ow, ox, oy, oz = other.dims
-        rep = self.rep @ other.rep
-        factors = None
-        if self.factors is not None and other.factors is not None:
-            A, B = self.factors
-            C, D = other.factors
-            factors = (A @ C, D @ B)
-        return Superoperator(dims=(w, ox, oy, z), rep=rep, factors=factors)
-
-    # -- linear structure ----------------------------------------------------
+    # -- linear and lattice structure (entrywise on rep) ----------------------
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         self._check_compatible(other)
-        return Superoperator(self.dims, self.rep + other.rep, None)
+        return Superoperator(self.dims, self.rep + other.rep)
 
     def __sub__(self, other: "Superoperator") -> "Superoperator":
         self._check_compatible(other)
-        return Superoperator(self.dims, self.rep - other.rep, None)
-
-    def __neg__(self) -> "Superoperator":
-        return Superoperator(self.dims, -self.rep, None)
-
-    def scale(self, c) -> "Superoperator":
-        return Superoperator(self.dims, self.rep.scale(c), None)
-
-    # -- lattice structure (entrywise on rep) --------------------------------
+        return Superoperator(self.dims, self.rep - other.rep)
 
     def modulus(self) -> "Superoperator":
-        return Superoperator(self.dims, self.rep.modulus_closed_form(), None)
+        return Superoperator(self.dims, self.rep.modulus_closed_form())
 
     def meet(self, other: "Superoperator") -> "Superoperator":
         self._check_compatible(other)
-        return Superoperator(self.dims, self.rep.meet_closed_form(other.rep), None)
+        return Superoperator(self.dims, self.rep.meet_closed_form(other.rep))
 
     def join(self, other: "Superoperator") -> "Superoperator":
         self._check_compatible(other)
-        return Superoperator(self.dims, self.rep.join_closed_form(other.rep), None)
-
-    def pos_part(self) -> "Superoperator":
-        return Superoperator(self.dims, self.rep.pos_part(), None)
-
-    def neg_part(self) -> "Superoperator":
-        return Superoperator(self.dims, self.rep.neg_part(), None)
-
-    # -- order --------------------------------------------------------------
-
-    def eq(self, other: "Superoperator", tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_compatible(other)
-        return self.rep.eq(other.rep, tol)
-
-    def le(self, other: "Superoperator", tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_compatible(other)
-        return self.rep.le(other.rep, tol)
-
-    def is_positive(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return self.rep.is_positive(tol)
-
-    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return self.rep.is_zero(tol)
-
-    def disjoint_with(
-        self, other: "Superoperator", tol: float = DEFAULT_TOLERANCE
-    ) -> bool:
-        self._check_compatible(other)
-        return self.rep.disjoint_with(other.rep, tol)
-
-    def __repr__(self) -> str:
-        tag = "factors" if self.factors is not None else "rep-only"
-        return f"Superoperator(dims={self.dims}, {tag})"
+        return Superoperator(self.dims, self.rep.join_closed_form(other.rep))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +334,9 @@ def verify_prop21(
     M_D = Superoperator.build(A0, D)
 
     modulus_at_T = A0 @ T @ abs(B)
-    dev_modulus = deviation(M_B.modulus().apply_rep(T), modulus_at_T)
+    dev_modulus = deviation(M_B.modulus().apply(T), modulus_at_T)
     dev_join = deviation(
-        M_B.join(M_D).apply_rep(T), A0 @ T @ B.join_closed_form(D)
+        M_B.join(M_D).apply(T), A0 @ T @ B.join_closed_form(D)
     )
 
     rhs_at_w = modulus_at_T.apply(w)

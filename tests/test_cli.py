@@ -211,6 +211,68 @@ def test_exact_flag_checks_gap_files(command, float_files, capsys):
     _assert_usage_error(capsys, command + ["--A", a, "--B", b, "--exact"], "float entries")
 
 
+@pytest.fixture
+def no_file_reads(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} was opened before the flags were checked")
+
+    monkeypatch.setattr(cli, "_load_json", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["verify", "cor22", "--A", "a.json", "--B", "b.json",
+          "--T", "/nonexistent.json", "--w", "nothing.json"],
+         "verify cor22 does not take --T, --w"),
+        (["verify", "synnatzschke_a", "--A", "a.json", "--C", "c.json",
+          "--B0", "b.json", "--B", "b.json"],
+         "verify synnatzschke_a does not take --B"),
+        (["verify", "cor23", "--A0", "a.json", "--B", "b.json"],
+         "verify cor23 does not take --A0"),
+    ],
+)
+def test_verify_refuses_flags_outside_the_claims_roles(argv, needle, no_file_reads, capsys):
+    _assert_usage_error(capsys, argv, needle)
+
+
+@pytest.mark.parametrize("claim", ["cor22", "prop21"])
+def test_verify_refuses_file_flags_with_corpus(claim, no_file_reads, capsys):
+    argv = ["verify", claim, "--corpus", "seed=1,count=2", "--B", "/nonexistent.json"]
+    _assert_usage_error(capsys, argv, "--corpus cannot be combined with --B")
+
+
+@pytest.mark.parametrize(
+    "flags,needle",
+    [
+        (["--corpus", "junk"], "verify counterexample does not take --corpus"),
+        (["--A", "a.json"], "verify counterexample does not take --A"),
+    ],
+)
+def test_verify_counterexample_refuses_corpus_and_files(flags, needle, no_file_reads, capsys):
+    argv = ["verify", "counterexample", "--n", "3", "--k", "1", *flags]
+    _assert_usage_error(capsys, argv, needle)
+
+
+@pytest.mark.parametrize(
+    "flags,needle",
+    [
+        (["--corpus", "seed=1,count=2"], "verify gap does not take --corpus"),
+        (["--A", "a.json", "--B", "b.json", "--T", "t.json"],
+         "verify gap does not take --T"),
+    ],
+)
+def test_verify_gap_refuses_corpus_and_other_roles(flags, needle, no_file_reads, capsys):
+    _assert_usage_error(capsys, ["verify", "gap", *flags], needle)
+
+
+@pytest.mark.parametrize("command", [["gap"], ["verify", "gap"]])
+@pytest.mark.parametrize("files", [["--A", "a.json"], ["--A", "a.json", "--B", "b.json"]])
+def test_gap_refuses_m_with_files(command, files, no_file_reads, capsys):
+    argv = command + ["--m", "2", *files]
+    _assert_usage_error(capsys, argv, "either --m or --A and --B, not both")
+
+
 def test_exact_flag_checks_the_vector_file(tmp_path, matrix_files, capsys):
     _, b = matrix_files
     pos = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})

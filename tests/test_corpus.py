@@ -6,7 +6,6 @@ import pytest
 
 from rieszops import Corpus, claim_cases, generate_corpus, parse_corpus_spec
 from rieszops.corpus import (
-    corpus_pairs,
     mixed_dims_pairs,
     mixed_dims_prop21_cases,
     square_matrix_cases,
@@ -59,33 +58,38 @@ def test_parse_corpus_spec_rejects(bad):
 # ---------------------------------------------------------------------------
 
 
+def _pairs(corpus):
+    """The corpus's (A, B) pairs: its cor22 cases, in order."""
+    return [(case["A"], case["B"]) for case in claim_cases(corpus, "cor22")]
+
+
 def test_same_seed_same_matrices():
     c = Corpus(seed=3, dims=(2, 2, 2, 2), count=5)
-    first = [(A.entries, B.entries) for A, B in corpus_pairs(c)]
-    second = [(A.entries, B.entries) for A, B in corpus_pairs(c)]
+    first = [(A.entries, B.entries) for A, B in _pairs(c)]
+    second = [(A.entries, B.entries) for A, B in _pairs(c)]
     assert first == second
     other = Corpus(seed=4, dims=(2, 2, 2, 2), count=5)
-    third = [(A.entries, B.entries) for A, B in corpus_pairs(other)]
+    third = [(A.entries, B.entries) for A, B in _pairs(other)]
     assert first != third
 
 
 def test_corpus_shapes():
     w, x, y, z = 2, 3, 1, 2
     c = Corpus(seed=0, dims=(w, x, y, z), count=3)
-    for A, B in corpus_pairs(c):
+    for A, B in _pairs(c):
         assert A.shape == (z, y)
         assert B.shape == (x, w)
 
 
 def test_positive_sign_mode():
     c = Corpus(seed=0, dims=(2, 2, 2, 2), count=5, sign_mode="positive")
-    for A, B in corpus_pairs(c):
+    for A, B in _pairs(c):
         assert A.is_positive() and B.is_positive()
 
 
 def test_float_distribution():
     c = Corpus(seed=0, dims=(2, 2, 2, 2), count=2, distribution="float")
-    for A, B in corpus_pairs(c):
+    for A, B in _pairs(c):
         assert not A.is_exact and not B.is_exact
 
 

@@ -147,7 +147,7 @@ def test_meet_picks_out_column_k(f):
     )
     expected = T.column(f.index)
     assert meet_via_components(T, f).eq(expected)
-    Lambda, M_II, M_IB = meet_superoperator(f)
+    Lambda = meet_superoperator(f)
     e = LatticeVector.ones(f.dim)
     assert Lambda.apply(T).apply(e).eq(expected)
     # Lambda(T) = T E_kk for every T, not just positive ones

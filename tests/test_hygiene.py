@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private top-level name is left that no module of the package uses."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rieszops"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -69,3 +71,69 @@ def test_the_check_counts_string_annotations_and_flags_the_rest():
         "    return os.path.sep\n"
     )
     assert unused_imports(source) == ["Sequence (line 3)", "Partition (line 4)"]
+
+
+def _private_definitions(tree):
+    """(name, node) of every private top-level function, class and constant;
+    dunders are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _referenced_names(tree):
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return _used_names(tree) | attributes
+
+
+def dead_private_names(sources: dict) -> list:
+    """``module.name`` of each private top-level name that no module uses
+    outside its own definition; ``sources`` maps module names to source."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        elsewhere = set().union(
+            *(_referenced_names(t) for m, t in trees.items() if m != module)
+        )
+        for name, node in _private_definitions(tree):
+            rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+            if name not in elsewhere and name not in _referenced_names(rest):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_no_dead_private_code():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    dead = dead_private_names(sources)
+    assert not dead, f"private names no module uses: {dead}"
+
+
+def test_the_dead_code_check_flags_unused_private_names():
+    sources = {
+        "a": (
+            "__version__ = '0'\n"
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "def _capped():\n"
+            "    return _LIMIT\n"
+            "def _shared():\n"
+            "    return 0\n"
+            "class _Dead:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _capped()\n"
+        ),
+        "b": "from .a import _shared\nVALUE = _shared()\n",
+    }
+    assert dead_private_names(sources) == ["a._UNUSED", "a._recursive", "a._Dead"]

@@ -173,13 +173,6 @@ def test_modulus_is_least_upper_bound(pair):
     assert abs(A).le(P)
 
 
-def test_disjointness():
-    A = RegularOperator.from_rows([[1, 0], [0, 0]])
-    B = RegularOperator.from_rows([[0, 0], [0, -2]])
-    assert A.disjoint_with(B)
-    assert not A.disjoint_with(A)
-
-
 # ---------------------------------------------------------------------------
 # Riesz-Kantorovich oracles
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ by sha256, so a refactor that moves any byte of them fails at once.
 larger meet labs (n = 6, 8, 10, seed 7) are pinned the same way, and so
 are seven single verifier runs: on float files, with explicit and with
 default inputs, and on float and exact corpora.  None of those touches
-BLAS, so their float bits do not depend on the machine.
+BLAS, so their float bits do not depend on the machine.  The manifests of
+two ``corpus`` runs, one exact and mixed-sign, one float and positive, are
+pinned too, so the corpus files keep their draws.
 """
 
 import hashlib
@@ -86,6 +88,27 @@ VERIFIER_RUNS = {
         "1dfb7c759c1dbc5b80e0aa87bd2f60dfeb043675a9e368b333f8ef2a3a957d8d",
     ),
 }
+
+
+#: ``corpus`` flags and the sha256 of the manifest.json they write.
+MANIFESTS = {
+    "rational_mixed": (
+        "--dims 2x3x2x3 --count 3 --seed 5",
+        "8a496f5292ee4293517f28a33b05260b7c04b29e0ce19e627b2c03c9bee1fcb4",
+    ),
+    "float_positive": (
+        "--dims 3x2x3x2 --count 2 --seed 11 --distribution float --sign positive",
+        "7caac2c029f2bda81173a64d94888d5d786e83915e675db5d5e41e57c592b7ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_corpus_manifest_bytes(name, tmp_path):
+    flags, digest = MANIFESTS[name]
+    assert main(["corpus", "--out", str(tmp_path), *flags.split()]) == 0
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszops import (
-    FactorlessSuperoperatorError,
     LatticeVector,
     RegularOperator,
     Superoperator,
@@ -77,7 +76,6 @@ def test_rep_agrees_with_direct_product(case):
     M = Superoperator.build(A, B)
     direct = (A @ T) @ B
     assert M.apply(T).eq(direct)
-    assert M.apply_rep(T).eq(direct)
 
 
 @given(superop_case())
@@ -88,20 +86,6 @@ def test_rep_matches_numpy_kron(case):
     assert np.allclose(_np(M.rep), theirs)
 
 
-@given(superop_case())
-def test_composition_factorizes(case):
-    A, B, T = case
-    # M_{A,B} o M_{C,D} = M_{AC, DB}; choose C, D to make shapes line up
-    C = RegularOperator.identity(A.cols)
-    D = RegularOperator.identity(B.rows)
-    M1 = Superoperator.build(A, B)
-    M2 = Superoperator.build(C, D)
-    composed = M1.compose(M2)
-    assert composed.factor_A.eq(A @ C)
-    assert composed.factor_B.eq(D @ B)
-    assert composed.apply(T).eq(M1.apply(M2.apply(T)))
-
-
 def test_identity_superoperator():
     eye = RegularOperator.identity(3)
     M = Superoperator.build(eye, eye)
@@ -110,26 +94,10 @@ def test_identity_superoperator():
 
 
 @given(superop_case())
-def test_json_roundtrip_preserves_factors(case):
-    A, B, _ = case
-    M = Superoperator.build(A, B)
-    again = Superoperator.from_json(M.to_json())
-    assert again.rep.eq(M.rep)
-    assert again.factor_A.eq(A)
-    # rep-only serialization drops factors but keeps the action
-    rep_only = Superoperator.from_json({"dims": list(M.dims), "rep": M.rep.to_json()})
-    assert rep_only.rep.eq(M.rep)
-    with pytest.raises(FactorlessSuperoperatorError):
-        _ = rep_only.factor_A
-
-
-@given(superop_case())
 def test_lattice_operations_on_rep(case):
     A, B, T = case
     M = Superoperator.build(A, B)
     assert M.modulus().rep.eq(abs(M.rep))
-    assert M.pos_part().rep.eq(M.rep.pos_part())
-    assert (M.pos_part().rep - M.neg_part().rep).eq(M.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +360,7 @@ def test_float_mode_superoperator():
     B = RegularOperator.from_rows([[1.5, 0.5], [-0.5, 1.0]])
     M = Superoperator.build(A, B)
     T = RegularOperator.from_rows([[1.0, 0.0], [0.0, 1.0]])
-    assert M.apply(T).eq(M.apply_rep(T))
+    assert M.apply(T).eq(A @ T @ B)
     report = verify_cor22(A, B)
     assert report.status == "pass"
     assert not report.exact
