@@ -15,10 +15,11 @@ claim's input roles and their shapes and signs come from
 ``corpus.CLAIM_ROLES`` and ``corpus.ROLES``, so the same roles are loaded
 from ``--A``/``--B``/... files or drawn from the corpus.  Inputs a claim
 may leave out come from ``DEFAULTS`` (D = -B, C = -A, all-ones T and w in
-the scalar mode of B); ``--exact`` checks every loaded input.  A file flag
-the claim does not read, any file flag next to ``--corpus``, and ``--m``
-next to ``--A``/``--B`` are usage errors, so a run never passes on other
-inputs than the ones named.
+the scalar mode of B); ``--exact`` checks the inputs of every case, from
+files or from the corpus, before its verifier runs.  A file, lab or norm
+flag the claim does not read, any file flag next to ``--corpus``, and
+``--m`` next to ``--A``/``--B`` are usage errors, so a run never passes on
+other inputs than the ones named.
 
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
 2 = usage error, malformed input (including files that mix exact and
@@ -170,12 +171,13 @@ def _load_inputs(args) -> dict:
     for role in roles:
         if role not in inputs:
             inputs[role] = DEFAULTS[role](inputs)
-    _require_exact(args, *inputs.values())
     return inputs
 
 
 def _call_verifier(args, inputs: dict, seed: int) -> VerificationReport:
-    """One verifier call, with the claim's roles as positional arguments."""
+    """One verifier call, with the claim's roles as positional arguments,
+    after ``--exact`` has checked them."""
+    _require_exact(args, *inputs.values())
     claim = args.claim
     extra = {}
     if claim == "cor23":
@@ -191,23 +193,35 @@ def _call_verifier(args, inputs: dict, seed: int) -> VerificationReport:
     return verifier(*positional, seed=seed, tol=args.tolerance, **extra)
 
 
-def _flags(roles) -> str:
-    return ", ".join(f"--{role}" for role in roles)
+def _flags(names) -> str:
+    return ", ".join(f"--{name.replace('_', '-')}" for name in names)
 
 
 def _run_verify(args) -> VerificationReport:
     # Refuse every input flag the run would not read, before opening files.
     claim = args.claim
-    given = [role for role in ROLES if getattr(args, role) is not None]
-    reads = {**CLAIM_ROLES, "gap": ("A", "B")}.get(claim, ())
-    stray = [role for role in given if role not in reads]
+    norm = ("samples", "p_in", "p_mid1", "p_mid2", "p_out")
+    given = [name for name in (*ROLES, "n", "k", "m", *norm)
+             if getattr(args, name) is not None]
+    reads = {
+        **CLAIM_ROLES,
+        "cor23": (*CLAIM_ROLES["cor23"], *norm),
+        "gap": ("A", "B", "m", *norm),
+        "counterexample": ("n", "k"),
+    }[claim]
+    stray = [name for name in given if name not in reads]
     if stray:
         raise UsageError(f"verify {claim} does not take {_flags(stray)}")
     if args.corpus is not None:
         if claim not in CLAIM_ROLES:
             raise UsageError(f"verify {claim} does not take --corpus")
-        if given:
-            raise UsageError(f"--corpus cannot be combined with {_flags(given)}")
+        files = [name for name in given if name in ROLES]
+        if files:
+            raise UsageError(f"--corpus cannot be combined with {_flags(files)}")
+    # The defaults of the flags the claim reads.
+    for name, default in (("n", 3), ("k", 1), ("samples", 200)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if claim == "counterexample":
         return counterexample_report(n=args.n, k=args.k, seed=args.seed)
     if claim == "gap":
@@ -320,7 +334,7 @@ def _add_norm_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--p-mid2", default=None, help="norm exponent for Y")
     parser.add_argument("--p-out", default=None, help="norm exponent for Z")
     parser.add_argument(
-        "--samples", type=int, default=200, help="random samples for bounds"
+        "--samples", type=int, help="random samples for bounds (200)"
     )
 
 
@@ -339,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corpus", help="seed=S,dims=WxXxYxZ,count=N[,...]")
     for flag in ("--A", "--B", "--A0", "--C", "--B0", "--D", "--T", "--w"):
         p_verify.add_argument(flag, metavar="FILE")
-    p_verify.add_argument("--n", type=int, default=3, help="lab dimension")
-    p_verify.add_argument("--k", type=int, default=1, help="lab coordinate (1-based)")
+    p_verify.add_argument("--n", type=int, help="lab dimension (3)")
+    p_verify.add_argument("--k", type=int, help="lab coordinate, 1-based (1)")
     p_verify.add_argument("--m", type=int, default=None, help="sign-matrix tensor power")
     _add_norm_flags(p_verify)
     _add_common(p_verify)
@@ -366,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--A", metavar="FILE")
     p_gap.add_argument("--B", metavar="FILE")
     _add_norm_flags(p_gap)
+    p_gap.set_defaults(samples=200)
     _add_common(p_gap)
 
     p_lab = sub.add_parser(

@@ -24,17 +24,15 @@ verifies every step of the derivation that does not depend on singularity:
 
 All arithmetic is exact; nothing here pretends to simulate a singular
 functional.  The component infimum and the double-partition infimum are
-exact-only integer kernels (operators and partition blocks scaled to Python
-ints over common denominators, evaluated as numpy object-array expressions);
-the tests check them against Fraction loops (``g_double_prime_term`` for the
-second).  ``counterexample_report`` refuses a request whose work bound
+exact-only integer kernels on the stored numerators; the tests check them
+against Fraction loops (``g_double_prime_term`` for the second).
+``counterexample_report`` refuses a request whose work bound
 exceeds ``LAB_WORK_CAP`` before it does any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from random import Random
 from typing import List, Optional, Sequence
@@ -47,6 +45,8 @@ from .lattice import (
     EnumerationLimitError,
     LatticeVector,
     Partition,
+    _chunk_size,
+    _stack,
     atomic_partition,
     disjoint_partitions,
 )
@@ -59,12 +59,8 @@ from .operators import (
     trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
-from .scalars import ScalarModeError, scaled_array
+from .scalars import ScalarModeError
 from .superop import Superoperator, deviation
-
-#: Entries per chunk of the kernels' intermediates (component images, and
-#: (pieces, n, blocks) terms), so their memory stays bounded.
-_KERNEL_CHUNK_ENTRIES = 1 << 16
 
 #: Most integer operations (``_lab_work``) one lab report may need, and the
 #: least that one test operator, split piece or e-partition counts for.
@@ -96,7 +92,7 @@ class CoordinateFunctional:
     def __call__(self, x: LatticeVector):
         if x.dim != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {x.dim}")
-        return x.entries[self.index]
+        return x.entry(self.index)
 
     def as_vector(self, mode: str = "exact") -> LatticeVector:
         """The representing vector e_k (so f(x) = <e_k, x>)."""
@@ -122,10 +118,11 @@ def meet_via_components(
     For positive T the infimum is attained simultaneously in every
     coordinate at the minimal admissible component x = e_k, i.e. it equals
     column k of T; the kernel checks that rather than assuming it.  Exact
-    only: with T scaled to ints over D_T, each T x is a column sum over one
-    of the 2^(n-1) admissible components (subsets containing k).  A table,
-    built by doubling, holds the sums over the low coordinates, as many as
-    fit ``_KERNEL_CHUNK_ENTRIES`` entries; each chunk adds its high columns.
+    only: on the numerators of T, each T x is a column sum over one of the
+    2^(n-1) admissible components (subsets containing k).  A table, built
+    by doubling, holds the sums over the low coordinates, as many as fit
+    one kernel chunk (``lattice._chunk_size``); each chunk adds its high
+    columns.
     """
     if T.shape != (f.dim, f.dim):
         raise ValueError(f"expected a {f.dim}x{f.dim} operator, got {T.shape}")
@@ -134,9 +131,9 @@ def meet_via_components(
     if not T.is_positive():
         raise ValueError("the component formula applies to positive operators")
     n, k = f.dim, f.index
-    P, D_T = scaled_array(T.entries, (n, n))
+    P = T._values
     others = [j for j in range(n) if j != k]
-    low = min(len(others), max(0, (_KERNEL_CHUNK_ENTRIES // n).bit_length() - 1))
+    low = min(len(others), _chunk_size(n).bit_length() - 1)
     table = P[:, [k]]
     for j in others[:low]:
         table = np.concatenate([table, table + P[:, [j]]], axis=1)
@@ -146,7 +143,7 @@ def meet_via_components(
         base = P[:, [j for bit, j in enumerate(high) if code >> bit & 1]].sum(axis=1)
         chunk_min = (table + base[:, None]).min(axis=1)
         best = chunk_min if best is None else np.minimum(best, chunk_min)
-    return LatticeVector._trusted((n,), [Fraction(v, D_T) for v in best])
+    return LatticeVector._of(best, T._den)
 
 
 def single_support_check(f: CoordinateFunctional, partition: Partition) -> int:
@@ -224,7 +221,7 @@ def g_double_prime_term(
         for x_j in partition.pieces:
             image = LatticeVector.zero(n)
             for c in x_j.support():
-                image = image + cols[c].scale(x_j.entries[c])
+                image = image + cols[c].scale(x_j.entry(c))
             cap = Te.scale(f(x_j))
             total = total + image.meet(cap)
     return total
@@ -260,13 +257,11 @@ def inf_G_double_prime(
     infimum; the combination (singleton split, atomic partition) attains it,
     so the returned vector equals ``meet_via_components(T, f)`` exactly.
 
-    The sums are evaluated by an integer kernel: every split piece is scaled
-    by the common denominator D_T of all pieces and every partition block by
-    the common denominator D_X of all blocks, so each term
-    T_i x_j ^ f(x_j) T_i e  is  min(P_i X_j, rowsum(P_i) X_j[k]) / (D_T D_X)
-    over numpy object arrays of Python ints, which cannot overflow.  The
-    result equals the minimum of ``g_double_prime_term`` over the same splits
-    and partitions exactly.
+    The sums are evaluated by an integer kernel on the numerators P_i of the
+    split pieces and X_j of the partition blocks: each term
+    T_i x_j ^ f(x_j) T_i e  is  min(P_i X_j, rowsum(P_i) X_j[k]) over
+    their denominators.  The result equals the minimum of
+    ``g_double_prime_term`` over the same splits and partitions exactly.
     """
     if T.shape != (f.dim, f.dim):
         raise ValueError(f"expected a {f.dim}x{f.dim} operator, got {T.shape}")
@@ -296,16 +291,12 @@ def _double_partition_inf(
     n, k = f.dim, f.index
     pieces = [piece for split in splits for piece in split.pieces]
     # P[i] = D_T T_i as an n x n integer matrix; P e = its row sums.
-    P, D_T = scaled_array(
-        (v for piece in pieces for v in piece.entries), (len(pieces), n, n)
-    )
+    P, D_T = _stack(pieces)
     Pe = P.sum(axis=2)[:, :, None]
     # X_all[j] = D_X x_j for every block of every partition, in order.
-    X_all, D_X = scaled_array(
-        (v for p in partitions for x in p.pieces for v in x.entries), (-1, n)
-    )
+    X_all, D_X = _stack([x for p in partitions for x in p.pieces])
     split_starts = np.cumsum([0] + [len(split) for split in splits[:-1]])
-    max_blocks = max(1, _KERNEL_CHUNK_ENTRIES // (len(pieces) * n))
+    max_blocks = _chunk_size(len(pieces) * n)
     best = None
     first = 0
     for chunk in _partition_chunks(partitions, max_blocks):
@@ -319,8 +310,7 @@ def _double_partition_inf(
         low = np.minimum.reduce(sums, axis=(0, 2))
         best = low if best is None else np.minimum(best, low)
     assert best is not None
-    D = D_T * D_X
-    return LatticeVector._trusted((n,), [Fraction(v, D) for v in best])
+    return LatticeVector._of(best, D_T * D_X)
 
 
 # ---------------------------------------------------------------------------

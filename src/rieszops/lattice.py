@@ -5,10 +5,21 @@ representable, so every order-theoretic statement about it can be checked
 mechanically.  Vectors carry either exact rational entries or floats (see
 ``scalars``); all lattice operations (meet, join, modulus, positive and
 negative parts) act componentwise.  They are written once, on the private
-``_Entrywise`` base (a shape plus a flat tuple of entries) that
-``operators.RegularOperator`` shares, since the lattice structure of the
-matrix spaces is entrywise too; so are the atom splitter and the random
-convex splitter behind the vector and the operator partitions.
+``_Entrywise`` base that ``operators.RegularOperator`` shares, since the
+lattice structure of the matrix spaces is entrywise too; so are the atom
+splitter and the random convex splitter behind the vector and the operator
+partitions.
+
+Storage.  An ``_Entrywise`` holds one numpy array of its shape and one
+denominator.  In exact mode the array holds Python-int numerators (an
+object array, so nothing overflows) over the denominator D, in lowest
+terms (gcd(D, numerators) = 1), so equal values have equal storage; in
+float mode it is float64 and D is None.  ``entries`` builds ``Fraction``s
+(or floats) on each access, for JSON and for callers that index; every
+operation, and the integer kernels of the other modules, read the array
+(``_stack`` puts several over one denominator, ``_chunk_size`` bounds a
+kernel's intermediates).  Float results match Python float arithmetic bit
+for bit, Python's tie rule on -0.0 and 0.0 included.
 
 Besides the vector type the module provides the combinatorial machinery the
 Riesz-Kantorovich formulas quantify over: components of a positive element,
@@ -18,11 +29,14 @@ disjoint and positive partitions, the refinement chain, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
+from itertools import combinations
 from random import Random
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .scalars import (
     DEFAULT_TOLERANCE,
@@ -30,12 +44,7 @@ from .scalars import (
     FLOAT,
     ScalarModeError,
     coerce_entries,
-    eq,
-    is_zero,
-    le,
-    one_of,
     scalar_to_json,
-    zero_of,
 )
 
 #: Largest support size for which component / partition enumeration is
@@ -46,6 +55,10 @@ ENUMERATION_CAP = 20
 #: exact-mode pieces on a coarse rational grid.
 SPLIT_DENOMINATOR = 16
 
+#: Entries of an integer kernel's per-chunk intermediates, so that their
+#: memory stays bounded however much the kernel enumerates.
+_KERNEL_CHUNK_ENTRIES = 1 << 16
+
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
@@ -55,144 +68,247 @@ class EnumerationLimitError(RuntimeError):
     """A request would exceed a work or memory cap."""
 
 
+def _chunk_size(entries_per_item: int) -> int:
+    """Items of ``entries_per_item`` entries per kernel chunk (at least 1)."""
+    return max(1, _KERNEL_CHUNK_ENTRIES // entries_per_item)
+
+
+def _stack(items) -> tuple:
+    """Containers of one shape and mode over their common denominator D,
+    their values stacked on a new first axis: (array, D); D is None for
+    floats."""
+    if items[0]._den is None:
+        return np.stack([item._values for item in items]), None
+    D = math.lcm(*(item._den for item in items))
+    return np.stack([item._values * (D // item._den) for item in items]), D
+
+
+def _matmul(a, b):
+    """a @ b over the last two axes (broadcast over the others).  Float
+    entries are summed left to right from 0, as Python's ``sum`` of the
+    products is, so results match it bit for bit."""
+    if a.dtype == object:
+        return a @ b
+    total = 0.0
+    for k in range(a.shape[-1]):
+        total = total + a[..., k, None] * b[..., k, None, :]
+    return total
+
+
+def _all(mask) -> bool:
+    """``mask.all()``, faster on the small arrays of this package."""
+    return bool(np.count_nonzero(mask) == mask.size)
+
+
 def _integer_composition(rng: Random, total: int, parts: int) -> list:
     """Random composition of ``total`` into ``parts`` nonnegative integers."""
     cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class _Entrywise:
-    """A shape plus a flat tuple of entries, all ``Fraction`` or all ``float``.
+    """One array and one denominator: Python-int numerators over D in
+    lowest terms (exact mode) or float64 values with D None (float mode).
 
     The coordinate-model lattice structure is entrywise on R^n, on the
     matrix spaces and on the Kronecker rep alike, so ``LatticeVector`` and
     ``operators.RegularOperator`` share this one implementation of it.
-    Results of entrywise operations come from ``_trusted``, which skips
-    ``coerce_entries``: entrywise arithmetic on typed entries stays typed.
+    Instances are immutable; equality and hashing go by (shape, D, values).
     """
 
-    shape: tuple
-    entries: tuple
+    __slots__ = ("_values", "_den")
 
     @classmethod
-    def _trusted(cls, shape: tuple, entries):
-        """An instance from entries already in one scalar mode (no checks)."""
+    def _of(cls, values, den):
+        """values / den (den None for floats) in lowest terms, unchecked."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "shape", shape)
-        object.__setattr__(obj, "entries", tuple(entries))
+        obj._store(values, den)
         return obj
 
-    def _like(self, entries):
-        return self._trusted(self.shape, entries)
+    def _store(self, values, den):
+        if den is not None and den != 1:
+            g = math.gcd(den, *values.flat)
+            if g != 1:
+                values, den = values // g, den // g
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_den", den)
+
+    @staticmethod
+    def _parse(entries) -> tuple:
+        """Scalar input (coerced by ``scalars.coerce_entries``) as a flat
+        array and its denominator: all-exact input over the lcm of its
+        denominators, anything else as floats."""
+        coerced, mode = coerce_entries(entries)
+        if mode == FLOAT:
+            return np.array(coerced, dtype=np.float64), None
+        D = math.lcm(*(v.denominator for v in coerced))
+        numerators = [v.numerator * (D // v.denominator) for v in coerced]
+        return np.array(numerators, dtype=object), D
+
+    @staticmethod
+    def _constant(shape, value, mode: str) -> tuple:
+        """(array, D) of the given shape with every entry the integer value."""
+        if mode == EXACT:
+            return np.full(shape, value, dtype=object), 1
+        return np.full(shape, float(value)), None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self._den == other._den
+            and self.shape == other.shape
+            and _all(self._values == other._values)
+        )
+
+    def __hash__(self):
+        return hash((self.shape, self._den, tuple(self._values.ravel().tolist())))
+
+    @property
+    def shape(self) -> tuple:
+        return self._values.shape
+
+    @property
+    def entries(self) -> tuple:
+        """The entries in row-major order, ``Fraction``s or floats, built on
+        each access."""
+        if self._den is None:
+            return tuple(self._values.ravel().tolist())
+        return tuple(Fraction(v, self._den) for v in self._values.flat)
+
+    def _scalar(self, value):
+        """One stored value as a scalar of the container's mode."""
+        return float(value) if self._den is None else Fraction(value, self._den)
+
+    def entry(self, *index):
+        """The entry at ``index`` (i for a vector, i, j for an operator)."""
+        return self._scalar(self._values[index])
+
+    def max_entry(self):
+        """The largest entry."""
+        return self._scalar(self._values.max())
 
     @property
     def mode(self) -> str:
-        return FLOAT if isinstance(self.entries[0], float) else EXACT
+        return FLOAT if self._den is None else EXACT
 
     @property
     def is_exact(self) -> bool:
-        return self.mode == EXACT
+        return self._den is not None
 
     def _check_compatible(self, other):
         if not isinstance(other, type(self)):
             raise TypeError(
                 f"expected {type(self).__name__}, got {type(other).__name__}"
             )
-        if self.shape != other.shape:
+        if self._values.shape != other._values.shape:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.shape} vs {other.shape}"
             )
-        if self.mode != other.mode:
+        if self.is_exact != other.is_exact:
             raise ScalarModeError(
                 f"scalar mode mismatch: {self.mode} vs {other.mode}"
             )
 
+    def _aligned(self, other) -> tuple:
+        """(a, b, D): the values of self and other over one denominator."""
+        self._check_compatible(other)
+        a, b, D, E = self._values, other._values, self._den, other._den
+        if D == E:
+            return a, b, D
+        L = math.lcm(D, E)
+        return a * (L // D), b * (L // E), L
+
+    def _zero_mask(self, tol: float = DEFAULT_TOLERANCE):
+        """Where the entries are zero (within ``tol`` in float mode)."""
+        if self._den is None:
+            return np.abs(self._values) <= tol
+        return self._values == 0
+
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        self._check_compatible(other)
-        return self._like([a + b for a, b in zip(self.entries, other.entries)])
+        a, b, D = self._aligned(other)
+        return self._of(a + b, D)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        return self._like([a - b for a, b in zip(self.entries, other.entries)])
+        a, b, D = self._aligned(other)
+        return self._of(a - b, D)
 
     def __neg__(self):
-        return self._like([-a for a in self.entries])
+        return self._of(-self._values, self._den)
 
     def scale(self, c):
-        if self.is_exact:
-            if isinstance(c, float):
-                raise ScalarModeError(
-                    f"cannot scale an exact {type(self).__name__} by a float"
-                )
-            c = Fraction(c)
-        else:
-            c = float(c)
-        return self._like([c * a for a in self.entries])
+        if not self.is_exact:
+            return self._of(float(c) * self._values, None)
+        if isinstance(c, float):
+            raise ScalarModeError(
+                f"cannot scale an exact {type(self).__name__} by a float"
+            )
+        c = Fraction(c)
+        return self._of(self._values * c.numerator, self._den * c.denominator)
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = scale
 
     # -- lattice operations ------------------------------------------------
+    # np.where keeps the first operand on ties, as Python's min and max do:
+    # np.maximum would turn max(-0.0, 0.0) into 0.0.
 
     def _min(self, other):
-        self._check_compatible(other)
-        return self._like([min(a, b) for a, b in zip(self.entries, other.entries)])
+        a, b, D = self._aligned(other)
+        return self._of(np.where(b < a, b, a), D)
 
     def _max(self, other):
-        self._check_compatible(other)
-        return self._like([max(a, b) for a, b in zip(self.entries, other.entries)])
+        a, b, D = self._aligned(other)
+        return self._of(np.where(b > a, b, a), D)
 
     def __abs__(self):
-        return self._like([abs(a) for a in self.entries])
+        return self._of(np.abs(self._values), self._den)
 
     def pos_part(self):
-        zero = zero_of(self.mode)
-        return self._like([max(a, zero) for a in self.entries])
+        return self._of(np.where(self._values < 0, 0, self._values), self._den)
 
     def neg_part(self):
-        zero = zero_of(self.mode)
-        return self._like([max(-a, zero) for a in self.entries])
+        a = -self._values
+        return self._of(np.where(a < 0, 0, a), self._den)
 
     # -- order ------------------------------------------------------------
 
     def le(self, other, tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_compatible(other)
-        return all(le(a, b, tol) for a, b in zip(self.entries, other.entries))
+        a, b, D = self._aligned(other)
+        return _all(a <= (b if D is not None else b + tol))
 
     def eq(self, other, tol: float = DEFAULT_TOLERANCE) -> bool:
-        self._check_compatible(other)
-        return all(eq(a, b, tol) for a, b in zip(self.entries, other.entries))
+        a, b, D = self._aligned(other)
+        if D is not None:
+            return _all(a == b)
+        return _all(np.abs(a - b) <= tol)
 
     def is_positive(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        zero = zero_of(self.mode)
-        return all(le(zero, a, tol) for a in self.entries)
+        a = self._values
+        return _all(0 <= (a if self.is_exact else a + tol))
 
     def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return all(is_zero(a, tol) for a in self.entries)
+        return _all(self._zero_mask(tol))
 
     def to_float(self):
         """The same element in float mode (no-op in float mode)."""
         if not self.is_exact:
             return self
-        return self._like([float(a) for a in self.entries])
+        return self._of((self._values / self._den).astype(np.float64), None)
 
     # -- splitters (the partitions' pieces) ----------------------------------
 
     def _atoms(self) -> tuple:
         """One piece per nonzero entry, holding that entry alone; an all-zero
         element gives (self,) so downstream formulas stay total."""
-        zero = zero_of(self.mode)
-        pieces = []
-        for index, a in enumerate(self.entries):
-            if not is_zero(a):
-                entries = [zero] * len(self.entries)
-                entries[index] = a
-                pieces.append(self._like(entries))
+        nonzero = np.flatnonzero(~self._zero_mask())
+        rows = np.zeros((len(nonzero), self._values.size), dtype=self._values.dtype)
+        rows[np.arange(len(nonzero)), nonzero] = self._values.flat[nonzero]
+        pieces = [self._of(row.reshape(self.shape), self._den) for row in rows]
         return tuple(pieces) or (self,)
 
     def _convex_split(self, parts: int, rng: Random, signed: bool = False) -> tuple:
@@ -201,15 +317,18 @@ class _Entrywise:
         with a random sign when ``signed``, so the moduli of the pieces sum
         to a positive self; all-zero pieces are dropped, (self,) if none is
         left."""
-        ratio = Fraction if self.is_exact else truediv
-        grids = []
-        for a in self.entries:
-            weights = _integer_composition(rng, SPLIT_DENOMINATOR, parts)
-            shares = [a * ratio(c, SPLIT_DENOMINATOR) for c in weights]
-            if signed:
-                shares = [s if rng.random() < 0.5 else -s for s in shares]
-            grids.append(shares)
-        pieces = [self._like(column) for column in zip(*grids)]
+        # The share c/16 of an entry a is a * c over 16 D, or a * (c / 16) in
+        # float mode, where a * -(c / 16) is -(a * (c / 16)) bit for bit.
+        unit = 1 if self.is_exact else 1 / SPLIT_DENOMINATOR
+        shares = []
+        for _ in range(self._values.size):
+            for c in _integer_composition(rng, SPLIT_DENOMINATOR, parts):
+                share = c * unit
+                shares.append(share if not signed or rng.random() < 0.5 else -share)
+        grid = np.array(shares, dtype=self._values.dtype).reshape(-1, parts)
+        columns = (self._values.reshape(-1, 1) * grid).T
+        den = self._den and self._den * SPLIT_DENOMINATOR
+        pieces = [self._of(column.reshape(self.shape), den) for column in columns]
         return tuple(p for p in pieces if not p.is_zero()) or (self,)
 
 
@@ -221,12 +340,13 @@ class LatticeVector(_Entrywise):
     immutable and hashable.
     """
 
+    __slots__ = ()
+
     def __init__(self, entries: Sequence):
-        coerced, _ = coerce_entries(entries)
-        if not coerced:
+        values, den = self._parse(entries)
+        if not values.size:
             raise ValueError("a lattice vector needs at least one entry")
-        object.__setattr__(self, "shape", (len(coerced),))
-        object.__setattr__(self, "entries", coerced)
+        self._store(values, den)
 
     @property
     def dim(self) -> int:
@@ -239,24 +359,23 @@ class LatticeVector(_Entrywise):
 
     @classmethod
     def zero(cls, dim: int, mode: str = EXACT) -> "LatticeVector":
-        return cls._trusted((dim,), [zero_of(mode)] * dim)
+        return cls._of(*cls._constant((dim,), 0, mode))
 
     @classmethod
     def unit(cls, dim: int, index: int, mode: str = EXACT) -> "LatticeVector":
         if not 0 <= index < dim:
             raise IndexError(f"unit index {index} out of range for dim {dim}")
-        entries = [zero_of(mode)] * dim
-        entries[index] = one_of(mode)
-        return cls._trusted((dim,), entries)
+        values, den = cls._constant((dim,), 0, mode)
+        values[index] = 1
+        return cls._of(values, den)
 
     @classmethod
     def ones(cls, dim: int, mode: str = EXACT) -> "LatticeVector":
-        return cls._trusted((dim,), [one_of(mode)] * dim)
+        return cls._of(*cls._constant((dim,), 1, mode))
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeVector":
-        entries = data["entries"]
-        vec = cls(entries)
+        vec = cls(data["entries"])
         if "dim" in data and int(data["dim"]) != vec.dim:
             raise ValueError(
                 f"declared dim {data['dim']} does not match {vec.dim} entries"
@@ -274,18 +393,16 @@ class LatticeVector(_Entrywise):
 
     def support(self, tol: float = DEFAULT_TOLERANCE) -> tuple:
         """Indices of (tolerance-aware) nonzero entries, ascending."""
-        return tuple(i for i, a in enumerate(self.entries) if not is_zero(a, tol))
+        return tuple(np.flatnonzero(~self._zero_mask(tol)).tolist())
 
     def restrict(self, indices) -> "LatticeVector":
         """Zero out every entry whose index is not in ``indices``."""
         keep = set(indices)
-        zero = zero_of(self.mode)
-        return self._like(
-            [a if i in keep else zero for i, a in enumerate(self.entries)]
-        )
+        mask = [i in keep for i in range(self.dim)]
+        return self._of(np.where(mask, self._values, 0), self._den)
 
     def as_floats(self) -> tuple:
-        return tuple(float(a) for a in self.entries)
+        return tuple(self.to_float()._values.tolist())
 
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self.entries)
@@ -358,11 +475,8 @@ class Partition:
         return len(self.pieces)
 
     def is_disjoint(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                if not self.pieces[i].meet(self.pieces[j]).is_zero(tol):
-                    return False
-        return True
+        pairs = combinations(self.pieces, 2)
+        return all(x.meet(y).is_zero(tol) for x, y in pairs)
 
 
 def trivial_partition(w: LatticeVector) -> Partition:

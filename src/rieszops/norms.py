@@ -30,9 +30,9 @@ anything is drawn, and so does a ``hadamard_tensor_power`` of more than
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
-y^x extreme points of the domain's unit ball in an integer kernel over numpy
-object arrays of Python ints; a domain with more than ``EXTREME_POINT_CAP``
-(2^20) extreme points raises ``EnumerationLimitError``.
+y^x extreme points of the domain's unit ball in an integer kernel on the
+stored numerators of |A| and |B|; a domain with more than
+``EXTREME_POINT_CAP`` (2^20) extreme points raises ``EnumerationLimitError``.
 
 Norm values stay exact (``Fraction``) whenever the closed form involves no
 roots and the inputs are exact; witness vectors are always float-mode unit
@@ -51,13 +51,8 @@ import numpy as np
 from .lattice import DimensionMismatchError, EnumerationLimitError, LatticeVector
 from .operators import RegularOperator, rank_one
 from .reports import VerificationReport, make_report
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    FLOAT,
-    ScalarModeError,
-    scalar_to_json,
-    scaled_array,
-)
+from .scalars import DEFAULT_TOLERANCE, FLOAT, ScalarModeError, scalar_to_json
+from .superop import kron
 
 INF = math.inf
 
@@ -210,21 +205,22 @@ def norming_vector(f: LatticeVector, n: LatticeNorm) -> LatticeVector:
     """
     u = n.weight_list(f.dim, f.is_exact)
     one = Fraction(1) if f.is_exact else 1.0
+    f_entries = f.entries
     if n.p == 1.0:
-        if f.is_zero(0.0 if f.is_exact else 0.0):
+        if f.is_zero(0.0):
             entries = [one * 0] * f.dim
             entries[0] = one / u[0]
             return LatticeVector(entries)
-        best = max(range(f.dim), key=lambda j: abs(f.entries[j]) / u[j])
+        best = max(range(f.dim), key=lambda j: abs(f_entries[j]) / u[j])
         entries = [one * 0] * f.dim
-        entries[best] = _sign(f.entries[best]) * one / u[best]
+        entries[best] = _sign(f_entries[best]) * one / u[best]
         return LatticeVector(entries)
     if n.p == INF:
         return LatticeVector(
-            [_sign(a) * one / w for w, a in zip(u, f.entries)]
+            [_sign(a) * one / w for w, a in zip(u, f_entries)]
         )
     rho = [
-        float(a) * float(w) ** (-1.0 / n.p) for w, a in zip(u, f.entries)
+        float(a) * float(w) ** (-1.0 / n.p) for w, a in zip(u, f_entries)
     ]
     q = n.conjugate_exponent()
     mags = [abs(r) ** (q - 1.0) for r in rho]
@@ -250,14 +246,15 @@ def norming_functional(x: LatticeVector, n: LatticeNorm) -> LatticeVector:
     """
     u = n.weight_list(x.dim, x.is_exact)
     one = Fraction(1) if x.is_exact else 1.0
+    x_entries = x.entries
     if n.p == 1.0:
-        return LatticeVector([_sign(a) * w * one for w, a in zip(u, x.entries)])
+        return LatticeVector([_sign(a) * w * one for w, a in zip(u, x_entries)])
     if n.p == INF:
-        best = max(range(x.dim), key=lambda j: u[j] * abs(x.entries[j]))
+        best = max(range(x.dim), key=lambda j: u[j] * abs(x_entries[j]))
         entries = [one * 0] * x.dim
-        entries[best] = _sign(x.entries[best]) * u[best] * one
+        entries[best] = _sign(x_entries[best]) * u[best] * one
         return LatticeVector(entries)
-    xi = [float(w) ** (1.0 / n.p) * float(a) for w, a in zip(u, x.entries)]
+    xi = [float(w) ** (1.0 / n.p) * float(a) for w, a in zip(u, x_entries)]
     norm_xi = sum(abs(s) ** n.p for s in xi) ** (1.0 / n.p)
     if norm_xi == 0.0:
         entries = [0.0] * x.dim
@@ -531,13 +528,12 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
     extreme point, so a finite enumeration over the y^x column assignments a
     computes the norm exactly.
 
-    The enumeration runs as an integer kernel: |A| is scaled to integers
-    over its common denominator D_A and |B| over D_B, and for each chunk of
-    assignments the images |A| T_a |B| = |A|[:, a] |B| are formed as numpy
-    object arrays of Python ints, which cannot overflow; the largest column
-    sum over all of them, over D_A D_B, is the norm.  Exact operators only
-    (``ScalarModeError`` otherwise); more than ``EXTREME_POINT_CAP`` extreme
-    points raise ``EnumerationLimitError`` before any work is done.
+    The enumeration runs as an integer kernel on the numerators of |A| and
+    |B|: for each chunk of assignments it forms the images
+    |A| T_a |B| = |A|[:, a] |B|; the largest column sum over all of them is
+    the norm.  Exact operators only (``ScalarModeError`` otherwise); more
+    than ``EXTREME_POINT_CAP`` extreme points raise ``EnumerationLimitError``
+    before any work is done.
     """
     if not (A.is_exact and B.is_exact):
         raise ScalarModeError("the extreme-point enumeration needs exact operators")
@@ -548,8 +544,8 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
             f"{y}^{x} = {points} extreme points exceed enumeration cap "
             f"{EXTREME_POINT_CAP}"
         )
-    absA, D_A = scaled_array(A.modulus_closed_form().entries, (A.rows, y))
-    absB, D_B = scaled_array(B.modulus_closed_form().entries, (x, B.cols))
+    modA, modB = A.modulus_closed_form(), B.modulus_closed_form()
+    absA, absB = modA._values, modB._values
     # Digit j of an assignment code (base y) is a_j; under the cap every y**j
     # fits in int64.  np.unravel_index would need x axes, and numpy has 64.
     radix = y ** np.arange(x, dtype=np.int64)
@@ -559,7 +555,7 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
         a = codes[:, None] // radix % y  # (N, x)
         images = absA.T[a].swapaxes(1, 2) @ absB  # |A| T_a |B|: (N, z, w)
         best = max(best, images.sum(axis=1).max())
-    return Fraction(best, D_A * D_B)
+    return Fraction(best, modA._den * modB._den)
 
 
 def verify_cor23(
@@ -710,8 +706,6 @@ def hadamard_tensor_power(m: int) -> RegularOperator:
     hadamard_order(m)
     H = RegularOperator.from_rows([[1, 1], [1, -1]])
     out = RegularOperator.identity(1)
-    from .superop import kron
-
     for _ in range(m):
         out = kron(out, H)
     return out

@@ -25,60 +25,50 @@ test-suite pins down.
 ``OperatorPartition`` models the operator-side decompositions
 ``sum_j |T_j| = T`` used by the superoperator formulas.
 
-``RegularOperator.apply`` and ``compose`` share one matrix product: row dot
-products against the columns of the right factor.  Exact operands run it
-on scaled integers, over the two factors' common denominators, with one
-``Fraction`` per output entry; float operands sum the same products left
-to right.
+``RegularOperator.apply`` and ``compose`` share one matrix product on the
+stored arrays (``lattice._matmul``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
 from random import Random
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .lattice import (
     DimensionMismatchError,
     LatticeVector,
     Partition,
     _Entrywise,
+    _matmul,
     default_partitions,
     refinement_chain,
 )
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    EXACT,
-    ScalarModeError,
-    coerce_entries,
-    one_of,
-    scalar_to_json,
-    scaled_integers,
-    zero_of,
-)
+from .scalars import DEFAULT_TOLERANCE, EXACT, ScalarModeError, scalar_to_json
 
 
 class RegularOperator(_Entrywise):
     """Matrix operator between coordinate Riesz spaces (rows x cols).
 
-    Entries are stored row-major as a flat tuple, all exact rationals or
-    all floats (mixed input is coerced to float).  The entrywise ring,
-    lattice and order operations come from the shared base in ``lattice``.
+    Entries are all exact rationals or all floats (mixed input is coerced
+    to float), stored as a rows x cols array.  The entrywise ring, lattice
+    and order operations come from the shared base in ``lattice``.
     """
+
+    __slots__ = ()
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         if rows <= 0 or cols <= 0:
             raise ValueError("operator dimensions must be positive")
-        coerced, _ = coerce_entries(entries)
-        if len(coerced) != rows * cols:
+        values, den = self._parse(entries)
+        if values.size != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} operator, "
-                f"got {len(coerced)}"
+                f"got {values.size}"
             )
-        object.__setattr__(self, "shape", (rows, cols))
-        object.__setattr__(self, "entries", coerced)
+        self._store(values.reshape(rows, cols), den)
 
     # -- structure ---------------------------------------------------------
 
@@ -90,18 +80,11 @@ class RegularOperator(_Entrywise):
     def cols(self) -> int:
         return self.shape[1]
 
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.shape[1] + j]
-
     def row(self, i: int) -> LatticeVector:
-        return LatticeVector._trusted(
-            (self.cols,), self.entries[i * self.cols : (i + 1) * self.cols]
-        )
+        return LatticeVector._of(self._values[i], self._den)
 
     def column(self, j: int) -> LatticeVector:
-        return LatticeVector._trusted(
-            (self.rows,), [self.entry(i, j) for i in range(self.rows)]
-        )
+        return LatticeVector._of(self._values[:, j], self._den)
 
     # -- constructors --------------------------------------------------------
 
@@ -111,7 +94,7 @@ class RegularOperator(_Entrywise):
 
     @classmethod
     def zero(cls, rows: int, cols: int, mode: str = EXACT) -> "RegularOperator":
-        return cls._trusted((rows, cols), [zero_of(mode)] * (rows * cols))
+        return cls._of(*cls._constant((rows, cols), 0, mode))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RegularOperator":
@@ -124,21 +107,16 @@ class RegularOperator(_Entrywise):
 
     @classmethod
     def diagonal(cls, diag: LatticeVector) -> "RegularOperator":
-        n = diag.dim
-        zero = zero_of(diag.mode)
-        return cls._trusted(
-            (n, n),
-            [diag.entries[i] if i == j else zero for i in range(n) for j in range(n)],
-        )
+        return cls._of(np.diag(diag._values), diag._den)
 
     @classmethod
     def matrix_unit(
         cls, rows: int, cols: int, i: int, j: int, mode: str = EXACT
     ) -> "RegularOperator":
         """E_ij: 1 in entry (i, j), zero elsewhere."""
-        entries = [zero_of(mode)] * (rows * cols)
-        entries[i * cols + j] = one_of(mode)
-        return cls._trusted((rows, cols), entries)
+        values, den = cls._constant((rows, cols), 0, mode)
+        values[i, j] = 1
+        return cls._of(values, den)
 
     @classmethod
     def from_json(cls, data: dict) -> "RegularOperator":
@@ -152,36 +130,21 @@ class RegularOperator(_Entrywise):
         }
 
     def to_lists(self) -> list:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols])
-                for i in range(self.rows)]
+        return np.array(self.entries, dtype=object).reshape(self.shape).tolist()
 
     def as_floats(self) -> list:
-        return [[float(self.entry(i, j)) for j in range(self.cols)]
-                for i in range(self.rows)]
+        return self.to_float()._values.tolist()
 
     # -- algebra ----------------------------------------------------------
 
-    def _product(self, right: Sequence, width: int) -> list:
-        """Row-major entries of self @ R for the self.cols x width matrix R
-        with row-major entries ``right`` (same scalar mode): row dot column,
-        summed left to right from int 0; exact entries as scaled integers
-        over the two common denominators, with one ``Fraction`` per entry."""
-        if self.is_exact:
-            A, D_A = scaled_integers(self.entries)
-            R, D_R = scaled_integers(right)
-        else:
-            A, R = self.entries, right
-        c = self.cols
-        columns = [R[j::width] for j in range(width)]
-        sums = [
-            sum(map(mul, A[i : i + c], column))
-            for i in range(0, len(A), c)
-            for column in columns
-        ]
-        if not self.is_exact:
-            return sums
-        D = D_A * D_R
-        return [Fraction(s, D) for s in sums]
+    def _product(self, right: _Entrywise):
+        """self @ R for a vector or matrix R of self.cols rows (same scalar
+        mode), as an instance of R's class."""
+        b = right._values
+        product = _matmul(self._values, b.reshape(len(b), -1)).reshape(
+            (self.rows,) + b.shape[1:]
+        )
+        return right._of(product, self._den and self._den * right._den)
 
     def apply(self, v: LatticeVector) -> LatticeVector:
         if v.dim != self.cols:
@@ -192,7 +155,7 @@ class RegularOperator(_Entrywise):
             raise ScalarModeError(
                 f"scalar mode mismatch: operator {self.mode}, vector {v.mode}"
             )
-        return LatticeVector._trusted((self.rows,), self._product(v.entries, 1))
+        return self._product(v)
 
     def compose(self, other: "RegularOperator") -> "RegularOperator":
         """Matrix product self @ other."""
@@ -204,18 +167,13 @@ class RegularOperator(_Entrywise):
             raise ScalarModeError(
                 f"scalar mode mismatch: {self.mode} vs {other.mode}"
             )
-        return self._trusted(
-            (self.rows, other.cols), self._product(other.entries, other.cols)
-        )
+        return self._product(other)
 
     def __matmul__(self, other: "RegularOperator") -> "RegularOperator":
         return self.compose(other)
 
     def transpose(self) -> "RegularOperator":
-        return self._trusted(
-            (self.cols, self.rows),
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
+        return self._of(self._values.T, self._den)
 
     # -- lattice closed forms ---------------------------------------------
 
@@ -236,12 +194,8 @@ def rank_one(functional: LatticeVector, value: LatticeVector) -> RegularOperator
         raise ScalarModeError(
             f"scalar mode mismatch: {functional.mode} vs {value.mode}"
         )
-    entries = [
-        value.entries[i] * functional.entries[j]
-        for i in range(value.dim)
-        for j in range(functional.dim)
-    ]
-    return RegularOperator._trusted((value.dim, functional.dim), entries)
+    product = np.multiply.outer(value._values, functional._values)
+    return RegularOperator._of(product, value._den and value._den * functional._den)
 
 
 # ---------------------------------------------------------------------------

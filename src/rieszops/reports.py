@@ -153,7 +153,6 @@ def make_report(
     details: Optional[dict] = None,
     tol: float = DEFAULT_TOLERANCE,
     status: Optional[str] = None,
-    runtime_ms: Optional[float] = None,
 ) -> VerificationReport:
     """Assemble a report from raw deviations.
 
@@ -181,7 +180,6 @@ def make_report(
         witnesses=tuple(witnesses),
         seed=seed,
         details=details or {},
-        runtime_ms=runtime_ms,
     )
 
 

@@ -9,17 +9,15 @@ Two scalar modes coexist and never mix inside one computation:
   need p-th roots.
 
 Construction coerces: ints and ``"p/q"`` strings become Fractions, any float
-entry drags the whole container to float mode.  Binary operations between an
-exact and a float container raise ``ScalarModeError``.
+entry drags the whole container to float mode; how a container stores them
+is decided in ``lattice``.  Binary operations between an exact and a float
+container raise ``ScalarModeError``.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from fractions import Fraction
-
-import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -72,25 +70,6 @@ def coerce_entries(values):
     if any(isinstance(v, float) for v in parsed):
         return tuple(float(v) for v in parsed), FLOAT
     return tuple(parsed), EXACT
-
-
-def scaled_integers(values):
-    """Exact scalars over their common denominator: (integers, D).
-
-    D is the lcm of the denominators of the ``Fraction`` values and the
-    integers are v * D, in order, so v == Fraction(integer, D) for each v.
-    The integer kernels compute on these Python ints, which cannot overflow.
-    """
-    values = tuple(values)
-    D = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (D // v.denominator) for v in values], D
-
-
-def scaled_array(values, shape):
-    """``scaled_integers`` as a numpy object array of Python ints of the
-    given shape, and the common denominator D."""
-    ints, D = scaled_integers(values)
-    return np.array(ints, dtype=object).reshape(shape), D
 
 
 def scalar_to_json(x):

@@ -29,31 +29,35 @@ The verifiers check, with exact rational arithmetic:
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
 
 ``operator_partition_sup`` takes the operator partitions themselves (by
-default the atomic one).  In exact mode it runs as an integer kernel: the
-pieces of all partitions, A0, B and w are scaled to Python ints over
-common denominators (``scalars.scaled_array``) and the images |A0 P B| w
-are formed as numpy object-array products, in chunks of at most
-``_KERNEL_CHUNK_ENTRIES`` image entries, with the per-partition sums
-carried across chunks.  ``partition_superop_sum`` stays the Fraction (and
-float-mode) loop the kernel is tested against.  The verifiers measure every
-identity by ``deviation``, the largest entrywise |X - Y| of two vectors or
-two operators.
+default the atomic one) and runs as one kernel on the stored arrays, in
+chunks of bounded size; the tests check it against the loop over
+partitions and pieces it replaced.  The verifiers measure every identity by
+``deviation``, the largest entrywise |X - Y| of two vectors or two
+operators.
 
-``kron`` refuses a product of more than ``KRON_ENTRY_CAP`` (2^20) entries
-with ``EnumerationLimitError`` before multiplying anything, so a rep of
-large inputs cannot exhaust memory.
+``kron``, ``vec`` and ``unvec`` act on the stored arrays.  ``kron`` refuses
+a product of more than ``KRON_ENTRY_CAP`` (2^20) entries with
+``EnumerationLimitError`` before multiplying anything, so a rep of large
+inputs cannot exhaust memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import DimensionMismatchError, EnumerationLimitError, LatticeVector
+from .lattice import (
+    DimensionMismatchError,
+    EnumerationLimitError,
+    LatticeVector,
+    _chunk_size,
+    _matmul,
+    _stack,
+)
 from .operators import (
     OperatorPartition,
     RegularOperator,
@@ -62,13 +66,7 @@ from .operators import (
     trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    ScalarModeError,
-    scalar_to_json,
-    scaled_array,
-    zero_of,
-)
+from .scalars import DEFAULT_TOLERANCE, ScalarModeError, scalar_to_json, zero_of
 
 
 #: Entries a ``kron`` may produce: H_2^{(x) 10} (norms.HADAMARD_ENTRY_CAP
@@ -91,21 +89,14 @@ def kron(P: RegularOperator, Q: RegularOperator) -> RegularOperator:
             f"kron of {P.shape} and {Q.shape} has {entries_out} entries, "
             f"above kron entry cap {KRON_ENTRY_CAP}"
         )
-    entries = []
-    for pr in range(P.rows):
-        for qr in range(Q.rows):
-            for pc in range(P.cols):
-                for qc in range(Q.cols):
-                    entries.append(P.entry(pr, pc) * Q.entry(qr, qc))
-    return RegularOperator._trusted((P.rows * Q.rows, P.cols * Q.cols), entries)
+    blocks = np.multiply.outer(P._values, Q._values).transpose(0, 2, 1, 3)
+    shape = (P.rows * Q.rows, P.cols * Q.cols)
+    return RegularOperator._of(blocks.reshape(shape), P._den and P._den * Q._den)
 
 
 def vec(T: RegularOperator) -> LatticeVector:
     """Column-major stacking of a matrix into a vector."""
-    return LatticeVector._trusted(
-        (T.rows * T.cols,),
-        [T.entry(i, j) for j in range(T.cols) for i in range(T.rows)],
-    )
+    return LatticeVector._of(T._values.ravel(order="F"), T._den)
 
 
 def unvec(v: LatticeVector, rows: int, cols: int) -> RegularOperator:
@@ -114,8 +105,7 @@ def unvec(v: LatticeVector, rows: int, cols: int) -> RegularOperator:
         raise DimensionMismatchError(
             f"cannot reshape dim {v.dim} into {rows}x{cols}"
         )
-    entries = [v.entries[j * rows + i] for i in range(rows) for j in range(cols)]
-    return RegularOperator._trusted((rows, cols), entries)
+    return RegularOperator._of(v._values.reshape(cols, rows).T, v._den)
 
 
 @dataclass(frozen=True)
@@ -197,37 +187,17 @@ class Superoperator:
 def deviation(X, Y):
     """Largest entrywise |X - Y| of two vectors or two operators
     (Fraction in exact mode, float otherwise)."""
-    return max(abs(a) for a in (X - Y).entries)
+    return abs(X - Y).max_entry()
 
 
 def one_sided_excess(x: LatticeVector, upper: LatticeVector):
     """How far x pokes above upper: max(0, max_i (x - upper)_i)."""
-    diff = x - upper
-    worst = max(diff.entries)
-    zero = zero_of(x.mode)
-    return worst if worst > zero else zero
+    return max(zero_of(x.mode), (x - upper).max_entry())
 
 
 # ---------------------------------------------------------------------------
 # the operator-partition supremum
 # ---------------------------------------------------------------------------
-
-def partition_superop_sum(
-    A0: RegularOperator,
-    B: RegularOperator,
-    partition: OperatorPartition,
-) -> RegularOperator:
-    """sum_j |A0 T_j B| for one operator partition of T."""
-    total = RegularOperator.zero(A0.rows, B.cols, A0.mode)
-    for piece in partition.pieces:
-        total = total + (A0 @ piece @ B).modulus_closed_form()
-    return total
-
-
-#: Entries of the kernel's per-chunk image intermediates (A0 P and A0 P B),
-#: so its memory stays bounded however many pieces the partitions have.
-_KERNEL_CHUNK_ENTRIES = 1 << 16
-
 
 def operator_partition_sup(
     A0: RegularOperator,
@@ -244,17 +214,10 @@ def operator_partition_sup(
     partitions give componentwise smaller-or-equal values (cancellation
     inside |A0 T_j B| only ever loses mass).
 
-    Exact inputs go through an integer kernel: every piece of every
-    partition is scaled by the common denominator D_T of all pieces, and
-    A0, B and w by their own D_A, D_B, D_w, so each partition's value is
-    sum_j |A P_j B| W / (D_A D_T D_B D_w)  over numpy object arrays of
-    Python ints, which cannot overflow.  The images are formed in chunks of
-    pieces holding at most ``_KERNEL_CHUNK_ENTRIES`` entries, with the
-    per-partition sums carried across chunks, so an atomic partition's
-    y x pieces never need y x z w image entries at once.  The result equals
-    the entrywise maximum of ``partition_superop_sum(...).apply(w)`` over
-    the same partitions exactly.  Inputs that are not all exact run that
-    loop itself, so float results (and mode-mismatch errors) are unchanged.
+    The images |A0 P_j B| of all pieces are formed on the stacked values,
+    in chunks of bounded size, and summed per partition in piece order, so
+    an atomic partition's y x pieces never need y x z w image entries at
+    once; float results match summing the images as operators one by one.
     """
     if not A0.is_positive():
         raise ValueError("the partition supremum needs a positive left factor")
@@ -277,31 +240,23 @@ def operator_partition_sup(
         raise ValueError("no operator partitions to try")
     if any(partition.target != T for partition in partitions):
         raise ValueError("an operator partition does not split T")
-    if not (A0.is_exact and B.is_exact and T.is_exact and w.is_exact):
-        best: Optional[LatticeVector] = None
-        for partition in partitions:
-            value = partition_superop_sum(A0, B, partition).apply(w)
-            best = value if best is None else best.join(value)
-        return best
-    (z, y), (x, cols) = A0.shape, B.shape
+    if len({A0.mode, B.mode, T.mode, w.mode}) > 1:
+        raise ScalarModeError("A0, B, T and w must share one scalar mode")
+    z, (x, cols) = A0.rows, B.shape
     pieces = [piece for partition in partitions for piece in partition.pieces]
-    P, D_T = scaled_array(
-        (v for piece in pieces for v in piece.entries), (len(pieces), y, x)
-    )
-    A, D_A = scaled_array(A0.entries, (z, y))
-    Bm, D_B = scaled_array(B.entries, (x, cols))
-    W, D_w = scaled_array(w.entries, (cols,))
+    P, D_T = _stack(pieces)
     owner = np.repeat(np.arange(len(partitions)), [len(p) for p in partitions])
-    sums = np.zeros((len(partitions), z), dtype=object)
-    step = max(1, _KERNEL_CHUNK_ENTRIES // (z * max(x, cols)))
+    sums = np.zeros((len(partitions), z, cols), dtype=P.dtype)
+    step = _chunk_size(z * max(x, cols))
     for start in range(0, len(pieces), step):
-        values = np.abs(A @ P[start : start + step] @ Bm) @ W  # (pieces, z)
-        ids = owner[start : start + step]
-        firsts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        sums[ids[firsts]] += np.add.reduceat(values, firsts, axis=0)
-    D = D_A * D_T * D_B * D_w
-    best = np.maximum.reduce(sums, axis=0)
-    return LatticeVector._trusted((z,), [Fraction(v, D) for v in best])
+        images = _matmul(_matmul(A0._values, P[start : start + step]), B._values)
+        for partition, image in zip(owner[start : start + step], np.abs(images)):
+            sums[partition] = sums[partition] + image
+    values = _matmul(sums, w._values[:, None])[..., 0]  # (partitions, z)
+    best = values[0]
+    for value in values[1:]:
+        best = np.where(value > best, value, best)
+    return LatticeVector._of(best, D_T and A0._den * D_T * B._den * w._den)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +365,9 @@ def verify_cor22(
         Superoperator.build(An, Bp),
         Superoperator.build(An, Bn),
     )
-    zero = zero_of(A.mode)
-    dev_disjoint = zero
-    for i in range(4):
-        for j in range(i + 1, 4):
-            meet_rep = corners[i].rep.meet_closed_form(corners[j].rep)
-            worst = max(abs(a) for a in meet_rep.entries)
-            dev_disjoint = max(dev_disjoint, worst)
+    dev_disjoint = max(
+        abs(P.meet(Q).rep).max_entry() for P, Q in combinations(corners, 2)
+    )
 
     signed = corners[0] - corners[1] - corners[2] + corners[3]
     dev_expansion = deviation(signed.rep, M.rep)

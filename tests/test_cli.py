@@ -266,6 +266,75 @@ def test_verify_gap_refuses_corpus_and_other_roles(flags, needle, no_file_reads,
     _assert_usage_error(capsys, ["verify", "gap", *flags], needle)
 
 
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["verify", "prop21", "--corpus", "seed=1,count=2", "--k", "4"],
+         "verify prop21 does not take --k"),
+        (["verify", "cor23", "--A", "a.json", "--B", "b.json", "--n", "3"],
+         "verify cor23 does not take --n"),
+        (["verify", "gap", "--m", "2", "--n", "3", "--k", "1"],
+         "verify gap does not take --n, --k"),
+    ],
+)
+def test_verify_refuses_lab_flags_outside_counterexample(argv, needle, no_file_reads, capsys):
+    _assert_usage_error(capsys, argv, needle)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["verify", "cor23", "--corpus", "seed=1,count=2", "--m", "3"],
+         "verify cor23 does not take --m"),
+        (["verify", "counterexample", "--m", "2"],
+         "verify counterexample does not take --m"),
+    ],
+)
+def test_verify_refuses_m_outside_gap(argv, needle, no_file_reads, capsys):
+    _assert_usage_error(capsys, argv, needle)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["verify", "cor22", "--corpus", "seed=1,count=2", "--m", "3", "--n", "9",
+          "--samples", "5", "--p-in", "3"],
+         "verify cor22 does not take --n, --m, --samples, --p-in"),
+        (["verify", "synnatzschke_a", "--corpus", "seed=1,count=2", "--p-mid1", "2",
+          "--p-mid2", "2", "--p-out", "1"],
+         "verify synnatzschke_a does not take --p-mid1, --p-mid2, --p-out"),
+        (["verify", "counterexample", "--samples", "10"],
+         "verify counterexample does not take --samples"),
+    ],
+)
+def test_verify_refuses_norm_flags_outside_cor23_and_gap(argv, needle, no_file_reads, capsys):
+    _assert_usage_error(capsys, argv, needle)
+
+
+@pytest.mark.parametrize(
+    "bare,explicit",
+    [
+        (["verify", "counterexample"], ["--n", "3", "--k", "1"]),
+        (["verify", "gap", "--m", "1"], ["--samples", "200"]),
+        (["verify", "cor23", "--corpus", "seed=1,count=2"], ["--samples", "200"]),
+    ],
+)
+def test_verify_flag_defaults_resolve_per_claim(bare, explicit, capsys):
+    assert main(bare) == 0
+    default_bytes = capsys.readouterr().out
+    assert main(bare + explicit) == 0
+    assert capsys.readouterr().out == default_bytes
+
+
+def test_exact_flag_refuses_a_float_corpus_before_any_verifier(monkeypatch, capsys):
+    def no_verifier(*args, **kwargs):
+        raise AssertionError("a verifier ran before --exact was checked")
+
+    monkeypatch.setattr(cli, "verify_cor22", no_verifier)
+    argv = ["verify", "cor22", "--corpus", "seed=1,count=2,distribution=float", "--exact"]
+    _assert_usage_error(capsys, argv, "--exact was given but an input contains float entries")
+
+
 @pytest.mark.parametrize("command", [["gap"], ["verify", "gap"]])
 @pytest.mark.parametrize("files", [["--A", "a.json"], ["--A", "a.json", "--B", "b.json"]])
 def test_gap_refuses_m_with_files(command, files, no_file_reads, capsys):

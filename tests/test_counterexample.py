@@ -20,7 +20,7 @@ from rieszops import (
     meet_via_components,
     single_support_check,
 )
-from rieszops import counterexample
+from rieszops import counterexample, lattice
 from rieszops.counterexample import (
     _e_partitions,
     _positive_splits,
@@ -207,7 +207,7 @@ def test_component_kernel_matches_reference_loop(n):
 
 def test_component_kernel_chunks_agree(monkeypatch):
     # One component per chunk: the running minimum over chunks is the same.
-    monkeypatch.setattr(counterexample, "_KERNEL_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1)
     rng = Random(8)
     for k in (0, 3, 6):
         f = CoordinateFunctional(7, k)
@@ -293,7 +293,7 @@ def test_integer_kernel_chunks_agree(monkeypatch):
     T = _random_positive(Random(3), 5)
     whole = inf_G_double_prime(T, f, partition_budget=52, operator_split_samples=6)
     # One partition per chunk: the running minimum over chunks is the same.
-    monkeypatch.setattr(counterexample, "_KERNEL_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1)
     chunked = inf_G_double_prime(T, f, partition_budget=52, operator_split_samples=6)
     assert chunked.entries == whole.entries
 

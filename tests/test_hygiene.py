@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private top-level name is left that no module of the package uses."""
+no private top-level name is left that no module of the package uses, and
+only ``lattice`` turns exact scalars into numerators over a denominator."""
 
 import ast
 from pathlib import Path
@@ -137,3 +138,56 @@ def test_the_dead_code_check_flags_unused_private_names():
         "b": "from .a import _shared\nVALUE = _shared()\n",
     }
     assert dead_private_names(sources) == ["a._UNUSED", "a._recursive", "a._Dead"]
+
+
+def scaling_reads(source: str) -> list:
+    """Where a module reads ``.numerator`` or ``.denominator`` or calls
+    ``math.lcm`` (also when imported as a bare name), in source order."""
+    tree = ast.parse(source)
+    lcm_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+        if alias.name == "lcm"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+            found.append((node.lineno, node.col_offset, f".{node.attr}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "lcm"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "math"
+            ) or (isinstance(func, ast.Name) and func.id in lcm_names):
+                found.append((node.lineno, node.col_offset, "lcm"))
+    return [f"{what} (line {line})" for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_only_lattice_scales_exact_scalars(path):
+    reads = scaling_reads(path.read_text(encoding="utf-8"))
+    assert not reads, (
+        f"{path.name} scales exact scalars itself: {reads}; the storage in "
+        "lattice._Entrywise holds numerators over one denominator"
+    )
+
+
+def test_the_scaling_check_flags_lcm_and_fraction_parts():
+    source = (
+        "import math\n"
+        "from math import lcm as common\n"
+        "def f(values, x):\n"
+        "    D = math.lcm(*(v.denominator for v in values))\n"
+        "    return [v.numerator * D for v in values], common(D, 2), x.den\n"
+    )
+    assert scaling_reads(source) == [
+        "lcm (line 4)", ".denominator (line 4)", ".numerator (line 5)", "lcm (line 5)"
+    ]
+    lattice = (SRC / "lattice.py").read_text(encoding="utf-8")
+    assert "lcm" in " ".join(scaling_reads(lattice))

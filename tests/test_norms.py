@@ -345,13 +345,20 @@ def test_1chain_rejects_float_operators():
 
 
 def test_1chain_over_cap_raises_before_any_work(monkeypatch):
-    def no_work(values, shape):
-        raise AssertionError("the cap must be checked before any scaling")
+    def no_work(self):
+        raise AssertionError("the cap must be checked before any work")
 
-    monkeypatch.setattr(norms, "scaled_array", no_work)
+    # The kernel's first step takes the moduli whose numerators it reads.
+    monkeypatch.setattr(RegularOperator, "modulus_closed_form", no_work)
     A, B = _chain_pair(Random(2307), 8, 8, 8, 8)
     assert 8**8 > norms.EXTREME_POINT_CAP
     with pytest.raises(EnumerationLimitError, match="enumeration cap"):
+        superop_regular_norm_1chain(A, B)
+    # Exactly at the cap (2^20 extreme points) the check passes and the
+    # work begins.
+    A, B = _chain_pair(Random(2307), 1, 20, 2, 1)
+    assert 2**20 == norms.EXTREME_POINT_CAP
+    with pytest.raises(AssertionError, match="before any work"):
         superop_regular_norm_1chain(A, B)
 
 

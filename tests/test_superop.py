@@ -21,9 +21,8 @@ from rieszops import (
     verify_prop21,
     verify_synnatzschke_a,
 )
-from rieszops import norms, superop
+from rieszops import lattice, norms, superop
 from rieszops.lattice import EnumerationLimitError
-from rieszops.superop import partition_superop_sum
 
 from conftest import fractions_st, matrices, positive_fractions_st, superop_quadruple_dims
 
@@ -181,12 +180,21 @@ def test_partition_sup_input_validation():
         operator_partition_sup(A0, B, T, w, [atomic_operator_partition(T), other])
 
 
+def _partition_superop_sum(A0, B, partition):
+    """sum_j |A0 T_j B| for one operator partition of T, one operator at a
+    time (the loop ``operator_partition_sup`` replaced)."""
+    total = RegularOperator.zero(A0.rows, B.cols, A0.mode)
+    for piece in partition.pieces:
+        total = total + (A0 @ piece @ B).modulus_closed_form()
+    return total
+
+
 def _reference_partition_sup(A0, B, T, w, partitions):
-    """The supremum as the Fraction loop over ``partition_superop_sum``, the
-    reference for the integer kernel."""
+    """The supremum as the Fraction (or float) loop over
+    ``_partition_superop_sum``, the reference for the kernel."""
     best = None
     for partition in partitions:
-        value = partition_superop_sum(A0, B, partition).apply(w)
+        value = _partition_superop_sum(A0, B, partition).apply(w)
         best = value if best is None else best.join(value)
     return best
 
@@ -257,7 +265,7 @@ def test_partition_sup_kernel_chunks_agree(monkeypatch):
     whole = operator_partition_sup(A0, B, T, v, schemes)
     # 16 image entries per piece: one piece per chunk, so every partition of
     # more than one piece has its sum carried across chunks.
-    monkeypatch.setattr(superop, "_KERNEL_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1)
     chunked = operator_partition_sup(A0, B, T, v, schemes)
     assert chunked.entries == whole.entries
     assert chunked.entries == _reference_partition_sup(A0, B, T, v, schemes).entries
@@ -274,11 +282,38 @@ def test_partition_sup_float_mode_runs_the_loop():
         assert all(type(e) is float for e in got.entries)
 
 
-def test_kron_cap_raises_before_any_product(monkeypatch):
-    def no_entry(self, i, j):
-        raise AssertionError("the cap must be checked before any product")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_partition_sup_float_kernel_matches_the_loop_bit_for_bit():
+    rng = Random(12)
+    special = [0.0, -0.0, 1e300, 1e-300, 2.5, 0.1]  # all count as positive
 
-    monkeypatch.setattr(RegularOperator, "entry", no_entry)
+    def floats(count, positive, pool=special):
+        low = 0.0 if positive else -1.0
+        return [rng.choice(pool) if rng.random() < 0.4 else rng.uniform(low, 1.0)
+                for _ in range(count)]
+
+    for dims in [(2, 2, 2, 2), (3, 2, 3, 2), (2, 4, 3, 3)]:
+        w, x, y, z = dims
+
+        A0 = RegularOperator(z, y, floats(z * y, True))
+        B = RegularOperator(x, w, floats(x * w, False))
+        # Split pieces of a 1e300 entry miss their sum by more than the
+        # absolute partition tolerance, so T keeps to the other values.
+        T = RegularOperator(y, x, floats(y * x, True, special[:2] + special[3:]))
+        v = LatticeVector(floats(w, True))
+        for schemes in _kernel_strategies(T, seed=dims[1]):
+            got = operator_partition_sup(A0, B, T, v, schemes).entries
+            want = _reference_partition_sup(A0, B, T, v, schemes).entries
+            assert [a.hex() for a in got] == [b.hex() for b in want]
+
+
+def test_kron_cap_raises_before_any_product(monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError("the cap must be checked before any product")
+
+    # kron's first numpy call is its product of the two arrays.
+    monkeypatch.setattr(superop, "np", NoArrays())
     assert superop.KRON_ENTRY_CAP >= norms.HADAMARD_ENTRY_CAP
     column = RegularOperator(1024, 1, [Fraction(1)] * 1024)
     taller = RegularOperator(1025, 1, [Fraction(1)] * 1025)
