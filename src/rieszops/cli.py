@@ -31,6 +31,7 @@ Reports are canonical JSON: identical invocations (same inputs, same
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,10 +88,19 @@ def _load_json(path: str) -> dict:
 
 
 def _load(path: str, cls=RegularOperator):
-    """A matrix (a vector for ``cls=LatticeVector``) from a JSON input file."""
+    """A matrix (a vector for ``cls=LatticeVector``) from a JSON input file:
+    its shape fields ints >= 1, its entries a list, its floats finite."""
     data = _load_json(path)
     try:
-        return cls.from_json(data)
+        for name in ("rows", "cols", "dim"):
+            if name in data and (type(data[name]) is not int or data[name] < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {data[name]!r}")
+        if type(data["entries"]) is not list:
+            raise ValueError(f"entries must be a list, got {data['entries']!r}")
+        loaded = cls.from_json(data)
+        if not (loaded.is_exact or all(map(math.isfinite, loaded.entries))):
+            raise ValueError("entries must be finite")
+        return loaded
     except (KeyError, TypeError, ValueError) as exc:
         kind = "matrix" if cls is RegularOperator else "vector"
         raise UsageError(f"{path} is not a valid {kind} file: {exc}") from exc
@@ -310,11 +320,18 @@ def _run_norm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=tolerance,
         default=DEFAULT_TOLERANCE,
         help="float comparison tolerance (exact mode ignores it)",
     )
@@ -338,7 +355,9 @@ def _add_norm_flags(parser: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="rieszops",
         description=(

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .lattice import LatticeVector
 from .operators import RegularOperator
@@ -175,60 +175,6 @@ def claim_cases(corpus: Corpus, claim_id: str) -> Iterator[dict]:
     rng = Random(corpus.seed)
     for _ in range(corpus.count):
         yield {role: _draw_role(rng, corpus, role) for role in CLAIM_ROLES[claim_id]}
-
-
-def mixed_dims_pairs(
-    seed: int, count: int, dim_choices: Sequence[int] = (1, 2, 3)
-) -> Iterator[tuple]:
-    """(dims, A, B) with each of w, x, y, z drawn from ``dim_choices``."""
-    rng = Random(seed)
-    for _ in range(count):
-        w, x, y, z = (rng.choice(dim_choices) for _ in range(4))
-        A = random_matrix(rng, z, y)
-        B = random_matrix(rng, x, w)
-        yield (w, x, y, z), A, B
-
-
-def mixed_dims_prop21_cases(
-    seed: int,
-    count: int,
-    dim_choices: Sequence[int] = (1, 2, 3),
-    vectors_per_case: int = 3,
-) -> Iterator[dict]:
-    """Positive-left-factor bundles with dims drawn per case."""
-    rng = Random(seed)
-    for _ in range(count):
-        w, x, y, z = (rng.choice(dim_choices) for _ in range(4))
-        yield {
-            "dims": (w, x, y, z),
-            "A0": random_matrix(rng, z, y, sign_mode="positive"),
-            "B": random_matrix(rng, x, w),
-            "D": random_matrix(rng, x, w),
-            "T": random_matrix(rng, y, x, sign_mode="positive"),
-            "ws": [
-                random_vector(rng, w, sign_mode="positive")
-                for _ in range(vectors_per_case)
-            ],
-        }
-
-
-def square_matrix_cases(
-    seed: int,
-    size: int,
-    count: int,
-    vectors_per_matrix: int = 20,
-    sign_mode: str = "mixed",
-) -> Iterator[dict]:
-    """(B, [w...]) bundles of one square matrix and positive test vectors."""
-    rng = Random(seed)
-    for _ in range(count):
-        yield {
-            "B": random_matrix(rng, size, size, sign_mode=sign_mode),
-            "ws": [
-                random_vector(rng, size, sign_mode="positive")
-                for _ in range(vectors_per_matrix)
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------

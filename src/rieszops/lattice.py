@@ -15,8 +15,9 @@ denominator.  In exact mode the array holds Python-int numerators (an
 object array, so nothing overflows) over the denominator D, in lowest
 terms (gcd(D, numerators) = 1), so equal values have equal storage; in
 float mode it is float64 and D is None.  ``entries`` builds ``Fraction``s
-(or floats) on each access, for JSON and for callers that index; every
-operation, and the integer kernels of the other modules, read the array
+(or floats) on each access, for callers that index; ``to_json`` writes
+"p/q" strings straight from the numerators; every operation, and the
+integer kernels of the other modules, read the array
 (``_stack`` puts several over one denominator, ``_chunk_size`` bounds a
 kernel's intermediates).  Float results match Python float arithmetic bit
 for bit, Python's tie rule on -0.0 and 0.0 included.
@@ -44,7 +45,6 @@ from .scalars import (
     FLOAT,
     ScalarModeError,
     coerce_entries,
-    scalar_to_json,
 )
 
 #: Largest support size for which component / partition enumeration is
@@ -178,6 +178,15 @@ class _Entrywise:
         if self._den is None:
             return tuple(self._values.ravel().tolist())
         return tuple(Fraction(v, self._den) for v in self._values.flat)
+
+    def _json_entries(self) -> list:
+        """The entries in row-major order for JSON: floats as they are, exact
+        entries as "p" or "p/q" strings in lowest terms, one gcd each."""
+        D = self._den
+        if D is None:
+            return self._values.ravel().tolist()
+        return [str(v // g) if (g := math.gcd(v, D)) == D else f"{v // g}/{D // g}"
+                for v in self._values.flat]
 
     def _scalar(self, value):
         """One stored value as a scalar of the container's mode."""
@@ -383,7 +392,7 @@ class LatticeVector(_Entrywise):
         return vec
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "entries": [scalar_to_json(x) for x in self.entries]}
+        return {"dim": self.dim, "entries": self._json_entries()}
 
     def dot(self, other: "LatticeVector"):
         self._check_compatible(other)

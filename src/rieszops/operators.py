@@ -46,7 +46,7 @@ from .lattice import (
     default_partitions,
     refinement_chain,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, ScalarModeError, scalar_to_json
+from .scalars import DEFAULT_TOLERANCE, EXACT, ScalarModeError
 
 
 class RegularOperator(_Entrywise):
@@ -126,7 +126,7 @@ class RegularOperator(_Entrywise):
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [scalar_to_json(x) for x in self.entries],
+            "entries": self._json_entries(),
         }
 
     def to_lists(self) -> list:

@@ -77,6 +77,9 @@ def canonical_json(obj) -> str:
             parts.append(f"{json.dumps(key, ensure_ascii=True)}:{canonical_json(obj[key])}")
         return "{" + ",".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {str}:
+            # The same bytes as the recursion, in one call.
+            return json.dumps(obj, ensure_ascii=True, separators=(",", ":"))
         return "[" + ",".join(canonical_json(x) for x in obj) + "]"
     return _canon_scalar(obj)
 

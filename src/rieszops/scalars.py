@@ -79,22 +79,11 @@ def scalar_to_json(x):
     return float(x)
 
 
-def eq(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Mode-aware scalar equality."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return abs(float(a) - float(b)) <= tol
-
-
 def le(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Mode-aware scalar <=; float comparisons get +tol slack."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a <= b
     return float(a) <= float(b) + tol
-
-
-def is_zero(a, tol: float = DEFAULT_TOLERANCE) -> bool:
-    return eq(a, Fraction(0) if isinstance(a, Fraction) else 0.0, tol)
 
 
 def zero_of(mode: str):

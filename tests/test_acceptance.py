@@ -24,14 +24,10 @@ from rieszops import (
     verify_prop21,
 )
 from rieszops.cli import main
-from rieszops.corpus import (
-    mixed_dims_pairs,
-    mixed_dims_prop21_cases,
-    square_matrix_cases,
-)
 from rieszops.lattice import atomic_partition
 
 import conftest
+from cases import mixed_dims_pairs, mixed_dims_prop21_cases, square_matrix_cases
 
 SEED = 20260819
 

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from rieszops import cli
 from rieszops.cli import main
 from rieszops.reports import canonical_json
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _write(path, obj):
@@ -100,15 +105,15 @@ def test_verify_gap_via_m(capsys):
 
 
 def test_failing_claim_exits_1(tmp_path, capsys):
-    # float inputs with an impossible tolerance: an honest fail + exit 1
-    a = _write(tmp_path / "fa.json", {"rows": 2, "cols": 2, "entries": [0.5, -1.5, 2.0, 1.0]})
-    b = _write(tmp_path / "fb.json", {"rows": 2, "cols": 2, "entries": [1.0, 0.5, -0.25, 2.0]})
-    code = main(
-        ["verify", "cor23", "--A", a, "--B", b, "--samples", "20", "--tolerance", "-1"]
-    )
+    # float inputs whose rounding (2.2e-16) exceeds a zero tolerance: an
+    # honest fail + exit 1
+    a = _write(tmp_path / "fa.json", {"rows": 2, "cols": 2, "entries": [0.7, 0.5, 0.2, 0.5]})
+    b = _write(tmp_path / "fb.json", {"rows": 2, "cols": 2, "entries": [0.0, -0.2, 0.6, -0.4]})
+    code = main(["verify", "prop21", "--A0", a, "--B", b, "--tolerance", "0"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "fail"
+    assert report["max_deviation"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -565,3 +570,115 @@ def test_counterexample_n16_lab_runs_under_the_cap(capsys):
 def test_usage_error_exits_2():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# tolerance and input-file schema
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_nonnegative(value, float_files, capsys):
+    a, b = float_files
+    assert main(["verify", "cor22", "--A", a, "--B", b, "--tolerance", value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: argument --tolerance: must be finite and >= 0, got {value}" in out.err
+
+
+def test_tolerance_zero_is_valid(matrix_files, capsys):
+    a, b = matrix_files
+    assert main(["verify", "cor22", "--A", a, "--B", b, "--tolerance", "0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("rows", 2.7), ("rows", True), ("cols", 2.0), ("cols", "2"), ("rows", 0)],
+)
+def test_matrix_shape_fields_must_be_positive_ints(field, value, tmp_path, matrix_files, capsys):
+    entries = {"rows": 2, "cols": 2, "entries": [0.5, 1.5, 2.0, 1.0]}
+    bad = _write(tmp_path / "bad.json", {**entries, field: value})
+    _assert_usage_error(
+        capsys, ["verify", "cor22", "--A", bad, "--B", matrix_files[1]],
+        f"not a valid matrix file: {field} must be an integer >= 1, got {value!r}",
+    )
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_vector_dim_must_be_a_positive_int(value, tmp_path, matrix_files, capsys):
+    a, b = matrix_files
+    pos = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    w = _write(tmp_path / "w.json", {"dim": value, "entries": ["1"] * 2})
+    _assert_usage_error(
+        capsys, ["verify", "prop21", "--A0", pos, "--B", b, "--w", w],
+        f"not a valid vector file: dim must be an integer >= 1, got {value!r}",
+    )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("command", [["verify", "cor22"], ["gap"]])
+def test_non_finite_entries_are_refused_on_load(value, command, tmp_path, matrix_files, capsys):
+    bad = _write(tmp_path / "bad.json", {"rows": 2, "cols": 2, "entries": [0.5, value, 2.0, 1.0]})
+    _assert_usage_error(
+        capsys, command + ["--A", bad, "--B", bad],
+        "not a valid matrix file: entries must be finite",
+    )
+
+
+@pytest.mark.parametrize("entries", ["1234", {"0": 1}])
+def test_entries_must_be_a_list(entries, tmp_path, capsys):
+    bad = _write(tmp_path / "bad.json", {"rows": 2, "cols": 2, "entries": entries})
+    _assert_usage_error(
+        capsys, ["verify", "cor22", "--A", bad, "--B", bad],
+        f"not a valid matrix file: entries must be a list, got {entries!r}",
+    )
+
+
+def test_non_finite_vector_entry_is_refused_on_load(tmp_path, float_files, capsys):
+    a, b = float_files
+    w = _write(tmp_path / "w.json", {"entries": [1.0, float("nan")]})
+    _assert_usage_error(
+        capsys, ["verify", "prop21", "--A0", a, "--B", b, "--w", w],
+        "not a valid vector file: entries must be finite",
+    )
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _strip_runtime(err):
+    return re.sub(r" \(\d+\.\d ms\)$", "", err, flags=re.M)
+
+
+STATELESS_RUNS = [
+    ["gap", "--m", "1"],
+    ["verify", "cor23", "--corpus", "seed=3,count=2", "--samples", "7"],
+    ["verify", "cor22", "--tolerance", "-1", "--corpus", "seed=3,count=2"],
+    ["counterexample", "--n", "3", "--k", "2"],
+    ["gap", "--m", "1"],
+]
+
+
+def test_the_shared_parser_carries_no_state_between_runs(monkeypatch, capsys):
+    # Each run alone in a fresh process, then all of them in this one.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    alone = []
+    for argv in STATELESS_RUNS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rieszops", *argv], capture_output=True, text=True, env=env
+        )
+        alone.append((proc.returncode, proc.stdout, _strip_runtime(proc.stderr)))
+    together = []
+    for argv in STATELESS_RUNS:
+        code = main(argv)
+        out = capsys.readouterr()
+        together.append((code, out.out, _strip_runtime(out.err)))
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0]
+    assert together == alone

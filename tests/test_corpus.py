@@ -5,11 +5,8 @@ import os
 import pytest
 
 from rieszops import Corpus, claim_cases, generate_corpus, parse_corpus_spec
-from rieszops.corpus import (
-    mixed_dims_pairs,
-    mixed_dims_prop21_cases,
-    square_matrix_cases,
-)
+
+from cases import mixed_dims_pairs, mixed_dims_prop21_cases, square_matrix_cases
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from rieszops.scalars import (
     EXACT,
     FLOAT,
     coerce_entries,
-    eq,
-    is_zero,
     le,
     one_of,
     parse_scalar,
@@ -101,22 +99,12 @@ def test_scalar_to_json_roundtrip():
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
 def test_exact_comparisons_are_sharp(a, b):
-    assert eq(a, b) == (a == b)
     assert le(a, b) == (a <= b)
 
 
 def test_float_comparisons_have_slack():
-    assert eq(1.0, 1.0 + DEFAULT_TOLERANCE / 2)
-    assert not eq(1.0, 1.0 + 10 * DEFAULT_TOLERANCE)
     assert le(1.0 + DEFAULT_TOLERANCE / 2, 1.0)
     assert not le(1.0 + 10 * DEFAULT_TOLERANCE, 1.0)
-
-
-def test_is_zero_modes():
-    assert is_zero(Fraction(0))
-    assert not is_zero(Fraction(1, 10**9))  # exact mode has no slack
-    assert is_zero(1e-12)
-    assert not is_zero(1e-3)
 
 
 def test_mode_constants():

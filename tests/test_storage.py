@@ -20,12 +20,23 @@ import pytest
 from rieszops import LatticeVector, RegularOperator, kron, unvec, vec
 from rieszops.lattice import SPLIT_DENOMINATOR, _integer_composition
 from rieszops.operators import atomic_operator_partition
-from rieszops.scalars import eq, is_zero, le, zero_of
+from rieszops.scalars import DEFAULT_TOLERANCE, le, zero_of
 from rieszops.superop import deviation, operator_partition_sup
 
 # ---------------------------------------------------------------------------
 # references: the tuple loops
 # ---------------------------------------------------------------------------
+
+
+def eq(a, b, tol=DEFAULT_TOLERANCE):
+    """The tuple loops' scalar equality: exact, or within ``tol`` for floats."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    return abs(float(a) - float(b)) <= tol
+
+
+def is_zero(a):
+    return eq(a, Fraction(0) if isinstance(a, Fraction) else 0.0)
 
 
 def _ref_scale(x, c):
