@@ -23,7 +23,6 @@ from .counterexample import (
 )
 from .corpus import Corpus, claim_cases, generate_corpus, parse_corpus_spec
 from .lattice import (
-    Component,
     DimensionMismatchError,
     LatticeVector,
     Partition,
@@ -31,7 +30,6 @@ from .lattice import (
     default_partitions,
     disjoint_partitions,
     dyadic_partition,
-    enumerate_components,
     halves_partition,
     refinement_chain,
     trivial_partition,
@@ -53,7 +51,6 @@ from .norms import (
     verify_cor23,
 )
 from .operators import (
-    OperatorPartition,
     OracleResult,
     RegularOperator,
     atomic_operator_partition,
@@ -87,7 +84,6 @@ from .superop import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Component",
     "CoordinateFunctional",
     "Corpus",
     "DEFAULT_TOLERANCE",
@@ -96,7 +92,6 @@ __all__ = [
     "LatticeVector",
     "NormAssignment",
     "NormResult",
-    "OperatorPartition",
     "OracleResult",
     "Partition",
     "RegularOperator",
@@ -116,7 +111,6 @@ __all__ = [
     "dual_norm",
     "dyadic_partition",
     "emit_report",
-    "enumerate_components",
     "gap_report",
     "generate_corpus",
     "hadamard_tensor_power",

@@ -23,7 +23,9 @@ other inputs than the ones named.
 
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
 2 = usage error, malformed input (including files that mix exact and
-float entries) or a request over a work or memory cap.
+float entries), a request over a work or memory cap, or float overflow or
+an invalid float operation (every command runs under
+``np.errstate(over="raise", invalid="raise")``).
 Reports are canonical JSON: identical invocations (same inputs, same
 --seed) produce byte-identical bytes; the wall time goes to stderr only.
 """
@@ -38,6 +40,8 @@ import sys
 import time
 from dataclasses import replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .counterexample import counterexample_report
 from .corpus import (
@@ -440,22 +444,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Float overflow raises (numpy and Python floats alike) and exits 2.
     try:
-        if args.command == "verify":
-            return _finish_report(_run_verify, args)
-        if args.command == "corpus":
-            return _run_corpus(args)
-        if args.command == "norm":
-            return _run_norm(args)
-        if args.command == "gap":
-            return _finish_report(_run_gap, args)
-        if args.command == "counterexample":
-            return _finish_report(_run_counterexample, args)
-        raise UsageError(f"unknown command: {args.command}")
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "verify":
+                return _finish_report(_run_verify, args)
+            if args.command == "corpus":
+                return _run_corpus(args)
+            if args.command == "norm":
+                return _run_norm(args)
+            if args.command == "gap":
+                return _finish_report(_run_gap, args)
+            if args.command == "counterexample":
+                return _finish_report(_run_counterexample, args)
+            raise UsageError(f"unknown command: {args.command}")
     except (
         UsageError, ValueError, IndexError, EnumerationLimitError, ScalarModeError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"error: float overflow or invalid value: {exc}", file=sys.stderr)
         return 2
 
 

@@ -25,7 +25,7 @@ verifies every step of the derivation that does not depend on singularity:
 All arithmetic is exact; nothing here pretends to simulate a singular
 functional.  The component infimum and the double-partition infimum are
 exact-only integer kernels on the stored numerators; the tests check them
-against Fraction loops (``g_double_prime_term`` for the second).
+against Fraction loops.
 ``counterexample_report`` refuses a request whose work bound
 exceeds ``LAB_WORK_CAP`` before it does any work.
 """
@@ -46,12 +46,12 @@ from .lattice import (
     LatticeVector,
     Partition,
     _chunk_size,
+    _partition_sums,
     _stack,
     atomic_partition,
     disjoint_partitions,
 )
 from .operators import (
-    OperatorPartition,
     RegularOperator,
     atomic_operator_partition,
     random_operator_partition,
@@ -193,7 +193,7 @@ def _e_partitions(
 
 def _positive_splits(
     T: RegularOperator, split_samples: int, seed: int
-) -> List[OperatorPartition]:
+) -> List[Partition]:
     """Positive decompositions sum_i T_i = T: singleton, atomic, random."""
     splits = [trivial_operator_partition(T)]
     if split_samples > 1:
@@ -206,40 +206,6 @@ def _positive_splits(
             )
         )
     return splits
-
-
-def g_double_prime_term(
-    pieces_cols: Sequence[Sequence[LatticeVector]],
-    pieces_Te: Sequence[LatticeVector],
-    partition: Partition,
-    f: CoordinateFunctional,
-) -> LatticeVector:
-    """sum_i sum_j (T_i x_j ^ f(x_j) T_i e) for one split and one partition."""
-    n = f.dim
-    total = LatticeVector.zero(n)
-    for cols, Te in zip(pieces_cols, pieces_Te):
-        for x_j in partition.pieces:
-            image = LatticeVector.zero(n)
-            for c in x_j.support():
-                image = image + cols[c].scale(x_j.entry(c))
-            cap = Te.scale(f(x_j))
-            total = total + image.meet(cap)
-    return total
-
-
-def _partition_chunks(partitions: Sequence[Partition], max_blocks: int):
-    """Consecutive runs of whole partitions with at most ``max_blocks`` blocks
-    each (a single larger partition gets a run of its own)."""
-    chunk: List[Partition] = []
-    blocks = 0
-    for partition in partitions:
-        if chunk and blocks + len(partition) > max_blocks:
-            yield chunk
-            chunk, blocks = [], 0
-        chunk.append(partition)
-        blocks += len(partition)
-    if chunk:
-        yield chunk
 
 
 def inf_G_double_prime(
@@ -260,8 +226,8 @@ def inf_G_double_prime(
     The sums are evaluated by an integer kernel on the numerators P_i of the
     split pieces and X_j of the partition blocks: each term
     T_i x_j ^ f(x_j) T_i e  is  min(P_i X_j, rowsum(P_i) X_j[k]) over
-    their denominators.  The result equals the minimum of
-    ``g_double_prime_term`` over the same splits and partitions exactly.
+    their denominators.  The result equals the minimum of the sums
+    evaluated one piece and one block at a time, exactly.
     """
     if T.shape != (f.dim, f.dim):
         raise ValueError(f"expected a {f.dim}x{f.dim} operator, got {T.shape}")
@@ -284,33 +250,25 @@ def inf_G_double_prime(
 def _double_partition_inf(
     f: CoordinateFunctional,
     partitions: Sequence[Partition],
-    splits: Sequence[OperatorPartition],
+    splits: Sequence[Partition],
 ) -> LatticeVector:
     """The kernel of ``inf_G_double_prime`` over given e-partitions and
     given positive splits of T (exact, n x n, already validated)."""
     n, k = f.dim, f.index
-    pieces = [piece for split in splits for piece in split.pieces]
-    # P[i] = D_T T_i as an n x n integer matrix; P e = its row sums.
-    P, D_T = _stack(pieces)
+    # P[i] = D_T T_i as an n x n integer matrix, the pieces of every split in
+    # order; P e = its row sums.
+    P, D_T = _stack(splits, np.concatenate)
     Pe = P.sum(axis=2)[:, :, None]
-    # X_all[j] = D_X x_j for every block of every partition, in order.
-    X_all, D_X = _stack([x for p in partitions for x in p.pieces])
     split_starts = np.cumsum([0] + [len(split) for split in splits[:-1]])
-    max_blocks = _chunk_size(len(pieces) * n)
-    best = None
-    first = 0
-    for chunk in _partition_chunks(partitions, max_blocks):
-        blocks = sum(len(p) for p in chunk)
-        X = X_all[first : first + blocks]
-        first += blocks
+
+    def per_split(X):
+        """For blocks X[j] = D_X x_j: sum_i (T_i x_j ^ f(x_j) T_i e) per
+        split, as a (blocks, splits, n) array."""
         terms = np.minimum(P @ X.T, Pe * X[:, k])  # (pieces, n, blocks)
-        per_split = np.add.reduceat(terms, split_starts, axis=0)
-        block_starts = np.cumsum([0] + [len(p) for p in chunk[:-1]])
-        sums = np.add.reduceat(per_split, block_starts, axis=2)
-        low = np.minimum.reduce(sums, axis=(0, 2))
-        best = low if best is None else np.minimum(best, low)
-    assert best is not None
-    return LatticeVector._of(best, D_T * D_X)
+        return np.add.reduceat(terms, split_starts, axis=0).transpose(2, 0, 1)
+
+    sums, D_X = _partition_sums(partitions, per_split, len(P) * n)
+    return LatticeVector._of(np.minimum.reduce(sums, axis=(0, 1)), D_T * D_X)
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,22 @@ integer kernels of the other modules, read the array
 kernel's intermediates).  Float results match Python float arithmetic bit
 for bit, Python's tie rule on -0.0 and 0.0 included.
 
-Besides the vector type the module provides the combinatorial machinery the
-Riesz-Kantorovich formulas quantify over: components of a positive element,
-disjoint and positive partitions, the refinement chain, and
-``default_partitions``, the family the partition oracles try by default.
+Partitions.  A ``Partition`` stores its pieces the same way, stacked on a
+first axis over one denominator, and is validated by one sum over that
+axis.  Every builder (trivial, halves, atomic, dyadic, random convex,
+disjoint, ``default_partitions``, the family the oracles try by default,
+and the operator splits of ``operators``) writes that array directly.  The
+segment-sum kernel ``_partition_sums`` serves every partition oracle: the
+images of the pieces of many partitions at once, summed per partition in
+piece order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 from random import Random
 from typing import Iterator, Optional, Sequence
 
@@ -73,14 +77,15 @@ def _chunk_size(entries_per_item: int) -> int:
     return max(1, _KERNEL_CHUNK_ENTRIES // entries_per_item)
 
 
-def _stack(items) -> tuple:
-    """Containers of one shape and mode over their common denominator D,
-    their values stacked on a new first axis: (array, D); D is None for
-    floats."""
+def _stack(items, join=np.stack) -> tuple:
+    """Containers of one shape and mode (or partitions of one target) over
+    their common denominator D, their values joined by ``join``: stacked on
+    a new first axis, or concatenated along the pieces' axis.  Returns
+    (array, D); D is None for floats."""
     if items[0]._den is None:
-        return np.stack([item._values for item in items]), None
+        return join([item._values for item in items]), None
     D = math.lcm(*(item._den for item in items))
-    return np.stack([item._values * (D // item._den) for item in items]), D
+    return join([item._values * (D // item._den) for item in items]), D
 
 
 def _matmul(a, b):
@@ -100,10 +105,9 @@ def _all(mask) -> bool:
     return bool(np.count_nonzero(mask) == mask.size)
 
 
-def _integer_composition(rng: Random, total: int, parts: int) -> list:
-    """Random composition of ``total`` into ``parts`` nonnegative integers."""
-    cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
-    return [b - a for a, b in zip(cuts, cuts[1:])]
+def _zero_mask(values, exact: bool, tol: float = DEFAULT_TOLERANCE):
+    """Where stored values are zero (within ``tol`` in float mode)."""
+    return values == 0 if exact else np.abs(values) <= tol
 
 
 class _Entrywise:
@@ -231,12 +235,6 @@ class _Entrywise:
         L = math.lcm(D, E)
         return a * (L // D), b * (L // E), L
 
-    def _zero_mask(self, tol: float = DEFAULT_TOLERANCE):
-        """Where the entries are zero (within ``tol`` in float mode)."""
-        if self._den is None:
-            return np.abs(self._values) <= tol
-        return self._values == 0
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
@@ -301,7 +299,7 @@ class _Entrywise:
         return _all(0 <= (a if self.is_exact else a + tol))
 
     def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return _all(self._zero_mask(tol))
+        return _all(_zero_mask(self._values, self.is_exact, tol))
 
     def to_float(self):
         """The same element in float mode (no-op in float mode)."""
@@ -309,36 +307,48 @@ class _Entrywise:
             return self
         return self._of((self._values / self._den).astype(np.float64), None)
 
-    # -- splitters (the partitions' pieces) ----------------------------------
+    # -- splitters (the partitions' pieces, stacked) ---------------------------
 
     def _atoms(self) -> tuple:
-        """One piece per nonzero entry, holding that entry alone; an all-zero
-        element gives (self,) so downstream formulas stay total."""
-        nonzero = np.flatnonzero(~self._zero_mask())
+        """One piece per nonzero entry, holding that entry alone, stacked
+        over the denominator: (array, D); an all-zero element gives the one
+        piece self, so downstream formulas stay total."""
+        nonzero = np.flatnonzero(~_zero_mask(self._values, self.is_exact))
+        if not len(nonzero):
+            return self._values[None], self._den
         rows = np.zeros((len(nonzero), self._values.size), dtype=self._values.dtype)
         rows[np.arange(len(nonzero)), nonzero] = self._values.flat[nonzero]
-        pieces = [self._of(row.reshape(self.shape), self._den) for row in rows]
-        return tuple(pieces) or (self,)
+        return rows.reshape((-1,) + self.shape), self._den
 
     def _convex_split(self, parts: int, rng: Random, signed: bool = False) -> tuple:
         """Split each entry over ``parts`` pieces with random convex weights
         on the grid k/SPLIT_DENOMINATOR (exact in rational mode), each share
         with a random sign when ``signed``, so the moduli of the pieces sum
-        to a positive self; all-zero pieces are dropped, (self,) if none is
-        left."""
-        # The share c/16 of an entry a is a * c over 16 D, or a * (c / 16) in
-        # float mode, where a * -(c / 16) is -(a * (c / 16)) bit for bit.
+        to a positive self.  Returns the pieces stacked, (array, D), with
+        all-zero pieces dropped, or the one piece self if none is left."""
+        # Per entry, in the order drawn: parts - 1 cuts in [0, 16], whose
+        # sorted gaps are the integer weights c, then (when signed) one
+        # rng.random() per share for its sign.  The share c/16 of an entry a
+        # is a * c over 16 D, or a * (c / 16) in float mode, where
+        # a * -(c / 16) is -(a * (c / 16)) bit for bit.
         unit = 1 if self.is_exact else 1 / SPLIT_DENOMINATOR
+        randint, random = rng.randint, rng.random
         shares = []
         for _ in range(self._values.size):
-            for c in _integer_composition(rng, SPLIT_DENOMINATOR, parts):
-                share = c * unit
-                shares.append(share if not signed or rng.random() < 0.5 else -share)
+            cuts = sorted([randint(0, SPLIT_DENOMINATOR) for _ in range(parts - 1)])
+            cuts.append(SPLIT_DENOMINATOR)
+            low = 0
+            for cut in cuts:
+                share = (cut - low) * unit
+                shares.append(share if not signed or random() < 0.5 else -share)
+                low = cut
         grid = np.array(shares, dtype=self._values.dtype).reshape(-1, parts)
         columns = (self._values.reshape(-1, 1) * grid).T
+        kept = columns[~_zero_mask(columns, self.is_exact).all(axis=1)]
+        if not len(kept):
+            return self._values[None], self._den
         den = self._den and self._den * SPLIT_DENOMINATOR
-        pieces = [self._of(column.reshape(self.shape), den) for column in columns]
-        return tuple(p for p in pieces if not p.is_zero()) or (self,)
+        return kept.reshape((-1,) + self.shape), den
 
 
 class LatticeVector(_Entrywise):
@@ -402,7 +412,8 @@ class LatticeVector(_Entrywise):
 
     def support(self, tol: float = DEFAULT_TOLERANCE) -> tuple:
         """Indices of (tolerance-aware) nonzero entries, ascending."""
-        return tuple(np.flatnonzero(~self._zero_mask(tol)).tolist())
+        zero = _zero_mask(self._values, self.is_exact, tol)
+        return tuple(np.flatnonzero(~zero).tolist())
 
     def restrict(self, indices) -> "LatticeVector":
         """Zero out every entry whose index is not in ``indices``."""
@@ -419,77 +430,126 @@ class LatticeVector(_Entrywise):
 
 
 # ---------------------------------------------------------------------------
-# components of a positive element
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Component:
-    """A piece x of a positive base e with x ^ (e - x) = 0.
-
-    In the coordinate model these are exactly the restrictions of e to
-    subsets of its support.
-    """
-
-    base: LatticeVector
-    piece: LatticeVector
-
-
-def enumerate_components(
-    e: LatticeVector, cap: int = ENUMERATION_CAP
-) -> Iterator[Component]:
-    """Stream the 2^s components of a positive element e, s = |support(e)|.
-
-    Deterministic order: subsets of the sorted support by binary counter,
-    so the zero component comes first and e itself last.
-    """
-    if not e.is_positive():
-        raise ValueError("components are only defined for positive elements")
-    support = e.support()
-    if len(support) > cap:
-        raise EnumerationLimitError(
-            f"support size {len(support)} exceeds enumeration cap {cap}"
-        )
-    for mask in range(1 << len(support)):
-        subset = [support[i] for i in range(len(support)) if mask >> i & 1]
-        yield Component(base=e, piece=e.restrict(subset))
-
-
-# ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Finite family of positive vectors summing to a positive target."""
+    """Finite family of pieces of a positive target, stacked.
 
-    target: LatticeVector
-    pieces: tuple
+    The pieces are one array over one denominator, the first axis indexing
+    the piece: Python-int numerators over D (exact mode) or float64 values
+    with D None (float mode).  A positive partition has pieces >= 0 that
+    sum to the target; a signed one (``signed=True``, the operator splits
+    sum_j |T_j| = T) has a positive target and pieces whose moduli sum to
+    it.  Either is checked once, by one sum over the first axis (left to
+    right in float mode, within ``DEFAULT_TOLERANCE``).  ``pieces`` builds
+    the containers on each access.
+    """
 
-    def __init__(self, target: LatticeVector, pieces: Sequence[LatticeVector]):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise ValueError("a partition needs at least one piece")
-        total = sum(pieces[1:], pieces[0])
-        for p in pieces:
-            if not p.is_positive():
+    __slots__ = ("target", "signed", "_values", "_den")
+
+    def __init__(self, target: _Entrywise, pieces, den=None, signed: bool = False):
+        """``pieces`` is a sequence of containers of the target's class and
+        shape; the builders pass their values already stacked instead, an
+        array over the denominator ``den``."""
+        if not isinstance(pieces, np.ndarray):
+            pieces = tuple(pieces)
+            for piece in pieces:
+                target._check_compatible(piece)
+            pieces, den = _stack(pieces) if pieces else (np.empty(0), None)
+        if not len(pieces) or pieces.shape[1:] != target.shape:
+            raise ValueError("a partition needs pieces of its target's shape")
+        if signed:
+            if not target.is_positive():
+                raise ValueError("signed partitions target a positive element")
+            moduli = np.abs(pieces)
+        else:
+            if not _all(0 <= (pieces + DEFAULT_TOLERANCE if den is None else pieces)):
                 raise ValueError("partition pieces must be positive")
-        if not total.eq(target):
-            raise ValueError("partition pieces do not sum to the target")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pieces", pieces)
+            moduli = pieces
+        if den is None:  # np.add.accumulate adds left to right, as Python does
+            gap = np.abs(np.add.accumulate(moduli)[-1] - target._values)
+            adds_up = _all(gap <= DEFAULT_TOLERANCE)
+        else:
+            adds_up = _all(moduli.sum(axis=0) * target._den == target._values * den)
+        if not adds_up:
+            raise ValueError(
+                "moduli of the pieces do not sum to the target"
+                if signed else "partition pieces do not sum to the target"
+            )
+        for name, value in zip(self.__slots__, (target, signed, pieces, den)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Partition is immutable")
 
     def __len__(self) -> int:
-        return len(self.pieces)
+        return len(self._values)
+
+    def __eq__(self, other):
+        if type(other) is not Partition:
+            return NotImplemented
+        same_shape = self.signed == other.signed and len(self) == len(other)
+        if not (same_shape and self.target == other.target):
+            return False
+        if self._den is None:
+            return _all(self._values == other._values)
+        return _all(self._values * other._den == other._values * self._den)
+
+    @property
+    def pieces(self) -> tuple:
+        """The pieces as containers of the target's class, built on each
+        access."""
+        return tuple(self.target._of(row, self._den) for row in self._values)
 
     def is_disjoint(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        pairs = combinations(self.pieces, 2)
-        return all(x.meet(y).is_zero(tol) for x, y in pairs)
+        """Whether the pieces are pairwise disjoint: at every coordinate at
+        most one piece is nonzero (beyond ``tol`` in float mode)."""
+        nonzero = ~_zero_mask(self._values, self._den is not None, tol)
+        return _all(np.count_nonzero(nonzero, axis=0) <= 1)
+
+
+def _partition_sums(
+    partitions: Sequence[Partition], image, image_entries: int
+) -> tuple:
+    """The segment-sum kernel behind every partition oracle: for each
+    partition, the sum of its pieces' images in piece order.
+
+    The pieces of all the partitions are stacked over one denominator D;
+    ``image`` maps a run of them (first axis: the piece) to their images,
+    at most ``_chunk_size(image_entries)`` pieces at a time, so the
+    intermediates stay bounded however many pieces there are.  Returns
+    (sums, D), sums[p] the sum for partitions[p]: exact sums by
+    ``np.add.reduceat``, float sums added left to right from 0.0, so that
+    they match adding the images one at a time bit for bit.
+    """
+    values, D = _stack(partitions, np.concatenate)
+    # Partition p owns the pieces bounds[p] to bounds[p + 1] - 1.
+    bounds = [0, *accumulate(len(p) for p in partitions)]
+    step = _chunk_size(image_entries)
+    sums = None
+    for start in range(0, bounds[-1], step):
+        stop = min(start + step, bounds[-1])
+        terms = image(values[start:stop])
+        if sums is None:
+            sums = np.zeros((len(partitions),) + terms.shape[1:], dtype=terms.dtype)
+        # The partitions lo..hi - 1 have pieces in this chunk, from firsts on.
+        lo, hi = bisect_right(bounds, start) - 1, bisect_left(bounds, stop)
+        firsts = [max(b, start) - start for b in bounds[lo:hi]]
+        if D is not None:
+            sums[lo:hi] += np.add.reduceat(terms, firsts, axis=0)
+            continue
+        firsts = np.array(firsts)
+        runs = np.diff(firsts, append=stop - start)
+        for r in range(runs.max()):
+            live = np.flatnonzero(runs > r)
+            sums[lo + live] = sums[lo + live] + terms[firsts[live] + r]
+    return sums, D
 
 
 def trivial_partition(w: LatticeVector) -> Partition:
-    return Partition(w, (w,))
+    return Partition(w, w._values[None], w._den)
 
 
 def atomic_partition(w: LatticeVector) -> Partition:
@@ -500,7 +560,7 @@ def atomic_partition(w: LatticeVector) -> Partition:
     """
     if not w.is_positive():
         raise ValueError("atomic partitions are defined for positive vectors")
-    return Partition(w, w._atoms())
+    return Partition(w, *w._atoms())
 
 
 def _set_partitions(items: tuple, max_parts: int) -> Iterator[list]:
@@ -517,6 +577,15 @@ def _set_partitions(items: tuple, max_parts: int) -> Iterator[list]:
             yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
         if len(sub) < max_parts:
             yield sub + [[head]]
+
+
+def _blocks(w: LatticeVector, blocks) -> Partition:
+    """The partition of w into its restrictions to the given index blocks."""
+    values = w._values
+    rows = np.zeros((len(blocks),) + values.shape, dtype=values.dtype)
+    for row, block in zip(rows, blocks):
+        row[block] = values[block]
+    return Partition(w, rows, w._den)
 
 
 def disjoint_partitions(
@@ -538,11 +607,10 @@ def disjoint_partitions(
             f"support size {len(support)} exceeds enumeration cap {cap}"
         )
     if not support:
-        yield Partition(e, (e,))
+        yield trivial_partition(e)
         return
     for blocks in _set_partitions(tuple(support), max_parts):
-        ordered = sorted(blocks, key=min)
-        yield Partition(e, tuple(e.restrict(block) for block in ordered))
+        yield _blocks(e, sorted(blocks, key=min))
 
 
 def halves_partition(w: LatticeVector) -> Partition:
@@ -551,9 +619,7 @@ def halves_partition(w: LatticeVector) -> Partition:
     if len(support) < 2:
         return trivial_partition(w)
     cut = len(support) // 2
-    return Partition(
-        w, (w.restrict(support[:cut]), w.restrict(support[cut:]))
-    )
+    return _blocks(w, [list(support[:cut]), list(support[cut:])])
 
 
 def dyadic_partition(w: LatticeVector, depth: int = 1) -> Partition:
@@ -561,14 +627,12 @@ def dyadic_partition(w: LatticeVector, depth: int = 1) -> Partition:
     equal parts."""
     if not w.is_positive():
         raise ValueError("dyadic partitions are defined for positive vectors")
-    base = atomic_partition(w)
+    atoms, den = w._atoms()
     k = 1 << depth
-    scale = Fraction(1, k) if w.is_exact else 1.0 / k
-    pieces = []
-    for atom in base.pieces:
-        piece = atom.scale(scale)
-        pieces.extend([piece] * k)
-    return Partition(w, tuple(pieces))
+    pieces = np.repeat(atoms, k, axis=0)
+    if den is None:
+        return Partition(w, (1.0 / k) * pieces, None)
+    return Partition(w, pieces, den * k)
 
 
 def random_convex_partition(
@@ -578,7 +642,7 @@ def random_convex_partition(
     convex weights on the grid k/SPLIT_DENOMINATOR (exact in rational mode)."""
     if not w.is_positive():
         raise ValueError("convex splits are defined for positive vectors")
-    return Partition(w, w._convex_split(parts, rng))
+    return Partition(w, *w._convex_split(parts, rng))
 
 
 def refinement_chain(w: LatticeVector) -> list:

@@ -20,10 +20,14 @@ the partitions they are given (by default ``lattice.default_partitions``:
 the refinement chain trivial / halves / atomic / dyadic, then seeded random
 convex splits) and report the best bound seen.  In the coordinate model the
 atomic partition attains the supremum/infimum exactly, which the
-test-suite pins down.
+test-suite pins down.  Both, and ``refinement_sums``, run as one
+segment-sum kernel (``lattice._partition_sums``) on the stacked pieces of
+all the partitions: one matrix product for every image, then ``abs`` or
+the minimum, then each partition's sum in piece order.
 
-``OperatorPartition`` models the operator-side decompositions
-``sum_j |T_j| = T`` used by the superoperator formulas.
+The operator-side decompositions ``sum_j |T_j| = T`` used by the
+superoperator formulas are signed ``lattice.Partition``s of T, built here
+(trivial, atomic and seeded random splits).
 
 ``RegularOperator.apply`` and ``compose`` share one matrix product on the
 stored arrays (``lattice._matmul``).
@@ -41,8 +45,10 @@ from .lattice import (
     DimensionMismatchError,
     LatticeVector,
     Partition,
+    _all,
     _Entrywise,
     _matmul,
+    _partition_sums,
     default_partitions,
     refinement_chain,
 )
@@ -203,25 +209,6 @@ def rank_one(functional: LatticeVector, value: LatticeVector) -> RegularOperator
 # ---------------------------------------------------------------------------
 
 
-def partition_modulus_sum(A: RegularOperator, partition: Partition) -> LatticeVector:
-    """sum_i |A w_i| for one positive partition of w."""
-    total = LatticeVector.zero(A.rows, A.mode)
-    for piece in partition.pieces:
-        total = total + abs(A.apply(piece))
-    return total
-
-
-def partition_meet_sum(
-    S: RegularOperator, T: RegularOperator, partition: Partition
-) -> LatticeVector:
-    """sum_i min(S w_i, T w_i) for one positive partition of w."""
-    S._check_compatible(T)
-    total = LatticeVector.zero(S.rows, S.mode)
-    for piece in partition.pieces:
-        total = total + S.apply(piece).meet(T.apply(piece))
-    return total
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Best partition bound found for a Riesz-Kantorovich expression.
@@ -239,41 +226,57 @@ class OracleResult:
     partitions_tried: int
 
 
+def _check_test_vector(A: RegularOperator, w: LatticeVector, oracle: str):
+    if not w.is_positive():
+        raise ValueError(f"the {oracle} needs a positive test vector")
+    if w.dim != A.cols:
+        raise DimensionMismatchError(
+            f"operator expects dim {A.cols}, vector has dim {w.dim}"
+        )
+    if w.mode != A.mode:
+        raise ScalarModeError(
+            f"scalar mode mismatch: operator {A.mode}, vector {w.mode}"
+        )
+
+
+def _modulus_images(A: RegularOperator):
+    """The images |A w_i| of a run of stacked pieces w_i, one per row."""
+    return lambda W: np.abs(_matmul(A._values, W.T).T)
+
+
 def _best_over_partitions(
     w: LatticeVector,
     partitions: Optional[Sequence[Partition]],
-    evaluate,
-    improve,
+    image,
+    image_entries: int,
+    den,
+    better,
     closed: LatticeVector,
     tol: float,
 ) -> OracleResult:
-    """Run a partition oracle: fold ``improve`` (join or meet) over the
-    values ``evaluate`` gives on each partition of w, first attainer kept."""
-    if partitions is None:
-        partitions = default_partitions(w)
-    best: Optional[LatticeVector] = None
-    best_partition: Optional[Partition] = None
-    tried = 0
-    for partition in partitions:
-        if partition.target != w:
-            raise ValueError("a partition does not split the test vector w")
-        tried += 1
-        value = evaluate(partition)
-        if best is None:
-            best, best_partition = value, partition
-            continue
-        candidate = improve(best, value)
-        if not candidate.eq(best, tol):
-            best_partition = partition
-        best = candidate
-    if best is None:
+    """Run a partition oracle: the segment-sum kernel sums the ``image`` rows
+    (over ``den`` times the pieces' denominator) of each partition of w,
+    then a fold over those sums keeps the entries where ``better`` holds
+    (np.greater for the sup, np.less for the inf) and the first attainer."""
+    partitions = list(default_partitions(w) if partitions is None else partitions)
+    if not partitions:
         raise ValueError("no partitions to try")
+    if any(p.target is not w and p.target != w for p in partitions):
+        raise ValueError("a partition does not split the test vector w")
+    rows, D = _partition_sums(partitions, image, image_entries)
+    best, best_index = rows[0], 0
+    for index, row in enumerate(rows[1:], 1):
+        candidate = np.where(better(row, best), row, best)
+        if not _all(candidate == best if D else np.abs(candidate - best) <= tol):
+            best_index = index
+        best = candidate
+    value = LatticeVector._of(best, den and den * D)
     return OracleResult(
-        value=best,
-        best_partition=best_partition,
+        value=value,
+        best_partition=partitions[best_index],
         closed_form=closed,
-        attained=best.eq(closed, tol),
-        partitions_tried=tried,
+        attained=value.eq(closed, tol),
+        partitions_tried=len(partitions),
     )
 
 
@@ -284,25 +287,17 @@ def modulus_oracle(
     tol: float = DEFAULT_TOLERANCE,
 ) -> OracleResult:
     """Evaluate sup { sum_i |A w_i| } over the given partitions of w
-    (default: ``lattice.default_partitions(w)``).
+    (default: ``lattice.default_partitions(w)``), all of them in one
+    segment-sum kernel (``lattice._partition_sums``).
 
     The supremum is directed (refinements only increase the sum) and in the
     coordinate model it is attained by the atomic partition, where the sum
     collapses to (|A| w).
     """
-    if not w.is_positive():
-        raise ValueError("the modulus oracle needs a positive test vector")
-    if w.dim != A.cols:
-        raise DimensionMismatchError(
-            f"operator expects dim {A.cols}, vector has dim {w.dim}"
-        )
+    _check_test_vector(A, w, "modulus oracle")
+    closed = A.modulus_closed_form().apply(w)
     return _best_over_partitions(
-        w,
-        partitions,
-        lambda partition: partition_modulus_sum(A, partition),
-        LatticeVector.join,
-        A.modulus_closed_form().apply(w),
-        tol,
+        w, partitions, _modulus_images(A), A.rows, A._den, np.greater, closed, tol
     )
 
 
@@ -314,27 +309,28 @@ def meet_oracle(
     tol: float = DEFAULT_TOLERANCE,
 ) -> OracleResult:
     """Evaluate inf { sum_i min(S w_i, T w_i) } over the given partitions
-    of w (default: ``lattice.default_partitions(w)``)."""
-    if not w.is_positive():
-        raise ValueError("the meet oracle needs a positive test vector")
-    if w.dim != S.cols:
-        raise DimensionMismatchError(
-            f"operator expects dim {S.cols}, vector has dim {w.dim}"
-        )
-    S._check_compatible(T)
+    of w (default: ``lattice.default_partitions(w)``).  S and T, over one
+    denominator, act on every piece in one matrix product."""
+    _check_test_vector(S, w, "meet oracle")
+    a, b, E = S._aligned(T)
+    both = np.concatenate([a, b])
+
+    def meets(W):
+        images = _matmul(both, W.T).T
+        s, t = images[:, : S.rows], images[:, S.rows :]
+        return np.where(t < s, t, s)
+
+    closed = S.meet_closed_form(T).apply(w)
     return _best_over_partitions(
-        w,
-        partitions,
-        lambda partition: partition_meet_sum(S, T, partition),
-        LatticeVector.meet,
-        S.meet_closed_form(T).apply(w),
-        tol,
+        w, partitions, meets, 2 * S.rows, E, np.less, closed, tol
     )
 
 
 def refinement_sums(A: RegularOperator, w: LatticeVector) -> list:
     """Partition-modulus sums along a refinement chain of w (monotone up)."""
-    return [partition_modulus_sum(A, p) for p in refinement_chain(w)]
+    _check_test_vector(A, w, "refinement chain")
+    sums, D = _partition_sums(refinement_chain(w), _modulus_images(A), A.rows)
+    return [LatticeVector._of(row, A._den and A._den * D) for row in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -342,42 +338,19 @@ def refinement_sums(A: RegularOperator, w: LatticeVector) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorPartition:
-    """Family (T_j) with sum_j |T_j| = T for a positive target T."""
-
-    target: RegularOperator
-    pieces: tuple
-
-    def __init__(self, target: RegularOperator, pieces: Sequence[RegularOperator]):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise ValueError("an operator partition needs at least one piece")
-        if not target.is_positive():
-            raise ValueError("operator partitions target a positive operator")
-        total = sum((abs(p) for p in pieces[1:]), abs(pieces[0]))
-        if not total.eq(target):
-            raise ValueError("moduli of the pieces do not sum to the target")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pieces", pieces)
-
-    def __len__(self) -> int:
-        return len(self.pieces)
+def trivial_operator_partition(T: RegularOperator) -> Partition:
+    return Partition(T, T._values[None], T._den, signed=True)
 
 
-def trivial_operator_partition(T: RegularOperator) -> OperatorPartition:
-    return OperatorPartition(T, (T,))
-
-
-def atomic_operator_partition(T: RegularOperator) -> OperatorPartition:
+def atomic_operator_partition(T: RegularOperator) -> Partition:
     """Split T >= 0 into matrix-unit pieces t_ij E_ij (nonzero entries only)."""
-    return OperatorPartition(T, T._atoms())
+    return Partition(T, *T._atoms(), signed=True)
 
 
 def random_operator_partition(
     T: RegularOperator, parts: int, rng: Random, signed: bool = True
-) -> OperatorPartition:
+) -> Partition:
     """Split each entry of T >= 0 across ``parts`` pieces with random convex
     weights (grid 1/16, exact in rational mode) and, when ``signed``, random
     signs; unsigned splits give positive decompositions sum T_i = T."""
-    return OperatorPartition(T, T._convex_split(parts, rng, signed))
+    return Partition(T, *T._convex_split(parts, rng, signed), signed=True)

@@ -28,12 +28,13 @@ The verifiers check, with exact rational arithmetic:
                               |M_{A,B0}| = M_{|A|,B0}  and
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
 
-``operator_partition_sup`` takes the operator partitions themselves (by
-default the atomic one) and runs as one kernel on the stored arrays, in
-chunks of bounded size; the tests check it against the loop over
-partitions and pieces it replaced.  The verifiers measure every identity by
-``deviation``, the largest entrywise |X - Y| of two vectors or two
-operators.
+``operator_partition_sup`` takes the operator partitions themselves
+(signed, stacked ``lattice.Partition``s of T; by default the atomic one)
+and runs on their stored arrays in the one segment-sum kernel of
+``lattice``, in chunks of bounded size; the tests check it against the
+loop over partitions and pieces it replaced.  The verifiers measure every
+identity by ``deviation``, the largest entrywise |X - Y| of two vectors or
+two operators.
 
 ``kron``, ``vec`` and ``unvec`` act on the stored arrays.  ``kron`` refuses
 a product of more than ``KRON_ENTRY_CAP`` (2^20) entries with
@@ -54,12 +55,11 @@ from .lattice import (
     DimensionMismatchError,
     EnumerationLimitError,
     LatticeVector,
-    _chunk_size,
+    Partition,
     _matmul,
-    _stack,
+    _partition_sums,
 )
 from .operators import (
-    OperatorPartition,
     RegularOperator,
     atomic_operator_partition,
     random_operator_partition,
@@ -204,7 +204,7 @@ def operator_partition_sup(
     B: RegularOperator,
     T: RegularOperator,
     w: LatticeVector,
-    partitions: Optional[Sequence[OperatorPartition]] = None,
+    partitions: Optional[Sequence[Partition]] = None,
 ) -> LatticeVector:
     """sup over the given partitions (sum_j |T_j| = T) of  (sum_j |A0 T_j B|) w.
 
@@ -214,7 +214,8 @@ def operator_partition_sup(
     partitions give componentwise smaller-or-equal values (cancellation
     inside |A0 T_j B| only ever loses mass).
 
-    The images |A0 P_j B| of all pieces are formed on the stacked values,
+    The images |A0 P_j B| of all pieces are formed on the partitions'
+    stacked values by the segment-sum kernel ``lattice._partition_sums``,
     in chunks of bounded size, and summed per partition in piece order, so
     an atomic partition's y x pieces never need y x z w image entries at
     once; float results match summing the images as operators one by one.
@@ -243,15 +244,11 @@ def operator_partition_sup(
     if len({A0.mode, B.mode, T.mode, w.mode}) > 1:
         raise ScalarModeError("A0, B, T and w must share one scalar mode")
     z, (x, cols) = A0.rows, B.shape
-    pieces = [piece for partition in partitions for piece in partition.pieces]
-    P, D_T = _stack(pieces)
-    owner = np.repeat(np.arange(len(partitions)), [len(p) for p in partitions])
-    sums = np.zeros((len(partitions), z, cols), dtype=P.dtype)
-    step = _chunk_size(z * max(x, cols))
-    for start in range(0, len(pieces), step):
-        images = _matmul(_matmul(A0._values, P[start : start + step]), B._values)
-        for partition, image in zip(owner[start : start + step], np.abs(images)):
-            sums[partition] = sums[partition] + image
+    sums, D_T = _partition_sums(
+        partitions,
+        lambda P: np.abs(_matmul(_matmul(A0._values, P), B._values)),
+        z * max(x, cols),
+    )
     values = _matmul(sums, w._values[:, None])[..., 0]  # (partitions, z)
     best = values[0]
     for value in values[1:]:

@@ -1,11 +1,14 @@
 """Seeded case generators that only the tests draw from: mixed-dimension
 (A, B) pairs, positive-left-factor bundles and square-matrix bundles, built
-on the corpus's ``random_matrix`` and ``random_vector``."""
+on the corpus's ``random_matrix`` and ``random_vector``; and the stream of
+the components of a positive element."""
 
+from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
 
 from rieszops.corpus import random_matrix, random_vector
+from rieszops.lattice import ENUMERATION_CAP, EnumerationLimitError, LatticeVector
 
 
 def mixed_dims_pairs(
@@ -60,3 +63,35 @@ def square_matrix_cases(
                 for _ in range(vectors_per_matrix)
             ],
         }
+
+
+@dataclass(frozen=True)
+class Component:
+    """A piece x of a positive base e with x ^ (e - x) = 0.
+
+    In the coordinate model these are exactly the restrictions of e to
+    subsets of its support.
+    """
+
+    base: LatticeVector
+    piece: LatticeVector
+
+
+def enumerate_components(
+    e: LatticeVector, cap: int = ENUMERATION_CAP
+) -> Iterator[Component]:
+    """Stream the 2^s components of a positive element e, s = |support(e)|.
+
+    Deterministic order: subsets of the sorted support by binary counter,
+    so the zero component comes first and e itself last.
+    """
+    if not e.is_positive():
+        raise ValueError("components are only defined for positive elements")
+    support = e.support()
+    if len(support) > cap:
+        raise EnumerationLimitError(
+            f"support size {len(support)} exceeds enumeration cap {cap}"
+        )
+    for mask in range(1 << len(support)):
+        subset = [support[i] for i in range(len(support)) if mask >> i & 1]
+        yield Component(base=e, piece=e.restrict(subset))

@@ -1,0 +1,276 @@
+"""Reference implementations of the partition machinery: the tuple-based
+builders, the pairwise disjointness test and the per-piece loops that the
+stacked ``lattice.Partition`` and the segment-sum kernel
+``lattice._partition_sums`` replaced.
+
+Every builder here returns its pieces as a tuple of containers, built one
+piece at a time from container operations, and every oracle walks the
+pieces one ``apply`` at a time, summing from zero.  They take the pieces
+themselves (tuples), never a ``Partition``, so the comparison in
+``test_partition_kernel.py`` does not rest on the code under test.
+"""
+
+from fractions import Fraction
+from random import Random
+
+from rieszops import LatticeVector, RegularOperator
+from rieszops.lattice import SPLIT_DENOMINATOR
+from rieszops.scalars import DEFAULT_TOLERANCE
+
+# ---------------------------------------------------------------------------
+# builders: tuples of pieces
+# ---------------------------------------------------------------------------
+
+
+def _like(x, entries):
+    """A container of x's class and shape holding ``entries``."""
+    if isinstance(x, LatticeVector):
+        return LatticeVector(entries)
+    return RegularOperator(x.rows, x.cols, entries)
+
+
+def _zero(x):
+    return Fraction(0) if x.is_exact else 0.0
+
+
+def _is_zero(a, tol=DEFAULT_TOLERANCE):
+    return a == 0 if isinstance(a, Fraction) else abs(a) <= tol
+
+
+def atoms(x) -> tuple:
+    """One piece per nonzero entry, holding that entry alone; (x,) if none."""
+    entries = x.entries
+    pieces = []
+    for index, a in enumerate(entries):
+        if not _is_zero(a):
+            row = [_zero(x)] * len(entries)
+            row[index] = a
+            pieces.append(_like(x, row))
+    return tuple(pieces) or (x,)
+
+
+def composition(rng: Random, total: int, parts: int) -> list:
+    """Random composition of ``total`` into ``parts`` nonnegative integers."""
+    cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+def convex_split(x, parts: int, rng: Random, signed: bool = False) -> tuple:
+    """Each entry over ``parts`` pieces with weights c/16, drawn entry by
+    entry (a composition, then a sign per share when ``signed``); all-zero
+    pieces dropped, (x,) if none is left."""
+    unit = 1 if x.is_exact else 1 / SPLIT_DENOMINATOR
+    grids = []
+    for a in x.entries:
+        shares = []
+        for c in composition(rng, SPLIT_DENOMINATOR, parts):
+            share = a * Fraction(c, SPLIT_DENOMINATOR) if x.is_exact else a * (c * unit)
+            shares.append(share if not signed or rng.random() < 0.5 else -share)
+        grids.append(shares)
+    pieces = [_like(x, list(column)) for column in zip(*grids)]
+    return tuple(p for p in pieces if not p.is_zero()) or (x,)
+
+
+def trivial_partition(w) -> tuple:
+    return (w,)
+
+
+def halves_partition(w: LatticeVector) -> tuple:
+    support = w.support()
+    if len(support) < 2:
+        return (w,)
+    cut = len(support) // 2
+    return (w.restrict(support[:cut]), w.restrict(support[cut:]))
+
+
+def atomic_partition(w: LatticeVector) -> tuple:
+    return atoms(w)
+
+
+def dyadic_partition(w: LatticeVector, depth: int = 1) -> tuple:
+    k = 1 << depth
+    scale = Fraction(1, k) if w.is_exact else 1.0 / k
+    pieces = []
+    for atom in atoms(w):
+        pieces.extend([atom.scale(scale)] * k)
+    return tuple(pieces)
+
+
+def random_convex_partition(w: LatticeVector, parts: int, rng: Random) -> tuple:
+    return convex_split(w, parts, rng)
+
+
+def refinement_chain(w: LatticeVector) -> list:
+    return [
+        trivial_partition(w),
+        halves_partition(w),
+        atomic_partition(w),
+        dyadic_partition(w, 1),
+    ]
+
+
+def default_partitions(w: LatticeVector) -> list:
+    rng = Random(0)
+    return refinement_chain(w) + [random_convex_partition(w, 3, rng) for _ in range(5)]
+
+
+def _set_partitions(items, max_parts):
+    if not items:
+        yield []
+        return
+    head, tail = items[0], items[1:]
+    for sub in _set_partitions(tail, max_parts):
+        for i in range(len(sub)):
+            yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
+        if len(sub) < max_parts:
+            yield sub + [[head]]
+
+
+def disjoint_partitions(e: LatticeVector, max_parts=None) -> list:
+    support = e.support()
+    if max_parts is None:
+        max_parts = max(1, len(support))
+    if not support:
+        return [(e,)]
+    return [
+        tuple(e.restrict(block) for block in sorted(blocks, key=min))
+        for blocks in _set_partitions(tuple(support), max_parts)
+    ]
+
+
+def trivial_operator_partition(T: RegularOperator) -> tuple:
+    return (T,)
+
+
+def atomic_operator_partition(T: RegularOperator) -> tuple:
+    return atoms(T)
+
+
+def random_operator_partition(T, parts, rng, signed=True) -> tuple:
+    return convex_split(T, parts, rng, signed)
+
+
+def is_partition(target, pieces, signed=False) -> bool:
+    """The check one piece at a time: pieces >= 0 that sum to the target,
+    or (signed) a positive target that the moduli of the pieces sum to."""
+    if signed:
+        if not target.is_positive():
+            return False
+        pieces = [abs(p) for p in pieces]
+    elif not all(p.is_positive() for p in pieces):
+        return False
+    return sum(pieces[1:], pieces[0]).eq(target)
+
+
+def is_disjoint(pieces, tol=DEFAULT_TOLERANCE) -> bool:
+    """Pairwise: every two pieces meet in zero."""
+    return all(
+        x.meet(y).is_zero(tol)
+        for i, x in enumerate(pieces)
+        for y in pieces[i + 1 :]
+    )
+
+
+# ---------------------------------------------------------------------------
+# oracles: one apply per piece
+# ---------------------------------------------------------------------------
+
+
+def partition_modulus_sum(A: RegularOperator, pieces) -> LatticeVector:
+    """sum_i |A w_i| for one positive partition of w."""
+    total = LatticeVector.zero(A.rows, A.mode)
+    for piece in pieces:
+        total = total + abs(A.apply(piece))
+    return total
+
+
+def partition_meet_sum(S: RegularOperator, T: RegularOperator, pieces) -> LatticeVector:
+    """sum_i min(S w_i, T w_i) for one positive partition of w."""
+    total = LatticeVector.zero(S.rows, S.mode)
+    for piece in pieces:
+        total = total + S.apply(piece).meet(T.apply(piece))
+    return total
+
+
+def best_over_partitions(families, evaluate, improve, closed, tol=DEFAULT_TOLERANCE):
+    """(value, index of the first attainer, partitions tried, attained):
+    ``improve`` (join or meet) folded over the values of the families."""
+    best, best_index = None, None
+    for index, pieces in enumerate(families):
+        value = evaluate(pieces)
+        if best is None:
+            best, best_index = value, index
+            continue
+        candidate = improve(best, value)
+        if not candidate.eq(best, tol):
+            best_index = index
+        best = candidate
+    return best, best_index, len(families), best.eq(closed, tol)
+
+
+def modulus_oracle(A, w, families, tol=DEFAULT_TOLERANCE):
+    return best_over_partitions(
+        families,
+        lambda pieces: partition_modulus_sum(A, pieces),
+        LatticeVector.join,
+        A.modulus_closed_form().apply(w),
+        tol,
+    )
+
+
+def meet_oracle(S, T, w, families, tol=DEFAULT_TOLERANCE):
+    return best_over_partitions(
+        families,
+        lambda pieces: partition_meet_sum(S, T, pieces),
+        LatticeVector.meet,
+        S.meet_closed_form(T).apply(w),
+        tol,
+    )
+
+
+def refinement_sums(A, w) -> list:
+    return [partition_modulus_sum(A, pieces) for pieces in refinement_chain(w)]
+
+
+def operator_partition_sup(A0, B, w, families) -> LatticeVector:
+    """max over the families of (sum_j |A0 T_j B|) w, each sum one operator
+    at a time."""
+    best = None
+    for pieces in families:
+        total = RegularOperator.zero(A0.rows, B.cols, A0.mode)
+        for piece in pieces:
+            total = total + abs(A0 @ piece @ B)
+        value = total.apply(w)
+        best = value if best is None else best.join(value)
+    return best
+
+
+def double_partition_inf(f, partitions, splits) -> LatticeVector:
+    """min over the splits (T_i) and the e-partitions (x_j) of
+    sum_i sum_j (T_i x_j ^ f(x_j) T_i e)."""
+    e = LatticeVector.ones(f.dim)
+    best = None
+    for pieces in splits:
+        for blocks in partitions:
+            total = LatticeVector.zero(f.dim)
+            for T_i in pieces:
+                Te = T_i.apply(e)
+                for x_j in blocks:
+                    total = total + T_i.apply(x_j).meet(Te.scale(f(x_j)))
+            best = total if best is None else best.meet(total)
+    return best
+
+
+def g_double_prime_term(pieces_cols, pieces_Te, partition, f) -> LatticeVector:
+    """sum_i sum_j (T_i x_j ^ f(x_j) T_i e) for one split (the columns and
+    the row sums T_i e of its pieces) and one partition of e."""
+    n = f.dim
+    total = LatticeVector.zero(n)
+    for cols, Te in zip(pieces_cols, pieces_Te):
+        for x_j in partition.pieces:
+            image = LatticeVector.zero(n)
+            for c in x_j.support():
+                image = image + cols[c].scale(x_j.entry(c))
+            cap = Te.scale(f(x_j))
+            total = total + image.meet(cap)
+    return total

@@ -682,3 +682,34 @@ def test_the_shared_parser_carries_no_state_between_runs(monkeypatch, capsys):
         together.append((code, out.out, _strip_runtime(out.err)))
     assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0]
     assert together == alone
+
+
+# ---------------------------------------------------------------------------
+# float overflow: one error policy for every command
+# ---------------------------------------------------------------------------
+
+
+def _run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "rieszops", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_norming_vector_overflow_exits_2_without_a_traceback(tmp_path):
+    # m ** p of a 1e300 entry overflows a Python float in norms.norming_vector.
+    a = _write(tmp_path / "f.json", {"rows": 2, "cols": 2, "entries": [0.1, -0.0, 1e300, 5e-324]})
+    proc = _run_cli("norm", "--A", a, "--p-from", "2", "--p-to", "inf")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_float_overflow_in_a_verifier_exits_2_without_numpy_warnings(tmp_path):
+    big = {"rows": 2, "cols": 2, "entries": [1e300, -1e300, 1e300, 1.0]}
+    a = _write(tmp_path / "a.json", big)
+    b = _write(tmp_path / "b.json", big)
+    proc = _run_cli("verify", "cor22", "--A", a, "--B", b)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "RuntimeWarning" not in proc.stderr

@@ -13,7 +13,6 @@ from rieszops import (
     build_B,
     counterexample_report,
     disjoint_partitions,
-    enumerate_components,
     identity_meet_B,
     inf_G_double_prime,
     meet_superoperator,
@@ -25,12 +24,13 @@ from rieszops.counterexample import (
     _e_partitions,
     _positive_splits,
     contrast_table,
-    g_double_prime_term,
 )
 from rieszops.lattice import EnumerationLimitError
 from rieszops.scalars import ScalarModeError
 
+from cases import enumerate_components
 from conftest import positive_fractions_st
+from partition_reference import g_double_prime_term
 
 
 @st.composite

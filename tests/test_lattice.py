@@ -13,7 +13,6 @@ from rieszops import (
     atomic_partition,
     disjoint_partitions,
     dyadic_partition,
-    enumerate_components,
     halves_partition,
     refinement_chain,
     trivial_partition,
@@ -21,6 +20,7 @@ from rieszops import (
 from rieszops.lattice import random_convex_partition
 from rieszops.scalars import ScalarModeError
 
+from cases import enumerate_components
 from conftest import fractions_st, vectors
 
 

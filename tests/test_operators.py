@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from rieszops import (
     LatticeVector,
-    OperatorPartition,
     RegularOperator,
     atomic_operator_partition,
     meet_oracle,
@@ -18,6 +17,7 @@ from rieszops import (
 )
 from rieszops.lattice import (
     DimensionMismatchError,
+    Partition,
     atomic_partition,
     default_partitions,
     random_convex_partition,
@@ -267,7 +267,7 @@ def test_operator_partition_rejects_wrong_sum():
     T = RegularOperator.from_rows([[1, 1], [1, 1]])
     bad = RegularOperator.from_rows([[1, 0], [0, 0]])
     with pytest.raises(ValueError):
-        OperatorPartition(T, (bad,))
+        Partition(T, (bad,), signed=True)
 
 
 @given(matrices(positive=True), st.integers(min_value=2, max_value=4))

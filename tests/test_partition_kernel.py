@@ -1,0 +1,379 @@
+"""The stacked partitions and the segment-sum kernel against the per-piece
+reference loops of ``partition_reference``.
+
+Every builder must give the pieces the tuple-based builder gave, from the
+same seeded draws; ``is_disjoint`` must agree with the pairwise test; and
+``modulus_oracle``, ``meet_oracle`` (value, first attainer, partitions
+tried, attainment), ``refinement_sums``, ``operator_partition_sup`` and
+the lab's ``_double_partition_inf`` must equal the loops one piece at a
+time: exactly in exact mode, bit for bit by ``float.hex`` in float mode.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import partition_reference as ref
+from rieszops import (
+    CoordinateFunctional,
+    LatticeVector,
+    Partition,
+    RegularOperator,
+    atomic_operator_partition,
+    atomic_partition,
+    default_partitions,
+    disjoint_partitions,
+    dyadic_partition,
+    halves_partition,
+    meet_oracle,
+    modulus_oracle,
+    operator_partition_sup,
+    random_operator_partition,
+    refinement_chain,
+    refinement_sums,
+    trivial_operator_partition,
+    trivial_partition,
+)
+from rieszops import lattice
+from rieszops.counterexample import _double_partition_inf, _e_partitions, _positive_splits
+from rieszops.lattice import random_convex_partition
+
+from conftest import fractions_st, positive_fractions_st
+
+MODES = ("exact", "float")
+
+#: Float entries: small values, signed zeros, subnormals and near-tolerance
+#: values next to ordinary ones.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1e-10, 2e-9, 0.1, 2.5]
+floats_st = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]),
+    st.floats(min_value=-5, max_value=5, allow_nan=False),
+)
+positive_floats_st = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(min_value=0, max_value=5, allow_nan=False),
+)
+
+
+def _entries(draw, count, mode, positive):
+    if mode == "exact":
+        src = positive_fractions_st if positive else fractions_st
+    else:
+        src = positive_floats_st if positive else floats_st
+    return [draw(src) for _ in range(count)]
+
+
+@st.composite
+def vectors(draw, mode, dim=None, positive=False):
+    n = draw(st.integers(1, 4)) if dim is None else dim
+    return LatticeVector(_entries(draw, n, mode, positive))
+
+
+@st.composite
+def matrices(draw, mode, rows=None, cols=None, positive=False):
+    r = draw(st.integers(1, 4)) if rows is None else rows
+    c = draw(st.integers(1, 4)) if cols is None else cols
+    return RegularOperator(r, c, _entries(draw, r * c, mode, positive))
+
+
+def _same(got, want):
+    """Equal entries: exactly, or bit for bit for floats."""
+    got, want = list(got.entries), list(want.entries)
+    if got and isinstance(got[0], float):
+        return [a.hex() for a in got] == [b.hex() for b in want]
+    return got == want
+
+
+def _same_pieces(partition, pieces):
+    assert len(partition) == len(pieces)
+    got = partition.pieces
+    assert all(type(p) is type(q) for p, q in zip(got, pieces))
+    assert all(_same(p, q) for p, q in zip(got, pieces))
+
+
+def _same_split(build, target, pieces, signed=False):
+    """``build()`` gives the reference pieces, or refuses them with
+    ``ValueError`` exactly when the check one piece at a time does: float
+    pieces within the absolute tolerance of zero are dropped, so a split
+    of entries near that tolerance can miss its target."""
+    if ref.is_partition(target, pieces, signed):
+        _same_pieces(build(), pieces)
+    else:
+        with pytest.raises(ValueError, match="sum to the target"):
+            build()
+
+
+def _same_family(build, w, families):
+    """``build()`` gives the reference families, or refuses when one of
+    them fails the check one piece at a time."""
+    if all(ref.is_partition(w, pieces) for pieces in families):
+        got = build()
+        assert len(got) == len(families)
+        for partition, pieces in zip(got, families):
+            _same_pieces(partition, pieces)
+        return got
+    with pytest.raises(ValueError, match="sum to the target"):
+        build()
+    return None
+
+
+# ---------------------------------------------------------------------------
+# builders
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_vector_builders_give_the_reference_pieces(mode, data):
+    w = data.draw(vectors(mode, positive=True))
+    seed = data.draw(st.integers(0, 1000))
+    _same_pieces(trivial_partition(w), ref.trivial_partition(w))
+    _same_pieces(halves_partition(w), ref.halves_partition(w))
+    _same_pieces(atomic_partition(w), ref.atomic_partition(w))
+    for depth in (1, 2):
+        _same_pieces(dyadic_partition(w, depth), ref.dyadic_partition(w, depth))
+    for parts in (1, 2, 3, 5):
+        _same_split(
+            lambda: random_convex_partition(w, parts, Random(seed)),
+            w,
+            ref.random_convex_partition(w, parts, Random(seed)),
+        )
+    for got, want in zip(refinement_chain(w), ref.refinement_chain(w)):
+        _same_pieces(got, want)
+    _same_family(lambda: default_partitions(w), w, ref.default_partitions(w))
+    for max_parts in (None, 1, 2):
+        got = list(disjoint_partitions(w, max_parts))
+        want = ref.disjoint_partitions(w, max_parts)
+        assert len(got) == len(want)
+        for partition, pieces in zip(got, want):
+            _same_pieces(partition, pieces)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_operator_splits_give_the_reference_pieces(mode, data):
+    T = data.draw(matrices(mode, positive=True))
+    seed = data.draw(st.integers(0, 1000))
+    _same_pieces(trivial_operator_partition(T), ref.trivial_operator_partition(T))
+    _same_pieces(atomic_operator_partition(T), ref.atomic_operator_partition(T))
+    for parts, signed in ((1, True), (2, False), (3, True), (4, True)):
+        got_rng, want_rng = Random(seed), Random(seed)
+        for _ in range(3):  # consecutive draws from one generator
+            _same_split(
+                lambda: random_operator_partition(T, parts, got_rng, signed),
+                T,
+                ref.random_operator_partition(T, parts, want_rng, signed),
+                signed=True,
+            )
+        assert got_rng.random() == want_rng.random()
+
+
+def test_builders_still_go_through_the_public_constructor(monkeypatch):
+    built = []
+    init = Partition.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(args[0]).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    w = LatticeVector([1, 2, 0, 3])
+    T = RegularOperator(2, 2, [1, 0, 2, 3])
+    default_partitions(w)
+    list(disjoint_partitions(w))
+    trivial_operator_partition(T)
+    atomic_operator_partition(T)
+    random_operator_partition(T, 3, Random(0))
+    assert built == ["LatticeVector"] * (9 + 5) + ["RegularOperator"] * 3
+
+
+# ---------------------------------------------------------------------------
+# disjointness
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_is_disjoint_is_the_pairwise_test(mode, data):
+    w = data.draw(vectors(mode, positive=True))
+    seed = data.draw(st.integers(0, 1000))
+    families = [
+        trivial_partition(w),
+        halves_partition(w),
+        atomic_partition(w),
+        dyadic_partition(w),
+        *disjoint_partitions(w),
+    ]
+    if ref.is_partition(w, ref.random_convex_partition(w, 3, Random(seed))):
+        families.append(random_convex_partition(w, 3, Random(seed)))
+    for partition in families:
+        for tol in (0.0, 1e-9, 0.5):
+            assert partition.is_disjoint(tol) is ref.is_disjoint(partition.pieces, tol)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_is_disjoint_at_the_tolerance(mode):
+    def vector(entries):
+        v = LatticeVector(entries)
+        return v if mode == "exact" else v.to_float()
+
+    w = vector([1, 1])
+    tiny = Fraction(1, 10**12)
+    overlap = Partition(w, [vector([1 - tiny, 0]), vector([tiny, 1])])
+    assert overlap.is_disjoint() is ref.is_disjoint(overlap.pieces) is (mode == "float")
+    assert not overlap.is_disjoint(0.0) and not ref.is_disjoint(overlap.pieces, 0.0)
+    split = Partition(w, [vector([Fraction(1, 2), 0]), vector([Fraction(1, 2), 1])])
+    assert not split.is_disjoint() and not ref.is_disjoint(split.pieces)
+
+
+# ---------------------------------------------------------------------------
+# the oracles
+# ---------------------------------------------------------------------------
+
+
+def _oracle_case(data, mode):
+    w = data.draw(vectors(mode, positive=True))
+    S = data.draw(matrices(mode, cols=w.dim))
+    T = data.draw(matrices(mode, rows=S.rows, cols=w.dim))
+    return S, T, w
+
+
+def _assert_same_result(result, family, want):
+    """``result`` agrees with the reference (value, index of the first
+    attainer, partitions tried, attained) over ``family``; a family the
+    oracle built itself is matched by equality, not identity."""
+    value, index, tried, attained = want
+    assert _same(result.value, value)
+    if any(p is result.best_partition for p in family):
+        assert result.best_partition is family[index]
+    else:
+        assert result.best_partition == family[index]
+    assert result.partitions_tried == tried
+    assert result.attained is attained
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_oracles_equal_the_per_piece_loops(mode, data):
+    S, T, w = _oracle_case(data, mode)
+    family = _same_family(lambda: default_partitions(w), w, ref.default_partitions(w))
+    if family is None:  # the default family of w is refused: so is the oracle
+        with pytest.raises(ValueError, match="sum to the target"):
+            modulus_oracle(S, w)
+        return
+    pieces = [p.pieces for p in family]
+    _assert_same_result(modulus_oracle(S, w), family, ref.modulus_oracle(S, w, pieces))
+    _assert_same_result(modulus_oracle(S, w, family), family, ref.modulus_oracle(S, w, pieces))
+    _assert_same_result(meet_oracle(S, T, w, family), family, ref.meet_oracle(S, T, w, pieces))
+    # A stream of many small partitions, given in reverse.
+    family = list(disjoint_partitions(w))[::-1]
+    pieces = [p.pieces for p in family]
+    _assert_same_result(modulus_oracle(S, w, family), family, ref.modulus_oracle(S, w, pieces))
+    _assert_same_result(meet_oracle(S, T, w, family), family, ref.meet_oracle(S, T, w, pieces))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_refinement_sums_equal_the_per_piece_loop(mode, data):
+    S, _, w = _oracle_case(data, mode)
+    got = refinement_sums(S, w)
+    want = ref.refinement_sums(S, w)
+    assert len(got) == len(want)
+    assert all(_same(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_oracles_keep_the_first_attainer_across_kernel_chunks(mode, monkeypatch):
+    w = LatticeVector([1, 2, 0, 3])
+    S = RegularOperator(2, 4, [1, -2, 3, 0, -1, 1, 1, -4])
+    T = RegularOperator(2, 4, [0, 1, -1, 2, 2, 2, -1, 1])
+    if mode == "float":
+        w, S, T = w.to_float(), S.to_float(), T.to_float()
+    family = default_partitions(w) + [atomic_partition(w)]
+    pieces = [p.pieces for p in family]
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1)
+    for got, want in (
+        (modulus_oracle(S, w, family), ref.modulus_oracle(S, w, pieces)),
+        (meet_oracle(S, T, w, family), ref.meet_oracle(S, T, w, pieces)),
+    ):
+        _assert_same_result(got, family, want)
+
+
+# ---------------------------------------------------------------------------
+# the operator-partition supremum and the lab's double-partition infimum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data(), seed=st.integers(0, 1000))
+@settings(max_examples=30)
+def test_operator_partition_sup_equals_the_per_piece_loop(mode, data, seed):
+    dims = [data.draw(st.integers(1, 3)) for _ in range(4)]
+    w_dim, x, y, z = dims
+    A0 = data.draw(matrices(mode, z, y, positive=True))
+    B = data.draw(matrices(mode, x, w_dim))
+    T = data.draw(matrices(mode, y, x, positive=True))
+    v = data.draw(vectors(mode, w_dim, positive=True))
+    rng = Random(seed)
+    families = [atomic_operator_partition(T), trivial_operator_partition(T)] + [
+        random_operator_partition(T, 3, rng) for _ in range(3)
+    ]
+    got = operator_partition_sup(A0, B, T, v, families)
+    want = ref.operator_partition_sup(A0, B, v, [p.pieces for p in families])
+    assert _same(got, want)
+
+
+@given(
+    n=st.integers(2, 4),
+    data=st.data(),
+    budget=st.integers(1, 15),
+    samples=st.integers(1, 5),
+    seed=st.integers(0, 100),
+)
+@settings(max_examples=30)
+def test_double_partition_inf_equals_the_per_piece_loop(n, data, budget, samples, seed):
+    f = CoordinateFunctional(n, data.draw(st.integers(0, n - 1)))
+    T = data.draw(matrices("exact", n, n, positive=True))
+    partitions = _e_partitions(f, budget)
+    splits = _positive_splits(T, samples, seed)
+    got = _double_partition_inf(f, partitions, splits)
+    want = ref.double_partition_inf(
+        f, [p.pieces for p in partitions], [s.pieces for s in splits]
+    )
+    assert got.entries == want.entries
+    assert all(type(e) is Fraction for e in got.entries)
+
+
+# ---------------------------------------------------------------------------
+# the stacked partition itself
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stacked_partition_round_trips_its_pieces(mode):
+    w = LatticeVector([Fraction(1, 3), 2, 0])
+    w = w if mode == "exact" else w.to_float()
+    pieces = ref.dyadic_partition(w)
+    partition = Partition(w, pieces)
+    _same_pieces(partition, pieces)
+    assert partition == dyadic_partition(w)
+    assert partition != atomic_partition(w)
+    assert partition._values.shape == (len(pieces), w.dim)
+    assert isinstance(partition._values, np.ndarray)
+    with pytest.raises(AttributeError):
+        partition.target = w
+
+
+def test_signed_partitions_check_the_moduli():
+    T = RegularOperator.from_rows([[1, 2], [0, 3]])
+    half = T.scale(Fraction(1, 2))
+    assert len(Partition(T, [half, -half], signed=True)) == 2
+    with pytest.raises(ValueError, match="moduli"):
+        Partition(T, [half, half.scale(Fraction(1, 2))], signed=True)
+    with pytest.raises(ValueError, match="positive"):
+        Partition(-T, [-T], signed=True)
+    with pytest.raises(ValueError, match="positive"):
+        Partition(T, [half + T, -half])  # a positive partition refuses -half

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from rieszops import LatticeVector, RegularOperator, kron, unvec, vec
-from rieszops.lattice import SPLIT_DENOMINATOR, _integer_composition
+from rieszops.lattice import SPLIT_DENOMINATOR
 from rieszops.operators import atomic_operator_partition
 from rieszops.scalars import DEFAULT_TOLERANCE, le, zero_of
 from rieszops.superop import deviation, operator_partition_sup
@@ -67,6 +67,12 @@ def _ref_atoms(x):
             entries[index] = a
             pieces.append(entries)
     return pieces or [list(x.entries)]
+
+
+def _integer_composition(rng, total, parts):
+    """Random composition of ``total`` into ``parts`` nonnegative integers."""
+    cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 def _ref_convex_split(x, parts, rng, signed):
@@ -239,13 +245,21 @@ def test_order_tests_match_the_tuple_loop(name, exact):
             assert op(a, b) is ref(a, b)
 
 
+def _pieces(x, values, den):
+    """A splitter's stacked pieces (values over den) as containers."""
+    assert values.shape[1:] == x.shape
+    return [x._of(row, den) for row in values]
+
+
 @pytest.mark.parametrize("exact", MODES)
 def test_splitters_match_the_tuple_loop(exact):
     for x, _ in _pairs(exact):
         x = abs(x)
-        assert [p.entries for p in x._atoms()] == [tuple(p) for p in _ref_atoms(x)]
+        assert [p.entries for p in _pieces(x, *x._atoms())] == [
+            tuple(p) for p in _ref_atoms(x)
+        ]
         for parts, signed in ((2, False), (3, True), (4, True)):
-            got = x._convex_split(parts, Random(parts), signed)
+            got = _pieces(x, *x._convex_split(parts, Random(parts), signed))
             want = _ref_convex_split(x, parts, Random(parts), signed)
             assert len(got) == len(want)
             for piece, reference in zip(got, want):
