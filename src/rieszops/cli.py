@@ -102,7 +102,7 @@ def _load(path: str, cls=RegularOperator):
         if type(data["entries"]) is not list:
             raise ValueError(f"entries must be a list, got {data['entries']!r}")
         loaded = cls.from_json(data)
-        if not (loaded.is_exact or all(map(math.isfinite, loaded.entries))):
+        if not (loaded.is_exact or np.isfinite(loaded.as_floats()).all()):
             raise ValueError("entries must be finite")
         return loaded
     except (KeyError, TypeError, ValueError) as exc:

@@ -325,7 +325,8 @@ class _Entrywise:
         on the grid k/SPLIT_DENOMINATOR (exact in rational mode), each share
         with a random sign when ``signed``, so the moduli of the pieces sum
         to a positive self.  Returns the pieces stacked, (array, D), with
-        all-zero pieces dropped, or the one piece self if none is left."""
+        the exactly-zero pieces dropped, or the one piece self if none is
+        left."""
         # Per entry, in the order drawn: parts - 1 cuts in [0, 16], whose
         # sorted gaps are the integer weights c, then (when signed) one
         # rng.random() per share for its sign.  The share c/16 of an entry a
@@ -344,7 +345,7 @@ class _Entrywise:
                 low = cut
         grid = np.array(shares, dtype=self._values.dtype).reshape(-1, parts)
         columns = (self._values.reshape(-1, 1) * grid).T
-        kept = columns[~_zero_mask(columns, self.is_exact).all(axis=1)]
+        kept = columns[(columns != 0).any(axis=1)]
         if not len(kept):
             return self._values[None], self._den
         den = self._den and self._den * SPLIT_DENOMINATOR

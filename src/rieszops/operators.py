@@ -136,7 +136,7 @@ class RegularOperator(_Entrywise):
         }
 
     def to_lists(self) -> list:
-        return np.array(self.entries, dtype=object).reshape(self.shape).tolist()
+        return [[self._scalar(v) for v in row] for row in self._values]
 
     def as_floats(self) -> list:
         return self.to_float()._values.tolist()

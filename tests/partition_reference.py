@@ -57,8 +57,8 @@ def composition(rng: Random, total: int, parts: int) -> list:
 
 def convex_split(x, parts: int, rng: Random, signed: bool = False) -> tuple:
     """Each entry over ``parts`` pieces with weights c/16, drawn entry by
-    entry (a composition, then a sign per share when ``signed``); all-zero
-    pieces dropped, (x,) if none is left."""
+    entry (a composition, then a sign per share when ``signed``); exactly
+    zero pieces dropped, (x,) if none is left."""
     unit = 1 if x.is_exact else 1 / SPLIT_DENOMINATOR
     grids = []
     for a in x.entries:
@@ -68,7 +68,7 @@ def convex_split(x, parts: int, rng: Random, signed: bool = False) -> tuple:
             shares.append(share if not signed or rng.random() < 0.5 else -share)
         grids.append(shares)
     pieces = [_like(x, list(column)) for column in zip(*grids)]
-    return tuple(p for p in pieces if not p.is_zero()) or (x,)
+    return tuple(p for p in pieces if not p.is_zero(0.0)) or (x,)
 
 
 def trivial_partition(w) -> tuple:

@@ -697,7 +697,7 @@ def _run_cli(*argv):
 
 
 def test_norming_vector_overflow_exits_2_without_a_traceback(tmp_path):
-    # m ** p of a 1e300 entry overflows a Python float in norms.norming_vector.
+    # A 1e300 entry overflows the dual 2-norm of its row (the squares).
     a = _write(tmp_path / "f.json", {"rows": 2, "cols": 2, "entries": [0.1, -0.0, 1e300, 5e-324]})
     proc = _run_cli("norm", "--A", a, "--p-from", "2", "--p-to", "inf")
     assert proc.returncode == 2

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private top-level name is left that no module of the package uses, and
-only ``lattice`` turns exact scalars into numerators over a denominator."""
+no private top-level name is left that no module of the package uses, only
+``lattice`` turns exact scalars into numerators over a denominator, and only
+``lattice`` reads ``.entries``, which builds a ``Fraction`` per exact
+entry."""
 
 import ast
 from pathlib import Path
@@ -176,6 +178,36 @@ def test_only_lattice_scales_exact_scalars(path):
         f"{path.name} scales exact scalars itself: {reads}; the storage in "
         "lattice._Entrywise holds numerators over one denominator"
     )
+
+
+def entries_reads(source: str) -> list:
+    """Where a module reads an ``.entries`` attribute, in source order."""
+    found = sorted(
+        (node.lineno, node.col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    )
+    return [f".entries (line {line})" for line, _ in found]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_only_lattice_reads_entries(path):
+    reads = entries_reads(path.read_text(encoding="utf-8"))
+    assert not reads, (
+        f"{path.name} reads .entries: {reads}; read the stored values "
+        "(``_values`` over ``_den``) or ``as_floats()`` instead"
+    )
+
+
+def test_the_entries_check_flags_attributes_not_keys():
+    source = (
+        "def f(x, data):\n"
+        "    n = len(data['entries'])\n"
+        "    return [a for a in x.entries], x.row(0).entries\n"
+    )
+    assert entries_reads(source) == [".entries (line 3)", ".entries (line 3)"]
 
 
 def test_the_scaling_check_flags_lcm_and_fraction_parts():

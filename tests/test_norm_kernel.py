@@ -1,0 +1,148 @@
+"""The norm kernel of ``norms`` against the per-entry reference routines of
+``norm_reference``.
+
+``vector_norm``, ``dual_norm``, ``norming_vector``, ``norming_functional``
+and ``operator_norm`` must give what the per-entry routines give, in both
+scalar modes, weighted (exact and float weights) and unweighted: exact
+values equal and still ``Fraction``, float values and witnesses equal bit
+for bit by ``float.hex``, the same ``method`` and ``certified``.  The
+stacks against single matrices are in ``test_norms.py``.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import norm_reference as ref
+from rieszops import (
+    LatticeNorm,
+    LatticeVector,
+    RegularOperator,
+    dual_norm,
+    norming_functional,
+    norming_vector,
+    operator_norm,
+    vector_norm,
+)
+
+P_VALUES = (1.0, 2.0, 3.5, math.inf)
+
+#: A few search starts and iterations, so that the reference search stays
+#: quick on 9 x 9 matrices.
+SEARCH = {"seed": 3, "starts": 3, "iters": 8}
+
+exact_entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+float_entries = st.floats(min_value=-4, max_value=4, allow_nan=False)
+exact_weights = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+float_weights = st.floats(min_value=0.125, max_value=5)
+
+
+def _same_scalar(ours, theirs):
+    if isinstance(theirs, Fraction):
+        assert type(ours) is Fraction and ours == theirs
+    else:
+        assert type(ours) is float and float.hex(ours) == float.hex(theirs)
+
+
+def _same_vector(ours: LatticeVector, theirs: LatticeVector):
+    assert ours.mode == theirs.mode
+    if theirs.is_exact:
+        assert ours == theirs
+    else:
+        assert [float.hex(a) for a in ours.as_floats()] == [
+            float.hex(a) for a in theirs.as_floats()
+        ]
+
+
+@st.composite
+def entries(draw, count, exact, positive=False):
+    values = [draw(exact_entries if exact else float_entries) for _ in range(count)]
+    return [abs(v) for v in values] if positive else values
+
+
+@st.composite
+def norms(draw, dim):
+    """A LatticeNorm on R^dim: p from P_VALUES, unweighted or with exact or
+    float weights."""
+    p = draw(st.sampled_from(P_VALUES))
+    kind = draw(st.sampled_from(("none", "exact", "float")))
+    if kind == "none":
+        return LatticeNorm(p=p)
+    source = exact_weights if kind == "exact" else float_weights
+    return LatticeNorm(p=p, weights=LatticeVector([draw(source) for _ in range(dim)]))
+
+
+@st.composite
+def vector_cases(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    exact = draw(st.booleans())
+    x = LatticeVector(draw(entries(dim, exact)))
+    return x, draw(norms(dim))
+
+
+@st.composite
+def matrix_cases(draw, shapes=st.integers(min_value=1, max_value=4)):
+    rows, cols = draw(shapes), draw(shapes)
+    exact = draw(st.booleans())
+    positive = draw(st.booleans())
+    A = RegularOperator(rows, cols, draw(entries(rows * cols, exact, positive)))
+    return A, draw(norms(cols)), draw(norms(rows))
+
+
+def _assert_operator_norm_matches(A, n_from, n_to):
+    ours = operator_norm(A, n_from, n_to, **SEARCH)
+    value, witness, certified, method = ref.operator_norm(A, n_from, n_to, **SEARCH)
+    assert (ours.method, ours.certified) == (method, certified)
+    _same_scalar(ours.value, value)
+    _same_vector(ours.witness, witness)
+
+
+@given(vector_cases())
+def test_vector_and_dual_norms_match_the_reference(case):
+    x, n = case
+    _same_scalar(vector_norm(x, n), ref.vector_norm(x, n))
+    _same_scalar(dual_norm(x, n), ref.dual_norm(x, n))
+
+
+@given(vector_cases())
+def test_norming_vectors_and_functionals_match_the_reference(case):
+    x, n = case
+    _same_vector(norming_vector(x, n), ref.norming_vector(x, n))
+    _same_vector(norming_functional(x, n), ref.norming_functional(x, n))
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("exact", [True, False])
+def test_norming_of_a_zero_vector_matches_the_reference(p, exact):
+    zero = LatticeVector([Fraction(0)] * 3 if exact else [-0.0, 0.0, -0.0])
+    for n in (LatticeNorm(p=p), LatticeNorm(p=p, weights=LatticeVector([Fraction(1, 3), 2, 5]))):
+        _same_vector(norming_vector(zero, n), ref.norming_vector(zero, n))
+        _same_vector(norming_functional(zero, n), ref.norming_functional(zero, n))
+
+
+@given(matrix_cases())
+def test_operator_norm_matches_the_reference(case):
+    _assert_operator_norm_matches(*case)
+
+
+@given(matrix_cases(shapes=st.just(9)))
+@settings(max_examples=15)
+def test_operator_norm_matches_the_reference_on_9x9(case):
+    _assert_operator_norm_matches(*case)
+
+
+@pytest.mark.parametrize("p_from", P_VALUES)
+@pytest.mark.parametrize("p_to", P_VALUES)
+def test_every_exponent_pair_matches_the_reference_in_both_modes(p_from, p_to):
+    rows = [[Fraction(3, 2), Fraction(-1, 3), 2], [0, Fraction(5, 7), Fraction(-4, 5)]]
+    weights_from = LatticeVector([Fraction(1, 3), 2, Fraction(5, 4)])
+    weights_to = LatticeVector([0.75, 1.5])
+    for A in (RegularOperator.from_rows(rows), abs(RegularOperator.from_rows(rows))):
+        for B in (A, A.to_float()):
+            for n_from, n_to in (
+                (LatticeNorm(p=p_from), LatticeNorm(p=p_to)),
+                (LatticeNorm(p=p_from, weights=weights_from), LatticeNorm(p=p_to, weights=weights_to)),
+            ):
+                _assert_operator_norm_matches(B, n_from, n_to)

@@ -224,25 +224,58 @@ def test_regular_norm_dominates_operator_norm(A):
         assert float(reg.value) >= float(op.value) - 1e-9
 
 
-@given(st.integers(min_value=1, max_value=40))
-def test_batched_operator_norm_matches_scalar_path(k):
+#: The pairs whose closed forms give a stack bit for bit what they give one
+#: matrix: max column (1 -> *), max row dual (* -> inf), positive corner.
+STACK_PAIRS = (
+    (1.0, 1.0), (1.0, math.inf), (math.inf, math.inf), (2.0, math.inf),
+    (1.0, 3.5), (math.inf, 2.0),
+)
+
+
+def _singles(stack, n_from, n_to):
+    return [
+        operator_norm(RegularOperator(*m.shape, [float(x) for x in m.ravel()]), n_from, n_to).value
+        for m in stack
+    ]
+
+
+@given(st.integers(min_value=1, max_value=40), st.sampled_from([(3, 2), (9, 9)]))
+def test_batched_operator_norm_matches_scalar_path(k, shape):
     rng = np.random.default_rng(k)
-    stack = rng.normal(size=(5, 3, 2))
-    for p_from, p_to in ((1.0, 1.0), (2.0, 2.0), (1.0, math.inf), (math.inf, 2.0)):
+    stack = rng.normal(size=(5, *shape))
+    for p_from, p_to in STACK_PAIRS:
         n_from, n_to = LatticeNorm(p=p_from), LatticeNorm(p=p_to)
-        arr = np.abs(stack) if p_from == math.inf else stack
-        batched = batched_operator_norm(arr, n_from, n_to, positive=(p_from == math.inf))
-        singles = [
-            float(
-                operator_norm(
-                    RegularOperator(3, 2, [float(x) for x in m.flatten()]),
-                    n_from,
-                    n_to,
-                ).value
-            )
-            for m in arr
+        positive = p_from == math.inf
+        arr = np.abs(stack) if positive else stack
+        batched = batched_operator_norm(arr, n_from, n_to, positive=positive)
+        assert [float.hex(float(b)) for b in batched] == [
+            float.hex(s) for s in _singles(arr, n_from, n_to)
         ]
-        assert np.allclose(batched, singles, atol=1e-9)
+
+
+@given(st.integers(min_value=1, max_value=40), st.sampled_from([(3, 2), (9, 9)]))
+def test_batched_2_to_2_norms_match_scalar_path_to_rounding(k, shape):
+    # A stack asks LAPACK for the singular values alone, one matrix for its
+    # full SVD (the witness is a singular vector); the two routines may differ
+    # in the last bits.
+    stack = np.random.default_rng(k).normal(size=(5, *shape))
+    n2 = LatticeNorm(p=2.0)
+    batched = batched_operator_norm(stack, n2, n2)
+    assert np.allclose(batched, _singles(stack, n2, n2), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p_from, p_to", [(math.inf, 3.5), (3.5, 2.0)])
+def test_batched_search_pairs_match_scalar_path(p_from, p_to):
+    # No closed form: the stack runs the single-matrix path one matrix at a
+    # time, including the positive corner of a positive matrix in a stack
+    # not declared positive.
+    stack = np.random.default_rng(5).normal(size=(3, 3, 2))
+    stack[1] = np.abs(stack[1])
+    n_from, n_to = LatticeNorm(p=p_from), LatticeNorm(p=p_to)
+    batched = batched_operator_norm(stack, n_from, n_to)
+    assert [float.hex(float(b)) for b in batched] == [
+        float.hex(s) for s in _singles(stack, n_from, n_to)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,7 @@ def _same_pieces(partition, pieces):
 
 def _same_split(build, target, pieces, signed=False):
     """``build()`` gives the reference pieces, or refuses them with
-    ``ValueError`` exactly when the check one piece at a time does: float
-    pieces within the absolute tolerance of zero are dropped, so a split
-    of entries near that tolerance can miss its target."""
+    ``ValueError`` exactly when the check one piece at a time does."""
     if ref.is_partition(target, pieces, signed):
         _same_pieces(build(), pieces)
     else:
@@ -169,6 +167,21 @@ def test_operator_splits_give_the_reference_pieces(mode, data):
                 signed=True,
             )
         assert got_rng.random() == want_rng.random()
+
+
+def test_a_float_convex_split_of_tiny_entries_keeps_its_pieces():
+    # Pieces whose entries all lie within DEFAULT_TOLERANCE of zero are not
+    # zero: dropping them left the rest short of the target.
+    w = LatticeVector([2e-9, 2e-9])
+    partition = random_convex_partition(w, 3, Random(0))
+    want = ref.random_convex_partition(w, 3, Random(0))
+    assert ref.is_partition(w, want) and len(want) == 3
+    _same_pieces(partition, want)
+    S = RegularOperator(2, 2, [1.0, -2.0, 0.5, 3.0])
+    family = default_partitions(w)
+    result = modulus_oracle(S, w)
+    _assert_same_result(result, family, ref.modulus_oracle(S, w, [p.pieces for p in family]))
+    assert result.attained
 
 
 def test_builders_still_go_through_the_public_constructor(monkeypatch):

@@ -85,7 +85,7 @@ def _ref_convex_split(x, parts, rng, signed):
             shares = [s if rng.random() < 0.5 else -s for s in shares]
         grids.append(shares)
     pieces = [list(column) for column in zip(*grids)]
-    kept = [p for p in pieces if not all(is_zero(a) for a in p)]
+    kept = [p for p in pieces if any(a != 0 for a in p)]
     return kept or [list(x.entries)]
 
 
