@@ -93,10 +93,17 @@ def _load_json(path: str) -> dict:
 
 def _load(path: str, cls=RegularOperator):
     """A matrix (a vector for ``cls=LatticeVector``) from a JSON input file:
-    its shape fields ints >= 1, its entries a list, its floats finite."""
+    an object, its shape fields its kind's own (rows and cols, or dim) and
+    ints >= 1, its entries a list, its floats finite."""
     data = _load_json(path)
+    kind = "matrix" if cls is RegularOperator else "vector"
+    own = ("rows", "cols") if cls is RegularOperator else ("dim",)
     try:
+        if type(data) is not dict:
+            raise ValueError(f"expected a JSON object, got {data!r}")
         for name in ("rows", "cols", "dim"):
+            if name in data and name not in own:
+                raise ValueError(f"a {kind} file has no {name} field")
             if name in data and (type(data[name]) is not int or data[name] < 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {data[name]!r}")
         if type(data["entries"]) is not list:
@@ -106,7 +113,6 @@ def _load(path: str, cls=RegularOperator):
             raise ValueError("entries must be finite")
         return loaded
     except (KeyError, TypeError, ValueError) as exc:
-        kind = "matrix" if cls is RegularOperator else "vector"
         raise UsageError(f"{path} is not a valid {kind} file: {exc}") from exc
 
 
@@ -142,15 +148,25 @@ def _require_exact(args, *operands):
 
 
 def _aggregate(claim_id: str, reports, corpus: Corpus) -> VerificationReport:
-    failures = [i for i, r in enumerate(reports) if r.status == "fail"]
+    """The corpus report, folded from the case reports as they come: the
+    count, the largest deviation (the first maximum), the first ten failing
+    cases and the witnesses of the first; no case report is kept."""
+    max_dev, exact, failures, witnesses = None, True, [], None
+    for case, report in enumerate(reports):
+        exact = exact and report.exact
+        if max_dev is None or report.max_deviation > max_dev:
+            max_dev = report.max_deviation
+        if report.status == "fail" and len(failures) < 10:
+            if not failures:
+                witnesses = {w["role"]: w for w in report.witnesses}
+            failures.append(case)
     return make_report(
         claim_id=claim_id,
-        inputs={"corpus": corpus.to_json()},
-        deviations=[r.max_deviation for r in reports],
-        exact=all(r.exact for r in reports),
-        witnesses=reports[failures[0]].witnesses if failures else (),
+        inputs={"corpus": corpus},
+        deviations=[max_dev if exact else float(max_dev)],
+        witnesses=witnesses,
         seed=corpus.seed,
-        details={"cases": len(reports), "failed_cases": failures[:10]},
+        details={"cases": case + 1, "failed_cases": failures},
         status="fail" if failures else "pass",
     )
 
@@ -242,10 +258,10 @@ def _run_verify(args) -> VerificationReport:
         return _run_gap(args)
     if args.corpus is not None:
         corpus = parse_corpus_spec(args.corpus)
-        reports = [
+        reports = (
             _call_verifier(args, case, corpus.seed)
             for case in claim_cases(corpus, claim)
-        ]
+        )
         return _aggregate(claim, reports, corpus)
     return _call_verifier(args, _load_inputs(args), args.seed)
 
@@ -331,8 +347,15 @@ def tolerance(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--seed", type=seed, default=0, help="RNG seed (>= 0)")
     parser.add_argument(
         "--tolerance",
         type=tolerance,

@@ -83,6 +83,8 @@ class Corpus:
     sign_mode: str = "mixed"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"corpus seed must be >= 0, got seed={self.seed}")
         if len(self.dims) != 4 or any(int(d) < 1 for d in self.dims):
             raise ValueError(f"dims must be four integers >= 1, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))

@@ -432,27 +432,21 @@ def counterexample_report(
     for partition in partitions:
         single_support_check(f, partition)
 
-    inputs = {"n": n, "k": k, "t_samples": t_samples}
-    details = {
-        "identity_meet_B": IB.to_json(),
-        "lambda_B_at_e": images[0].to_json(),
-        "lambda_at_identity": images[1].to_json(),
-        "contrast_table": contrast_table(f),
-        "partition_budget": partition_budget,
-        "operator_split_samples": operator_split_samples,
-        "g_checks": len(g_indices),
-        "splits_sampled": len(g_indices) * len(g_splits[0]),
-        "partitions_per_split": len(partitions),
-    }
     return make_report(
         claim_id="counterexample",
-        inputs=inputs,
+        inputs={"n": n, "k": k, "t_samples": t_samples},
         deviations=deviations,
-        exact=True,
-        witnesses=(
-            {"role": "B", **B.to_json()},
-            {"role": "meet_rep", **Lambda.rep.to_json()},
-        ),
+        witnesses={"B": B, "meet_rep": Lambda.rep},
         seed=seed,
-        details=details,
+        details={
+            "identity_meet_B": IB,
+            "lambda_B_at_e": images[0],
+            "lambda_at_identity": images[1],
+            "contrast_table": contrast_table(f),
+            "partition_budget": partition_budget,
+            "operator_split_samples": operator_split_samples,
+            "g_checks": len(g_indices),
+            "splits_sampled": len(g_indices) * len(g_splits[0]),
+            "partitions_per_split": len(partitions),
+        },
     )

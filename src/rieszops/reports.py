@@ -2,7 +2,10 @@
 
 Every verifier in the package produces a ``VerificationReport``: which claim
 was checked, the worst deviation observed, witnesses, and enough input
-digest/seed information to reproduce the run.  Reports serialize to a
+digest/seed information to reproduce the run.  ``make_report`` is the one
+writer of that schema: verifiers hand it their containers and raw scalars,
+and it writes their JSON forms, derives the mode from the deviations and
+decides the verdict.  Reports serialize to a
 canonical JSON form — sorted keys, minimal separators, floats rendered with
 17 significant digits, rationals as "p/q" strings — so that two runs with
 identical inputs and seed produce byte-identical files, suitable for
@@ -21,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .scalars import DEFAULT_TOLERANCE, le, scalar_to_json
 
@@ -146,43 +149,57 @@ class VerificationReport:
         }
 
 
+def _json_value(value):
+    """A report value as written: a container (anything with ``to_json``)
+    as its JSON form, a ``Fraction`` as "p/q", anything else as it is."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return scalar_to_json(value)
+    return value
+
+
 def make_report(
     claim_id: str,
     inputs: dict,
     deviations: Sequence,
-    exact: bool,
-    witnesses: Sequence[dict] = (),
+    witnesses: Optional[Mapping] = None,
     seed: Optional[int] = None,
     details: Optional[dict] = None,
     tol: float = DEFAULT_TOLERANCE,
     status: Optional[str] = None,
 ) -> VerificationReport:
-    """Assemble a report from raw deviations.
+    """Assemble a report from containers and raw deviations.
 
-    Unless an explicit ``status`` is forced (e.g. ``info`` for descriptive
-    reports), the status is pass iff every deviation is within tolerance
-    (exactly zero in exact mode).
+    The one writer of the report schema.  ``inputs`` (digested) and
+    ``details`` map names to plain values or containers; ``witnesses`` maps
+    each role, in order, to a container (or to a witness dict of an earlier
+    report, kept as it is).  The mode is exact iff every deviation is a
+    ``Fraction``.  Unless an explicit ``status`` is forced (e.g. ``info``
+    for descriptive reports), the status is pass iff every deviation is
+    within tolerance (exactly zero in exact mode).
     """
-    if exact:
-        max_dev = max(deviations, default=Fraction(0))
-        if not isinstance(max_dev, Fraction):
-            max_dev = Fraction(max_dev)
-    else:
-        max_dev = float(max(deviations, default=0.0))
+    exact = all(isinstance(d, Fraction) for d in deviations)
+    max_dev = max(deviations, default=Fraction(0))
+    if not exact:
+        max_dev = float(max_dev)
     if status is None:
-        if exact:
-            status = "pass" if max_dev == 0 else "fail"
-        else:
-            status = "pass" if le(max_dev, tol, 0.0) else "fail"
+        passed = max_dev == 0 if exact else le(max_dev, tol, 0.0)
+        status = "pass" if passed else "fail"
     return VerificationReport(
         claim_id=claim_id,
         status=status,
-        inputs_digest=digest_inputs(inputs),
+        inputs_digest=digest_inputs(
+            {name: _json_value(value) for name, value in inputs.items()}
+        ),
         max_deviation=max_dev,
         exact=exact,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(
+            {"role": role, **_json_value(witness)}
+            for role, witness in (witnesses or {}).items()
+        ),
         seed=seed,
-        details=details or {},
+        details={name: _json_value(value) for name, value in (details or {}).items()},
     )
 
 

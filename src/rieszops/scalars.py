@@ -5,8 +5,9 @@ Two scalar modes coexist and never mix inside one computation:
 * ``exact``  -- ``fractions.Fraction``; every lattice and ring operation is
   closed and exact, so identity checks have a sharp pass/fail line.
 * ``float``  -- binary floats; comparisons use an absolute tolerance
-  (default ``DEFAULT_TOLERANCE``).  Reserved for norm computations, which
-  need p-th roots.
+  (default ``DEFAULT_TOLERANCE``).  Float input files and corpora run
+  every identity verifier in this mode, and norms with p-th roots are
+  float whatever their inputs.
 
 Construction coerces: ints and ``"p/q"`` strings become Fractions, any float
 entry drags the whole container to float mode; how a container stores them

@@ -66,7 +66,7 @@ from .operators import (
     trivial_operator_partition,
 )
 from .reports import VerificationReport, make_report
-from .scalars import DEFAULT_TOLERANCE, ScalarModeError, scalar_to_json, zero_of
+from .scalars import DEFAULT_TOLERANCE, ScalarModeError, zero_of
 
 
 #: Entries a ``kron`` may produce: H_2^{(x) 10} (norms.HADAMARD_ENTRY_CAP
@@ -308,29 +308,17 @@ def verify_prop21(
     )
     dev_coarse = one_sided_excess(coarse, rhs_at_w)
 
-    exact = A0.is_exact and B.is_exact and D.is_exact and T.is_exact and w.is_exact
-    inputs = {
-        "A0": A0.to_json(),
-        "B": B.to_json(),
-        "D": D.to_json(),
-        "T": T.to_json(),
-        "w": w.to_json(),
-    }
     return make_report(
         claim_id="prop21",
-        inputs=inputs,
+        inputs={"A0": A0, "B": B, "D": D, "T": T, "w": w},
         deviations=[dev_modulus, dev_join, dev_atomic, dev_coarse],
-        exact=exact,
-        witnesses=(
-            {"role": "modulus_at_T", **modulus_at_T.to_json()},
-            {"role": "partition_sup_at_w", **atomic_value.to_json()},
-        ),
+        witnesses={"modulus_at_T": modulus_at_T, "partition_sup_at_w": atomic_value},
         seed=seed,
         details={
-            "modulus_identity_deviation": scalar_to_json(dev_modulus),
-            "join_identity_deviation": scalar_to_json(dev_join),
-            "atomic_attainment_deviation": scalar_to_json(dev_atomic),
-            "coarse_strategy_excess": scalar_to_json(dev_coarse),
+            "modulus_identity_deviation": dev_modulus,
+            "join_identity_deviation": dev_join,
+            "atomic_attainment_deviation": dev_atomic,
+            "coarse_strategy_excess": dev_coarse,
         },
         tol=tol,
     )
@@ -369,19 +357,16 @@ def verify_cor22(
     signed = corners[0] - corners[1] - corners[2] + corners[3]
     dev_expansion = deviation(signed.rep, M.rep)
 
-    exact = A.is_exact and B.is_exact
-    inputs = {"A": A.to_json(), "B": B.to_json()}
     return make_report(
         claim_id="cor22",
-        inputs=inputs,
+        inputs={"A": A, "B": B},
         deviations=[dev_modulus, dev_disjoint, dev_expansion],
-        exact=exact,
-        witnesses=({"role": "modulus_rep", **modulus.rep.to_json()},),
+        witnesses={"modulus_rep": modulus.rep},
         seed=seed,
         details={
-            "modulus_rep_deviation": scalar_to_json(dev_modulus),
-            "corner_disjointness_deviation": scalar_to_json(dev_disjoint),
-            "signed_expansion_deviation": scalar_to_json(dev_expansion),
+            "modulus_rep_deviation": dev_modulus,
+            "corner_disjointness_deviation": dev_disjoint,
+            "signed_expansion_deviation": dev_expansion,
         },
         tol=tol,
     )
@@ -410,19 +395,13 @@ def verify_synnatzschke_a(
     dev_join = deviation(
         join.rep, Superoperator.build(A.join_closed_form(C), B0).rep
     )
-    exact = A.is_exact and C.is_exact and B0.is_exact
-    inputs = {"A": A.to_json(), "C": C.to_json(), "B0": B0.to_json()}
     return make_report(
         claim_id="synnatzschke_a",
-        inputs=inputs,
+        inputs={"A": A, "C": C, "B0": B0},
         deviations=[dev_modulus, dev_join],
-        exact=exact,
-        witnesses=({"role": "join_rep", **join.rep.to_json()},),
+        witnesses={"join_rep": join.rep},
         seed=seed,
-        details={
-            "modulus_rep_deviation": scalar_to_json(dev_modulus),
-            "join_rep_deviation": scalar_to_json(dev_join),
-        },
+        details={"modulus_rep_deviation": dev_modulus, "join_rep_deviation": dev_join},
         tol=tol,
     )
 

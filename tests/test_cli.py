@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -641,6 +643,98 @@ def test_non_finite_vector_entry_is_refused_on_load(tmp_path, float_files, capsy
         capsys, ["verify", "prop21", "--A0", a, "--B", b, "--w", w],
         "not a valid vector file: entries must be finite",
     )
+
+
+def test_a_matrix_file_with_a_dim_field_is_refused(tmp_path, matrix_files, capsys):
+    bad = _write(tmp_path / "bad.json", {"rows": 1, "cols": 1, "dim": 7, "entries": ["1"]})
+    _assert_usage_error(
+        capsys, ["verify", "cor22", "--A", bad, "--B", matrix_files[1]],
+        "not a valid matrix file: a matrix file has no dim field",
+    )
+
+
+@pytest.mark.parametrize("data", ["dim", ["rows", "cols"], 3])
+def test_a_file_that_is_not_a_json_object_is_refused(data, tmp_path, matrix_files, capsys):
+    bad = _write(tmp_path / "bad.json", data)
+    _assert_usage_error(
+        capsys, ["verify", "cor22", "--A", bad, "--B", matrix_files[1]],
+        f"not a valid matrix file: expected a JSON object, got {data!r}",
+    )
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+def test_a_vector_file_with_a_matrix_shape_field_is_refused(field, tmp_path, matrix_files, capsys):
+    pos = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    w = _write(tmp_path / "w.json", {"dim": 2, field: 9, "entries": ["1", "1"]})
+    _assert_usage_error(
+        capsys, ["verify", "prop21", "--A0", pos, "--B", matrix_files[1], "--w", w],
+        f"not a valid vector file: a vector file has no {field} field",
+    )
+
+
+# ---------------------------------------------------------------------------
+# seeds
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--m", "1"],
+        ["norm", "--A", "{a}"],
+        ["counterexample", "--n", "2", "--k", "1"],
+        ["corpus", "--out", "{out}"],
+        ["verify", "prop21", "--A0", "{a}", "--B", "{b}"],
+        ["verify", "cor23", "--A", "{a}", "--B", "{b}"],
+    ],
+    ids=lambda argv: "_".join(argv[:2]),
+)
+def test_a_negative_seed_is_refused_by_the_parser(argv, tmp_path, capsys):
+    a = _write(tmp_path / "a.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    paths = {"a": a, "b": a, "out": str(tmp_path / "out")}
+    assert main([arg.format(**paths) for arg in argv] + ["--seed", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: argument --seed: must be an integer >= 0, got -1" in out.err
+    assert not os.path.exists(paths["out"])
+
+
+@pytest.mark.parametrize("claim", ["cor22", "cor23"])
+def test_a_negative_corpus_seed_is_refused(claim, capsys):
+    _assert_usage_error(
+        capsys, ["verify", claim, "--corpus", "seed=-1,count=2"],
+        "corpus seed must be >= 0, got seed=-1",
+    )
+
+
+def test_seed_zero_is_valid(capsys):
+    assert main(["verify", "cor22", "--corpus", "seed=0,count=1", "--seed", "0"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# corpus runs
+# ---------------------------------------------------------------------------
+
+
+def _corpus_peak(count):
+    """Peak traced memory of one ``verify cor22 --corpus`` run."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        main(["verify", "cor22", "--corpus", f"seed=1,dims=3x3x3x3,count={count}"])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_corpus_run_keeps_no_case_report(capsys):
+    # A 3x3x3x3 cor22 case report holds an 81-entry witness, several KB;
+    # streaming keeps none of them, and what grows is the interpreter's
+    # free lists, a few hundred bytes a case up to their caps.
+    _corpus_peak(2)  # the parser and the imports
+    small, large = _corpus_peak(20), _corpus_peak(200)
+    capsys.readouterr()
+    assert large - small < 180 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private top-level name is left that no module of the package uses, only
-``lattice`` turns exact scalars into numerators over a denominator, and only
+``lattice`` turns exact scalars into numerators over a denominator, only
 ``lattice`` reads ``.entries``, which builds a ``Fraction`` per exact
-entry."""
+entry, and the verifiers leave the report schema to
+``reports.make_report``."""
 
 import ast
 from pathlib import Path
@@ -223,3 +224,44 @@ def test_the_scaling_check_flags_lcm_and_fraction_parts():
     ]
     lattice = (SRC / "lattice.py").read_text(encoding="utf-8")
     assert "lcm" in " ".join(scaling_reads(lattice))
+
+
+def report_schema_writes(source: str) -> list:
+    """Where a module writes a witness's ``"role"`` key into a dict literal
+    or imports ``scalar_to_json``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            found += [
+                (key.lineno, '"role" key')
+                for key in node.keys
+                if isinstance(key, ast.Constant) and key.value == "role"
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                (node.lineno, "scalar_to_json import")
+                for alias in node.names
+                if alias.name == "scalar_to_json"
+            ]
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("name", ["superop.py", "norms.py", "counterexample.py"])
+def test_verifiers_leave_the_report_schema_to_make_report(name):
+    writes = report_schema_writes((SRC / name).read_text(encoding="utf-8"))
+    assert not writes, (
+        f"{name} writes the report schema itself: {writes}; hand the "
+        "containers and raw scalars to reports.make_report"
+    )
+
+
+def test_the_report_schema_check_flags_role_keys_and_the_serializer():
+    source = (
+        "from .scalars import le, scalar_to_json\n"
+        "def f(x, w):\n"
+        "    role = 'role'\n"
+        "    return {'role': 'w', **w}, {role: x}, x['role']\n"
+    )
+    assert report_schema_writes(source) == [
+        "scalar_to_json import (line 1)", '"role" key (line 4)'
+    ]

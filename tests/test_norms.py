@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszops import norms, superop
+from rieszops import lattice, norms, superop
 from rieszops.corpus import random_matrix
 from rieszops.lattice import EnumerationLimitError
 from rieszops.scalars import ScalarModeError
@@ -356,11 +357,28 @@ def test_1chain_kernel_scaled_entries():
     _assert_kernel_matches_reference(A.scale(scale), B.scale(scale))
 
 
-def test_1chain_kernel_spans_several_chunks():
-    # 3^7 = 2187 extreme points: three chunks, the last one partial.
+def test_1chain_kernel_spans_several_chunks(monkeypatch):
+    # 3^7 = 2187 extreme points of 2 * 7 + 2 * 2 intermediate entries each,
+    # 1000 per chunk: three chunks, the last one partial.
     dims = (2, 7, 3, 2)
-    assert 2 * norms._KERNEL_CHUNK_POINTS < 3**7 < 3 * norms._KERNEL_CHUNK_POINTS
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1000 * (2 * 7 + 2 * 2))
     _assert_kernel_matches_reference(*_chain_pair(Random(2305), *dims))
+
+
+def test_1chain_kernel_memory_does_not_grow_with_the_codomain():
+    # 4^5 = 1024 extreme points whose images |A| T_a |B| are 32 x 32: all
+    # of them at once would hold a million entries, a chunk holds at most
+    # _KERNEL_CHUNK_ENTRIES.  All-ones factors keep every product a small
+    # int, so the peak is the kernel's arrays.
+    A = RegularOperator(32, 4, [1] * 128)
+    B = RegularOperator(5, 32, [1] * 160)
+    tracemalloc.start()
+    try:
+        assert superop_regular_norm_1chain(A, B) == 32 * 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * lattice._KERNEL_CHUNK_ENTRIES
 
 
 def test_1chain_kernel_one_row_domain_with_many_columns():

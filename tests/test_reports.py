@@ -104,23 +104,23 @@ def test_runtime_excluded_from_serialization():
 
 
 def test_make_report_status_auto():
-    passing = make_report("cor22", {"x": 1}, [Fraction(0)], exact=True)
+    passing = make_report("cor22", {"x": 1}, [Fraction(0)])
     assert passing.status == "pass"
-    failing = make_report("cor22", {"x": 1}, [Fraction(1, 7)], exact=True)
+    failing = make_report("cor22", {"x": 1}, [Fraction(1, 7)])
     assert failing.status == "fail"
-    float_pass = make_report("cor23", {"x": 1}, [1e-12], exact=False)
+    float_pass = make_report("cor23", {"x": 1}, [1e-12])
     assert float_pass.status == "pass"
-    float_fail = make_report("cor23", {"x": 1}, [1e-3], exact=False)
+    float_fail = make_report("cor23", {"x": 1}, [1e-3])
     assert float_fail.status == "fail"
 
 
 def test_make_report_forced_status():
-    r = make_report("gap", {"x": 1}, [0.5], exact=False, status="info")
+    r = make_report("gap", {"x": 1}, [0.5], status="info")
     assert r.status == "info"
 
 
 def test_emit_report_atomic_and_deterministic(tmp_path):
-    r = make_report("cor22", {"x": 1}, [Fraction(0)], exact=True, seed=7)
+    r = make_report("cor22", {"x": 1}, [Fraction(0)], seed=7)
     path = os.path.join(tmp_path, "out", "report.json")
     text1 = emit_report(r, path)
     with open(path, "rb") as fh:
@@ -136,7 +136,7 @@ def test_emit_report_atomic_and_deterministic(tmp_path):
 
 
 def test_render_console_format():
-    r = make_report("counterexample", {"n": 3}, [Fraction(0)], exact=True, seed=3)
+    r = make_report("counterexample", {"n": 3}, [Fraction(0)], seed=3)
     line = render_console(r)
     assert line.startswith("[PASS] counterexample")
     assert "seed=3" in line
