@@ -7,25 +7,22 @@ verify CLAIM     run one verifier (prop21 | cor22 | cor23 | synnatzschke_a |
                  seeded corpus ("--corpus seed=7,dims=2x2x2x2,count=100")
 corpus           write a reproducible corpus of matrix files + manifest
 norm             operator norm and regular norm of one matrix
-gap              operator-norm vs regular-norm ratio explorer
-counterexample   the finite transcription lab report
+gap              operator-norm vs regular-norm ratio (same parser as verify gap)
+counterexample   the finite meet lab (same parser as verify counterexample)
 
-``verify`` runs every claim with input files through one claim table: the
-claim's input roles and their shapes and signs come from
-``corpus.CLAIM_ROLES`` and ``corpus.ROLES``, so the same roles are loaded
-from ``--A``/``--B``/... files or drawn from the corpus.  Inputs a claim
-may leave out come from ``DEFAULTS`` (D = -B, C = -A, all-ones T and w in
-the scalar mode of B); ``--exact`` checks the inputs of every case, from
-files or from the corpus, before its verifier runs.  A file, lab or norm
-flag the claim does not read, any file flag next to ``--corpus``, and
-``--m`` next to ``--A``/``--B`` are usage errors, so a run never passes on
-other inputs than the ones named.
+Each command and each claim has its own parser, which declares the flags
+of its run and names the run (``run=``); any other flag exits 2 before a
+file is opened.  An identity claim reads ``--corpus`` or one file per
+role of ``corpus.CLAIM_ROLES``, a role it may leave out coming from
+``DEFAULTS``; ``--exact`` checks every case's inputs before its verifier
+runs.  File flags next to ``--corpus``, and ``--m`` next to ``--A``/``--B``,
+are usage errors too.
 
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
 2 = usage error, malformed input (including files that mix exact and
-float entries), a request over a work or memory cap, or float overflow or
-an invalid float operation (every command runs under
-``np.errstate(over="raise", invalid="raise")``).
+float entries), an unwritable output path, a request over a work or
+memory cap, or float overflow or an invalid float operation (every
+command runs under ``np.errstate(over="raise", invalid="raise")``).
 Reports are canonical JSON: identical invocations (same inputs, same
 --seed) produce byte-identical bytes; the wall time goes to stderr only.
 """
@@ -112,38 +109,23 @@ def _load(path: str, cls=RegularOperator):
         if not (loaded.is_exact or np.isfinite(loaded.as_floats()).all()):
             raise ValueError("entries must be finite")
         return loaded
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"{path} is not a valid {kind} file: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"{path} is not a valid {kind} file: {exc}") from exc
 
 
-def parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise UsageError(f"invalid norm exponent: {text!r}") from exc
-    if value < 1.0:
-        raise UsageError(f"norm exponent must be >= 1, got {text}")
-    return value
-
-
-def assignment_from_args(args, default: str) -> NormAssignment:
-    return NormAssignment(
-        n_W=LatticeNorm(p=parse_p(args.p_in or default)),
-        n_X=LatticeNorm(p=parse_p(args.p_mid1 or default)),
-        n_Y=LatticeNorm(p=parse_p(args.p_mid2 or default)),
-        n_Z=LatticeNorm(p=parse_p(args.p_out or default)),
-    )
+def assignment_from_args(args) -> NormAssignment:
+    return NormAssignment(args.p_in, args.p_mid1, args.p_mid2, args.p_out)
 
 
 def _require_exact(args, *operands):
-    if getattr(args, "exact", False) and not all(op.is_exact for op in operands):
+    if args.exact and not all(op.is_exact for op in operands):
         raise UsageError("--exact was given but an input contains float entries")
 
 
 # ---------------------------------------------------------------------------
-# claim dispatch
+# runs: each returns its report, or prints its output and returns None
 # ---------------------------------------------------------------------------
 
 
@@ -211,7 +193,7 @@ def _call_verifier(args, inputs: dict, seed: int) -> VerificationReport:
     claim = args.claim
     extra = {}
     if claim == "cor23":
-        extra = {"assignment": assignment_from_args(args, "1"), "samples": args.samples}
+        extra = {"assignment": assignment_from_args(args), "samples": args.samples}
     # Built per call, so that it sees the module's names as bound now.
     verifier = {
         "cor22": verify_cor22,
@@ -223,47 +205,20 @@ def _call_verifier(args, inputs: dict, seed: int) -> VerificationReport:
     return verifier(*positional, seed=seed, tol=args.tolerance, **extra)
 
 
-def _flags(names) -> str:
-    return ", ".join(f"--{name.replace('_', '-')}" for name in names)
-
-
-def _run_verify(args) -> VerificationReport:
-    # Refuse every input flag the run would not read, before opening files.
-    claim = args.claim
-    norm = ("samples", "p_in", "p_mid1", "p_mid2", "p_out")
-    given = [name for name in (*ROLES, "n", "k", "m", *norm)
-             if getattr(args, name) is not None]
-    reads = {
-        **CLAIM_ROLES,
-        "cor23": (*CLAIM_ROLES["cor23"], *norm),
-        "gap": ("A", "B", "m", *norm),
-        "counterexample": ("n", "k"),
-    }[claim]
-    stray = [name for name in given if name not in reads]
-    if stray:
-        raise UsageError(f"verify {claim} does not take {_flags(stray)}")
-    if args.corpus is not None:
-        if claim not in CLAIM_ROLES:
-            raise UsageError(f"verify {claim} does not take --corpus")
-        files = [name for name in given if name in ROLES]
-        if files:
-            raise UsageError(f"--corpus cannot be combined with {_flags(files)}")
-    # The defaults of the flags the claim reads.
-    for name, default in (("n", 3), ("k", 1), ("samples", 200)):
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    if claim == "counterexample":
-        return counterexample_report(n=args.n, k=args.k, seed=args.seed)
-    if claim == "gap":
-        return _run_gap(args)
-    if args.corpus is not None:
-        corpus = parse_corpus_spec(args.corpus)
-        reports = (
-            _call_verifier(args, case, corpus.seed)
-            for case in claim_cases(corpus, claim)
-        )
-        return _aggregate(claim, reports, corpus)
-    return _call_verifier(args, _load_inputs(args), args.seed)
+def _run_claim(args) -> VerificationReport:
+    """An identity claim, on its files or on a corpus."""
+    if args.corpus is None:
+        return _call_verifier(args, _load_inputs(args), args.seed)
+    roles = CLAIM_ROLES[args.claim]
+    files = [f"--{role}" for role in roles if getattr(args, role) is not None]
+    if files:
+        raise UsageError(f"--corpus cannot be combined with {', '.join(files)}")
+    corpus = parse_corpus_spec(args.corpus)
+    reports = (
+        _call_verifier(args, case, corpus.seed)
+        for case in claim_cases(corpus, args.claim)
+    )
+    return _aggregate(args.claim, reports, corpus)
 
 
 def _run_gap(args) -> VerificationReport:
@@ -282,7 +237,7 @@ def _run_gap(args) -> VerificationReport:
     return gap_report(
         A,
         B,
-        assignment_from_args(args, default="2"),
+        assignment_from_args(args),
         samples=args.samples,
         seed=args.seed,
     )
@@ -299,7 +254,7 @@ def _run_counterexample(args) -> VerificationReport:
     )
 
 
-def _run_corpus(args) -> int:
+def _run_corpus(args) -> None:
     corpus = Corpus(
         seed=args.seed,
         dims=tuple(int(d) for d in args.dims.split("x")),
@@ -309,16 +264,13 @@ def _run_corpus(args) -> int:
     )
     manifest = generate_corpus(corpus, args.out)
     print(f"wrote {len(manifest['files'])} files to {args.out}")
-    return 0
 
 
-def _run_norm(args) -> int:
+def _run_norm(args) -> None:
     A = _load(args.A)
     _require_exact(args, A)
-    n_from = LatticeNorm(p=parse_p(args.p_from))
-    n_to = LatticeNorm(p=parse_p(args.p_to))
-    op = operator_norm(A, n_from, n_to, seed=args.seed)
-    reg = regular_norm(A, n_from, n_to, seed=args.seed)
+    op = operator_norm(A, args.p_from, args.p_to, seed=args.seed)
+    reg = regular_norm(A, args.p_from, args.p_to, seed=args.seed)
     payload = {
         key: {
             "value": scalar_to_json(result.value),
@@ -332,11 +284,10 @@ def _run_norm(args) -> int:
         _write_canonical(payload, args.json)
     else:
         print(canonical_json(payload))
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parsers: one per command and one per claim of ``verify``
 # ---------------------------------------------------------------------------
 
 
@@ -352,6 +303,14 @@ def seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
     return value
+
+
+def lp_norm(text: str) -> LatticeNorm:
+    """The l^p norm of an exponent >= 1 or ``inf`` (also ``infinity``, ``oo``)."""
+    try:
+        return LatticeNorm(p=math.inf if text.strip().lower() == "oo" else float(text))
+    except ValueError:  # not a number, nan, or below 1
+        raise argparse.ArgumentTypeError(f"must be a number >= 1 or inf, got {text}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -370,40 +329,67 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--json", metavar="PATH", help="write the report here")
 
 
-def _add_norm_flags(parser: argparse.ArgumentParser):
-    # defaults resolve per claim: "1" for the norm identity (its exactly
-    # enumerable chain), "2" for the gap explorer (where the gap lives)
-    parser.add_argument("--p-in", default=None, help="norm exponent for W")
-    parser.add_argument("--p-mid1", default=None, help="norm exponent for X")
-    parser.add_argument("--p-mid2", default=None, help="norm exponent for Y")
-    parser.add_argument("--p-out", default=None, help="norm exponent for Z")
+def _add_norm_flags(parser: argparse.ArgumentParser, p: str):
+    for flag, space in (("--p-in", "W"), ("--p-mid1", "X"), ("--p-mid2", "Y"),
+                        ("--p-out", "Z")):
+        parser.add_argument(flag, type=lp_norm, default=p,
+                            help=f"norm exponent for {space} (%(default)s)")
     parser.add_argument(
-        "--samples", type=int, help="random samples for bounds (200)"
+        "--samples", type=int, default=200, help="random samples for bounds (%(default)s)"
     )
+
+
+def _add_gap(parser: argparse.ArgumentParser):
+    """``gap`` and ``verify gap``: the Euclidean chain is where the gap lives."""
+    parser.add_argument("--m", type=int, help="use A = B = H2^(x)m (sign-matrix family)")
+    parser.add_argument("--A", metavar="FILE")
+    parser.add_argument("--B", metavar="FILE")
+    _add_norm_flags(parser, "2")
+    _add_common(parser)
+    parser.set_defaults(run=_run_gap)
+
+
+def _add_lab(parser: argparse.ArgumentParser):
+    """``counterexample`` and ``verify counterexample``."""
+    parser.add_argument("--n", type=int, default=3, help="lab dimension (%(default)s)")
+    parser.add_argument("--k", type=int, default=1, help="1-based coordinate (%(default)s)")
+    parser.add_argument("--t-samples", type=int, default=5)
+    parser.add_argument("--partition-budget", type=int, default=40)
+    parser.add_argument("--split-samples", type=int, default=12)
+    _add_common(parser)
+    parser.set_defaults(run=_run_counterexample)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; ``parse_args`` keeps no state in it."""
-    parser = argparse.ArgumentParser(
+    """The one parser of the process; ``parse_args`` keeps no state in it.
+    No parser abbreviates: ``--B`` must not bind to ``--B0``."""
+    Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = Parser(
         prog="rieszops",
         description=(
             "verify lattice identities of two-sided multiplication "
             "superoperators on coordinate Riesz spaces"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     p_verify = sub.add_parser("verify", help="run one claim verifier")
-    p_verify.add_argument("claim", choices=CLAIM_IDS)
-    p_verify.add_argument("--corpus", help="seed=S,dims=WxXxYxZ,count=N[,...]")
-    for flag in ("--A", "--B", "--A0", "--C", "--B0", "--D", "--T", "--w"):
-        p_verify.add_argument(flag, metavar="FILE")
-    p_verify.add_argument("--n", type=int, help="lab dimension (3)")
-    p_verify.add_argument("--k", type=int, help="lab coordinate, 1-based (1)")
-    p_verify.add_argument("--m", type=int, default=None, help="sign-matrix tensor power")
-    _add_norm_flags(p_verify)
-    _add_common(p_verify)
+    claims = p_verify.add_subparsers(dest="claim", required=True, parser_class=Parser)
+    for claim in CLAIM_IDS:
+        p_claim = claims.add_parser(claim)
+        if claim == "gap":
+            _add_gap(p_claim)
+        elif claim == "counterexample":
+            _add_lab(p_claim)
+        else:
+            p_claim.add_argument("--corpus", help="seed=S,dims=WxXxYxZ,count=N[,...]")
+            for role in CLAIM_ROLES[claim]:
+                p_claim.add_argument(f"--{role}", metavar="FILE")
+            if claim == "cor23":
+                _add_norm_flags(p_claim, "1")  # the exactly enumerable chain
+            _add_common(p_claim)
+            p_claim.set_defaults(run=_run_claim)
 
     p_corpus = sub.add_parser("corpus", help="generate a reproducible corpus")
     p_corpus.add_argument("--out", required=True, help="output directory")
@@ -413,76 +399,50 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("rational", "float"))
     p_corpus.add_argument("--sign", default="mixed", choices=("positive", "mixed"))
     _add_common(p_corpus)
+    p_corpus.set_defaults(run=_run_corpus)
 
     p_norm = sub.add_parser("norm", help="operator and regular norm of a matrix")
     p_norm.add_argument("--A", required=True, metavar="FILE")
-    p_norm.add_argument("--p-from", default="1", help="domain norm exponent")
-    p_norm.add_argument("--p-to", default="1", help="codomain norm exponent")
+    p_norm.add_argument("--p-from", type=lp_norm, default="1", help="domain norm exponent")
+    p_norm.add_argument("--p-to", type=lp_norm, default="1", help="codomain norm exponent")
     _add_common(p_norm)
+    p_norm.set_defaults(run=_run_norm)
 
-    p_gap = sub.add_parser("gap", help="operator-norm vs regular-norm ratio")
-    p_gap.add_argument("--m", type=int, default=None,
-                       help="use A = B = H2^(x)m (sign-matrix family)")
-    p_gap.add_argument("--A", metavar="FILE")
-    p_gap.add_argument("--B", metavar="FILE")
-    _add_norm_flags(p_gap)
-    p_gap.set_defaults(samples=200)
-    _add_common(p_gap)
-
-    p_lab = sub.add_parser(
-        "counterexample", help="finite transcription lab report"
-    )
-    p_lab.add_argument("--n", type=int, required=True)
-    p_lab.add_argument("--k", type=int, required=True, help="1-based coordinate")
-    p_lab.add_argument("--t-samples", type=int, default=5)
-    p_lab.add_argument("--partition-budget", type=int, default=40)
-    p_lab.add_argument("--split-samples", type=int, default=12)
-    _add_common(p_lab)
-
+    _add_gap(sub.add_parser("gap", help="operator-norm vs regular-norm ratio"))
+    _add_lab(sub.add_parser("counterexample", help="finite transcription lab report"))
     return parser
 
 
-def _finish_report(run, args) -> int:
-    """Run one report-producing command, time it, emit the report.
-
-    The wall time goes to the stderr summary only; the report bytes stay a
-    pure function of (inputs, seed).
-    """
-    t0 = time.perf_counter()
-    report = run(args)
-    report = replace(report, runtime_ms=(time.perf_counter() - t0) * 1e3)
-    if args.json:
-        emit_report(report, args.json)
-    else:
-        print(canonical_json(report.to_json()))
-    print(render_console(report), file=sys.stderr)
-    if report.status == "fail":
-        return 1
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, stray = build_parser().parse_known_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if stray:
+        # Refuse every flag the run would not read, before opening files.
+        command = " ".join(filter(None, (args.command, getattr(args, "claim", None))))
+        flags = [token.partition("=")[0] for token in stray if token.startswith("--")]
+        print(f"error: {command} does not take {', '.join(flags or stray)}", file=sys.stderr)
+        return 2
     # Float overflow raises (numpy and Python floats alike) and exits 2.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if args.command == "verify":
-                return _finish_report(_run_verify, args)
-            if args.command == "corpus":
-                return _run_corpus(args)
-            if args.command == "norm":
-                return _run_norm(args)
-            if args.command == "gap":
-                return _finish_report(_run_gap, args)
-            if args.command == "counterexample":
-                return _finish_report(_run_counterexample, args)
-            raise UsageError(f"unknown command: {args.command}")
+            t0 = time.perf_counter()
+            report = args.run(args)
+            if report is None:
+                return 0
+            # The wall time goes to the stderr summary only; the report
+            # bytes stay a pure function of (inputs, seed).
+            report = replace(report, runtime_ms=(time.perf_counter() - t0) * 1e3)
+            if args.json:
+                emit_report(report, args.json)
+            else:
+                print(canonical_json(report.to_json()))
+            print(render_console(report), file=sys.stderr)
+            return 1 if report.status == "fail" else 0
     except (
-        UsageError, ValueError, IndexError, EnumerationLimitError, ScalarModeError
+        UsageError, ValueError, IndexError, EnumerationLimitError, ScalarModeError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

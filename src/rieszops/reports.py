@@ -18,6 +18,7 @@ must be a pure function of (inputs, seed).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -206,15 +207,21 @@ def make_report(
 def _write_canonical(obj, path: str) -> str:
     """Write ``canonical_json(obj)`` and a newline atomically (write +
     rename) and return that text.  Two calls with equal objects write
-    byte-identical files; a failed write never leaves a partial file."""
+    byte-identical files; a failed write or rename leaves neither a partial
+    file nor the temporary one."""
     text = canonical_json(obj) + "\n"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return text
 
 

@@ -306,7 +306,7 @@ def test_verify_refuses_m_outside_gap(argv, needle, no_file_reads, capsys):
     [
         (["verify", "cor22", "--corpus", "seed=1,count=2", "--m", "3", "--n", "9",
           "--samples", "5", "--p-in", "3"],
-         "verify cor22 does not take --n, --m, --samples, --p-in"),
+         "verify cor22 does not take --m, --n, --samples, --p-in"),
         (["verify", "synnatzschke_a", "--corpus", "seed=1,count=2", "--p-mid1", "2",
           "--p-mid2", "2", "--p-out", "1"],
          "verify synnatzschke_a does not take --p-mid1, --p-mid2, --p-out"),
@@ -324,6 +324,7 @@ def test_verify_refuses_norm_flags_outside_cor23_and_gap(argv, needle, no_file_r
         (["verify", "counterexample"], ["--n", "3", "--k", "1"]),
         (["verify", "gap", "--m", "1"], ["--samples", "200"]),
         (["verify", "cor23", "--corpus", "seed=1,count=2"], ["--samples", "200"]),
+        (["counterexample"], ["--n", "3", "--k", "1"]),
     ],
 )
 def test_verify_flag_defaults_resolve_per_claim(bare, explicit, capsys):
@@ -807,3 +808,116 @@ def test_float_overflow_in_a_verifier_exits_2_without_numpy_warnings(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "RuntimeWarning" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# output paths that cannot be written: exit 2, no temporary file left
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def a_file(tmp_path):
+    return _write(tmp_path / "plain.json", {"rows": 1, "cols": 1, "entries": ["1"]})
+
+
+def test_gap_json_onto_a_directory_exits_2_and_leaves_no_tmp(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    _assert_usage_error(capsys, ["gap", "--m", "1", "--json", str(target)], "Is a directory")
+    assert sorted(os.listdir(tmp_path)) == ["dir"]
+    assert os.listdir(target) == []
+
+
+def test_verify_json_under_a_file_exits_2(a_file, capsys):
+    argv = ["verify", "cor22", "--corpus", "seed=1,count=2", "--json", f"{a_file}/out.json"]
+    _assert_usage_error(capsys, argv, a_file)
+
+
+def test_norm_json_under_a_file_exits_2(matrix_files, a_file, capsys):
+    argv = ["norm", "--A", matrix_files[0], "--json", f"{a_file}/n.json"]
+    _assert_usage_error(capsys, argv, a_file)
+
+
+def test_corpus_out_under_a_file_exits_2(a_file, capsys):
+    _assert_usage_error(capsys, ["corpus", "--out", f"{a_file}/dir"], "Not a directory")
+
+
+# ---------------------------------------------------------------------------
+# missing fields and norm exponents
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["rows", "cols", "entries"])
+def test_a_matrix_file_without_a_field_names_it(field, tmp_path, matrix_files, capsys):
+    data = {"rows": 1, "cols": 2, "entries": ["1", "2"]}
+    del data[field]
+    bad = _write(tmp_path / "bad.json", data)
+    _assert_usage_error(
+        capsys, ["verify", "cor22", "--A", bad, "--B", matrix_files[1]],
+        f"bad.json is not a valid matrix file: missing field '{field}'\n",
+    )
+
+
+def test_a_vector_file_without_entries_names_the_field(tmp_path, matrix_files, capsys):
+    pos = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    w = _write(tmp_path / "w.json", {"dim": 2})
+    _assert_usage_error(
+        capsys, ["verify", "prop21", "--A0", pos, "--B", matrix_files[1], "--w", w],
+        "w.json is not a valid vector file: missing field 'entries'\n",
+    )
+
+
+@pytest.mark.parametrize("value", ["abc", "0.5", "nan", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--A", "a.json", "--p-from"],
+        ["norm", "--A", "a.json", "--p-to"],
+        ["gap", "--A", "a.json", "--B", "b.json", "--p-in"],
+        ["gap", "--m", "1", "--p-out"],
+        ["verify", "cor23", "--A", "a.json", "--B", "b.json", "--p-mid1"],
+        ["verify", "gap", "--m", "1", "--p-mid2"],
+    ],
+    ids=lambda argv: "_".join(argv[:2] + argv[-1:]),
+)
+def test_a_bad_norm_exponent_is_refused_by_the_parser(argv, value, no_file_reads, capsys):
+    assert main(argv + [value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: argument {argv[-1]}: must be a number >= 1 or inf, got {value}\n" in out.err
+
+
+@pytest.mark.parametrize("spelling", ["oo", "Infinity"])
+def test_inf_spellings_parse_as_inf(spelling, matrix_files, capsys):
+    a, _ = matrix_files
+    assert main(["norm", "--A", a, "--p-from", "1", "--p-to", "inf"]) == 0
+    inf_bytes = capsys.readouterr().out
+    assert main(["norm", "--A", a, "--p-from", "1", "--p-to", spelling]) == 0
+    assert capsys.readouterr().out == inf_bytes
+    assert main(["gap", "--m", "1", "--samples", "3", "--p-in", spelling]) == 0
+
+
+# ---------------------------------------------------------------------------
+# one parser per command: no abbreviations, one code path per report
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["gap", "--m", "1", "--samp", "3"], "gap does not take --samp"),
+        (["counterexample", "--partition=4", "--t-samples", "2"],
+         "counterexample does not take --partition"),
+    ],
+)
+def test_no_flag_is_abbreviated(argv, needle, no_file_reads, capsys):
+    _assert_usage_error(capsys, argv, needle)
+
+
+def test_verify_counterexample_is_the_counterexample_command(capsys):
+    flags = ["--n", "4", "--k", "2", "--t-samples", "2", "--partition-budget", "7",
+             "--split-samples", "3", "--seed", "5"]
+    assert main(["verify", "counterexample", *flags]) == 0
+    verify_bytes = capsys.readouterr().out
+    assert main(["counterexample", *flags]) == 0
+    assert capsys.readouterr().out == verify_bytes
