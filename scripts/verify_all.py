@@ -76,7 +76,9 @@ def main(argv=None) -> int:
     for name, argv_run in invocations(config):
         path = os.path.join(config.out_dir, f"{name}.json")
         t0 = time.perf_counter()
-        code = cli_main(argv_run + ["--seed", str(config.seed), "--json", path])
+        # A corpus spec carries the seed; every other run takes --seed.
+        seed = [] if "--corpus" in argv_run else ["--seed", str(config.seed)]
+        code = cli_main(argv_run + seed + ["--json", path])
         elapsed_ms = (time.perf_counter() - t0) * 1000
         marker = "ok" if code == 0 else f"EXIT {code}"
         print(f"{name:<20} -> {path}  [{marker}]  ({elapsed_ms:.0f} ms)")

@@ -11,12 +11,15 @@ gap              operator-norm vs regular-norm ratio (same parser as verify gap)
 counterexample   the finite meet lab (same parser as verify counterexample)
 
 Each command and each claim has its own parser, which declares the flags
-of its run and names the run (``run=``); any other flag exits 2 before a
-file is opened.  An identity claim reads ``--corpus`` or one file per
-role of ``corpus.CLAIM_ROLES``, a role it may leave out coming from
-``DEFAULTS``; ``--exact`` checks every case's inputs before its verifier
-runs.  File flags next to ``--corpus``, and ``--m`` next to ``--A``/``--B``,
-are usage errors too.
+its run reads and names the run (``run=``); any other flag exits 2 before
+a file is opened: ``--seed`` everywhere, ``--json`` everywhere but
+``corpus``, ``--exact`` on the identity claims, ``gap`` and ``norm``,
+``--tolerance`` on the identity claims only.  An identity claim reads
+``--corpus`` or one file per role of ``corpus.CLAIM_ROLES``, a role it may
+leave out coming from ``DEFAULTS``; ``--exact`` checks every case's inputs
+before its verifier runs.  File flags or ``--seed`` next to ``--corpus``
+(which carries its seed), and ``--m`` next to ``--A``/``--B``, are usage
+errors too.
 
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
 2 = usage error, malformed input (including files that mix exact and
@@ -206,13 +209,13 @@ def _call_verifier(args, inputs: dict, seed: int) -> VerificationReport:
 
 
 def _run_claim(args) -> VerificationReport:
-    """An identity claim, on its files or on a corpus."""
+    """An identity claim, on its files or on a corpus (which carries the seed)."""
     if args.corpus is None:
-        return _call_verifier(args, _load_inputs(args), args.seed)
-    roles = CLAIM_ROLES[args.claim]
-    files = [f"--{role}" for role in roles if getattr(args, role) is not None]
-    if files:
-        raise UsageError(f"--corpus cannot be combined with {', '.join(files)}")
+        return _call_verifier(args, _load_inputs(args), args.seed or 0)
+    given = [f"--{name}" for name in (*CLAIM_ROLES[args.claim], "seed")
+             if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"--corpus cannot be combined with {', '.join(given)}")
     corpus = parse_corpus_spec(args.corpus)
     reports = (
         _call_verifier(args, case, corpus.seed)
@@ -233,7 +236,7 @@ def _run_gap(args) -> VerificationReport:
         if args.A is None or args.B is None:
             raise UsageError("gap needs either --m or both --A and --B")
         A, B = _load(args.A), _load(args.B)
-        _require_exact(args, A, B)
+    _require_exact(args, A, B)
     return gap_report(
         A,
         B,
@@ -313,20 +316,18 @@ def lp_norm(text: str) -> LatticeNorm:
         raise argparse.ArgumentTypeError(f"must be a number >= 1 or inf, got {text}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_globals(parser: argparse.ArgumentParser, *flags: str):
+    """``--seed`` and those of the global flags ``--json``, ``--exact`` and
+    ``--tolerance`` named in ``flags``: the ones the leaf's run reads."""
     parser.add_argument("--seed", type=seed, default=0, help="RNG seed (>= 0)")
-    parser.add_argument(
-        "--tolerance",
-        type=tolerance,
-        default=DEFAULT_TOLERANCE,
-        help="float comparison tolerance (exact mode ignores it)",
-    )
-    parser.add_argument(
-        "--exact",
-        action="store_true",
-        help="reject inputs containing float entries",
-    )
-    parser.add_argument("--json", metavar="PATH", help="write the report here")
+    if "--json" in flags:
+        parser.add_argument("--json", metavar="PATH", help="write the report here")
+    if "--exact" in flags:
+        parser.add_argument("--exact", action="store_true",
+                            help="reject inputs containing float entries")
+    if "--tolerance" in flags:
+        parser.add_argument("--tolerance", type=tolerance, default=DEFAULT_TOLERANCE,
+                            help="float comparison tolerance (exact mode ignores it)")
 
 
 def _add_norm_flags(parser: argparse.ArgumentParser, p: str):
@@ -345,7 +346,7 @@ def _add_gap(parser: argparse.ArgumentParser):
     parser.add_argument("--A", metavar="FILE")
     parser.add_argument("--B", metavar="FILE")
     _add_norm_flags(parser, "2")
-    _add_common(parser)
+    _add_globals(parser, "--json", "--exact")
     parser.set_defaults(run=_run_gap)
 
 
@@ -356,7 +357,7 @@ def _add_lab(parser: argparse.ArgumentParser):
     parser.add_argument("--t-samples", type=int, default=5)
     parser.add_argument("--partition-budget", type=int, default=40)
     parser.add_argument("--split-samples", type=int, default=12)
-    _add_common(parser)
+    _add_globals(parser, "--json")
     parser.set_defaults(run=_run_counterexample)
 
 
@@ -388,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p_claim.add_argument(f"--{role}", metavar="FILE")
             if claim == "cor23":
                 _add_norm_flags(p_claim, "1")  # the exactly enumerable chain
-            _add_common(p_claim)
-            p_claim.set_defaults(run=_run_claim)
+            _add_globals(p_claim, "--json", "--exact", "--tolerance")
+            p_claim.set_defaults(run=_run_claim, seed=None)  # see _run_claim
 
     p_corpus = sub.add_parser("corpus", help="generate a reproducible corpus")
     p_corpus.add_argument("--out", required=True, help="output directory")
@@ -398,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--distribution", default="rational",
                           choices=("rational", "float"))
     p_corpus.add_argument("--sign", default="mixed", choices=("positive", "mixed"))
-    _add_common(p_corpus)
+    _add_globals(p_corpus)
     p_corpus.set_defaults(run=_run_corpus)
 
     p_norm = sub.add_parser("norm", help="operator and regular norm of a matrix")
     p_norm.add_argument("--A", required=True, metavar="FILE")
     p_norm.add_argument("--p-from", type=lp_norm, default="1", help="domain norm exponent")
     p_norm.add_argument("--p-to", type=lp_norm, default="1", help="codomain norm exponent")
-    _add_common(p_norm)
+    _add_globals(p_norm, "--json", "--exact")
     p_norm.set_defaults(run=_run_norm)
 
     _add_gap(sub.add_parser("gap", help="operator-norm vs regular-norm ratio"))

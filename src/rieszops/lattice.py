@@ -22,6 +22,10 @@ integer kernels of the other modules, read the array
 kernel's intermediates).  Float results match Python float arithmetic bit
 for bit, Python's tie rule on -0.0 and 0.0 included.
 
+Comparisons.  ``_zero_mask``, ``_le_mask`` and ``_eq_mask`` alone compare
+stored values: exactly in exact mode, within the absolute
+``scalars.DEFAULT_TOLERANCE`` in float mode, for every module.
+
 Partitions.  A ``Partition`` stores its pieces the same way, stacked on a
 first axis over one denominator, and is validated by one sum over that
 axis.  Every builder (trivial, halves, atomic, dyadic, random convex,
@@ -105,9 +109,19 @@ def _all(mask) -> bool:
     return bool(np.count_nonzero(mask) == mask.size)
 
 
-def _zero_mask(values, exact: bool, tol: float = DEFAULT_TOLERANCE):
-    """Where stored values are zero (within ``tol`` in float mode)."""
-    return values == 0 if exact else np.abs(values) <= tol
+def _zero_mask(values, exact: bool):
+    """Where values are zero."""
+    return values == 0 if exact else np.abs(values) <= DEFAULT_TOLERANCE
+
+
+def _le_mask(a, b, exact: bool):
+    """Where a <= b; a = 0 tests for non-negative b."""
+    return a <= b if exact else a <= b + DEFAULT_TOLERANCE
+
+
+def _eq_mask(a, b, exact: bool):
+    """Where a equals b."""
+    return a == b if exact else np.abs(a - b) <= DEFAULT_TOLERANCE
 
 
 class _Entrywise:
@@ -284,22 +298,19 @@ class _Entrywise:
 
     # -- order ------------------------------------------------------------
 
-    def le(self, other, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def le(self, other) -> bool:
         a, b, D = self._aligned(other)
-        return _all(a <= (b if D is not None else b + tol))
+        return _all(_le_mask(a, b, D is not None))
 
-    def eq(self, other, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def eq(self, other) -> bool:
         a, b, D = self._aligned(other)
-        if D is not None:
-            return _all(a == b)
-        return _all(np.abs(a - b) <= tol)
+        return _all(_eq_mask(a, b, D is not None))
 
-    def is_positive(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        a = self._values
-        return _all(0 <= (a if self.is_exact else a + tol))
+    def is_positive(self) -> bool:
+        return _all(_le_mask(0, self._values, self.is_exact))
 
-    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return _all(_zero_mask(self._values, self.is_exact, tol))
+    def is_zero(self) -> bool:
+        return _all(_zero_mask(self._values, self.is_exact))
 
     def to_float(self):
         """The same element in float mode (no-op in float mode)."""
@@ -405,22 +416,9 @@ class LatticeVector(_Entrywise):
     def to_json(self) -> dict:
         return {"dim": self.dim, "entries": self._json_entries()}
 
-    def dot(self, other: "LatticeVector"):
-        self._check_compatible(other)
-        return sum(a * b for a, b in zip(self.entries, other.entries))
-
-    # -- support ------------------------------------------------------------
-
-    def support(self, tol: float = DEFAULT_TOLERANCE) -> tuple:
-        """Indices of (tolerance-aware) nonzero entries, ascending."""
-        zero = _zero_mask(self._values, self.is_exact, tol)
-        return tuple(np.flatnonzero(~zero).tolist())
-
-    def restrict(self, indices) -> "LatticeVector":
-        """Zero out every entry whose index is not in ``indices``."""
-        keep = set(indices)
-        mask = [i in keep for i in range(self.dim)]
-        return self._of(np.where(mask, self._values, 0), self._den)
+    def support(self) -> tuple:
+        """Indices of the nonzero entries (see ``_zero_mask``), ascending."""
+        return tuple(np.flatnonzero(~_zero_mask(self._values, self.is_exact)).tolist())
 
     def as_floats(self) -> tuple:
         return tuple(self.to_float()._values.tolist())
@@ -466,12 +464,11 @@ class Partition:
                 raise ValueError("signed partitions target a positive element")
             moduli = np.abs(pieces)
         else:
-            if not _all(0 <= (pieces + DEFAULT_TOLERANCE if den is None else pieces)):
+            if not _all(_le_mask(0, pieces, den is not None)):
                 raise ValueError("partition pieces must be positive")
             moduli = pieces
         if den is None:  # np.add.accumulate adds left to right, as Python does
-            gap = np.abs(np.add.accumulate(moduli)[-1] - target._values)
-            adds_up = _all(gap <= DEFAULT_TOLERANCE)
+            adds_up = _all(_eq_mask(np.add.accumulate(moduli)[-1], target._values, False))
         else:
             adds_up = _all(moduli.sum(axis=0) * target._den == target._values * den)
         if not adds_up:
@@ -504,10 +501,10 @@ class Partition:
         access."""
         return tuple(self.target._of(row, self._den) for row in self._values)
 
-    def is_disjoint(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def is_disjoint(self) -> bool:
         """Whether the pieces are pairwise disjoint: at every coordinate at
-        most one piece is nonzero (beyond ``tol`` in float mode)."""
-        nonzero = ~_zero_mask(self._values, self._den is not None, tol)
+        most one piece is nonzero (beyond DEFAULT_TOLERANCE in float mode)."""
+        nonzero = ~_zero_mask(self._values, self._den is not None)
         return _all(np.count_nonzero(nonzero, axis=0) <= 1)
 
 
@@ -590,7 +587,7 @@ def _blocks(w: LatticeVector, blocks) -> Partition:
 
 
 def disjoint_partitions(
-    e: LatticeVector, max_parts: Optional[int] = None, cap: int = ENUMERATION_CAP
+    e: LatticeVector, max_parts: Optional[int] = None
 ) -> Iterator[Partition]:
     """Stream all partitions of e into <= max_parts pairwise-disjoint pieces.
 
@@ -603,9 +600,9 @@ def disjoint_partitions(
     support = e.support()
     if max_parts is None:
         max_parts = max(1, len(support))
-    if len(support) > cap:
+    if len(support) > ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"support size {len(support)} exceeds enumeration cap {cap}"
+            f"support size {len(support)} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     if not support:
         yield trivial_partition(e)
@@ -623,17 +620,13 @@ def halves_partition(w: LatticeVector) -> Partition:
     return _blocks(w, [list(support[:cut]), list(support[cut:])])
 
 
-def dyadic_partition(w: LatticeVector, depth: int = 1) -> Partition:
-    """Refine the atomic partition by splitting each atom into 2^depth
-    equal parts."""
+def dyadic_partition(w: LatticeVector) -> Partition:
+    """Refine the atomic partition by halving each atom."""
     if not w.is_positive():
         raise ValueError("dyadic partitions are defined for positive vectors")
     atoms, den = w._atoms()
-    k = 1 << depth
-    pieces = np.repeat(atoms, k, axis=0)
-    if den is None:
-        return Partition(w, (1.0 / k) * pieces, None)
-    return Partition(w, pieces, den * k)
+    pieces = np.repeat(atoms, 2, axis=0)
+    return Partition(w, 0.5 * pieces, None) if den is None else Partition(w, pieces, den * 2)
 
 
 def random_convex_partition(
@@ -656,7 +649,7 @@ def refinement_chain(w: LatticeVector) -> list:
         trivial_partition(w),
         halves_partition(w),
         atomic_partition(w),
-        dyadic_partition(w, depth=1),
+        dyadic_partition(w),
     ]
 
 

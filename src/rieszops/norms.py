@@ -12,7 +12,9 @@ induced p -> q norm of a matrix, using closed forms whenever one exists:
                           scalings);
 * otherwise:              seeded multistart ascent (generalized power
                           iteration alternating the duality maps of the two
-                          norms), reported as an uncertified lower bound.
+                          norms), reported as an uncertified lower bound;
+                          more than ``SEARCH_WORK_CAP`` (2^24) of its work
+                          raises ``EnumerationLimitError`` before any step.
 
 Each closed form, each vector and dual norm and each duality map is
 written once, as an array kernel over the last axis of a stack, on stored
@@ -64,6 +66,7 @@ from .lattice import (
     LatticeVector,
     _all,
     _chunk_size,
+    _le_mask,
     _matmul,
 )
 from .operators import RegularOperator, rank_one
@@ -363,7 +366,7 @@ def _closed_form(values, den, n_from, n_to, positive: bool, witness: bool = Fals
     return None
 
 
-def _boyd_ascent(a, n_from: LatticeNorm, n_to: LatticeNorm, x0, iters: int):
+def _boyd_ascent(a, n_from: LatticeNorm, n_to: LatticeNorm, x0):
     """Alternating-duality-map ascent for ||a x||_to on the from-unit sphere."""
     nx = float(_norms(x0, None, n_from))
     if nx == 0.0:
@@ -371,7 +374,7 @@ def _boyd_ascent(a, n_from: LatticeNorm, n_to: LatticeNorm, x0, iters: int):
     x = (1.0 / nx) * x0
     # Products summed as ``RegularOperator.apply`` sums them.
     best_val, best_x = float(_norms(_matmul(a, x[:, None])[:, 0], None, n_to)), x
-    for _ in range(iters):
+    for _ in range(SEARCH_ITERS):
         y = _matmul(a, x[:, None])[:, 0]
         if not y.any():
             break
@@ -385,39 +388,57 @@ def _boyd_ascent(a, n_from: LatticeNorm, n_to: LatticeNorm, x0, iters: int):
     return best_val, best_x
 
 
-def _operator_norm(values, den, n_from, n_to, seed, starts, iters) -> NormResult:
+#: The search runs SEARCH_ITERS ascent steps from each of all-ones, the first
+#: SEARCH_STARTS unit vectors and SEARCH_STARTS random starts.
+SEARCH_STARTS = 8
+SEARCH_ITERS = 40
+
+#: Most matrix entries times norm evaluations of one search (one matrix or
+#: a stack); ``_check_search`` refuses more before the first ascent step.
+SEARCH_WORK_CAP = 1 << 24
+
+
+def _check_search(count: int, rows: int, cols: int):
+    """Refuse a search over ``count`` matrices of shape (rows, cols) whose
+    work exceeds ``SEARCH_WORK_CAP``."""
+    starts = 1 + min(cols, SEARCH_STARTS) + SEARCH_STARTS
+    work = count * starts * (SEARCH_ITERS + 1) * rows * cols
+    if work > SEARCH_WORK_CAP:
+        raise EnumerationLimitError(
+            f"a norm search over {count} {rows}x{cols} matrices ({work} steps) "
+            f"exceeds search work cap {SEARCH_WORK_CAP}"
+        )
+
+
+def _operator_norm(values, den, n_from, n_to, seed) -> NormResult:
     """The norm of one matrix stored as ``values`` over ``den``: the kernel
     on a stack of one, else a seeded multistart generalized power iteration
     (a certified lower bound only)."""
-    positive = _all(0 <= (values if den is not None else values + DEFAULT_TOLERANCE))
+    positive = _all(_le_mask(0, values, den is not None))
     found = _closed_form(values[None], den, n_from, n_to, positive, witness=True)
     if found is not None:
         method, norms, witness = found
         witness = LatticeVector._of(witness[0], None)
         return NormResult(_value(norms[0]), witness, True, method)
+    _check_search(1, *values.shape)
     a = _floats(values, den)
     cols = a.shape[1]
     rng = np.random.default_rng(seed)
-    starts_list = [np.ones(cols), *np.eye(cols)[: min(cols, starts)]]
-    starts_list += [rng.standard_normal(cols) for _ in range(starts)]
+    starts = [np.ones(cols), *np.eye(cols)[: min(cols, SEARCH_STARTS)]]
+    starts += [rng.standard_normal(cols) for _ in range(SEARCH_STARTS)]
     best_val, best_x = 0.0, np.ones(cols)
-    for x0 in starts_list:
-        val, x = _boyd_ascent(a, n_from, n_to, np.abs(x0) if positive else x0, iters)
+    for x0 in starts:
+        val, x = _boyd_ascent(a, n_from, n_to, np.abs(x0) if positive else x0)
         if val > best_val:
             best_val, best_x = val, x
     return NormResult(best_val, LatticeVector._of(best_x, None), False, "search")
 
 
 def operator_norm(
-    A: RegularOperator,
-    n_from: LatticeNorm,
-    n_to: LatticeNorm,
-    seed: int = 0,
-    starts: int = 8,
-    iters: int = 40,
+    A: RegularOperator, n_from: LatticeNorm, n_to: LatticeNorm, seed: int = 0
 ) -> NormResult:
     """Induced norm of A: (R^cols, n_from) -> (R^rows, n_to)."""
-    return _operator_norm(A._values, A._den, n_from, n_to, seed, starts, iters)
+    return _operator_norm(A._values, A._den, n_from, n_to, seed)
 
 
 def regular_norm(
@@ -440,15 +461,15 @@ def batched_operator_norm(
 
     One kernel call for the closed-form norm pairs, bit for bit the values
     ``operator_norm`` gives each matrix (but for 2 -> 2, see
-    ``_closed_form``); otherwise one matrix at a time (slow path, small
-    stacks only).  ``positive`` says every matrix is positive.
+    ``_closed_form``); otherwise one search per matrix, refused over
+    ``SEARCH_WORK_CAP`` before the first.  ``positive`` says every matrix is
+    positive.
     """
     found = _closed_form(stack, None, n_from, n_to, positive)
     if found is not None:
         return found[1]
-    return np.array(
-        [_operator_norm(a, None, n_from, n_to, 0, 8, 40).value for a in stack]
-    )
+    _check_search(*stack.shape)
+    return np.array([_operator_norm(a, None, n_from, n_to, 0).value for a in stack])
 
 
 #: Most floats in one sampled stack: the samples T_s, the partial products

@@ -47,12 +47,13 @@ from .lattice import (
     Partition,
     _all,
     _Entrywise,
+    _eq_mask,
     _matmul,
     _partition_sums,
     default_partitions,
     refinement_chain,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, ScalarModeError
+from .scalars import EXACT, ScalarModeError
 
 
 class RegularOperator(_Entrywise):
@@ -114,15 +115,6 @@ class RegularOperator(_Entrywise):
     @classmethod
     def diagonal(cls, diag: LatticeVector) -> "RegularOperator":
         return cls._of(np.diag(diag._values), diag._den)
-
-    @classmethod
-    def matrix_unit(
-        cls, rows: int, cols: int, i: int, j: int, mode: str = EXACT
-    ) -> "RegularOperator":
-        """E_ij: 1 in entry (i, j), zero elsewhere."""
-        values, den = cls._constant((rows, cols), 0, mode)
-        values[i, j] = 1
-        return cls._of(values, den)
 
     @classmethod
     def from_json(cls, data: dict) -> "RegularOperator":
@@ -216,7 +208,8 @@ class OracleResult:
     ``value`` is the running sup (modulus) or inf (meet) over all partitions
     tried; ``best_partition`` is the first partition attaining it;
     ``closed_form`` is the entrywise prediction at the same test vector;
-    ``attained`` reports componentwise equality of the two at ``tol``.
+    ``attained`` reports componentwise equality of the two (within
+    ``DEFAULT_TOLERANCE`` in float mode).
     """
 
     value: LatticeVector
@@ -252,7 +245,6 @@ def _best_over_partitions(
     den,
     better,
     closed: LatticeVector,
-    tol: float,
 ) -> OracleResult:
     """Run a partition oracle: the segment-sum kernel sums the ``image`` rows
     (over ``den`` times the pieces' denominator) of each partition of w,
@@ -267,7 +259,7 @@ def _best_over_partitions(
     best, best_index = rows[0], 0
     for index, row in enumerate(rows[1:], 1):
         candidate = np.where(better(row, best), row, best)
-        if not _all(candidate == best if D else np.abs(candidate - best) <= tol):
+        if not _all(_eq_mask(candidate, best, D is not None)):
             best_index = index
         best = candidate
     value = LatticeVector._of(best, den and den * D)
@@ -275,7 +267,7 @@ def _best_over_partitions(
         value=value,
         best_partition=partitions[best_index],
         closed_form=closed,
-        attained=value.eq(closed, tol),
+        attained=value.eq(closed),
         partitions_tried=len(partitions),
     )
 
@@ -284,7 +276,6 @@ def modulus_oracle(
     A: RegularOperator,
     w: LatticeVector,
     partitions: Optional[Sequence[Partition]] = None,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> OracleResult:
     """Evaluate sup { sum_i |A w_i| } over the given partitions of w
     (default: ``lattice.default_partitions(w)``), all of them in one
@@ -297,7 +288,7 @@ def modulus_oracle(
     _check_test_vector(A, w, "modulus oracle")
     closed = A.modulus_closed_form().apply(w)
     return _best_over_partitions(
-        w, partitions, _modulus_images(A), A.rows, A._den, np.greater, closed, tol
+        w, partitions, _modulus_images(A), A.rows, A._den, np.greater, closed
     )
 
 
@@ -306,7 +297,6 @@ def meet_oracle(
     T: RegularOperator,
     w: LatticeVector,
     partitions: Optional[Sequence[Partition]] = None,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> OracleResult:
     """Evaluate inf { sum_i min(S w_i, T w_i) } over the given partitions
     of w (default: ``lattice.default_partitions(w)``).  S and T, over one
@@ -321,9 +311,7 @@ def meet_oracle(
         return np.where(t < s, t, s)
 
     closed = S.meet_closed_form(T).apply(w)
-    return _best_over_partitions(
-        w, partitions, meets, 2 * S.rows, E, np.less, closed, tol
-    )
+    return _best_over_partitions(w, partitions, meets, 2 * S.rows, E, np.less, closed)
 
 
 def refinement_sums(A: RegularOperator, w: LatticeVector) -> list:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .scalars import DEFAULT_TOLERANCE, le, scalar_to_json
+from .scalars import DEFAULT_TOLERANCE, scalar_to_json
 
 #: The claims the CLI and the verifiers know about.
 CLAIM_IDS = (
@@ -185,7 +185,7 @@ def make_report(
     if not exact:
         max_dev = float(max_dev)
     if status is None:
-        passed = max_dev == 0 if exact else le(max_dev, tol, 0.0)
+        passed = max_dev == 0 if exact else max_dev <= tol
         status = "pass" if passed else "fail"
     return VerificationReport(
         claim_id=claim_id,

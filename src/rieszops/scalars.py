@@ -4,10 +4,11 @@ Two scalar modes coexist and never mix inside one computation:
 
 * ``exact``  -- ``fractions.Fraction``; every lattice and ring operation is
   closed and exact, so identity checks have a sharp pass/fail line.
-* ``float``  -- binary floats; comparisons use an absolute tolerance
-  (default ``DEFAULT_TOLERANCE``).  Float input files and corpora run
-  every identity verifier in this mode, and norms with p-th roots are
-  float whatever their inputs.
+* ``float``  -- binary floats; comparisons allow the absolute
+  ``DEFAULT_TOLERANCE``, a rule written once in ``lattice`` (a verifier's
+  verdict uses its own ``tol``, which ``--tolerance`` sets).  Float input
+  files and corpora run every identity verifier in this mode, and norms
+  with p-th roots are float whatever their inputs.
 
 Construction coerces: ints and ``"p/q"`` strings become Fractions, any float
 entry drags the whole container to float mode; how a container stores them
@@ -78,13 +79,6 @@ def scalar_to_json(x):
     if isinstance(x, Fraction):
         return str(x)
     return float(x)
-
-
-def le(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Mode-aware scalar <=; float comparisons get +tol slack."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a <= b
-    return float(a) <= float(b) + tol
 
 
 def zero_of(mode: str):

@@ -9,6 +9,7 @@ from typing import Iterator, Sequence
 
 from rieszops.corpus import random_matrix, random_vector
 from rieszops.lattice import ENUMERATION_CAP, EnumerationLimitError, LatticeVector
+from rieszops.scalars import zero_of
 
 
 def mixed_dims_pairs(
@@ -77,6 +78,12 @@ class Component:
     piece: LatticeVector
 
 
+def restrict(v: LatticeVector, indices) -> LatticeVector:
+    """v with every entry outside ``indices`` set to zero."""
+    keep, zero = set(indices), zero_of(v.mode)
+    return LatticeVector([a if i in keep else zero for i, a in enumerate(v.entries)])
+
+
 def enumerate_components(
     e: LatticeVector, cap: int = ENUMERATION_CAP
 ) -> Iterator[Component]:
@@ -94,4 +101,4 @@ def enumerate_components(
         )
     for mask in range(1 << len(support)):
         subset = [support[i] for i in range(len(support)) if mask >> i & 1]
-        yield Component(base=e, piece=e.restrict(subset))
+        yield Component(base=e, piece=restrict(e, subset))

@@ -18,7 +18,7 @@ from operator import add
 import numpy as np
 
 from rieszops import LatticeVector
-from rieszops.scalars import DEFAULT_TOLERANCE, FLOAT
+from rieszops.scalars import FLOAT
 
 INF = math.inf
 
@@ -75,7 +75,7 @@ def norming_vector(f, n):
     one = Fraction(1) if f.is_exact else 1.0
     f_entries = f.entries
     if n.p == 1.0:
-        if f.is_zero(0.0):
+        if not any(f_entries):
             entries = [one * 0] * f.dim
             entries[0] = one / u[0]
             return LatticeVector(entries)
@@ -162,7 +162,7 @@ def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
         witness = norming_vector(A.row(best), n_from).to_float()
         return values[best], witness, True, "max_row_dual"
 
-    if n_from.p == INF and A.is_positive(0.0 if exact_in else DEFAULT_TOLERANCE):
+    if n_from.p == INF and A.is_positive():
         one = Fraction(1) if (exact_in and n_from.exact_capable) else 1.0
         corner = LatticeVector([one / w for w in u])
         operand = A if corner.mode == A.mode else A.to_float()

@@ -33,8 +33,14 @@ def _zero(x):
     return Fraction(0) if x.is_exact else 0.0
 
 
-def _is_zero(a, tol=DEFAULT_TOLERANCE):
-    return a == 0 if isinstance(a, Fraction) else abs(a) <= tol
+def _is_zero(a):
+    return a == 0 if isinstance(a, Fraction) else abs(a) <= DEFAULT_TOLERANCE
+
+
+def restrict(v: LatticeVector, indices) -> LatticeVector:
+    """v with every entry outside ``indices`` set to zero."""
+    keep, zero = set(indices), _zero(v)
+    return LatticeVector([a if i in keep else zero for i, a in enumerate(v.entries)])
 
 
 def atoms(x) -> tuple:
@@ -68,7 +74,7 @@ def convex_split(x, parts: int, rng: Random, signed: bool = False) -> tuple:
             shares.append(share if not signed or rng.random() < 0.5 else -share)
         grids.append(shares)
     pieces = [_like(x, list(column)) for column in zip(*grids)]
-    return tuple(p for p in pieces if not p.is_zero(0.0)) or (x,)
+    return tuple(p for p in pieces if any(p.entries)) or (x,)
 
 
 def trivial_partition(w) -> tuple:
@@ -80,20 +86,16 @@ def halves_partition(w: LatticeVector) -> tuple:
     if len(support) < 2:
         return (w,)
     cut = len(support) // 2
-    return (w.restrict(support[:cut]), w.restrict(support[cut:]))
+    return (restrict(w, support[:cut]), restrict(w, support[cut:]))
 
 
 def atomic_partition(w: LatticeVector) -> tuple:
     return atoms(w)
 
 
-def dyadic_partition(w: LatticeVector, depth: int = 1) -> tuple:
-    k = 1 << depth
-    scale = Fraction(1, k) if w.is_exact else 1.0 / k
-    pieces = []
-    for atom in atoms(w):
-        pieces.extend([atom.scale(scale)] * k)
-    return tuple(pieces)
+def dyadic_partition(w: LatticeVector) -> tuple:
+    half = Fraction(1, 2) if w.is_exact else 0.5
+    return tuple(atom.scale(half) for atom in atoms(w) for _ in range(2))
 
 
 def random_convex_partition(w: LatticeVector, parts: int, rng: Random) -> tuple:
@@ -105,7 +107,7 @@ def refinement_chain(w: LatticeVector) -> list:
         trivial_partition(w),
         halves_partition(w),
         atomic_partition(w),
-        dyadic_partition(w, 1),
+        dyadic_partition(w),
     ]
 
 
@@ -133,7 +135,7 @@ def disjoint_partitions(e: LatticeVector, max_parts=None) -> list:
     if not support:
         return [(e,)]
     return [
-        tuple(e.restrict(block) for block in sorted(blocks, key=min))
+        tuple(restrict(e, block) for block in sorted(blocks, key=min))
         for blocks in _set_partitions(tuple(support), max_parts)
     ]
 
@@ -162,10 +164,10 @@ def is_partition(target, pieces, signed=False) -> bool:
     return sum(pieces[1:], pieces[0]).eq(target)
 
 
-def is_disjoint(pieces, tol=DEFAULT_TOLERANCE) -> bool:
+def is_disjoint(pieces) -> bool:
     """Pairwise: every two pieces meet in zero."""
     return all(
-        x.meet(y).is_zero(tol)
+        x.meet(y).is_zero()
         for i, x in enumerate(pieces)
         for y in pieces[i + 1 :]
     )
@@ -192,7 +194,7 @@ def partition_meet_sum(S: RegularOperator, T: RegularOperator, pieces) -> Lattic
     return total
 
 
-def best_over_partitions(families, evaluate, improve, closed, tol=DEFAULT_TOLERANCE):
+def best_over_partitions(families, evaluate, improve, closed):
     """(value, index of the first attainer, partitions tried, attained):
     ``improve`` (join or meet) folded over the values of the families."""
     best, best_index = None, None
@@ -202,29 +204,27 @@ def best_over_partitions(families, evaluate, improve, closed, tol=DEFAULT_TOLERA
             best, best_index = value, index
             continue
         candidate = improve(best, value)
-        if not candidate.eq(best, tol):
+        if not candidate.eq(best):
             best_index = index
         best = candidate
-    return best, best_index, len(families), best.eq(closed, tol)
+    return best, best_index, len(families), best.eq(closed)
 
 
-def modulus_oracle(A, w, families, tol=DEFAULT_TOLERANCE):
+def modulus_oracle(A, w, families):
     return best_over_partitions(
         families,
         lambda pieces: partition_modulus_sum(A, pieces),
         LatticeVector.join,
         A.modulus_closed_form().apply(w),
-        tol,
     )
 
 
-def meet_oracle(S, T, w, families, tol=DEFAULT_TOLERANCE):
+def meet_oracle(S, T, w, families):
     return best_over_partitions(
         families,
         lambda pieces: partition_meet_sum(S, T, pieces),
         LatticeVector.meet,
         S.meet_closed_form(T).apply(w),
-        tol,
     )
 
 

@@ -249,6 +249,35 @@ def test_verify_refuses_file_flags_with_corpus(claim, no_file_reads, capsys):
     _assert_usage_error(capsys, argv, "--corpus cannot be combined with --B")
 
 
+@pytest.mark.parametrize("seed", ["9", "0"])
+def test_verify_refuses_seed_with_corpus(seed, capsys):
+    # The corpus spec carries the seed; a second one was silently ignored.
+    argv = ["verify", "cor22", "--corpus", "seed=3,count=2", "--seed", seed]
+    _assert_usage_error(capsys, argv, "--corpus cannot be combined with --seed")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["corpus", "--out", "d", "--json", "x.json"], "--json"),
+        (["corpus", "--out", "d", "--exact"], "--exact"),
+        (["corpus", "--out", "d", "--tolerance", "5"], "--tolerance"),
+        (["counterexample", "--tolerance", "1"], "--tolerance"),
+        (["counterexample", "--exact"], "--exact"),
+        (["verify", "counterexample", "--exact"], "--exact"),
+        (["gap", "--m", "1", "--tolerance", "3"], "--tolerance"),
+        (["verify", "gap", "--m", "1", "--tolerance", "3"], "--tolerance"),
+        (["norm", "--A", "a.json", "--tolerance", "1"], "--tolerance"),
+    ],
+)
+def test_global_flags_a_run_does_not_read_exit_2(argv, flag, tmp_path, monkeypatch,
+                                                 no_file_reads, capsys):
+    monkeypatch.chdir(tmp_path)
+    command = " ".join(argv[: 2 if argv[0] == "verify" else 1])
+    _assert_usage_error(capsys, argv, f"{command} does not take {flag}")
+    assert not list(tmp_path.iterdir())  # neither x.json nor d
+
+
 @pytest.mark.parametrize(
     "flags,needle",
     [
@@ -412,6 +441,7 @@ def test_verify_cor23_over_extreme_point_cap_exits_2(tmp_path, capsys):
         (["gap", "--m", "1", "--samples", "1000000000000"], "sample stack cap"),
         (["gap", "--m", "30"], "entry cap"),
         (["verify", "cor23", "--samples", "1000000000000"], "sample stack cap"),
+        (["gap", "--m", "3", "--p-in", "3", "--samples", "20000"], "search work cap"),
     ],
 )
 def test_oversized_request_exits_2_at_once(argv, cap, matrix_files, capsys):
@@ -474,7 +504,7 @@ def test_json_flag_writes_report(tmp_path, matrix_files):
 def test_repeated_runs_are_byte_identical(tmp_path):
     out1 = str(tmp_path / "r1.json")
     out2 = str(tmp_path / "r2.json")
-    args = ["verify", "cor22", "--corpus", "seed=11,dims=2x2x2x2,count=5", "--seed", "3"]
+    args = ["verify", "cor22", "--corpus", "seed=11,dims=2x2x2x2,count=5"]
     assert main(args + ["--json", out1]) == 0
     assert main(args + ["--json", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
@@ -709,7 +739,8 @@ def test_a_negative_corpus_seed_is_refused(claim, capsys):
 
 
 def test_seed_zero_is_valid(capsys):
-    assert main(["verify", "cor22", "--corpus", "seed=0,count=1", "--seed", "0"]) == 0
+    assert main(["verify", "cor22", "--corpus", "seed=0,count=1"]) == 0
+    assert main(["counterexample", "--n", "2", "--seed", "0"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_build_B_is_rank_one_onto_ones(f):
 @given(functionals())
 def test_identity_meet_B_is_matrix_unit(f):
     IB = identity_meet_B(f)
-    expected = RegularOperator.matrix_unit(f.dim, f.dim, f.index, f.index)
+    expected = RegularOperator.diagonal(LatticeVector.unit(f.dim, f.index))
     assert IB.eq(expected)
     assert not IB.is_zero()  # the finite world diverges from l_infinity here
 
@@ -151,7 +151,7 @@ def test_meet_picks_out_column_k(f):
     e = LatticeVector.ones(f.dim)
     assert Lambda.apply(T).apply(e).eq(expected)
     # Lambda(T) = T E_kk for every T, not just positive ones
-    E = RegularOperator.matrix_unit(f.dim, f.dim, f.index, f.index)
+    E = RegularOperator.diagonal(LatticeVector.unit(f.dim, f.index))
     assert Lambda.apply(T).eq(T @ E)
 
 

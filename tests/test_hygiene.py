@@ -2,8 +2,9 @@
 no private top-level name is left that no module of the package uses, only
 ``lattice`` turns exact scalars into numerators over a denominator, only
 ``lattice`` reads ``.entries``, which builds a ``Fraction`` per exact
-entry, and the verifiers leave the report schema to
-``reports.make_report``."""
+entry, only ``lattice`` compares within ``DEFAULT_TOLERANCE`` (elsewhere it
+is only the default of a verifier's ``tol`` or of ``--tolerance``), and the
+verifiers leave the report schema to ``reports.make_report``."""
 
 import ast
 from pathlib import Path
@@ -224,6 +225,61 @@ def test_the_scaling_check_flags_lcm_and_fraction_parts():
     ]
     lattice = (SRC / "lattice.py").read_text(encoding="utf-8")
     assert "lcm" in " ".join(scaling_reads(lattice))
+
+
+def tolerance_comparisons(source: str) -> list:
+    """Where a module reads ``DEFAULT_TOLERANCE`` other than as the default
+    of a ``tol`` parameter or of a ``--tolerance`` flag, in source order."""
+    tree = ast.parse(source)
+    defaults = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                     *zip(args.kwonlyargs, args.kw_defaults)]
+            defaults |= {id(value) for arg, value in pairs if arg.arg == "tol"}
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and node.args[0].value == "--tolerance"):
+            defaults |= {id(k.value) for k in node.keywords if k.arg == "default"}
+    found = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "DEFAULT_TOLERANCE"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOLERANCE")
+        and id(node) not in defaults
+    )
+    return [f"DEFAULT_TOLERANCE (line {line})" for line in found]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_only_lattice_compares_within_the_default_tolerance(path):
+    uses = tolerance_comparisons(path.read_text(encoding="utf-8"))
+    assert not uses, (
+        f"{path.name} compares within DEFAULT_TOLERANCE itself: {uses}; use "
+        "lattice's _zero_mask, _le_mask or _eq_mask"
+    )
+
+
+def test_the_tolerance_check_allows_only_the_defaults():
+    source = (
+        "from . import scalars\n"
+        "from .scalars import DEFAULT_TOLERANCE\n"
+        "def verify(x, tol=DEFAULT_TOLERANCE, *, other=DEFAULT_TOLERANCE):\n"
+        "    return x <= tol or abs(x) <= DEFAULT_TOLERANCE\n"
+        "parser.add_argument('--tolerance', default=DEFAULT_TOLERANCE)\n"
+        "parser.add_argument('--seed', default=scalars.DEFAULT_TOLERANCE)\n"
+    )
+    assert tolerance_comparisons(source) == [
+        "DEFAULT_TOLERANCE (line 3)", "DEFAULT_TOLERANCE (line 4)",
+        "DEFAULT_TOLERANCE (line 6)",
+    ]
+    lattice = (SRC / "lattice.py").read_text(encoding="utf-8")
+    assert tolerance_comparisons(lattice)
 
 
 def report_schema_writes(source: str) -> list:

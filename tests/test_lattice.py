@@ -86,16 +86,10 @@ def test_positive_scaling_preserves_order(x, c):
     assert x.scale(c).eq(x * c)
 
 
-def test_dot():
-    x = LatticeVector([1, 2, 3])
-    y = LatticeVector([4, -5, 6])
-    assert x.dot(y) == Fraction(4 - 10 + 18)
-
-
 def test_support_and_restrict():
     v = LatticeVector([0, 3, 0, -2])
     assert v.support() == (1, 3)
-    assert v.restrict([1]).entries == (Fraction(0), Fraction(3), Fraction(0), Fraction(0))
+    assert LatticeVector([0, 1e-10, 0, -2.0]).support() == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +186,7 @@ def test_builtin_partitions_sum_to_target(w):
         trivial_partition(w),
         atomic_partition(w),
         halves_partition(w),
-        dyadic_partition(w, depth=2),
+        dyadic_partition(w),
     ):
         total = LatticeVector.zero(w.dim, w.mode)
         for piece in p.pieces:

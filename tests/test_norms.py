@@ -189,7 +189,7 @@ def test_search_path_brackets_true_norm(A):
     # an exponent pair with no closed form: certified=False, but the value
     # must dominate every sampled ratio and be attained by its witness
     n_from, n_to = LatticeNorm(p=3.5), LatticeNorm(p=2.0)
-    res = operator_norm(A, n_from, n_to, seed=5, starts=6, iters=30)
+    res = operator_norm(A, n_from, n_to, seed=5)
     assert not res.certified and res.method == "search"
     arr = _np(A)
     rng = np.random.default_rng(0)
@@ -506,6 +506,27 @@ def test_sample_stack_cap_counts_the_partial_products(monkeypatch):
     assert samples * 64 <= norms.SAMPLE_STACK_CAP
     with pytest.raises(EnumerationLimitError, match="sample stack cap"):
         gap_report(A, B, NormAssignment.uniform(2.0), samples=samples)
+
+
+def test_search_work_cap_raises_before_any_ascent_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("no ascent step")
+
+    monkeypatch.setattr(norms, "_boyd_ascent", no_step)
+    n35, n2 = LatticeNorm(p=3.5), LatticeNorm(p=2.0)  # no closed form
+    per_matrix = (1 + 2 + 8) * 41 * 4  # starts x evaluations x entries, 2 x 2
+    count = norms.SEARCH_WORK_CAP // per_matrix + 1
+    with pytest.raises(EnumerationLimitError, match="search work cap"):
+        batched_operator_norm(np.ones((count, 2, 2)), n35, n2)
+    big = RegularOperator(200, 200, [1.0] * 40000)  # 17 x 41 x 40000 > 2^24
+    with pytest.raises(EnumerationLimitError, match="search work cap"):
+        operator_norm(big, n35, n2)
+    # A closed form is never refused, whatever a search would cost.
+    assert batched_operator_norm(np.ones((count, 2, 2)), LatticeNorm(p=1.0), n2).shape == (count,)
+    # Exactly at the cap the search begins.
+    monkeypatch.setattr(norms, "SEARCH_WORK_CAP", 3 * per_matrix)
+    with pytest.raises(AssertionError, match="no ascent step"):
+        batched_operator_norm(np.ones((3, 2, 2)), n35, n2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from rieszops import LatticeVector, RegularOperator, kron, unvec, vec
 from rieszops.lattice import SPLIT_DENOMINATOR
 from rieszops.operators import atomic_operator_partition
-from rieszops.scalars import DEFAULT_TOLERANCE, le, zero_of
+from rieszops.scalars import DEFAULT_TOLERANCE, zero_of
 from rieszops.superop import deviation, operator_partition_sup
 
 # ---------------------------------------------------------------------------
@@ -28,11 +28,20 @@ from rieszops.superop import deviation, operator_partition_sup
 # ---------------------------------------------------------------------------
 
 
-def eq(a, b, tol=DEFAULT_TOLERANCE):
-    """The tuple loops' scalar equality: exact, or within ``tol`` for floats."""
+def le(a, b):
+    """The tuple loops' scalar <=: exact, or with DEFAULT_TOLERANCE slack
+    for floats."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a <= b
+    return float(a) <= float(b) + DEFAULT_TOLERANCE
+
+
+def eq(a, b):
+    """The tuple loops' scalar equality: exact, or within DEFAULT_TOLERANCE
+    for floats."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
-    return abs(float(a) - float(b)) <= tol
+    return abs(float(a) - float(b)) <= DEFAULT_TOLERANCE
 
 
 def is_zero(a):
