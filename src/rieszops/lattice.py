@@ -22,6 +22,19 @@ integer kernels of the other modules, read the array
 kernel's intermediates).  Float results match Python float arithmetic bit
 for bit, Python's tie rule on -0.0 and 0.0 included.
 
+Float sums.  Every float sum in a result of the package (``_matmul``, the
+partition sums, the norms) is ``_left_sum``: the terms added left to right
+from 0.0, as Python adds floats one at a time, so its bits are Python's
+(but for the sign of a nan, which IEEE 754 leaves open).  A result of at
+most ``_ACCUMULATE_ENTRIES`` (128) entries comes from one
+``np.add.accumulate`` along the summed axis, which adds left to right from
+the first term, plus 0.0.  The two agree: a sum from 0.0 is never -0.0,
+and x + 0.0 is x but for -0.0 + 0.0 = 0.0, which turns the -0.0 that
+accumulate leaves on a run of negative zeros into Python's 0.0.  A larger
+result takes one vector add per term, on views, so that neither the terms
+nor a product of them is copied whole and the kernels' chunk bounds hold.
+Exact sums are exact in any order.
+
 Comparisons.  ``_zero_mask``, ``_le_mask`` and ``_eq_mask`` alone compare
 stored values: exactly in exact mode, within the absolute
 ``scalars.DEFAULT_TOLERANCE`` in float mode, for every module.
@@ -67,6 +80,13 @@ SPLIT_DENOMINATOR = 16
 #: memory stays bounded however much the kernel enumerates.
 _KERNEL_CHUNK_ENTRIES = 1 << 16
 
+#: Most entries of a float sum's result that ``_left_sum`` forms with one
+#: ``np.add.accumulate``, which pays per result entry, where one vector add
+#: per term pays per term.  Timed with numpy 2.4.6 on one core, the two
+#: crossed at 16 to 1024 entries as the terms went from 2 to 32, near 128
+#: for the 4 to 16 terms of the verifiers' products.
+_ACCUMULATE_ENTRIES = 128
+
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
@@ -92,16 +112,31 @@ def _stack(items, join=np.stack) -> tuple:
     return join([item._values * (D // item._den) for item in items]), D
 
 
+def _left_sum(terms, factor=None, axis: int = -1):
+    """The sums along ``axis`` (negative) of ``terms``, or of the broadcast
+    product ``terms * factor``: exact, or left to right from 0.0 as the
+    module docstring's float sums rule says."""
+    if terms.dtype == object:
+        return (terms if factor is None else terms * factor).sum(axis=axis)
+    shape = terms.shape if factor is None else np.broadcast(terms, factor).shape
+    count, tail = shape[axis], (slice(None),) * (-1 - axis)
+    if 0 < math.prod(shape) <= count * _ACCUMULATE_ENTRIES:
+        if factor is not None:
+            terms = terms * factor
+        return np.add.accumulate(terms, axis)[(..., -1, *tail)] + 0.0
+    total = 0.0
+    for k in range(count):
+        term = terms[(..., k, *tail)]
+        total = total + (term if factor is None else term * factor[(..., k, *tail)])
+    return total
+
+
 def _matmul(a, b):
-    """a @ b over the last two axes (broadcast over the others).  Float
-    entries are summed left to right from 0, as Python's ``sum`` of the
-    products is, so results match it bit for bit."""
+    """a @ b over the last two axes (broadcast over the others), the
+    products summed by ``_left_sum``."""
     if a.dtype == object:
         return a @ b
-    total = 0.0
-    for k in range(a.shape[-1]):
-        total = total + a[..., k, None] * b[..., k, None, :]
-    return total
+    return _left_sum(a[..., None], b[..., None, :, :], axis=-2)
 
 
 def _all(mask) -> bool:
@@ -519,8 +554,9 @@ def _partition_sums(
     at most ``_chunk_size(image_entries)`` pieces at a time, so the
     intermediates stay bounded however many pieces there are.  Returns
     (sums, D), sums[p] the sum for partitions[p]: exact sums by
-    ``np.add.reduceat``, float sums added left to right from 0.0, so that
-    they match adding the images one at a time bit for bit.
+    ``np.add.reduceat``, float sums by ``_left_sum`` from each partition's
+    sum so far, so that they match adding the images one at a time bit for
+    bit, however the pieces fall into chunks.
     """
     values, D = _stack(partitions, np.concatenate)
     # Partition p owns the pieces bounds[p] to bounds[p + 1] - 1.
@@ -538,11 +574,15 @@ def _partition_sums(
         if D is not None:
             sums[lo:hi] += np.add.reduceat(terms, firsts, axis=0)
             continue
+        # The partitions with the same number of pieces in this chunk, each a
+        # row of its sum so far and those pieces' images, in one _left_sum.
         firsts = np.array(firsts)
         runs = np.diff(firsts, append=stop - start)
-        for r in range(runs.max()):
-            live = np.flatnonzero(runs > r)
-            sums[lo + live] = sums[lo + live] + terms[firsts[live] + r]
+        for run in set(runs.tolist()):
+            live = np.flatnonzero(runs == run)
+            rows = terms[firsts[live, None] + np.arange(run)]
+            rows = np.concatenate([sums[lo + live, None], rows], axis=1)
+            sums[lo + live] = _left_sum(rows, axis=1 - rows.ndim)
     return sums, D
 
 

@@ -19,8 +19,9 @@ induced p -> q norm of a matrix, using closed forms whenever one exists:
 Each closed form, each vector and dual norm and each duality map is
 written once, as an array kernel over the last axis of a stack, on stored
 values over a denominator: Python-int numerators (so exact values stay
-``Fraction``) or float64, float sums added left to right from 0.0 and
-powers taken as Python's float power.  ``operator_norm`` runs the kernel on
+``Fraction``) or float64, sums taken by ``lattice._left_sum`` and powers
+as Python's float power; an unweighted norm does no weight arithmetic, as
+x * 1.0 and x / 1.0 are x.  ``operator_norm`` runs the kernel on
 a stack of one, ``batched_operator_norm`` on a whole stack, and both give a
 matrix the same bits; only 2 -> 2 differs, where a stack asks LAPACK for the
 singular values alone.  ``vector_norm``, ``dual_norm``, ``norming_vector``
@@ -36,9 +37,10 @@ H_2^{(x) m}.
 
 Both verifiers sample a stack of T and form every image A T_s B as one
 batched BLAS product ``A @ stack @ B``; a stack of more than
-``SAMPLE_STACK_CAP`` (2^24) floats raises ``EnumerationLimitError`` before
-anything is drawn, and so does a ``hadamard_tensor_power`` of more than
-``HADAMARD_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
+``SAMPLE_STACK_CAP`` (2^24) floats, or a norm search over the samples or
+their images beyond ``SEARCH_WORK_CAP``, raises ``EnumerationLimitError``
+before anything is drawn, and so does a ``hadamard_tensor_power`` of more
+than ``HADAMARD_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
@@ -67,6 +69,7 @@ from .lattice import (
     _all,
     _chunk_size,
     _le_mask,
+    _left_sum,
     _matmul,
 )
 from .operators import RegularOperator, rank_one
@@ -107,12 +110,12 @@ class LatticeNorm:
         return self.p / (self.p - 1.0)
 
     def weight_array(self, dim: int, exact: bool):
-        """The weights for vectors of dimension ``dim``: Fractions (an object
-        array) if ``exact`` and the weights are exact, None if ``exact`` and
-        unweighted; float64 otherwise, ones if unweighted."""
+        """The weights for vectors of dimension ``dim``, None if unweighted:
+        Fractions (an object array) if ``exact`` and the weights are exact,
+        float64 otherwise."""
         w = self.weights
         if w is None:
-            return None if exact else np.ones(dim)
+            return None
         if w.dim != dim:
             raise DimensionMismatchError(
                 f"norm weights have dim {w.dim}, expected {dim}"
@@ -192,17 +195,6 @@ def _value(x):
     return x if isinstance(x, Fraction) else float(x)
 
 
-def _lsum(terms):
-    """Sums over the last axis: exact, or left to right from 0.0, as Python
-    adds the terms one at a time."""
-    if terms.dtype == object:
-        return terms.sum(axis=-1)
-    total = 0.0
-    for j in range(terms.shape[-1]):
-        total = total + terms[..., j]
-    return total
-
-
 def _pow(values, exponent):
     """values ** exponent as Python's float power, entry by entry (numpy's
     vector power may differ from it in the last bit)."""
@@ -230,18 +222,18 @@ def _norms(values, den, n: LatticeNorm, dual: bool = False):
     p = n.p
     if p in (1.0, INF):
         terms = _weighted(np.abs(values), n, divide=dual)
-        out = _lsum(terms) if (p == 1.0) != dual else terms.max(axis=-1)
+        out = _left_sum(terms) if (p == 1.0) != dual else terms.max(axis=-1)
         return out * Fraction(1, den) if exact else out
     if dual:
         w = n.weight_array(values.shape[-1], False)
-        scaled = np.abs(values) * _pow(w, -1.0 / p)
+        scaled = np.abs(values) if w is None else np.abs(values) * _pow(w, -1.0 / p)
         q = n.conjugate_exponent()
         if q == 2.0:
-            return np.sqrt(_lsum(scaled * scaled))
-        return _pow(_lsum(_pow(scaled, q)), 1.0 / q)
+            return np.sqrt(_left_sum(scaled * scaled))
+        return _pow(_left_sum(_pow(scaled, q)), 1.0 / q)
     if p == 2.0:
-        return np.sqrt(_lsum(_weighted(values, n) * values))
-    return _pow(_lsum(_weighted(_pow(np.abs(values), p), n)), 1.0 / p)
+        return np.sqrt(_left_sum(_weighted(values, n) * values))
+    return _pow(_left_sum(_weighted(_pow(np.abs(values), p), n)), 1.0 / p)
 
 
 def _norming(values, den, n: LatticeNorm, functional: bool = False):
@@ -264,23 +256,24 @@ def _norming(values, den, n: LatticeNorm, functional: bool = False):
         out = np.zeros_like(signed)
         np.put_along_axis(out, best, np.take_along_axis(signed, best, -1), -1)
         return out
-    w_e = _pow(n.weight_array(dim, False), 1.0 / p if functional else -1.0 / p)
+    w = n.weight_array(dim, False)
+    w_e = None if w is None else _pow(w, 1.0 / p if functional else -1.0 / p)
     first = np.zeros(dim)
-    first[0] = w_e[0]
-    scaled = w_e * values
+    first[0] = 1.0 if w_e is None else w_e[0]
+    scaled = values if w_e is None else w_e * values
     mags = np.abs(scaled)
     if functional:
-        norm = _pow(_lsum(_pow(mags, p)), 1.0 / p)
+        norm = _pow(_left_sum(_pow(mags, p)), 1.0 / p)
         zero = norm == 0.0
         mags = _pow(mags / np.where(zero, 1.0, norm)[..., None], p - 1.0)
         out = np.where(scaled < 0, -mags, mags)
     else:
         mags = _pow(mags, n.conjugate_exponent() - 1.0)
-        norm = _lsum(_pow(mags, p))
+        norm = _left_sum(_pow(mags, p))
         zero = norm == 0.0
         norm = _pow(np.where(zero, 1.0, norm), 1.0 / p)
         out = np.where(scaled < 0, -mags, mags) / norm[..., None]
-    return np.where(zero[..., None], first, out * w_e)
+    return np.where(zero[..., None], first, out if w_e is None else out * w_e)
 
 
 def vector_norm(x: LatticeVector, n: LatticeNorm):
@@ -316,19 +309,37 @@ def norming_functional(x: LatticeVector, n: LatticeNorm) -> LatticeVector:
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_method(n_from, n_to, positive: bool) -> Optional[str]:
+    """The first closed form for the norms from ``n_from`` to ``n_to`` (of
+    positive matrices if ``positive``), or None if they need a search."""
+    if n_from.p == 1.0:
+        return "max_column"
+    if n_to.p == INF:
+        return "max_row_dual"
+    if n_from.p == INF and positive:
+        return "positive_corner"
+    if n_from.p == 2.0 and n_to.p == 2.0:
+        return "svd"
+    return None
+
+
 def _closed_form(values, den, n_from, n_to, positive: bool, witness: bool = False):
     """The first closed form that gives the norms of a stack of matrices
     (count, rows, cols), stored as ``values`` over ``den``: (method, norms,
     witnesses), the witnesses (count, cols) float unit vectors attaining the
-    norms when ``witness`` is set, else None; None if no closed form applies.
+    norms when ``witness`` is set, else None; None if no closed form applies
+    (``_closed_form_method``).
 
     ``positive`` says every matrix of the stack is positive.  The SVD gives
     singular values alone without ``witness``: a cheaper LAPACK routine,
     whose last bits may differ from those of the full decomposition.
     """
+    method = _closed_form_method(n_from, n_to, positive)
+    if method is None:
+        return None
     count, rows, cols = values.shape
     pick = np.arange(count)
-    if n_from.p == 1.0:
+    if method == "max_column":
         # Unit-ball extreme points are +-e_j / u_j.
         norms = _norms(np.swapaxes(values, -1, -2), den, n_to)
         norms = _weighted(norms, n_from, divide=True)
@@ -337,14 +348,14 @@ def _closed_form(values, den, n_from, n_to, positive: bool, witness: bool = Fals
             units = _weighted(np.ones(cols), n_from, divide=True)
             witness = np.zeros((count, cols))
             witness[pick, best] = units[best]
-        return "max_column", norms[pick, best], witness
-    if n_to.p == INF:
+        return method, norms[pick, best], witness
+    if method == "max_row_dual":
         norms = _weighted(_norms(values, den, n_from, dual=True), n_to)
         best = norms.argmax(axis=-1)
         if witness:
             witness = _norming(values[pick, best], den, n_from).astype(np.float64)
-        return "max_row_dual", norms[pick, best], witness
-    if n_from.p == INF and positive:
+        return method, norms[pick, best], witness
+    if method == "positive_corner":
         # For positive A the sup over the unit ball sits at the positive
         # corner x_j = 1 / u_j (monotone to-norm, |A x| <= A corner).
         if not (den is not None and n_from.exact_capable):
@@ -353,17 +364,20 @@ def _closed_form(values, den, n_from, n_to, positive: bool, witness: bool = Fals
         norms = _norms(_matmul(values, corner[:, None])[..., 0], den, n_to)
         if witness:
             witness = np.tile(corner.astype(np.float64), (count, 1))
-        return "positive_corner", norms, witness
-    if n_from.p == 2.0 and n_to.p == 2.0:
-        # ||A||_{u,v} is the top singular value of diag(sqrt v) A diag(1/sqrt u).
-        u = n_from.weight_array(cols, False)
-        v = n_to.weight_array(rows, False)
-        scaled = np.sqrt(v)[:, None] * _floats(values, den) * (1.0 / np.sqrt(u))
-        if not witness:
-            return "svd", np.linalg.svd(scaled, compute_uv=False)[:, 0], None
-        _, svd_s, svd_vt = np.linalg.svd(scaled)
-        return "svd", svd_s[:, 0], svd_vt[:, 0] / np.sqrt(u)
-    return None
+        return method, norms, witness
+    # ||A||_{u,v} is the top singular value of diag(sqrt v) A diag(1/sqrt u);
+    # an unweighted side is not scaled, as x * 1.0 and x / 1.0 are x.
+    u = n_from.weight_array(cols, False)
+    v = n_to.weight_array(rows, False)
+    scaled = _floats(values, den)
+    if v is not None:
+        scaled = np.sqrt(v)[:, None] * scaled
+    if u is not None:
+        scaled = scaled * (1.0 / np.sqrt(u))
+    if not witness:
+        return method, np.linalg.svd(scaled, compute_uv=False)[:, 0], None
+    _, svd_s, svd_vt = np.linalg.svd(scaled)
+    return method, svd_s[:, 0], svd_vt[:, 0] if u is None else svd_vt[:, 0] / np.sqrt(u)
 
 
 def _boyd_ascent(a, n_from: LatticeNorm, n_to: LatticeNorm, x0):
@@ -472,8 +486,11 @@ def batched_operator_norm(
     return np.array([_operator_norm(a, None, n_from, n_to, 0).value for a in stack])
 
 
-#: Most floats in one sampled stack: the samples T_s, the partial products
-#: A T_s and the images A T_s B each hold at most this many (128 MiB).
+#: Most floats in each sampled stack: the samples T_s, the partial products
+#: A T_s and the images A T_s B each hold at most this many (128 MiB).  A run
+#: holds several such stacks at once (the samples, their normalised copy, the
+#: images and the norms' intermediates), so its peak is a multiple of this:
+#: 621 MiB for ``gap --m 1 --samples 4000000``.
 SAMPLE_STACK_CAP = 1 << 24
 
 
@@ -493,6 +510,22 @@ def check_sample_stack(samples: int, a_shape: tuple, b_shape: tuple):
             f"{samples} samples of {entries} entries exceed sample stack cap "
             f"{SAMPLE_STACK_CAP}"
         )
+
+
+def _check_sample_searches(
+    samples: int, a_shape: tuple, b_shape: tuple, assignment, positive: bool
+):
+    """Refuse, before anything is drawn, a sampling run whose batched norms
+    would search over more than ``SEARCH_WORK_CAP``: the norms X -> Y of the
+    y x x samples and W -> Z of their z x w images, where no closed form
+    applies."""
+    (z, y), (x, w) = a_shape, b_shape
+    for n_from, n_to, rows, cols in (
+        (assignment.n_X, assignment.n_Y, y, x),
+        (assignment.n_W, assignment.n_Z, z, w),
+    ):
+        if _closed_form_method(n_from, n_to, positive) is None:
+            _check_search(samples, rows, cols)
 
 
 def _largest_image(
@@ -597,10 +630,12 @@ def verify_cor23(
     ``tol``; for the all-l1 assignment on exact inputs, the left side is
     additionally enumerated exactly and must equal the product on the nose
     (``EnumerationLimitError`` beyond ``EXTREME_POINT_CAP`` extreme points).
-    More than ``SAMPLE_STACK_CAP`` floats in a sampled stack raise
+    More than ``SAMPLE_STACK_CAP`` floats in a sampled stack, or a search
+    over the samples beyond ``SEARCH_WORK_CAP``, raise
     ``EnumerationLimitError`` before anything is drawn.
     """
     check_sample_stack(samples, A.shape, B.shape)
+    _check_sample_searches(samples, A.shape, B.shape, assignment, positive=True)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     absA = A.modulus_closed_form()
@@ -718,10 +753,12 @@ def gap_report(
     witness T = v_A u_B^T which attains ||A|| ||B||.  Reported as an
     exploration (status ``info``): the ratio can sink far below 1, e.g. at
     rate 2^-m along A = B = hadamard_tensor_power(m).  More than
-    ``SAMPLE_STACK_CAP`` floats in a sampled stack raise
-    ``EnumerationLimitError`` before anything is drawn.
+    ``SAMPLE_STACK_CAP`` floats in a sampled stack, or a search over the
+    samples beyond ``SEARCH_WORK_CAP``, raise ``EnumerationLimitError``
+    before anything is drawn.
     """
     check_sample_stack(samples, A.shape, B.shape)
+    _check_sample_searches(samples, A.shape, B.shape, assignment, positive=False)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     rnA = regular_norm(A, n_Y, n_Z, seed=seed)

@@ -81,9 +81,14 @@ def canonical_json(obj) -> str:
             parts.append(f"{json.dumps(key, ensure_ascii=True)}:{canonical_json(obj[key])}")
         return "{" + ",".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {str}:
-            # The same bytes as the recursion, in one call.
+        # Lists of strings or of floats: the same bytes as the recursion.
+        types = set(map(type, obj))
+        if types == {str}:
             return json.dumps(obj, ensure_ascii=True, separators=(",", ":"))
+        if types == {float}:
+            if not all(map(math.isfinite, obj)):
+                raise ReportError("non-finite float in a report")
+            return "[" + ",".join([format(x, ".17g") for x in obj]) + "]"
         return "[" + ",".join(canonical_json(x) for x in obj) + "]"
     return _canon_scalar(obj)
 

@@ -32,9 +32,11 @@ The verifiers check, with exact rational arithmetic:
 (signed, stacked ``lattice.Partition``s of T; by default the atomic one)
 and runs on their stored arrays in the one segment-sum kernel of
 ``lattice``, in chunks of bounded size; the tests check it against the
-loop over partitions and pieces it replaced.  The verifiers measure every
-identity by ``deviation``, the largest entrywise |X - Y| of two vectors or
-two operators.
+loop over partitions and pieces it replaced.  ``verify_prop21`` sends its
+atomic, singleton and random splittings through one pass of that kernel,
+reads the atomic value off the first row and folds the others.  The
+verifiers measure every identity by ``deviation``, the largest entrywise
+|X - Y| of two vectors or two operators.
 
 ``kron``, ``vec`` and ``unvec`` act on the stored arrays.  ``kron`` refuses
 a product of more than ``KRON_ENTRY_CAP`` (2^20) entries with
@@ -199,27 +201,11 @@ def one_sided_excess(x: LatticeVector, upper: LatticeVector):
 # the operator-partition supremum
 # ---------------------------------------------------------------------------
 
-def operator_partition_sup(
-    A0: RegularOperator,
-    B: RegularOperator,
-    T: RegularOperator,
-    w: LatticeVector,
-    partitions: Optional[Sequence[Partition]] = None,
-) -> LatticeVector:
-    """sup over the given partitions (sum_j |T_j| = T) of  (sum_j |A0 T_j B|) w.
-
-    Requires A0 >= 0 and T >= 0, and every partition must split T itself
-    (``ValueError`` otherwise).  The default is the atomic partition, at
-    which the supremum is attained and equals A0 T |B| w exactly; coarser
-    partitions give componentwise smaller-or-equal values (cancellation
-    inside |A0 T_j B| only ever loses mass).
-
-    The images |A0 P_j B| of all pieces are formed on the partitions'
-    stacked values by the segment-sum kernel ``lattice._partition_sums``,
-    in chunks of bounded size, and summed per partition in piece order, so
-    an atomic partition's y x pieces never need y x z w image entries at
-    once; float results match summing the images as operators one by one.
-    """
+def _partition_values(A0, B, T, w, partitions) -> tuple:
+    """(values, D): values[p] = (sum_j |A0 T_j B|) w over the pieces T_j of
+    partitions[p], in one pass of the segment-sum kernel, over the
+    denominator D (None for floats); checked as ``operator_partition_sup``
+    states."""
     if not A0.is_positive():
         raise ValueError("the partition supremum needs a positive left factor")
     if not T.is_positive():
@@ -250,10 +236,40 @@ def operator_partition_sup(
         z * max(x, cols),
     )
     values = _matmul(sums, w._values[:, None])[..., 0]  # (partitions, z)
+    return values, D_T and A0._den * D_T * B._den * w._den
+
+
+def _sup(values, den) -> LatticeVector:
+    """The entrywise supremum of the rows of ``values`` over ``den``; ties
+    keep the earlier row, as Python's max does."""
     best = values[0]
     for value in values[1:]:
         best = np.where(value > best, value, best)
-    return LatticeVector._of(best, D_T and A0._den * D_T * B._den * w._den)
+    return LatticeVector._of(best, den)
+
+
+def operator_partition_sup(
+    A0: RegularOperator,
+    B: RegularOperator,
+    T: RegularOperator,
+    w: LatticeVector,
+    partitions: Optional[Sequence[Partition]] = None,
+) -> LatticeVector:
+    """sup over the given partitions (sum_j |T_j| = T) of  (sum_j |A0 T_j B|) w.
+
+    Requires A0 >= 0 and T >= 0, and every partition must split T itself
+    (``ValueError`` otherwise).  The default is the atomic partition, at
+    which the supremum is attained and equals A0 T |B| w exactly; coarser
+    partitions give componentwise smaller-or-equal values (cancellation
+    inside |A0 T_j B| only ever loses mass).
+
+    The images |A0 P_j B| of all pieces are formed on the partitions'
+    stacked values by the segment-sum kernel ``lattice._partition_sums``,
+    in chunks of bounded size, and summed per partition in piece order, so
+    an atomic partition's y x pieces never need y x z w image entries at
+    once; float results match summing the images as operators one by one.
+    """
+    return _sup(*_partition_values(A0, B, T, w, partitions))
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +308,14 @@ def verify_prop21(
     )
 
     rhs_at_w = modulus_at_T.apply(w)
-    atomic_value = operator_partition_sup(
-        A0, B, T, w, [atomic_operator_partition(T)]
-    )
-    dev_atomic = deviation(atomic_value, rhs_at_w)
-
+    # One kernel pass: the atomic partition first, then the coarse ones.
     rng = Random(seed or 0)
-    coarse = operator_partition_sup(
-        A0,
-        B,
-        T,
-        w,
-        [trivial_operator_partition(T)]
-        + [random_operator_partition(T, 3, rng) for _ in range(5)],
-    )
-    dev_coarse = one_sided_excess(coarse, rhs_at_w)
+    partitions = [atomic_operator_partition(T), trivial_operator_partition(T)]
+    partitions += [random_operator_partition(T, 3, rng) for _ in range(5)]
+    values, den = _partition_values(A0, B, T, w, partitions)
+    atomic_value = LatticeVector._of(values[0], den)
+    dev_atomic = deviation(atomic_value, rhs_at_w)
+    dev_coarse = one_sided_excess(_sup(values[1:], den), rhs_at_w)
 
     return make_report(
         claim_id="prop21",

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rieszops import cli
@@ -467,6 +468,46 @@ def test_gap_stack_cap_is_checked_before_building_H(monkeypatch, capsys):
     assert err.startswith("error: ")
     assert "sample stack cap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--m", "1", "--p-in", "3", "--samples", "400000"],
+        ["verify", "cor23", "--p-in", "3", "--samples", "400000"],
+    ],
+)
+def test_search_cap_is_checked_before_the_samples_are_drawn(
+    argv, matrix_files, monkeypatch, capsys
+):
+    if argv[0] == "verify":
+        a, b = matrix_files
+        argv = argv + ["--A", a, "--B", b]
+    draws = []
+    default_rng = np.random.default_rng
+
+    class RecordingRng:
+        """A generator that records the size of every draw."""
+
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def standard_normal(self, size=None):
+            draws.append(size)
+            return self._rng.standard_normal(size)
+
+        def uniform(self, low=0.0, high=1.0, size=None):
+            draws.append(size)
+            return self._rng.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "search work cap" in err
+    assert "Traceback" not in err
+    stacks = [size for size in draws if isinstance(size, tuple) and len(size) == 3]
+    assert not stacks, f"sample stacks were drawn: {stacks}"
 
 
 def test_verify_prop21_over_kron_cap_exits_2(tmp_path, capsys):

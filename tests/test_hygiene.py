@@ -3,8 +3,10 @@ no private top-level name is left that no module of the package uses, only
 ``lattice`` turns exact scalars into numerators over a denominator, only
 ``lattice`` reads ``.entries``, which builds a ``Fraction`` per exact
 entry, only ``lattice`` compares within ``DEFAULT_TOLERANCE`` (elsewhere it
-is only the default of a verifier's ``tol`` or of ``--tolerance``), and the
-verifiers leave the report schema to ``reports.make_report``."""
+is only the default of a verifier's ``tol`` or of ``--tolerance``), only
+``lattice`` writes a term-by-term sum (``lattice._left_sum`` holds the
+float summation rule), and the verifiers leave the report schema to
+``reports.make_report``."""
 
 import ast
 from pathlib import Path
@@ -280,6 +282,68 @@ def test_the_tolerance_check_allows_only_the_defaults():
     ]
     lattice = (SRC / "lattice.py").read_text(encoding="utf-8")
     assert tolerance_comparisons(lattice)
+
+
+def running_sums(source: str) -> list:
+    """Where a module writes a term-by-term sum, in source order: inside a
+    loop, ``x += ...`` or ``x = x + ...`` (either side); anywhere, a call of
+    the builtin ``sum`` or of ``np.add.accumulate``."""
+    tree = ast.parse(source)
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                found.add((node.lineno, "+= in a loop"))
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+                  and isinstance(node.value.op, ast.Add)):
+                targets = {ast.unparse(t) for t in node.targets}
+                sides = {ast.unparse(node.value.left), ast.unparse(node.value.right)}
+                if targets & sides:
+                    found.add((node.lineno, "running + in a loop"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "sum":
+            found.add((node.lineno, "sum()"))
+        elif (isinstance(func, ast.Attribute) and func.attr == "accumulate"
+              and isinstance(func.value, ast.Attribute) and func.value.attr == "add"):
+            found.add((node.lineno, "add.accumulate"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_only_lattice_writes_a_term_by_term_sum(path):
+    sums = running_sums(path.read_text(encoding="utf-8"))
+    assert not sums, (
+        f"{path.name} sums term by term itself: {sums}; float sums must be "
+        "added left to right from 0.0, which lattice._left_sum does"
+    )
+
+
+def test_the_running_sum_check_flags_loops_sum_and_accumulate():
+    source = (
+        "import numpy as np\n"
+        "def f(terms, a):\n"
+        "    total = 0.0\n"
+        "    for t in terms:\n"
+        "        total = total + t\n"
+        "        a[0] = t + a[0]\n"
+        "    while a:\n"
+        "        a += t\n"
+        "    b = total + 1.0\n"
+        "    return sum(terms), np.add.accumulate(a), b\n"
+    )
+    assert running_sums(source) == [
+        "running + in a loop (line 5)", "running + in a loop (line 6)",
+        "+= in a loop (line 8)", "add.accumulate (line 10)", "sum() (line 10)",
+    ]
+    lattice = (SRC / "lattice.py").read_text(encoding="utf-8")
+    assert "running + in a loop" in " ".join(running_sums(lattice))
 
 
 def report_schema_writes(source: str) -> list:

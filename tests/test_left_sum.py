@@ -1,0 +1,172 @@
+"""The float sums of ``lattice`` against the per-term loops of
+``sum_reference``: ``_left_sum``, ``_matmul`` and the float branch of
+``_partition_sums`` must give the same bits (``float.hex`` and the sign
+bit, so -0.0 counts) on results just below, at and above
+``_ACCUMULATE_ENTRIES``, where ``_left_sum`` switches from one
+``np.add.accumulate`` to one add per term, and must overflow exactly
+when the loops do under ``np.errstate(over="raise")``.
+
+The sign of a nan is left out: IEEE 754 leaves it open, and numpy's array
+add and Python's float add already return different operands of nan + nan
+(the per-term loop these kernels replaced kept numpy's)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+import sum_reference as ref
+from rieszops import LatticeVector
+from rieszops.lattice import (
+    _ACCUMULATE_ENTRIES,
+    _KERNEL_CHUNK_ENTRIES,
+    Partition,
+    _left_sum,
+    _matmul,
+    _partition_sums,
+)
+
+LANES = _ACCUMULATE_ENTRIES
+
+#: Result sizes on both sides of the switch, and a few small ones.
+SIZES = (1, 2, 3, LANES - 1, LANES, LANES + 1)
+
+SPECIALS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+    1.0, -1.0, 0.1, 1e308, -1e308, math.inf, -math.inf, math.nan,
+)
+elements = st.one_of(st.sampled_from(SPECIALS), st.floats(-1, 1), st.floats(width=64))
+
+
+def floats(shape):
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+def outcome(f, *args, over):
+    """f(*args) under ``np.errstate(over=over)``, or FloatingPointError if
+    it raised one."""
+    with np.errstate(over=over, invalid="ignore"):
+        try:
+            return f(*args)
+        except FloatingPointError:
+            return FloatingPointError
+
+
+def assert_agrees(kernel, reference, *args):
+    """The same bits with overflow ignored, and the same overflow raised."""
+    assert_same_bits(outcome(kernel, *args, over="ignore"),
+                     outcome(reference, *args, over="ignore"))
+    raised = outcome(kernel, *args, over="raise") is FloatingPointError
+    assert raised == (outcome(reference, *args, over="raise") is FloatingPointError)
+
+
+@st.composite
+def sum_cases(draw):
+    """(terms, axis): a result of one of SIZES entries, on either side of
+    the summed axis."""
+    entries, count = draw(st.sampled_from(SIZES)), draw(st.integers(1, 6))
+    axis = draw(st.sampled_from((-1, -2)))
+    shape = (entries, count) if axis == -1 else (count, entries)
+    return draw(floats(shape)), axis
+
+
+@settings(max_examples=120)
+@given(sum_cases())
+def test_left_sum_matches_the_loop(case):
+    terms, axis = case
+    assert_agrees(lambda t: _left_sum(t, axis=axis), lambda t: ref.sums_along(t, axis), terms)
+
+
+@settings(max_examples=60)
+@given(sum_cases(), st.data())
+def test_left_sum_of_a_product_matches_the_loop(case, data):
+    terms, axis = case
+    factor = data.draw(floats((terms.shape[axis],)))
+    factor = factor[:, None] if axis == -2 else factor
+    assert_agrees(lambda t, f: _left_sum(t, f, axis=axis),
+                  lambda t, f: ref.sums_along(t * f, axis), terms, factor)
+
+
+@st.composite
+def matmul_cases(draw):
+    """(a, b) whose product has one of SIZES entries, as a column, a row or
+    a batch of 1 x 1 products."""
+    entries, inner = draw(st.sampled_from(SIZES)), draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(("column", "row", "batch")))
+    if layout == "column":
+        shapes = (entries, inner), (inner, 1)
+    elif layout == "row":
+        shapes = (1, inner), (inner, entries)
+    else:
+        shapes = (1, inner), (entries, inner, 1)
+    return draw(floats(shapes[0])), draw(floats(shapes[1]))
+
+
+@settings(max_examples=120)
+@given(matmul_cases())
+def test_matmul_matches_the_loop(case):
+    assert_agrees(_matmul, ref.matmul, *case)
+
+
+def _partitions(runs):
+    """Float partitions of one target with ``runs[p]`` pieces each."""
+    target = LatticeVector([1.0, 1.0])
+    return [Partition(target, np.full((run, 2), 1.0 / run)) for run in runs]
+
+
+def _table_images(table):
+    """An image map that hands out the rows of ``table`` in order, one
+    chunk of pieces at a time, whatever the pieces hold."""
+    taken = 0
+
+    def image(pieces):
+        nonlocal taken
+        rows = table[taken : taken + len(pieces)]
+        taken += len(pieces)
+        return rows
+
+    return image
+
+
+@st.composite
+def partition_cases(draw):
+    """(runs, table, image_entries): pieces per partition, the images of
+    all the pieces, and an ``image_entries`` that makes the kernel take 1,
+    2, 3 or all of the pieces per chunk."""
+    runs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    entries = draw(st.sampled_from((1, 3, 43) + SIZES[3:]))
+    table = draw(floats((sum(runs), entries)))
+    step = draw(st.sampled_from((1, 2, 3, sum(runs))))
+    return runs, table, _KERNEL_CHUNK_ENTRIES // step
+
+
+@settings(max_examples=120)
+@given(partition_cases())
+def test_partition_sums_match_the_loop(case):
+    runs, table, image_entries = case
+
+    def kernel(table):
+        sums, D = _partition_sums(_partitions(runs), _table_images(table), image_entries)
+        assert D is None
+        return sums
+
+    assert_agrees(kernel, lambda t: ref.partition_sums(t, runs), table)
+
+
+@pytest.mark.parametrize("entries", SIZES)
+def test_runs_of_negative_zeros_sum_to_positive_zero(entries):
+    zeros = np.full((entries, 3), -0.0)
+    assert_same_bits(_left_sum(zeros), np.zeros(entries))
+    assert_same_bits(_matmul(zeros, np.ones((3, 1))), np.zeros((entries, 1)))
+    sums, _ = _partition_sums(_partitions([3]), _table_images(zeros.T.copy()), entries)
+    assert_same_bits(sums, np.zeros((1, entries)))
