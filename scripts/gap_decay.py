@@ -13,7 +13,6 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from rieszops import (
     NormAssignment,
@@ -21,27 +20,25 @@ from rieszops import (
     gap_report,
     hadamard_tensor_power,
 )
+from rieszops.lattice import EnumerationLimitError
+from rieszops.norms import check_sample_stack, hadamard_order
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_m: int = 5
-    samples: int = 300
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_m < 1:
-            raise ValueError("need at least one tensor power")
+def check_sweep(args):
+    """Refuse a sweep that could not run to its end, before any work: the
+    largest power sets the largest Hadamard matrix and sample stack."""
+    if args.max_m < 1:
+        raise ValueError(f"need at least one tensor power, got --max-m {args.max_m}")
+    n = hadamard_order(args.max_m)
+    check_sample_stack(args.samples, (n, n), (n, n))
 
 
-def run_sweep(config: SweepConfig) -> list:
+def run_sweep(args) -> list:
     assignment = NormAssignment.uniform(2.0)
     rows = []
-    for m in range(1, config.max_m + 1):
+    for m in range(1, args.max_m + 1):
         H = hadamard_tensor_power(m)
-        report = gap_report(
-            H, H, assignment, samples=config.samples, seed=config.seed
-        )
+        report = gap_report(H, H, assignment, samples=args.samples, seed=args.seed)
         rows.append(
             {
                 "m": m,
@@ -55,11 +52,11 @@ def run_sweep(config: SweepConfig) -> list:
     return rows
 
 
-def positive_control(config: SweepConfig) -> float:
+def positive_control(args) -> float:
     """rho for a positive pair: the gap closes because |A| = A."""
     A = RegularOperator.from_rows([[2, 1], [0, 3]])
     report = gap_report(
-        A, A, NormAssignment.uniform(2.0), samples=config.samples, seed=config.seed
+        A, A, NormAssignment.uniform(2.0), samples=args.samples, seed=args.seed
     )
     return report.details["rho"]
 
@@ -70,9 +67,15 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    config = SweepConfig(max_m=args.max_m, samples=args.samples, seed=args.seed)
 
-    rows = run_sweep(config)
+    # Bad sizes exit 2, as the rieszops command does.
+    try:
+        check_sweep(args)
+        rows = run_sweep(args)
+        rho_positive = positive_control(args)
+    except (ValueError, EnumerationLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'m':>3} {'size':>5} {'operator':>12} {'regular':>12} "
           f"{'rho':>10} {'2^-m':>10}")
     for row in rows:
@@ -81,7 +84,7 @@ def main(argv=None) -> int:
             f"{row['regular_side']:>12.2f} {row['rho']:>10.6f} "
             f"{row['predicted']:>10.6f}"
         )
-    print(f"\npositive-factor control: rho = {positive_control(config):.6f} "
+    print(f"\npositive-factor control: rho = {rho_positive:.6f} "
           "(no gap when the factors are positive)")
     worst = max(abs(r["rho"] - r["predicted"]) for r in rows)
     print(f"max |rho - 2^-m| = {worst:.2e}")

@@ -4,7 +4,7 @@ Finite-dimensional vector lattices (R^n with entrywise order), regular
 operators between them (matrices), and two-sided multiplication
 superoperators T |-> A T B.  The package computes moduli, joins, and
 meets of such operators both by closed forms and by refinement oracles,
-evaluates weighted p-norms with duality witnesses, and mechanically
+evaluates l^p norms with duality witnesses, and mechanically
 verifies the lattice identities and norm identities that the
 superoperator family satisfies — including an exact finite lab in which
 a partition-infimum computation stays strictly positive while its

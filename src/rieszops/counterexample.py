@@ -182,7 +182,7 @@ def _e_partitions(
     """Disjoint partitions of e, capped at the budget, atomic always kept."""
     e = LatticeVector.ones(f.dim)
     collected: List[Partition] = []
-    for partition in disjoint_partitions(e, max_parts=f.dim):
+    for partition in disjoint_partitions(e):
         collected.append(partition)
         if len(collected) >= partition_budget:
             break

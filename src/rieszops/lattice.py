@@ -56,7 +56,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -601,8 +601,8 @@ def atomic_partition(w: LatticeVector) -> Partition:
     return Partition(w, *w._atoms())
 
 
-def _set_partitions(items: tuple, max_parts: int) -> Iterator[list]:
-    """All set partitions of ``items`` into at most ``max_parts`` blocks.
+def _set_partitions(items: tuple) -> Iterator[list]:
+    """All set partitions of ``items``.
 
     Canonical recursive order: the first item anchors the first block.
     """
@@ -610,11 +610,10 @@ def _set_partitions(items: tuple, max_parts: int) -> Iterator[list]:
         yield []
         return
     head, tail = items[0], items[1:]
-    for sub in _set_partitions(tail, max_parts):
+    for sub in _set_partitions(tail):
         for i in range(len(sub)):
             yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
-        if len(sub) < max_parts:
-            yield sub + [[head]]
+        yield sub + [[head]]
 
 
 def _blocks(w: LatticeVector, blocks) -> Partition:
@@ -626,20 +625,15 @@ def _blocks(w: LatticeVector, blocks) -> Partition:
     return Partition(w, rows, w._den)
 
 
-def disjoint_partitions(
-    e: LatticeVector, max_parts: Optional[int] = None
-) -> Iterator[Partition]:
-    """Stream all partitions of e into <= max_parts pairwise-disjoint pieces.
+def disjoint_partitions(e: LatticeVector) -> Iterator[Partition]:
+    """Stream all partitions of e into pairwise-disjoint pieces.
 
     These correspond to set partitions of the support; blocks are reported
-    ordered by their smallest index.  ``max_parts`` defaults to the support
-    size (i.e. no restriction).
+    ordered by their smallest index.
     """
     if not e.is_positive():
         raise ValueError("disjoint partitions are defined for positive vectors")
     support = e.support()
-    if max_parts is None:
-        max_parts = max(1, len(support))
     if len(support) > ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"support size {len(support)} exceeds enumeration cap {ENUMERATION_CAP}"
@@ -647,7 +641,7 @@ def disjoint_partitions(
     if not support:
         yield trivial_partition(e)
         return
-    for blocks in _set_partitions(tuple(support), max_parts):
+    for blocks in _set_partitions(tuple(support)):
         yield _blocks(e, sorted(blocks, key=min))
 
 

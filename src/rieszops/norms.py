@@ -1,15 +1,14 @@
-"""Weighted p-norms, p -> q operator norms, and the regular norm.
+"""l^p norms, p -> q operator norms, and the regular norm.
 
-A ``LatticeNorm`` is a weighted l^p norm on a coordinate space; every such
-norm is a lattice norm (|x| <= |y| implies ||x|| <= ||y||) and, being
-finite-dimensional, order continuous.  ``operator_norm`` computes the
-induced p -> q norm of a matrix, using closed forms whenever one exists:
+A ``LatticeNorm`` is the l^p norm on a coordinate space; it is a lattice
+norm (|x| <= |y| implies ||x|| <= ||y||) and, being finite-dimensional,
+order continuous.  ``operator_norm`` computes the induced p -> q norm of a
+matrix, using closed forms whenever one exists:
 
-* from-norm p = 1:        max over columns of the to-norm (weighted);
+* from-norm p = 1:        max over columns of the to-norm;
 * to-norm   q = inf:      max over rows of the dual from-norm;
-* from-norm p = inf, A positive: the value at the positive unit corner;
-* p = q = 2:              largest singular value (weighted by diagonal
-                          scalings);
+* from-norm p = inf, A positive: the value at the all-ones corner;
+* p = q = 2:              largest singular value;
 * otherwise:              seeded multistart ascent (generalized power
                           iteration alternating the duality maps of the two
                           norms), reported as an uncertified lower bound;
@@ -20,9 +19,8 @@ Each closed form, each vector and dual norm and each duality map is
 written once, as an array kernel over the last axis of a stack, on stored
 values over a denominator: Python-int numerators (so exact values stay
 ``Fraction``) or float64, sums taken by ``lattice._left_sum`` and powers
-as Python's float power; an unweighted norm does no weight arithmetic, as
-x * 1.0 and x / 1.0 are x.  ``operator_norm`` runs the kernel on
-a stack of one, ``batched_operator_norm`` on a whole stack, and both give a
+as Python's float power.  ``operator_norm`` runs the kernel on a stack of
+one, ``batched_operator_norm`` on a whole stack, and both give a
 matrix the same bits; only 2 -> 2 differs, where a stack asks LAPACK for the
 singular values alone.  ``vector_norm``, ``dual_norm``, ``norming_vector``
 and ``norming_functional`` are the kernel on one vector.
@@ -63,12 +61,10 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
-    DimensionMismatchError,
     EnumerationLimitError,
     LatticeVector,
     _all,
     _chunk_size,
-    _le_mask,
     _left_sum,
     _matmul,
 )
@@ -82,25 +78,20 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class LatticeNorm:
-    """Weighted l^p norm: ||x|| = (sum_j u_j |x_j|^p)^(1/p), max for p = inf."""
+    """The l^p norm: ||x|| = (sum_j |x_j|^p)^(1/p), max_j |x_j| for p = inf."""
 
     p: float = 2.0
-    weights: Optional[LatticeVector] = None
 
     def __post_init__(self):
         p = float(self.p)
         if not (p >= 1.0):
             raise ValueError(f"norm exponent must be >= 1, got {self.p}")
         object.__setattr__(self, "p", p)
-        if self.weights is not None and not _all(self.weights._values > 0):
-            raise ValueError("norm weights must be strictly positive")
 
     @property
     def exact_capable(self) -> bool:
-        """True when values can stay rational: p in {1, inf}, exact weights."""
-        return self.p in (1.0, INF) and (
-            self.weights is None or self.weights.is_exact
-        )
+        """True when values can stay rational: p in {1, inf}."""
+        return self.p in (1.0, INF)
 
     def conjugate_exponent(self) -> float:
         if self.p == 1.0:
@@ -109,31 +100,14 @@ class LatticeNorm:
             return 1.0
         return self.p / (self.p - 1.0)
 
-    def weight_array(self, dim: int, exact: bool):
-        """The weights for vectors of dimension ``dim``, None if unweighted:
-        Fractions (an object array) if ``exact`` and the weights are exact,
-        float64 otherwise."""
-        w = self.weights
-        if w is None:
-            return None
-        if w.dim != dim:
-            raise DimensionMismatchError(
-                f"norm weights have dim {w.dim}, expected {dim}"
-            )
-        if exact and w.is_exact:
-            return w._values * Fraction(1, w._den)
-        return w.to_float()._values
-
     def to_json(self) -> dict:
-        return {
-            "p": "inf" if self.p == INF else self.p,
-            "weights": None if self.weights is None else self.weights.to_json(),
-        }
+        # "weights" is always null; the cor23 and gap input digests hash it.
+        return {"p": "inf" if self.p == INF else self.p, "weights": None}
 
 
 @dataclass(frozen=True)
 class NormAssignment:
-    """One lattice norm per underlying space W, X, Y, Z."""
+    """One l^p norm per underlying space W, X, Y, Z."""
 
     n_W: LatticeNorm
     n_X: LatticeNorm
@@ -141,12 +115,9 @@ class NormAssignment:
     n_Z: LatticeNorm
 
     @classmethod
-    def uniform(cls, p, weights=None) -> "NormAssignment":
-        """The same norm on all four spaces; `p` may be a LatticeNorm."""
-        if isinstance(p, LatticeNorm):
-            norm = p
-        else:
-            norm = LatticeNorm(p=p, weights=weights)
+    def uniform(cls, p) -> "NormAssignment":
+        """The l^p norm on all four spaces."""
+        norm = LatticeNorm(p=p)
         return cls(norm, norm, norm, norm)
 
     def to_json(self) -> dict:
@@ -201,83 +172,60 @@ def _pow(values, exponent):
     return np.asarray(np.asarray(values, dtype=object) ** exponent, dtype=np.float64)
 
 
-def _weighted(values, n: LatticeNorm, divide: bool = False):
-    """Weights times values (``divide``: values over weights) along the last
-    axis: exact when both are (exact values stay as they are unweighted),
-    in floats otherwise."""
-    w = n.weight_array(values.shape[-1], values.dtype == object)
-    if w is None:
-        return values
-    if w.dtype != object:
-        values = values.astype(np.float64)
-    return values / w if divide else w * values
-
-
 def _norms(values, den, n: LatticeNorm, dual: bool = False):
-    """The norms (``dual``: the dual norms) of the vectors on the last axis:
-    Fractions for p in {1, inf} on exact data and weights, floats otherwise."""
+    """The norms (``dual``: the dual norms, the l^q norms for the conjugate
+    exponent q) of the vectors on the last axis: Fractions for p in
+    {1, inf} on exact data, floats otherwise."""
     exact = den is not None and n.exact_capable
     if not exact:
         values = _floats(values, den)
-    p = n.p
-    if p in (1.0, INF):
-        terms = _weighted(np.abs(values), n, divide=dual)
-        out = _left_sum(terms) if (p == 1.0) != dual else terms.max(axis=-1)
-        return out * Fraction(1, den) if exact else out
-    if dual:
-        w = n.weight_array(values.shape[-1], False)
-        scaled = np.abs(values) if w is None else np.abs(values) * _pow(w, -1.0 / p)
-        q = n.conjugate_exponent()
-        if q == 2.0:
-            return np.sqrt(_left_sum(scaled * scaled))
-        return _pow(_left_sum(_pow(scaled, q)), 1.0 / q)
+    p = n.conjugate_exponent() if dual else n.p
     if p == 2.0:
-        return np.sqrt(_left_sum(_weighted(values, n) * values))
-    return _pow(_left_sum(_weighted(_pow(np.abs(values), p), n)), 1.0 / p)
+        return np.sqrt(_left_sum(values * values))
+    if p not in (1.0, INF):
+        return _pow(_left_sum(_pow(np.abs(values), p)), 1.0 / p)
+    out = _left_sum(np.abs(values)) if p == 1.0 else np.abs(values).max(axis=-1)
+    return out * Fraction(1, den) if exact else out
 
 
 def _norming(values, den, n: LatticeNorm, functional: bool = False):
     """For each vector f on the last axis, a unit x with f . x = the dual
     norm of f (``functional``: a dual-unit phi with phi . f = the norm of
-    f); exact (an object array) for p in {1, inf} on exact data and
-    weights, floats otherwise.  A zero f gets the unit multiple of e_0."""
+    f); exact (an object array) for p in {1, inf} on exact data, floats
+    otherwise.  A zero f gets e_0."""
     exact = den is not None and n.exact_capable
     if not exact:
         values = _floats(values, den)
     p, dim = n.p, values.shape[-1]
     if p in (1.0, INF):
-        # The extreme points: +-e_j / u_j, or the vectors of signs / u.
-        units = _weighted(np.ones(dim, dtype=values.dtype), n, not functional)
+        # The extreme points: +-e_j, or the vectors of signs.
+        units = np.ones(dim, dtype=values.dtype)
         signed = np.where(values < 0, -units, units)
         if (p == 1.0) == functional:
             return signed
-        ratio = _weighted(np.abs(values), n, divide=not functional)
-        best = ratio.argmax(axis=-1)[..., None]
+        best = np.abs(values).argmax(axis=-1)[..., None]
         out = np.zeros_like(signed)
         np.put_along_axis(out, best, np.take_along_axis(signed, best, -1), -1)
         return out
-    w = n.weight_array(dim, False)
-    w_e = None if w is None else _pow(w, 1.0 / p if functional else -1.0 / p)
-    first = np.zeros(dim)
-    first[0] = 1.0 if w_e is None else w_e[0]
-    scaled = values if w_e is None else w_e * values
-    mags = np.abs(scaled)
+    mags = np.abs(values)
     if functional:
         norm = _pow(_left_sum(_pow(mags, p)), 1.0 / p)
         zero = norm == 0.0
         mags = _pow(mags / np.where(zero, 1.0, norm)[..., None], p - 1.0)
-        out = np.where(scaled < 0, -mags, mags)
+        out = np.where(values < 0, -mags, mags)
     else:
         mags = _pow(mags, n.conjugate_exponent() - 1.0)
         norm = _left_sum(_pow(mags, p))
         zero = norm == 0.0
         norm = _pow(np.where(zero, 1.0, norm), 1.0 / p)
-        out = np.where(scaled < 0, -mags, mags) / norm[..., None]
-    return np.where(zero[..., None], first, out if w_e is None else out * w_e)
+        out = np.where(values < 0, -mags, mags) / norm[..., None]
+    first = np.zeros(dim)
+    first[0] = 1.0
+    return np.where(zero[..., None], first, out)
 
 
 def vector_norm(x: LatticeVector, n: LatticeNorm):
-    """Weighted l^p norm; Fraction for p in {1, inf} on exact data."""
+    """The l^p norm of x; Fraction for p in {1, inf} on exact data."""
     return _value(_norms(x._values, x._den, n))
 
 
@@ -337,47 +285,35 @@ def _closed_form(values, den, n_from, n_to, positive: bool, witness: bool = Fals
     method = _closed_form_method(n_from, n_to, positive)
     if method is None:
         return None
-    count, rows, cols = values.shape
+    count, _, cols = values.shape
     pick = np.arange(count)
     if method == "max_column":
-        # Unit-ball extreme points are +-e_j / u_j.
+        # Unit-ball extreme points are +-e_j.
         norms = _norms(np.swapaxes(values, -1, -2), den, n_to)
-        norms = _weighted(norms, n_from, divide=True)
         best = norms.argmax(axis=-1)
         if witness:
-            units = _weighted(np.ones(cols), n_from, divide=True)
             witness = np.zeros((count, cols))
-            witness[pick, best] = units[best]
+            witness[pick, best] = 1.0
         return method, norms[pick, best], witness
     if method == "max_row_dual":
-        norms = _weighted(_norms(values, den, n_from, dual=True), n_to)
+        norms = _norms(values, den, n_from, dual=True)
         best = norms.argmax(axis=-1)
         if witness:
             witness = _norming(values[pick, best], den, n_from).astype(np.float64)
         return method, norms[pick, best], witness
     if method == "positive_corner":
-        # For positive A the sup over the unit ball sits at the positive
-        # corner x_j = 1 / u_j (monotone to-norm, |A x| <= A corner).
-        if not (den is not None and n_from.exact_capable):
-            values, den = _floats(values, den), None
-        corner = _weighted(np.ones(cols, dtype=values.dtype), n_from, divide=True)
-        norms = _norms(_matmul(values, corner[:, None])[..., 0], den, n_to)
+        # For positive A the sup over the unit ball sits at the all-ones
+        # corner (monotone to-norm, |A x| <= A corner).
+        corner = np.ones((cols, 1), dtype=values.dtype)
+        norms = _norms(_matmul(values, corner)[..., 0], den, n_to)
         if witness:
-            witness = np.tile(corner.astype(np.float64), (count, 1))
+            witness = np.ones((count, cols))
         return method, norms, witness
-    # ||A||_{u,v} is the top singular value of diag(sqrt v) A diag(1/sqrt u);
-    # an unweighted side is not scaled, as x * 1.0 and x / 1.0 are x.
-    u = n_from.weight_array(cols, False)
-    v = n_to.weight_array(rows, False)
-    scaled = _floats(values, den)
-    if v is not None:
-        scaled = np.sqrt(v)[:, None] * scaled
-    if u is not None:
-        scaled = scaled * (1.0 / np.sqrt(u))
+    floats = _floats(values, den)
     if not witness:
-        return method, np.linalg.svd(scaled, compute_uv=False)[:, 0], None
-    _, svd_s, svd_vt = np.linalg.svd(scaled)
-    return method, svd_s[:, 0], svd_vt[:, 0] if u is None else svd_vt[:, 0] / np.sqrt(u)
+        return method, np.linalg.svd(floats, compute_uv=False)[:, 0], None
+    _, svd_s, svd_vt = np.linalg.svd(floats)
+    return method, svd_s[:, 0], svd_vt[:, 0]
 
 
 def _boyd_ascent(a, n_from: LatticeNorm, n_to: LatticeNorm, x0):
@@ -427,8 +363,10 @@ def _check_search(count: int, rows: int, cols: int):
 def _operator_norm(values, den, n_from, n_to, seed) -> NormResult:
     """The norm of one matrix stored as ``values`` over ``den``: the kernel
     on a stack of one, else a seeded multistart generalized power iteration
-    (a certified lower bound only)."""
-    positive = _all(_le_mask(0, values, den is not None))
+    (an uncertified lower bound).  The closed form for positive matrices
+    is chosen on the exact signs (-0.0 counts as positive), so it does not
+    depend on the scale of the entries."""
+    positive = _all(values >= 0)
     found = _closed_form(values[None], den, n_from, n_to, positive, witness=True)
     if found is not None:
         method, norms, witness = found
@@ -560,7 +498,7 @@ def _largest_image(
 
 def _all_ones_1chain(assignment: NormAssignment) -> bool:
     return all(
-        n.p == 1.0 and n.weights is None
+        n.p == 1.0
         for n in (assignment.n_W, assignment.n_X, assignment.n_Y, assignment.n_Z)
     )
 
@@ -774,7 +712,7 @@ def gap_report(
             rng.standard_normal(size=(samples, A.cols, B.rows))
         )
     witness_T = None
-    if n_X.p == 2.0 and n_Y.p == 2.0 and n_X.weights is None and n_Y.weights is None:
+    if n_X.p == 2.0 and n_Y.p == 2.0:
         # T = v_A u_B^T maps B's top output direction onto A's top input
         # direction; for 2->2 norms it attains ||A|| ||B||.
         v_A = np.linalg.svd(arr_A)[2][0]

@@ -28,39 +28,23 @@ def _lsum(items):
     return reduce(add, items, 0)
 
 
-def weight_list(n, dim: int, exact: bool) -> list:
-    """The weights of n as scalars (their own mode), or ones of the mode."""
-    if n.weights is not None:
-        return list(n.weights.entries)
-    one = Fraction(1) if exact else 1.0
-    return [one] * dim
-
-
-def np_weights(n, dim: int) -> np.ndarray:
-    return np.array([float(u) for u in weight_list(n, dim, exact=False)])
-
-
 def vector_norm(x, n):
-    u = weight_list(n, x.dim, x.is_exact)
     if n.p == 1.0:
-        return _lsum(w * abs(a) for w, a in zip(u, x.entries))
+        return _lsum(abs(a) for a in x.entries)
     if n.p == INF:
-        return max(w * abs(a) for w, a in zip(u, x.entries))
+        return max(abs(a) for a in x.entries)
     if n.p == 2.0:
-        total = _lsum(float(w) * float(a) * float(a) for w, a in zip(u, x.entries))
-        return math.sqrt(total)
-    total = _lsum(float(w) * abs(float(a)) ** n.p for w, a in zip(u, x.entries))
-    return total ** (1.0 / n.p)
+        return math.sqrt(_lsum(float(a) * float(a) for a in x.entries))
+    return _lsum(abs(float(a)) ** n.p for a in x.entries) ** (1.0 / n.p)
 
 
 def dual_norm(f, n):
-    u = weight_list(n, f.dim, f.is_exact)
     if n.p == 1.0:
-        return max(abs(a) / w for w, a in zip(u, f.entries))
+        return max(abs(a) for a in f.entries)
     if n.p == INF:
-        return _lsum(abs(a) / w for w, a in zip(u, f.entries))
+        return _lsum(abs(a) for a in f.entries)
     q = n.conjugate_exponent()
-    scaled = [abs(float(a)) * float(w) ** (-1.0 / n.p) for w, a in zip(u, f.entries)]
+    scaled = [abs(float(a)) for a in f.entries]
     if q == 2.0:
         return math.sqrt(_lsum(s * s for s in scaled))
     return _lsum(s ** q for s in scaled) ** (1.0 / q)
@@ -70,54 +54,45 @@ def _sign(a):
     return -1 if a < 0 else 1
 
 
+def _unit(dim: int, j: int, one, sign=1) -> LatticeVector:
+    entries = [one * 0] * dim
+    entries[j] = sign * one
+    return LatticeVector(entries)
+
+
 def norming_vector(f, n):
-    u = weight_list(n, f.dim, f.is_exact)
     one = Fraction(1) if f.is_exact else 1.0
     f_entries = f.entries
     if n.p == 1.0:
         if not any(f_entries):
-            entries = [one * 0] * f.dim
-            entries[0] = one / u[0]
-            return LatticeVector(entries)
-        best = max(range(f.dim), key=lambda j: abs(f_entries[j]) / u[j])
-        entries = [one * 0] * f.dim
-        entries[best] = _sign(f_entries[best]) * one / u[best]
-        return LatticeVector(entries)
+            return _unit(f.dim, 0, one)
+        best = max(range(f.dim), key=lambda j: abs(f_entries[j]))
+        return _unit(f.dim, best, one, _sign(f_entries[best]))
     if n.p == INF:
-        return LatticeVector([_sign(a) * one / w for w, a in zip(u, f_entries)])
-    rho = [float(a) * float(w) ** (-1.0 / n.p) for w, a in zip(u, f_entries)]
+        return LatticeVector([_sign(a) * one for a in f_entries])
+    rho = [float(a) for a in f_entries]
     q = n.conjugate_exponent()
     mags = [abs(r) ** (q - 1.0) for r in rho]
     scale = _lsum(m ** n.p * 1.0 for m in mags)
     if scale == 0.0:
-        entries = [0.0] * f.dim
-        entries[0] = float(u[0]) ** (-1.0 / n.p)
-        return LatticeVector(entries)
+        return _unit(f.dim, 0, 1.0)
     scale = scale ** (1.0 / n.p)
-    return LatticeVector(
-        [_sign(r) * m / scale * float(w) ** (-1.0 / n.p) for r, m, w in zip(rho, mags, u)]
-    )
+    return LatticeVector([_sign(r) * m / scale for r, m in zip(rho, mags)])
 
 
 def norming_functional(x, n):
-    u = weight_list(n, x.dim, x.is_exact)
     one = Fraction(1) if x.is_exact else 1.0
     x_entries = x.entries
     if n.p == 1.0:
-        return LatticeVector([_sign(a) * w * one for w, a in zip(u, x_entries)])
+        return LatticeVector([_sign(a) * one for a in x_entries])
     if n.p == INF:
-        best = max(range(x.dim), key=lambda j: u[j] * abs(x_entries[j]))
-        entries = [one * 0] * x.dim
-        entries[best] = _sign(x_entries[best]) * u[best] * one
-        return LatticeVector(entries)
-    xi = [float(w) ** (1.0 / n.p) * float(a) for w, a in zip(u, x_entries)]
+        best = max(range(x.dim), key=lambda j: abs(x_entries[j]))
+        return _unit(x.dim, best, one, _sign(x_entries[best]))
+    xi = [float(a) for a in x_entries]
     norm_xi = _lsum(abs(s) ** n.p for s in xi) ** (1.0 / n.p)
     if norm_xi == 0.0:
-        entries = [0.0] * x.dim
-        entries[0] = float(u[0]) ** (1.0 / n.p)
-        return LatticeVector(entries)
-    rho = [_sign(s) * (abs(s) / norm_xi) ** (n.p - 1.0) for s in xi]
-    return LatticeVector([r * float(w) ** (1.0 / n.p) for r, w in zip(rho, u)])
+        return _unit(x.dim, 0, 1.0)
+    return LatticeVector([_sign(s) * (abs(s) / norm_xi) ** (n.p - 1.0) for s in xi])
 
 
 def _boyd_ascent(Af, n_from, n_to, x0, iters):
@@ -146,40 +121,30 @@ def _boyd_ascent(Af, n_from, n_to, x0, iters):
 def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
     """(value, witness, certified, method), as ``norms.NormResult`` holds
     them."""
-    exact_in = A.is_exact
-    u = weight_list(n_from, A.cols, exact_in and n_from.exact_capable)
+    # The closed form for positive matrices is chosen on the exact signs.
+    positive = all(a >= 0 for a in A.entries)
 
     if n_from.p == 1.0:
-        values = [vector_norm(A.column(j), n_to) / u[j] for j in range(A.cols)]
+        values = [vector_norm(A.column(j), n_to) for j in range(A.cols)]
         best = max(range(A.cols), key=lambda j: values[j])
-        witness = LatticeVector.unit(A.cols, best, FLOAT).scale(1.0 / float(u[best]))
-        return values[best], witness, True, "max_column"
+        return values[best], LatticeVector.unit(A.cols, best, FLOAT), True, "max_column"
 
     if n_to.p == INF:
-        v = weight_list(n_to, A.rows, exact_in and n_to.exact_capable)
-        values = [v[i] * dual_norm(A.row(i), n_from) for i in range(A.rows)]
+        values = [dual_norm(A.row(i), n_from) for i in range(A.rows)]
         best = max(range(A.rows), key=lambda i: values[i])
         witness = norming_vector(A.row(best), n_from).to_float()
         return values[best], witness, True, "max_row_dual"
 
-    if n_from.p == INF and A.is_positive():
-        one = Fraction(1) if (exact_in and n_from.exact_capable) else 1.0
-        corner = LatticeVector([one / w for w in u])
-        operand = A if corner.mode == A.mode else A.to_float()
-        value = vector_norm(operand.apply(corner), n_to)
+    if n_from.p == INF and positive:
+        corner = LatticeVector([Fraction(1) if A.is_exact else 1.0] * A.cols)
+        value = vector_norm(A.apply(corner), n_to)
         return value, corner.to_float(), True, "positive_corner"
 
     if n_from.p == 2.0 and n_to.p == 2.0:
-        arr = np.array(A.as_floats())
-        u_np = np_weights(n_from, A.cols)
-        v_np = np_weights(n_to, A.rows)
-        scaled = np.sqrt(v_np)[:, None] * arr * (1.0 / np.sqrt(u_np))[None, :]
-        _, svd_s, svd_vt = np.linalg.svd(scaled)
-        witness = LatticeVector(list(svd_vt[0] / np.sqrt(u_np)))
-        return float(svd_s[0]), witness, True, "svd"
+        _, svd_s, svd_vt = np.linalg.svd(np.array(A.as_floats()))
+        return float(svd_s[0]), LatticeVector(list(svd_vt[0])), True, "svd"
 
     Af = A.to_float()
-    positive = A.is_positive()
     rng = np.random.default_rng(seed)
     starts_list = [LatticeVector([1.0] * A.cols)]
     starts_list += [LatticeVector.unit(A.cols, j, FLOAT) for j in range(min(A.cols, starts))]

@@ -116,27 +116,24 @@ def default_partitions(w: LatticeVector) -> list:
     return refinement_chain(w) + [random_convex_partition(w, 3, rng) for _ in range(5)]
 
 
-def _set_partitions(items, max_parts):
+def _set_partitions(items):
     if not items:
         yield []
         return
     head, tail = items[0], items[1:]
-    for sub in _set_partitions(tail, max_parts):
+    for sub in _set_partitions(tail):
         for i in range(len(sub)):
             yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
-        if len(sub) < max_parts:
-            yield sub + [[head]]
+        yield sub + [[head]]
 
 
-def disjoint_partitions(e: LatticeVector, max_parts=None) -> list:
+def disjoint_partitions(e: LatticeVector) -> list:
     support = e.support()
-    if max_parts is None:
-        max_parts = max(1, len(support))
     if not support:
         return [(e,)]
     return [
         tuple(restrict(e, block) for block in sorted(blocks, key=min))
-        for blocks in _set_partitions(tuple(support), max_parts)
+        for blocks in _set_partitions(tuple(support))
     ]
 
 

@@ -50,12 +50,8 @@ def float_vectors(draw, dim=None, nonzero=False):
     return LatticeVector(entries)
 
 
-def _np_weighted_norm(x: np.ndarray, p: float, u: np.ndarray) -> float:
-    # package convention: (sum u |x|^p)^(1/p) for finite p (weights act as a
-    # measure), max u |x| at p = inf
-    if p == math.inf:
-        return float((u * np.abs(x)).max())
-    return float((u * np.abs(x) ** p).sum() ** (1.0 / p))
+def _np_norm(x: np.ndarray, p: float) -> float:
+    return float(np.linalg.norm(x, ord=p))
 
 
 # ---------------------------------------------------------------------------
@@ -66,20 +62,9 @@ def _np_weighted_norm(x: np.ndarray, p: float, u: np.ndarray) -> float:
 @given(float_vectors())
 def test_vector_norm_matches_numpy_unweighted(x):
     arr = np.array(x.as_floats())
-    u = np.ones(x.dim)
     for p in p_values:
         ours = float(vector_norm(x, LatticeNorm(p=p)))
-        assert ours == pytest.approx(_np_weighted_norm(arr, p, u), abs=1e-9)
-
-
-@given(float_vectors(dim=3))
-def test_vector_norm_matches_numpy_weighted(x):
-    weights = LatticeVector([0.5, 2.0, 1.25])
-    u = np.array(weights.as_floats())
-    arr = np.array(x.as_floats())
-    for p in p_values:
-        ours = float(vector_norm(x, LatticeNorm(p=p, weights=weights)))
-        assert ours == pytest.approx(_np_weighted_norm(arr, p, u), abs=1e-9)
+        assert ours == pytest.approx(_np_norm(arr, p), abs=1e-9)
 
 
 def test_exact_norms_stay_exact():
@@ -119,9 +104,7 @@ def test_dual_norm_is_support_function(f):
         n = LatticeNorm(p=p)
         d = float(dual_norm(f, n))
         pts = rng.normal(size=(200, 3))
-        norms = np.array(
-            [_np_weighted_norm(v, p, np.ones(3)) for v in pts]
-        )
+        norms = np.array([_np_norm(v, p) for v in pts])
         pts = pts[norms > 0] / norms[norms > 0][:, None]
         assert (pts @ arr).max() <= d + 1e-9
 
@@ -171,6 +154,21 @@ def test_operator_norm_from_inf_positive_corner(A):
     assert float(res.value) == pytest.approx(oracle, abs=1e-9)
 
 
+def test_the_positive_corner_is_chosen_on_exact_signs():
+    # A tiny negative entry is still negative: rescaling a matrix must not
+    # move it onto the positive corner, whose value is then wrong (0 here).
+    n_from, n_to = LatticeNorm(p=math.inf), LatticeNorm(p=1.0)
+    big, tiny = (
+        operator_norm(RegularOperator(1, 2, [s, -s]), n_from, n_to)
+        for s in (1.0, 1e-12)
+    )
+    assert big.method == tiny.method == "search"
+    assert big.value == 2.0
+    assert tiny.value == pytest.approx(2e-12, rel=1e-12)
+    signed_zero = operator_norm(RegularOperator(1, 2, [1.0, -0.0]), n_from, n_to)
+    assert signed_zero.method == "positive_corner" and signed_zero.value == 1.0
+
+
 @given(matrices())
 def test_operator_norm_witness_is_feasible_and_attaining(A):
     for p_from, p_to in ((1.0, 1.0), (2.0, 2.0), (1.0, math.inf)):
@@ -200,20 +198,6 @@ def test_search_path_brackets_true_norm(A):
     assert float(res.value) >= sampled - 1e-8
     achieved = float(vector_norm(A.to_float().apply(res.witness), n_to))
     assert achieved == pytest.approx(float(res.value), abs=1e-8)
-
-
-def test_weighted_operator_norm_scaling_consistency():
-    # weighted 2->2 norm via the diagonal isometry: ||A||_{u,v} equals the
-    # unweighted norm of  diag(sqrt(v)) A diag(1/sqrt(u))
-    A = RegularOperator.from_rows([[1.0, -2.0], [3.0, 0.5]])
-    u = LatticeVector([2.0, 0.5])
-    v = LatticeVector([1.5, 4.0])
-    res = operator_norm(A, LatticeNorm(p=2.0, weights=u), LatticeNorm(p=2.0, weights=v))
-    scaled = np.diag(np.sqrt(v.as_floats())) @ _np(A) @ np.diag(
-        1.0 / np.sqrt(np.array(u.as_floats()))
-    )
-    oracle = np.linalg.svd(scaled, compute_uv=False)[0]
-    assert float(res.value) == pytest.approx(oracle, abs=1e-9)
 
 
 @given(matrices())

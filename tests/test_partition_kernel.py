@@ -141,12 +141,11 @@ def test_vector_builders_give_the_reference_pieces(mode, data):
     for got, want in zip(refinement_chain(w), ref.refinement_chain(w)):
         _same_pieces(got, want)
     _same_family(lambda: default_partitions(w), w, ref.default_partitions(w))
-    for max_parts in (None, 1, 2):
-        got = list(disjoint_partitions(w, max_parts))
-        want = ref.disjoint_partitions(w, max_parts)
-        assert len(got) == len(want)
-        for partition, pieces in zip(got, want):
-            _same_pieces(partition, pieces)
+    got = list(disjoint_partitions(w))
+    want = ref.disjoint_partitions(w)
+    assert len(got) == len(want)
+    for partition, pieces in zip(got, want):
+        _same_pieces(partition, pieces)
 
 
 @pytest.mark.parametrize("mode", MODES)
