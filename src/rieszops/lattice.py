@@ -33,7 +33,10 @@ and x + 0.0 is x but for -0.0 + 0.0 = 0.0, which turns the -0.0 that
 accumulate leaves on a run of negative zeros into Python's 0.0.  A larger
 result takes one vector add per term, on views, so that neither the terms
 nor a product of them is copied whole and the kernels' chunk bounds hold.
-Exact sums are exact in any order.
+The partition sums pad their rows with +0.0 terms, so that partitions of
+different lengths share one ``_left_sum``; that changes no bit, for the
+same reason: a running sum from 0.0 is never -0.0, and x + 0.0 is x for
+every other x, inf and nan included.  Exact sums are exact in any order.
 
 Comparisons.  ``_zero_mask``, ``_le_mask`` and ``_eq_mask`` alone compare
 stored values: exactly in exact mode, within the absolute
@@ -46,7 +49,10 @@ disjoint, ``default_partitions``, the family the oracles try by default,
 and the operator splits of ``operators``) writes that array directly.  The
 segment-sum kernel ``_partition_sums`` serves every partition oracle: the
 images of the pieces of many partitions at once, summed per partition in
-piece order.
+piece order; in float mode one padded ``_left_sum`` per batch of
+consecutive partitions, a batch closed before its padded rows pass the
+kernel's chunk bound.  The random convex splits draw their cuts as
+``Random.randint(0, 16)`` does, from ``getrandbits`` directly.
 """
 
 from __future__ import annotations
@@ -375,15 +381,26 @@ class _Entrywise:
         left."""
         # Per entry, in the order drawn: parts - 1 cuts in [0, 16], whose
         # sorted gaps are the integer weights c, then (when signed) one
-        # rng.random() per share for its sign.  The share c/16 of an entry a
-        # is a * c over 16 D, or a * (c / 16) in float mode, where
-        # a * -(c / 16) is -(a * (c / 16)) bit for bit.
+        # rng.random() per share for its sign.  Each cut is
+        # rng.randint(0, 16) as CPython draws it, without its call chain:
+        # getrandbits(5), drawn again while above 16.  The share c/16 of an
+        # entry a is a * c over 16 D, or a * (c / 16) in float mode, where
+        # a * -(c / 16) is -(a * (c / 16)) bit for bit (a negated zero share
+        # stays -0.0, which an integer grid scaled afterwards would lose).
         unit = 1 if self.is_exact else 1 / SPLIT_DENOMINATOR
-        randint, random = rng.randint, rng.random
+        top = SPLIT_DENOMINATOR
+        bits = (top + 1).bit_length()
+        getrandbits, random = rng.getrandbits, rng.random
         shares = []
         for _ in range(self._values.size):
-            cuts = sorted([randint(0, SPLIT_DENOMINATOR) for _ in range(parts - 1)])
-            cuts.append(SPLIT_DENOMINATOR)
+            cuts = []
+            for _ in range(parts - 1):
+                cut = getrandbits(bits)
+                while cut > top:
+                    cut = getrandbits(bits)
+                cuts.append(cut)
+            cuts.sort()
+            cuts.append(top)
             low = 0
             for cut in cuts:
                 share = (cut - low) * unit
@@ -554,9 +571,10 @@ def _partition_sums(
     at most ``_chunk_size(image_entries)`` pieces at a time, so the
     intermediates stay bounded however many pieces there are.  Returns
     (sums, D), sums[p] the sum for partitions[p]: exact sums by
-    ``np.add.reduceat``, float sums by ``_left_sum`` from each partition's
-    sum so far, so that they match adding the images one at a time bit for
-    bit, however the pieces fall into chunks.
+    ``np.add.reduceat``, float sums by one padded ``_left_sum`` per batch
+    of a chunk's partitions, each row that partition's sum so far and its
+    images in the chunk, so that they match adding the images one at a
+    time bit for bit, however the pieces fall into chunks and batches.
     """
     values, D = _stack(partitions, np.concatenate)
     # Partition p owns the pieces bounds[p] to bounds[p + 1] - 1.
@@ -574,15 +592,26 @@ def _partition_sums(
         if D is not None:
             sums[lo:hi] += np.add.reduceat(terms, firsts, axis=0)
             continue
-        # The partitions with the same number of pieces in this chunk, each a
-        # row of its sum so far and those pieces' images, in one _left_sum.
-        firsts = np.array(firsts)
+        # Batches of consecutive partitions, one _left_sum each: a row per
+        # partition of its pieces' images in this chunk, padded with +0.0 to
+        # the batch's longest run, its sum so far s added into the first
+        # image (s + t is 0.0 + s + t, as s is never -0.0), so that a row is
+        # no longer than its run.  A batch closes before it would pass
+        # ``step`` images; the chunk holds at most ``step`` pieces, so one
+        # partition always fits.
         runs = np.diff(firsts, append=stop - start)
-        for run in set(runs.tolist()):
-            live = np.flatnonzero(runs == run)
-            rows = terms[firsts[live, None] + np.arange(run)]
-            rows = np.concatenate([sums[lo + live, None], rows], axis=1)
-            sums[lo + live] = _left_sum(rows, axis=1 - rows.ndim)
+        ends = [*firsts[1:], stop - start]
+        p = 0
+        while p < len(runs):
+            widths = np.maximum.accumulate(runs[p:])
+            sizes = widths * np.arange(1, len(widths) + 1)
+            q = p + int(np.searchsorted(sizes, step, "right"))
+            rows = np.zeros((q - p, widths[q - p - 1]) + terms.shape[1:], terms.dtype)
+            live = np.arange(rows.shape[1]) < runs[p:q, None]
+            rows[live] = terms[firsts[p]:ends[q - 1]]
+            rows[:, 0] += sums[lo + p:lo + q]
+            sums[lo + p:lo + q] = _left_sum(rows, axis=1 - rows.ndim)
+            p = q
     return sums, D
 
 

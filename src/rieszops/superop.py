@@ -225,7 +225,7 @@ def _partition_values(A0, B, T, w, partitions) -> tuple:
     partitions = list(partitions)
     if not partitions:
         raise ValueError("no operator partitions to try")
-    if any(partition.target != T for partition in partitions):
+    if any(p.target is not T and p.target != T for p in partitions):
         raise ValueError("an operator partition does not split T")
     if len({A0.mode, B.mode, T.mode, w.mode}) > 1:
         raise ScalarModeError("A0, B, T and w must share one scalar mode")

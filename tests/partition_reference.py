@@ -55,23 +55,31 @@ def atoms(x) -> tuple:
     return tuple(pieces) or (x,)
 
 
-def composition(rng: Random, total: int, parts: int) -> list:
-    """Random composition of ``total`` into ``parts`` nonnegative integers."""
-    cuts = [0] + sorted(rng.randint(0, total) for _ in range(parts - 1)) + [total]
-    return [b - a for a, b in zip(cuts, cuts[1:])]
+def signed_weights(rng: Random, entries: int, parts: int, signed: bool) -> list:
+    """The draws of a convex split, entry by entry: ``parts - 1`` cuts
+    ``rng.randint(0, 16)``, whose sorted gaps are the weights c, then (when
+    ``signed``) one ``rng.random()`` per weight; per entry, (c, negated)
+    pairs."""
+    randint, random = rng.randint, rng.random
+    rows = []
+    for _ in range(entries):
+        cuts = sorted([randint(0, SPLIT_DENOMINATOR) for _ in range(parts - 1)])
+        cuts = [0, *cuts, SPLIT_DENOMINATOR]
+        rows.append([(b - a, signed and not random() < 0.5) for a, b in zip(cuts, cuts[1:])])
+    return rows
 
 
 def convex_split(x, parts: int, rng: Random, signed: bool = False) -> tuple:
-    """Each entry over ``parts`` pieces with weights c/16, drawn entry by
-    entry (a composition, then a sign per share when ``signed``); exactly
-    zero pieces dropped, (x,) if none is left."""
+    """Each entry over ``parts`` pieces with weights c/16 (``signed_weights``);
+    exactly zero pieces dropped, (x,) if none is left."""
     unit = 1 if x.is_exact else 1 / SPLIT_DENOMINATOR
+    entries = x.entries
     grids = []
-    for a in x.entries:
+    for a, weights in zip(entries, signed_weights(rng, len(entries), parts, signed)):
         shares = []
-        for c in composition(rng, SPLIT_DENOMINATOR, parts):
+        for c, negated in weights:
             share = a * Fraction(c, SPLIT_DENOMINATOR) if x.is_exact else a * (c * unit)
-            shares.append(share if not signed or rng.random() < 0.5 else -share)
+            shares.append(-share if negated else share)
         grids.append(shares)
     pieces = [_like(x, list(column)) for column in zip(*grids)]
     return tuple(p for p in pieces if any(p.entries)) or (x,)

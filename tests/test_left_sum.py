@@ -4,21 +4,36 @@
 bit, so -0.0 counts) on results just below, at and above
 ``_ACCUMULATE_ENTRIES``, where ``_left_sum`` switches from one
 ``np.add.accumulate`` to one add per term, and must overflow exactly
-when the loops do under ``np.errstate(over="raise")``.
+when the loops do under ``np.errstate(over="raise")``.  The partition
+sums are also checked on families that mix 1-, 3- and n^2-piece
+partitions, at chunk bounds small enough to split a chunk into several
+padded batches, none of which may pass the bound.
 
 The sign of a nan is left out: IEEE 754 leaves it open, and numpy's array
 add and Python's float add already return different operands of nan + nan
 (the per-term loop these kernels replaced kept numpy's)."""
 
 import math
+import sys
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import partition_reference
 import sum_reference as ref
-from rieszops import LatticeVector
+from rieszops import (
+    LatticeVector,
+    RegularOperator,
+    atomic_operator_partition,
+    default_partitions,
+    lattice,
+    meet_oracle,
+    random_operator_partition,
+    trivial_operator_partition,
+)
 from rieszops.lattice import (
     _ACCUMULATE_ENTRIES,
     _KERNEL_CHUNK_ENTRIES,
@@ -170,3 +185,66 @@ def test_runs_of_negative_zeros_sum_to_positive_zero(entries):
     assert_same_bits(_matmul(zeros, np.ones((3, 1))), np.zeros((entries, 1)))
     sums, _ = _partition_sums(_partitions([3]), _table_images(zeros.T.copy()), entries)
     assert_same_bits(sums, np.zeros((1, entries)))
+
+
+def _mixed_family(n):
+    """Float signed partitions of an n x n target: seeded 3-piece splits
+    between atomic (n^2 pieces) and trivial (1 piece) ones."""
+    T = RegularOperator(n, n, [float(k + 1) for k in range(n * n)])
+    rng = Random(n)
+    splits = [random_operator_partition(T, 3, rng) for _ in range(4)]
+    atomic, trivial = atomic_operator_partition(T), trivial_operator_partition(T)
+    return [splits[0], atomic, trivial, splits[1], splits[2], atomic, splits[3], trivial]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("bound", (None, 24, 12))
+def test_padded_partition_sums_of_mixed_families_match_the_loop(n, bound, monkeypatch):
+    # The float branch pads each batch of partitions to its longest run with
+    # +0.0 terms; the images hold -0.0, signed zeros and overflowing values.
+    family = _mixed_family(n)
+    runs = [len(p) for p in family]
+    assert {1, 3, n * n} <= set(runs)
+    image_entries = 3
+    table = np.random.default_rng(n).choice(np.array(SPECIALS), (sum(runs), image_entries))
+    assert np.signbit(table[table == 0]).any()
+    if bound is not None:
+        monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", bound)
+    step = lattice._chunk_size(image_entries)
+    padded = []
+
+    def recording(terms, factor=None, axis=-1):
+        if sys._getframe(1).f_code.co_name == "_partition_sums":
+            padded.append(terms.shape)
+        return _left_sum(terms, factor, axis)
+
+    monkeypatch.setattr(lattice, "_left_sum", recording)
+
+    def kernel(table):
+        padded.clear()
+        sums, D = _partition_sums(family, _table_images(table), image_entries)
+        assert D is None
+        return sums
+
+    assert_agrees(kernel, lambda t: ref.partition_sums(t, runs), table)
+    # No padded tensor passes the chunk bound, and at a small bound some
+    # chunk splits into several padded batches.
+    assert all(math.prod(shape) <= lattice._KERNEL_CHUNK_ENTRIES for shape in padded)
+    chunks = -(-sum(runs) // step)
+    assert (len(padded) > chunks) is (bound is not None)
+
+
+@pytest.mark.parametrize("bound", (None, 24, 12))
+def test_meet_oracle_with_negative_entries_matches_the_loop_at_any_bound(bound, monkeypatch):
+    w = LatticeVector([1.0, 0.0, 2.5, 0.5])
+    S = RegularOperator(2, 4, [-1.0, -0.0, 3.0, -2.0, 0.1, -1e-300, -7.5, 2.0])
+    T = RegularOperator(2, 4, [0.0, -1.0, -3.0, 1.0, -0.1, 5e-324, -7.5, -2.0])
+    family = default_partitions(w)
+    if bound is not None:
+        monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", bound)
+    got = meet_oracle(S, T, w, family)
+    value, index, tried, attained = partition_reference.meet_oracle(
+        S, T, w, [p.pieces for p in family]
+    )
+    assert_same_bits(got.value.entries, value.entries)
+    assert got.best_partition is family[index] and got.partitions_tried == tried

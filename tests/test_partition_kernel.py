@@ -182,6 +182,26 @@ def test_a_float_convex_split_of_tiny_entries_keeps_its_pieces():
     assert result.attained
 
 
+def test_split_cuts_are_drawn_as_cpython_randint_draws_them():
+    # _convex_split draws each cut from getrandbits, as Random.randint(0, 16)
+    # does inside; the reference keeps rng.randint, so a change to randrange
+    # or _randbelow fails here instead of moving report bytes.
+    for size in range(1, 65):
+        ones = LatticeVector([1] * size)
+        for parts in range(1, 6):
+            for signed in (False, True):
+                for seed in range(200):
+                    got_rng, want_rng = Random(seed), Random(seed)
+                    values, den = ones._convex_split(parts, got_rng, signed)
+                    grid = [
+                        [-c if negated else c for c, negated in weights]
+                        for weights in ref.signed_weights(want_rng, size, parts, signed)
+                    ]
+                    assert values.tolist() == [list(col) for col in zip(*grid) if any(col)]
+                    assert den == lattice.SPLIT_DENOMINATOR
+                    assert got_rng.getstate() == want_rng.getstate()
+
+
 def test_builders_still_go_through_the_public_constructor(monkeypatch):
     built = []
     init = Partition.__init__

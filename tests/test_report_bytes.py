@@ -144,8 +144,8 @@ def _load_script():
 
 def _battery(seed, count):
     verify_all = _load_script()
-    config = verify_all.BatteryConfig(seed=seed, count=count)
-    return dict(verify_all.invocations(config))
+    args = verify_all.parse_args(["--seed", str(seed), "--count", str(count)])
+    return dict(verify_all.invocations(args))
 
 
 BATTERY = _battery(seed=7, count=20)

@@ -32,3 +32,33 @@ def test_gap_decay_refuses_bad_sizes_with_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+verify_all = _script("verify_all")
+
+
+def test_verify_all_writes_every_report_at_a_small_count(tmp_path, capsys):
+    assert verify_all.main(["--out", str(tmp_path), "--count", "2"]) == 0
+    assert "all 10 reports pass" in capsys.readouterr().out
+    assert len(list(tmp_path.glob("*.json"))) == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed", "-1"], ["--count", "0"], ["--count", "-1"], ["--samples", "-5"],
+     ["--lab-n", "1"], ["--lab-n", "0"], ["--lab-n", "-2"]],
+)
+def test_verify_all_refuses_bad_arguments_before_any_run(argv, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert verify_all.main(["--out", str(out)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_verify_all_reports_a_refused_run_as_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify_all, "cli_main", lambda argv: 2)
+    assert verify_all.main(["--out", str(tmp_path), "--count", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "failing claim" not in captured.out
+    assert "error: the cor22 run was refused (exit 2)" in captured.err
