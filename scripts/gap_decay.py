@@ -21,24 +21,27 @@ from rieszops import (
     hadamard_tensor_power,
 )
 from rieszops.lattice import EnumerationLimitError
-from rieszops.norms import check_sample_stack, hadamard_order
+from rieszops.norms import check_sampling, hadamard_order
+
+#: 2 -> 2 norms on all four spaces, where the gap is rho = 2^-m.
+SPECTRAL = NormAssignment.uniform(2.0)
 
 
 def check_sweep(args):
     """Refuse a sweep that could not run to its end, before any work: the
-    largest power sets the largest Hadamard matrix and sample stack."""
+    largest power sets the largest Hadamard matrix, sample stack and norm
+    searches."""
     if args.max_m < 1:
         raise ValueError(f"need at least one tensor power, got --max-m {args.max_m}")
     n = hadamard_order(args.max_m)
-    check_sample_stack(args.samples, (n, n), (n, n))
+    check_sampling(args.samples, (n, n), (n, n), SPECTRAL, positive=False)
 
 
 def run_sweep(args) -> list:
-    assignment = NormAssignment.uniform(2.0)
     rows = []
     for m in range(1, args.max_m + 1):
         H = hadamard_tensor_power(m)
-        report = gap_report(H, H, assignment, samples=args.samples, seed=args.seed)
+        report = gap_report(H, H, SPECTRAL, samples=args.samples, seed=args.seed)
         rows.append(
             {
                 "m": m,
@@ -56,7 +59,7 @@ def positive_control(args) -> float:
     """rho for a positive pair: the gap closes because |A| = A."""
     A = RegularOperator.from_rows([[2, 1], [0, 3]])
     report = gap_report(
-        A, A, NormAssignment.uniform(2.0), samples=args.samples, seed=args.seed
+        A, A, SPECTRAL, samples=args.samples, seed=args.seed
     )
     return report.details["rho"]
 

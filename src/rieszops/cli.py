@@ -56,7 +56,7 @@ from .lattice import EnumerationLimitError, LatticeVector
 from .norms import (
     LatticeNorm,
     NormAssignment,
-    check_sample_stack,
+    check_sampling,
     gap_report,
     hadamard_order,
     hadamard_tensor_power,
@@ -225,25 +225,21 @@ def _run_claim(args) -> VerificationReport:
 
 
 def _run_gap(args) -> VerificationReport:
+    assignment = assignment_from_args(args)
     if args.m is not None:
         if args.A is not None or args.B is not None:
             raise UsageError("gap takes either --m or --A and --B, not both")
-        # Refuse an oversized sample stack before building the Fraction H.
+        # Refuse an oversized sample stack or norm search before building
+        # the Fraction H.
         n = hadamard_order(args.m)
-        check_sample_stack(args.samples, (n, n), (n, n))
+        check_sampling(args.samples, (n, n), (n, n), assignment, positive=False)
         A = B = hadamard_tensor_power(args.m)
     else:
         if args.A is None or args.B is None:
             raise UsageError("gap needs either --m or both --A and --B")
         A, B = _load(args.A), _load(args.B)
     _require_exact(args, A, B)
-    return gap_report(
-        A,
-        B,
-        assignment_from_args(args),
-        samples=args.samples,
-        seed=args.seed,
-    )
+    return gap_report(A, B, assignment, samples=args.samples, seed=args.seed)
 
 
 def _run_counterexample(args) -> VerificationReport:

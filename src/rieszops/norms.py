@@ -15,13 +15,13 @@ matrix, using closed forms whenever one exists:
                           more than ``SEARCH_WORK_CAP`` (2^24) of its work
                           raises ``EnumerationLimitError`` before any step.
 
-Each closed form, each vector and dual norm and each duality map is
-written once, as an array kernel over the last axis of a stack, on stored
-values over a denominator: Python-int numerators (so exact values stay
+Each closed form, the search, each vector and dual norm and each duality
+map is written once, as an array kernel over a stack, on stored values
+over a denominator: Python-int numerators (so exact values stay
 ``Fraction``) or float64, sums taken by ``lattice._left_sum`` and powers
 as Python's float power.  ``operator_norm`` runs the kernel on a stack of
-one, ``batched_operator_norm`` on a whole stack, and both give a
-matrix the same bits; only 2 -> 2 differs, where a stack asks LAPACK for the
+one, ``batched_operator_norm`` on a whole stack, and both give a matrix
+the same bits; only 2 -> 2 differs, where a stack asks LAPACK for the
 singular values alone.  ``vector_norm``, ``dual_norm``, ``norming_vector``
 and ``norming_functional`` are the kernel on one vector.
 
@@ -35,10 +35,11 @@ H_2^{(x) m}.
 
 Both verifiers sample a stack of T and form every image A T_s B as one
 batched BLAS product ``A @ stack @ B``; a stack of more than
-``SAMPLE_STACK_CAP`` (2^24) floats, or a norm search over the samples or
-their images beyond ``SEARCH_WORK_CAP``, raises ``EnumerationLimitError``
-before anything is drawn, and so does a ``hadamard_tensor_power`` of more
-than ``HADAMARD_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
+``SAMPLE_STACK_CAP`` (2^24) floats, or a norm search over the samples,
+their images or the factors beyond ``SEARCH_WORK_CAP``, raises
+``EnumerationLimitError`` before any work (``check_sampling``), and so
+does a ``hadamard_tensor_power`` of more than ``HADAMARD_ENTRY_CAP``
+(2^20) entries, i.e. m > 10.
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
@@ -63,7 +64,6 @@ import numpy as np
 from .lattice import (
     EnumerationLimitError,
     LatticeVector,
-    _all,
     _chunk_size,
     _left_sum,
     _matmul,
@@ -271,20 +271,15 @@ def _closed_form_method(n_from, n_to, positive: bool) -> Optional[str]:
     return None
 
 
-def _closed_form(values, den, n_from, n_to, positive: bool, witness: bool = False):
-    """The first closed form that gives the norms of a stack of matrices
-    (count, rows, cols), stored as ``values`` over ``den``: (method, norms,
-    witnesses), the witnesses (count, cols) float unit vectors attaining the
-    norms when ``witness`` is set, else None; None if no closed form applies
-    (``_closed_form_method``).
+def _closed_form(values, den, n_from, n_to, method: str, witness: bool):
+    """The norms by ``method`` of a stack of matrices (count, rows, cols),
+    stored as ``values`` over ``den``: (norms, witnesses), the witnesses
+    (count, cols) float unit vectors attaining the norms when ``witness`` is
+    set, else None.
 
-    ``positive`` says every matrix of the stack is positive.  The SVD gives
-    singular values alone without ``witness``: a cheaper LAPACK routine,
-    whose last bits may differ from those of the full decomposition.
+    The SVD gives singular values alone without ``witness``: a cheaper LAPACK
+    routine, whose last bits may differ from those of the full decomposition.
     """
-    method = _closed_form_method(n_from, n_to, positive)
-    if method is None:
-        return None
     count, _, cols = values.shape
     pick = np.arange(count)
     if method == "max_column":
@@ -294,48 +289,24 @@ def _closed_form(values, den, n_from, n_to, positive: bool, witness: bool = Fals
         if witness:
             witness = np.zeros((count, cols))
             witness[pick, best] = 1.0
-        return method, norms[pick, best], witness
+        return norms[pick, best], witness
     if method == "max_row_dual":
         norms = _norms(values, den, n_from, dual=True)
         best = norms.argmax(axis=-1)
         if witness:
             witness = _norming(values[pick, best], den, n_from).astype(np.float64)
-        return method, norms[pick, best], witness
+        return norms[pick, best], witness
     if method == "positive_corner":
         # For positive A the sup over the unit ball sits at the all-ones
         # corner (monotone to-norm, |A x| <= A corner).
         corner = np.ones((cols, 1), dtype=values.dtype)
         norms = _norms(_matmul(values, corner)[..., 0], den, n_to)
-        if witness:
-            witness = np.ones((count, cols))
-        return method, norms, witness
+        return norms, np.ones((count, cols)) if witness else None
     floats = _floats(values, den)
     if not witness:
-        return method, np.linalg.svd(floats, compute_uv=False)[:, 0], None
+        return np.linalg.svd(floats, compute_uv=False)[:, 0], None
     _, svd_s, svd_vt = np.linalg.svd(floats)
-    return method, svd_s[:, 0], svd_vt[:, 0]
-
-
-def _boyd_ascent(a, n_from: LatticeNorm, n_to: LatticeNorm, x0):
-    """Alternating-duality-map ascent for ||a x||_to on the from-unit sphere."""
-    nx = float(_norms(x0, None, n_from))
-    if nx == 0.0:
-        return 0.0, x0
-    x = (1.0 / nx) * x0
-    # Products summed as ``RegularOperator.apply`` sums them.
-    best_val, best_x = float(_norms(_matmul(a, x[:, None])[:, 0], None, n_to)), x
-    for _ in range(SEARCH_ITERS):
-        y = _matmul(a, x[:, None])[:, 0]
-        if not y.any():
-            break
-        phi = _norming(y, None, n_to, functional=True)
-        x = _norming(_matmul(a.T, phi[:, None])[:, 0], None, n_from)
-        val = float(_norms(_matmul(a, x[:, None])[:, 0], None, n_to))
-        if val > best_val:
-            best_val, best_x = val, x
-        else:
-            break
-    return best_val, best_x
+    return svd_s[:, 0], svd_vt[:, 0]
 
 
 #: The search runs SEARCH_ITERS ascent steps from each of all-ones, the first
@@ -345,6 +316,7 @@ SEARCH_ITERS = 40
 
 #: Most matrix entries times norm evaluations of one search (one matrix or
 #: a stack); ``_check_search`` refuses more before the first ascent step.
+#: So the search's copy of each matrix per start holds at most 2^24/41 floats.
 SEARCH_WORK_CAP = 1 << 24
 
 
@@ -360,37 +332,88 @@ def _check_search(count: int, rows: int, cols: int):
         )
 
 
-def _operator_norm(values, den, n_from, n_to, seed) -> NormResult:
-    """The norm of one matrix stored as ``values`` over ``den``: the kernel
-    on a stack of one, else a seeded multistart generalized power iteration
-    (an uncertified lower bound).  The closed form for positive matrices
-    is chosen on the exact signs (-0.0 counts as positive), so it does not
-    depend on the scale of the entries."""
-    positive = _all(values >= 0)
-    found = _closed_form(values[None], den, n_from, n_to, positive, witness=True)
-    if found is not None:
-        method, norms, witness = found
-        witness = LatticeVector._of(witness[0], None)
-        return NormResult(_value(norms[0]), witness, True, method)
-    _check_search(1, *values.shape)
-    a = _floats(values, den)
-    cols = a.shape[1]
+def _search(a, n_from, n_to, positive, seed: int):
+    """The seeded multistart ascent on a float stack ``a`` (count, rows,
+    cols): (norms, witnesses), uncertified lower bounds and unit vectors.
+
+    Each (matrix, start) pair is a row of one array (a block of starts, as
+    in Higham and Tisseur's estimator), iterated by alternating the duality
+    maps of the two norms (Boyd's power method) until its first step that
+    does not gain or whose image is zero.  Every matrix has the same starts,
+    taken entrywise absolute for the ``positive`` ones, and gets the first
+    start that reaches its largest value (a nan never wins), or 0.0 at
+    all-ones when no start gives more."""
+    count, _, cols = a.shape
     rng = np.random.default_rng(seed)
-    starts = [np.ones(cols), *np.eye(cols)[: min(cols, SEARCH_STARTS)]]
-    starts += [rng.standard_normal(cols) for _ in range(SEARCH_STARTS)]
-    best_val, best_x = 0.0, np.ones(cols)
-    for x0 in starts:
-        val, x = _boyd_ascent(a, n_from, n_to, np.abs(x0) if positive else x0)
-        if val > best_val:
-            best_val, best_x = val, x
-    return NormResult(best_val, LatticeVector._of(best_x, None), False, "search")
+    starts = np.concatenate([np.ones((1, cols)), np.eye(cols)[: min(cols, SEARCH_STARTS)],
+                             rng.standard_normal((SEARCH_STARTS, cols))])
+    per = len(starts)
+    x = np.where(positive[:, None, None], np.abs(starts), starts).reshape(-1, cols)
+    matrix = np.arange(count).repeat(per)
+    x = (1.0 / _norms(x, None, n_from))[:, None] * x
+    # Products summed as ``RegularOperator.apply`` sums them.
+    y = _matmul(a[matrix], x[..., None])[..., 0]
+    best_val, best_x = _norms(y, None, n_to), x
+    live = np.arange(len(x))
+    for _ in range(SEARCH_ITERS):
+        moving = y.any(axis=-1)
+        live, y = live[moving], y[moving]
+        if not live.size:
+            break
+        rows = a[matrix[live]]
+        phi = _norming(y, None, n_to, functional=True)
+        x = _norming(_matmul(rows.swapaxes(-1, -2), phi[..., None])[..., 0], None, n_from)
+        y = _matmul(rows, x[..., None])[..., 0]
+        val = _norms(y, None, n_to)
+        gain = val > best_val[live]
+        live, x, y = live[gain], x[gain], y[gain]
+        best_val[live], best_x[live] = val[gain], x
+    # 0.0 at all-ones goes first, so a start must beat it to win.
+    values = np.concatenate([np.zeros((count, 1)), best_val.reshape(count, per)], 1)
+    x = np.concatenate([np.ones((count, 1, cols)), best_x.reshape(count, per, cols)], 1)
+    first = np.where(np.isnan(values), -INF, values).argmax(axis=-1)
+    return values[np.arange(count), first], x[np.arange(count), first]
+
+
+def _operator_norms(values, den, n_from, n_to, witness: bool = False, seed: int = 0):
+    """The norms of a stack of matrices (count, rows, cols) stored as
+    ``values`` over ``den``: (method, norms, witnesses), by ``_closed_form``
+    or, where none fits, by ``_search`` (method "search"), refused over
+    ``SEARCH_WORK_CAP`` before its first step.
+
+    Only the positive corner (from p = inf) and the search starts depend on
+    signs, read on the exact stored values (-0.0 counts as positive), so
+    not on the scale of the entries.  At p = inf -> q the positive matrices
+    of a stack keep the positive corner while the others are searched.
+    """
+    method = _closed_form_method(n_from, n_to, positive=False)
+    if method is not None:
+        return method, *_closed_form(values, den, n_from, n_to, method, witness)
+    count, rows, cols = values.shape
+    positive = (values >= 0).reshape(count, -1).all(axis=-1)
+    search = ~positive if n_from.p == INF else np.ones(count, dtype=bool)
+    if not search.any():
+        method = "positive_corner"
+        return method, *_closed_form(values, den, n_from, n_to, method, witness)
+    _check_search(int(search.sum()), rows, cols)
+    found = _search(_floats(values[search], den), n_from, n_to, positive[search], seed)
+    if search.all():
+        return "search", *found
+    norms, witnesses = _closed_form(values, den, n_from, n_to, "positive_corner", True)
+    norms[search], witnesses[search] = found
+    return "search", norms, witnesses
 
 
 def operator_norm(
     A: RegularOperator, n_from: LatticeNorm, n_to: LatticeNorm, seed: int = 0
 ) -> NormResult:
-    """Induced norm of A: (R^cols, n_from) -> (R^rows, n_to)."""
-    return _operator_norm(A._values, A._den, n_from, n_to, seed)
+    """Induced norm of A: (R^cols, n_from) -> (R^rows, n_to); the kernel on
+    a stack of one."""
+    method, norms, witnesses = _operator_norms(
+        A._values[None], A._den, n_from, n_to, witness=True, seed=seed
+    )
+    witness = LatticeVector._of(witnesses[0], None)
+    return NormResult(_value(norms[0]), witness, method != "search", method)
 
 
 def regular_norm(
@@ -404,24 +427,16 @@ def regular_norm(
 
 
 def batched_operator_norm(
-    stack: np.ndarray,
-    n_from: LatticeNorm,
-    n_to: LatticeNorm,
-    positive: bool = False,
+    stack: np.ndarray, n_from: LatticeNorm, n_to: LatticeNorm
 ) -> np.ndarray:
     """p -> q norms of a float stack of matrices, shape (count, rows, cols).
 
-    One kernel call for the closed-form norm pairs, bit for bit the values
-    ``operator_norm`` gives each matrix (but for 2 -> 2, see
-    ``_closed_form``); otherwise one search per matrix, refused over
-    ``SEARCH_WORK_CAP`` before the first.  ``positive`` says every matrix is
-    positive.
+    One kernel call, closed form or search, that gives each matrix bit for
+    bit the value ``operator_norm`` gives it at seed 0 (but for 2 -> 2, see
+    ``_closed_form``); a search over more than ``SEARCH_WORK_CAP`` is refused
+    before its first step.
     """
-    found = _closed_form(stack, None, n_from, n_to, positive)
-    if found is not None:
-        return found[1]
-    _check_search(*stack.shape)
-    return np.array([_operator_norm(a, None, n_from, n_to, 0).value for a in stack])
+    return _operator_norms(stack, None, n_from, n_to)[1]
 
 
 #: Most floats in each sampled stack: the samples T_s, the partial products
@@ -432,13 +447,16 @@ def batched_operator_norm(
 SAMPLE_STACK_CAP = 1 << 24
 
 
-def check_sample_stack(samples: int, a_shape: tuple, b_shape: tuple):
-    """Refuse a sampling run whose stacks would exceed ``SAMPLE_STACK_CAP``.
-
-    ``a_shape`` = (z, y) and ``b_shape`` = (x, w) are the shapes of A and B,
-    so a caller can check a run before it builds the factors.  A negative
-    sample count raises ``ValueError``.
-    """
+def check_sampling(
+    samples: int, a_shape: tuple, b_shape: tuple, assignment, positive: bool
+):
+    """Refuse a sampling run before anything is built or drawn: a negative
+    sample count (``ValueError``), a sampled stack beyond ``SAMPLE_STACK_CAP``
+    or a norm search beyond ``SEARCH_WORK_CAP`` (``EnumerationLimitError``)
+    over the y x x samples (X -> Y), their z x w images (W -> Z) or the
+    factors' moduli |A| (Y -> Z) and |B| (W -> X).  ``a_shape`` = (z, y) and
+    ``b_shape`` = (x, w) are the shapes of A and B; ``positive`` says the
+    samples and their images are positive."""
     if samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {samples}")
     (z, y), (x, w) = a_shape, b_shape
@@ -448,45 +466,30 @@ def check_sample_stack(samples: int, a_shape: tuple, b_shape: tuple):
             f"{samples} samples of {entries} entries exceed sample stack cap "
             f"{SAMPLE_STACK_CAP}"
         )
-
-
-def _check_sample_searches(
-    samples: int, a_shape: tuple, b_shape: tuple, assignment, positive: bool
-):
-    """Refuse, before anything is drawn, a sampling run whose batched norms
-    would search over more than ``SEARCH_WORK_CAP``: the norms X -> Y of the
-    y x x samples and W -> Z of their z x w images, where no closed form
-    applies."""
-    (z, y), (x, w) = a_shape, b_shape
-    for n_from, n_to, rows, cols in (
-        (assignment.n_X, assignment.n_Y, y, x),
-        (assignment.n_W, assignment.n_Z, z, w),
+    a = assignment
+    for n_from, n_to, count, shape, signs in (
+        (a.n_X, a.n_Y, samples, (y, x), positive),
+        (a.n_W, a.n_Z, samples, (z, w), positive),
+        (a.n_Y, a.n_Z, 1, (z, y), True),
+        (a.n_W, a.n_X, 1, (x, w), True),
     ):
-        if _closed_form_method(n_from, n_to, positive) is None:
-            _check_search(samples, rows, cols)
+        if _closed_form_method(n_from, n_to, signs) is None:
+            _check_search(count, *shape)
 
 
 def _largest_image(
-    arr_A: np.ndarray,
-    stack: np.ndarray,
-    arr_B: np.ndarray,
-    assignment: NormAssignment,
-    positive: bool,
+    arr_A: np.ndarray, stack: np.ndarray, arr_B: np.ndarray, assignment: NormAssignment
 ):
     """The largest norm (W -> Z) of the images A T B of a stack of T scaled
     to unit norm (X -> Y), formed as one batched product, and its T; None if
     every T of the stack is zero."""
-    t_norms = batched_operator_norm(
-        stack, assignment.n_X, assignment.n_Y, positive=positive
-    )
+    t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y)
     keep = t_norms > 0.0
     if not keep.any():
         return None
     normalized = stack[keep] / t_norms[keep][:, None, None]
     images = arr_A @ normalized @ arr_B
-    values = batched_operator_norm(
-        images, assignment.n_W, assignment.n_Z, positive=positive
-    )
+    values = batched_operator_norm(images, assignment.n_W, assignment.n_Z)
     idx = int(values.argmax())
     return float(values[idx]), normalized[idx]
 
@@ -568,12 +571,9 @@ def verify_cor23(
     ``tol``; for the all-l1 assignment on exact inputs, the left side is
     additionally enumerated exactly and must equal the product on the nose
     (``EnumerationLimitError`` beyond ``EXTREME_POINT_CAP`` extreme points).
-    More than ``SAMPLE_STACK_CAP`` floats in a sampled stack, or a search
-    over the samples beyond ``SEARCH_WORK_CAP``, raise
-    ``EnumerationLimitError`` before anything is drawn.
+    A run that ``check_sampling`` refuses raises before any work.
     """
-    check_sample_stack(samples, A.shape, B.shape)
-    _check_sample_searches(samples, A.shape, B.shape, assignment, positive=True)
+    check_sampling(samples, A.shape, B.shape, assignment, positive=True)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     absA = A.modulus_closed_form()
@@ -604,7 +604,7 @@ def verify_cor23(
     if samples > 0:
         stack = rng.uniform(0.0, 1.0, size=(samples, A.cols, B.rows))
         arr_A, arr_B = np.array(absA.as_floats()), np.array(absB.as_floats())
-        largest = _largest_image(arr_A, stack, arr_B, assignment, positive=True)
+        largest = _largest_image(arr_A, stack, arr_B, assignment)
         if largest is not None:
             max_sample = largest[0]
     sample_excess = max(0.0, max_sample - product_f)
@@ -690,13 +690,10 @@ def gap_report(
     T (mixed signs), sharpened for 2 -> 2 norms by the singular-vector
     witness T = v_A u_B^T which attains ||A|| ||B||.  Reported as an
     exploration (status ``info``): the ratio can sink far below 1, e.g. at
-    rate 2^-m along A = B = hadamard_tensor_power(m).  More than
-    ``SAMPLE_STACK_CAP`` floats in a sampled stack, or a search over the
-    samples beyond ``SEARCH_WORK_CAP``, raise ``EnumerationLimitError``
-    before anything is drawn.
+    rate 2^-m along A = B = hadamard_tensor_power(m).  A run that
+    ``check_sampling`` refuses raises before any work.
     """
-    check_sample_stack(samples, A.shape, B.shape)
-    _check_sample_searches(samples, A.shape, B.shape, assignment, positive=False)
+    check_sampling(samples, A.shape, B.shape, assignment, positive=False)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     rnA = regular_norm(A, n_Y, n_Z, seed=seed)
@@ -722,7 +719,7 @@ def gap_report(
     best = 0.0
     best_T = witness_T
     for stack in candidates:
-        largest = _largest_image(arr_A, stack, arr_B, assignment, positive=False)
+        largest = _largest_image(arr_A, stack, arr_B, assignment)
         if largest is not None and largest[0] > best:
             best, best_T = largest
     rho = best / denom if denom > 0.0 else 0.0

@@ -458,15 +458,30 @@ def test_oversized_request_exits_2_at_once(argv, cap, matrix_files, capsys):
     assert "Traceback" not in err
 
 
-def test_gap_stack_cap_is_checked_before_building_H(monkeypatch, capsys):
-    def no_hadamard(m):
-        raise AssertionError("the stack cap must be checked before H is built")
+@pytest.fixture
+def no_hadamard(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the caps must be checked before H is built")
 
-    monkeypatch.setattr(cli, "hadamard_tensor_power", no_hadamard)
+    monkeypatch.setattr(cli, "hadamard_tensor_power", refuse)
+
+
+def test_gap_stack_cap_is_checked_before_building_H(no_hadamard, capsys):
     assert main(["gap", "--m", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "sample stack cap" in err
+    assert "Traceback" not in err
+
+
+def test_gap_factor_search_cap_is_checked_before_building_H(no_hadamard, capsys):
+    # No samples, but |H|'s regular norm from W to X (3 -> 2) is a search
+    # over one 1024 x 1024 matrix, above the cap.
+    assert main(["gap", "--m", "10", "--p-in", "3", "--samples", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "search over 1 1024x1024 matrices" in err
+    assert "search work cap" in err
     assert "Traceback" not in err
 
 

@@ -72,8 +72,8 @@ def invocations(draw):
     words, leaf = draw(st.sampled_from(LEAVES))
     actions = draw(st.lists(st.sampled_from(_options(leaf)), unique_by=id, max_size=6))
     # --samples is always drawn (an int is at most 3): a norm without a
-    # closed form runs a search per sample, and at the default 200 samples
-    # one run takes seconds (gap --m 3 --p-in 3: 20 s).
+    # closed form searches every sample, and at the default 200 samples
+    # one run takes most of a second (gap --m 3 --p-in 3: 0.6 s).
     actions += [a for a in _options(leaf) if a.dest == "samples" and a not in actions]
     argv, files = list(words), []
     for action in actions:

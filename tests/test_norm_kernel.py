@@ -5,13 +5,14 @@
 and ``operator_norm`` must give what the per-entry routines give, in both
 scalar modes: exact values equal and still ``Fraction``, float values and
 witnesses equal bit for bit by ``float.hex``, the same ``method`` and
-``certified``.  The stacks against single matrices are in ``test_norms.py``.
+``certified``.  The stacked search against the reference is in ``test_norms.py``.
 """
 
 import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,3 +135,20 @@ def test_every_exponent_pair_matches_the_reference_in_both_modes(p_from, p_to):
     for A in (RegularOperator.from_rows(rows), abs(RegularOperator.from_rows(rows))):
         for B in (A, A.to_float()):
             _assert_operator_norm_matches(B, LatticeNorm(p=p_from), LatticeNorm(p=p_to))
+
+
+@pytest.mark.parametrize("p_from, p_to", [(math.inf, 3.5), (3.5, 2.0), (1.5, 4.0), (3.0, 1.0)])
+@pytest.mark.parametrize("rows", [
+    # -1/10^400 is -0.0 as a float: the signs are read on the exact values,
+    # so this matrix is not positive (no corner, no absolute starts).
+    [[Fraction(-1, 10**400), 2], [1, 3]],
+    # Some starts reach inf, others nan: a nan never wins.
+    [[math.inf, 0.0], [0.0, 1.0]],
+    # Every start gives nan: 0.0 at all-ones.
+    [[math.nan, 1.0], [2.0, 3.0]],
+])
+def test_signs_and_non_finite_values_match_the_reference(rows, p_from, p_to):
+    with np.errstate(all="ignore"):
+        _assert_operator_norm_matches(
+            RegularOperator.from_rows(rows), LatticeNorm(p=p_from), LatticeNorm(p=p_to)
+        )

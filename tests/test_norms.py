@@ -30,6 +30,7 @@ from rieszops import (
     verify_cor23,
 )
 
+import norm_reference
 from conftest import matrices, vectors
 
 
@@ -232,7 +233,7 @@ def test_batched_operator_norm_matches_scalar_path(k, shape):
         n_from, n_to = LatticeNorm(p=p_from), LatticeNorm(p=p_to)
         positive = p_from == math.inf
         arr = np.abs(stack) if positive else stack
-        batched = batched_operator_norm(arr, n_from, n_to, positive=positive)
+        batched = batched_operator_norm(arr, n_from, n_to)
         assert [float.hex(float(b)) for b in batched] == [
             float.hex(s) for s in _singles(arr, n_from, n_to)
         ]
@@ -249,18 +250,38 @@ def test_batched_2_to_2_norms_match_scalar_path_to_rounding(k, shape):
     assert np.allclose(batched, _singles(stack, n2, n2), rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("p_from, p_to", [(math.inf, 3.5), (3.5, 2.0)])
-def test_batched_search_pairs_match_scalar_path(p_from, p_to):
-    # No closed form: the stack runs the single-matrix path one matrix at a
-    # time, including the positive corner of a positive matrix in a stack
-    # not declared positive.
-    stack = np.random.default_rng(5).normal(size=(3, 3, 2))
-    stack[1] = np.abs(stack[1])
-    n_from, n_to = LatticeNorm(p=p_from), LatticeNorm(p=p_to)
+@st.composite
+def search_stacks(draw):
+    """A float stack of 1 to 4 matrices of one shape (1 x 1 to 6 x 6), each
+    positive, mixed, zero or -0.0, with entries scaled by 10^-5, 1 or 10^5."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    matrices = []
+    for kind in draw(st.lists(st.sampled_from(["positive", "mixed", "zero", "-0.0"]),
+                              min_size=1, max_size=4)):
+        scale = draw(st.sampled_from([1e-5, 1.0, 1e5]))
+        entries = draw(st.lists(floats_st, min_size=rows * cols, max_size=rows * cols))
+        m = np.array(entries, dtype=float).reshape(rows, cols) * scale
+        matrices.append({"positive": np.abs(m), "mixed": m, "zero": np.zeros_like(m),
+                         "-0.0": np.full_like(m, -0.0)}[kind])
+    return np.stack(matrices)
+
+
+@given(search_stacks(), st.sampled_from([(math.inf, 3.5), (3.5, 2.0), (1.5, 4.0), (3.0, 1.0)]))
+@settings(max_examples=40, deadline=None)
+def test_batched_search_pairs_match_the_reference(stack, pair):
+    # No closed form but the positive corner (from inf, for the positive
+    # and -0.0 matrices of a mixed stack): the stacked search against the
+    # per-entry reference loop, one matrix at a time, at seed 0.
+    n_from, n_to = LatticeNorm(p=pair[0]), LatticeNorm(p=pair[1])
+    _, values, witnesses = norms._operator_norms(stack, None, n_from, n_to, witness=True)
     batched = batched_operator_norm(stack, n_from, n_to)
-    assert [float.hex(float(b)) for b in batched] == [
-        float.hex(s) for s in _singles(stack, n_from, n_to)
-    ]
+    for m, value, witness, b in zip(stack, values, witnesses, batched):
+        A = RegularOperator(*m.shape, [float(x) for x in m.ravel()])
+        ref_value, ref_witness, _, _ = norm_reference.operator_norm(A, n_from, n_to)
+        assert float.hex(float(value)) == float.hex(float(b)) == float.hex(float(ref_value))
+        assert [float.hex(float(x)) for x in witness] == [
+            float.hex(x) for x in ref_witness.as_floats()
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +464,11 @@ def _reference_max_sample(A, B, assignment, samples, seed):
     three-operand einsum, independently of the batched matmul."""
     rng = np.random.default_rng(seed)
     stack = rng.uniform(0.0, 1.0, size=(samples, A.cols, B.rows))
-    t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y, positive=True)
+    t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y)
     stack = stack / t_norms[:, None, None]
     images = np.einsum("ij,sjk,kl->sil", _np(abs(A)), stack, _np(abs(B)))
     return float(
-        batched_operator_norm(images, assignment.n_W, assignment.n_Z, positive=True).max()
+        batched_operator_norm(images, assignment.n_W, assignment.n_Z).max()
     )
 
 
@@ -492,11 +513,25 @@ def test_sample_stack_cap_counts_the_partial_products(monkeypatch):
         gap_report(A, B, NormAssignment.uniform(2.0), samples=samples)
 
 
+def test_factor_searches_are_checked_before_any_work(monkeypatch):
+    def no_work(self):
+        raise AssertionError("no work")
+
+    # Both verifiers start by taking the factors' moduli.
+    monkeypatch.setattr(RegularOperator, "modulus_closed_form", no_work)
+    big = RegularOperator(200, 200, [1.0] * 40000)  # |A| from Y to Z: 3.5 -> 2
+    n2 = LatticeNorm(p=2.0)
+    assignment = NormAssignment(n_W=n2, n_X=n2, n_Y=LatticeNorm(p=3.5), n_Z=n2)
+    for verifier in (verify_cor23, gap_report):
+        with pytest.raises(EnumerationLimitError, match="search over 1 200x200"):
+            verifier(big, RegularOperator.identity(2), assignment, samples=0)
+
+
 def test_search_work_cap_raises_before_any_ascent_step(monkeypatch):
     def no_step(*args):
         raise AssertionError("no ascent step")
 
-    monkeypatch.setattr(norms, "_boyd_ascent", no_step)
+    monkeypatch.setattr(norms, "_search", no_step)
     n35, n2 = LatticeNorm(p=3.5), LatticeNorm(p=2.0)  # no closed form
     per_matrix = (1 + 2 + 8) * 41 * 4  # starts x evaluations x entries, 2 x 2
     count = norms.SEARCH_WORK_CAP // per_matrix + 1
