@@ -250,6 +250,20 @@ def test_batched_2_to_2_norms_match_scalar_path_to_rounding(k, shape):
     assert np.allclose(batched, _singles(stack, n2, n2), rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("p_from, p_to", [(math.inf, 3.5), (3.5, 2.0)])
+def test_batched_search_pairs_match_scalar_path(p_from, p_to):
+    # No closed form: a matrix searched within a stack gets the same bits as
+    # on its own, including the positive corner of a positive matrix in a
+    # mixed stack.
+    stack = np.random.default_rng(5).normal(size=(3, 3, 2))
+    stack[1] = np.abs(stack[1])
+    n_from, n_to = LatticeNorm(p=p_from), LatticeNorm(p=p_to)
+    batched = batched_operator_norm(stack, n_from, n_to)
+    assert [float.hex(float(b)) for b in batched] == [
+        float.hex(s) for s in _singles(stack, n_from, n_to)
+    ]
+
+
 @st.composite
 def search_stacks(draw):
     """A float stack of 1 to 4 matrices of one shape (1 x 1 to 6 x 6), each
