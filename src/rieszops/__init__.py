@@ -16,7 +16,6 @@ from .counterexample import (
     build_B,
     counterexample_report,
     identity_meet_B,
-    inf_G_double_prime,
     meet_superoperator,
     meet_via_components,
     single_support_check,
@@ -43,7 +42,6 @@ from .norms import (
     gap_report,
     hadamard_tensor_power,
     norming_functional,
-    norming_vector,
     operator_norm,
     regular_norm,
     superop_regular_norm_1chain,
@@ -73,7 +71,6 @@ from .scalars import DEFAULT_TOLERANCE, ScalarModeError, parse_scalar, scalar_to
 from .superop import (
     Superoperator,
     kron,
-    operator_partition_sup,
     unvec,
     vec,
     verify_cor22,
@@ -116,7 +113,6 @@ __all__ = [
     "hadamard_tensor_power",
     "halves_partition",
     "identity_meet_B",
-    "inf_G_double_prime",
     "kron",
     "make_report",
     "meet_oracle",
@@ -124,9 +120,7 @@ __all__ = [
     "meet_via_components",
     "modulus_oracle",
     "norming_functional",
-    "norming_vector",
     "operator_norm",
-    "operator_partition_sup",
     "parse_corpus_spec",
     "parse_scalar",
     "random_operator_partition",

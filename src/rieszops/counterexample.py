@@ -12,7 +12,7 @@ verifies every step of the derivation that does not depend on singularity:
 * every disjoint partition of e feeds exactly one piece with f = 1 to the
   infimum (``single_support_check``);
 * the double-partition infimum over  sum_i sum_j (T_i x_j ^ f(x_j) T_i e)
-  (``inf_G_double_prime``) collapses to the component formula
+  (``_double_partition_inf``) collapses to the component formula
   inf { T x : x a component of e, f(x) = 1 }  (``meet_via_components``),
   which in turn equals the superoperator meet  (M_{I,I} ^ M_{I,B})(T)
   evaluated at e — so  (M_{I,I} ^ M_{I,B})(B)(e) = e,  a nonzero meet;
@@ -208,52 +208,21 @@ def _positive_splits(
     return splits
 
 
-def inf_G_double_prime(
-    T: RegularOperator,
-    f: CoordinateFunctional,
-    partition_budget: int = 40,
-    operator_split_samples: int = 24,
-    seed: int = 0,
-) -> LatticeVector:
-    """Minimum of the double-partition sums, evaluated at e.
-
-    Quantifies over all disjoint partitions (x_j) of e within the budget and
-    over sampled positive operator splits sum_i T_i = T (singleton, atomic,
-    seeded random convex).  Every member dominates the component-formula
-    infimum; the combination (singleton split, atomic partition) attains it,
-    so the returned vector equals ``meet_via_components(T, f)`` exactly.
-
-    The sums are evaluated by an integer kernel on the numerators P_i of the
-    split pieces and X_j of the partition blocks: each term
-    T_i x_j ^ f(x_j) T_i e  is  min(P_i X_j, rowsum(P_i) X_j[k]) over
-    their denominators.  The result equals the minimum of the sums
-    evaluated one piece and one block at a time, exactly.
-    """
-    if T.shape != (f.dim, f.dim):
-        raise ValueError(f"expected a {f.dim}x{f.dim} operator, got {T.shape}")
-    if not T.is_exact:
-        raise ScalarModeError("the double-partition infimum needs an exact operator")
-    if not T.is_positive():
-        raise ValueError("the partition infimum applies to positive operators")
-    if f.dim > ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"dimension {f.dim} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
-    _check_partition_budget(partition_budget)
-    return _double_partition_inf(
-        f,
-        _e_partitions(f, partition_budget),
-        _positive_splits(T, operator_split_samples, seed),
-    )
-
-
 def _double_partition_inf(
     f: CoordinateFunctional,
     partitions: Sequence[Partition],
     splits: Sequence[Partition],
 ) -> LatticeVector:
-    """The kernel of ``inf_G_double_prime`` over given e-partitions and
-    given positive splits of T (exact, n x n, already validated)."""
+    """Minimum of the double-partition sums at e, over the given disjoint
+    partitions (x_j) of e and the given positive splits sum_i T_i = T of an
+    exact n x n T (checked by the caller).
+
+    With the singleton split and the atomic partition among them, the
+    minimum equals ``meet_via_components(T, f)`` exactly.  An integer kernel
+    on the numerators P_i of the split pieces and X_j of the partition
+    blocks: each term  T_i x_j ^ f(x_j) T_i e  is  min(P_i X_j,
+    rowsum(P_i) X_j[k])  over their denominators.
+    """
     n, k = f.dim, f.index
     # P[i] = D_T T_i as an n x n integer matrix, the pieces of every split in
     # order; P e = its row sums.
@@ -326,11 +295,6 @@ def contrast_table(f: CoordinateFunctional) -> list:
     ]
 
 
-def _check_partition_budget(partition_budget: int) -> None:
-    if partition_budget < 1:
-        raise ValueError(f"partition_budget must be at least 1, got {partition_budget}")
-
-
 def _lab_work(
     n: int, test_ops: int, g_checks: int, split_samples: int, partition_budget: int
 ) -> int:
@@ -380,7 +344,8 @@ def counterexample_report(
             "t_samples and operator_split_samples must be nonnegative, got "
             f"{t_samples} and {operator_split_samples}"
         )
-    _check_partition_budget(partition_budget)
+    if partition_budget < 1:
+        raise ValueError(f"partition_budget must be at least 1, got {partition_budget}")
     if g_samples is None:
         g_samples = max(1, t_samples // 2)
     if g_samples < 0:

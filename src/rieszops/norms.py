@@ -22,8 +22,8 @@ over a denominator: Python-int numerators (so exact values stay
 as Python's float power.  ``operator_norm`` runs the kernel on a stack of
 one, ``batched_operator_norm`` on a whole stack, and both give a matrix
 the same bits; only 2 -> 2 differs, where a stack asks LAPACK for the
-singular values alone.  ``vector_norm``, ``dual_norm``, ``norming_vector``
-and ``norming_functional`` are the kernel on one vector.
+singular values alone.  ``vector_norm``, ``dual_norm`` and
+``norming_functional`` are the kernel on one vector.
 
 ``regular_norm`` is the operator norm of the entrywise modulus.  The two
 verifiers cover the regular-norm multiplicativity of two-sided
@@ -38,7 +38,7 @@ batched BLAS product ``A @ stack @ B``; a stack of more than
 ``SAMPLE_STACK_CAP`` (2^24) floats, or a norm search over the samples,
 their images or the factors beyond ``SEARCH_WORK_CAP``, raises
 ``EnumerationLimitError`` before any work (``check_sampling``), and so
-does a ``hadamard_tensor_power`` of more than ``HADAMARD_ENTRY_CAP``
+does a ``hadamard_tensor_power`` of more than ``superop.KRON_ENTRY_CAP``
 (2^20) entries, i.e. m > 10.
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
@@ -71,7 +71,7 @@ from .lattice import (
 from .operators import RegularOperator, rank_one
 from .reports import VerificationReport, make_report
 from .scalars import DEFAULT_TOLERANCE, ScalarModeError
-from .superop import kron
+from .superop import KRON_ENTRY_CAP, kron
 
 INF = math.inf
 
@@ -232,15 +232,6 @@ def vector_norm(x: LatticeVector, n: LatticeNorm):
 def dual_norm(f: LatticeVector, n: LatticeNorm):
     """Norm of the functional x |-> f . x on (R^d, n)."""
     return _value(_norms(f._values, f._den, n, dual=True))
-
-
-def norming_vector(f: LatticeVector, n: LatticeNorm) -> LatticeVector:
-    """A unit vector x (in n) maximizing f . x, so f . x = dual_norm(f, n).
-
-    Exact for p in {1, inf} with exact data; float otherwise.  For f = 0 an
-    arbitrary unit vector is returned.
-    """
-    return LatticeVector(_norming(f._values, f._den, n).tolist())
 
 
 def norming_functional(x: LatticeVector, n: LatticeNorm) -> LatticeVector:
@@ -645,20 +636,17 @@ def verify_cor23(
 # ---------------------------------------------------------------------------
 
 
-#: Most entries (4^m) of ``hadamard_tensor_power``: m <= 10.
-HADAMARD_ENTRY_CAP = 1 << 20
-
-
 def hadamard_order(m: int) -> int:
     """2^m, the side of H_2^{(x) m}, once m is checked.
 
-    More than ``HADAMARD_ENTRY_CAP`` entries raise ``EnumerationLimitError``.
+    More than ``KRON_ENTRY_CAP`` entries (the last ``kron`` of
+    ``hadamard_tensor_power``), i.e. m > 10, raise ``EnumerationLimitError``.
     """
     if m < 0:
         raise ValueError("tensor power must be nonnegative")
-    if 4**m > HADAMARD_ENTRY_CAP:
+    if 4**m > KRON_ENTRY_CAP:
         raise EnumerationLimitError(
-            f"H_2^(x){m} has 4^{m} entries, above entry cap {HADAMARD_ENTRY_CAP}"
+            f"H_2^(x){m} has 4^{m} entries, above entry cap {KRON_ENTRY_CAP}"
         )
     return 1 << m
 
@@ -666,8 +654,7 @@ def hadamard_order(m: int) -> int:
 def hadamard_tensor_power(m: int) -> RegularOperator:
     """H_2^{(x) m}: the 2^m x 2^m sign matrix with |H| = all-ones.
 
-    More than ``HADAMARD_ENTRY_CAP`` entries raise ``EnumerationLimitError``
-    before anything is built.
+    m > 10 raises ``EnumerationLimitError`` before anything is built.
     """
     hadamard_order(m)
     H = RegularOperator.from_rows([[1, 1], [1, -1]])

@@ -90,9 +90,6 @@ class RegularOperator(_Entrywise):
     def row(self, i: int) -> LatticeVector:
         return LatticeVector._of(self._values[i], self._den)
 
-    def column(self, j: int) -> LatticeVector:
-        return LatticeVector._of(self._values[:, j], self._den)
-
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -28,15 +28,14 @@ The verifiers check, with exact rational arithmetic:
                               |M_{A,B0}| = M_{|A|,B0}  and
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
 
-``operator_partition_sup`` takes the operator partitions themselves
-(signed, stacked ``lattice.Partition``s of T; by default the atomic one)
-and runs on their stored arrays in the one segment-sum kernel of
-``lattice``, in chunks of bounded size; the tests check it against the
-loop over partitions and pieces it replaced.  ``verify_prop21`` sends its
-atomic, singleton and random splittings through one pass of that kernel,
-reads the atomic value off the first row and folds the others.  The
-verifiers measure every identity by ``deviation``, the largest entrywise
-|X - Y| of two vectors or two operators.
+``verify_prop21`` sends its atomic, singleton and random splittings of T
+(signed, stacked ``lattice.Partition``s) through one pass of the
+segment-sum kernel of ``lattice``, on their stored arrays in chunks of
+bounded size, reads the atomic value off the first row and folds the
+others; the tests check that pass against the loop over partitions and
+pieces it replaced.  The verifiers measure every identity by
+``deviation``, the largest entrywise |X - Y| of two vectors or two
+operators.
 
 ``kron``, ``vec`` and ``unvec`` act on the stored arrays.  ``kron`` refuses
 a product of more than ``KRON_ENTRY_CAP`` (2^20) entries with
@@ -49,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from .lattice import (
     DimensionMismatchError,
     EnumerationLimitError,
     LatticeVector,
-    Partition,
     _matmul,
     _partition_sums,
 )
@@ -71,9 +69,9 @@ from .reports import VerificationReport, make_report
 from .scalars import DEFAULT_TOLERANCE, ScalarModeError, zero_of
 
 
-#: Entries a ``kron`` may produce: H_2^{(x) 10} (norms.HADAMARD_ENTRY_CAP
-#: entries) still builds, while the rep of two 40 x 40 factors (2.56 million
-#: Fractions) is refused.
+#: Entries a ``kron`` may produce: H_2^{(x) 10} still builds (and
+#: ``norms.hadamard_order`` refuses m > 10 by this cap before any work), while
+#: the rep of two 40 x 40 factors (2.56 million Fractions) is refused.
 KRON_ENTRY_CAP = 1 << 20
 
 
@@ -201,34 +199,12 @@ def one_sided_excess(x: LatticeVector, upper: LatticeVector):
 # the operator-partition supremum
 # ---------------------------------------------------------------------------
 
-def _partition_values(A0, B, T, w, partitions) -> tuple:
+def _partition_values(A0, B, w, partitions) -> tuple:
     """(values, D): values[p] = (sum_j |A0 T_j B|) w over the pieces T_j of
-    partitions[p], in one pass of the segment-sum kernel, over the
-    denominator D (None for floats); checked as ``operator_partition_sup``
-    states."""
-    if not A0.is_positive():
-        raise ValueError("the partition supremum needs a positive left factor")
-    if not T.is_positive():
-        raise ValueError("the partition supremum needs a positive argument T")
-    if T.shape != (A0.cols, B.rows):
-        raise DimensionMismatchError(
-            f"T has shape {T.shape}, expected {(A0.cols, B.rows)}"
-        )
-    if w.dim != B.cols:
-        raise DimensionMismatchError(
-            f"w has dim {w.dim}, expected {B.cols}"
-        )
-    if not w.is_positive():
-        raise ValueError("the partition supremum is evaluated at positive w")
-    if partitions is None:
-        partitions = [atomic_operator_partition(T)]
-    partitions = list(partitions)
-    if not partitions:
-        raise ValueError("no operator partitions to try")
-    if any(p.target is not T and p.target != T for p in partitions):
-        raise ValueError("an operator partition does not split T")
-    if len({A0.mode, B.mode, T.mode, w.mode}) > 1:
-        raise ScalarModeError("A0, B, T and w must share one scalar mode")
+    partitions[p], over the denominator D (None for floats).  One pass of
+    ``lattice._partition_sums`` in chunks of bounded size sums each
+    partition in piece order, as the images one by one would; the inputs
+    are ``verify_prop21``'s, checked there."""
     z, (x, cols) = A0.rows, B.shape
     sums, D_T = _partition_sums(
         partitions,
@@ -248,30 +224,6 @@ def _sup(values, den) -> LatticeVector:
     return LatticeVector._of(best, den)
 
 
-def operator_partition_sup(
-    A0: RegularOperator,
-    B: RegularOperator,
-    T: RegularOperator,
-    w: LatticeVector,
-    partitions: Optional[Sequence[Partition]] = None,
-) -> LatticeVector:
-    """sup over the given partitions (sum_j |T_j| = T) of  (sum_j |A0 T_j B|) w.
-
-    Requires A0 >= 0 and T >= 0, and every partition must split T itself
-    (``ValueError`` otherwise).  The default is the atomic partition, at
-    which the supremum is attained and equals A0 T |B| w exactly; coarser
-    partitions give componentwise smaller-or-equal values (cancellation
-    inside |A0 T_j B| only ever loses mass).
-
-    The images |A0 P_j B| of all pieces are formed on the partitions'
-    stacked values by the segment-sum kernel ``lattice._partition_sums``,
-    in chunks of bounded size, and summed per partition in piece order, so
-    an atomic partition's y x pieces never need y x z w image entries at
-    once; float results match summing the images as operators one by one.
-    """
-    return _sup(*_partition_values(A0, B, T, w, partitions))
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
@@ -286,7 +238,8 @@ def verify_prop21(
     seed: Optional[int] = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
-    """Positive-left-factor identities, checked pointwise at T (and w).
+    """Positive-left-factor identities, checked pointwise at T (and w);
+    A0, T and w must be positive (``ValueError`` otherwise).
 
     (i)   |M_{A0,B}|(T)            = A0 T |B|
     (ii)  (M_{A0,B} v M_{A0,D})(T) = A0 T (B v D)
@@ -298,6 +251,8 @@ def verify_prop21(
         raise ValueError("the left factor A0 must be positive")
     if not T.is_positive():
         raise ValueError("the argument T must be positive")
+    if not w.is_positive():
+        raise ValueError("the vector w must be positive")
     M_B = Superoperator.build(A0, B)
     M_D = Superoperator.build(A0, D)
 
@@ -312,7 +267,7 @@ def verify_prop21(
     rng = Random(seed or 0)
     partitions = [atomic_operator_partition(T), trivial_operator_partition(T)]
     partitions += [random_operator_partition(T, 3, rng) for _ in range(5)]
-    values, den = _partition_values(A0, B, T, w, partitions)
+    values, den = _partition_values(A0, B, w, partitions)
     atomic_value = LatticeVector._of(values[0], den)
     dev_atomic = deviation(atomic_value, rhs_at_w)
     dev_coarse = one_sided_excess(_sup(values[1:], den), rhs_at_w)

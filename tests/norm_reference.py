@@ -125,7 +125,7 @@ def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
     positive = all(a >= 0 for a in A.entries)
 
     if n_from.p == 1.0:
-        values = [vector_norm(A.column(j), n_to) for j in range(A.cols)]
+        values = [vector_norm(A.transpose().row(j), n_to) for j in range(A.cols)]
         best = max(range(A.cols), key=lambda j: values[j])
         return values[best], LatticeVector.unit(A.cols, best, FLOAT), True, "max_column"
 

@@ -402,6 +402,14 @@ def test_zero_denominator_in_vector_file_exits_2(tmp_path, matrix_files, capsys)
     _assert_usage_error(capsys, argv, "zero denominator")
 
 
+def test_verify_prop21_negative_w_exits_2(tmp_path, matrix_files, capsys):
+    _, b = matrix_files
+    pos = _write(tmp_path / "pos.json", {"rows": 2, "cols": 2, "entries": ["1", "2", "0", "3"]})
+    w = _write(tmp_path / "neg.json", {"dim": 2, "entries": ["1", "-1/2"]})
+    argv = ["verify", "prop21", "--A0", pos, "--B", b, "--w", w]
+    _assert_usage_error(capsys, argv, "w must be positive")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

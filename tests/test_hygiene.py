@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private top-level name is left that no module of the package uses, only
+no private top-level name is left that no module of the package uses, every
+public function, class and method is read by the package, ``scripts/`` or
+``perfbench/`` (or is one the acceptance spec reads), only
 ``lattice`` turns exact scalars into numerators over a denominator, only
 ``lattice`` reads ``.entries``, which builds a ``Fraction`` per exact
 entry, only ``lattice`` compares within ``DEFAULT_TOLERANCE`` (elsewhere it
@@ -144,6 +146,108 @@ def test_the_dead_code_check_flags_unused_private_names():
         "b": "from .a import _shared\nVALUE = _shared()\n",
     }
     assert dead_private_names(sources) == ["a._UNUSED", "a._recursive", "a._Dead"]
+
+
+#: Public names that only the acceptance spec reads: ``tests/test_acceptance.py``
+#: uses them.
+SPEC_ONLY = {"operators.refinement_sums", "lattice._Entrywise.le"}
+
+ROOT = SRC.parent.parent
+READERS = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+
+
+def _public_definitions(tree):
+    """(dotted name, bare name, node) of every public top-level function and
+    class and every public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _reads(tree, skip=None):
+    """Names a source reads as a ``Name``, an ``Attribute`` or an import,
+    outside the subtree ``skip``."""
+    found, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name for alias in node.names}
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unread_public_names(package: dict, readers: dict) -> list:
+    """``module.name`` of each public function, class or method of the
+    ``package`` sources that no package module reads outside its own
+    definition and no ``readers`` source reads; both map names to source."""
+    trees = {module: ast.parse(text) for module, text in package.items()}
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    scripts = set().union(*(_reads(ast.parse(text)) for text in readers.values()))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = scripts.union(*(r for m, r in reads.items() if m != module))
+        for dotted, name, node in _public_definitions(tree):
+            if name not in elsewhere and name not in _reads(tree, skip=node):
+                unread.append(f"{module}.{dotted}")
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = {str(p): p.read_text(encoding="utf-8") for p in READERS}
+    unread = unread_public_names(package, readers)
+    assert sorted(unread) == sorted(SPEC_ONLY), (
+        f"public names only tests read: {sorted(set(unread) - SPEC_ONLY)}; "
+        f"allowlisted names now read or gone: {sorted(SPEC_ONLY - set(unread))}"
+    )
+
+
+def test_the_reader_check_flags_unread_public_names():
+    package = {
+        "a": (
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class Shape:\n"
+            "    def area(self):\n"
+            "        return self.area()\n"
+            "    def size(self):\n"
+            "        return used()\n"
+            "    @property\n"
+            "    def edge(self):\n"
+            "        return 0\n"
+            "    def _private(self):\n"
+            "        return 0\n"
+            "class Unread:\n"
+            "    pass\n"
+        ),
+        "b": "from .a import Shape\nVALUE = Shape().size()\n",
+    }
+    readers = {"script": "import a\nKEYS = {'a.recursive': a.Shape().edge}\n"}
+    assert unread_public_names(package, readers) == [
+        "a.recursive", "a.Shape.area", "a.Unread"
+    ]
+
+
+def test_every_name_in_all_resolves():
+    import rieszops
+
+    missing = [name for name in rieszops.__all__ if not hasattr(rieszops, name)]
+    assert not missing, f"rieszops.__all__ names what it does not define: {missing}"
 
 
 def scaling_reads(source: str) -> list:

@@ -22,7 +22,6 @@ from rieszops import (
     gap_report,
     hadamard_tensor_power,
     norming_functional,
-    norming_vector,
     operator_norm,
     regular_norm,
     superop_regular_norm_1chain,
@@ -80,7 +79,7 @@ def test_exact_norms_stay_exact():
 def test_norming_vector_attains_dual_norm(f):
     for p in p_values:
         n = LatticeNorm(p=p)
-        x = norming_vector(f, n)
+        x = LatticeVector(norms._norming(f._values, f._den, n).tolist())
         assert float(vector_norm(x, n)) == pytest.approx(1.0, abs=1e-9)
         attained = sum(a * b for a, b in zip(f.entries, x.entries))
         assert attained == pytest.approx(float(dual_norm(f, n)), abs=1e-8)
@@ -571,8 +570,9 @@ def test_hadamard_tensor_power_cap_raises_before_building(monkeypatch):
     def no_kron(*args):
         raise AssertionError("the cap must be checked before any kron")
 
-    monkeypatch.setattr(superop, "kron", no_kron)
-    assert 4**10 <= norms.HADAMARD_ENTRY_CAP < 4**11
+    # hadamard_tensor_power calls the kron that norms imported.
+    monkeypatch.setattr(norms, "kron", no_kron)
+    assert 4**10 <= superop.KRON_ENTRY_CAP < 4**11
     for m in (11, 30):
         with pytest.raises(EnumerationLimitError, match="entry cap"):
             hadamard_tensor_power(m)

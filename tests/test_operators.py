@@ -85,7 +85,7 @@ def test_from_rows_and_entry_layout():
     assert A.entry(0, 1) == Fraction(2)
     assert A.entry(1, 0) == Fraction(3)
     assert A.row(1).entries == (Fraction(3), Fraction(4))
-    assert A.column(0).entries == (Fraction(1), Fraction(3))
+    assert A.transpose().row(0).entries == (Fraction(1), Fraction(3))
 
 
 def test_json_roundtrip():

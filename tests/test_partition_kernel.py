@@ -4,7 +4,7 @@ reference loops of ``partition_reference``.
 Every builder must give the pieces the tuple-based builder gave, from the
 same seeded draws; ``is_disjoint`` must agree with the pairwise test; and
 ``modulus_oracle``, ``meet_oracle`` (value, first attainer, partitions
-tried, attainment), ``refinement_sums``, ``operator_partition_sup`` and
+tried, attainment), ``refinement_sums``, prop21's ``_partition_values`` and
 the lab's ``_double_partition_inf`` must equal the loops one piece at a
 time: exactly in exact mode, bit for bit by ``float.hex`` in float mode.
 """
@@ -30,7 +30,6 @@ from rieszops import (
     halves_partition,
     meet_oracle,
     modulus_oracle,
-    operator_partition_sup,
     random_operator_partition,
     refinement_chain,
     refinement_sums,
@@ -40,6 +39,7 @@ from rieszops import (
 from rieszops import lattice
 from rieszops.counterexample import _double_partition_inf, _e_partitions, _positive_splits
 from rieszops.lattice import random_convex_partition
+from rieszops.superop import _partition_values, _sup
 
 from conftest import fractions_st, positive_fractions_st
 
@@ -350,7 +350,7 @@ def test_operator_partition_sup_equals_the_per_piece_loop(mode, data, seed):
     families = [atomic_operator_partition(T), trivial_operator_partition(T)] + [
         random_operator_partition(T, 3, rng) for _ in range(3)
     ]
-    got = operator_partition_sup(A0, B, T, v, families)
+    got = _sup(*_partition_values(A0, B, v, families))
     want = ref.operator_partition_sup(A0, B, v, [p.pieces for p in families])
     assert _same(got, want)
 

@@ -21,7 +21,7 @@ from rieszops import LatticeVector, RegularOperator, kron, unvec, vec
 from rieszops.lattice import SPLIT_DENOMINATOR
 from rieszops.operators import atomic_operator_partition
 from rieszops.scalars import DEFAULT_TOLERANCE, zero_of
-from rieszops.superop import deviation, operator_partition_sup
+from rieszops.superop import _partition_values, _sup, deviation
 
 # ---------------------------------------------------------------------------
 # references: the tuple loops
@@ -341,7 +341,7 @@ def test_equal_values_by_different_paths_compare_and_hash_equal():
     B = RegularOperator(2, 2, ["3/4", "-1/2", "1/6", "1"])
     T = RegularOperator(2, 2, ["2/5", "1/10", "3", "0"])
     w = LatticeVector(["1/7", "2/7"])
-    got = operator_partition_sup(A0, B, T, w, [atomic_operator_partition(T)])
+    got = _sup(*_partition_values(A0, B, w, [atomic_operator_partition(T)]))
     same = LatticeVector([str(a) for a in got.entries])
     assert _lowest_terms(got)
     assert got == same and hash(got) == hash(same)

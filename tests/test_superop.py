@@ -14,14 +14,13 @@ from rieszops import (
     kron,
     random_operator_partition,
     trivial_operator_partition,
-    operator_partition_sup,
     unvec,
     vec,
     verify_cor22,
     verify_prop21,
     verify_synnatzschke_a,
 )
-from rieszops import lattice, norms, superop
+from rieszops import lattice, superop
 from rieszops.lattice import EnumerationLimitError
 
 from conftest import fractions_st, matrices, positive_fractions_st, superop_quadruple_dims
@@ -140,12 +139,17 @@ def test_corner_decomposition(case):
 # ---------------------------------------------------------------------------
 
 
+def _partition_sup(A0, B, w, partitions):
+    """The supremum over the partitions by the kernel ``verify_prop21`` runs."""
+    return superop._sup(*superop._partition_values(A0, B, w, partitions))
+
+
 @given(superop_case(positive_A=True, positive_T=True))
 @settings(max_examples=25)
 def test_atomic_partition_sup_attains(case):
     A0, B, T = case
     w = LatticeVector.ones(B.cols)
-    sup = operator_partition_sup(A0, B, T, w, [atomic_operator_partition(T)])
+    sup = _partition_sup(A0, B, w, [atomic_operator_partition(T)])
     rhs = (A0 @ T @ abs(B)).apply(w)
     assert sup.eq(rhs)
 
@@ -155,34 +159,27 @@ def test_atomic_partition_sup_attains(case):
 def test_singleton_partition_sup_is_dominated(case):
     A0, B, T = case
     w = LatticeVector.ones(B.cols)
-    single = operator_partition_sup(
-        A0, B, T, w, [trivial_operator_partition(T)]
-    )
+    single = _partition_sup(A0, B, w, [trivial_operator_partition(T)])
     rhs = (A0 @ T @ abs(B)).apply(w)
     assert single.le(rhs)
 
 
-def test_partition_sup_input_validation():
+def test_verify_prop21_input_validation():
     A0 = RegularOperator.from_rows([[1, 0], [0, 1]])
     B = RegularOperator.from_rows([[1, -1], [2, 0]])
     T = RegularOperator.from_rows([[1, 1], [1, 1]])
     w = LatticeVector.ones(2)
     with pytest.raises(ValueError):
-        operator_partition_sup(-A0, B, T, w)
+        verify_prop21(-A0, B, B, T, w)
     with pytest.raises(ValueError):
-        operator_partition_sup(A0, B, T - T - T, w)
+        verify_prop21(A0, B, B, T - T - T, w)
     with pytest.raises(ValueError):
-        operator_partition_sup(A0, B, T, -w)
-    with pytest.raises(ValueError):
-        operator_partition_sup(A0, B, T, w, [])
-    other = atomic_operator_partition(T + T)
-    with pytest.raises(ValueError):
-        operator_partition_sup(A0, B, T, w, [atomic_operator_partition(T), other])
+        verify_prop21(A0, B, B, T, -w)
 
 
 def _partition_superop_sum(A0, B, partition):
     """sum_j |A0 T_j B| for one operator partition of T, one operator at a
-    time (the loop ``operator_partition_sup`` replaced)."""
+    time (the loop the kernel replaced)."""
     total = RegularOperator.zero(A0.rows, B.cols, A0.mode)
     for piece in partition.pieces:
         total = total + (A0 @ piece @ B).modulus_closed_form()
@@ -228,7 +225,7 @@ def _seeded_case(rng, dims, scale=1, zero_share=0.0):
 
 
 def _assert_kernel_matches(A0, B, T, v, schemes):
-    got = operator_partition_sup(A0, B, T, v, schemes)
+    got = _partition_sup(A0, B, v, schemes)
     want = _reference_partition_sup(A0, B, T, v, schemes)
     assert got.entries == want.entries, (A0, B, T, v, schemes)
     assert all(type(e) is Fraction for e in got.entries)
@@ -262,11 +259,11 @@ def test_partition_sup_kernel_chunks_agree(monkeypatch):
     rng = Random(5)
     A0, B, T, v = _seeded_case(rng, (4, 4, 4, 4), zero_share=0.2)
     schemes = _kernel_strategies(T, seed=5)[-1]
-    whole = operator_partition_sup(A0, B, T, v, schemes)
+    whole = _partition_sup(A0, B, v, schemes)
     # 16 image entries per piece: one piece per chunk, so every partition of
     # more than one piece has its sum carried across chunks.
     monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1)
-    chunked = operator_partition_sup(A0, B, T, v, schemes)
+    chunked = _partition_sup(A0, B, v, schemes)
     assert chunked.entries == whole.entries
     assert chunked.entries == _reference_partition_sup(A0, B, T, v, schemes).entries
 
@@ -277,7 +274,7 @@ def test_partition_sup_float_mode_runs_the_loop():
     T = RegularOperator.from_rows([[0.1, 0.0], [0.3, 0.7]])
     v = LatticeVector([0.2, 1.1])
     for schemes in _kernel_strategies(T, seed=6):
-        got = operator_partition_sup(A0, B, T, v, schemes)
+        got = _partition_sup(A0, B, v, schemes)
         assert got.entries == _reference_partition_sup(A0, B, T, v, schemes).entries
         assert all(type(e) is float for e in got.entries)
 
@@ -302,7 +299,7 @@ def test_partition_sup_float_kernel_matches_the_loop_bit_for_bit():
         T = RegularOperator(y, x, floats(y * x, True, special[:2] + special[3:]))
         v = LatticeVector(floats(w, True))
         for schemes in _kernel_strategies(T, seed=dims[1]):
-            got = operator_partition_sup(A0, B, T, v, schemes).entries
+            got = _partition_sup(A0, B, v, schemes).entries
             want = _reference_partition_sup(A0, B, T, v, schemes).entries
             assert [a.hex() for a in got] == [b.hex() for b in want]
 
@@ -314,7 +311,6 @@ def test_kron_cap_raises_before_any_product(monkeypatch):
 
     # kron's first numpy call is its product of the two arrays.
     monkeypatch.setattr(superop, "np", NoArrays())
-    assert superop.KRON_ENTRY_CAP >= norms.HADAMARD_ENTRY_CAP
     column = RegularOperator(1024, 1, [Fraction(1)] * 1024)
     taller = RegularOperator(1025, 1, [Fraction(1)] * 1025)
     with pytest.raises(EnumerationLimitError, match="kron entry cap"):
@@ -370,6 +366,19 @@ def test_verify_prop21_builds_two_reps(monkeypatch):
     # M_{A0,B} and M_{A0,D} only: A0 T |B| and A0 T (B v D) come from the
     # factors directly.
     assert built == [(A0, B), (A0, D)]
+
+
+def test_verify_prop21_refuses_a_negative_w_before_any_rep(monkeypatch):
+    def no_kron(*args):
+        raise AssertionError("w must be checked before any rep is built")
+
+    monkeypatch.setattr(superop, "kron", no_kron)
+    A0 = RegularOperator.from_rows([[1, 2], [0, 3]])
+    B = RegularOperator.from_rows([[1, -1], [2, 0]])
+    T = RegularOperator.from_rows([[1, 0], [2, 1]])
+    w = LatticeVector([1, -1])
+    with pytest.raises(ValueError, match="w must be positive"):
+        verify_prop21(A0, B, B, T, w)
 
 
 @given(superop_case(positive_B=True))
