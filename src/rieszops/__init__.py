@@ -30,6 +30,7 @@ from .lattice import (
     disjoint_partitions,
     dyadic_partition,
     halves_partition,
+    random_convex_partition,
     refinement_chain,
     trivial_partition,
 )
@@ -51,13 +52,10 @@ from .norms import (
 from .operators import (
     OracleResult,
     RegularOperator,
-    atomic_operator_partition,
     meet_oracle,
     modulus_oracle,
-    random_operator_partition,
     rank_one,
     refinement_sums,
-    trivial_operator_partition,
 )
 from .reports import (
     VerificationReport,
@@ -95,7 +93,6 @@ __all__ = [
     "ScalarModeError",
     "Superoperator",
     "VerificationReport",
-    "atomic_operator_partition",
     "atomic_partition",
     "default_partitions",
     "batched_operator_norm",
@@ -123,7 +120,7 @@ __all__ = [
     "operator_norm",
     "parse_corpus_spec",
     "parse_scalar",
-    "random_operator_partition",
+    "random_convex_partition",
     "rank_one",
     "refinement_chain",
     "refinement_sums",
@@ -132,7 +129,6 @@ __all__ = [
     "scalar_to_json",
     "single_support_check",
     "superop_regular_norm_1chain",
-    "trivial_operator_partition",
     "trivial_partition",
     "unvec",
     "vec",

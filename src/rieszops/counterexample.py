@@ -50,14 +50,10 @@ from .lattice import (
     _stack,
     atomic_partition,
     disjoint_partitions,
+    random_convex_partition,
+    trivial_partition,
 )
-from .operators import (
-    RegularOperator,
-    atomic_operator_partition,
-    random_operator_partition,
-    rank_one,
-    trivial_operator_partition,
-)
+from .operators import RegularOperator, rank_one
 from .reports import VerificationReport, make_report
 from .scalars import ScalarModeError
 from .superop import Superoperator, deviation
@@ -94,9 +90,9 @@ class CoordinateFunctional:
             raise ValueError(f"expected dim {self.dim}, got {x.dim}")
         return x.entry(self.index)
 
-    def as_vector(self, mode: str = "exact") -> LatticeVector:
+    def as_vector(self) -> LatticeVector:
         """The representing vector e_k (so f(x) = <e_k, x>)."""
-        return LatticeVector.unit(self.dim, self.index, mode)
+        return LatticeVector.unit(self.dim, self.index)
 
 
 def build_B(f: CoordinateFunctional) -> RegularOperator:
@@ -158,12 +154,9 @@ def single_support_check(f: CoordinateFunctional, partition: Partition) -> int:
         raise ValueError("expected a partition of the order unit e = ones")
     if not partition.is_disjoint():
         raise ValueError("expected a disjoint partition")
-    hits = [
-        j
-        for j, piece in enumerate(partition.pieces)
-        if f(piece) != 0
-    ]
-    if len(hits) != 1 or f(partition.pieces[hits[0]]) != 1:
+    column = partition._values[:, f.index]  # f of the pieces, over their denominator
+    hits = np.flatnonzero(column != 0).tolist()
+    if len(hits) != 1 or column[hits[0]] != (partition._den or 1):
         raise RuntimeError(
             "Riesz-homomorphism dichotomy violated on a disjoint partition "
             f"of e: pieces with f != 0 at positions {hits}"
@@ -195,16 +188,12 @@ def _positive_splits(
     T: RegularOperator, split_samples: int, seed: int
 ) -> List[Partition]:
     """Positive decompositions sum_i T_i = T: singleton, atomic, random."""
-    splits = [trivial_operator_partition(T)]
+    splits = [trivial_partition(T)]
     if split_samples > 1:
-        splits.append(atomic_operator_partition(T))
+        splits.append(atomic_partition(T))
     rng = Random(seed)
     while len(splits) < split_samples:
-        splits.append(
-            random_operator_partition(
-                T, parts=rng.randint(2, 4), rng=rng, signed=False
-            )
-        )
+        splits.append(random_convex_partition(T, parts=rng.randint(2, 4), rng=rng))
     return splits
 
 

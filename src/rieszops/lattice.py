@@ -6,9 +6,8 @@ mechanically.  Vectors carry either exact rational entries or floats (see
 ``scalars``); all lattice operations (meet, join, modulus, positive and
 negative parts) act componentwise.  They are written once, on the private
 ``_Entrywise`` base that ``operators.RegularOperator`` shares, since the
-lattice structure of the matrix spaces is entrywise too; so are the atom
-splitter and the random convex splitter behind the vector and the operator
-partitions.
+lattice structure of the matrix spaces is entrywise too; so are the
+partition builders, which split a vector and a matrix alike.
 
 Storage.  An ``_Entrywise`` holds one numpy array of its shape and one
 denominator.  In exact mode the array holds Python-int numerators (an
@@ -45,8 +44,9 @@ stored values: exactly in exact mode, within the absolute
 Partitions.  A ``Partition`` stores its pieces the same way, stacked on a
 first axis over one denominator, and is validated by one sum over that
 axis.  Every builder (trivial, halves, atomic, dyadic, random convex,
-disjoint, ``default_partitions``, the family the oracles try by default,
-and the operator splits of ``operators``) writes that array directly.  The
+disjoint, and ``default_partitions``, the family the oracles try by
+default) writes that array directly, and trivial, atomic and random convex
+also split the matrices of ``superop`` and ``counterexample``.  The
 segment-sum kernel ``_partition_sums`` serves every partition oracle: the
 images of the pieces of many partitions at once, summed per partition in
 piece order; in float mode one padded ``_left_sum`` per batch of
@@ -350,9 +350,6 @@ class _Entrywise:
     def is_positive(self) -> bool:
         return _all(_le_mask(0, self._values, self.is_exact))
 
-    def is_zero(self) -> bool:
-        return _all(_zero_mask(self._values, self.is_exact))
-
     def to_float(self):
         """The same element in float mode (no-op in float mode)."""
         if not self.is_exact:
@@ -441,14 +438,10 @@ class LatticeVector(_Entrywise):
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int, mode: str = EXACT) -> "LatticeVector":
-        return cls._of(*cls._constant((dim,), 0, mode))
-
-    @classmethod
-    def unit(cls, dim: int, index: int, mode: str = EXACT) -> "LatticeVector":
+    def unit(cls, dim: int, index: int) -> "LatticeVector":
         if not 0 <= index < dim:
             raise IndexError(f"unit index {index} out of range for dim {dim}")
-        values, den = cls._constant((dim,), 0, mode)
+        values, den = cls._constant((dim,), 0, EXACT)
         values[index] = 1
         return cls._of(values, den)
 
@@ -490,12 +483,12 @@ class Partition:
 
     The pieces are one array over one denominator, the first axis indexing
     the piece: Python-int numerators over D (exact mode) or float64 values
-    with D None (float mode).  A positive partition has pieces >= 0 that
-    sum to the target; a signed one (``signed=True``, the operator splits
-    sum_j |T_j| = T) has a positive target and pieces whose moduli sum to
-    it.  Either is checked once, by one sum over the first axis (left to
-    right in float mode, within ``DEFAULT_TOLERANCE``).  ``pieces`` builds
-    the containers on each access.
+    with D None (float mode).  The target is positive; a positive partition
+    has pieces >= 0 that sum to it, a signed one (``signed=True``, such as
+    the splits sum_j |T_j| = T of ``superop.verify_prop21``) pieces whose
+    moduli sum to it.  Either is checked once, by one sum over the first
+    axis (left to right in float mode, within ``DEFAULT_TOLERANCE``), so
+    the builders check nothing themselves.
     """
 
     __slots__ = ("target", "signed", "_values", "_den")
@@ -511,9 +504,11 @@ class Partition:
             pieces, den = _stack(pieces) if pieces else (np.empty(0), None)
         if not len(pieces) or pieces.shape[1:] != target.shape:
             raise ValueError("a partition needs pieces of its target's shape")
+        # Exact positive pieces that sum to the target prove it positive; float
+        # pieces within DEFAULT_TOLERANCE of zero, or signed pieces, do not.
+        if (signed or den is None) and not target.is_positive():
+            raise ValueError("partitions target a positive element")
         if signed:
-            if not target.is_positive():
-                raise ValueError("signed partitions target a positive element")
             moduli = np.abs(pieces)
         else:
             if not _all(_le_mask(0, pieces, den is not None)):
@@ -546,12 +541,6 @@ class Partition:
         if self._den is None:
             return _all(self._values == other._values)
         return _all(self._values * other._den == other._values * self._den)
-
-    @property
-    def pieces(self) -> tuple:
-        """The pieces as containers of the target's class, built on each
-        access."""
-        return tuple(self.target._of(row, self._den) for row in self._values)
 
     def is_disjoint(self) -> bool:
         """Whether the pieces are pairwise disjoint: at every coordinate at
@@ -615,18 +604,28 @@ def _partition_sums(
     return sums, D
 
 
-def trivial_partition(w: LatticeVector) -> Partition:
+def _entrywise_best(rows, den, better) -> LatticeVector:
+    """The entrywise best of ``rows`` over ``den``: an entry moves to a later
+    row where ``better`` (np.greater for a sup, np.less for an inf) holds,
+    so ties keep the earlier row, as Python's max and min do."""
+    best = rows[0]
+    for row in rows[1:]:
+        best = np.where(better(row, best), row, best)
+    return LatticeVector._of(best, den)
+
+
+def trivial_partition(w: _Entrywise) -> Partition:
+    """The one piece w itself, of a vector or a matrix."""
     return Partition(w, w._values[None], w._den)
 
 
-def atomic_partition(w: LatticeVector) -> Partition:
-    """Split w into its atoms w_i * unit_i (support only).
+def atomic_partition(w: _Entrywise) -> Partition:
+    """Split a positive vector or matrix w into its atoms, one piece per
+    nonzero entry holding that entry alone.
 
-    The zero vector yields a single zero piece so downstream formulas stay
+    The zero element yields a single zero piece so downstream formulas stay
     total.
     """
-    if not w.is_positive():
-        raise ValueError("atomic partitions are defined for positive vectors")
     return Partition(w, *w._atoms())
 
 
@@ -685,21 +684,19 @@ def halves_partition(w: LatticeVector) -> Partition:
 
 def dyadic_partition(w: LatticeVector) -> Partition:
     """Refine the atomic partition by halving each atom."""
-    if not w.is_positive():
-        raise ValueError("dyadic partitions are defined for positive vectors")
     atoms, den = w._atoms()
     pieces = np.repeat(atoms, 2, axis=0)
     return Partition(w, 0.5 * pieces, None) if den is None else Partition(w, pieces, den * 2)
 
 
 def random_convex_partition(
-    w: LatticeVector, parts: int, rng: Random
+    w: _Entrywise, parts: int, rng: Random, signed: bool = False
 ) -> Partition:
-    """Split w into ``parts`` positive pieces with per-coordinate random
-    convex weights on the grid k/SPLIT_DENOMINATOR (exact in rational mode)."""
-    if not w.is_positive():
-        raise ValueError("convex splits are defined for positive vectors")
-    return Partition(w, *w._convex_split(parts, rng))
+    """Split a positive vector or matrix w into ``parts`` pieces with
+    per-entry random convex weights on the grid k/SPLIT_DENOMINATOR (exact
+    in rational mode): positive pieces that sum to w, or, when ``signed``,
+    pieces with random signs whose moduli sum to w."""
+    return Partition(w, *w._convex_split(parts, rng, signed), signed=signed)
 
 
 def refinement_chain(w: LatticeVector) -> list:

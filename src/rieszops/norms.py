@@ -44,8 +44,9 @@ does a ``hadamard_tensor_power`` of more than ``superop.KRON_ENTRY_CAP``
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
 y^x extreme points of the domain's unit ball in an integer kernel on the
-stored numerators of |A| and |B|; a domain with more than
-``EXTREME_POINT_CAP`` (2^20) extreme points raises ``EnumerationLimitError``.
+stored numerators of |A| and |B|, first of all its work; a domain with
+more than ``EXTREME_POINT_CAP`` (2^20) extreme points raises
+``EnumerationLimitError`` before the norms and the samples.
 
 Norm values stay exact (``Fraction``) whenever the closed form involves no
 roots and the inputs are exact; witness vectors are always float-mode unit
@@ -560,11 +561,17 @@ def verify_cor23(
     above by sampling positive T of unit regular norm.  PASS iff the witness
     reaches the product within ``tol`` and no sample exceeds it by more than
     ``tol``; for the all-l1 assignment on exact inputs, the left side is
-    additionally enumerated exactly and must equal the product on the nose
-    (``EnumerationLimitError`` beyond ``EXTREME_POINT_CAP`` extreme points).
-    A run that ``check_sampling`` refuses raises before any work.
+    additionally enumerated exactly and must equal the product on the nose.
+    A run that ``check_sampling`` refuses raises before any work, and one
+    beyond ``EXTREME_POINT_CAP`` extreme points (``EnumerationLimitError``)
+    before any work but that check.
     """
     check_sampling(samples, A.shape, B.shape, assignment, positive=True)
+    # The exact closed form for the flagship assignment comes first, so that
+    # its extreme-point cap refuses a run before the norms and the samples.
+    closed_value = None
+    if _all_ones_1chain(assignment) and A.is_exact and B.is_exact:
+        closed_value = superop_regular_norm_1chain(A, B)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     absA = A.modulus_closed_form()
@@ -600,13 +607,11 @@ def verify_cor23(
             max_sample = largest[0]
     sample_excess = max(0.0, max_sample - product_f)
 
-    # Exact closed form for the flagship assignment.  Its deviation decides,
-    # unless the exact identity held but float-side sampling misbehaved:
-    # then the report gives the float deviation.
+    # The exact closed form's deviation decides, unless the exact identity
+    # held but float-side sampling misbehaved: then the report gives the
+    # float deviation.
     dev = max(witness_shortfall, sample_excess)
-    closed_value = None
-    if _all_ones_1chain(assignment) and A.is_exact and B.is_exact:
-        closed_value = superop_regular_norm_1chain(A, B)
+    if closed_value is not None:
         closed_dev = abs(closed_value - product)
         if closed_dev or dev <= tol:
             dev = closed_dev

@@ -26,8 +26,9 @@ all the partitions: one matrix product for every image, then ``abs`` or
 the minimum, then each partition's sum in piece order.
 
 The operator-side decompositions ``sum_j |T_j| = T`` used by the
-superoperator formulas are signed ``lattice.Partition``s of T, built here
-(trivial, atomic and seeded random splits).
+superoperator formulas are ``lattice.Partition``s of T, built by the same
+trivial, atomic and seeded random convex builders of ``lattice`` that
+split vectors.
 
 ``RegularOperator.apply`` and ``compose`` share one matrix product on the
 stored arrays (``lattice._matmul``).
@@ -36,7 +37,6 @@ stored arrays (``lattice._matmul``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,15 +45,14 @@ from .lattice import (
     DimensionMismatchError,
     LatticeVector,
     Partition,
-    _all,
     _Entrywise,
-    _eq_mask,
+    _entrywise_best,
     _matmul,
     _partition_sums,
     default_partitions,
     refinement_chain,
 )
-from .scalars import EXACT, ScalarModeError
+from .scalars import ScalarModeError
 
 
 class RegularOperator(_Entrywise):
@@ -87,18 +86,11 @@ class RegularOperator(_Entrywise):
     def cols(self) -> int:
         return self.shape[1]
 
-    def row(self, i: int) -> LatticeVector:
-        return LatticeVector._of(self._values[i], self._den)
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, mode: str = EXACT) -> "RegularOperator":
-        return cls.diagonal(LatticeVector.ones(n, mode))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, mode: str = EXACT) -> "RegularOperator":
-        return cls._of(*cls._constant((rows, cols), 0, mode))
+    def identity(cls, n: int) -> "RegularOperator":
+        return cls.diagonal(LatticeVector.ones(n))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RegularOperator":
@@ -203,14 +195,12 @@ class OracleResult:
     """Best partition bound found for a Riesz-Kantorovich expression.
 
     ``value`` is the running sup (modulus) or inf (meet) over all partitions
-    tried; ``best_partition`` is the first partition attaining it;
-    ``closed_form`` is the entrywise prediction at the same test vector;
-    ``attained`` reports componentwise equality of the two (within
+    tried; ``closed_form`` is the entrywise prediction at the same test
+    vector; ``attained`` reports componentwise equality of the two (within
     ``DEFAULT_TOLERANCE`` in float mode).
     """
 
     value: LatticeVector
-    best_partition: Partition
     closed_form: LatticeVector
     attained: bool
     partitions_tried: int
@@ -245,24 +235,17 @@ def _best_over_partitions(
 ) -> OracleResult:
     """Run a partition oracle: the segment-sum kernel sums the ``image`` rows
     (over ``den`` times the pieces' denominator) of each partition of w,
-    then a fold over those sums keeps the entries where ``better`` holds
-    (np.greater for the sup, np.less for the inf) and the first attainer."""
+    then ``lattice._entrywise_best`` folds those sums by ``better``
+    (np.greater for the sup, np.less for the inf)."""
     partitions = list(default_partitions(w) if partitions is None else partitions)
     if not partitions:
         raise ValueError("no partitions to try")
     if any(p.target is not w and p.target != w for p in partitions):
         raise ValueError("a partition does not split the test vector w")
     rows, D = _partition_sums(partitions, image, image_entries)
-    best, best_index = rows[0], 0
-    for index, row in enumerate(rows[1:], 1):
-        candidate = np.where(better(row, best), row, best)
-        if not _all(_eq_mask(candidate, best, D is not None)):
-            best_index = index
-        best = candidate
-    value = LatticeVector._of(best, den and den * D)
+    value = _entrywise_best(rows, den and den * D, better)
     return OracleResult(
         value=value,
-        best_partition=partitions[best_index],
         closed_form=closed,
         attained=value.eq(closed),
         partitions_tried=len(partitions),
@@ -317,25 +300,3 @@ def refinement_sums(A: RegularOperator, w: LatticeVector) -> list:
     sums, D = _partition_sums(refinement_chain(w), _modulus_images(A), A.rows)
     return [LatticeVector._of(row, A._den and A._den * D) for row in sums]
 
-
-# ---------------------------------------------------------------------------
-# operator partitions  sum_j |T_j| = T
-# ---------------------------------------------------------------------------
-
-
-def trivial_operator_partition(T: RegularOperator) -> Partition:
-    return Partition(T, T._values[None], T._den, signed=True)
-
-
-def atomic_operator_partition(T: RegularOperator) -> Partition:
-    """Split T >= 0 into matrix-unit pieces t_ij E_ij (nonzero entries only)."""
-    return Partition(T, *T._atoms(), signed=True)
-
-
-def random_operator_partition(
-    T: RegularOperator, parts: int, rng: Random, signed: bool = True
-) -> Partition:
-    """Split each entry of T >= 0 across ``parts`` pieces with random convex
-    weights (grid 1/16, exact in rational mode) and, when ``signed``, random
-    signs; unsigned splits give positive decompositions sum T_i = T."""
-    return Partition(T, *T._convex_split(parts, rng, signed), signed=True)

@@ -136,10 +136,6 @@ class VerificationReport:
                     f"deviation (status={self.status}, deviation={self.max_deviation})"
                 )
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def to_json(self) -> dict:
         # runtime_ms intentionally omitted: serialized reports depend only
         # on (inputs, seed).

@@ -28,8 +28,8 @@ The verifiers check, with exact rational arithmetic:
                               |M_{A,B0}| = M_{|A|,B0}  and
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
 
-``verify_prop21`` sends its atomic, singleton and random splittings of T
-(signed, stacked ``lattice.Partition``s) through one pass of the
+``verify_prop21`` sends its atomic, singleton and random signed splittings
+of T (stacked ``lattice.Partition``s) through one pass of the
 segment-sum kernel of ``lattice``, on their stored arrays in chunks of
 bounded size, reads the atomic value off the first row and folds the
 others; the tests check that pass against the loop over partitions and
@@ -56,15 +56,14 @@ from .lattice import (
     DimensionMismatchError,
     EnumerationLimitError,
     LatticeVector,
+    _entrywise_best,
     _matmul,
     _partition_sums,
+    atomic_partition,
+    random_convex_partition,
+    trivial_partition,
 )
-from .operators import (
-    RegularOperator,
-    atomic_operator_partition,
-    random_operator_partition,
-    trivial_operator_partition,
-)
+from .operators import RegularOperator
 from .reports import VerificationReport, make_report
 from .scalars import DEFAULT_TOLERANCE, ScalarModeError, zero_of
 
@@ -215,15 +214,6 @@ def _partition_values(A0, B, w, partitions) -> tuple:
     return values, D_T and A0._den * D_T * B._den * w._den
 
 
-def _sup(values, den) -> LatticeVector:
-    """The entrywise supremum of the rows of ``values`` over ``den``; ties
-    keep the earlier row, as Python's max does."""
-    best = values[0]
-    for value in values[1:]:
-        best = np.where(value > best, value, best)
-    return LatticeVector._of(best, den)
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
@@ -265,12 +255,12 @@ def verify_prop21(
     rhs_at_w = modulus_at_T.apply(w)
     # One kernel pass: the atomic partition first, then the coarse ones.
     rng = Random(seed or 0)
-    partitions = [atomic_operator_partition(T), trivial_operator_partition(T)]
-    partitions += [random_operator_partition(T, 3, rng) for _ in range(5)]
+    partitions = [atomic_partition(T), trivial_partition(T)]
+    partitions += [random_convex_partition(T, 3, rng, signed=True) for _ in range(5)]
     values, den = _partition_values(A0, B, w, partitions)
     atomic_value = LatticeVector._of(values[0], den)
     dev_atomic = deviation(atomic_value, rhs_at_w)
-    dev_coarse = one_sided_excess(_sup(values[1:], den), rhs_at_w)
+    dev_coarse = one_sided_excess(_entrywise_best(values[1:], den, np.greater), rhs_at_w)
 
     return make_report(
         claim_id="prop21",

@@ -1,4 +1,6 @@
-"""Shared strategies and hypothesis configuration."""
+"""Shared strategies, hypothesis configuration, and the test-side
+builders of values the package does not build for its own use: a zero
+container and the pieces of a partition as containers."""
 
 from fractions import Fraction
 
@@ -47,6 +49,21 @@ def matrix_pairs_same_shape(draw):
 def superop_quadruple_dims(draw):
     """(w, x, y, z) with A: z x y, B: x x w, T: y x x."""
     return tuple(draw(dims_st) for _ in range(4))
+
+
+def zeros(mode, *shape):
+    """The zero vector (one dimension given) or matrix (two) of a scalar
+    mode."""
+    zero = Fraction(0) if mode == "exact" else 0.0
+    if len(shape) == 1:
+        return LatticeVector([zero] * shape[0])
+    rows, cols = shape
+    return RegularOperator(rows, cols, [zero] * (rows * cols))
+
+
+def pieces_of(partition) -> tuple:
+    """The pieces of a partition as containers of its target's class."""
+    return tuple(partition.target._of(row, partition._den) for row in partition._values)
 
 
 @pytest.fixture

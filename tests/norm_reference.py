@@ -18,7 +18,6 @@ from operator import add
 import numpy as np
 
 from rieszops import LatticeVector
-from rieszops.scalars import FLOAT
 
 INF = math.inf
 
@@ -118,6 +117,11 @@ def _boyd_ascent(Af, n_from, n_to, x0, iters):
     return best_val, best_x
 
 
+def _rows(A) -> list:
+    """The rows of a matrix as vectors."""
+    return [LatticeVector(row) for row in A.to_lists()]
+
+
 def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
     """(value, witness, certified, method), as ``norms.NormResult`` holds
     them."""
@@ -125,14 +129,15 @@ def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
     positive = all(a >= 0 for a in A.entries)
 
     if n_from.p == 1.0:
-        values = [vector_norm(A.transpose().row(j), n_to) for j in range(A.cols)]
+        values = [vector_norm(column, n_to) for column in _rows(A.transpose())]
         best = max(range(A.cols), key=lambda j: values[j])
-        return values[best], LatticeVector.unit(A.cols, best, FLOAT), True, "max_column"
+        return values[best], LatticeVector.unit(A.cols, best).to_float(), True, "max_column"
 
     if n_to.p == INF:
-        values = [dual_norm(A.row(i), n_from) for i in range(A.rows)]
+        rows = _rows(A)
+        values = [dual_norm(row, n_from) for row in rows]
         best = max(range(A.rows), key=lambda i: values[i])
-        witness = norming_vector(A.row(best), n_from).to_float()
+        witness = norming_vector(rows[best], n_from).to_float()
         return values[best], witness, True, "max_row_dual"
 
     if n_from.p == INF and positive:
@@ -147,7 +152,9 @@ def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
     Af = A.to_float()
     rng = np.random.default_rng(seed)
     starts_list = [LatticeVector([1.0] * A.cols)]
-    starts_list += [LatticeVector.unit(A.cols, j, FLOAT) for j in range(min(A.cols, starts))]
+    starts_list += [
+        LatticeVector.unit(A.cols, j).to_float() for j in range(min(A.cols, starts))
+    ]
     for _ in range(starts):
         starts_list.append(LatticeVector(list(rng.standard_normal(A.cols))))
     best_val, best_x = 0.0, LatticeVector([1.0] * A.cols)

@@ -17,6 +17,8 @@ from rieszops import LatticeVector, RegularOperator
 from rieszops.lattice import SPLIT_DENOMINATOR
 from rieszops.scalars import DEFAULT_TOLERANCE
 
+from conftest import zeros
+
 # ---------------------------------------------------------------------------
 # builders: tuples of pieces
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def halves_partition(w: LatticeVector) -> tuple:
     return (restrict(w, support[:cut]), restrict(w, support[cut:]))
 
 
-def atomic_partition(w: LatticeVector) -> tuple:
+def atomic_partition(w) -> tuple:
     return atoms(w)
 
 
@@ -106,8 +108,8 @@ def dyadic_partition(w: LatticeVector) -> tuple:
     return tuple(atom.scale(half) for atom in atoms(w) for _ in range(2))
 
 
-def random_convex_partition(w: LatticeVector, parts: int, rng: Random) -> tuple:
-    return convex_split(w, parts, rng)
+def random_convex_partition(w, parts: int, rng: Random, signed: bool = False) -> tuple:
+    return convex_split(w, parts, rng, signed)
 
 
 def refinement_chain(w: LatticeVector) -> list:
@@ -145,18 +147,6 @@ def disjoint_partitions(e: LatticeVector) -> list:
     ]
 
 
-def trivial_operator_partition(T: RegularOperator) -> tuple:
-    return (T,)
-
-
-def atomic_operator_partition(T: RegularOperator) -> tuple:
-    return atoms(T)
-
-
-def random_operator_partition(T, parts, rng, signed=True) -> tuple:
-    return convex_split(T, parts, rng, signed)
-
-
 def is_partition(target, pieces, signed=False) -> bool:
     """The check one piece at a time: pieces >= 0 that sum to the target,
     or (signed) a positive target that the moduli of the pieces sum to."""
@@ -172,7 +162,7 @@ def is_partition(target, pieces, signed=False) -> bool:
 def is_disjoint(pieces) -> bool:
     """Pairwise: every two pieces meet in zero."""
     return all(
-        x.meet(y).is_zero()
+        not x.meet(y).support()
         for i, x in enumerate(pieces)
         for y in pieces[i + 1 :]
     )
@@ -185,7 +175,7 @@ def is_disjoint(pieces) -> bool:
 
 def partition_modulus_sum(A: RegularOperator, pieces) -> LatticeVector:
     """sum_i |A w_i| for one positive partition of w."""
-    total = LatticeVector.zero(A.rows, A.mode)
+    total = zeros(A.mode, A.rows)
     for piece in pieces:
         total = total + abs(A.apply(piece))
     return total
@@ -193,26 +183,20 @@ def partition_modulus_sum(A: RegularOperator, pieces) -> LatticeVector:
 
 def partition_meet_sum(S: RegularOperator, T: RegularOperator, pieces) -> LatticeVector:
     """sum_i min(S w_i, T w_i) for one positive partition of w."""
-    total = LatticeVector.zero(S.rows, S.mode)
+    total = zeros(S.mode, S.rows)
     for piece in pieces:
         total = total + S.apply(piece).meet(T.apply(piece))
     return total
 
 
 def best_over_partitions(families, evaluate, improve, closed):
-    """(value, index of the first attainer, partitions tried, attained):
-    ``improve`` (join or meet) folded over the values of the families."""
-    best, best_index = None, None
-    for index, pieces in enumerate(families):
+    """(value, partitions tried, attained): ``improve`` (join or meet)
+    folded over the values of the families."""
+    best = None
+    for pieces in families:
         value = evaluate(pieces)
-        if best is None:
-            best, best_index = value, index
-            continue
-        candidate = improve(best, value)
-        if not candidate.eq(best):
-            best_index = index
-        best = candidate
-    return best, best_index, len(families), best.eq(closed)
+        best = value if best is None else improve(best, value)
+    return best, len(families), best.eq(closed)
 
 
 def modulus_oracle(A, w, families):
@@ -242,7 +226,7 @@ def operator_partition_sup(A0, B, w, families) -> LatticeVector:
     at a time."""
     best = None
     for pieces in families:
-        total = RegularOperator.zero(A0.rows, B.cols, A0.mode)
+        total = zeros(A0.mode, A0.rows, B.cols)
         for piece in pieces:
             total = total + abs(A0 @ piece @ B)
         value = total.apply(w)
@@ -257,7 +241,7 @@ def double_partition_inf(f, partitions, splits) -> LatticeVector:
     best = None
     for pieces in splits:
         for blocks in partitions:
-            total = LatticeVector.zero(f.dim)
+            total = zeros("exact", f.dim)
             for T_i in pieces:
                 Te = T_i.apply(e)
                 for x_j in blocks:
@@ -266,14 +250,15 @@ def double_partition_inf(f, partitions, splits) -> LatticeVector:
     return best
 
 
-def g_double_prime_term(pieces_cols, pieces_Te, partition, f) -> LatticeVector:
+def g_double_prime_term(pieces_cols, pieces_Te, blocks, f) -> LatticeVector:
     """sum_i sum_j (T_i x_j ^ f(x_j) T_i e) for one split (the columns and
-    the row sums T_i e of its pieces) and one partition of e."""
+    the row sums T_i e of its pieces) and the blocks x_j of one partition
+    of e."""
     n = f.dim
-    total = LatticeVector.zero(n)
+    total = zeros("exact", n)
     for cols, Te in zip(pieces_cols, pieces_Te):
-        for x_j in partition.pieces:
-            image = LatticeVector.zero(n)
+        for x_j in blocks:
+            image = zeros("exact", n)
             for c in x_j.support():
                 image = image + cols[c].scale(x_j.entry(c))
             cap = Te.scale(f(x_j))

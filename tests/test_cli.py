@@ -444,6 +444,26 @@ def test_verify_cor23_over_extreme_point_cap_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_cor23_over_extreme_point_cap_exits_2_before_sampling(capsys):
+    # Within the sample stack cap, 200000 samples of 8 x 8 are 100 MiB of
+    # floats; the extreme-point cap refuses the run before they are drawn.
+    argv = ["verify", "cor23", "--corpus", "seed=1,dims=8x8x8x8,count=1",
+            "--samples", "200000"]
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5.0
+    assert peak < 16 * 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "enumeration cap" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, cap",
     [

@@ -1,6 +1,8 @@
+import re
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,7 @@ from rieszops.lattice import EnumerationLimitError
 from rieszops.scalars import ScalarModeError
 
 from cases import enumerate_components
-from conftest import positive_fractions_st
+from conftest import pieces_of, positive_fractions_st, zeros
 from partition_reference import g_double_prime_term
 
 
@@ -78,7 +80,8 @@ def test_identity_meet_B_is_matrix_unit(f):
     IB = identity_meet_B(f)
     expected = RegularOperator.diagonal(LatticeVector.unit(f.dim, f.index))
     assert IB.eq(expected)
-    assert not IB.is_zero()  # the finite world diverges from l_infinity here
+    # Nonzero: the finite world diverges from l_infinity here.
+    assert not IB.eq(zeros("exact", f.dim, f.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +104,7 @@ def test_admissible_components_count(f):
     for x in comps:
         assert f(x) == 1
         e = LatticeVector.ones(f.dim)
-        assert x.meet(e - x).is_zero()
+        assert not x.meet(e - x).support()
 
 
 @given(functionals())
@@ -109,8 +112,8 @@ def test_single_support_dichotomy(f):
     e = LatticeVector.ones(f.dim)
     for partition in disjoint_partitions(e):
         j0 = single_support_check(f, partition)
-        assert f(partition.pieces[j0]) == 1
-        for j, piece in enumerate(partition.pieces):
+        assert f(pieces_of(partition)[j0]) == 1
+        for j, piece in enumerate(pieces_of(partition)):
             if j != j0:
                 assert f(piece) == 0
 
@@ -121,6 +124,20 @@ def test_single_support_check_rejects_non_disjoint():
     halves = Partition(e, (e.scale(Fraction(1, 2)), e.scale(Fraction(1, 2))))
     with pytest.raises(ValueError):
         single_support_check(f, halves)
+
+
+@pytest.mark.parametrize("values, hits", [([[2, 0], [0, 1]], [0]), ([[0, 0], [0, 1]], [])])
+def test_single_support_check_names_the_hits_of_a_broken_partition(values, hits):
+    # Disjoint pieces of e whose coordinate 0 is not one piece at 1: only a
+    # family past Partition's own sum check can be one.
+    f = CoordinateFunctional(2, 0)
+    broken = object.__new__(Partition)
+    fields = (LatticeVector.ones(2), False, np.array(values, dtype=object), 1)
+    for name, value in zip(Partition.__slots__, fields):
+        object.__setattr__(broken, name, value)
+    assert broken.is_disjoint()
+    with pytest.raises(RuntimeError, match=re.escape(f"at positions {hits}")):
+        single_support_check(f, broken)
 
 
 def test_single_support_check_rejects_wrong_target():
@@ -144,7 +161,7 @@ def test_meet_picks_out_column_k(f):
         f.dim,
         [Fraction(data.randint(0, 40), data.randint(1, 8)) for _ in range(f.dim**2)],
     )
-    expected = T.transpose().row(f.index)
+    expected = LatticeVector(T.transpose().to_lists()[f.index])
     assert meet_via_components(T, f).eq(expected)
     Lambda = meet_superoperator(f)
     e = LatticeVector.ones(f.dim)
@@ -189,7 +206,7 @@ def _lab_operators(rng, n):
         RegularOperator.from_rows(rows),
         _random_positive(rng, n, big),
         _random_positive(rng, n, big**2),
-        RegularOperator.zero(n, n),
+        zeros("exact", n, n),
     ]
 
 
@@ -252,15 +269,18 @@ def _reference_inf_G(T, f, partition_budget, operator_split_samples, seed):
     partitions = _e_partitions(f, partition_budget)
     best = None
     for split in _positive_splits(T, operator_split_samples, seed):
-        pieces_cols = [[piece.transpose().row(c) for c in range(n)] for piece in split.pieces]
+        pieces_cols = [
+            [LatticeVector(col) for col in piece.transpose().to_lists()]
+            for piece in pieces_of(split)
+        ]
         pieces_Te = []
         for cols in pieces_cols:
-            Te = LatticeVector.zero(n)
+            Te = zeros("exact", n)
             for col in cols:
                 Te = Te + col
             pieces_Te.append(Te)
         for partition in partitions:
-            value = g_double_prime_term(pieces_cols, pieces_Te, partition, f)
+            value = g_double_prime_term(pieces_cols, pieces_Te, pieces_of(partition), f)
             best = value if best is None else best.meet(value)
     return best
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private top-level name is left that no module of the package uses, every
 public function, class and method is read by the package, ``scripts/`` or
-``perfbench/`` (or is one the acceptance spec reads), only
+``perfbench/`` (a method as an attribute, not as a local variable's name;
+or is one the acceptance spec reads), only
 ``lattice`` turns exact scalars into numerators over a denominator, only
 ``lattice`` reads ``.entries``, which builds a ``Fraction`` per exact
 entry, only ``lattice`` compares within ``DEFAULT_TOLERANCE`` (elsewhere it
@@ -172,35 +173,42 @@ def _public_definitions(tree):
 
 
 def _reads(tree, skip=None):
-    """Names a source reads as a ``Name``, an ``Attribute`` or an import,
-    outside the subtree ``skip``."""
-    found, todo = set(), [tree]
+    """(names, attributes) a source reads outside the subtree ``skip``: the
+    bare ``Name``s, and the ``Attribute``s, imports and ``Name``s in a class
+    body (an alias such as ``__mul__ = __rmul__ = scale``)."""
+    names, attributes, todo = set(), set(), [(tree, False)]
     while todo:
-        node = todo.pop()
+        node, in_class = todo.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            (attributes if in_class else names).add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found |= {alias.name for alias in node.names}
-        todo.extend(ast.iter_child_nodes(node))
-    return found
+            attributes |= {alias.name for alias in node.names}
+        inside = isinstance(node, ast.ClassDef) or in_class and not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        todo.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return names, attributes
 
 
 def unread_public_names(package: dict, readers: dict) -> list:
     """``module.name`` of each public function, class or method of the
     ``package`` sources that no package module reads outside its own
-    definition and no ``readers`` source reads; both map names to source."""
+    definition and no ``readers`` source reads; both map names to source.
+    A method is read only as an attribute (see ``_reads``), so a local
+    variable of the same spelling does not count."""
     trees = {module: ast.parse(text) for module, text in package.items()}
     reads = {module: _reads(tree) for module, tree in trees.items()}
-    scripts = set().union(*(_reads(ast.parse(text)) for text in readers.values()))
+    scripts = [_reads(ast.parse(text)) for text in readers.values()]
     unread = []
     for module, tree in trees.items():
-        elsewhere = scripts.union(*(r for m, r in reads.items() if m != module))
+        others = scripts + [r for m, r in reads.items() if m != module]
         for dotted, name, node in _public_definitions(tree):
-            if name not in elsewhere and name not in _reads(tree, skip=node):
+            method = "." in dotted
+            if not any(name in attributes or not method and name in names
+                       for names, attributes in [*others, _reads(tree, skip=node)]):
                 unread.append(f"{module}.{dotted}")
     return unread
 
@@ -232,14 +240,25 @@ def test_the_reader_check_flags_unread_public_names():
             "        return 0\n"
             "    def _private(self):\n"
             "        return 0\n"
+            "    def scale(self):\n"
+            "        return 0\n"
+            "    __mul__ = scale\n"
+            "    def width(self):\n"
+            "        return 0\n"
             "class Unread:\n"
             "    pass\n"
         ),
-        "b": "from .a import Shape\nVALUE = Shape().size()\n",
+        "b": (
+            "from .a import Shape\n"
+            "VALUE = Shape().size()\n"
+            "def _measure(width):\n"
+            "    for area in range(width):\n"
+            "        yield area\n"
+        ),
     }
     readers = {"script": "import a\nKEYS = {'a.recursive': a.Shape().edge}\n"}
     assert unread_public_names(package, readers) == [
-        "a.recursive", "a.Shape.area", "a.Unread"
+        "a.recursive", "a.Shape.area", "a.Shape.width", "a.Unread"
     ]
 
 

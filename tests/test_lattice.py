@@ -21,7 +21,7 @@ from rieszops.lattice import random_convex_partition
 from rieszops.scalars import ScalarModeError
 
 from cases import enumerate_components
-from conftest import fractions_st, vectors
+from conftest import fractions_st, pieces_of, vectors, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_lattice_identities(x, y):
     assert abs(x).eq(x.pos_part() + x.neg_part())
     # x = x+ - x-, disjointness of parts
     assert x.eq(x.pos_part() - x.neg_part())
-    assert x.pos_part().meet(x.neg_part()).is_zero()
+    assert not x.pos_part().meet(x.neg_part()).support()
 
 
 @given(vectors())
@@ -162,8 +162,8 @@ def test_components_of_ones_are_all_subsets():
         residual = c.base - c.piece
         assert c.piece.is_positive() and residual.is_positive()
         # x ^ (e - x) = 0 by definition of a component
-        assert c.piece.meet(e - c.piece).is_zero()
-    assert comps[0].piece.is_zero()
+        assert not c.piece.meet(e - c.piece).support()
+    assert not comps[0].piece.support()
     assert comps[-1].piece.eq(e)
 
 
@@ -172,7 +172,7 @@ def test_components_respect_support():
     comps = list(enumerate_components(v))
     assert len(comps) == 4  # subsets of the 2-point support
     for c in comps:
-        assert c.piece.meet(v - c.piece).is_zero()
+        assert not c.piece.meet(v - c.piece).support()
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,8 @@ def test_builtin_partitions_sum_to_target(w):
         halves_partition(w),
         dyadic_partition(w),
     ):
-        total = LatticeVector.zero(w.dim, w.mode)
-        for piece in p.pieces:
+        total = zeros(w.mode, w.dim)
+        for piece in pieces_of(p):
             assert piece.is_positive()
             total = total + piece
         assert total.eq(w)
@@ -201,6 +201,28 @@ def test_partition_rejects_bad_pieces():
         Partition(w, [LatticeVector([2, 2])])  # does not sum to target
     with pytest.raises(ValueError):
         Partition(w, [LatticeVector([2, 2]), LatticeVector([-1, -1])])  # negative
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        trivial_partition,
+        atomic_partition,
+        dyadic_partition,
+        lambda w: random_convex_partition(w, 3, Random(0)),
+        lambda w: random_convex_partition(w, 3, Random(0), signed=True),
+    ],
+)
+def test_builders_refuse_a_target_that_is_not_positive(build):
+    # [1.0, -1.5e-9] is below DEFAULT_TOLERANCE, but its halves are not.
+    targets = (
+        LatticeVector([1, -1]),
+        LatticeVector([1.0, -1.5e-9]),
+        RegularOperator.from_rows([[1], [-1]]),
+    )
+    for w in targets:
+        with pytest.raises(ValueError, match="positive"):
+            build(w)
 
 
 def test_atomic_partition_is_disjoint():
@@ -221,8 +243,8 @@ def test_disjoint_partitions_count_is_bell_number():
 def test_random_convex_partition_is_exact():
     w = LatticeVector([Fraction(3), Fraction(1, 2)])
     p = random_convex_partition(w, parts=3, rng=Random(0))
-    total = LatticeVector.zero(2)
-    for piece in p.pieces:
+    total = zeros("exact", 2)
+    for piece in pieces_of(p):
         assert piece.is_exact
         total = total + piece
     assert total.eq(w)

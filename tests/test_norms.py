@@ -431,6 +431,16 @@ def test_1chain_over_cap_raises_before_any_work(monkeypatch):
         superop_regular_norm_1chain(A, B)
 
 
+def test_cor23_refuses_the_extreme_point_cap_before_the_norms(monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("the extreme-point cap must be checked first")
+
+    monkeypatch.setattr(norms, "operator_norm", no_norm)
+    A, B = _chain_pair(Random(2307), 8, 8, 8, 8)
+    with pytest.raises(EnumerationLimitError, match="enumeration cap"):
+        norms.verify_cor23(A, B, norms.NormAssignment.uniform(1), samples=200000)
+
+
 @given(matrices(rows=2, cols=2), matrices(rows=2, cols=2))
 @settings(max_examples=20)
 def test_verify_cor23_exact_chain(A, B):

@@ -3,8 +3,8 @@ reference loops of ``partition_reference``.
 
 Every builder must give the pieces the tuple-based builder gave, from the
 same seeded draws; ``is_disjoint`` must agree with the pairwise test; and
-``modulus_oracle``, ``meet_oracle`` (value, first attainer, partitions
-tried, attainment), ``refinement_sums``, prop21's ``_partition_values`` and
+``modulus_oracle``, ``meet_oracle`` (value, partitions tried,
+attainment), ``refinement_sums``, prop21's ``_partition_values`` and
 the lab's ``_double_partition_inf`` must equal the loops one piece at a
 time: exactly in exact mode, bit for bit by ``float.hex`` in float mode.
 """
@@ -22,7 +22,6 @@ from rieszops import (
     LatticeVector,
     Partition,
     RegularOperator,
-    atomic_operator_partition,
     atomic_partition,
     default_partitions,
     disjoint_partitions,
@@ -30,18 +29,16 @@ from rieszops import (
     halves_partition,
     meet_oracle,
     modulus_oracle,
-    random_operator_partition,
+    random_convex_partition,
     refinement_chain,
     refinement_sums,
-    trivial_operator_partition,
     trivial_partition,
 )
 from rieszops import lattice
 from rieszops.counterexample import _double_partition_inf, _e_partitions, _positive_splits
-from rieszops.lattice import random_convex_partition
-from rieszops.superop import _partition_values, _sup
+from rieszops.superop import _partition_values
 
-from conftest import fractions_st, positive_fractions_st
+from conftest import fractions_st, pieces_of, positive_fractions_st
 
 MODES = ("exact", "float")
 
@@ -89,7 +86,7 @@ def _same(got, want):
 
 def _same_pieces(partition, pieces):
     assert len(partition) == len(pieces)
-    got = partition.pieces
+    got = pieces_of(partition)
     assert all(type(p) is type(q) for p, q in zip(got, pieces))
     assert all(_same(p, q) for p, q in zip(got, pieces))
 
@@ -153,16 +150,16 @@ def test_vector_builders_give_the_reference_pieces(mode, data):
 def test_operator_splits_give_the_reference_pieces(mode, data):
     T = data.draw(matrices(mode, positive=True))
     seed = data.draw(st.integers(0, 1000))
-    _same_pieces(trivial_operator_partition(T), ref.trivial_operator_partition(T))
-    _same_pieces(atomic_operator_partition(T), ref.atomic_operator_partition(T))
+    _same_pieces(trivial_partition(T), ref.trivial_partition(T))
+    _same_pieces(atomic_partition(T), ref.atomic_partition(T))
     for parts, signed in ((1, True), (2, False), (3, True), (4, True)):
         got_rng, want_rng = Random(seed), Random(seed)
         for _ in range(3):  # consecutive draws from one generator
             _same_split(
-                lambda: random_operator_partition(T, parts, got_rng, signed),
+                lambda: random_convex_partition(T, parts, got_rng, signed),
                 T,
-                ref.random_operator_partition(T, parts, want_rng, signed),
-                signed=True,
+                ref.random_convex_partition(T, parts, want_rng, signed),
+                signed,
             )
         assert got_rng.random() == want_rng.random()
 
@@ -178,7 +175,7 @@ def test_a_float_convex_split_of_tiny_entries_keeps_its_pieces():
     S = RegularOperator(2, 2, [1.0, -2.0, 0.5, 3.0])
     family = default_partitions(w)
     result = modulus_oracle(S, w)
-    _assert_same_result(result, family, ref.modulus_oracle(S, w, [p.pieces for p in family]))
+    _assert_same_result(result, ref.modulus_oracle(S, w, [pieces_of(p) for p in family]))
     assert result.attained
 
 
@@ -215,9 +212,9 @@ def test_builders_still_go_through_the_public_constructor(monkeypatch):
     T = RegularOperator(2, 2, [1, 0, 2, 3])
     default_partitions(w)
     list(disjoint_partitions(w))
-    trivial_operator_partition(T)
-    atomic_operator_partition(T)
-    random_operator_partition(T, 3, Random(0))
+    trivial_partition(T)
+    atomic_partition(T)
+    random_convex_partition(T, 3, Random(0), signed=True)
     assert built == ["LatticeVector"] * (9 + 5) + ["RegularOperator"] * 3
 
 
@@ -241,7 +238,7 @@ def test_is_disjoint_is_the_pairwise_test(mode, data):
     if ref.is_partition(w, ref.random_convex_partition(w, 3, Random(seed))):
         families.append(random_convex_partition(w, 3, Random(seed)))
     for partition in families:
-        assert partition.is_disjoint() is ref.is_disjoint(partition.pieces)
+        assert partition.is_disjoint() is ref.is_disjoint(pieces_of(partition))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -253,9 +250,9 @@ def test_is_disjoint_at_the_tolerance(mode):
     w = vector([1, 1])
     tiny = Fraction(1, 10**12)
     overlap = Partition(w, [vector([1 - tiny, 0]), vector([tiny, 1])])
-    assert overlap.is_disjoint() is ref.is_disjoint(overlap.pieces) is (mode == "float")
+    assert overlap.is_disjoint() is ref.is_disjoint(pieces_of(overlap)) is (mode == "float")
     split = Partition(w, [vector([Fraction(1, 2), 0]), vector([Fraction(1, 2), 1])])
-    assert not split.is_disjoint() and not ref.is_disjoint(split.pieces)
+    assert not split.is_disjoint() and not ref.is_disjoint(pieces_of(split))
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +267,11 @@ def _oracle_case(data, mode):
     return S, T, w
 
 
-def _assert_same_result(result, family, want):
-    """``result`` agrees with the reference (value, index of the first
-    attainer, partitions tried, attained) over ``family``; a family the
-    oracle built itself is matched by equality, not identity."""
-    value, index, tried, attained = want
+def _assert_same_result(result, want):
+    """``result`` agrees with the reference (value, partitions tried,
+    attained)."""
+    value, tried, attained = want
     assert _same(result.value, value)
-    if any(p is result.best_partition for p in family):
-        assert result.best_partition is family[index]
-    else:
-        assert result.best_partition == family[index]
     assert result.partitions_tried == tried
     assert result.attained is attained
 
@@ -293,15 +285,15 @@ def test_oracles_equal_the_per_piece_loops(mode, data):
         with pytest.raises(ValueError, match="sum to the target"):
             modulus_oracle(S, w)
         return
-    pieces = [p.pieces for p in family]
-    _assert_same_result(modulus_oracle(S, w), family, ref.modulus_oracle(S, w, pieces))
-    _assert_same_result(modulus_oracle(S, w, family), family, ref.modulus_oracle(S, w, pieces))
-    _assert_same_result(meet_oracle(S, T, w, family), family, ref.meet_oracle(S, T, w, pieces))
+    pieces = [pieces_of(p) for p in family]
+    _assert_same_result(modulus_oracle(S, w), ref.modulus_oracle(S, w, pieces))
+    _assert_same_result(modulus_oracle(S, w, family), ref.modulus_oracle(S, w, pieces))
+    _assert_same_result(meet_oracle(S, T, w, family), ref.meet_oracle(S, T, w, pieces))
     # A stream of many small partitions, given in reverse.
     family = list(disjoint_partitions(w))[::-1]
-    pieces = [p.pieces for p in family]
-    _assert_same_result(modulus_oracle(S, w, family), family, ref.modulus_oracle(S, w, pieces))
-    _assert_same_result(meet_oracle(S, T, w, family), family, ref.meet_oracle(S, T, w, pieces))
+    pieces = [pieces_of(p) for p in family]
+    _assert_same_result(modulus_oracle(S, w, family), ref.modulus_oracle(S, w, pieces))
+    _assert_same_result(meet_oracle(S, T, w, family), ref.meet_oracle(S, T, w, pieces))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -322,13 +314,13 @@ def test_oracles_keep_the_first_attainer_across_kernel_chunks(mode, monkeypatch)
     if mode == "float":
         w, S, T = w.to_float(), S.to_float(), T.to_float()
     family = default_partitions(w) + [atomic_partition(w)]
-    pieces = [p.pieces for p in family]
+    pieces = [pieces_of(p) for p in family]
     monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1)
     for got, want in (
         (modulus_oracle(S, w, family), ref.modulus_oracle(S, w, pieces)),
         (meet_oracle(S, T, w, family), ref.meet_oracle(S, T, w, pieces)),
     ):
-        _assert_same_result(got, family, want)
+        _assert_same_result(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +339,11 @@ def test_operator_partition_sup_equals_the_per_piece_loop(mode, data, seed):
     T = data.draw(matrices(mode, y, x, positive=True))
     v = data.draw(vectors(mode, w_dim, positive=True))
     rng = Random(seed)
-    families = [atomic_operator_partition(T), trivial_operator_partition(T)] + [
-        random_operator_partition(T, 3, rng) for _ in range(3)
+    families = [atomic_partition(T), trivial_partition(T)] + [
+        random_convex_partition(T, 3, rng, signed=True) for _ in range(3)
     ]
-    got = _sup(*_partition_values(A0, B, v, families))
-    want = ref.operator_partition_sup(A0, B, v, [p.pieces for p in families])
+    got = lattice._entrywise_best(*_partition_values(A0, B, v, families), np.greater)
+    want = ref.operator_partition_sup(A0, B, v, [pieces_of(p) for p in families])
     assert _same(got, want)
 
 
@@ -370,7 +362,7 @@ def test_double_partition_inf_equals_the_per_piece_loop(n, data, budget, samples
     splits = _positive_splits(T, samples, seed)
     got = _double_partition_inf(f, partitions, splits)
     want = ref.double_partition_inf(
-        f, [p.pieces for p in partitions], [s.pieces for s in splits]
+        f, [pieces_of(p) for p in partitions], [pieces_of(s) for s in splits]
     )
     assert got.entries == want.entries
     assert all(type(e) is Fraction for e in got.entries)

@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 
 from rieszops import LatticeVector, RegularOperator, kron, unvec, vec
-from rieszops.lattice import SPLIT_DENOMINATOR
-from rieszops.operators import atomic_operator_partition
+from rieszops.lattice import SPLIT_DENOMINATOR, _entrywise_best, atomic_partition
 from rieszops.scalars import DEFAULT_TOLERANCE, zero_of
-from rieszops.superop import _partition_values, _sup, deviation
+from rieszops.superop import _partition_values, deviation
 
 # ---------------------------------------------------------------------------
 # references: the tuple loops
@@ -148,7 +147,6 @@ PREDICATES = {
         lambda x, y: x.is_positive(),
         lambda x, y: all(le(zero_of(x.mode), a) for a in x.entries),
     ),
-    "is_zero": (lambda x, y: x.is_zero(), lambda x, y: all(is_zero(a) for a in x.entries)),
 }
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,7 @@ def test_equal_values_by_different_paths_compare_and_hash_equal():
     B = RegularOperator(2, 2, ["3/4", "-1/2", "1/6", "1"])
     T = RegularOperator(2, 2, ["2/5", "1/10", "3", "0"])
     w = LatticeVector(["1/7", "2/7"])
-    got = _sup(*_partition_values(A0, B, w, [atomic_operator_partition(T)]))
+    got = _entrywise_best(*_partition_values(A0, B, w, [atomic_partition(T)]), np.greater)
     same = LatticeVector([str(a) for a in got.entries])
     assert _lowest_terms(got)
     assert got == same and hash(got) == hash(same)

@@ -10,10 +10,10 @@ from rieszops import (
     LatticeVector,
     RegularOperator,
     Superoperator,
-    atomic_operator_partition,
+    atomic_partition,
     kron,
-    random_operator_partition,
-    trivial_operator_partition,
+    random_convex_partition,
+    trivial_partition,
     unvec,
     vec,
     verify_cor22,
@@ -23,7 +23,14 @@ from rieszops import (
 from rieszops import lattice, superop
 from rieszops.lattice import EnumerationLimitError
 
-from conftest import fractions_st, matrices, positive_fractions_st, superop_quadruple_dims
+from conftest import (
+    fractions_st,
+    matrices,
+    pieces_of,
+    positive_fractions_st,
+    superop_quadruple_dims,
+    zeros,
+)
 
 
 def _np(M: RegularOperator) -> np.ndarray:
@@ -121,9 +128,10 @@ def test_corner_decomposition(case):
         Superoperator.build(A.neg_part(), B.neg_part()),
     ]
     # pairwise disjoint positive superoperators
+    zero = M.rep - M.rep
     for i in range(4):
         for j in range(i + 1, 4):
-            assert corners[i].rep.meet_closed_form(corners[j].rep).is_zero()
+            assert corners[i].rep.meet_closed_form(corners[j].rep).eq(zero)
     # signed expansion reconstructs M
     expanded = (
         corners[0].rep - corners[1].rep - corners[2].rep + corners[3].rep
@@ -141,7 +149,9 @@ def test_corner_decomposition(case):
 
 def _partition_sup(A0, B, w, partitions):
     """The supremum over the partitions by the kernel ``verify_prop21`` runs."""
-    return superop._sup(*superop._partition_values(A0, B, w, partitions))
+    return lattice._entrywise_best(
+        *superop._partition_values(A0, B, w, partitions), np.greater
+    )
 
 
 @given(superop_case(positive_A=True, positive_T=True))
@@ -149,7 +159,7 @@ def _partition_sup(A0, B, w, partitions):
 def test_atomic_partition_sup_attains(case):
     A0, B, T = case
     w = LatticeVector.ones(B.cols)
-    sup = _partition_sup(A0, B, w, [atomic_operator_partition(T)])
+    sup = _partition_sup(A0, B, w, [atomic_partition(T)])
     rhs = (A0 @ T @ abs(B)).apply(w)
     assert sup.eq(rhs)
 
@@ -159,7 +169,7 @@ def test_atomic_partition_sup_attains(case):
 def test_singleton_partition_sup_is_dominated(case):
     A0, B, T = case
     w = LatticeVector.ones(B.cols)
-    single = _partition_sup(A0, B, w, [trivial_operator_partition(T)])
+    single = _partition_sup(A0, B, w, [trivial_partition(T)])
     rhs = (A0 @ T @ abs(B)).apply(w)
     assert single.le(rhs)
 
@@ -180,8 +190,8 @@ def test_verify_prop21_input_validation():
 def _partition_superop_sum(A0, B, partition):
     """sum_j |A0 T_j B| for one operator partition of T, one operator at a
     time (the loop the kernel replaced)."""
-    total = RegularOperator.zero(A0.rows, B.cols, A0.mode)
-    for piece in partition.pieces:
+    total = zeros(A0.mode, A0.rows, B.cols)
+    for piece in pieces_of(partition):
         total = total + (A0 @ piece @ B).modulus_closed_form()
     return total
 
@@ -199,10 +209,10 @@ def _reference_partition_sup(A0, B, T, w, partitions):
 def _kernel_strategies(T, seed):
     """Atomic, singleton and 4 seeded signed random partitions of T, alone
     and combined."""
-    atomic = [atomic_operator_partition(T)]
-    singleton = [trivial_operator_partition(T)]
+    atomic = [atomic_partition(T)]
+    singleton = [trivial_partition(T)]
     rng = Random(seed)
-    signed = [random_operator_partition(T, 3, rng) for _ in range(4)]
+    signed = [random_convex_partition(T, 3, rng, signed=True) for _ in range(4)]
     return (atomic, singleton, signed, atomic + singleton + signed)
 
 
@@ -248,7 +258,7 @@ def test_partition_sup_kernel_on_4x4x4x4_and_special_inputs():
         _assert_kernel_matches(*case, _kernel_strategies(case[2], seed=4)[kind])
         # An all-zero T: the atomic partition falls back to the partition [T].
         A0, B, _, v = _seeded_case(rng, (3, 2, 3, 2))
-        zero = RegularOperator.zero(3, 2)
+        zero = zeros("exact", 3, 2)
         _assert_kernel_matches(A0, B, zero, v, _kernel_strategies(zero, seed=4)[kind])
         for scale in (Fraction(10**12, 7), Fraction(10**12, 7) ** 2):
             case = _seeded_case(rng, (3, 4, 3, 4), scale)
