@@ -439,6 +439,13 @@ def batched_operator_norm(
 SAMPLE_STACK_CAP = 1 << 24
 
 
+def _sample_entries(a_shape: tuple, b_shape: tuple) -> int:
+    """The most entries of one sample's T (y x x), A T (z x x) or A T B
+    (z x w), for A of shape (z, y) and B of shape (x, w)."""
+    (z, y), (x, w) = a_shape, b_shape
+    return max(y * x, z * x, z * w)
+
+
 def check_sampling(
     samples: int, a_shape: tuple, b_shape: tuple, assignment, positive: bool
 ):
@@ -452,7 +459,7 @@ def check_sampling(
     if samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {samples}")
     (z, y), (x, w) = a_shape, b_shape
-    entries = max(y * x, z * x, z * w)
+    entries = _sample_entries(a_shape, b_shape)
     if samples * entries > SAMPLE_STACK_CAP:
         raise EnumerationLimitError(
             f"{samples} samples of {entries} entries exceed sample stack cap "
@@ -469,21 +476,38 @@ def check_sampling(
             _check_search(count, *shape)
 
 
+def _draws(draw, samples: int, A: RegularOperator, B: RegularOperator):
+    """``samples`` random T (A.cols x B.rows) from ``draw(size)``, as stacks
+    of ``lattice._chunk_size`` samples of ``_sample_entries`` each.  numpy's
+    generators give one call's stream split across calls, so the stacks hold
+    the same numbers in the same order as one draw of every sample."""
+    step = _chunk_size(_sample_entries(A.shape, B.shape))
+    for start in range(0, samples, step):
+        yield draw((min(step, samples - start), A.cols, B.rows))
+
+
 def _largest_image(
-    arr_A: np.ndarray, stack: np.ndarray, arr_B: np.ndarray, assignment: NormAssignment
+    arr_A: np.ndarray, stacks, arr_B: np.ndarray, assignment: NormAssignment
 ):
-    """The largest norm (W -> Z) of the images A T B of a stack of T scaled
-    to unit norm (X -> Y), formed as one batched product, and its T; None if
-    every T of the stack is zero."""
-    t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y)
-    keep = t_norms > 0.0
-    if not keep.any():
-        return None
-    normalized = stack[keep] / t_norms[keep][:, None, None]
-    images = arr_A @ normalized @ arr_B
-    values = batched_operator_norm(images, assignment.n_W, assignment.n_Z)
-    idx = int(values.argmax())
-    return float(values[idx]), normalized[idx]
+    """The largest norm (W -> Z) of the images A T B of the T of ``stacks``
+    (an iterable of stacks) scaled to unit norm (X -> Y), each stack's images
+    formed as one batched product, and the first T that reaches it, as
+    ``argmax`` over one stack of them all would pick it; None if every T is
+    zero."""
+    best = None
+    for stack in stacks:
+        t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y)
+        keep = t_norms > 0.0
+        if not keep.any():
+            continue
+        normalized = stack[keep] / t_norms[keep][:, None, None]
+        images = arr_A @ normalized @ arr_B
+        values = batched_operator_norm(images, assignment.n_W, assignment.n_Z)
+        idx = int(values.argmax())
+        # A later stack wins only by more, or by the first nan, as in argmax.
+        if best is None or np.argmax([best[0], values[idx]]):
+            best = float(values[idx]), normalized[idx].copy()
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +622,10 @@ def verify_cor23(
     # Sampled upper side: positive T of unit regular norm never push
     # ||  |A| T |B|  || above the product.
     rng = np.random.default_rng(seed)
-    max_sample = 0.0
-    if samples > 0:
-        stack = rng.uniform(0.0, 1.0, size=(samples, A.cols, B.rows))
-        arr_A, arr_B = np.array(absA.as_floats()), np.array(absB.as_floats())
-        largest = _largest_image(arr_A, stack, arr_B, assignment)
-        if largest is not None:
-            max_sample = largest[0]
+    stacks = _draws(lambda size: rng.uniform(0.0, 1.0, size), samples, A, B)
+    arr_A, arr_B = np.array(absA.as_floats()), np.array(absB.as_floats())
+    largest = _largest_image(arr_A, stacks, arr_B, assignment)
+    max_sample = 0.0 if largest is None else largest[0]
     sample_excess = max(0.0, max_sample - product_f)
 
     # The exact closed form's deviation decides, unless the exact identity
@@ -695,11 +716,7 @@ def gap_report(
     arr_A = np.array(A.as_floats())
     arr_B = np.array(B.as_floats())
     rng = np.random.default_rng(seed)
-    candidates = []
-    if samples > 0:
-        candidates.append(
-            rng.standard_normal(size=(samples, A.cols, B.rows))
-        )
+    candidates = [_draws(rng.standard_normal, samples, A, B)]
     witness_T = None
     if n_X.p == 2.0 and n_Y.p == 2.0:
         # T = v_A u_B^T maps B's top output direction onto A's top input
@@ -707,11 +724,11 @@ def gap_report(
         v_A = np.linalg.svd(arr_A)[2][0]
         u_B = np.linalg.svd(arr_B)[0][:, 0]
         witness_T = np.outer(v_A, u_B)
-        candidates.append(witness_T[None, :, :])
+        candidates.append([witness_T[None, :, :]])
     best = 0.0
     best_T = witness_T
-    for stack in candidates:
-        largest = _largest_image(arr_A, stack, arr_B, assignment)
+    for stacks in candidates:
+        largest = _largest_image(arr_A, stacks, arr_B, assignment)
         if largest is not None and largest[0] > best:
             best, best_T = largest
     rho = best / denom if denom > 0.0 else 0.0
