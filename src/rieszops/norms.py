@@ -21,9 +21,10 @@ over a denominator: Python-int numerators (so exact values stay
 ``Fraction``) or float64, sums taken by ``lattice._left_sum`` and powers
 as Python's float power.  ``operator_norm`` runs the kernel on a stack of
 one, ``batched_operator_norm`` on a whole stack, and both give a matrix
-the same bits; only 2 -> 2 differs, where a stack asks LAPACK for the
-singular values alone.  ``vector_norm``, ``dual_norm`` and
-``norming_functional`` are the kernel on one vector.
+the same bits; only 2 -> 2 differs, where a matrix gets its full SVD (the
+witness is a singular vector) and a stack the largest eigenvalue of each
+scaled Gram matrix, which agree to O(u) relative.  ``vector_norm``,
+``dual_norm`` and ``norming_functional`` are the kernel on one vector.
 
 ``regular_norm`` is the operator norm of the entrywise modulus.  The two
 verifiers cover the regular-norm multiplicativity of two-sided
@@ -33,13 +34,14 @@ the gap between the operator norm and the regular norm of the same map
 (``gap_report``), which collapses like 2^-m along the sign-matrix family
 H_2^{(x) m}.
 
-Both verifiers sample a stack of T and form every image A T_s B as one
-batched BLAS product ``A @ stack @ B``; a stack of more than
-``SAMPLE_STACK_CAP`` (2^24) floats, or a norm search over the samples,
-their images or the factors beyond ``SEARCH_WORK_CAP``, raises
-``EnumerationLimitError`` before any work (``check_sampling``), and so
-does a ``hadamard_tensor_power`` of more than ``superop.KRON_ENTRY_CAP``
-(2^20) entries, i.e. m > 10.
+Both verifiers draw their samples T in stacks of ``lattice._chunk_size``
+samples and form each stack's images A T_s B as one batched BLAS product
+``A @ stack @ B``, so a run's memory does not grow with its sample count.
+A run of more than ``SAMPLE_STACK_CAP`` (2^24) sampled entries, or a norm
+search over the samples, their images or the factors beyond
+``SEARCH_WORK_CAP``, raises ``EnumerationLimitError`` before any work
+(``check_sampling``), and so does a ``hadamard_tensor_power`` of more than
+``superop.KRON_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
@@ -102,8 +104,7 @@ class LatticeNorm:
         return self.p / (self.p - 1.0)
 
     def to_json(self) -> dict:
-        # "weights" is always null; the cor23 and gap input digests hash it.
-        return {"p": "inf" if self.p == INF else self.p, "weights": None}
+        return {"p": "inf" if self.p == INF else self.p}
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,9 @@ def _closed_form(values, den, n_from, n_to, method: str, witness: bool):
     (count, cols) float unit vectors attaining the norms when ``witness`` is
     set, else None.
 
-    The SVD gives singular values alone without ``witness``: a cheaper LAPACK
-    routine, whose last bits may differ from those of the full decomposition.
+    At 2 -> 2 a witness needs the full SVD; without one the norms are the
+    Gram kernel's (``_largest_singular_values``), within O(u) relative of
+    the SVD's but not bit for bit.
     """
     count, _, cols = values.shape
     pick = np.arange(count)
@@ -296,9 +298,24 @@ def _closed_form(values, den, n_from, n_to, method: str, witness: bool):
         return norms, np.ones((count, cols)) if witness else None
     floats = _floats(values, den)
     if not witness:
-        return np.linalg.svd(floats, compute_uv=False)[:, 0], None
+        return _largest_singular_values(floats), None
     _, svd_s, svd_vt = np.linalg.svd(floats)
     return svd_s[:, 0], svd_vt[:, 0]
+
+
+def _largest_singular_values(stack):
+    """sigma_max of each matrix of a float stack (count, rows, cols): the
+    square root of the largest eigenvalue of its Gram matrix on the smaller
+    side, by one ``eigvalsh`` call.  Each matrix is first scaled, exactly, by
+    the power of two that brings its largest entry into [1/2, 1) (Blue's
+    scaled norm), so that its Gram matrix neither underflows nor overflows,
+    and sigma is scaled back."""
+    if stack.shape[-2] < stack.shape[-1]:
+        stack = stack.swapaxes(-1, -2)
+    _, exps = np.frexp(np.abs(stack).max(axis=(-2, -1)))
+    scaled = np.ldexp(stack, -exps[:, None, None])
+    top = np.linalg.eigvalsh(scaled.swapaxes(-1, -2) @ scaled)[:, -1]
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exps)
 
 
 #: The search runs SEARCH_ITERS ascent steps from each of all-ones, the first
@@ -424,18 +441,19 @@ def batched_operator_norm(
     """p -> q norms of a float stack of matrices, shape (count, rows, cols).
 
     One kernel call, closed form or search, that gives each matrix bit for
-    bit the value ``operator_norm`` gives it at seed 0 (but for 2 -> 2, see
-    ``_closed_form``); a search over more than ``SEARCH_WORK_CAP`` is refused
-    before its first step.
+    bit the value ``operator_norm`` gives it at seed 0, but for 2 -> 2, where
+    the largest eigenvalue of each scaled Gram matrix stands in for the SVD
+    (see ``_closed_form``); a search over more than ``SEARCH_WORK_CAP`` is
+    refused before its first step.
     """
     return _operator_norms(stack, None, n_from, n_to)[1]
 
 
-#: Most floats in each sampled stack: the samples T_s, the partial products
-#: A T_s and the images A T_s B each hold at most this many (128 MiB).  A run
-#: holds several such stacks at once (the samples, their normalised copy, the
-#: images and the norms' intermediates), so its peak is a multiple of this:
-#: 621 MiB for ``gap --m 1 --samples 4000000``.
+#: Most entries a sampling run draws or forms: over the whole run, its
+#: samples T_s, their partial products A T_s and their images A T_s B each
+#: number at most this many, which bounds the run's work.  The samples are
+#: drawn and evaluated ``lattice._chunk_size`` at a time, so the run's memory
+#: stays bounded whatever this allows.
 SAMPLE_STACK_CAP = 1 << 24
 
 
@@ -450,7 +468,7 @@ def check_sampling(
     samples: int, a_shape: tuple, b_shape: tuple, assignment, positive: bool
 ):
     """Refuse a sampling run before anything is built or drawn: a negative
-    sample count (``ValueError``), a sampled stack beyond ``SAMPLE_STACK_CAP``
+    sample count (``ValueError``), sampled entries beyond ``SAMPLE_STACK_CAP``
     or a norm search beyond ``SEARCH_WORK_CAP`` (``EnumerationLimitError``)
     over the y x x samples (X -> Y), their z x w images (W -> Z) or the
     factors' moduli |A| (Y -> Z) and |B| (W -> X).  ``a_shape`` = (z, y) and

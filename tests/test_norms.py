@@ -240,13 +240,55 @@ def test_batched_operator_norm_matches_scalar_path(k, shape):
 
 @given(st.integers(min_value=1, max_value=40), st.sampled_from([(3, 2), (9, 9)]))
 def test_batched_2_to_2_norms_match_scalar_path_to_rounding(k, shape):
-    # A stack asks LAPACK for the singular values alone, one matrix for its
-    # full SVD (the witness is a singular vector); the two routines may differ
-    # in the last bits.
+    # A stack takes the largest eigenvalue of each Gram matrix, one matrix
+    # its full SVD (the witness is a singular vector); the two may differ in
+    # the last bits.
     stack = np.random.default_rng(k).normal(size=(5, *shape))
     n2 = LatticeNorm(p=2.0)
     batched = batched_operator_norm(stack, n2, n2)
     assert np.allclose(batched, _singles(stack, n2, n2), rtol=1e-13, atol=0.0)
+
+
+#: Scales of the Gram-kernel stacks: a Gram matrix of entries at 1e+-200
+#: overflows or underflows unless each matrix is scaled first.
+GRAM_SCALES = (1.0, 1e150, 1e-150, 2.0**500, 2.0**-500, 1e200, 1e-200)
+
+
+@st.composite
+def gram_stacks(draw):
+    """A float stack of 1 to 3 matrices of one shape (1 x 1 to 64 x 64, wide
+    or tall), each of full rank, of a lower rank or zero, at its own scale."""
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = []
+    for kind in draw(st.lists(st.sampled_from(["full", "deficient", "zero"]),
+                              min_size=1, max_size=3)):
+        rank = {"full": min(rows, cols), "zero": 0,
+                "deficient": draw(st.integers(1, max(1, min(rows, cols) - 1)))}[kind]
+        m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        matrices.append(m * draw(st.sampled_from(GRAM_SCALES)))
+    return np.stack(matrices)
+
+
+@given(gram_stacks())
+@settings(max_examples=60, deadline=None)
+def test_batched_2_to_2_norms_are_the_top_singular_values(stack):
+    # The Gram kernel against LAPACK's singular values, within
+    # 8 max(rows, cols) units of roundoff relative (0 for a zero matrix).
+    n2 = LatticeNorm(p=2.0)
+    got = batched_operator_norm(stack, n2, n2)
+    want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    bound = 8 * max(stack.shape[1:]) * np.finfo(float).eps / 2
+    assert np.all(np.abs(got - want) <= bound * want), (got, want)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_gap_report_ratio_does_not_depend_on_the_scale(scale):
+    # Unscaled, the Gram matrices of 1e-100 H underflow to zero (rho 0) and
+    # those of 1e100 H overflow.
+    H = hadamard_tensor_power(2).to_float().scale(scale)
+    report = gap_report(H, H, NormAssignment.uniform(2.0), samples=200, seed=0)
+    assert abs(report.details["rho"] - 0.25) <= 1e-12
 
 
 @pytest.mark.parametrize("p_from, p_to", [(math.inf, 3.5), (3.5, 2.0)])
@@ -503,6 +545,60 @@ def test_verify_cor23_sampled_images_match_einsum(dims, p):
     report = verify_cor23(A, B, assignment, samples=300, seed=5)
     reference = _reference_max_sample(A, B, assignment, 300, 5)
     assert report.details["max_sample"] == pytest.approx(reference, rel=1e-13)
+
+
+def _chunked(monkeypatch, entries, run):
+    """The report of ``run()`` with ``lattice._KERNEL_CHUNK_ENTRIES`` set to
+    ``entries``, and the sizes of the sampled stacks it drew."""
+    sizes, draws = [], norms._draws
+
+    def spy(*args):
+        for stack in draws(*args):
+            sizes.append(len(stack))
+            yield stack
+
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(norms, "_draws", spy)
+    try:
+        return run().to_json(), sizes
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("run, samples", [
+    # The tied Hadamard family: best_T is the first of many maximisers, and
+    # some of them tie to the last bit.
+    (lambda s: gap_report(hadamard_tensor_power(2), hadamard_tensor_power(2),
+                          NormAssignment.uniform(2.0), samples=s, seed=3), 400),
+    (lambda s: gap_report(hadamard_tensor_power(1), hadamard_tensor_power(1),
+                          NormAssignment(*[LatticeNorm(p=p) for p in (3.0, 2.0, 2.0, 2.0)]),
+                          samples=s, seed=1), 400),
+    (lambda s: verify_cor23(*_chain_pair(Random(2309), 3, 3, 3, 3),
+                            NormAssignment.uniform(2.0), samples=s, seed=5), 300),
+    (lambda s: verify_cor23(*_chain_pair(Random(2310), 2, 3, 4, 3),
+                            NormAssignment.uniform(1.0), samples=s, seed=6), 300),
+], ids=["gap-hadamard", "gap-p-in-3", "cor23-l2", "cor23-l1"])
+def test_sampling_in_chunks_gives_the_report_of_one_stack(monkeypatch, run, samples):
+    whole, sizes = _chunked(monkeypatch, 1 << 30, lambda: run(samples))
+    assert sizes == [samples]
+    chunked, sizes = _chunked(monkeypatch, 500, lambda: run(samples))
+    assert len(sizes) > 2 and len(set(sizes)) == 2 and sum(sizes) == samples
+    assert chunked == whole
+
+
+def test_sampling_memory_does_not_grow_with_the_samples():
+    # 20000 samples of 8 x 8 are 10 MiB of floats, a chunk of them 512 KiB.
+    A = RegularOperator(8, 8, [float(k % 5) - 2.0 for k in range(64)])
+    peaks = []
+    for samples in (2000, 20000):
+        tracemalloc.start()
+        try:
+            verify_cor23(A, A, NormAssignment.uniform(2.0), samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 64 * lattice._KERNEL_CHUNK_ENTRIES
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def _refuse_draws(monkeypatch):
