@@ -495,8 +495,9 @@ def check_sampling(
 
 
 def _draws(draw, samples: int, A: RegularOperator, B: RegularOperator):
-    """``samples`` random T (A.cols x B.rows) from ``draw(size)``, as stacks
-    of ``lattice._chunk_size`` samples of ``_sample_entries`` each.  numpy's
+    """``samples`` random T (A.cols x B.rows) drawn by ``draw(size)``, in
+    stacks of ``lattice._chunk_size`` samples of ``_sample_entries`` each (the
+    entries ``check_sampling`` counts, so that A T is bounded too).  numpy's
     generators give one call's stream split across calls, so the stacks hold
     the same numbers in the same order as one draw of every sample."""
     step = _chunk_size(_sample_entries(A.shape, B.shape))
@@ -510,8 +511,8 @@ def _largest_image(
     """The largest norm (W -> Z) of the images A T B of the T of ``stacks``
     (an iterable of stacks) scaled to unit norm (X -> Y), each stack's images
     formed as one batched product, and the first T that reaches it, as
-    ``argmax`` over one stack of them all would pick it; None if every T is
-    zero."""
+    ``argmax`` over all of them in one stack would pick it; None if every T
+    is zero."""
     best = None
     for stack in stacks:
         t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y)
@@ -522,9 +523,8 @@ def _largest_image(
         images = arr_A @ normalized @ arr_B
         values = batched_operator_norm(images, assignment.n_W, assignment.n_Z)
         idx = int(values.argmax())
-        # A later stack wins only by more, or by the first nan, as in argmax.
-        if best is None or np.argmax([best[0], values[idx]]):
-            best = float(values[idx]), normalized[idx].copy()
+        if best is None or values[idx] > best[0]:
+            best = float(values[idx]), normalized[idx]
     return best
 
 

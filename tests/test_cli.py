@@ -464,6 +464,23 @@ def test_verify_cor23_over_extreme_point_cap_exits_2_before_sampling(capsys):
     assert "Traceback" not in err
 
 
+def test_verify_cor23_float_samples_run_in_bounded_memory(capsys):
+    # The same request on a float corpus has no extreme-point cap: its
+    # 200000 samples are drawn and evaluated a chunk at a time, where all
+    # of them at once, with their normalised copy and their images, were
+    # three 100 MiB stacks.
+    argv = ["verify", "cor23", "--corpus", "seed=1,dims=8x8x8x8,count=1,distribution=float",
+            "--samples", "200000"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert "[PASS] cor23" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, cap",
     [
