@@ -565,23 +565,22 @@ def _chunked(monkeypatch, entries, run):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("run, samples", [
+@pytest.mark.parametrize("run", [
     # The tied Hadamard family: best_T is the first of many maximisers, and
     # some of them tie to the last bit.
-    (lambda s: gap_report(hadamard_tensor_power(2), hadamard_tensor_power(2),
-                          NormAssignment.uniform(2.0), samples=s, seed=3), 400),
-    (lambda s: gap_report(hadamard_tensor_power(1), hadamard_tensor_power(1),
-                          NormAssignment(*[LatticeNorm(p=p) for p in (3.0, 2.0, 2.0, 2.0)]),
-                          samples=s, seed=1), 400),
-    (lambda s: verify_cor23(*_chain_pair(Random(2309), 3, 3, 3, 3),
-                            NormAssignment.uniform(2.0), samples=s, seed=5), 300),
-    (lambda s: verify_cor23(*_chain_pair(Random(2310), 2, 3, 4, 3),
-                            NormAssignment.uniform(1.0), samples=s, seed=6), 300),
+    lambda: gap_report(hadamard_tensor_power(2), hadamard_tensor_power(2),
+                       NormAssignment.uniform(2.0), samples=400, seed=3),
+    lambda: gap_report(hadamard_tensor_power(1), hadamard_tensor_power(1),
+                       NormAssignment(*[LatticeNorm(p=p) for p in (3.0, 2.0, 2.0, 2.0)]),
+                       samples=400, seed=1),
+    lambda: verify_cor23(*_chain_pair(Random(2309), 3, 3, 3, 3),
+                         NormAssignment.uniform(2.0), samples=300, seed=5),
+    lambda: verify_cor23(*_chain_pair(Random(2310), 2, 3, 4, 3),
+                         NormAssignment.uniform(1.0), samples=300, seed=6),
 ], ids=["gap-hadamard", "gap-p-in-3", "cor23-l2", "cor23-l1"])
-def test_sampling_in_chunks_gives_the_report_of_one_stack(monkeypatch, run, samples):
-    whole, sizes = _chunked(monkeypatch, 1 << 30, lambda: run(samples))
-    assert sizes == [samples]
-    chunked, sizes = _chunked(monkeypatch, 500, lambda: run(samples))
+def test_sampling_in_chunks_gives_the_report_of_one_stack(monkeypatch, run):
+    whole, (samples,) = _chunked(monkeypatch, 1 << 30, run)
+    chunked, sizes = _chunked(monkeypatch, 500, run)
     assert len(sizes) > 2 and len(set(sizes)) == 2 and sum(sizes) == samples
     assert chunked == whole
 
