@@ -230,9 +230,10 @@ def _run_gap(args) -> VerificationReport:
         if args.A is not None or args.B is not None:
             raise UsageError("gap takes either --m or --A and --B, not both")
         # Refuse an oversized sample stack or norm search before building
-        # the Fraction H.
+        # the Fraction H, which is signed but for the 1 x 1 H at m = 0.
         n = hadamard_order(args.m)
-        check_sampling(args.samples, (n, n), (n, n), assignment, positive=False)
+        check_sampling(args.samples, (n, n), (n, n), assignment, positive=False,
+                       factor_signs=(args.m == 0,) * 2)
         A = B = hadamard_tensor_power(args.m)
     else:
         if args.A is None or args.B is None:
@@ -326,14 +327,13 @@ def _add_globals(parser: argparse.ArgumentParser, *flags: str):
                             help="float comparison tolerance (exact mode ignores it)")
 
 
-def _add_norm_flags(parser: argparse.ArgumentParser, p: str):
+def _add_norm_flags(parser: argparse.ArgumentParser, p: str,
+                    samples: str = "random samples for bounds"):
     for flag, space in (("--p-in", "W"), ("--p-mid1", "X"), ("--p-mid2", "Y"),
                         ("--p-out", "Z")):
         parser.add_argument(flag, type=lp_norm, default=p,
                             help=f"norm exponent for {space} (%(default)s)")
-    parser.add_argument(
-        "--samples", type=int, default=200, help="random samples for bounds (%(default)s)"
-    )
+    parser.add_argument("--samples", type=int, default=200, help=f"{samples} (%(default)s)")
 
 
 def _add_gap(parser: argparse.ArgumentParser):
@@ -341,7 +341,7 @@ def _add_gap(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, help="use A = B = H2^(x)m (sign-matrix family)")
     parser.add_argument("--A", metavar="FILE")
     parser.add_argument("--B", metavar="FILE")
-    _add_norm_flags(parser, "2")
+    _add_norm_flags(parser, "2", "random samples, drawn only when a factor norm is searched")
     _add_globals(parser, "--json", "--exact")
     parser.set_defaults(run=_run_gap)
 

@@ -28,20 +28,26 @@ scaled Gram matrix, which agree to O(u) relative.  ``vector_norm``,
 
 ``regular_norm`` is the operator norm of the entrywise modulus.  The two
 verifiers cover the regular-norm multiplicativity of two-sided
-multiplications (``verify_cor23``: ||M_{A,B}||_r = ||A||_r ||B||_r, with the
-rank-one witness family T = x' (x) y for which M(T) = (B'x') (x) (Ay)) and
+multiplications (``verify_cor23``: ||M_{A,B}||_r = ||A||_r ||B||_r) and
 the gap between the operator norm and the regular norm of the same map
 (``gap_report``), which collapses like 2^-m along the sign-matrix family
-H_2^{(x) m}.
+H_2^{(x) m}.  Both take one rank-one witness T = x' (x) y*, for which
+M(T) = (B'x') (x) (Ay*) reaches the product of the factor norms
+(``_rank_one_witness``): ``verify_cor23`` on |A| and |B|, ``gap_report`` on
+A and B themselves.
 
-Both verifiers draw their samples T in stacks of ``lattice._chunk_size``
-samples and form each stack's images A T_s B as one batched BLAS product
+``verify_cor23`` samples positive T for its upper side.  ``gap_report``
+samples mixed-sign T only when a factor norm is searched; when both are
+closed forms the witness attains the supremum ||A|| ||B|| and nothing is
+drawn.  The samples are drawn in stacks of ``lattice._chunk_size`` samples,
+each stack's images A T_s B formed as one batched BLAS product
 ``A @ stack @ B``, so a run's memory does not grow with its sample count.
 A run of more than ``SAMPLE_STACK_CAP`` (2^24) sampled entries, or a norm
-search over the samples, their images or the factors beyond
-``SEARCH_WORK_CAP``, raises ``EnumerationLimitError`` before any work
-(``check_sampling``), and so does a ``hadamard_tensor_power`` of more than
-``superop.KRON_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
+search over the samples, their images or the factors (and, for
+``gap_report``, the signed factors) beyond ``SEARCH_WORK_CAP``, raises
+``EnumerationLimitError`` before any work (``check_sampling``), and so does
+a ``hadamard_tensor_power`` of more than ``superop.KRON_ENTRY_CAP`` (2^20)
+entries, i.e. m > 10.
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
@@ -57,6 +63,7 @@ vectors (attainment is certified to 1e-9, not bitwise).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -465,7 +472,12 @@ def _sample_entries(a_shape: tuple, b_shape: tuple) -> int:
 
 
 def check_sampling(
-    samples: int, a_shape: tuple, b_shape: tuple, assignment, positive: bool
+    samples: int,
+    a_shape: tuple,
+    b_shape: tuple,
+    assignment,
+    positive: bool,
+    factor_signs: Optional[tuple] = None,
 ):
     """Refuse a sampling run before anything is built or drawn: a negative
     sample count (``ValueError``), sampled entries beyond ``SAMPLE_STACK_CAP``
@@ -473,7 +485,9 @@ def check_sampling(
     over the y x x samples (X -> Y), their z x w images (W -> Z) or the
     factors' moduli |A| (Y -> Z) and |B| (W -> X).  ``a_shape`` = (z, y) and
     ``b_shape`` = (x, w) are the shapes of A and B; ``positive`` says the
-    samples and their images are positive."""
+    samples and their images are positive.  A run that norms A and B
+    themselves too passes ``factor_signs``, whether each is positive, and
+    their searches are checked as well."""
     if samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {samples}")
     (z, y), (x, w) = a_shape, b_shape
@@ -484,12 +498,15 @@ def check_sampling(
             f"{SAMPLE_STACK_CAP}"
         )
     a = assignment
-    for n_from, n_to, count, shape, signs in (
+    checks = [
         (a.n_X, a.n_Y, samples, (y, x), positive),
         (a.n_W, a.n_Z, samples, (z, w), positive),
         (a.n_Y, a.n_Z, 1, (z, y), True),
         (a.n_W, a.n_X, 1, (x, w), True),
-    ):
+    ]
+    if factor_signs is not None:  # A and B as their moduli, with their own signs
+        checks += [(*check[:4], signs) for check, signs in zip(checks[2:], factor_signs)]
+    for n_from, n_to, count, shape, signs in checks:
         if _closed_form_method(n_from, n_to, signs) is None:
             _check_search(count, *shape)
 
@@ -587,6 +604,19 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
     return Fraction(best, modA._den * modB._den)
 
 
+def _rank_one_witness(
+    B_f: RegularOperator, norm_A: NormResult, norm_B: NormResult, n_X: LatticeNorm
+):
+    """The rank-one T = x' (x) y* at which T |-> A T B reaches ||A|| ||B||,
+    as (T, y*, x'): y* is ``norm_A``'s witness and x' norms B_f w* in X, for
+    ``norm_B``'s witness w* and B_f the float B.  T has norm 1 (X -> Y) and
+    ||A T B|| (W -> Z) = ||A y*|| ||B' x'||_* >= ||A|| x'(B w*) = ||A|| ||B||
+    when both witnesses attain their norms."""
+    y_star = norm_A.witness
+    x_prime = norming_functional(B_f.apply(norm_B.witness), n_X)
+    return rank_one(x_prime, y_star), y_star, x_prime
+
+
 def verify_cor23(
     A: RegularOperator,
     B: RegularOperator,
@@ -623,18 +653,15 @@ def verify_cor23(
     product = rnA.value * rnB.value
     product_f = float(product)
 
-    # Rank-one witness: y* norms |A|; x' norms |B| v* in X, so that
+    # The rank-one witness on |A| and |B|:
     # ||(|B|' x') (x) (|A| y*)||_r = ||B||_r ||A||_r.
     absA_f = absA.to_float()
     absB_f = absB.to_float()
-    y_star = rnA.witness
-    v_star = rnB.witness
-    x_prime = norming_functional(absB_f.apply(v_star), n_X)
+    witness_T, y_star, x_prime = _rank_one_witness(absB_f, rnA, rnB, n_X)
     u_prime = absB_f.transpose().apply(x_prime)
     witness_value = float(dual_norm(u_prime, n_W)) * float(
         vector_norm(absA_f.apply(y_star), n_Z)
     )
-    witness_T = rank_one(x_prime, y_star)
     witness_shortfall = max(0.0, product_f - witness_value)
 
     # Sampled upper side: positive T of unit regular norm never push
@@ -717,52 +744,49 @@ def gap_report(
 ) -> VerificationReport:
     """Ratio of the operator norm of T |-> ATB to the regular-norm product.
 
-    The operator-norm side is a sampled lower bound over unit-operator-norm
-    T (mixed signs), sharpened for 2 -> 2 norms by the singular-vector
-    witness T = v_A u_B^T which attains ||A|| ||B||.  Reported as an
-    exploration (status ``info``): the ratio can sink far below 1, e.g. at
-    rate 2^-m along A = B = hadamard_tensor_power(m).  A run that
-    ``check_sampling`` refuses raises before any work.
+    The operator norm is ||A|| ||B|| (Y -> Z and W -> X), attained at the
+    rank-one witness T = x' (x) y* of ``_rank_one_witness`` on A and B.  When
+    both factor norms are closed forms (``operator_side_certified``), that
+    witness is the only candidate and nothing is drawn, so ``operator_side``
+    is the attained supremum up to rounding.  When either is searched, the
+    seeded sampled stacks of mixed-sign T go ahead of it, and
+    ``operator_side``, the largest image norm over all of them at unit norm
+    (X -> Y), is a lower bound; on a tie the first maximiser is ``best_T``.
+    Reported as an exploration (status ``info``): the ratio can sink far
+    below 1, e.g. at rate 2^-m along A = B = hadamard_tensor_power(m).  A
+    run that ``check_sampling`` refuses raises before any work.
     """
-    check_sampling(samples, A.shape, B.shape, assignment, positive=False)
+    # Signs read on the exact stored values, as ``_operator_norms`` reads them.
+    signs = tuple(bool((M._values >= 0).all()) for M in (A, B))
+    check_sampling(samples, A.shape, B.shape, assignment, positive=False, factor_signs=signs)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     rnA = regular_norm(A, n_Y, n_Z, seed=seed)
     rnB = regular_norm(B, n_W, n_X, seed=seed)
     denom = rnA.value_float * rnB.value_float
 
+    norm_A = operator_norm(A, n_Y, n_Z, seed=seed)
+    norm_B = operator_norm(B, n_W, n_X, seed=seed)
+    certified = norm_A.certified and norm_B.certified
+    witness_T = _rank_one_witness(B.to_float(), norm_A, norm_B, n_X)[0]
+    stacks = [witness_T._values[None]]
+    if not certified:
+        rng = np.random.default_rng(seed)
+        stacks = itertools.chain(_draws(rng.standard_normal, samples, A, B), stacks)
     arr_A = np.array(A.as_floats())
     arr_B = np.array(B.as_floats())
-    rng = np.random.default_rng(seed)
-    candidates = [_draws(rng.standard_normal, samples, A, B)]
-    witness_T = None
-    if n_X.p == 2.0 and n_Y.p == 2.0:
-        # T = v_A u_B^T maps B's top output direction onto A's top input
-        # direction; for 2->2 norms it attains ||A|| ||B||.
-        v_A = np.linalg.svd(arr_A)[2][0]
-        u_B = np.linalg.svd(arr_B)[0][:, 0]
-        witness_T = np.outer(v_A, u_B)
-        candidates.append([witness_T[None, :, :]])
-    best = 0.0
-    best_T = witness_T
-    for stacks in candidates:
-        largest = _largest_image(arr_A, stacks, arr_B, assignment)
-        if largest is not None and largest[0] > best:
-            best, best_T = largest
+    best, best_T = _largest_image(arr_A, stacks, arr_B, assignment)
     rho = best / denom if denom > 0.0 else 0.0
 
-    witnesses = {}
-    if best_T is not None:
-        flat = [float(a) for a in np.asarray(best_T).ravel()]
-        witnesses["best_T"] = RegularOperator(A.cols, B.rows, flat)
     return make_report(
         claim_id="gap",
         inputs={"A": A, "B": B, "assignment": assignment, "samples": samples},
         deviations=[0.0],
-        witnesses=witnesses,
+        witnesses={"best_T": RegularOperator(A.cols, B.rows, best_T.ravel().tolist())},
         seed=seed,
         details={
             "operator_side": best,
+            "operator_side_certified": certified,
             "regular_side": denom,
             "rho": rho,
             "regular_norm_A": rnA.value,

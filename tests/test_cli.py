@@ -530,6 +530,16 @@ def test_gap_factor_search_cap_is_checked_before_building_H(no_hadamard, capsys)
     assert "Traceback" not in err
 
 
+def test_gap_signed_factor_search_cap_is_checked_before_building_H(no_hadamard, capsys):
+    # From l^inf to l^2, |H| takes the positive corner but the signed H
+    # itself is a search over one 1024 x 1024 matrix, above the cap.
+    assert main(["gap", "--m", "10", "--p-mid2", "inf", "--samples", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "search over 1 1024x1024 matrices" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -653,6 +663,20 @@ def test_gap_subcommand(capsys):
     assert main(["gap", "--m", "2", "--samples", "30"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["details"]["rho"] == pytest.approx(0.25, abs=1e-6)
+
+
+@pytest.mark.parametrize("flags", [[], ["--p-in", "3"]], ids=["certified", "sampled"])
+@pytest.mark.parametrize("zero", ["A", "B", "both"])
+def test_gap_of_zero_factors_reports_zero(zero, flags, tmp_path, matrix_files, capsys):
+    a, b = matrix_files
+    z = _write(tmp_path / "zero.json", {"rows": 2, "cols": 2, "entries": ["0"] * 4})
+    A, B = {"A": (z, b), "B": (a, z), "both": (z, z)}[zero]
+    assert main(["gap", "--A", A, "--B", B, *flags]) == 0
+    out, err = capsys.readouterr()
+    details = json.loads(out)["details"]
+    assert details["operator_side"] == 0.0
+    assert details["rho"] == 0.0
+    assert err.startswith("[INFO] gap")
 
 
 def test_counterexample_subcommand(tmp_path, capsys):
