@@ -32,9 +32,10 @@ multiplications (``verify_cor23``: ||M_{A,B}||_r = ||A||_r ||B||_r) and
 the gap between the operator norm and the regular norm of the same map
 (``gap_report``), which collapses like 2^-m along the sign-matrix family
 H_2^{(x) m}.  Both take one rank-one witness T = x' (x) y*, for which
-M(T) = (B'x') (x) (Ay*) reaches the product of the factor norms
-(``_rank_one_witness``): ``verify_cor23`` on |A| and |B|, ``gap_report`` on
-A and B themselves.
+M(T) = (B'x') (x) (Ay*) reaches the product of the factor norms:
+``verify_cor23`` on |A| and |B|, ``gap_report`` on A and B themselves,
+where x' norms B w* scaled by the power of two of its largest entry, so
+that no power of it underflows or overflows.
 
 ``verify_cor23`` samples positive T for its upper side.  ``gap_report``
 samples mixed-sign T only when a factor norm is searched; when both are
@@ -604,19 +605,6 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
     return Fraction(best, modA._den * modB._den)
 
 
-def _rank_one_witness(
-    B_f: RegularOperator, norm_A: NormResult, norm_B: NormResult, n_X: LatticeNorm
-):
-    """The rank-one T = x' (x) y* at which T |-> A T B reaches ||A|| ||B||,
-    as (T, y*, x'): y* is ``norm_A``'s witness and x' norms B_f w* in X, for
-    ``norm_B``'s witness w* and B_f the float B.  T has norm 1 (X -> Y) and
-    ||A T B|| (W -> Z) = ||A y*|| ||B' x'||_* >= ||A|| x'(B w*) = ||A|| ||B||
-    when both witnesses attain their norms."""
-    y_star = norm_A.witness
-    x_prime = norming_functional(B_f.apply(norm_B.witness), n_X)
-    return rank_one(x_prime, y_star), y_star, x_prime
-
-
 def verify_cor23(
     A: RegularOperator,
     B: RegularOperator,
@@ -653,15 +641,18 @@ def verify_cor23(
     product = rnA.value * rnB.value
     product_f = float(product)
 
-    # The rank-one witness on |A| and |B|:
+    # Rank-one witness: y* norms |A|; x' norms |B| v* in X, so that
     # ||(|B|' x') (x) (|A| y*)||_r = ||B||_r ||A||_r.
     absA_f = absA.to_float()
     absB_f = absB.to_float()
-    witness_T, y_star, x_prime = _rank_one_witness(absB_f, rnA, rnB, n_X)
+    y_star = rnA.witness
+    v_star = rnB.witness
+    x_prime = norming_functional(absB_f.apply(v_star), n_X)
     u_prime = absB_f.transpose().apply(x_prime)
     witness_value = float(dual_norm(u_prime, n_W)) * float(
         vector_norm(absA_f.apply(y_star), n_Z)
     )
+    witness_T = rank_one(x_prime, y_star)
     witness_shortfall = max(0.0, product_f - witness_value)
 
     # Sampled upper side: positive T of unit regular norm never push
@@ -745,11 +736,13 @@ def gap_report(
     """Ratio of the operator norm of T |-> ATB to the regular-norm product.
 
     The operator norm is ||A|| ||B|| (Y -> Z and W -> X), attained at the
-    rank-one witness T = x' (x) y* of ``_rank_one_witness`` on A and B.  When
-    both factor norms are closed forms (``operator_side_certified``), that
-    witness is the only candidate and nothing is drawn, so ``operator_side``
-    is the attained supremum up to rounding.  When either is searched, the
-    seeded sampled stacks of mixed-sign T go ahead of it, and
+    rank-one witness T = x' (x) y*: y* attains ||A||, and x' norms B w* in X
+    for the w* that attains ||B||.  When both factor norms are closed forms,
+    that witness is the only candidate and nothing is drawn, so
+    ``operator_side`` is the attained supremum up to rounding, and
+    ``operator_side_certified`` is set unless the image of the witness
+    underflows to zero while neither factor is zero.  When either is
+    searched, the seeded sampled stacks of mixed-sign T go ahead of it, and
     ``operator_side``, the largest image norm over all of them at unit norm
     (X -> Y), is a lower bound; on a tie the first maximiser is ``best_T``.
     Reported as an exploration (status ``info``): the ratio can sink far
@@ -767,16 +760,22 @@ def gap_report(
 
     norm_A = operator_norm(A, n_Y, n_Z, seed=seed)
     norm_B = operator_norm(B, n_W, n_X, seed=seed)
-    certified = norm_A.certified and norm_B.certified
-    witness_T = _rank_one_witness(B.to_float(), norm_A, norm_B, n_X)[0]
-    stacks = [witness_T._values[None]]
-    if not certified:
-        rng = np.random.default_rng(seed)
-        stacks = itertools.chain(_draws(rng.standard_normal, samples, A, B), stacks)
+    closed = norm_A.certified and norm_B.certified
     arr_A = np.array(A.as_floats())
     arr_B = np.array(B.as_floats())
+    # ||A T B|| >= ||A|| x'(B w*) = ||A|| ||B||.  x' is blind to positive
+    # scale, so B w* is normed at the power of two of its largest entry.
+    image = arr_B @ norm_B.witness._values
+    _, exp = np.frexp(np.abs(image).max())
+    x_prime = _norming(np.ldexp(image, -exp), None, n_X, functional=True)
+    stacks = [np.outer(norm_A.witness._values, x_prime)[None]]
+    if not closed:
+        rng = np.random.default_rng(seed)
+        stacks = itertools.chain(_draws(rng.standard_normal, samples, A, B), stacks)
     best, best_T = _largest_image(arr_A, stacks, arr_B, assignment)
     rho = best / denom if denom > 0.0 else 0.0
+    # A zero image of nonzero factors is float underflow, not the supremum.
+    certified = closed and (best > 0.0 or not (norm_A.value and norm_B.value))
 
     return make_report(
         claim_id="gap",

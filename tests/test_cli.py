@@ -679,6 +679,18 @@ def test_gap_of_zero_factors_reports_zero(zero, flags, tmp_path, matrix_files, c
     assert err.startswith("[INFO] gap")
 
 
+def test_gap_of_factors_far_from_one(tmp_path, capsys):
+    # B = 1e155 H2: the entries of B w* square beyond the float range unless
+    # they are scaled before they are normed.
+    H = _write(tmp_path / "H.json", {"rows": 2, "cols": 2, "entries": ["1", "1", "1", "-1"]})
+    big = _write(tmp_path / "big.json",
+                 {"rows": 2, "cols": 2, "entries": ["1e155", "1e155", "1e155", "-1e155"]})
+    assert main(["gap", "--A", H, "--B", big]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert details["operator_side_certified"] is True
+    assert details["rho"] == pytest.approx(0.5, rel=1e-14)
+
+
 def test_counterexample_subcommand(tmp_path, capsys):
     out = str(tmp_path / "lab.json")
     assert main(["counterexample", "--n", "2", "--k", "2", "--json", out]) == 0

@@ -618,11 +618,12 @@ def test_sampling_memory_does_not_grow_with_the_samples():
     assert peaks[1] < 1.25 * peaks[0]
 
 
-def _refuse_draws(monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("no draw")
+def _no_draw(*args, **kwargs):
+    raise AssertionError("no draw")
 
-    monkeypatch.setattr(norms.np.random, "default_rng", no_draw)
+
+def _refuse_draws(monkeypatch):
+    monkeypatch.setattr(norms.np.random, "default_rng", _no_draw)
 
 
 def test_sample_stack_cap_raises_before_drawing(monkeypatch):
@@ -633,9 +634,13 @@ def test_sample_stack_cap_raises_before_drawing(monkeypatch):
         verify_cor23(A, A, NormAssignment.uniform(1.0), samples=samples)
     with pytest.raises(EnumerationLimitError, match="sample stack cap"):
         gap_report(A, A, NormAssignment.uniform(2.0), samples=samples)
-    # Exactly at the cap the run goes on to the draw, where a factor norm is
-    # searched (A itself from l^inf to l^2; every other norm of the run is
-    # a closed form, so no search over the samples is refused first).
+    # Exactly at the cap the run goes on to draw its samples, as a factor
+    # norm is searched (A itself from l^inf to l^2; every other norm of the
+    # run is a closed form, so no search over the samples is refused first).
+    # That search draws its own random starts, so only the samples are
+    # refused here.
+    monkeypatch.undo()
+    monkeypatch.setattr(norms, "_draws", _no_draw)
     searched = NormAssignment(*[LatticeNorm(p=p) for p in (1.0, 2.0, math.inf, 2.0)])
     with pytest.raises(AssertionError, match="no draw"):
         gap_report(A, A, searched, samples=samples - 1)
@@ -782,6 +787,31 @@ def test_certified_gap_draws_nothing(monkeypatch, ps):
     product = operator_norm(A, a.n_Y, a.n_Z).value_float * operator_norm(B, a.n_W, a.n_X).value_float
     assert report.details["operator_side_certified"] is True
     assert report.details["operator_side"] == pytest.approx(product, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+@pytest.mark.parametrize("p", [2.0, 1.0])
+def test_certified_gap_does_not_depend_on_the_scale(p, scale):
+    # At 2 -> 2, B w* = (0, sqrt(2) scale), whose square under- or overflows
+    # unless it is scaled before it is normed.  B is positive and A = I, so
+    # the ratio is 1.
+    A = RegularOperator.from_rows([[1.0, 0.0], [0.0, 1.0]])
+    B = RegularOperator.from_rows([[0.0, 0.0], [scale, scale]])
+    report = gap_report(A, B, NormAssignment.uniform(p))
+    norm_B = operator_norm(B, LatticeNorm(p=p), LatticeNorm(p=p)).value_float
+    assert report.details["operator_side_certified"] is True
+    assert report.details["operator_side"] == pytest.approx(norm_B, rel=1e-14)
+    assert report.details["rho"] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_gap_witness_image_underflow_is_not_certified():
+    # ||A|| ||B|| = 1.4e-340 is below the float range: the witness image is
+    # zero, which is no supremum for two nonzero factors.
+    A = RegularOperator.from_rows([[1e-170, 0.0], [0.0, 1e-170]])
+    B = RegularOperator.from_rows([[0.0, 0.0], [1e-170, 1e-170]])
+    report = gap_report(A, B, NormAssignment.uniform(2.0))
+    assert report.details["operator_side"] == 0.0
+    assert report.details["operator_side_certified"] is False
 
 
 def _closed(n_from, n_to):
