@@ -232,8 +232,7 @@ def _run_gap(args) -> VerificationReport:
         # Refuse an oversized sample stack or norm search before building
         # the Fraction H, which is signed but for the 1 x 1 H at m = 0.
         n = hadamard_order(args.m)
-        check_sampling(args.samples, (n, n), (n, n), assignment, positive=False,
-                       factor_signs=(args.m == 0,) * 2)
+        check_sampling(args.samples, (n, n), (n, n), assignment, factor_signs=(args.m == 0,) * 2)
         A = B = hadamard_tensor_power(args.m)
     else:
         if args.A is None or args.B is None:

@@ -20,11 +20,11 @@ map is written once, as an array kernel over a stack, on stored values
 over a denominator: Python-int numerators (so exact values stay
 ``Fraction``) or float64, sums taken by ``lattice._left_sum`` and powers
 as Python's float power.  ``operator_norm`` runs the kernel on a stack of
-one, ``batched_operator_norm`` on a whole stack, and both give a matrix
-the same bits; only 2 -> 2 differs, where a matrix gets its full SVD (the
-witness is a singular vector) and a stack the largest eigenvalue of each
-scaled Gram matrix, which agree to O(u) relative.  ``vector_norm``,
-``dual_norm`` and ``norming_functional`` are the kernel on one vector.
+one, ``batched_operator_norm`` on a whole stack by one method, and both
+give a matrix the same bits; only 2 -> 2 differs, where a matrix gets its
+full SVD (the witness is a singular vector) and a stack the largest
+eigenvalue of each scaled Gram matrix, which agree to O(u) relative.
+``vector_norm``, ``dual_norm`` and ``norming_functional``: the kernel on one vector.
 
 ``regular_norm`` is the operator norm of the entrywise modulus.  The two
 verifiers cover the regular-norm multiplicativity of two-sided
@@ -34,8 +34,7 @@ the gap between the operator norm and the regular norm of the same map
 H_2^{(x) m}.  Both take one rank-one witness T = x' (x) y*, for which
 M(T) = (B'x') (x) (Ay*) reaches the product of the factor norms:
 ``verify_cor23`` on |A| and |B|, ``gap_report`` on A and B themselves,
-where x' norms B w* scaled by the power of two of its largest entry, so
-that no power of it underflows or overflows.
+scaled by powers of two so that its ratio does not move with their scale.
 
 ``verify_cor23`` samples positive T for its upper side.  ``gap_report``
 samples mixed-sign T only when a factor norm is searched; when both are
@@ -46,9 +45,9 @@ each stack's images A T_s B formed as one batched BLAS product
 A run of more than ``SAMPLE_STACK_CAP`` (2^24) sampled entries, or a norm
 search over the samples, their images or the factors (and, for
 ``gap_report``, the signed factors) beyond ``SEARCH_WORK_CAP``, raises
-``EnumerationLimitError`` before any work (``check_sampling``), and so does
-a ``hadamard_tensor_power`` of more than ``superop.KRON_ENTRY_CAP`` (2^20)
-entries, i.e. m > 10.
+``EnumerationLimitError`` before any work (``check_sampling``; samples
+only if drawn), and so does a ``hadamard_tensor_power`` of more than
+``superop.KRON_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
@@ -152,8 +151,11 @@ class NormResult:
 
     value: object
     witness: LatticeVector
-    certified: bool
     method: str
+
+    @property
+    def certified(self) -> bool:
+        return self.method != "search"
 
     @property
     def value_float(self) -> float:
@@ -394,31 +396,23 @@ def _search(a, n_from, n_to, positive, seed: int):
 
 def _operator_norms(values, den, n_from, n_to, witness: bool = False, seed: int = 0):
     """The norms of a stack of matrices (count, rows, cols) stored as
-    ``values`` over ``den``: (method, norms, witnesses), by ``_closed_form``
-    or, where none fits, by ``_search`` (method "search"), refused over
-    ``SEARCH_WORK_CAP`` before its first step.
+    ``values`` over ``den``: (method, norms, witnesses), by the first closed
+    form that fits the whole stack or else by ``_search`` (method "search"),
+    refused over ``SEARCH_WORK_CAP`` before its first step.
 
-    Only the positive corner (from p = inf) and the search starts depend on
-    signs, read on the exact stored values (-0.0 counts as positive), so
-    not on the scale of the entries.  At p = inf -> q the positive matrices
-    of a stack keep the positive corner while the others are searched.
+    Only the positive corner (from p = inf, if every matrix is positive) and
+    the search starts depend on signs, read on the exact stored values (-0.0
+    counts as positive), so not on the scale of the entries.  A positive
+    matrix searched from p = inf gets the corner's bits (its first start).
     """
     method = _closed_form_method(n_from, n_to, positive=False)
+    if method is None:
+        positive = (values >= 0).reshape(len(values), -1).all(axis=-1)
+        method = _closed_form_method(n_from, n_to, bool(positive.all()))
     if method is not None:
         return method, *_closed_form(values, den, n_from, n_to, method, witness)
-    count, rows, cols = values.shape
-    positive = (values >= 0).reshape(count, -1).all(axis=-1)
-    search = ~positive if n_from.p == INF else np.ones(count, dtype=bool)
-    if not search.any():
-        method = "positive_corner"
-        return method, *_closed_form(values, den, n_from, n_to, method, witness)
-    _check_search(int(search.sum()), rows, cols)
-    found = _search(_floats(values[search], den), n_from, n_to, positive[search], seed)
-    if search.all():
-        return "search", *found
-    norms, witnesses = _closed_form(values, den, n_from, n_to, "positive_corner", True)
-    norms[search], witnesses[search] = found
-    return "search", norms, witnesses
+    _check_search(*values.shape)
+    return "search", *_search(_floats(values, den), n_from, n_to, positive, seed)
 
 
 def operator_norm(
@@ -430,7 +424,7 @@ def operator_norm(
         A._values[None], A._den, n_from, n_to, witness=True, seed=seed
     )
     witness = LatticeVector._of(witnesses[0], None)
-    return NormResult(_value(norms[0]), witness, method != "search", method)
+    return NormResult(_value(norms[0]), witness, method)
 
 
 def regular_norm(
@@ -477,7 +471,6 @@ def check_sampling(
     a_shape: tuple,
     b_shape: tuple,
     assignment,
-    positive: bool,
     factor_signs: Optional[tuple] = None,
 ):
     """Refuse a sampling run before anything is built or drawn: a negative
@@ -485,31 +478,34 @@ def check_sampling(
     or a norm search beyond ``SEARCH_WORK_CAP`` (``EnumerationLimitError``)
     over the y x x samples (X -> Y), their z x w images (W -> Z) or the
     factors' moduli |A| (Y -> Z) and |B| (W -> X).  ``a_shape`` = (z, y) and
-    ``b_shape`` = (x, w) are the shapes of A and B; ``positive`` says the
-    samples and their images are positive.  A run that norms A and B
-    themselves too passes ``factor_signs``, whether each is positive, and
-    their searches are checked as well."""
+    ``b_shape`` = (x, w) are the shapes of A and B.  ``verify_cor23`` draws
+    positive samples.  A gap run passes ``factor_signs``, whether A and B
+    are positive: it norms them too, and draws mixed-sign samples only if
+    one of those norms is a search.  Returns whether the run draws."""
     if samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {samples}")
     (z, y), (x, w) = a_shape, b_shape
-    entries = _sample_entries(a_shape, b_shape)
-    if samples * entries > SAMPLE_STACK_CAP:
-        raise EnumerationLimitError(
-            f"{samples} samples of {entries} entries exceed sample stack cap "
-            f"{SAMPLE_STACK_CAP}"
-        )
     a = assignment
-    checks = [
-        (a.n_X, a.n_Y, samples, (y, x), positive),
-        (a.n_W, a.n_Z, samples, (z, w), positive),
-        (a.n_Y, a.n_Z, 1, (z, y), True),
-        (a.n_W, a.n_X, 1, (x, w), True),
-    ]
-    if factor_signs is not None:  # A and B as their moduli, with their own signs
-        checks += [(*check[:4], signs) for check, signs in zip(checks[2:], factor_signs)]
+    factors = [(a.n_Y, a.n_Z, 1, (z, y)), (a.n_W, a.n_X, 1, (x, w))]
+    signed = [(*factor, signs) for factor, signs in zip(factors, factor_signs or ())]
+    checks = [(*factor, True) for factor in factors] + signed
+    draws = factor_signs is None or any(
+        _closed_form_method(n_from, n_to, signs) is None for n_from, n_to, _, _, signs in signed
+    )
+    if draws:
+        entries = _sample_entries(a_shape, b_shape)
+        if samples * entries > SAMPLE_STACK_CAP:
+            raise EnumerationLimitError(
+                f"{samples} samples of {entries} entries exceed sample stack cap "
+                f"{SAMPLE_STACK_CAP}"
+            )
+        positive = factor_signs is None
+        checks[:0] = [(a.n_X, a.n_Y, samples, (y, x), positive),
+                      (a.n_W, a.n_Z, samples, (z, w), positive)]
     for n_from, n_to, count, shape, signs in checks:
         if _closed_form_method(n_from, n_to, signs) is None:
             _check_search(count, *shape)
+    return draws
 
 
 def _draws(draw, samples: int, A: RegularOperator, B: RegularOperator):
@@ -626,7 +622,7 @@ def verify_cor23(
     beyond ``EXTREME_POINT_CAP`` extreme points (``EnumerationLimitError``)
     before any work but that check.
     """
-    check_sampling(samples, A.shape, B.shape, assignment, positive=True)
+    check_sampling(samples, A.shape, B.shape, assignment)
     # The exact closed form for the flagship assignment comes first, so that
     # its extreme-point cap refuses a run before the norms and the samples.
     closed_value = None
@@ -726,6 +722,26 @@ def hadamard_tensor_power(m: int) -> RegularOperator:
     return out
 
 
+def _binary_scaled(M: RegularOperator):
+    """(2^-e M, its float array in C order, e) for the power of two 2^e that
+    brings the largest entry of M into [1, 2), scaled exactly; M itself when
+    e = 0."""
+    floats = M.to_float()._values
+    shift = int(np.frexp(np.abs(floats).max(initial=0.0))[1]) - 1
+    if shift:
+        exact = M.is_exact
+        M = M.scale(Fraction(2) ** -shift) if exact else M._of(np.ldexp(M._values, -shift), None)
+        floats = M.to_float()._values
+    return M, np.ascontiguousarray(floats), shift
+
+
+def _scaled_back(value, shift: int):
+    """2^shift value, exactly for a Fraction."""
+    if isinstance(value, Fraction):
+        return value * Fraction(2) ** shift
+    return float(np.ldexp(value, shift))
+
+
 def gap_report(
     A: RegularOperator,
     B: RegularOperator,
@@ -745,37 +761,35 @@ def gap_report(
     searched, the seeded sampled stacks of mixed-sign T go ahead of it, and
     ``operator_side``, the largest image norm over all of them at unit norm
     (X -> Y), is a lower bound; on a tie the first maximiser is ``best_T``.
-    Reported as an exploration (status ``info``): the ratio can sink far
-    below 1, e.g. at rate 2^-m along A = B = hadamard_tensor_power(m).  A
-    run that ``check_sampling`` refuses raises before any work.
+    All is computed on A and B scaled by the powers of two that bring their
+    largest entries into [1, 2) (+-1 entries stay), so that no product leaves
+    the float range; the sides and regular norms are scaled back.  Reported
+    as an exploration (status ``info``): the ratio can sink far below 1,
+    e.g. at rate 2^-m along A = B = hadamard_tensor_power(m).  A run that
+    ``check_sampling`` refuses raises before any work.
     """
     # Signs read on the exact stored values, as ``_operator_norms`` reads them.
     signs = tuple(bool((M._values >= 0).all()) for M in (A, B))
-    check_sampling(samples, A.shape, B.shape, assignment, positive=False, factor_signs=signs)
+    draws = check_sampling(samples, A.shape, B.shape, assignment, factor_signs=signs)
+    (A_s, arr_A, shift_A), (B_s, arr_B, shift_B) = _binary_scaled(A), _binary_scaled(B)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
-    rnA = regular_norm(A, n_Y, n_Z, seed=seed)
-    rnB = regular_norm(B, n_W, n_X, seed=seed)
+    rnA = regular_norm(A_s, n_Y, n_Z, seed=seed)
+    rnB = regular_norm(B_s, n_W, n_X, seed=seed)
     denom = rnA.value_float * rnB.value_float
 
-    norm_A = operator_norm(A, n_Y, n_Z, seed=seed)
-    norm_B = operator_norm(B, n_W, n_X, seed=seed)
-    closed = norm_A.certified and norm_B.certified
-    arr_A = np.array(A.as_floats())
-    arr_B = np.array(B.as_floats())
-    # ||A T B|| >= ||A|| x'(B w*) = ||A|| ||B||.  x' is blind to positive
-    # scale, so B w* is normed at the power of two of its largest entry.
-    image = arr_B @ norm_B.witness._values
-    _, exp = np.frexp(np.abs(image).max())
-    x_prime = _norming(np.ldexp(image, -exp), None, n_X, functional=True)
+    norm_A = operator_norm(A_s, n_Y, n_Z, seed=seed)
+    norm_B = operator_norm(B_s, n_W, n_X, seed=seed)
+    # ||A T B|| >= ||A|| x'(B w*) = ||A|| ||B||.
+    x_prime = _norming(arr_B @ norm_B.witness._values, None, n_X, functional=True)
     stacks = [np.outer(norm_A.witness._values, x_prime)[None]]
-    if not closed:
+    if draws:
         rng = np.random.default_rng(seed)
         stacks = itertools.chain(_draws(rng.standard_normal, samples, A, B), stacks)
     best, best_T = _largest_image(arr_A, stacks, arr_B, assignment)
     rho = best / denom if denom > 0.0 else 0.0
     # A zero image of nonzero factors is float underflow, not the supremum.
-    certified = closed and (best > 0.0 or not (norm_A.value and norm_B.value))
+    certified = not draws and (best > 0.0 or not (norm_A.value and norm_B.value))
 
     return make_report(
         claim_id="gap",
@@ -784,12 +798,12 @@ def gap_report(
         witnesses={"best_T": RegularOperator(A.cols, B.rows, best_T.ravel().tolist())},
         seed=seed,
         details={
-            "operator_side": best,
+            "operator_side": _scaled_back(best, shift_A + shift_B),
             "operator_side_certified": certified,
-            "regular_side": denom,
+            "regular_side": _scaled_back(denom, shift_A + shift_B),
             "rho": rho,
-            "regular_norm_A": rnA.value,
-            "regular_norm_B": rnB.value,
+            "regular_norm_A": _scaled_back(rnA.value, shift_A),
+            "regular_norm_B": _scaled_back(rnB.value, shift_B),
         },
         status="info",
     )

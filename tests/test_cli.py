@@ -484,7 +484,7 @@ def test_verify_cor23_float_samples_run_in_bounded_memory(capsys):
 @pytest.mark.parametrize(
     "argv, cap",
     [
-        (["gap", "--m", "1", "--samples", "1000000000000"], "sample stack cap"),
+        (["gap", "--m", "1", "--p-in", "3", "--samples", "1000000000000"], "sample stack cap"),
         (["gap", "--m", "30"], "entry cap"),
         (["verify", "cor23", "--samples", "1000000000000"], "sample stack cap"),
         (["gap", "--m", "3", "--p-in", "3", "--samples", "20000"], "search work cap"),
@@ -512,11 +512,26 @@ def no_hadamard(monkeypatch):
 
 
 def test_gap_stack_cap_is_checked_before_building_H(no_hadamard, capsys):
-    assert main(["gap", "--m", "10"]) == 2
+    # From l^inf to l^2 the signed H is searched, so the run draws its 200
+    # samples of 1024 x 1024.
+    assert main(["gap", "--m", "10", "--p-mid2", "inf"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "sample stack cap" in err
     assert "Traceback" not in err
+
+
+def test_certified_gap_draws_no_samples(monkeypatch, capsys):
+    # All 2 -> 2: both factor norms are closed forms, so the rank-one witness
+    # is the only candidate and no sample count is too large.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    assert main(["gap", "--m", "1", "--samples", "1000000000000"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert details["operator_side_certified"] is True
+    assert details["rho"] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_gap_factor_search_cap_is_checked_before_building_H(no_hadamard, capsys):
@@ -689,6 +704,21 @@ def test_gap_of_factors_far_from_one(tmp_path, capsys):
     details = json.loads(capsys.readouterr().out)["details"]
     assert details["operator_side_certified"] is True
     assert details["rho"] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_gap_of_factors_far_below_one(tmp_path, capsys):
+    # Entries near 1e-300: both sides underflow to 0, but their ratio is
+    # taken at the factors' powers of two, where it is the ratio at scale 1.
+    rho = {}
+    for name, scale in (("one", ""), ("tiny", "e-300")):
+        entries = [f"{e}{scale}" for e in (1, 2, 3, -4)]
+        m = _write(tmp_path / f"{name}.json", {"rows": 2, "cols": 2, "entries": entries})
+        assert main(["gap", "--A", m, "--B", m]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert details["operator_side_certified"] is True
+        rho[name] = details["rho"]
+    assert rho["one"] == pytest.approx(0.8765914291900078, rel=1e-15)
+    assert rho["tiny"] == pytest.approx(rho["one"], rel=1e-14)
 
 
 def test_counterexample_subcommand(tmp_path, capsys):

@@ -294,8 +294,8 @@ def test_gap_report_ratio_does_not_depend_on_the_scale(scale):
 @pytest.mark.parametrize("p_from, p_to", [(math.inf, 3.5), (3.5, 2.0)])
 def test_batched_search_pairs_match_scalar_path(p_from, p_to):
     # No closed form: a matrix searched within a stack gets the same bits as
-    # on its own, including the positive corner of a positive matrix in a
-    # mixed stack.
+    # on its own.  The mixed stack is searched whole, and its positive matrix
+    # gets the bits of the positive corner it takes on its own.
     stack = np.random.default_rng(5).normal(size=(3, 3, 2))
     stack[1] = np.abs(stack[1])
     n_from, n_to = LatticeNorm(p=p_from), LatticeNorm(p=p_to)
@@ -324,9 +324,11 @@ def search_stacks(draw):
 @given(search_stacks(), st.sampled_from([(math.inf, 3.5), (3.5, 2.0), (1.5, 4.0), (3.0, 1.0)]))
 @settings(max_examples=40, deadline=None)
 def test_batched_search_pairs_match_the_reference(stack, pair):
-    # No closed form but the positive corner (from inf, for the positive
-    # and -0.0 matrices of a mixed stack): the stacked search against the
-    # per-entry reference loop, one matrix at a time, at seed 0.
+    # No closed form but the positive corner (from inf, for a stack whose
+    # matrices are all positive or -0.0): the stacked search against the
+    # per-entry reference loop, one matrix at a time, at seed 0.  A mixed
+    # stack is searched whole, and its positive matrices get the bits of the
+    # positive corner the reference takes for each of them.
     n_from, n_to = LatticeNorm(p=pair[0]), LatticeNorm(p=pair[1])
     _, values, witnesses = norms._operator_norms(stack, None, n_from, n_to, witness=True)
     batched = batched_operator_norm(stack, n_from, n_to)
@@ -632,29 +634,32 @@ def test_sample_stack_cap_raises_before_drawing(monkeypatch):
     samples = norms.SAMPLE_STACK_CAP // 4 + 1
     with pytest.raises(EnumerationLimitError, match="sample stack cap"):
         verify_cor23(A, A, NormAssignment.uniform(1.0), samples=samples)
+    # gap draws only when a factor norm is searched: here A itself, from
+    # l^inf to l^2.  Every other norm of the run is a closed form, so no
+    # search over the samples is refused first.
+    searched = NormAssignment(*[LatticeNorm(p=p) for p in (1.0, 2.0, math.inf, 2.0)])
     with pytest.raises(EnumerationLimitError, match="sample stack cap"):
-        gap_report(A, A, NormAssignment.uniform(2.0), samples=samples)
-    # Exactly at the cap the run goes on to draw its samples, as a factor
-    # norm is searched (A itself from l^inf to l^2; every other norm of the
-    # run is a closed form, so no search over the samples is refused first).
-    # That search draws its own random starts, so only the samples are
-    # refused here.
+        gap_report(A, A, searched, samples=samples)
+    # Exactly at the cap the run goes on to draw its samples.  The factor
+    # search draws its own random starts, so only the samples are refused.
     monkeypatch.undo()
     monkeypatch.setattr(norms, "_draws", _no_draw)
-    searched = NormAssignment(*[LatticeNorm(p=p) for p in (1.0, 2.0, math.inf, 2.0)])
     with pytest.raises(AssertionError, match="no draw"):
         gap_report(A, A, searched, samples=samples - 1)
 
 
 def test_sample_stack_cap_counts_the_partial_products(monkeypatch):
     # A is 64 x 1 and B is 64 x 1: T and A T B have 64 entries, A T has 4096.
+    # The norm of A from l^3 to l^2 is a search, so the run draws.
     _refuse_draws(monkeypatch)
     A = RegularOperator(64, 1, [Fraction(1)] * 64)
     B = RegularOperator(64, 1, [Fraction(1)] * 64)
     samples = norms.SAMPLE_STACK_CAP // 4096 + 1
     assert samples * 64 <= norms.SAMPLE_STACK_CAP
+    n2 = LatticeNorm(p=2.0)
+    searched = NormAssignment(n_W=n2, n_X=n2, n_Y=LatticeNorm(p=3.0), n_Z=n2)
     with pytest.raises(EnumerationLimitError, match="sample stack cap"):
-        gap_report(A, B, NormAssignment.uniform(2.0), samples=samples)
+        gap_report(A, B, searched, samples=samples)
 
 
 def test_factor_searches_are_checked_before_any_work(monkeypatch):
@@ -804,12 +809,24 @@ def test_certified_gap_does_not_depend_on_the_scale(p, scale):
     assert report.details["rho"] == pytest.approx(1.0, rel=1e-14)
 
 
-def test_gap_witness_image_underflow_is_not_certified():
-    # ||A|| ||B|| = 1.4e-340 is below the float range: the witness image is
-    # zero, which is no supremum for two nonzero factors.
+def test_gap_of_factors_whose_product_underflows():
+    # ||A|| ||B|| = 1.4e-340 is below the float range, so both sides scale
+    # back to 0; formed at the factors' powers of two, their ratio is the
+    # true one, 1 (B is positive and A a multiple of I).
     A = RegularOperator.from_rows([[1e-170, 0.0], [0.0, 1e-170]])
     B = RegularOperator.from_rows([[0.0, 0.0], [1e-170, 1e-170]])
     report = gap_report(A, B, NormAssignment.uniform(2.0))
+    assert report.details["operator_side"] == report.details["regular_side"] == 0.0
+    assert report.details["operator_side_certified"] is True
+    assert report.details["rho"] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_gap_witness_image_underflow_is_not_certified(monkeypatch):
+    # The factors' scaling keeps the witness image away from underflow; the
+    # guard behind it still refuses a zero image of nonzero factors.
+    monkeypatch.setattr(norms, "_largest_image", lambda *args: (0.0, np.zeros((2, 2))))
+    A = RegularOperator.from_rows([[1, -2], [3, 4]])
+    report = gap_report(A, A, NormAssignment.uniform(2.0))
     assert report.details["operator_side"] == 0.0
     assert report.details["operator_side_certified"] is False
 

@@ -172,7 +172,7 @@ def test_larger_lab_report_bytes(name, tmp_path):
 
 
 def test_battery_lines_end_in_wall_time(tmp_path, capsys):
-    argv = ["--out", str(tmp_path), "--count", "2", "--samples", "10"]
+    argv = ["--out", str(tmp_path), "--count", "2"]
     assert _load_script().main(argv) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if " -> " in line]
     assert len(lines) == len(BATTERY)

@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -19,14 +20,22 @@ gap_decay = _script("gap_decay")
 
 
 def test_gap_decay_sweeps_small_powers(capsys):
-    assert gap_decay.main(["--max-m", "2", "--samples", "20"]) == 0
+    assert gap_decay.main(["--max-m", "2"]) == 0
     out = capsys.readouterr().out
     assert "positive-factor control: rho = 1.000000" in out
 
 
-@pytest.mark.parametrize(
-    "argv", [["--max-m", "0"], ["--max-m", "11"], ["--samples", "-1"]]
-)
+def test_gap_decay_draws_nothing(monkeypatch, capsys):
+    # Every norm of the sweep is a closed form, up to H_2^(x)8 (256 x 256).
+    def no_draw(*args, **kwargs):
+        raise AssertionError("no draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    assert gap_decay.main(["--max-m", "8"]) == 0
+    assert "max |rho - 2^-m|" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--max-m", "0"], ["--max-m", "11"]])
 def test_gap_decay_refuses_bad_sizes_with_exit_2(argv, capsys):
     assert gap_decay.main(argv) == 2
     captured = capsys.readouterr()
@@ -45,7 +54,7 @@ def test_verify_all_writes_every_report_at_a_small_count(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--seed", "-1"], ["--count", "0"], ["--count", "-1"], ["--samples", "-5"],
+    [["--seed", "-1"], ["--count", "0"], ["--count", "-1"],
      ["--lab-n", "1"], ["--lab-n", "0"], ["--lab-n", "-2"]],
 )
 def test_verify_all_refuses_bad_arguments_before_any_run(argv, tmp_path, capsys):
