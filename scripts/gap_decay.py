@@ -6,7 +6,7 @@ superoperator T |-> ATB has operator norm 2^m but regular norm 4^m, so the
 ratio rho halves with every tensor power — the two norms are inequivalent
 in any dimension-free sense.  This script measures the decay and, for
 contrast, shows that positive factors exhibit no gap at all (rho = 1).
-Every norm here is a closed form, so nothing is sampled.
+Every norm here is a closed form, so each rho is certified.
 
 Usage:
     python scripts/gap_decay.py --max-m 5

@@ -229,17 +229,17 @@ def _run_gap(args) -> VerificationReport:
     if args.m is not None:
         if args.A is not None or args.B is not None:
             raise UsageError("gap takes either --m or --A and --B, not both")
-        # Refuse an oversized sample stack or norm search before building
-        # the Fraction H, which is signed but for the 1 x 1 H at m = 0.
+        # Refuse an oversized norm search before building the Fraction H,
+        # which is signed but for the 1 x 1 H at m = 0.
         n = hadamard_order(args.m)
-        check_sampling(args.samples, (n, n), (n, n), assignment, factor_signs=(args.m == 0,) * 2)
+        check_sampling(0, (n, n), (n, n), assignment, factor_signs=(args.m == 0,) * 2)
         A = B = hadamard_tensor_power(args.m)
     else:
         if args.A is None or args.B is None:
             raise UsageError("gap needs either --m or both --A and --B")
         A, B = _load(args.A), _load(args.B)
     _require_exact(args, A, B)
-    return gap_report(A, B, assignment, samples=args.samples, seed=args.seed)
+    return gap_report(A, B, assignment, seed=args.seed)
 
 
 def _run_counterexample(args) -> VerificationReport:
@@ -326,13 +326,11 @@ def _add_globals(parser: argparse.ArgumentParser, *flags: str):
                             help="float comparison tolerance (exact mode ignores it)")
 
 
-def _add_norm_flags(parser: argparse.ArgumentParser, p: str,
-                    samples: str = "random samples for bounds"):
+def _add_norm_flags(parser: argparse.ArgumentParser, p: str):
     for flag, space in (("--p-in", "W"), ("--p-mid1", "X"), ("--p-mid2", "Y"),
                         ("--p-out", "Z")):
         parser.add_argument(flag, type=lp_norm, default=p,
                             help=f"norm exponent for {space} (%(default)s)")
-    parser.add_argument("--samples", type=int, default=200, help=f"{samples} (%(default)s)")
 
 
 def _add_gap(parser: argparse.ArgumentParser):
@@ -340,7 +338,7 @@ def _add_gap(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, help="use A = B = H2^(x)m (sign-matrix family)")
     parser.add_argument("--A", metavar="FILE")
     parser.add_argument("--B", metavar="FILE")
-    _add_norm_flags(parser, "2", "random samples, drawn only when a factor norm is searched")
+    _add_norm_flags(parser, "2")
     _add_globals(parser, "--json", "--exact")
     parser.set_defaults(run=_run_gap)
 
@@ -384,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p_claim.add_argument(f"--{role}", metavar="FILE")
             if claim == "cor23":
                 _add_norm_flags(p_claim, "1")  # the exactly enumerable chain
+                p_claim.add_argument("--samples", type=int, default=200,
+                                     help="random samples for bounds (%(default)s)")
             _add_globals(p_claim, "--json", "--exact", "--tolerance")
             p_claim.set_defaults(run=_run_claim, seed=None)  # see _run_claim
 

@@ -36,18 +36,17 @@ M(T) = (B'x') (x) (Ay*) reaches the product of the factor norms:
 ``verify_cor23`` on |A| and |B|, ``gap_report`` on A and B themselves,
 scaled by powers of two so that its ratio does not move with their scale.
 
-``verify_cor23`` samples positive T for its upper side.  ``gap_report``
-samples mixed-sign T only when a factor norm is searched; when both are
-closed forms the witness attains the supremum ||A|| ||B|| and nothing is
-drawn.  The samples are drawn in stacks of ``lattice._chunk_size`` samples,
-each stack's images A T_s B formed as one batched BLAS product
-``A @ stack @ B``, so a run's memory does not grow with its sample count.
-A run of more than ``SAMPLE_STACK_CAP`` (2^24) sampled entries, or a norm
-search over the samples, their images or the factors (and, for
-``gap_report``, the signed factors) beyond ``SEARCH_WORK_CAP``, raises
-``EnumerationLimitError`` before any work (``check_sampling``; samples
-only if drawn), and so does a ``hadamard_tensor_power`` of more than
-``superop.KRON_ENTRY_CAP`` (2^20) entries, i.e. m > 10.
+Only ``verify_cor23`` samples, positive T for its upper side; no T beats
+the witness in ``gap_report``, which draws nothing.  The samples are
+drawn in stacks of ``lattice._chunk_size`` samples, each stack's images
+A T_s B formed as one batched BLAS product ``A @ stack @ B``, so a run's
+memory does not grow with its sample count.  A run of more than
+``SAMPLE_STACK_CAP`` (2^24) sampled entries, or a norm search over the
+samples, their images or the factors (and, for ``gap_report``, the signed
+factors) beyond ``SEARCH_WORK_CAP``, raises ``EnumerationLimitError``
+before any work (``check_sampling``), and so does a
+``hadamard_tensor_power`` of more than ``superop.KRON_ENTRY_CAP`` (2^20)
+entries, i.e. m > 10.
 
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
@@ -63,7 +62,6 @@ vectors (attainment is certified to 1e-9, not bitwise).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -473,50 +471,42 @@ def check_sampling(
     assignment,
     factor_signs: Optional[tuple] = None,
 ):
-    """Refuse a sampling run before anything is built or drawn: a negative
-    sample count (``ValueError``), sampled entries beyond ``SAMPLE_STACK_CAP``
-    or a norm search beyond ``SEARCH_WORK_CAP`` (``EnumerationLimitError``)
-    over the y x x samples (X -> Y), their z x w images (W -> Z) or the
+    """Refuse a run before anything is built or drawn: a negative sample
+    count (``ValueError``), sampled entries beyond ``SAMPLE_STACK_CAP`` or a
+    norm search beyond ``SEARCH_WORK_CAP`` (``EnumerationLimitError``) over
+    the positive y x x samples (X -> Y), their z x w images (W -> Z) or the
     factors' moduli |A| (Y -> Z) and |B| (W -> X).  ``a_shape`` = (z, y) and
-    ``b_shape`` = (x, w) are the shapes of A and B.  ``verify_cor23`` draws
-    positive samples.  A gap run passes ``factor_signs``, whether A and B
-    are positive: it norms them too, and draws mixed-sign samples only if
-    one of those norms is a search.  Returns whether the run draws."""
+    ``b_shape`` = (x, w) are the shapes of A and B.  A gap run passes zero
+    samples and ``factor_signs``, whether A and B are positive, as it norms
+    them too."""
     if samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {samples}")
+    entries = _sample_entries(a_shape, b_shape)
+    if samples * entries > SAMPLE_STACK_CAP:
+        raise EnumerationLimitError(
+            f"{samples} samples of {entries} entries exceed sample stack cap "
+            f"{SAMPLE_STACK_CAP}"
+        )
     (z, y), (x, w) = a_shape, b_shape
     a = assignment
     factors = [(a.n_Y, a.n_Z, 1, (z, y)), (a.n_W, a.n_X, 1, (x, w))]
-    signed = [(*factor, signs) for factor, signs in zip(factors, factor_signs or ())]
-    checks = [(*factor, True) for factor in factors] + signed
-    draws = factor_signs is None or any(
-        _closed_form_method(n_from, n_to, signs) is None for n_from, n_to, _, _, signs in signed
-    )
-    if draws:
-        entries = _sample_entries(a_shape, b_shape)
-        if samples * entries > SAMPLE_STACK_CAP:
-            raise EnumerationLimitError(
-                f"{samples} samples of {entries} entries exceed sample stack cap "
-                f"{SAMPLE_STACK_CAP}"
-            )
-        positive = factor_signs is None
-        checks[:0] = [(a.n_X, a.n_Y, samples, (y, x), positive),
-                      (a.n_W, a.n_Z, samples, (z, w), positive)]
+    checks = [(a.n_X, a.n_Y, samples, (y, x), True), (a.n_W, a.n_Z, samples, (z, w), True)]
+    checks += [(*factor, True) for factor in factors]
+    checks += [(*factor, signs) for factor, signs in zip(factors, factor_signs or ())]
     for n_from, n_to, count, shape, signs in checks:
         if _closed_form_method(n_from, n_to, signs) is None:
             _check_search(count, *shape)
-    return draws
 
 
-def _draws(draw, samples: int, A: RegularOperator, B: RegularOperator):
-    """``samples`` random T (A.cols x B.rows) drawn by ``draw(size)``, in
+def _draws(rng, samples: int, A: RegularOperator, B: RegularOperator):
+    """``samples`` T (A.cols x B.rows) uniform on [0, 1) from ``rng``, in
     stacks of ``lattice._chunk_size`` samples of ``_sample_entries`` each (the
     entries ``check_sampling`` counts, so that A T is bounded too).  numpy's
     generators give one call's stream split across calls, so the stacks hold
     the same numbers in the same order as one draw of every sample."""
     step = _chunk_size(_sample_entries(A.shape, B.shape))
     for start in range(0, samples, step):
-        yield draw((min(step, samples - start), A.cols, B.rows))
+        yield rng.uniform(0.0, 1.0, (min(step, samples - start), A.cols, B.rows))
 
 
 def _largest_image(
@@ -601,6 +591,22 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
     return Fraction(best, modA._den * modB._den)
 
 
+def _rank_one_witness(A, B, norm_A: NormResult, norm_B: NormResult, assignment):
+    """(value, T, x') for T = x' (x) y*, y* the witness of ``norm_A`` and x'
+    norming B v* in X for the witness v* of ``norm_B``: M(T) = (B'x') (x) (Ay*)
+    has norm ``value`` = ||B'x'||_{W*} ||Ay*||_Z >= ``norm_A norm_B`` up to rounding."""
+    A_f = A.to_float()
+    B_f = B.to_float()
+    y_star = norm_A.witness
+    v_star = norm_B.witness
+    x_prime = norming_functional(B_f.apply(v_star), assignment.n_X)
+    u_prime = B_f.transpose().apply(x_prime)
+    value = float(dual_norm(u_prime, assignment.n_W)) * float(
+        vector_norm(A_f.apply(y_star), assignment.n_Z)
+    )
+    return value, rank_one(x_prime, y_star), x_prime
+
+
 def verify_cor23(
     A: RegularOperator,
     B: RegularOperator,
@@ -639,22 +645,13 @@ def verify_cor23(
 
     # Rank-one witness: y* norms |A|; x' norms |B| v* in X, so that
     # ||(|B|' x') (x) (|A| y*)||_r = ||B||_r ||A||_r.
-    absA_f = absA.to_float()
-    absB_f = absB.to_float()
-    y_star = rnA.witness
-    v_star = rnB.witness
-    x_prime = norming_functional(absB_f.apply(v_star), n_X)
-    u_prime = absB_f.transpose().apply(x_prime)
-    witness_value = float(dual_norm(u_prime, n_W)) * float(
-        vector_norm(absA_f.apply(y_star), n_Z)
-    )
-    witness_T = rank_one(x_prime, y_star)
+    witness_value, witness_T, x_prime = _rank_one_witness(absA, absB, rnA, rnB, assignment)
     witness_shortfall = max(0.0, product_f - witness_value)
 
     # Sampled upper side: positive T of unit regular norm never push
     # ||  |A| T |B|  || above the product.
     rng = np.random.default_rng(seed)
-    stacks = _draws(lambda size: rng.uniform(0.0, 1.0, size), samples, A, B)
+    stacks = _draws(rng, samples, A, B)
     arr_A, arr_B = np.array(absA.as_floats()), np.array(absB.as_floats())
     largest = _largest_image(arr_A, stacks, arr_B, assignment)
     max_sample = 0.0 if largest is None else largest[0]
@@ -672,7 +669,7 @@ def verify_cor23(
         claim_id="cor23",
         inputs={"A": A, "B": B, "assignment": assignment, "samples": samples},
         deviations=[dev],
-        witnesses={"rank_one_T": witness_T, "y_star": y_star, "x_prime": x_prime},
+        witnesses={"rank_one_T": witness_T, "y_star": rnA.witness, "x_prime": x_prime},
         seed=seed,
         details={
             "regular_norm_A": rnA.value,
@@ -723,55 +720,52 @@ def hadamard_tensor_power(m: int) -> RegularOperator:
 
 
 def _binary_scaled(M: RegularOperator):
-    """(2^-e M, its float array in C order, e) for the power of two 2^e that
-    brings the largest entry of M into [1, 2), scaled exactly; M itself when
-    e = 0."""
-    floats = M.to_float()._values
-    shift = int(np.frexp(np.abs(floats).max(initial=0.0))[1]) - 1
+    """(2^-e M, e) for the power of two 2^e that brings the largest entry of
+    M into [1, 2), scaled exactly; M itself when e = 0."""
+    shift = int(np.frexp(np.abs(M.to_float()._values).max(initial=0.0))[1]) - 1
     if shift:
         exact = M.is_exact
         M = M.scale(Fraction(2) ** -shift) if exact else M._of(np.ldexp(M._values, -shift), None)
-        floats = M.to_float()._values
-    return M, np.ascontiguousarray(floats), shift
+    return M, shift
 
 
 def _scaled_back(value, shift: int):
-    """2^shift value, exactly for a Fraction."""
+    """2^shift value, exactly for a Fraction; None beyond the float range."""
     if isinstance(value, Fraction):
         return value * Fraction(2) ** shift
-    return float(np.ldexp(value, shift))
+    try:
+        return math.ldexp(value, shift)
+    except OverflowError:
+        return None
 
 
 def gap_report(
     A: RegularOperator,
     B: RegularOperator,
     assignment: NormAssignment,
-    samples: int = 200,
     seed: int = 0,
 ) -> VerificationReport:
     """Ratio of the operator norm of T |-> ATB to the regular-norm product.
 
     The operator norm is ||A|| ||B|| (Y -> Z and W -> X), attained at the
     rank-one witness T = x' (x) y*: y* attains ||A||, and x' norms B w* in X
-    for the w* that attains ||B||.  When both factor norms are closed forms,
-    that witness is the only candidate and nothing is drawn, so
-    ``operator_side`` is the attained supremum up to rounding, and
-    ``operator_side_certified`` is set unless the image of the witness
-    underflows to zero while neither factor is zero.  When either is
-    searched, the seeded sampled stacks of mixed-sign T go ahead of it, and
-    ``operator_side``, the largest image norm over all of them at unit norm
-    (X -> Y), is a lower bound; on a tie the first maximiser is ``best_T``.
+    for the w* that attains ||B||, as in ``verify_cor23``.  ``best_T`` is T,
+    and ``operator_side`` its image's norm ||B'x'||_{W*} ||Ay*||_Z; nothing is
+    drawn.  When both factor norms are closed forms, that is the supremum up
+    to rounding, and ``operator_side_certified`` is set unless it is zero
+    while neither factor is; when either is searched, it is a lower bound.
     All is computed on A and B scaled by the powers of two that bring their
     largest entries into [1, 2) (+-1 entries stay), so that no product leaves
-    the float range; the sides and regular norms are scaled back.  Reported
-    as an exploration (status ``info``): the ratio can sink far below 1,
-    e.g. at rate 2^-m along A = B = hadamard_tensor_power(m).  A run that
-    ``check_sampling`` refuses raises before any work.
+    the float range; the sides and regular norms are scaled back, a float
+    beyond the float range to None (JSON null), while ``rho`` stays.
+    Reported as an exploration (status ``info``): the ratio can sink far
+    below 1, e.g. at rate 2^-m along A = B = hadamard_tensor_power(m).  A run
+    that ``check_sampling`` refuses raises before any work.
     """
     # Signs read on the exact stored values, as ``_operator_norms`` reads them.
     signs = tuple(bool((M._values >= 0).all()) for M in (A, B))
-    draws = check_sampling(samples, A.shape, B.shape, assignment, factor_signs=signs)
-    (A_s, arr_A, shift_A), (B_s, arr_B, shift_B) = _binary_scaled(A), _binary_scaled(B)
+    check_sampling(0, A.shape, B.shape, assignment, factor_signs=signs)
+    (A_s, shift_A), (B_s, shift_B) = _binary_scaled(A), _binary_scaled(B)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     rnA = regular_norm(A_s, n_Y, n_Z, seed=seed)
@@ -780,25 +774,21 @@ def gap_report(
 
     norm_A = operator_norm(A_s, n_Y, n_Z, seed=seed)
     norm_B = operator_norm(B_s, n_W, n_X, seed=seed)
-    # ||A T B|| >= ||A|| x'(B w*) = ||A|| ||B||.
-    x_prime = _norming(arr_B @ norm_B.witness._values, None, n_X, functional=True)
-    stacks = [np.outer(norm_A.witness._values, x_prime)[None]]
-    if draws:
-        rng = np.random.default_rng(seed)
-        stacks = itertools.chain(_draws(rng.standard_normal, samples, A, B), stacks)
-    best, best_T = _largest_image(arr_A, stacks, arr_B, assignment)
-    rho = best / denom if denom > 0.0 else 0.0
+    # ||A T B|| = ||B'x'|| ||A y*|| >= ||A|| x'(B w*) = ||A|| ||B||.
+    side, best_T, _ = _rank_one_witness(A_s, B_s, norm_A, norm_B, assignment)
+    rho = side / denom if denom > 0.0 else 0.0
     # A zero image of nonzero factors is float underflow, not the supremum.
-    certified = not draws and (best > 0.0 or not (norm_A.value and norm_B.value))
+    certified = (norm_A.certified and norm_B.certified
+                 and (side > 0.0 or not (norm_A.value and norm_B.value)))
 
     return make_report(
         claim_id="gap",
-        inputs={"A": A, "B": B, "assignment": assignment, "samples": samples},
+        inputs={"A": A, "B": B, "assignment": assignment},
         deviations=[0.0],
-        witnesses={"best_T": RegularOperator(A.cols, B.rows, best_T.ravel().tolist())},
+        witnesses={"best_T": best_T},
         seed=seed,
         details={
-            "operator_side": _scaled_back(best, shift_A + shift_B),
+            "operator_side": _scaled_back(side, shift_A + shift_B),
             "operator_side_certified": certified,
             "regular_side": _scaled_back(denom, shift_A + shift_B),
             "rho": rho,

@@ -246,7 +246,7 @@ def test_criterion_6_gap_decay():
     ratios = []
     for m in (1, 2, 3):
         H = hadamard_tensor_power(m)
-        report = gap_report(H, H, assignment, samples=200, seed=SEED)
+        report = gap_report(H, H, assignment, seed=SEED)
         rho = report.details["rho"]
         regular = report.details["regular_side"]
         assert rho <= 2.0**-m + 1e-6, f"m={m}"
@@ -276,7 +276,7 @@ def test_criterion_7_determinism(tmp_path):
     invocations = [
         ["verify", "cor22", "--corpus", f"seed={SEED},dims=2x3x2x2,count=25"],
         ["verify", "prop21", "--corpus", f"seed={SEED},dims=2x2x2x2,count=10"],
-        ["verify", "gap", "--m", "2", "--seed", str(SEED), "--samples", "100"],
+        ["verify", "gap", "--m", "2", "--seed", str(SEED)],
         ["counterexample", "--n", "4", "--k", "2", "--seed", str(SEED)],
     ]
     identical = True

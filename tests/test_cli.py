@@ -101,7 +101,7 @@ def test_verify_cor23_corpus(capsys):
 
 
 def test_verify_gap_via_m(capsys):
-    assert main(["verify", "gap", "--m", "1", "--samples", "20"]) == 0
+    assert main(["verify", "gap", "--m", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "info"
     assert report["details"]["rho"] == pytest.approx(0.5, abs=1e-6)
@@ -352,10 +352,10 @@ def test_verify_refuses_norm_flags_outside_cor23_and_gap(argv, needle, no_file_r
     "bare,explicit",
     [
         (["verify", "counterexample"], ["--n", "3", "--k", "1"]),
-        (["verify", "gap", "--m", "1"], ["--samples", "200"]),
         (["verify", "cor23", "--corpus", "seed=1,count=2"], ["--samples", "200"]),
         (["counterexample"], ["--n", "3", "--k", "1"]),
     ],
+    ids=["bare0-explicit0", "bare2-explicit2", "bare3-explicit3"],
 )
 def test_verify_flag_defaults_resolve_per_claim(bare, explicit, capsys):
     assert main(bare) == 0
@@ -413,11 +413,11 @@ def test_verify_prop21_negative_w_exits_2(tmp_path, matrix_files, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gap", "--m", "2", "--samples", "-5"],
         ["verify", "cor23", "--samples", "-3"],
         ["counterexample", "--n", "4", "--k", "1", "--t-samples", "-1"],
         ["counterexample", "--n", "4", "--k", "1", "--split-samples", "-2"],
     ],
+    ids=["argv1", "argv2", "argv3"],
 )
 def test_negative_sample_counts_exit_2(argv, matrix_files, capsys):
     if argv[0] == "verify":
@@ -428,7 +428,6 @@ def test_negative_sample_counts_exit_2(argv, matrix_files, capsys):
 
 def test_zero_samples_stay_valid(matrix_files, capsys):
     a, _ = matrix_files
-    assert main(["gap", "--m", "2", "--samples", "0"]) == 0
     assert main(["verify", "cor23", "--A", a, "--B", a, "--samples", "0"]) == 0
 
 
@@ -484,11 +483,10 @@ def test_verify_cor23_float_samples_run_in_bounded_memory(capsys):
 @pytest.mark.parametrize(
     "argv, cap",
     [
-        (["gap", "--m", "1", "--p-in", "3", "--samples", "1000000000000"], "sample stack cap"),
         (["gap", "--m", "30"], "entry cap"),
         (["verify", "cor23", "--samples", "1000000000000"], "sample stack cap"),
-        (["gap", "--m", "3", "--p-in", "3", "--samples", "20000"], "search work cap"),
     ],
+    ids=["argv1-entry cap", "argv2-sample stack cap"],
 )
 def test_oversized_request_exits_2_at_once(argv, cap, matrix_files, capsys):
     if argv[0] == "verify":
@@ -511,33 +509,26 @@ def no_hadamard(monkeypatch):
     monkeypatch.setattr(cli, "hadamard_tensor_power", refuse)
 
 
-def test_gap_stack_cap_is_checked_before_building_H(no_hadamard, capsys):
-    # From l^inf to l^2 the signed H is searched, so the run draws its 200
-    # samples of 1024 x 1024.
-    assert main(["gap", "--m", "10", "--p-mid2", "inf"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "sample stack cap" in err
-    assert "Traceback" not in err
-
-
-def test_certified_gap_draws_no_samples(monkeypatch, capsys):
-    # All 2 -> 2: both factor norms are closed forms, so the rank-one witness
-    # is the only candidate and no sample count is too large.
+def test_certified_gap_draws_no_samples(monkeypatch, no_file_reads, capsys):
+    # All 2 -> 2: both factor norms are closed forms, and the rank-one
+    # witness attains ||A|| ||B||.  gap takes no sample count at all.
     def no_draw(*args, **kwargs):
         raise AssertionError("no draw")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    assert main(["gap", "--m", "1", "--samples", "1000000000000"]) == 0
+    for command in (["gap"], ["verify", "gap"]):
+        _assert_usage_error(capsys, command + ["--m", "1", "--samples", "10"],
+                            f"{' '.join(command)} does not take --samples")
+    assert main(["gap", "--m", "1"]) == 0
     details = json.loads(capsys.readouterr().out)["details"]
     assert details["operator_side_certified"] is True
     assert details["rho"] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_gap_factor_search_cap_is_checked_before_building_H(no_hadamard, capsys):
-    # No samples, but |H|'s regular norm from W to X (3 -> 2) is a search
-    # over one 1024 x 1024 matrix, above the cap.
-    assert main(["gap", "--m", "10", "--p-in", "3", "--samples", "0"]) == 2
+    # |H|'s regular norm from W to X (3 -> 2) is a search over one
+    # 1024 x 1024 matrix, above the cap.
+    assert main(["gap", "--m", "10", "--p-in", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "search over 1 1024x1024 matrices" in err
@@ -548,7 +539,7 @@ def test_gap_factor_search_cap_is_checked_before_building_H(no_hadamard, capsys)
 def test_gap_signed_factor_search_cap_is_checked_before_building_H(no_hadamard, capsys):
     # From l^inf to l^2, |H| takes the positive corner but the signed H
     # itself is a search over one 1024 x 1024 matrix, above the cap.
-    assert main(["gap", "--m", "10", "--p-mid2", "inf", "--samples", "0"]) == 2
+    assert main(["gap", "--m", "10", "--p-mid2", "inf"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "search over 1 1024x1024 matrices" in err
@@ -558,9 +549,9 @@ def test_gap_signed_factor_search_cap_is_checked_before_building_H(no_hadamard, 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gap", "--m", "1", "--p-in", "3", "--samples", "400000"],
         ["verify", "cor23", "--p-in", "3", "--samples", "400000"],
     ],
+    ids=["argv1"],
 )
 def test_search_cap_is_checked_before_the_samples_are_drawn(
     argv, matrix_files, monkeypatch, capsys
@@ -639,7 +630,7 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 def test_console_line_reports_runtime_but_json_does_not(tmp_path, capsys):
     outs = [str(tmp_path / "g1.json"), str(tmp_path / "g2.json")]
     for out in outs:
-        assert main(["gap", "--m", "2", "--samples", "30", "--json", out]) == 0
+        assert main(["gap", "--m", "2", "--json", out]) == 0
         err = capsys.readouterr().err.strip()
         assert err.startswith("[INFO] gap")
         assert err.endswith(" ms)")
@@ -675,7 +666,7 @@ def test_norm_subcommand(matrix_files, capsys):
 
 
 def test_gap_subcommand(capsys):
-    assert main(["gap", "--m", "2", "--samples", "30"]) == 0
+    assert main(["gap", "--m", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["details"]["rho"] == pytest.approx(0.25, abs=1e-6)
 
@@ -719,6 +710,39 @@ def test_gap_of_factors_far_below_one(tmp_path, capsys):
         rho[name] = details["rho"]
     assert rho["one"] == pytest.approx(0.8765914291900078, rel=1e-15)
     assert rho["tiny"] == pytest.approx(rho["one"], rel=1e-14)
+
+
+def test_gap_sides_beyond_the_float_range_are_null(tmp_path, capsys):
+    # At 1e155 both sides are near 3e311: they are reported as null, while
+    # rho and the regular norms, taken at the factors' powers of two, stay.
+    details = {}
+    for name, scale in (("one", 1.0), ("huge", 1e155)):
+        entries = [e * scale for e in (1.0, 2.0, 3.0, -4.0)]
+        m = _write(tmp_path / f"{name}.json", {"rows": 2, "cols": 2, "entries": entries})
+        assert main(["gap", "--A", m, "--B", m]) == 0
+        details[name] = json.loads(capsys.readouterr().out)["details"]
+    huge, one = details["huge"], details["one"]
+    assert huge["operator_side"] is None and huge["regular_side"] is None
+    assert huge["operator_side_certified"] is True
+    assert huge["rho"] == pytest.approx(one["rho"], rel=1e-14)
+    assert huge["regular_norm_A"] == pytest.approx(one["regular_norm_A"] * 1e155, rel=1e-14)
+
+
+def test_gap_takes_the_witness_side_without_a_search(tmp_path, capsys):
+    # Both factor norms are closed forms (1 -> 2 and 3 -> inf), but the
+    # image norm from W to Z (3 -> 2) is not; the witness image, a rank-one
+    # 200 x 200 matrix, is valued by its factors' norms, not searched.
+    a = [(-1) ** k * (k % 7 + 1) for k in range(400)]
+    b = [(-1) ** (k // 3) * (k % 5 + 1) for k in range(400)]
+    A = _write(tmp_path / "A.json", {"rows": 200, "cols": 2, "entries": a})
+    B = _write(tmp_path / "B.json", {"rows": 2, "cols": 200, "entries": b})
+    argv = ["gap", "--A", A, "--B", B, "--p-in", "3", "--p-mid1", "inf", "--p-mid2", "1",
+            "--p-out", "2"]
+    assert main(argv) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert details["operator_side_certified"] is True
+    # Column and row norms do not see signs: there is no gap.
+    assert details["rho"] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_counterexample_subcommand(tmp_path, capsys):
@@ -1092,7 +1116,7 @@ def test_inf_spellings_parse_as_inf(spelling, matrix_files, capsys):
     inf_bytes = capsys.readouterr().out
     assert main(["norm", "--A", a, "--p-from", "1", "--p-to", spelling]) == 0
     assert capsys.readouterr().out == inf_bytes
-    assert main(["gap", "--m", "1", "--samples", "3", "--p-in", spelling]) == 0
+    assert main(["gap", "--m", "1", "--p-in", spelling]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ ROLE_FILES = {"A": "A.json", "B": "A.json", "C": "A.json", "D": "A.json",
               "A0": "P.json", "B0": "P.json", "T": "P.json", "w": "w.json"}
 
 OUT = "--seed 1 --json out.json"
-NORMS = "--p-in {p} --p-mid1 {p} --p-mid2 {p} --p-out {p} --samples 2"
-GAP = [f"--m 1 {OUT} --exact {NORMS.format(p=2)}", "--A A.json --B A.json --samples 2"]
+NORMS = "--p-in {p} --p-mid1 {p} --p-mid2 {p} --p-out {p}"
+GAP = [f"--m 1 {OUT} --exact {NORMS.format(p=2)}", "--A A.json --B A.json"]
 LAB = f"--n 2 --k 1 --t-samples 1 --partition-budget 2 --split-samples 1 {OUT}"
 
 
 def _claim(claim):
     files = " ".join(f"--{role} {ROLE_FILES[role]}" for role in CLAIM_ROLES[claim])
-    norms = f" {NORMS.format(p=1)}" if claim == "cor23" else ""
+    norms = f" {NORMS.format(p=1)} --samples 2" if claim == "cor23" else ""
     return [f"{files} {OUT} --exact --tolerance 1e-9{norms}", "--corpus seed=1,count=1"]
 
 
