@@ -15,15 +15,21 @@ matrix, using closed forms whenever one exists:
                           more than ``SEARCH_WORK_CAP`` (2^24) of its work
                           raises ``EnumerationLimitError`` before any step.
 
-Each closed form, the search, each vector and dual norm and each duality
-map is written once, as an array kernel over a stack, on stored values
-over a denominator: Python-int numerators (so exact values stay
-``Fraction``) or float64, sums taken by ``lattice._left_sum`` and powers
-as Python's float power.  ``operator_norm`` runs the kernel on a stack of
-one, ``batched_operator_norm`` on a whole stack by one method, and both
-give a matrix the same bits; only 2 -> 2 differs, where a matrix gets its
-full SVD (the witness is a singular vector) and a stack the largest
-eigenvalue of each scaled Gram matrix, which agree to O(u) relative.
+Each closed form, the search, the l^p norm and the duality map is written
+once, as an array kernel over a stack, on stored values over a
+denominator: Python-int numerators (so exact values stay ``Fraction``) or
+float64, sums taken by ``lattice._left_sum``.  A dual norm is the norm at
+the conjugate exponent, a norming vector the duality map there.  At p not
+in {1, inf} each vector is scaled by a power of two, its powers taken by
+``np.power`` (last bits depending on numpy's CPU kernel, not on the
+array's shape) and its norm scaled back: its largest power is at least
+1, so no norm underflows; below p = 1024 a norm overflows only beyond the
+float range; and 2^k A has 2^k times every norm of A but the 2 -> 2 SVD.
+``operator_norm`` runs the kernel on a stack of one,
+``batched_operator_norm`` on a whole stack by one method, and both give a
+matrix the same bits; only 2 -> 2 differs, where a matrix gets its full
+SVD (the witness is a singular vector) and a stack the largest eigenvalue
+of each scaled Gram matrix, which agree to O(u) relative.
 ``vector_norm``, ``dual_norm`` and ``norming_functional``: the kernel on one vector.
 
 ``regular_norm`` is the operator norm of the entrywise modulus.  The two
@@ -96,11 +102,6 @@ class LatticeNorm:
             raise ValueError(f"norm exponent must be >= 1, got {self.p}")
         object.__setattr__(self, "p", p)
 
-    @property
-    def exact_capable(self) -> bool:
-        """True when values can stay rational: p in {1, inf}."""
-        return self.p in (1.0, INF)
-
     def conjugate_exponent(self) -> float:
         if self.p == 1.0:
             return INF
@@ -141,10 +142,12 @@ class NormResult:
     """An operator-norm value with its (near-)attaining unit witness.
 
     ``value`` is a Fraction when the closed form is root-free on exact
-    inputs, a float otherwise.  ``witness`` is always a float-mode vector of
-    from-norm at most 1 + 1e-12 with ||A witness|| <= value + 1e-9 (equality
-    up to float rounding for certified methods).  ``certified`` is False
-    only for search-based lower bounds.
+    inputs, a float otherwise (2^k times as large for 2^k A, bit for bit,
+    but by SVD).  ``witness`` is always a float-mode vector of from-norm at
+    most 1 + 1e-12 (the unit all-ones for a zero matrix searched) with
+    ||A witness|| <= value + 1e-9 (equality up to float rounding for
+    certified methods).  ``certified`` is False only for search-based lower
+    bounds.
     """
 
     value: object
@@ -176,72 +179,61 @@ def _value(x):
     return x if isinstance(x, Fraction) else float(x)
 
 
-def _pow(values, exponent):
-    """values ** exponent as Python's float power, entry by entry (numpy's
-    vector power may differ from it in the last bit)."""
-    return np.asarray(np.asarray(values, dtype=object) ** exponent, dtype=np.float64)
+def _binary_scaled_floats(values, axes=-1):
+    """(2^-e values, e), each array over ``axes`` scaled exactly so that its
+    largest modulus lies in [1, 2) as in ``_binary_scaled``, e with ``axes``
+    kept as length 1.  Blue's scaled norm: the largest power of a scaled
+    entry is at least 1, so it never underflows, nor overflows below 2^1024."""
+    _, exps = np.frexp(np.abs(values).max(axis=axes, keepdims=True))
+    return np.ldexp(values, 1 - exps), exps - 1
 
 
-def _norms(values, den, n: LatticeNorm, dual: bool = False):
-    """The norms (``dual``: the dual norms, the l^q norms for the conjugate
-    exponent q) of the vectors on the last axis: Fractions for p in
-    {1, inf} on exact data, floats otherwise."""
-    exact = den is not None and n.exact_capable
-    if not exact:
-        values = _floats(values, den)
-    p = n.conjugate_exponent() if dual else n.p
-    if p == 2.0:
-        return np.sqrt(_left_sum(values * values))
+def _norms(values, den, p: float):
+    """The l^p norms of the vectors on the last axis; a dual norm is the
+    norm at the conjugate exponent.  Fractions for p in {1, inf} on exact
+    data, floats otherwise.  Every other p takes one formula, on each vector
+    scaled by ``_binary_scaled_floats`` and scaled back, so that 2^k x has the
+    norm 2^k ||x|| bit for bit while both are in range."""
     if p not in (1.0, INF):
-        return _pow(_left_sum(_pow(np.abs(values), p)), 1.0 / p)
+        mags, exps = _binary_scaled_floats(np.abs(_floats(values, den)))
+        return np.ldexp(np.power(_left_sum(np.power(mags, p)), 1.0 / p), exps[..., 0])
     out = _left_sum(np.abs(values)) if p == 1.0 else np.abs(values).max(axis=-1)
-    return out * Fraction(1, den) if exact else out
+    return out if den is None else out * Fraction(1, den)
 
 
-def _norming(values, den, n: LatticeNorm, functional: bool = False):
-    """For each vector f on the last axis, a unit x with f . x = the dual
-    norm of f (``functional``: a dual-unit phi with phi . f = the norm of
-    f); exact (an object array) for p in {1, inf} on exact data, floats
-    otherwise.  A zero f gets e_0."""
-    exact = den is not None and n.exact_capable
-    if not exact:
-        values = _floats(values, den)
-    p, dim = n.p, values.shape[-1]
+def _norming(values, den, p: float):
+    """For each vector f on the last axis, the dual-unit phi with
+    phi . f = ||f||_p, phi_j = sign(f_j) (|f_j| / ||f||_p)^(p - 1); the unit
+    x with f . x = the dual norm of f is phi at the conjugate exponent.
+    Exact (an object array) for p in {1, inf} on exact data, floats
+    otherwise, and the same for every 2^k f.  A zero f gets e_0."""
+    dim = values.shape[-1]
     if p in (1.0, INF):
-        # The extreme points: +-e_j, or the vectors of signs.
+        # The extreme points: the vectors of signs, or +-e_j.
         units = np.ones(dim, dtype=values.dtype)
         signed = np.where(values < 0, -units, units)
-        if (p == 1.0) == functional:
+        if p == 1.0:
             return signed
         best = np.abs(values).argmax(axis=-1)[..., None]
         out = np.zeros_like(signed)
         np.put_along_axis(out, best, np.take_along_axis(signed, best, -1), -1)
         return out
-    mags = np.abs(values)
-    if functional:
-        norm = _pow(_left_sum(_pow(mags, p)), 1.0 / p)
-        zero = norm == 0.0
-        mags = _pow(mags / np.where(zero, 1.0, norm)[..., None], p - 1.0)
-        out = np.where(values < 0, -mags, mags)
-    else:
-        mags = _pow(mags, n.conjugate_exponent() - 1.0)
-        norm = _left_sum(_pow(mags, p))
-        zero = norm == 0.0
-        norm = _pow(np.where(zero, 1.0, norm), 1.0 / p)
-        out = np.where(values < 0, -mags, mags) / norm[..., None]
-    first = np.zeros(dim)
-    first[0] = 1.0
-    return np.where(zero[..., None], first, out)
+    mags, _ = _binary_scaled_floats(np.abs(_floats(values, den)))
+    norm = _norms(mags, None, p)  # scaled by 2^0: max(mags) is in [1, 2)
+    zero = norm == 0.0
+    mags = np.power(mags / np.where(zero, 1.0, norm)[..., None], p - 1.0)
+    e_0 = np.arange(dim) == 0
+    return np.where(zero[..., None], e_0, np.where(values < 0, -mags, mags))
 
 
 def vector_norm(x: LatticeVector, n: LatticeNorm):
     """The l^p norm of x; Fraction for p in {1, inf} on exact data."""
-    return _value(_norms(x._values, x._den, n))
+    return _value(_norms(x._values, x._den, n.p))
 
 
 def dual_norm(f: LatticeVector, n: LatticeNorm):
     """Norm of the functional x |-> f . x on (R^d, n)."""
-    return _value(_norms(f._values, f._den, n, dual=True))
+    return _value(_norms(f._values, f._den, n.conjugate_exponent()))
 
 
 def norming_functional(x: LatticeVector, n: LatticeNorm) -> LatticeVector:
@@ -250,7 +242,7 @@ def norming_functional(x: LatticeVector, n: LatticeNorm) -> LatticeVector:
     Exact for p in {1, inf} with exact data; float otherwise.  For x = 0 an
     arbitrary dual-unit functional is returned.
     """
-    return LatticeVector(_norming(x._values, x._den, n, functional=True).tolist())
+    return LatticeVector(_norming(x._values, x._den, n.p).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +278,24 @@ def _closed_form(values, den, n_from, n_to, method: str, witness: bool):
     pick = np.arange(count)
     if method == "max_column":
         # Unit-ball extreme points are +-e_j.
-        norms = _norms(np.swapaxes(values, -1, -2), den, n_to)
+        norms = _norms(np.swapaxes(values, -1, -2), den, n_to.p)
         best = norms.argmax(axis=-1)
         if witness:
             witness = np.zeros((count, cols))
             witness[pick, best] = 1.0
         return norms[pick, best], witness
     if method == "max_row_dual":
-        norms = _norms(values, den, n_from, dual=True)
+        dual = n_from.conjugate_exponent()
+        norms = _norms(values, den, dual)
         best = norms.argmax(axis=-1)
         if witness:
-            witness = _norming(values[pick, best], den, n_from).astype(np.float64)
+            witness = _norming(values[pick, best], den, dual).astype(np.float64)
         return norms[pick, best], witness
     if method == "positive_corner":
         # For positive A the sup over the unit ball sits at the all-ones
         # corner (monotone to-norm, |A x| <= A corner).
         corner = np.ones((cols, 1), dtype=values.dtype)
-        norms = _norms(_matmul(values, corner)[..., 0], den, n_to)
+        norms = _norms(_matmul(values, corner)[..., 0], den, n_to.p)
         return norms, np.ones((count, cols)) if witness else None
     floats = _floats(values, den)
     if not witness:
@@ -314,16 +307,14 @@ def _closed_form(values, den, n_from, n_to, method: str, witness: bool):
 def _largest_singular_values(stack):
     """sigma_max of each matrix of a float stack (count, rows, cols): the
     square root of the largest eigenvalue of its Gram matrix on the smaller
-    side, by one ``eigvalsh`` call.  Each matrix is first scaled, exactly, by
-    the power of two that brings its largest entry into [1/2, 1) (Blue's
-    scaled norm), so that its Gram matrix neither underflows nor overflows,
-    and sigma is scaled back."""
+    side, by one ``eigvalsh`` call on the matrix scaled by
+    ``_binary_scaled_floats``, whose Gram matrix neither underflows nor
+    overflows."""
     if stack.shape[-2] < stack.shape[-1]:
         stack = stack.swapaxes(-1, -2)
-    _, exps = np.frexp(np.abs(stack).max(axis=(-2, -1)))
-    scaled = np.ldexp(stack, -exps[:, None, None])
+    scaled, exps = _binary_scaled_floats(stack, (-2, -1))
     top = np.linalg.eigvalsh(scaled.swapaxes(-1, -2) @ scaled)[:, -1]
-    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exps)
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exps[:, 0, 0])
 
 
 #: The search runs SEARCH_ITERS ascent steps from each of all-ones, the first
@@ -358,8 +349,11 @@ def _search(a, n_from, n_to, positive, seed: int):
     maps of the two norms (Boyd's power method) until its first step that
     does not gain or whose image is zero.  Every matrix has the same starts,
     taken entrywise absolute for the ``positive`` ones, and gets the first
-    start that reaches its largest value (a nan never wins), or 0.0 at
-    all-ones when no start gives more."""
+    start that reaches its largest value (a nan never wins), or 0.0 at the
+    unit all-ones start when no start gives more.  The matrices are
+    searched scaled by ``_binary_scaled_floats``, so 2^k A gets A's witness
+    even where the ascent's products are subnormal."""
+    a, exps = _binary_scaled_floats(a, (-2, -1))
     count, _, cols = a.shape
     rng = np.random.default_rng(seed)
     starts = np.concatenate([np.ones((1, cols)), np.eye(cols)[: min(cols, SEARCH_STARTS)],
@@ -367,10 +361,12 @@ def _search(a, n_from, n_to, positive, seed: int):
     per = len(starts)
     x = np.where(positive[:, None, None], np.abs(starts), starts).reshape(-1, cols)
     matrix = np.arange(count).repeat(per)
-    x = (1.0 / _norms(x, None, n_from))[:, None] * x
+    dual = n_from.conjugate_exponent()
+    x = (1.0 / _norms(x, None, n_from.p))[:, None] * x
+    ones = x[0].copy()  # the unit all-ones start; best_x is x and moves in place
     # Products summed as ``RegularOperator.apply`` sums them.
     y = _matmul(a[matrix], x[..., None])[..., 0]
-    best_val, best_x = _norms(y, None, n_to), x
+    best_val, best_x = _norms(y, None, n_to.p), x
     live = np.arange(len(x))
     for _ in range(SEARCH_ITERS):
         moving = y.any(axis=-1)
@@ -378,18 +374,19 @@ def _search(a, n_from, n_to, positive, seed: int):
         if not live.size:
             break
         rows = a[matrix[live]]
-        phi = _norming(y, None, n_to, functional=True)
-        x = _norming(_matmul(rows.swapaxes(-1, -2), phi[..., None])[..., 0], None, n_from)
+        phi = _norming(y, None, n_to.p)
+        x = _norming(_matmul(rows.swapaxes(-1, -2), phi[..., None])[..., 0], None, dual)
         y = _matmul(rows, x[..., None])[..., 0]
-        val = _norms(y, None, n_to)
+        val = _norms(y, None, n_to.p)
         gain = val > best_val[live]
         live, x, y = live[gain], x[gain], y[gain]
         best_val[live], best_x[live] = val[gain], x
-    # 0.0 at all-ones goes first, so a start must beat it to win.
+    # 0.0 at the unit all-ones goes first, so a start must beat it to win.
     values = np.concatenate([np.zeros((count, 1)), best_val.reshape(count, per)], 1)
-    x = np.concatenate([np.ones((count, 1, cols)), best_x.reshape(count, per, cols)], 1)
-    first = np.where(np.isnan(values), -INF, values).argmax(axis=-1)
-    return values[np.arange(count), first], x[np.arange(count), first]
+    x = np.concatenate([np.broadcast_to(ones, (count, 1, cols)),
+                        best_x.reshape(count, per, cols)], 1)
+    pick = np.arange(count), np.where(np.isnan(values), -INF, values).argmax(axis=-1)
+    return np.ldexp(values[pick], exps[:, 0, 0]), x[pick]
 
 
 def _operator_norms(values, den, n_from, n_to, witness: bool = False, seed: int = 0):

@@ -4,9 +4,12 @@ routines that the array kernel of ``norms`` replaced.
 Every routine walks ``.entries`` one scalar at a time, with ``Fraction``
 arithmetic on exact data and Python float arithmetic otherwise, and sums
 from 0 left to right (``_lsum``, which is what ``sum`` does for floats up
-to Python 3.11).  ``operator_norm`` tries the same closed forms in the same
-order, then the same seeded multistart ascent, built from container
-operations (``apply``, ``transpose``, ``scale``).  The comparison in
+to Python 3.11).  Powers are numpy's ``np.power`` on arrays of entries
+scaled by a power of two, as the kernel takes them, and every duality map
+is the one dual-unit map ``_dual_unit`` at p or at its conjugate.
+``operator_norm`` tries the same closed forms in the same order, then the
+same seeded multistart ascent, built from container operations
+(``apply``, ``transpose``, ``scale``).  The comparison in
 ``test_norm_kernel.py`` therefore does not rest on the code under test.
 """
 
@@ -27,26 +30,26 @@ def _lsum(items):
     return reduce(add, items, 0)
 
 
+def _norm(entries, p):
+    """The l^p norm: exact sums and maxima at p in {1, inf}; otherwise the
+    entries' moduli scaled by the power of two 2^-e that brings the largest
+    into [1, 2), np.power on them, and 2^e times the p-th root."""
+    if p == 1.0:
+        return _lsum(abs(a) for a in entries)
+    if p == INF:
+        return max(abs(a) for a in entries)
+    mags = [abs(float(a)) for a in entries]
+    e = math.frexp(max(mags))[1] - 1
+    scaled = np.array([math.ldexp(m, -e) for m in mags])
+    return math.ldexp(float(np.power(_lsum(np.power(scaled, p)), 1.0 / p)), e)
+
+
 def vector_norm(x, n):
-    if n.p == 1.0:
-        return _lsum(abs(a) for a in x.entries)
-    if n.p == INF:
-        return max(abs(a) for a in x.entries)
-    if n.p == 2.0:
-        return math.sqrt(_lsum(float(a) * float(a) for a in x.entries))
-    return _lsum(abs(float(a)) ** n.p for a in x.entries) ** (1.0 / n.p)
+    return _norm(x.entries, n.p)
 
 
 def dual_norm(f, n):
-    if n.p == 1.0:
-        return max(abs(a) for a in f.entries)
-    if n.p == INF:
-        return _lsum(abs(a) for a in f.entries)
-    q = n.conjugate_exponent()
-    scaled = [abs(float(a)) for a in f.entries]
-    if q == 2.0:
-        return math.sqrt(_lsum(s * s for s in scaled))
-    return _lsum(s ** q for s in scaled) ** (1.0 / q)
+    return _norm(f.entries, n.conjugate_exponent())
 
 
 def _sign(a):
@@ -59,39 +62,35 @@ def _unit(dim: int, j: int, one, sign=1) -> LatticeVector:
     return LatticeVector(entries)
 
 
-def norming_vector(f, n):
+def _dual_unit(f, p):
+    """The dual-unit phi with phi . f = ||f||_p: the signs at p = 1, the
+    signed unit at the first largest |f_j| at p = inf, otherwise
+    sign(f_j) (|f_j| / ||f||_p)^(p - 1) on the scaled moduli; e_0 for a
+    zero f."""
     one = Fraction(1) if f.is_exact else 1.0
-    f_entries = f.entries
-    if n.p == 1.0:
-        if not any(f_entries):
-            return _unit(f.dim, 0, one)
-        best = max(range(f.dim), key=lambda j: abs(f_entries[j]))
-        return _unit(f.dim, best, one, _sign(f_entries[best]))
-    if n.p == INF:
-        return LatticeVector([_sign(a) * one for a in f_entries])
-    rho = [float(a) for a in f_entries]
-    q = n.conjugate_exponent()
-    mags = [abs(r) ** (q - 1.0) for r in rho]
-    scale = _lsum(m ** n.p * 1.0 for m in mags)
-    if scale == 0.0:
+    entries = f.entries
+    if p == 1.0:
+        return LatticeVector([_sign(a) * one for a in entries])
+    if p == INF:
+        best = max(range(f.dim), key=lambda j: abs(entries[j]))
+        return _unit(f.dim, best, one, _sign(entries[best]))
+    mags = [abs(float(a)) for a in entries]
+    e = math.frexp(max(mags))[1] - 1
+    scaled = [math.ldexp(m, -e) for m in mags]
+    norm = _norm(scaled, p)
+    if norm == 0.0:
         return _unit(f.dim, 0, 1.0)
-    scale = scale ** (1.0 / n.p)
-    return LatticeVector([_sign(r) * m / scale for r, m in zip(rho, mags)])
+    powers = np.power(np.array(scaled) / norm, p - 1.0)
+    return LatticeVector([_sign(a) * float(m) for a, m in zip(entries, powers)])
+
+
+def norming_vector(f, n):
+    """A unit x with f . x = dual_norm(f, n): phi at the conjugate exponent."""
+    return _dual_unit(f, n.conjugate_exponent())
 
 
 def norming_functional(x, n):
-    one = Fraction(1) if x.is_exact else 1.0
-    x_entries = x.entries
-    if n.p == 1.0:
-        return LatticeVector([_sign(a) * one for a in x_entries])
-    if n.p == INF:
-        best = max(range(x.dim), key=lambda j: abs(x_entries[j]))
-        return _unit(x.dim, best, one, _sign(x_entries[best]))
-    xi = [float(a) for a in x_entries]
-    norm_xi = _lsum(abs(s) ** n.p for s in xi) ** (1.0 / n.p)
-    if norm_xi == 0.0:
-        return _unit(x.dim, 0, 1.0)
-    return LatticeVector([_sign(s) * (abs(s) / norm_xi) ** (n.p - 1.0) for s in xi])
+    return _dual_unit(x, n.p)
 
 
 def _boyd_ascent(Af, n_from, n_to, x0, iters):
@@ -157,7 +156,8 @@ def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
     ]
     for _ in range(starts):
         starts_list.append(LatticeVector(list(rng.standard_normal(A.cols))))
-    best_val, best_x = 0.0, LatticeVector([1.0] * A.cols)
+    ones = starts_list[0]
+    best_val, best_x = 0.0, ones.scale(1.0 / float(vector_norm(ones, n_from)))
     for x0 in starts_list:
         if positive:
             x0 = abs(x0)

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -1014,12 +1015,49 @@ def _run_cli(*argv):
 
 
 def test_norming_vector_overflow_exits_2_without_a_traceback(tmp_path):
-    # A 1e300 entry overflows the dual 2-norm of its row (the squares).
-    a = _write(tmp_path / "f.json", {"rows": 2, "cols": 2, "entries": [0.1, -0.0, 1e300, 5e-324]})
+    # The dual 2-norm of the row, 1.5e308 sqrt(2), is beyond the float range.
+    a = _write(tmp_path / "f.json", {"rows": 1, "cols": 2, "entries": [1.5e308, 1.5e308]})
     proc = _run_cli("norm", "--A", a, "--p-from", "2", "--p-to", "inf")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def _norm_values(path, p_from, p_to):
+    proc = _run_cli("norm", "--A", path, "--p-from", p_from, "--p-to", p_to)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    return [payload[key]["value"] for key in ("operator_norm", "regular_norm")]
+
+
+@pytest.mark.parametrize("entries, p_from, p_to", [
+    ([1e100, -1e100, 1e100, 1e100], "1.5", "4"),
+    ([1e200, -1e200, 1e200, 1e200], "1", "2"),
+    ([1e200, -1e200, 1e200, 1e200], "inf", "3"),
+    # Its squares, 1e600, overflow; the norm 1e300 does not.
+    ([0.1, -0.0, 1e300, 5e-324], "2", "inf"),
+])
+def test_norms_whose_powers_overflow_are_2_homogeneous(tmp_path, entries, p_from, p_to):
+    # Each norm is 2^k times that of the file scaled by 2^-k, bit for bit.
+    k = math.frexp(max(entries))[1]
+    small = [math.ldexp(e, -k) for e in entries]
+    paths = [_write(tmp_path / f"{name}.json", {"rows": 2, "cols": 2, "entries": values})
+             for name, values in (("big", entries), ("small", small))]
+    big_values, small_values = (_norm_values(path, p_from, p_to) for path in paths)
+    assert big_values == [math.ldexp(value, k) for value in small_values]
+
+
+def test_norms_at_a_large_exponent_keep_their_largest_power(tmp_path):
+    # Each vector is scaled so that its largest modulus lies in [1, 2): its
+    # power, at least 1, cannot underflow, so no norm reads 0.
+    ones = _write(tmp_path / "ones.json", {"rows": 2, "cols": 1, "entries": [1, 1]})
+    row = _write(tmp_path / "row.json", {"rows": 1, "cols": 2, "entries": [3, 1]})
+    assert _norm_values(ones, "1", "2000") == [pytest.approx(2 ** (1 / 2000), rel=1e-15)] * 2
+    assert _norm_values(row, "1", "1500") == [3, 3]
+    # The dual exponent 10001 takes 1.5^10001, beyond the float range.
+    proc = _run_cli("norm", "--A", row, "--p-from", "1.0001", "--p-to", "inf")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
 
 
 def test_float_overflow_in_a_verifier_exits_2_without_numpy_warnings(tmp_path):

@@ -57,7 +57,7 @@ def _same_vector(ours: LatticeVector, theirs: LatticeVector):
 
 def _norming_vector(f: LatticeVector, n: LatticeNorm) -> LatticeVector:
     """A unit x with f . x = dual_norm(f, n), by the kernel on one vector."""
-    return LatticeVector(rieszops.norms._norming(f._values, f._den, n).tolist())
+    return LatticeVector(rieszops.norms._norming(f._values, f._den, n.conjugate_exponent()).tolist())
 
 
 @st.composite

@@ -13,7 +13,11 @@ pinned too, so the corpus files keep their draws.  So is the ``norm``
 command on four matrix files (exact, float, positive float and a float
 9 x 9) at every exponent pair with a closed form other than 2 -> 2, whose
 SVD bits depend on the LAPACK build, and at 3.5 -> 2, which runs the
-search.
+search.  The search takes powers at exponents such as 3.5, whose last bits
+depend on the kernel numpy's ``np.power`` dispatches to, so its four pins
+are recorded once per power backend: numpy's AVX-512 kernel (X86_V4) and
+the one it runs without it (recorded under
+``NPY_DISABLE_CPU_FEATURES=X86_V4``), told apart by one probe power.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ import re
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from rieszops.cli import main
@@ -202,33 +207,60 @@ def _norm_files(out: Path) -> dict:
 #: file) closed forms, and the search (3.5 -> 2).
 NORM_PAIRS = (("1", "1"), ("1", "inf"), ("inf", "inf"), ("1", "2"), ("inf", "2"), ("3.5", "2"))
 
-#: sha256 of ``norm --json`` per "file:p_from:p_to".
+#: sha256 of ``norm --json`` per "file:p_from:p_to" at the closed forms.
 NORM_DIGESTS = {
     "exact3:1:1": "352ffc1b66c7265f516154eba8005487c2562eb06849f7d123376dd7069bd78c",
     "exact3:1:inf": "891eafe88880386ff3f38b49fedf41771fc997c0e8c05586662a8d39521a177e",
     "exact3:inf:inf": "84d2eea0e482e5e8fd80506eb9479d70ea40365070420b5e419ad82b9c3a0755",
     "exact3:1:2": "15defbc90654e79cdf55ac260d915fc0e230fbfd0d68123307dd4905e20d6c8c",
     "exact3:inf:2": "038c4256f2fb429717131459b4e1b1975088ccceca037381e9d669c376087a7d",
-    "exact3:3.5:2": "1cc82cc34ebf2b922b7403db6ad6f3bc36a551a9d28f67ef63504c927ae17f46",
     "float3:1:1": "b38051abc51071cd479f65788cd44d47159395391da43bf79f321b0152a50d0f",
     "float3:1:inf": "ce81ee7f6fca99405c7b99107c9b757911007b84b1e00ef1049afb0f1cac69bf",
     "float3:inf:inf": "de4b7f284154f823e6958b6ca21b643a30a279559f3f94d4392a50cdf99de377",
     "float3:1:2": "8d31d8dad396d8b85f203f398dae017ad365965a0c385fe8dc95e997b21a7c61",
     "float3:inf:2": "e8c8d110734a5aed5da5dd23a629475f549630982c1984d5b770f1820bc14499",
-    "float3:3.5:2": "71982ecbe8a3ff46720077bcb27f9a7cef0f3ab142f3a4e2d5798233dbda0f78",
     "positive3:1:1": "4fbe4a779b6429865d727e3e94b7156e033476548153d3fae41f4b6269ce6eab",
     "positive3:1:inf": "808189c0c32b0df7c6a29cc16fe6c609d1309d82a071990cc4f1464f7e37632c",
     "positive3:inf:inf": "a806ad19b39888eeb058273223f4f62c1c8b7802acf63bfc87725d0c778f79cc",
     "positive3:1:2": "6861e64f4965163802e04caab5f21c57443d7649aab43ab1afb75e1b204c26b1",
     "positive3:inf:2": "81ad52f1d602b00a45d4d46db95611bff5031e6fe3abb7dae5d8a42f5fe23245",
-    "positive3:3.5:2": "d0654157c217dab2fe6d980f65ce9d288766b80a1d58b300c455cb8f6185f231",
     "float9:1:1": "9e1962788af11df73d0730316a4a4570054bba696c2be5d32df485551ca3f930",
     "float9:1:inf": "5875704e0b9abf4c1e547495b085a5037aa5a21773d66cd1e61b95facc211f61",
     "float9:inf:inf": "52af242cbe38c76ff0e41c0d9ddcc598b847d21cabdb00a66c4987a6bb1c0fed",
     "float9:1:2": "3c737f5bc62ae2fdf3590fdbea18814e810e3309e4937f888b9871197290d5e2",
     "float9:inf:2": "b63d5d48b4fcf4c4382865a1697241dadb1522e762df669b491459a2a82e1824",
-    "float9:3.5:2": "4f93f76ab96c4e6388017351630c77d33c3899dd722f9b820e90887b0233551e",
 }
+
+
+#: np.power(15/64, 3.5) in the last bit tells numpy's two x86-64 power
+#: kernels apart: the AVX-512 one (X86_V4) and the one numpy runs without it
+#: (``NPY_DISABLE_CPU_FEATURES=X86_V4``), which gives Python's float power.
+POWER_BACKENDS = {"0x1.987a8ce394908p-8": "x86_v4", "0x1.987a8ce394909p-8": "baseline"}
+
+#: sha256 of ``norm --json`` at 3.5 -> 2, whose search takes non-integer
+#: powers, per power backend.
+SEARCH_DIGESTS = {
+    "x86_v4": {
+        "exact3:3.5:2": "9ab78205d80c33aace65d6d46c31480d499d4488d64bf852b308949ded673ef5",
+        "float3:3.5:2": "e7369f76c66880ff9a134be1fa0e0b35c85fa50a7c215b095771826f15d9b872",
+        "float9:3.5:2": "509ba0ab08dbfb5b82fc6d7814cedf66dc11cd1f59eb127a303eee7a8a615347",
+        "positive3:3.5:2": "e513b11271b1bb19d831f7059ffbfdbbb8b62d961f7fb179b77a194aa210af3c",
+    },
+    "baseline": {
+        "exact3:3.5:2": "9ab78205d80c33aace65d6d46c31480d499d4488d64bf852b308949ded673ef5",
+        "float3:3.5:2": "e7369f76c66880ff9a134be1fa0e0b35c85fa50a7c215b095771826f15d9b872",
+        "float9:3.5:2": "40d5b74888821a3b486ff0132474c8696913400615d9e277f64f66b2973ecead",
+        "positive3:3.5:2": "d0654157c217dab2fe6d980f65ce9d288766b80a1d58b300c455cb8f6185f231",
+    },
+}
+
+
+def _norm_digest(name: str) -> str:
+    if name in NORM_DIGESTS:
+        return NORM_DIGESTS[name]
+    probe = float.hex(float(np.power(np.array([15 / 64]), 3.5)[0]))
+    assert probe in POWER_BACKENDS, f"no pins for the power backend that gives {probe}"
+    return SEARCH_DIGESTS[POWER_BACKENDS[probe]][name]
 
 
 @pytest.fixture(scope="module")
@@ -236,16 +268,17 @@ def norm_files(tmp_path_factory):
     return _norm_files(tmp_path_factory.mktemp("norm_files"))
 
 
-@pytest.mark.parametrize("name", sorted(NORM_DIGESTS))
+@pytest.mark.parametrize("name", sorted({*NORM_DIGESTS, *SEARCH_DIGESTS["x86_v4"]}))
 def test_norm_command_bytes(name, norm_files, tmp_path):
     stem, p_from, p_to = name.split(":")
     path = tmp_path / "norm.json"
     argv = ["norm", "--A", str(norm_files[stem]), "--p-from", p_from, "--p-to", p_to,
             "--json", str(path)]
     assert main(argv) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == NORM_DIGESTS[name]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _norm_digest(name)
 
 
 def test_the_norm_pins_cover_every_file_and_pair(tmp_path):
     names = {f"{stem}:{p}:{q}" for stem in _norm_files(tmp_path) for p, q in NORM_PAIRS}
-    assert set(NORM_DIGESTS) == names
+    for digests in SEARCH_DIGESTS.values():
+        assert set(NORM_DIGESTS) | set(digests) == names
