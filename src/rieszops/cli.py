@@ -24,8 +24,9 @@ errors too.
 Exit codes: 0 = pass (or informational), 1 = a verified claim failed,
 2 = usage error, malformed input (including files that mix exact and
 float entries), an unwritable output path, a request over a work or
-memory cap, or float overflow or an invalid float operation (every
-command runs under ``np.errstate(over="raise", invalid="raise")``).
+memory cap, an allocation the machine refuses (``MemoryError``), or float
+overflow or an invalid float operation (every command runs under
+``np.errstate(over="raise", invalid="raise")``).
 Reports are canonical JSON: identical invocations (same inputs, same
 --seed) produce byte-identical bytes; the wall time goes to stderr only.
 """
@@ -444,6 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (FloatingPointError, OverflowError) as exc:
         print(f"error: float overflow or invalid value: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

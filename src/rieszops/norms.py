@@ -27,9 +27,8 @@ array's shape) and its norm scaled back: its largest power is at least
 float range; and 2^k A has 2^k times every norm of A but the 2 -> 2 SVD.
 ``operator_norm`` runs the kernel on a stack of one,
 ``batched_operator_norm`` on a whole stack by one method, and both give a
-matrix the same bits; only 2 -> 2 differs, where a matrix gets its full
-SVD (the witness is a singular vector) and a stack the largest eigenvalue
-of each scaled Gram matrix, which agree to O(u) relative.
+matrix the same bits at every exponent pair; at 2 -> 2 both take the
+stack's thin SVD, whose top right singular vector is the witness.
 ``vector_norm``, ``dual_norm`` and ``norming_functional``: the kernel on one vector.
 
 ``regular_norm`` is the operator norm of the entrywise modulus.  The two
@@ -264,15 +263,13 @@ def _closed_form_method(n_from, n_to, positive: bool) -> Optional[str]:
     return None
 
 
-def _closed_form(values, den, n_from, n_to, method: str, witness: bool):
+def _closed_form(values, den, n_from, n_to, method: str):
     """The norms by ``method`` of a stack of matrices (count, rows, cols),
     stored as ``values`` over ``den``: (norms, witnesses), the witnesses
-    (count, cols) float unit vectors attaining the norms when ``witness`` is
-    set, else None.
+    (count, cols) float unit vectors attaining the norms.
 
-    At 2 -> 2 a witness needs the full SVD; without one the norms are the
-    Gram kernel's (``_largest_singular_values``), within O(u) relative of
-    the SVD's but not bit for bit.
+    At 2 -> 2 one thin SVD of the stack gives each matrix sigma_max and its
+    right singular vector, the same bits for a matrix alone or stacked.
     """
     count, _, cols = values.shape
     pick = np.arange(count)
@@ -280,41 +277,22 @@ def _closed_form(values, den, n_from, n_to, method: str, witness: bool):
         # Unit-ball extreme points are +-e_j.
         norms = _norms(np.swapaxes(values, -1, -2), den, n_to.p)
         best = norms.argmax(axis=-1)
-        if witness:
-            witness = np.zeros((count, cols))
-            witness[pick, best] = 1.0
+        witness = np.zeros((count, cols))
+        witness[pick, best] = 1.0
         return norms[pick, best], witness
     if method == "max_row_dual":
         dual = n_from.conjugate_exponent()
         norms = _norms(values, den, dual)
         best = norms.argmax(axis=-1)
-        if witness:
-            witness = _norming(values[pick, best], den, dual).astype(np.float64)
-        return norms[pick, best], witness
+        return norms[pick, best], _norming(values[pick, best], den, dual).astype(np.float64)
     if method == "positive_corner":
         # For positive A the sup over the unit ball sits at the all-ones
         # corner (monotone to-norm, |A x| <= A corner).
         corner = np.ones((cols, 1), dtype=values.dtype)
         norms = _norms(_matmul(values, corner)[..., 0], den, n_to.p)
-        return norms, np.ones((count, cols)) if witness else None
-    floats = _floats(values, den)
-    if not witness:
-        return _largest_singular_values(floats), None
-    _, svd_s, svd_vt = np.linalg.svd(floats)
+        return norms, np.ones((count, cols))
+    _, svd_s, svd_vt = np.linalg.svd(_floats(values, den), full_matrices=False)
     return svd_s[:, 0], svd_vt[:, 0]
-
-
-def _largest_singular_values(stack):
-    """sigma_max of each matrix of a float stack (count, rows, cols): the
-    square root of the largest eigenvalue of its Gram matrix on the smaller
-    side, by one ``eigvalsh`` call on the matrix scaled by
-    ``_binary_scaled_floats``, whose Gram matrix neither underflows nor
-    overflows."""
-    if stack.shape[-2] < stack.shape[-1]:
-        stack = stack.swapaxes(-1, -2)
-    scaled, exps = _binary_scaled_floats(stack, (-2, -1))
-    top = np.linalg.eigvalsh(scaled.swapaxes(-1, -2) @ scaled)[:, -1]
-    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exps[:, 0, 0])
 
 
 #: The search runs SEARCH_ITERS ascent steps from each of all-ones, the first
@@ -389,7 +367,7 @@ def _search(a, n_from, n_to, positive, seed: int):
     return np.ldexp(values[pick], exps[:, 0, 0]), x[pick]
 
 
-def _operator_norms(values, den, n_from, n_to, witness: bool = False, seed: int = 0):
+def _operator_norms(values, den, n_from, n_to, seed: int = 0):
     """The norms of a stack of matrices (count, rows, cols) stored as
     ``values`` over ``den``: (method, norms, witnesses), by the first closed
     form that fits the whole stack or else by ``_search`` (method "search"),
@@ -405,7 +383,7 @@ def _operator_norms(values, den, n_from, n_to, witness: bool = False, seed: int 
         positive = (values >= 0).reshape(len(values), -1).all(axis=-1)
         method = _closed_form_method(n_from, n_to, bool(positive.all()))
     if method is not None:
-        return method, *_closed_form(values, den, n_from, n_to, method, witness)
+        return method, *_closed_form(values, den, n_from, n_to, method)
     _check_search(*values.shape)
     return "search", *_search(_floats(values, den), n_from, n_to, positive, seed)
 
@@ -415,9 +393,7 @@ def operator_norm(
 ) -> NormResult:
     """Induced norm of A: (R^cols, n_from) -> (R^rows, n_to); the kernel on
     a stack of one."""
-    method, norms, witnesses = _operator_norms(
-        A._values[None], A._den, n_from, n_to, witness=True, seed=seed
-    )
+    method, norms, witnesses = _operator_norms(A._values[None], A._den, n_from, n_to, seed=seed)
     witness = LatticeVector._of(witnesses[0], None)
     return NormResult(_value(norms[0]), witness, method)
 
@@ -438,10 +414,9 @@ def batched_operator_norm(
     """p -> q norms of a float stack of matrices, shape (count, rows, cols).
 
     One kernel call, closed form or search, that gives each matrix bit for
-    bit the value ``operator_norm`` gives it at seed 0, but for 2 -> 2, where
-    the largest eigenvalue of each scaled Gram matrix stands in for the SVD
-    (see ``_closed_form``); a search over more than ``SEARCH_WORK_CAP`` is
-    refused before its first step.
+    bit the value ``operator_norm`` gives it at seed 0, at every exponent
+    pair; a search over more than ``SEARCH_WORK_CAP`` is refused before its
+    first step.
     """
     return _operator_norms(stack, None, n_from, n_to)[1]
 

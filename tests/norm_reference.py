@@ -145,7 +145,7 @@ def operator_norm(A, n_from, n_to, seed=0, starts=8, iters=40):
         return value, corner.to_float(), True, "positive_corner"
 
     if n_from.p == 2.0 and n_to.p == 2.0:
-        _, svd_s, svd_vt = np.linalg.svd(np.array(A.as_floats()))
+        _, svd_s, svd_vt = np.linalg.svd(np.array(A.as_floats()), full_matrices=False)
         return float(svd_s[0]), LatticeVector(list(svd_vt[0])), True, "svd"
 
     Af = A.to_float()

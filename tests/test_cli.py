@@ -600,6 +600,18 @@ def test_verify_prop21_over_kron_cap_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_2_without_a_traceback(matrix_files, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+    monkeypatch.setattr(cli, "operator_norm", exhausted)
+    a, _ = matrix_files
+    assert main(["norm", "--A", a, "--p-from", "2", "--p-to", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert "Traceback" not in err
+
+
 def test_bad_norm_exponent_exits_2(matrix_files, capsys):
     a, b = matrix_files
     assert main(["verify", "cor23", "--A", a, "--B", b, "--p-in", "0.5"]) == 2

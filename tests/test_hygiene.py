@@ -8,8 +8,9 @@ or is one the acceptance spec reads), only
 entry, only ``lattice`` compares within ``DEFAULT_TOLERANCE`` (elsewhere it
 is only the default of a verifier's ``tol`` or of ``--tolerance``), only
 ``lattice`` writes a term-by-term sum (``lattice._left_sum`` holds the
-float summation rule), and the verifiers leave the report schema to
-``reports.make_report``."""
+float summation rule), the verifiers leave the report schema to
+``reports.make_report``, and only ``norms._closed_form`` calls into
+``numpy.linalg``."""
 
 import ast
 from pathlib import Path
@@ -507,4 +508,65 @@ def test_the_report_schema_check_flags_role_keys_and_the_serializer():
     )
     assert report_schema_writes(source) == [
         "scalar_to_json import (line 1)", '"role" key (line 4)'
+    ]
+
+
+def linalg_uses(source: str) -> list:
+    """(scope, line) of every place a module reaches into ``numpy.linalg``,
+    in source order: an attribute ``.linalg`` or an import of or from it.
+    The scope is the dotted name of the enclosing classes and functions,
+    ``<module>`` outside them."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        imported = []
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [f"{node.module}.{alias.name}" for alias in node.names]
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg") or any(
+            name.startswith("numpy.linalg") for name in imported
+        ):
+            found.append((scope or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda use: use[1])
+
+
+def test_one_2_to_2_kernel_calls_linalg():
+    # The thin SVD in norms._closed_form is the package's one call into
+    # numpy.linalg, so a matrix alone and in a stack take the same kernel.
+    uses = [
+        (path.name, scope)
+        for path in PACKAGE
+        for scope, _ in linalg_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert uses == [("norms.py", "_closed_form")], (
+        f"numpy.linalg is reached from {uses}; every 2 -> 2 norm goes "
+        "through the thin SVD of norms._closed_form"
+    )
+
+
+def test_the_linalg_check_flags_a_second_call_site():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import eigvalsh\n"
+        "def _closed_form(a):\n"
+        "    return np.linalg.svd(a, full_matrices=False)\n"
+        "class Gram:\n"
+        "    def top(self, a):\n"
+        "        return np.linalg.eigvalsh(a.T @ a)[-1]\n"
+        "norm = np.linalg.norm\n"
+        "def f(a):\n"
+        "    return np.linalg\n"
+    )
+    assert linalg_uses(source) == [
+        ("<module>", 2), ("<module>", 3), ("<module>", 4), ("_closed_form", 6),
+        ("Gram.top", 9), ("<module>", 10), ("f", 12),
     ]

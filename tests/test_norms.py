@@ -210,11 +210,12 @@ def test_regular_norm_dominates_operator_norm(A):
         assert float(reg.value) >= float(op.value) - 1e-9
 
 
-#: The pairs whose closed forms give a stack bit for bit what they give one
-#: matrix: max column (1 -> *), max row dual (* -> inf), positive corner.
+#: One pair per closed form, each giving a stack bit for bit what it gives
+#: one matrix: max column (1 -> *), max row dual (* -> inf), positive
+#: corner, and the thin SVD (2 -> 2).
 STACK_PAIRS = (
     (1.0, 1.0), (1.0, math.inf), (math.inf, math.inf), (2.0, math.inf),
-    (1.0, 3.5), (math.inf, 2.0),
+    (1.0, 3.5), (math.inf, 2.0), (2.0, 2.0),
 )
 
 
@@ -239,24 +240,13 @@ def test_batched_operator_norm_matches_scalar_path(k, shape):
         ]
 
 
-@given(st.integers(min_value=1, max_value=40), st.sampled_from([(3, 2), (9, 9)]))
-def test_batched_2_to_2_norms_match_scalar_path_to_rounding(k, shape):
-    # A stack takes the largest eigenvalue of each Gram matrix, one matrix
-    # its full SVD (the witness is a singular vector); the two may differ in
-    # the last bits.
-    stack = np.random.default_rng(k).normal(size=(5, *shape))
-    n2 = LatticeNorm(p=2.0)
-    batched = batched_operator_norm(stack, n2, n2)
-    assert np.allclose(batched, _singles(stack, n2, n2), rtol=1e-13, atol=0.0)
-
-
-#: Scales of the Gram-kernel stacks: a Gram matrix of entries at 1e+-200
-#: overflows or underflows unless each matrix is scaled first.
-GRAM_SCALES = (1.0, 1e150, 1e-150, 2.0**500, 2.0**-500, 1e200, 1e-200)
+#: Scales of the 2 -> 2 stacks: a Gram matrix of entries at 1e+-200
+#: overflows or underflows, so these reach the SVD's own scaling.
+SVD_SCALES = (1.0, 1e150, 1e-150, 2.0**500, 2.0**-500, 1e200, 1e-200)
 
 
 @st.composite
-def gram_stacks(draw):
+def svd_stacks(draw):
     """A float stack of 1 to 3 matrices of one shape (1 x 1 to 64 x 64, wide
     or tall), each of full rank, of a lower rank or zero, at its own scale."""
     rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 64))
@@ -267,26 +257,46 @@ def gram_stacks(draw):
         rank = {"full": min(rows, cols), "zero": 0,
                 "deficient": draw(st.integers(1, max(1, min(rows, cols) - 1)))}[kind]
         m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
-        matrices.append(m * draw(st.sampled_from(GRAM_SCALES)))
+        matrices.append(m * draw(st.sampled_from(SVD_SCALES)))
     return np.stack(matrices)
 
 
-@given(gram_stacks())
+@given(svd_stacks())
 @settings(max_examples=60, deadline=None)
 def test_batched_2_to_2_norms_are_the_top_singular_values(stack):
-    # The Gram kernel against LAPACK's singular values, within
-    # 8 max(rows, cols) units of roundoff relative (0 for a zero matrix).
+    # Each stacked value has the bits the matrix gets alone, and lies within
+    # 8 max(rows, cols) units of roundoff relative of LAPACK's singular value
+    # (0 for a zero matrix).
     n2 = LatticeNorm(p=2.0)
     got = batched_operator_norm(stack, n2, n2)
+    assert [float.hex(float(g)) for g in got] == [
+        float.hex(s) for s in _singles(stack, n2, n2)
+    ]
     want = np.linalg.svd(stack, compute_uv=False)[:, 0]
     bound = 8 * max(stack.shape[1:]) * np.finfo(float).eps / 2
     assert np.all(np.abs(got - want) <= bound * want), (got, want)
 
 
+@pytest.mark.parametrize("shape", [(4000, 1), (1, 4000)])
+def test_a_tall_or_wide_2_to_2_norm_takes_bounded_memory(shape):
+    # The thin SVD forms no 4000 x 4000 factor (122 MiB) for the one vector.
+    stack = np.random.default_rng(0).normal(size=(1, *shape))
+    A = RegularOperator(*shape, [float(x) for x in stack.ravel()])
+    n2 = LatticeNorm(p=2.0)
+    tracemalloc.start()
+    try:
+        value = operator_norm(A, n2, n2).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert float.hex(value) == float.hex(float(batched_operator_norm(stack, n2, n2)[0]))
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
 def test_gap_report_ratio_does_not_depend_on_the_scale(scale):
-    # Unscaled, the Gram matrices of 1e-100 H underflow to zero (rho 0) and
-    # those of 1e100 H overflow.
+    # The ratio is formed on H scaled by a power of two, so 1e-100 H and
+    # 1e100 H give the ratio of H.
     H = hadamard_tensor_power(2).to_float().scale(scale)
     report = gap_report(H, H, NormAssignment.uniform(2.0), seed=0)
     assert abs(report.details["rho"] - 0.25) <= 1e-12
@@ -331,7 +341,7 @@ def test_batched_search_pairs_match_the_reference(stack, pair):
     # stack is searched whole, and its positive matrices get the bits of the
     # positive corner the reference takes for each of them.
     n_from, n_to = LatticeNorm(p=pair[0]), LatticeNorm(p=pair[1])
-    _, values, witnesses = norms._operator_norms(stack, None, n_from, n_to, witness=True)
+    _, values, witnesses = norms._operator_norms(stack, None, n_from, n_to)
     batched = batched_operator_norm(stack, n_from, n_to)
     for m, value, witness, b in zip(stack, values, witnesses, batched):
         A = RegularOperator(*m.shape, [float(x) for x in m.ravel()])
