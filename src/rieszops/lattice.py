@@ -11,15 +11,17 @@ partition builders, which split a vector and a matrix alike.
 
 Storage.  An ``_Entrywise`` holds one numpy array of its shape and one
 denominator.  In exact mode the array holds Python-int numerators (an
-object array, so nothing overflows) over the denominator D, in lowest
-terms (gcd(D, numerators) = 1), so equal values have equal storage; in
-float mode it is float64 and D is None.  ``entries`` builds ``Fraction``s
-(or floats) on each access, for callers that index; ``to_json`` writes
-"p/q" strings straight from the numerators; every operation, and the
-integer kernels of the other modules, read the array
+object array, so nothing stored overflows) over the denominator D, in
+lowest terms (gcd(D, numerators) = 1), so equal values have equal storage;
+in float mode it is float64 and D is None.  ``entries`` builds
+``Fraction``s (or floats) on each access, for callers that index;
+``to_json`` writes "p/q" strings straight from the numerators; every
+operation, and the integer kernels of the other modules, read the array
 (``_stack`` puts several over one denominator, ``_chunk_size`` bounds a
-kernel's intermediates).  Float results match Python float arithmetic bit
-for bit, Python's tie rule on -0.0 and 0.0 included.
+kernel's intermediates).  A kernel runs on int64 copies of numerators only
+where ``_on_words``, the one maker of int64 values, proves by a magnitude
+bound that none of its sums overflows.  Float results match Python float
+arithmetic bit for bit, Python's tie rule on -0.0 and 0.0 included.
 
 Float sums.  Every float sum in a result of the package (``_matmul``, the
 partition sums, the norms) is ``_left_sum``: the terms added left to right
@@ -105,6 +107,19 @@ class EnumerationLimitError(RuntimeError):
 def _chunk_size(entries_per_item: int) -> int:
     """Items of ``entries_per_item`` entries per kernel chunk (at least 1)."""
     return max(1, _KERNEL_CHUNK_ENTRIES // entries_per_item)
+
+
+def _on_words(a, b, terms: int) -> tuple:
+    """Integer arrays a and b as int64 when terms * max|a| * max|b| < 2^63,
+    so that every entry and every sum of at most ``terms`` products a_i b_j
+    fits in a machine word (Dumas, Giorgi and Pernet's test for word
+    arithmetic); otherwise a and b as they are, Python-int object arrays.
+    The one place the package makes int64 values: a missed bound would give
+    a wrong exact value silently."""
+    top_a, top_b = (int(np.abs(v).max(initial=0)) for v in (a, b))
+    if max(top_a, top_b, terms * top_a * top_b) < 1 << 63:
+        return a.astype(np.int64), b.astype(np.int64)
+    return a, b
 
 
 def _stack(items, join=np.stack) -> tuple:

@@ -56,9 +56,12 @@ entries, i.e. m > 10.
 For the all-l1 assignment on exact factors, ``verify_cor23`` also computes
 the left side exactly (``superop_regular_norm_1chain``) by enumerating the
 y^x extreme points of the domain's unit ball in an integer kernel on the
-stored numerators of |A| and |B|, first of all its work; a domain with
-more than ``EXTREME_POINT_CAP`` (2^20) extreme points raises
-``EnumerationLimitError`` before the norms and the samples.
+stored numerators of |A| and |B|, first of all its work: only the column
+sums of each image, on int64 when ``lattice._on_words`` proves they fit,
+on Python ints otherwise.  A domain with more than ``EXTREME_POINT_CAP``
+(2^20) extreme points raises ``EnumerationLimitError`` before the sampling
+check, the norms and the samples, without forming y^x.  The rank-one
+witness T, A.cols x B.rows, counts against ``SAMPLE_STACK_CAP`` too.
 
 Norm values stay exact (``Fraction``) whenever the closed form involves no
 roots and the inputs are exact; witness vectors are always float-mode unit
@@ -80,6 +83,7 @@ from .lattice import (
     _chunk_size,
     _left_sum,
     _matmul,
+    _on_words,
 )
 from .operators import RegularOperator, rank_one
 from .reports import VerificationReport, make_report
@@ -444,13 +448,13 @@ def check_sampling(
     factor_signs: Optional[tuple] = None,
 ):
     """Refuse a run before anything is built or drawn: a negative sample
-    count (``ValueError``), sampled entries beyond ``SAMPLE_STACK_CAP`` or a
-    norm search beyond ``SEARCH_WORK_CAP`` (``EnumerationLimitError``) over
-    the positive y x x samples (X -> Y), their z x w images (W -> Z) or the
-    factors' moduli |A| (Y -> Z) and |B| (W -> X).  ``a_shape`` = (z, y) and
-    ``b_shape`` = (x, w) are the shapes of A and B.  A gap run passes zero
-    samples and ``factor_signs``, whether A and B are positive, as it norms
-    them too."""
+    count (``ValueError``), sampled entries or a rank-one witness T (y x x)
+    beyond ``SAMPLE_STACK_CAP`` or a norm search beyond ``SEARCH_WORK_CAP``
+    (``EnumerationLimitError``) over the positive y x x samples (X -> Y),
+    their z x w images (W -> Z) or the factors' moduli |A| (Y -> Z) and |B|
+    (W -> X).  ``a_shape`` = (z, y) and ``b_shape`` = (x, w) are the shapes
+    of A and B.  A gap run passes zero samples and ``factor_signs``, whether
+    A and B are positive, as it norms them too."""
     if samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {samples}")
     entries = _sample_entries(a_shape, b_shape)
@@ -460,6 +464,10 @@ def check_sampling(
             f"{SAMPLE_STACK_CAP}"
         )
     (z, y), (x, w) = a_shape, b_shape
+    if y * x > SAMPLE_STACK_CAP:
+        raise EnumerationLimitError(
+            f"the {y}x{x} rank-one witness T exceeds sample stack cap {SAMPLE_STACK_CAP}"
+        )
     a = assignment
     factors = [(a.n_Y, a.n_Z, 1, (z, y)), (a.n_W, a.n_X, 1, (x, w))]
     checks = [(a.n_X, a.n_Y, samples, (y, x), True), (a.n_W, a.n_Z, samples, (z, w), True)]
@@ -521,6 +529,18 @@ def _all_ones_1chain(assignment: NormAssignment) -> bool:
 EXTREME_POINT_CAP = 1 << 20
 
 
+def _check_extreme_points(y: int, x: int) -> int:
+    """The y^x extreme points of a y x x domain's unit ball; more than
+    ``EXTREME_POINT_CAP`` raise ``EnumerationLimitError``, y^x unformed: for
+    y >= 2 already y^21 is past the cap."""
+    points = y ** min(x, EXTREME_POINT_CAP.bit_length())
+    if points > EXTREME_POINT_CAP:
+        raise EnumerationLimitError(
+            f"{y}^{x} extreme points exceed enumeration cap {EXTREME_POINT_CAP}"
+        )
+    return points
+
+
 def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fraction:
     """Exact regular norm of T |-> ATB for the all-(l1 -> l1) assignment.
 
@@ -532,34 +552,29 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
 
     The enumeration runs as an integer kernel on the numerators of |A| and
     |B|: for each chunk of assignments (``lattice._chunk_size`` of them, so
-    that its intermediates stay bounded) it forms the images
-    |A| T_a |B| = |A|[:, a] |B|; the largest column sum over all of them is
-    the norm.  Exact operators only (``ScalarModeError`` otherwise); more
-    than ``EXTREME_POINT_CAP`` extreme points raise ``EnumerationLimitError``
-    before any work is done.
+    that its intermediates stay bounded) it forms the column sums of the
+    images |A| T_a |B|, 1'|A| T_a |B| = (1'|A|)[a] |B|, and never the images;
+    the largest of them over all chunks is the norm.  The kernel runs on
+    int64 when ``lattice._on_words`` proves that x (1'|A|) |B| fits, on the
+    Python ints of the numerators otherwise.  Exact operators only
+    (``ScalarModeError`` otherwise); more than ``EXTREME_POINT_CAP`` extreme
+    points raise ``EnumerationLimitError`` before any work is done.
     """
     if not (A.is_exact and B.is_exact):
         raise ScalarModeError("the extreme-point enumeration needs exact operators")
     y, x = A.cols, B.rows
-    points = y**x
-    if points > EXTREME_POINT_CAP:
-        raise EnumerationLimitError(
-            f"{y}^{x} = {points} extreme points exceed enumeration cap "
-            f"{EXTREME_POINT_CAP}"
-        )
+    points = _check_extreme_points(y, x)
     modA, modB = A.modulus_closed_form(), B.modulus_closed_form()
-    absA, absB = modA._values, modB._values
+    col_sums, absB = _on_words(modA._values.sum(axis=0), modB._values, x)
     # Digit j of an assignment code (base y) is a_j; under the cap every y**j
-    # fits in int64.  np.unravel_index would need x axes, and numpy has 64.
-    radix = y ** np.arange(x, dtype=np.int64)
-    z, w = A.rows, B.cols
-    step = _chunk_size(z * x + z * w)  # the (N, x, z) and (N, z, w) intermediates
+    # is below 2^20.  np.unravel_index would need x axes, and numpy has 64.
+    radix = y ** np.arange(x)
+    step = _chunk_size(x + B.cols)  # the (N, x) and (N, w) intermediates
     best = 0
     for start in range(0, points, step):
         codes = np.arange(start, min(start + step, points))
         a = codes[:, None] // radix % y  # (N, x)
-        images = absA.T[a].swapaxes(1, 2) @ absB  # |A| T_a |B|: (N, z, w)
-        best = max(best, images.sum(axis=1).max())
+        best = max(best, int((col_sums[a] @ absB).max()))  # 1'|A| T_a |B|: (N, w)
     return Fraction(best, modA._den * modB._den)
 
 
@@ -596,16 +611,18 @@ def verify_cor23(
     reaches the product within ``tol`` and no sample exceeds it by more than
     ``tol``; for the all-l1 assignment on exact inputs, the left side is
     additionally enumerated exactly and must equal the product on the nose.
-    A run that ``check_sampling`` refuses raises before any work, and one
-    beyond ``EXTREME_POINT_CAP`` extreme points (``EnumerationLimitError``)
-    before any work but that check.
+    A run to enumerate beyond ``EXTREME_POINT_CAP`` extreme points
+    (``EnumerationLimitError``), and then one that ``check_sampling``
+    refuses, raises before any work.
     """
+    # The flagship assignment's extreme-point cap is checked first of all, so
+    # that an over-cap domain is refused for what it would enumerate, not for
+    # its witness T; the enumeration then comes before the norms and samples.
+    enumerate_points = _all_ones_1chain(assignment) and A.is_exact and B.is_exact
+    if enumerate_points:
+        _check_extreme_points(A.cols, B.rows)
     check_sampling(samples, A.shape, B.shape, assignment)
-    # The exact closed form for the flagship assignment comes first, so that
-    # its extreme-point cap refuses a run before the norms and the samples.
-    closed_value = None
-    if _all_ones_1chain(assignment) and A.is_exact and B.is_exact:
-        closed_value = superop_regular_norm_1chain(A, B)
+    closed_value = superop_regular_norm_1chain(A, B) if enumerate_points else None
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     absA = A.modulus_closed_form()

@@ -464,6 +464,32 @@ def test_verify_cor23_over_extreme_point_cap_exits_2_before_sampling(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "cor23", "--samples", "0"], "20000^20000 extreme points exceed enumeration cap"),
+    (["verify", "cor23", "--samples", "0", "--p-in", "2"],
+     "20000x20000 rank-one witness T exceeds sample stack cap"),
+    (["gap"], "20000x20000 rank-one witness T exceeds sample stack cap"),
+])
+def test_a_1_x_20000_by_20000_x_1_pair_exits_2_before_any_work(argv, needle, tmp_path, capsys):
+    # The domain has 86,000-digit y^x extreme points and the witness T
+    # 20000 x 20000 entries (2.98 GiB of floats): both are refused unbuilt.
+    entries = [(-1) ** k * (k % 7 + 1) for k in range(20000)]
+    wide = _write(tmp_path / "wide.json", {"rows": 1, "cols": 20000, "entries": entries})
+    tall = _write(tmp_path / "tall.json", {"rows": 20000, "cols": 1, "entries": entries})
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--A", wide, "--B", tall])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 16 * 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert needle in err
+    assert "Traceback" not in err
+
+
 def test_verify_cor23_float_samples_run_in_bounded_memory(capsys):
     # The same request on a float corpus has no extreme-point cap: its
     # 200000 samples are drawn and evaluated a chunk at a time, where all

@@ -9,8 +9,8 @@ entry, only ``lattice`` compares within ``DEFAULT_TOLERANCE`` (elsewhere it
 is only the default of a verifier's ``tol`` or of ``--tolerance``), only
 ``lattice`` writes a term-by-term sum (``lattice._left_sum`` holds the
 float summation rule), the verifiers leave the report schema to
-``reports.make_report``, and only ``norms._closed_form`` calls into
-``numpy.linalg``."""
+``reports.make_report``, only ``norms._closed_form`` calls into
+``numpy.linalg``, and only ``lattice._on_words`` names the int64 dtype."""
 
 import ast
 from pathlib import Path
@@ -569,4 +569,68 @@ def test_the_linalg_check_flags_a_second_call_site():
     assert linalg_uses(source) == [
         ("<module>", 2), ("<module>", 3), ("<module>", 4), ("_closed_form", 6),
         ("Gram.top", 9), ("<module>", 10), ("f", 12),
+    ]
+
+
+#: The spellings of numpy's 64-bit integer dtype: attributes or names, and
+#: strings as ``astype`` and ``dtype=`` take them.
+INT64_NAMES = {"int64", "int_", "intp", "longlong"}
+INT64_STRINGS = INT64_NAMES | {"i8", "<i8", "=i8", "long"}
+
+
+def int64_uses(source: str) -> list:
+    """(scope, line) of every place a module names the int64 dtype, in
+    source order: an attribute, name or import in ``INT64_NAMES`` or a
+    string constant in ``INT64_STRINGS``; scopes as in ``linalg_uses``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (
+            (isinstance(node, ast.Attribute) and node.attr in INT64_NAMES)
+            or (isinstance(node, ast.Name) and node.id in INT64_NAMES)
+            or (isinstance(node, ast.ImportFrom)
+                and any(alias.name in INT64_NAMES for alias in node.names))
+            or (isinstance(node, ast.Constant) and node.value in INT64_STRINGS)
+        ):
+            found.append((scope or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda use: use[1])
+
+
+def test_only_the_word_bound_makes_int64_values():
+    # An int64 value is exact only under the magnitude bound that
+    # lattice._on_words checks; made anywhere else, an overflow would give a
+    # wrong exact verdict silently.
+    uses = sorted({
+        (path.name, scope)
+        for path in PACKAGE
+        for scope, _ in int64_uses(path.read_text(encoding="utf-8"))
+    })
+    assert uses == [("lattice.py", "_on_words")], (
+        f"the int64 dtype is named in {uses}; only lattice._on_words, which "
+        "checks the word bound, makes int64 values"
+    )
+
+
+def test_the_int64_check_flags_a_second_call_site():
+    source = (
+        "import numpy as np\n"
+        "from numpy import int64\n"
+        "def _on_words(a, b):\n"
+        "    return a.astype(np.int64), b\n"
+        "class Kernel:\n"
+        "    def run(self, a):\n"
+        "        return a.astype('i8') @ np.ones(3, dtype=np.intp)\n"
+        "radix = np.arange(4, dtype=int64)\n"
+        "def f(a):\n"
+        "    return np.asarray(a, dtype='int64'), 'an int64 array'\n"
+    )
+    assert int64_uses(source) == [
+        ("<module>", 2), ("_on_words", 4), ("Kernel.run", 7), ("Kernel.run", 7),
+        ("<module>", 8), ("f", 10),
     ]

@@ -17,7 +17,7 @@ from rieszops import (
     refinement_chain,
     trivial_partition,
 )
-from rieszops.lattice import random_convex_partition
+from rieszops.lattice import _on_words, random_convex_partition
 from rieszops.scalars import ScalarModeError
 
 from cases import enumerate_components
@@ -263,3 +263,32 @@ def test_vector_partitions_schemes():
 def test_refinement_chain_targets(w):
     for p in refinement_chain(w):
         assert p.target.eq(w)
+
+
+# ---------------------------------------------------------------------------
+# the word bound
+# ---------------------------------------------------------------------------
+
+
+def _objects(*values):
+    return np.array(values, dtype=object)
+
+
+@pytest.mark.parametrize("a, b, terms, words", [
+    # terms * max|a| * max|b| at 2^63 - 1 (= 7 * 7 * 188232082384791343) and 2^63.
+    ((7, -3), (188232082384791343, 0), 7, True),
+    ((-7, 3), (188232082384791343, 0), 7, True),
+    ((8, 3), (2**59, 0), 2, False),
+    ((2**31, 5), (2**31,), 1, True),
+    ((2**31, 5), (2**31,), 2, False),
+    # A zero factor keeps every product zero, yet the other must fit alone.
+    ((0, 0), (2**63 - 1,), 5, True),
+    ((0, 0), (2**63,), 5, False),
+    ((-(2**63),), (0,), 1, False),
+])
+def test_on_words_takes_int64_only_below_2_to_the_63(a, b, terms, words):
+    a, b = _objects(*a), _objects(*b)
+    out_a, out_b = _on_words(a, b, terms)
+    dtype = np.dtype(np.int64) if words else np.dtype(object)
+    assert out_a.dtype == out_b.dtype == dtype
+    assert out_a.tolist() == a.tolist() and out_b.tolist() == b.tolist()

@@ -527,18 +527,18 @@ def test_1chain_kernel_scaled_entries():
 
 
 def test_1chain_kernel_spans_several_chunks(monkeypatch):
-    # 3^7 = 2187 extreme points of 2 * 7 + 2 * 2 intermediate entries each,
-    # 1000 per chunk: three chunks, the last one partial.
+    # 3^7 = 2187 extreme points of 7 + 2 intermediate entries each (an
+    # assignment and its image's column sums), 1000 per chunk: three chunks,
+    # the last one partial.
     dims = (2, 7, 3, 2)
-    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1000 * (2 * 7 + 2 * 2))
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1000 * (7 + 2))
     _assert_kernel_matches_reference(*_chain_pair(Random(2305), *dims))
 
 
 def test_1chain_kernel_memory_does_not_grow_with_the_codomain():
     # 4^5 = 1024 extreme points whose images |A| T_a |B| are 32 x 32: all
-    # of them at once would hold a million entries, a chunk holds at most
-    # _KERNEL_CHUNK_ENTRIES.  All-ones factors keep every product a small
-    # int, so the peak is the kernel's arrays.
+    # of them at once would hold a million entries, and the kernel forms
+    # only their column sums, a chunk at a time.
     A = RegularOperator(32, 4, [1] * 128)
     B = RegularOperator(5, 32, [1] * 160)
     tracemalloc.start()
@@ -582,6 +582,22 @@ def test_1chain_over_cap_raises_before_any_work(monkeypatch):
         superop_regular_norm_1chain(A, B)
 
 
+def test_1chain_over_cap_domain_is_refused_without_forming_y_to_the_x():
+    # 20000^20000 has 86,000 digits: formed and formatted in the refusal, it
+    # ran into Python's int-to-str limit instead of the enumeration cap.
+    A = RegularOperator(1, 20000, [1] * 20000)
+    B = RegularOperator(20000, 1, [1] * 20000)
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^20000\^20000 extreme points exceed enumeration cap"):
+        superop_regular_norm_1chain(A, B)
+    # Past x = 21 every y >= 2 is over the cap, and y = 1 is one point.
+    assert norms._check_extreme_points(1, 10**6) == 1
+    assert norms._check_extreme_points(2, 20) == norms.EXTREME_POINT_CAP
+    for y, x in ((2, 21), (2, 22), (2, 10**6), (1025, 2)):
+        with pytest.raises(EnumerationLimitError, match=f"^{y}\\^{x} extreme"):
+            norms._check_extreme_points(y, x)
+
+
 def test_cor23_refuses_the_extreme_point_cap_before_the_norms(monkeypatch):
     def no_norm(*args, **kwargs):
         raise AssertionError("the extreme-point cap must be checked first")
@@ -590,6 +606,120 @@ def test_cor23_refuses_the_extreme_point_cap_before_the_norms(monkeypatch):
     A, B = _chain_pair(Random(2307), 8, 8, 8, 8)
     with pytest.raises(EnumerationLimitError, match="enumeration cap"):
         norms.verify_cor23(A, B, norms.NormAssignment.uniform(1), samples=200000)
+
+
+def test_cor23_refuses_an_over_cap_domain_before_the_witness_cap(monkeypatch):
+    # A 20000 x 20000 witness T is over the sample stack cap too, but an
+    # all-l1 exact run is refused by the cap on what it enumerates.
+    def no_norm(*args, **kwargs):
+        raise AssertionError("the caps must be checked before any norm")
+
+    monkeypatch.setattr(norms, "operator_norm", no_norm)
+    A = RegularOperator(1, 20000, [1] * 20000)
+    B = RegularOperator(20000, 1, [1] * 20000)
+    with pytest.raises(EnumerationLimitError, match="enumeration cap"):
+        verify_cor23(A, B, NormAssignment.uniform(1.0), samples=0)
+    with pytest.raises(EnumerationLimitError, match="rank-one witness T exceeds sample stack cap"):
+        verify_cor23(A, B, NormAssignment.uniform(2.0), samples=0)
+    with pytest.raises(EnumerationLimitError, match="rank-one witness T exceeds sample stack cap"):
+        verify_cor23(A.to_float(), B.to_float(), NormAssignment.uniform(1.0), samples=0)
+
+
+# ---------------------------------------------------------------------------
+# the enumeration on machine words
+# ---------------------------------------------------------------------------
+
+
+def _word_dtypes(monkeypatch) -> list:
+    """The dtypes the kernel's ``_on_words`` calls return, as they happen."""
+    dtypes = []
+
+    def spy(a, b, terms):
+        out = lattice._on_words(a, b, terms)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(norms, "_on_words", spy)
+    return dtypes
+
+
+def _pair_at_bound(rng: Random, bound: int, x: int, b_top: int, z: int, y: int, w: int):
+    """Signed integer A (z x y) and B (x x w) with max|B| = ``b_top`` and
+    largest column sum of |A| bound / (x b_top), so that the word bound
+    x max(1'|A|) max|B| is ``bound``, with a zero row and a zero column in
+    each factor that has two of them."""
+    a_top = bound // (x * b_top)
+    assert x * a_top * b_top == bound
+
+    def signed(v):
+        return v if rng.random() < 0.5 else -v
+
+    A = [[0] * y for _ in range(z)]
+    zero_row = rng.randrange(z) if z > 1 else None
+    rows = [i for i in range(z) if i != zero_row]
+    top = rng.randrange(y)
+    cuts = sorted(rng.randint(0, a_top) for _ in rows[1:])
+    for i, low, high in zip(rows, [0, *cuts], [*cuts, a_top]):
+        A[i][top] = signed(high - low)
+    spare = [j for j in range(y) if j != top][1:]  # the first one stays zero
+    for j in spare:
+        for i in rows:
+            A[i][j] = signed(rng.randint(0, a_top // len(rows)))
+    B = [[0] * w for _ in range(x)]
+    zero_col = rng.randrange(w) if w > 1 else None
+    cols = [k for k in range(w) if k != zero_col]
+    zero_row = rng.randrange(x) if x > 1 else None
+    live = [j for j in range(x) if j != zero_row]
+    for j in live:
+        for k in cols:
+            B[j][k] = signed(rng.randint(0, b_top))
+    B[live[0]][cols[0]] = signed(b_top)
+    return RegularOperator.from_rows(A), RegularOperator.from_rows(B)
+
+
+#: (bound, x, max|B|): the word bound x max(1'|A|) max|B| at 2^31, 2^62,
+#: 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657 and 2^63.
+WORD_BOUNDS = [
+    (2**31, 1, 2**10), (2**31, 4, 2**10), (2**62, 2, 2**30),
+    (2**63 - 1, 1, 73 * 127), (2**63 - 1, 7, 73 * 127), (2**63, 2, 2**31),
+]
+
+
+@pytest.mark.parametrize("bound, x, b_top, z, y, w", [
+    (*case, *shape) for case in WORD_BOUNDS
+    # (1, 4, 3): A is 1 x n; (4, 1, 1): A and B (w = 1) are n x 1.  At most
+    # 3^7 extreme points, for the Fraction reference loop.
+    for shape in [(3, 3, 2), (1, 4, 3), (4, 1, 1), (2, 3, 1)] if shape[1] ** case[1] <= 3**7
+])
+def test_1chain_word_path_at_its_bound_matches_reference(bound, x, b_top, z, y, w, monkeypatch):
+    dtypes = _word_dtypes(monkeypatch)
+    A, B = _pair_at_bound(Random(bound % 1000 + 100 * x + 10 * y + w), bound, x, b_top, z, y, w)
+    modA, modB = A.modulus_closed_form(), B.modulus_closed_form()
+    assert x * modA._values.sum(axis=0).max() * modB._values.max() == bound
+    _assert_kernel_matches_reference(A, B)
+    assert dtypes == [np.dtype(np.int64) if bound < 2**63 else np.dtype(object)]
+
+
+def test_1chain_word_path_keeps_denominators():
+    # The numerators run on words, over the product of the denominators.
+    A, B = _pair_at_bound(Random(2310), 2**63 - 1, 7, 73 * 127, 2, 2, 2)
+    _assert_kernel_matches_reference(A.scale(Fraction(1, 3)), B.scale(Fraction(5, 7)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_1chain_word_path_equals_the_object_path(data):
+    # Magnitudes around 2^31, 2^62 and 2^63: the word path, where the bound
+    # lets it run, gives the object path's value.
+    z, y, x, w = (data.draw(st.integers(1, 3)) for _ in range(4))
+    bits = data.draw(st.sampled_from([29, 30, 31, 32, 60, 61, 62, 63]))
+    entries = st.integers(-(2**bits), 2**bits)
+    A = RegularOperator(z, y, [data.draw(entries) for _ in range(z * y)])
+    B = RegularOperator(x, w, [data.draw(entries) for _ in range(x * w)])
+    value = superop_regular_norm_1chain(A, B)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_on_words", lambda a, b, terms: (a, b))
+        assert superop_regular_norm_1chain(A, B) == value
 
 
 @given(matrices(rows=2, cols=2), matrices(rows=2, cols=2))
@@ -749,6 +879,29 @@ def test_sample_stack_cap_counts_the_partial_products(monkeypatch):
     assert samples * 64 <= norms.SAMPLE_STACK_CAP
     with pytest.raises(EnumerationLimitError, match="sample stack cap"):
         verify_cor23(A, B, NormAssignment.uniform(1.0), samples=samples)
+
+
+def test_the_rank_one_witness_is_counted_against_the_sample_stack_cap(monkeypatch):
+    # gap and cor23 build T = x' (x) y*, A.cols x B.rows, whatever the sample
+    # count: a 20000 x 20000 T was a 2.98 GiB request after the norms.
+    def no_norm(*args, **kwargs):
+        raise AssertionError("the witness must be counted before any norm")
+
+    monkeypatch.setattr(norms, "operator_norm", no_norm)
+    monkeypatch.setattr(norms, "regular_norm", no_norm)
+    A = RegularOperator(1, 20000, [1] * 20000)
+    B = RegularOperator(20000, 1, [1] * 20000)
+    for assignment in (NormAssignment.uniform(1.0), NormAssignment.uniform(2.0)):
+        with pytest.raises(EnumerationLimitError,
+                           match="20000x20000 rank-one witness T exceeds sample stack cap"):
+            gap_report(A, B, assignment)
+    uniform = NormAssignment.uniform(2.0)
+    # gap --m 10 norms 1024 x 1024 factors: T has 2^20 entries.
+    norms.check_sampling(0, (1024, 1024), (1024, 1024), uniform, factor_signs=(False, False))
+    # Exactly at the cap the check passes; one row more is refused.
+    norms.check_sampling(0, (1, 4096), (4096, 1), uniform)
+    with pytest.raises(EnumerationLimitError, match="4097x4096 rank-one witness T"):
+        norms.check_sampling(0, (1, 4097), (4096, 1), uniform)
 
 
 def test_factor_searches_are_checked_before_any_work(monkeypatch):
