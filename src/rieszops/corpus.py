@@ -15,9 +15,10 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator
 
-from .lattice import LatticeVector
+from .lattice import EnumerationLimitError, LatticeVector
 from .operators import RegularOperator
 from .reports import _write_canonical
+from .superop import KRON_ENTRY_CAP
 
 GRID_MAX = 5
 GRID_MAX_DENOMINATOR = 8
@@ -73,7 +74,8 @@ def random_vector(
 class Corpus:
     """Parameters of a reproducible corpus of (A, B) factor pairs.
 
-    ``dims = (w, x, y, z)`` fixes A to z x y and B to x x w.
+    ``dims = (w, x, y, z)`` fixes A to z x y and B to x x w; either of more
+    than ``KRON_ENTRY_CAP`` entries raises ``EnumerationLimitError`` undrawn.
     """
 
     seed: int
@@ -88,6 +90,12 @@ class Corpus:
         if len(self.dims) != 4 or any(int(d) < 1 for d in self.dims):
             raise ValueError(f"dims must be four integers >= 1, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        w, x, y, z = self.dims
+        if max(z * y, x * w) > KRON_ENTRY_CAP:
+            raise EnumerationLimitError(
+                f"corpus factors A ({z}x{y}) and B ({x}x{w}) may have at most "
+                f"KRON_ENTRY_CAP = {KRON_ENTRY_CAP} entries each"
+            )
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.distribution not in DISTRIBUTIONS:

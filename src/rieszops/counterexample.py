@@ -47,6 +47,7 @@ from .lattice import (
     Partition,
     _chunk_size,
     _partition_sums,
+    _product_den,
     _stack,
     atomic_partition,
     disjoint_partitions,
@@ -226,7 +227,7 @@ def _double_partition_inf(
         return np.add.reduceat(terms, split_starts, axis=0).transpose(2, 0, 1)
 
     sums, D_X = _partition_sums(partitions, per_split, len(P) * n)
-    return LatticeVector._of(np.minimum.reduce(sums, axis=(0, 1)), D_T * D_X)
+    return LatticeVector._of(np.minimum.reduce(sums, axis=(0, 1)), _product_den(D_T, D_X))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,13 @@ operation, and the integer kernels of the other modules, read the array
 (``_stack`` puts several over one denominator, ``_chunk_size`` bounds a
 kernel's intermediates).  A kernel runs on int64 copies of numerators only
 where ``_on_words``, the one maker of int64 values, proves by a magnitude
-bound that none of its sums overflows.  Float results match Python float
-arithmetic bit for bit, Python's tie rule on -0.0 and 0.0 included.
+bound that none of its sums overflows.  Every product of containers takes
+its rules from here: the operand rule ``_check_operands`` (one scalar mode
+and, for a matrix product, a matching inner dimension), the outer product
+``_outer`` of ``superop.kron`` and ``operators.rank_one``, and the rule
+``_product_den`` (the factors' denominators multiplied, None for floats).
+Float results match Python float arithmetic bit for bit, Python's tie rule
+on -0.0 and 0.0 included.
 
 Float sums.  Every float sum in a result of the package (``_matmul``, the
 partition sums, the norms) is ``_left_sum``: the terms added left to right
@@ -120,6 +125,27 @@ def _on_words(a, b, terms: int) -> tuple:
     if max(top_a, top_b, terms * top_a * top_b) < 1 << 63:
         return a.astype(np.int64), b.astype(np.int64)
     return a, b
+
+
+def _product_den(*dens):
+    """A product's denominator: its factors' ``dens`` multiplied, None for floats."""
+    return None if dens[0] is None else math.prod(dens)
+
+
+def _check_operands(left, right, inner: bool = False):
+    """The operand rule of a product of containers: one scalar mode
+    (``ScalarModeError``) and, for a matrix product (``inner``), left's
+    columns as many as right's rows (``DimensionMismatchError``)."""
+    if inner and left.shape[-1] != right.shape[0]:
+        raise DimensionMismatchError(f"cannot multiply {left.shape} by {right.shape}")
+    if left.is_exact != right.is_exact:
+        raise ScalarModeError(f"scalar mode mismatch: {left.mode} vs {right.mode}")
+
+
+def _outer(left, right) -> tuple:
+    """(values, D): the outer product of two containers under the operand rule."""
+    _check_operands(left, right)
+    return np.multiply.outer(left._values, right._values), _product_den(left._den, right._den)
 
 
 def _stack(items, join=np.stack) -> tuple:
@@ -284,17 +310,10 @@ class _Entrywise:
 
     def _check_compatible(self, other):
         if not isinstance(other, type(self)):
-            raise TypeError(
-                f"expected {type(self).__name__}, got {type(other).__name__}"
-            )
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if self._values.shape != other._values.shape:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.shape} vs {other.shape}"
-            )
-        if self.is_exact != other.is_exact:
-            raise ScalarModeError(
-                f"scalar mode mismatch: {self.mode} vs {other.mode}"
-            )
+            raise DimensionMismatchError(f"shape mismatch: {self.shape} vs {other.shape}")
+        _check_operands(self, other)
 
     def _aligned(self, other) -> tuple:
         """(a, b, D): the values of self and other over one denominator."""

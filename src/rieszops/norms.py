@@ -71,7 +71,7 @@ vectors (attainment is certified to 1e-9, not bitwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -84,6 +84,7 @@ from .lattice import (
     _left_sum,
     _matmul,
     _on_words,
+    _product_den,
 )
 from .operators import RegularOperator, rank_one
 from .reports import VerificationReport, make_report
@@ -491,25 +492,21 @@ def _draws(rng, samples: int, A: RegularOperator, B: RegularOperator):
 
 def _largest_image(
     arr_A: np.ndarray, stacks, arr_B: np.ndarray, assignment: NormAssignment
-):
+) -> float:
     """The largest norm (W -> Z) of the images A T B of the T of ``stacks``
     (an iterable of stacks) scaled to unit norm (X -> Y), each stack's images
-    formed as one batched product, and the first T that reaches it, as
-    ``argmax`` over all of them in one stack would pick it; None if every T
-    is zero."""
-    best = None
+    formed as one batched product, as ``max`` over all of them in one stack
+    would give it (nan if any is nan); 0.0 if every T is zero."""
+    best = 0.0
     for stack in stacks:
         t_norms = batched_operator_norm(stack, assignment.n_X, assignment.n_Y)
         keep = t_norms > 0.0
         if not keep.any():
             continue
-        normalized = stack[keep] / t_norms[keep][:, None, None]
-        images = arr_A @ normalized @ arr_B
+        images = arr_A @ (stack[keep] / t_norms[keep][:, None, None]) @ arr_B
         values = batched_operator_norm(images, assignment.n_W, assignment.n_Z)
-        idx = int(values.argmax())
-        if best is None or values[idx] > best[0]:
-            best = float(values[idx]), normalized[idx]
-    return best
+        best = np.maximum(best, values.max())
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +572,7 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
         codes = np.arange(start, min(start + step, points))
         a = codes[:, None] // radix % y  # (N, x)
         best = max(best, int((col_sums[a] @ absB).max()))  # 1'|A| T_a |B|: (N, w)
-    return Fraction(best, modA._den * modB._den)
+    return Fraction(best, _product_den(modA._den, modB._den))
 
 
 def _rank_one_witness(A, B, norm_A: NormResult, norm_B: NormResult, assignment):
@@ -642,8 +639,7 @@ def verify_cor23(
     rng = np.random.default_rng(seed)
     stacks = _draws(rng, samples, A, B)
     arr_A, arr_B = np.array(absA.as_floats()), np.array(absB.as_floats())
-    largest = _largest_image(arr_A, stacks, arr_B, assignment)
-    max_sample = 0.0 if largest is None else largest[0]
+    max_sample = _largest_image(arr_A, stacks, arr_B, assignment)
     sample_excess = max(0.0, max_sample - product_f)
 
     # The exact closed form's deviation decides, unless the exact identity
@@ -743,9 +739,11 @@ def gap_report(
     drawn.  When both factor norms are closed forms, that is the supremum up
     to rounding, and ``operator_side_certified`` is set unless it is zero
     while neither factor is; when either is searched, it is a lower bound.
-    All is computed on A and B scaled by the powers of two that bring their
-    largest entries into [1, 2) (+-1 entries stay), so that no product leaves
-    the float range; the sides and regular norms are scaled back, a float
+    A searched regular norm is the larger of its search and its factor's
+    norm at the witness's moduli, so that ``rho`` stays at most 1.  All is
+    computed on A and B scaled by the powers of two that bring their largest
+    entries into [1, 2) (+-1 entries stay), so that no product leaves the
+    float range; the sides and regular norms are scaled back, a float
     beyond the float range to None (JSON null), while ``rho`` stays.
     Reported as an exploration (status ``info``): the ratio can sink far
     below 1, e.g. at rate 2^-m along A = B = hadamard_tensor_power(m).  A run
@@ -759,12 +757,20 @@ def gap_report(
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
     rnA = regular_norm(A_s, n_Y, n_Z, seed=seed)
     rnB = regular_norm(B_s, n_W, n_X, seed=seed)
-    denom = rnA.value_float * rnB.value_float
 
     norm_A = operator_norm(A_s, n_Y, n_Z, seed=seed)
     norm_B = operator_norm(B_s, n_W, n_X, seed=seed)
     # ||A T B|| = ||B'x'|| ||A y*|| >= ||A|| x'(B w*) = ||A|| ||B||.
-    side, best_T, _ = _rank_one_witness(A_s, B_s, norm_A, norm_B, assignment)
+    side, best_T, x_prime = _rank_one_witness(A_s, B_s, norm_A, norm_B, assignment)
+    # A searched regular norm is a lower bound, as is || |A| |y*| ||_Z or
+    # || |B|'|x'| ||_{W*}: the larger keeps rho <= 1, as |A y*| <= |A| |y*|.
+    if rnA.method == "search":
+        image = abs(A_s.to_float()).apply(abs(norm_A.witness))
+        rnA = replace(rnA, value=max(rnA.value, float(vector_norm(image, n_Z))))
+    if rnB.method == "search":
+        image = abs(B_s.to_float()).transpose().apply(abs(x_prime))
+        rnB = replace(rnB, value=max(rnB.value, float(dual_norm(image, n_W))))
+    denom = rnA.value_float * rnB.value_float
     rho = side / denom if denom > 0.0 else 0.0
     # A zero image of nonzero factors is float underflow, not the supremum.
     certified = (norm_A.certified and norm_B.certified

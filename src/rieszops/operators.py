@@ -30,8 +30,8 @@ superoperator formulas are ``lattice.Partition``s of T, built by the same
 trivial, atomic and seeded random convex builders of ``lattice`` that
 split vectors.
 
-``RegularOperator.apply`` and ``compose`` share one matrix product on the
-stored arrays (``lattice._matmul``).
+``RegularOperator.apply`` and ``compose`` are one product on the stored
+arrays (``lattice._matmul``), checked by ``lattice``'s operand rule.
 """
 
 from __future__ import annotations
@@ -42,17 +42,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lattice import (
-    DimensionMismatchError,
     LatticeVector,
     Partition,
+    _check_operands,
     _Entrywise,
     _entrywise_best,
     _matmul,
+    _outer,
     _partition_sums,
+    _product_den,
     default_partitions,
     refinement_chain,
 )
-from .scalars import ScalarModeError
 
 
 class RegularOperator(_Entrywise):
@@ -125,36 +126,16 @@ class RegularOperator(_Entrywise):
     # -- algebra ----------------------------------------------------------
 
     def _product(self, right: _Entrywise):
-        """self @ R for a vector or matrix R of self.cols rows (same scalar
-        mode), as an instance of R's class."""
+        """self @ R, as an instance of R's class, for a vector (``apply``) or
+        a matrix R (``compose``) that passes ``lattice``'s operand rule."""
+        _check_operands(self, right, inner=True)
         b = right._values
         product = _matmul(self._values, b.reshape(len(b), -1)).reshape(
             (self.rows,) + b.shape[1:]
         )
-        return right._of(product, self._den and self._den * right._den)
+        return right._of(product, _product_den(self._den, right._den))
 
-    def apply(self, v: LatticeVector) -> LatticeVector:
-        if v.dim != self.cols:
-            raise DimensionMismatchError(
-                f"operator expects dim {self.cols}, vector has dim {v.dim}"
-            )
-        if v.mode != self.mode:
-            raise ScalarModeError(
-                f"scalar mode mismatch: operator {self.mode}, vector {v.mode}"
-            )
-        return self._product(v)
-
-    def compose(self, other: "RegularOperator") -> "RegularOperator":
-        """Matrix product self @ other."""
-        if self.cols != other.rows:
-            raise DimensionMismatchError(
-                f"cannot compose {self.shape} with {other.shape}"
-            )
-        if self.mode != other.mode:
-            raise ScalarModeError(
-                f"scalar mode mismatch: {self.mode} vs {other.mode}"
-            )
-        return self._product(other)
+    apply = compose = _product
 
     def __matmul__(self, other: "RegularOperator") -> "RegularOperator":
         return self.compose(other)
@@ -177,12 +158,7 @@ class RegularOperator(_Entrywise):
 
 def rank_one(functional: LatticeVector, value: LatticeVector) -> RegularOperator:
     """The operator  x' (x) y : v |-> <x', v> y  (matrix y x'^T)."""
-    if functional.mode != value.mode:
-        raise ScalarModeError(
-            f"scalar mode mismatch: {functional.mode} vs {value.mode}"
-        )
-    product = np.multiply.outer(value._values, functional._values)
-    return RegularOperator._of(product, value._den and value._den * functional._den)
+    return RegularOperator._of(*_outer(value, functional))
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +182,9 @@ class OracleResult:
     partitions_tried: int
 
 
-def _check_test_vector(A: RegularOperator, w: LatticeVector, oracle: str):
+def _check_test_vector(w: LatticeVector, oracle: str):
     if not w.is_positive():
         raise ValueError(f"the {oracle} needs a positive test vector")
-    if w.dim != A.cols:
-        raise DimensionMismatchError(
-            f"operator expects dim {A.cols}, vector has dim {w.dim}"
-        )
-    if w.mode != A.mode:
-        raise ScalarModeError(
-            f"scalar mode mismatch: operator {A.mode}, vector {w.mode}"
-        )
 
 
 def _modulus_images(A: RegularOperator):
@@ -243,7 +211,7 @@ def _best_over_partitions(
     if any(p.target is not w and p.target != w for p in partitions):
         raise ValueError("a partition does not split the test vector w")
     rows, D = _partition_sums(partitions, image, image_entries)
-    value = _entrywise_best(rows, den and den * D, better)
+    value = _entrywise_best(rows, _product_den(den, D), better)
     return OracleResult(
         value=value,
         closed_form=closed,
@@ -265,7 +233,7 @@ def modulus_oracle(
     coordinate model it is attained by the atomic partition, where the sum
     collapses to (|A| w).
     """
-    _check_test_vector(A, w, "modulus oracle")
+    _check_test_vector(w, "modulus oracle")
     closed = A.modulus_closed_form().apply(w)
     return _best_over_partitions(
         w, partitions, _modulus_images(A), A.rows, A._den, np.greater, closed
@@ -281,7 +249,7 @@ def meet_oracle(
     """Evaluate inf { sum_i min(S w_i, T w_i) } over the given partitions
     of w (default: ``lattice.default_partitions(w)``).  S and T, over one
     denominator, act on every piece in one matrix product."""
-    _check_test_vector(S, w, "meet oracle")
+    _check_test_vector(w, "meet oracle")
     a, b, E = S._aligned(T)
     both = np.concatenate([a, b])
 
@@ -296,7 +264,8 @@ def meet_oracle(
 
 def refinement_sums(A: RegularOperator, w: LatticeVector) -> list:
     """Partition-modulus sums along a refinement chain of w (monotone up)."""
-    _check_test_vector(A, w, "refinement chain")
+    _check_test_vector(w, "refinement chain")
+    _check_operands(A, w, inner=True)
     sums, D = _partition_sums(refinement_chain(w), _modulus_images(A), A.rows)
-    return [LatticeVector._of(row, A._den and A._den * D) for row in sums]
+    return [LatticeVector._of(row, _product_den(A._den, D)) for row in sums]
 

@@ -58,14 +58,16 @@ from .lattice import (
     LatticeVector,
     _entrywise_best,
     _matmul,
+    _outer,
     _partition_sums,
+    _product_den,
     atomic_partition,
     random_convex_partition,
     trivial_partition,
 )
 from .operators import RegularOperator
 from .reports import VerificationReport, make_report
-from .scalars import DEFAULT_TOLERANCE, ScalarModeError, zero_of
+from .scalars import DEFAULT_TOLERANCE, zero_of
 
 
 #: Entries a ``kron`` may produce: H_2^{(x) 10} still builds (and
@@ -80,17 +82,15 @@ def kron(P: RegularOperator, Q: RegularOperator) -> RegularOperator:
     A product of more than ``KRON_ENTRY_CAP`` entries raises
     ``EnumerationLimitError`` before anything is multiplied.
     """
-    if P.mode != Q.mode:
-        raise ScalarModeError(f"scalar mode mismatch: {P.mode} vs {Q.mode}")
     entries_out = P.rows * Q.rows * P.cols * Q.cols
     if entries_out > KRON_ENTRY_CAP:
         raise EnumerationLimitError(
             f"kron of {P.shape} and {Q.shape} has {entries_out} entries, "
             f"above kron entry cap {KRON_ENTRY_CAP}"
         )
-    blocks = np.multiply.outer(P._values, Q._values).transpose(0, 2, 1, 3)
+    blocks, den = _outer(P, Q)
     shape = (P.rows * Q.rows, P.cols * Q.cols)
-    return RegularOperator._of(blocks.reshape(shape), P._den and P._den * Q._den)
+    return RegularOperator._of(blocks.transpose(0, 2, 1, 3).reshape(shape), den)
 
 
 def vec(T: RegularOperator) -> LatticeVector:
@@ -133,10 +133,6 @@ class Superoperator:
     @classmethod
     def build(cls, A: RegularOperator, B: RegularOperator) -> "Superoperator":
         """The two-sided multiplication T |-> A T B (A: z x y, B: x x w)."""
-        if A.mode != B.mode:
-            raise ScalarModeError(
-                f"scalar mode mismatch: A is {A.mode}, B is {B.mode}"
-            )
         z, y = A.shape
         x, w = B.shape
         return cls(dims=(w, x, y, z), rep=kron(B.transpose(), A))
@@ -211,7 +207,7 @@ def _partition_values(A0, B, w, partitions) -> tuple:
         z * max(x, cols),
     )
     values = _matmul(sums, w._values[:, None])[..., 0]  # (partitions, z)
-    return values, D_T and A0._den * D_T * B._den * w._den
+    return values, _product_den(A0._den, D_T, B._den, w._den)
 
 
 # ---------------------------------------------------------------------------

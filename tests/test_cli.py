@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieszops import cli
+from rieszops import cli, corpus
 from rieszops.cli import main
 from rieszops.reports import canonical_json
 
@@ -624,6 +624,21 @@ def test_verify_prop21_over_kron_cap_exits_2(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "kron entry cap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cor23", "--corpus", "seed=1,dims=1x1x1x100000000,count=1", "--samples", "0"],
+    ["verify", "cor22", "--corpus", "seed=1,dims=1x1x1x1100000,count=1"],
+    ["corpus", "--dims", "1100000x1x1x1", "--count", "1", "--out"],
+], ids=["cor23-A-1e8", "cor22-A", "corpus-B"])
+def test_oversized_corpus_exits_2_before_drawing(argv, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(corpus, "random_scalar", lambda *args: pytest.fail("drew an entry"))
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "corpus")]
+    t0 = time.perf_counter()
+    _assert_usage_error(capsys, argv, "KRON_ENTRY_CAP")
+    assert time.perf_counter() - t0 < 1.0
+    assert not any(tmp_path.iterdir())
 
 
 def test_out_of_memory_exits_2_without_a_traceback(matrix_files, monkeypatch, capsys):

@@ -5,6 +5,8 @@ import os
 import pytest
 
 from rieszops import Corpus, claim_cases, generate_corpus, parse_corpus_spec
+from rieszops.lattice import EnumerationLimitError
+from rieszops.superop import KRON_ENTRY_CAP
 
 from cases import mixed_dims_pairs, mixed_dims_prop21_cases, square_matrix_cases
 
@@ -48,6 +50,15 @@ def test_parse_corpus_spec_defaults():
 def test_parse_corpus_spec_rejects(bad):
     with pytest.raises(ValueError):
         parse_corpus_spec(bad)
+
+
+def test_corpus_refuses_a_factor_over_the_kron_cap():
+    # A is z x y and B is x x w for dims (w, x, y, z); nothing is drawn yet.
+    Corpus(seed=0, dims=(1, 1, 1, KRON_ENTRY_CAP), count=1)
+    for dims in [(1, 1, 1, KRON_ENTRY_CAP + 1), (1, 1, 1025, 1024),
+                 (KRON_ENTRY_CAP + 1, 1, 1, 1), (1025, 1024, 1, 1)]:
+        with pytest.raises(EnumerationLimitError, match="KRON_ENTRY_CAP"):
+            Corpus(seed=0, dims=dims, count=1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ is only the default of a verifier's ``tol`` or of ``--tolerance``), only
 ``lattice`` writes a term-by-term sum (``lattice._left_sum`` holds the
 float summation rule), the verifiers leave the report schema to
 ``reports.make_report``, only ``norms._closed_form`` calls into
-``numpy.linalg``, and only ``lattice._on_words`` names the int64 dtype."""
+``numpy.linalg``, only ``lattice._on_words`` names the int64 dtype, and
+only ``lattice`` writes the rules of a product of containers: it alone
+compares two scalar modes or raises their mismatch, multiplies stored
+denominators, and forms an outer product (once, in ``_outer``)."""
 
 import ast
 from pathlib import Path
@@ -634,3 +637,103 @@ def test_the_int64_check_flags_a_second_call_site():
         ("<module>", 2), ("_on_words", 4), ("Kernel.run", 7), ("Kernel.run", 7),
         ("<module>", 8), ("f", 10),
     ]
+
+
+#: The attributes that carry a container's scalar mode.
+MODE_NAMES = {"mode", "is_exact"}
+
+
+def product_rule_sites(source: str) -> list:
+    """(kind, scope, line) of every place a module writes a rule of a
+    product of containers itself, by line: a comparison of two scalar modes
+    (``.mode`` or ``.is_exact`` on two sides), a ``ScalarModeError`` raised
+    with "mismatch" in its message, a product with a stored denominator
+    ``._den`` as a factor, and an outer product (an ``.outer`` attribute);
+    scopes as in ``linalg_uses``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        kind = None
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if sum(isinstance(x, ast.Attribute) and x.attr in MODE_NAMES for x in sides) > 1:
+                kind = "mode comparison"
+        elif (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and "ScalarModeError" in ast.unparse(node.exc.func)
+              and any(isinstance(c, ast.Constant) and "mismatch" in str(c.value)
+                      for c in ast.walk(node.exc))):
+            kind = "mode mismatch raise"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if any(isinstance(x, ast.Attribute) and x.attr == "_den"
+                   for x in (node.left, node.right)):
+                kind = "denominator product"
+        elif isinstance(node, ast.Attribute) and node.attr == "outer":
+            kind = "outer product"
+        if kind:
+            found.append((kind, scope or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda site: (site[2], site[0]))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_only_lattice_checks_modes_and_multiplies_denominators(path):
+    # A product's operands pass lattice._check_operands and its denominator
+    # is lattice._product_den, so that a change of storage is one module's.
+    sites = [f"{kind} (line {line})"
+             for kind, _, line in product_rule_sites(path.read_text(encoding="utf-8"))
+             if kind != "outer product"]
+    assert not sites, (
+        f"{path.name} writes a product rule itself: {sites}; use "
+        "lattice._check_operands and lattice._product_den"
+    )
+
+
+def test_one_outer_product_in_the_package():
+    uses = [
+        (path.name, scope)
+        for path in PACKAGE
+        for kind, scope, _ in product_rule_sites(path.read_text(encoding="utf-8"))
+        if kind == "outer product"
+    ]
+    assert uses == [("lattice.py", "_outer")], (
+        f"outer products are formed in {uses}; kron and rank_one share "
+        "lattice._outer"
+    )
+
+
+def test_the_product_rule_check_flags_a_second_site():
+    source = (
+        "import numpy as np\n"
+        "from .scalars import ScalarModeError\n"
+        "def rank_one(f, v):\n"
+        "    if f.mode != v.mode:\n"
+        "        raise ScalarModeError(f'scalar mode mismatch: {f.mode}')\n"
+        "    return np.multiply.outer(v._values, f._values), v._den and v._den * f._den\n"
+        "class Superoperator:\n"
+        "    def build(self, A, B):\n"
+        "        if A.is_exact is not B.is_exact:\n"
+        "            raise TypeError('scalar mode mismatch')\n"
+        "        return np.outer(A._values, B._values), D * A._den * B._den\n"
+        "def f(x):\n"
+        "    raise ScalarModeError('needs an exact operator')\n"
+        "    return x._den + 1, x.mode == 'exact', 2 * x.dens, x._den is None\n"
+    )
+    assert product_rule_sites(source) == [
+        ("mode comparison", "rank_one", 4), ("mode mismatch raise", "rank_one", 5),
+        ("denominator product", "rank_one", 6), ("outer product", "rank_one", 6),
+        ("mode comparison", "Superoperator.build", 9),
+        ("denominator product", "Superoperator.build", 11),
+        ("denominator product", "Superoperator.build", 11),
+        ("outer product", "Superoperator.build", 11),
+    ]
+    lattice = (SRC / "lattice.py").read_text(encoding="utf-8")
+    assert {kind for kind, _, _ in product_rule_sites(lattice)} == {
+        "mode comparison", "mode mismatch raise", "denominator product", "outer product"
+    }

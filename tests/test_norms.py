@@ -7,7 +7,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from rieszops import lattice, norms, superop
 from rieszops.corpus import random_matrix
@@ -817,10 +817,10 @@ def test_sampling_in_chunks_gives_the_report_of_one_stack(monkeypatch, run):
     assert chunked == whole
 
 
-def test_largest_image_keeps_the_first_of_tied_maximisers_across_stacks():
+def test_largest_image_folds_uneven_stacks_as_one_stack():
     # T and -T tie bit for bit (same norms, negated images), and a smaller S
-    # goes first: folded over uneven stacks, the first -T must win, as
-    # argmax over all of them in one stack picks it.
+    # goes first: folded over uneven stacks, the largest value is the one
+    # of all of them in one stack.
     rng = np.random.default_rng(24)
     A, B, T = rng.standard_normal((3, 3, 3))
     S = np.outer(rng.standard_normal(3), rng.standard_normal(3))
@@ -834,9 +834,8 @@ def test_largest_image_keeps_the_first_of_tied_maximisers_across_stacks():
     assert values[0] < values[2]
     folded = norms._largest_image(A, stacks, B, assignment)
     single = norms._largest_image(A, [whole], B, assignment)
-    assert folded[0] == single[0] == values[2]
-    assert np.array_equal(folded[1], single[1])
-    assert np.array_equal(folded[1], -T / t_norms[2])
+    assert folded == single == values[2]
+    assert norms._largest_image(A, [0 * S[None]], B, assignment) == 0.0
 
 
 def test_sampling_memory_does_not_grow_with_the_samples():
@@ -1134,6 +1133,11 @@ def _found_product(A, B, a, seed):
 
 
 @given(gap_cases())
+@example((  # B's searched 2 -> 3 norm fell below its witness's, so rho > 1
+    RegularOperator.from_rows([[1e-5]]),
+    RegularOperator.from_rows([[0.0, 0.0, 0.0, 1e-5], [5e-6, 0.0, 7.5e-6, 3.75e-6]]),
+    NormAssignment(*(LatticeNorm(p=p) for p in (2.0, 3.0, 1.0, 1.0))),
+))
 @settings(max_examples=60, deadline=None)
 def test_certified_gap_attains_the_product_of_the_factor_norms(case):
     A, B, a = case
@@ -1157,7 +1161,7 @@ def test_certified_gap_attains_the_product_of_the_factor_norms(case):
     # No sample stack, drawn here directly, beats the witness.
     stack = np.random.default_rng(3).standard_normal((50, y, x))
     drawn = norms._largest_image(np.array(A.as_floats()), [stack],
-                                 np.array(B.as_floats()), a)[0]
+                                 np.array(B.as_floats()), a)
     assert drawn <= side + rounding * product
 
 

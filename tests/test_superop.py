@@ -319,10 +319,12 @@ def test_kron_cap_raises_before_any_product(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError("the cap must be checked before any product")
 
-    # kron's first numpy call is its product of the two arrays.
-    monkeypatch.setattr(superop, "np", NoArrays())
+    # kron's first numpy call is the product of the two arrays, in
+    # lattice._outer.
     column = RegularOperator(1024, 1, [Fraction(1)] * 1024)
     taller = RegularOperator(1025, 1, [Fraction(1)] * 1025)
+    for module in (superop, lattice):
+        monkeypatch.setattr(module, "np", NoArrays())
     with pytest.raises(EnumerationLimitError, match="kron entry cap"):
         kron(taller, column)
     # Exactly at the cap the check passes and the products begin.
