@@ -178,10 +178,19 @@ def claim_cases(corpus: Corpus, claim_id: str) -> Iterator[dict]:
     of ``ROLES``.  Positivity requirements (A0 for the positive-left-factor
     identities, B0 for the positive-right-factor ones, T and w throughout)
     are built in by construction, not by rejection sampling.  A claim
-    without a schema raises ``ValueError``.
+    without a schema raises ``ValueError``.  Every claim but cor23 builds
+    the rep of M_{A,B}, kron(B', A) of z w y x entries; over
+    ``KRON_ENTRY_CAP`` they raise ``EnumerationLimitError`` before the
+    first draw, as that ``kron`` would after the draws.
     """
     if claim_id not in CLAIM_ROLES:
         raise ValueError(f"no corpus schema for claim {claim_id!r}")
+    w, x, y, z = corpus.dims
+    if claim_id != "cor23" and z * w * y * x > KRON_ENTRY_CAP:
+        raise EnumerationLimitError(
+            f"the rep of M_{{A,B}} for {claim_id} on dims {w}x{x}x{y}x{z} has "
+            f"{z * w * y * x} entries, above KRON_ENTRY_CAP = {KRON_ENTRY_CAP}"
+        )
     rng = Random(corpus.seed)
     for _ in range(corpus.count):
         yield {role: _draw_role(rng, corpus, role) for role in CLAIM_ROLES[claim_id]}
@@ -195,13 +204,14 @@ def claim_cases(corpus: Corpus, claim_id: str) -> Iterator[dict]:
 def generate_corpus(corpus: Corpus, out_dir: str) -> dict:
     """Write the corpus's matrix files plus a manifest with digests.
 
-    The (A, B) pairs are the ``cor22`` cases of ``claim_cases``.  Files:
+    The (A, B) pairs are the ``cor23`` cases of ``claim_cases``: cor23
+    builds no rep, so only the factors are capped.  Files:
     A_0000.json, B_0000.json, ... and manifest.json.  Re-running with the
     same parameters reproduces every byte.
     """
     os.makedirs(out_dir, exist_ok=True)
     files = []
-    for idx, case in enumerate(claim_cases(corpus, "cor22")):
+    for idx, case in enumerate(claim_cases(corpus, "cor23")):
         for tag, op in case.items():
             name = f"{tag}_{idx:04d}.json"
             text = _write_canonical(op.to_json(), os.path.join(out_dir, name))

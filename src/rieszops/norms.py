@@ -40,6 +40,8 @@ H_2^{(x) m}.  Both take one rank-one witness T = x' (x) y*, for which
 M(T) = (B'x') (x) (Ay*) reaches the product of the factor norms:
 ``verify_cor23`` on |A| and |B|, ``gap_report`` on A and B themselves,
 scaled by powers of two so that its ratio does not move with their scale.
+Both write T as its factors, the witnesses ``y_star`` and ``x_prime``:
+``operators.rank_one(x_prime, y_star)`` rebuilds it bit for bit.
 
 Only ``verify_cor23`` samples, positive T for its upper side; no T beats
 the witness in ``gap_report``, which draws nothing.  The samples are
@@ -60,8 +62,7 @@ stored numerators of |A| and |B|, first of all its work: only the column
 sums of each image, on int64 when ``lattice._on_words`` proves they fit,
 on Python ints otherwise.  A domain with more than ``EXTREME_POINT_CAP``
 (2^20) extreme points raises ``EnumerationLimitError`` before the sampling
-check, the norms and the samples, without forming y^x.  The rank-one
-witness T, A.cols x B.rows, counts against ``SAMPLE_STACK_CAP`` too.
+check, the norms and the samples, without forming y^x.
 
 Norm values stay exact (``Fraction``) whenever the closed form involves no
 roots and the inputs are exact; witness vectors are always float-mode unit
@@ -86,7 +87,7 @@ from .lattice import (
     _on_words,
     _product_den,
 )
-from .operators import RegularOperator, rank_one
+from .operators import RegularOperator
 from .reports import VerificationReport, make_report
 from .scalars import DEFAULT_TOLERANCE, ScalarModeError
 from .superop import KRON_ENTRY_CAP, kron
@@ -449,13 +450,13 @@ def check_sampling(
     factor_signs: Optional[tuple] = None,
 ):
     """Refuse a run before anything is built or drawn: a negative sample
-    count (``ValueError``), sampled entries or a rank-one witness T (y x x)
-    beyond ``SAMPLE_STACK_CAP`` or a norm search beyond ``SEARCH_WORK_CAP``
-    (``EnumerationLimitError``) over the positive y x x samples (X -> Y),
-    their z x w images (W -> Z) or the factors' moduli |A| (Y -> Z) and |B|
-    (W -> X).  ``a_shape`` = (z, y) and ``b_shape`` = (x, w) are the shapes
-    of A and B.  A gap run passes zero samples and ``factor_signs``, whether
-    A and B are positive, as it norms them too."""
+    count (``ValueError``), sampled entries beyond ``SAMPLE_STACK_CAP`` or a
+    norm search beyond ``SEARCH_WORK_CAP`` (``EnumerationLimitError``) over
+    the positive y x x samples (X -> Y), their z x w images (W -> Z) or the
+    factors' moduli |A| (Y -> Z) and |B| (W -> X).  ``a_shape`` = (z, y) and
+    ``b_shape`` = (x, w) are the shapes of A and B.  A gap run passes zero
+    samples and ``factor_signs``, whether A and B are positive, as it norms
+    them too."""
     if samples < 0:
         raise ValueError(f"the sample count must be nonnegative, got {samples}")
     entries = _sample_entries(a_shape, b_shape)
@@ -465,10 +466,6 @@ def check_sampling(
             f"{SAMPLE_STACK_CAP}"
         )
     (z, y), (x, w) = a_shape, b_shape
-    if y * x > SAMPLE_STACK_CAP:
-        raise EnumerationLimitError(
-            f"the {y}x{x} rank-one witness T exceeds sample stack cap {SAMPLE_STACK_CAP}"
-        )
     a = assignment
     factors = [(a.n_Y, a.n_Z, 1, (z, y)), (a.n_W, a.n_X, 1, (x, w))]
     checks = [(a.n_X, a.n_Y, samples, (y, x), True), (a.n_W, a.n_Z, samples, (z, w), True)]
@@ -576,19 +573,15 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
 
 
 def _rank_one_witness(A, B, norm_A: NormResult, norm_B: NormResult, assignment):
-    """(value, T, x') for T = x' (x) y*, y* the witness of ``norm_A`` and x'
+    """(value, x') for T = x' (x) y*, y* the witness of ``norm_A`` and x'
     norming B v* in X for the witness v* of ``norm_B``: M(T) = (B'x') (x) (Ay*)
-    has norm ``value`` = ||B'x'||_{W*} ||Ay*||_Z >= ``norm_A norm_B`` up to rounding."""
-    A_f = A.to_float()
+    has norm ``value`` = ||B'x'||_{W*} ||Ay*||_Z >= ``norm_A norm_B`` up to
+    rounding.  T itself is not formed."""
     B_f = B.to_float()
-    y_star = norm_A.witness
-    v_star = norm_B.witness
-    x_prime = norming_functional(B_f.apply(v_star), assignment.n_X)
-    u_prime = B_f.transpose().apply(x_prime)
-    value = float(dual_norm(u_prime, assignment.n_W)) * float(
-        vector_norm(A_f.apply(y_star), assignment.n_Z)
-    )
-    return value, rank_one(x_prime, y_star), x_prime
+    x_prime = norming_functional(B_f.apply(norm_B.witness), assignment.n_X)
+    image = vector_norm(A.to_float().apply(norm_A.witness), assignment.n_Z)
+    value = float(dual_norm(B_f.transpose().apply(x_prime), assignment.n_W)) * float(image)
+    return value, x_prime
 
 
 def verify_cor23(
@@ -612,26 +605,20 @@ def verify_cor23(
     (``EnumerationLimitError``), and then one that ``check_sampling``
     refuses, raises before any work.
     """
-    # The flagship assignment's extreme-point cap is checked first of all, so
-    # that an over-cap domain is refused for what it would enumerate, not for
-    # its witness T; the enumeration then comes before the norms and samples.
     enumerate_points = _all_ones_1chain(assignment) and A.is_exact and B.is_exact
     if enumerate_points:
         _check_extreme_points(A.cols, B.rows)
     check_sampling(samples, A.shape, B.shape, assignment)
     closed_value = superop_regular_norm_1chain(A, B) if enumerate_points else None
-    n_W, n_X = assignment.n_W, assignment.n_X
-    n_Y, n_Z = assignment.n_Y, assignment.n_Z
-    absA = A.modulus_closed_form()
-    absB = B.modulus_closed_form()
-    rnA = operator_norm(absA, n_Y, n_Z, seed=seed)
-    rnB = operator_norm(absB, n_W, n_X, seed=seed)
+    absA, absB = A.modulus_closed_form(), B.modulus_closed_form()
+    rnA = operator_norm(absA, assignment.n_Y, assignment.n_Z, seed=seed)
+    rnB = operator_norm(absB, assignment.n_W, assignment.n_X, seed=seed)
     product = rnA.value * rnB.value
     product_f = float(product)
 
     # Rank-one witness: y* norms |A|; x' norms |B| v* in X, so that
     # ||(|B|' x') (x) (|A| y*)||_r = ||B||_r ||A||_r.
-    witness_value, witness_T, x_prime = _rank_one_witness(absA, absB, rnA, rnB, assignment)
+    witness_value, x_prime = _rank_one_witness(absA, absB, rnA, rnB, assignment)
     witness_shortfall = max(0.0, product_f - witness_value)
 
     # Sampled upper side: positive T of unit regular norm never push
@@ -654,7 +641,7 @@ def verify_cor23(
         claim_id="cor23",
         inputs={"A": A, "B": B, "assignment": assignment, "samples": samples},
         deviations=[dev],
-        witnesses={"rank_one_T": witness_T, "y_star": rnA.witness, "x_prime": x_prime},
+        witnesses={"y_star": rnA.witness, "x_prime": x_prime},
         seed=seed,
         details={
             "regular_norm_A": rnA.value,
@@ -734,11 +721,12 @@ def gap_report(
 
     The operator norm is ||A|| ||B|| (Y -> Z and W -> X), attained at the
     rank-one witness T = x' (x) y*: y* attains ||A||, and x' norms B w* in X
-    for the w* that attains ||B||, as in ``verify_cor23``.  ``best_T`` is T,
-    and ``operator_side`` its image's norm ||B'x'||_{W*} ||Ay*||_Z; nothing is
-    drawn.  When both factor norms are closed forms, that is the supremum up
-    to rounding, and ``operator_side_certified`` is set unless it is zero
-    while neither factor is; when either is searched, it is a lower bound.
+    for the w* that attains ||B||, as in ``verify_cor23``, and written as
+    those factors, ``y_star`` and ``x_prime``.  ``operator_side`` is its
+    image's norm ||B'x'||_{W*} ||Ay*||_Z; nothing is drawn.  When both
+    factor norms are closed forms, that is the supremum up to rounding, and
+    ``operator_side_certified`` is set unless it is zero while neither
+    factor is; when either is searched, it is a lower bound.
     A searched regular norm is the larger of its search and its factor's
     norm at the witness's moduli, so that ``rho`` stays at most 1.  All is
     computed on A and B scaled by the powers of two that bring their largest
@@ -761,7 +749,7 @@ def gap_report(
     norm_A = operator_norm(A_s, n_Y, n_Z, seed=seed)
     norm_B = operator_norm(B_s, n_W, n_X, seed=seed)
     # ||A T B|| = ||B'x'|| ||A y*|| >= ||A|| x'(B w*) = ||A|| ||B||.
-    side, best_T, x_prime = _rank_one_witness(A_s, B_s, norm_A, norm_B, assignment)
+    side, x_prime = _rank_one_witness(A_s, B_s, norm_A, norm_B, assignment)
     # A searched regular norm is a lower bound, as is || |A| |y*| ||_Z or
     # || |B|'|x'| ||_{W*}: the larger keeps rho <= 1, as |A y*| <= |A| |y*|.
     if rnA.method == "search":
@@ -780,7 +768,7 @@ def gap_report(
         claim_id="gap",
         inputs={"A": A, "B": B, "assignment": assignment},
         deviations=[0.0],
-        witnesses={"best_T": best_T},
+        witnesses={"y_star": norm_A.witness, "x_prime": x_prime},
         seed=seed,
         details={
             "operator_side": _scaled_back(side, shift_A + shift_B),

@@ -464,29 +464,49 @@ def test_verify_cor23_over_extreme_point_cap_exits_2_before_sampling(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, needle", [
-    (["verify", "cor23", "--samples", "0"], "20000^20000 extreme points exceed enumeration cap"),
-    (["verify", "cor23", "--samples", "0", "--p-in", "2"],
-     "20000x20000 rank-one witness T exceeds sample stack cap"),
-    (["gap"], "20000x20000 rank-one witness T exceeds sample stack cap"),
-])
-def test_a_1_x_20000_by_20000_x_1_pair_exits_2_before_any_work(argv, needle, tmp_path, capsys):
-    # The domain has 86,000-digit y^x extreme points and the witness T
-    # 20000 x 20000 entries (2.98 GiB of floats): both are refused unbuilt.
+def _wide_and_tall(tmp_path):
+    """A 1 x 20000 and a 20000 x 1 matrix file: their T are 20000 x 20000."""
     entries = [(-1) ** k * (k % 7 + 1) for k in range(20000)]
     wide = _write(tmp_path / "wide.json", {"rows": 1, "cols": 20000, "entries": entries})
     tall = _write(tmp_path / "tall.json", {"rows": 20000, "cols": 1, "entries": entries})
+    return ["--A", wide, "--B", tall]
+
+
+def _traced_main(argv):
+    """(exit code, traced peak in bytes) of one in-process run."""
     tracemalloc.start()
     try:
-        code = main([*argv, "--A", wide, "--B", tall])
-        peak = tracemalloc.get_traced_memory()[1]
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "cor23", "--samples", "0"], "20000^20000 extreme points exceed enumeration cap"),
+])
+def test_a_1_x_20000_by_20000_x_1_pair_exits_2_before_any_work(argv, needle, tmp_path, capsys):
+    # The domain has 86,000-digit y^x extreme points: refused unbuilt.
+    code, peak = _traced_main([*argv, *_wide_and_tall(tmp_path)])
     assert code == 2
     assert peak < 16 * 2**20
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert needle in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "cor23", "--samples", "0", "--p-in", "2"], ["gap"]],
+                         ids=["cor23-p-in-2", "gap"])
+def test_a_1_x_20000_by_20000_x_1_pair_writes_its_witness_as_two_factors(argv, tmp_path, capsys):
+    # The witness T has 20000 x 20000 entries (2.98 GiB of floats); the
+    # report writes its factors y* and x', 20000 entries each.
+    code, peak = _traced_main([*argv, *_wide_and_tall(tmp_path)])
+    assert code == 0
+    assert peak < 16 * 2**20
+    out, err = capsys.readouterr()
+    witnesses = json.loads(out)["witnesses"]
+    assert [(w["role"], w["dim"]) for w in witnesses] == [("y_star", 20000), ("x_prime", 20000)]
     assert "Traceback" not in err
 
 
@@ -630,7 +650,10 @@ def test_verify_prop21_over_kron_cap_exits_2(tmp_path, capsys):
     ["verify", "cor23", "--corpus", "seed=1,dims=1x1x1x100000000,count=1", "--samples", "0"],
     ["verify", "cor22", "--corpus", "seed=1,dims=1x1x1x1100000,count=1"],
     ["corpus", "--dims", "1100000x1x1x1", "--count", "1", "--out"],
-], ids=["cor23-A-1e8", "cor22-A", "corpus-B"])
+    # Every role within the cap, the rep of M_{A,B} (z w y x entries) over it.
+    ["verify", "prop21", "--corpus", "seed=1,dims=1x1100x1000x1,count=1"],
+    ["verify", "prop21", "--corpus", "seed=1,dims=1x1024x1024x2,count=1"],
+], ids=["cor23-A-1e8", "cor22-A", "corpus-B", "prop21-rep", "prop21-rep-2x1024x1024"])
 def test_oversized_corpus_exits_2_before_drawing(argv, monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(corpus, "random_scalar", lambda *args: pytest.fail("drew an entry"))
     if argv[-1] == "--out":
@@ -639,6 +662,17 @@ def test_oversized_corpus_exits_2_before_drawing(argv, monkeypatch, capsys, tmp_
     _assert_usage_error(capsys, argv, "KRON_ENTRY_CAP")
     assert time.perf_counter() - t0 < 1.0
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec", [
+    "seed=1,dims=1024x1x1x1024,count=1",
+    "seed=1,dims=1x1024x1024x2,count=1,distribution=float",
+], ids=["1024x1x1x1024", "float-1x1024x1024x2"])
+def test_cor23_corpus_builds_no_rep_and_is_capped_by_its_factors_alone(spec, capsys):
+    # cor23 forms no rep of M_{A,B}: the second spec's z w y x = 2^21 entries
+    # refuse the rep claims, not cor23.
+    assert main(["verify", "cor23", "--corpus", spec, "--samples", "0"]) == 0
+    assert "[PASS] cor23" in capsys.readouterr().err
 
 
 def test_out_of_memory_exits_2_without_a_traceback(matrix_files, monkeypatch, capsys):

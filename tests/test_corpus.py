@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from rieszops import Corpus, claim_cases, generate_corpus, parse_corpus_spec
+from rieszops import Corpus, claim_cases, corpus, generate_corpus, parse_corpus_spec
 from rieszops.lattice import EnumerationLimitError
 from rieszops.superop import KRON_ENTRY_CAP
 
@@ -59,6 +59,21 @@ def test_corpus_refuses_a_factor_over_the_kron_cap():
                  (KRON_ENTRY_CAP + 1, 1, 1, 1), (1025, 1024, 1, 1)]:
         with pytest.raises(EnumerationLimitError, match="KRON_ENTRY_CAP"):
             Corpus(seed=0, dims=dims, count=1)
+
+
+def test_the_claims_that_build_a_rep_refuse_it_over_the_kron_cap_undrawn(monkeypatch):
+    # kron(B', A) has z w y x entries: 2^20 is within the cap, 2^21 is not.
+    monkeypatch.setattr(corpus, "random_scalar", lambda *args: pytest.fail("drew an entry"))
+    at_cap = Corpus(seed=0, dims=(1, 1024, 1024, 1), count=1)
+    over = Corpus(seed=0, dims=(1, 1024, 1024, 2), count=1)
+    for claim in ("cor22", "prop21", "synnatzschke_a"):
+        with pytest.raises(EnumerationLimitError, match="KRON_ENTRY_CAP"):
+            next(claim_cases(over, claim))
+        with pytest.raises(pytest.fail.Exception, match="drew an entry"):
+            next(claim_cases(at_cap, claim))
+    # cor23 forms no rep: it draws.
+    with pytest.raises(pytest.fail.Exception, match="drew an entry"):
+        next(claim_cases(over, "cor23"))
 
 
 # ---------------------------------------------------------------------------

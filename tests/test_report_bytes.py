@@ -18,6 +18,12 @@ depend on the kernel numpy's ``np.power`` dispatches to, so its four pins
 are recorded once per power backend: numpy's AVX-512 kernel (X86_V4) and
 the one it runs without it (recorded under
 ``NPY_DISABLE_CPU_FEATURES=X86_V4``), told apart by one probe power.
+Last, four ``gap`` and ``cor23`` runs at closed forms without BLAS or
+``np.power`` pin their rank-one witness T = x' (x) y*, written as its
+factors ``y_star`` and ``x_prime``: both the report and the report with T
+rebuilt by ``rank_one(x_prime, y_star)`` and spliced back where it was
+written before the factors replaced it, whose bytes are those of the
+earlier reports.
 """
 
 import hashlib
@@ -30,7 +36,9 @@ from random import Random
 import numpy as np
 import pytest
 
+from rieszops import LatticeVector, rank_one
 from rieszops.cli import main
+from rieszops.reports import canonical_json
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "verify_all.py"
 
@@ -282,3 +290,82 @@ def test_the_norm_pins_cover_every_file_and_pair(tmp_path):
     names = {f"{stem}:{p}:{q}" for stem in _norm_files(tmp_path) for p, q in NORM_PAIRS}
     for digests in SEARCH_DIGESTS.values():
         assert set(NORM_DIGESTS) | set(digests) == names
+
+
+def _witness_files(out: Path) -> dict:
+    """Exact and float 3 x 4 and 4 x 2 matrix files, drawn as in
+    ``_norm_files``: their T are 4 x 4."""
+    rng = Random(3109)
+    shapes = {"exactA": (3, 4), "exactB": (4, 2), "floatA": (3, 4), "floatB": (4, 2)}
+    paths = {}
+    for name, (rows, cols) in shapes.items():
+        if name.startswith("exact"):
+            entries = [f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}" for _ in range(rows * cols)]
+        else:
+            entries = [rng.uniform(-2.0, 2.0) for _ in range(rows * cols)]
+        paths[name] = out / f"{name}.json"
+        paths[name].write_text(json.dumps({"rows": rows, "cols": cols, "entries": entries}))
+    return {name: str(path) for name, path in paths.items()}
+
+
+L1 = "--p-in 1 --p-mid1 1 --p-mid2 1 --p-out 1"
+LINF = "--p-in inf --p-mid1 inf --p-mid2 inf --p-out inf"
+
+#: Runs over ``_witness_files``: the sha256 of the report, and of the report
+#: with its T spliced back (``_with_T_spliced_back``), which is the sha256
+#: of the report as written while T was written whole.
+WITNESS_RUNS = {
+    "gap_exact_l1": (
+        f"gap --A {{exactA}} --B {{exactB}} {L1}",
+        "edaafc8b9d285867dc9783ce600c85283ec0281a702005bdf0cce95ddd41ff89",
+        "da4ac69cf771da9de9cb8f90df37f44bda5f38680899dc5da08479c024ae6bdf",
+    ),
+    "gap_exact_linf": (
+        f"gap --A {{exactA}} --B {{exactB}} {LINF}",
+        "d18d006f7703ed09e48dad2f79afba277cda6eb60de95edce9815b89382c7227",
+        "1ddeb2b76c22e8a00ff91083abc823669f1bf1ec72ab3b21834ea54a36d92d51",
+    ),
+    "cor23_exact_l1": (
+        "verify cor23 --A {exactA} --B {exactB} --samples 0",
+        "b72acedf0ca1da0b5c704911675f21f61e9d891621977186f31a3deac7b4f8c5",
+        "3577898a5567b51adffe5ab3ee9b4eb159ff61b6824d119a58660b3a0142288e",
+    ),
+    "cor23_float_linf": (
+        f"verify cor23 --A {{floatA}} --B {{floatB}} --samples 0 {LINF}",
+        "8a2ad4438324208f3c8e9d08241ada577d80e08764fe99e4aa344d77e5e01bad",
+        "dbc85ecea96bee820e939598d1b044bd7f444c7e0616809d9d1caa223c82bf71",
+    ),
+}
+
+
+def _with_T_spliced_back(text: str) -> str:
+    """The report ``text`` with its witness T = rank_one(x_prime, y_star)
+    rebuilt and written where it was before: gap's ``best_T`` in place of
+    ``y_star`` and ``x_prime``, cor23's ``rank_one_T`` before them.  Numbers
+    are read as floats, so that a factor's "-0" keeps its sign; the small
+    integers of a report are written back the same."""
+    report = json.loads(text, parse_int=float)
+    assert canonical_json(report) + "\n" == text
+    y_star, x_prime = report["witnesses"]
+    assert (y_star["role"], x_prime["role"]) == ("y_star", "x_prime")
+    T = rank_one(LatticeVector(x_prime["entries"]), LatticeVector(y_star["entries"]))
+    if report["claim_id"] == "gap":
+        report["witnesses"] = [{"role": "best_T", **T.to_json()}]
+    else:
+        report["witnesses"].insert(0, {"role": "rank_one_T", **T.to_json()})
+    return canonical_json(report) + "\n"
+
+
+@pytest.fixture(scope="module")
+def witness_files(tmp_path_factory):
+    return _witness_files(tmp_path_factory.mktemp("witness_files"))
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_RUNS))
+def test_rank_one_witness_report_bytes(name, witness_files, tmp_path):
+    template, digest, spliced = WITNESS_RUNS[name]
+    path = tmp_path / f"{name}.json"
+    assert main([*template.format(**witness_files).split(), "--json", str(path)]) == 0
+    text = path.read_text(encoding="ascii")
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert hashlib.sha256(_with_T_spliced_back(text).encode("ascii")).hexdigest() == spliced
