@@ -40,8 +40,10 @@ H_2^{(x) m}.  Both take one rank-one witness T = x' (x) y*, for which
 M(T) = (B'x') (x) (Ay*) reaches the product of the factor norms:
 ``verify_cor23`` on |A| and |B|, ``gap_report`` on A and B themselves,
 scaled by powers of two so that its ratio does not move with their scale.
-Both write T as its factors, the witnesses ``y_star`` and ``x_prime``:
-``operators.rank_one(x_prime, y_star)`` rebuilds it bit for bit.
+A factor passed to ``gap_report`` as both A and B is scaled once, and
+normed once when its two norm pairs agree.  Both write T as its factors,
+the witnesses ``y_star`` and ``x_prime``: ``operators.rank_one(x_prime,
+y_star)`` rebuilds it bit for bit.
 
 Only ``verify_cor23`` samples, positive T for its upper side; no T beats
 the witness in ``gap_report``, which draws nothing.  The samples are
@@ -484,7 +486,8 @@ def _draws(rng, samples: int, A: RegularOperator, B: RegularOperator):
     the same numbers in the same order as one draw of every sample."""
     step = _chunk_size(_sample_entries(A.shape, B.shape))
     for start in range(0, samples, step):
-        yield rng.uniform(0.0, 1.0, (min(step, samples - start), A.cols, B.rows))
+        # rng.uniform(0.0, 1.0, shape) bit for bit: 0 + 1 * u is u.
+        yield rng.random((min(step, samples - start), A.cols, B.rows))
 
 
 def _largest_image(
@@ -500,7 +503,9 @@ def _largest_image(
         keep = t_norms > 0.0
         if not keep.any():
             continue
-        images = arr_A @ (stack[keep] / t_norms[keep][:, None, None]) @ arr_B
+        if not keep.all():  # a copy only to drop a zero T
+            stack, t_norms = stack[keep], t_norms[keep]
+        images = arr_A @ (stack / t_norms[:, None, None]) @ arr_B
         values = batched_operator_norm(images, assignment.n_W, assignment.n_Z)
         best = np.maximum(best, values.max())
     return float(best)
@@ -576,10 +581,12 @@ def _rank_one_witness(A, B, norm_A: NormResult, norm_B: NormResult, assignment):
     """(value, x') for T = x' (x) y*, y* the witness of ``norm_A`` and x'
     norming B v* in X for the witness v* of ``norm_B``: M(T) = (B'x') (x) (Ay*)
     has norm ``value`` = ||B'x'||_{W*} ||Ay*||_Z >= ``norm_A norm_B`` up to
-    rounding.  T itself is not formed."""
-    B_f = B.to_float()
+    rounding.  T itself is not formed, and a factor passed as both A and B
+    is converted to floats once."""
+    A_f = A.to_float()
+    B_f = A_f if B is A else B.to_float()
     x_prime = norming_functional(B_f.apply(norm_B.witness), assignment.n_X)
-    image = vector_norm(A.to_float().apply(norm_A.witness), assignment.n_Z)
+    image = vector_norm(A_f.apply(norm_A.witness), assignment.n_Z)
     value = float(dual_norm(B_f.transpose().apply(x_prime), assignment.n_W)) * float(image)
     return value, x_prime
 
@@ -598,8 +605,9 @@ def verify_cor23(
     bounded from below by the rank-one witness family (T = x' (x) y with
     M(T) = (B'x') (x) (Ay), evaluated at the factors' norming data) and from
     above by sampling positive T of unit regular norm.  PASS iff the witness
-    reaches the product within ``tol`` and no sample exceeds it by more than
-    ``tol``; for the all-l1 assignment on exact inputs, the left side is
+    reaches the product within ``tol`` max(1, product) (``tol`` alone for a
+    product beyond the float range) and no sample exceeds it by more than
+    that; for the all-l1 assignment on exact inputs, the left side is
     additionally enumerated exactly and must equal the product on the nose.
     A run to enumerate beyond ``EXTREME_POINT_CAP`` extreme points
     (``EnumerationLimitError``), and then one that ``check_sampling``
@@ -615,6 +623,9 @@ def verify_cor23(
     rnB = operator_norm(absB, assignment.n_W, assignment.n_X, seed=seed)
     product = rnA.value * rnB.value
     product_f = float(product)
+    # The float sides round in proportion to the product: an SVD value
+    # against a long sum, sampled images against it.
+    tol = tol * max(1.0, product_f) if math.isfinite(product_f) else tol
 
     # Rank-one witness: y* norms |A|; x' norms |B| v* in X, so that
     # ||(|B|' x') (x) (|A| y*)||_r = ||B||_r ||A||_r.
@@ -625,7 +636,9 @@ def verify_cor23(
     # ||  |A| T |B|  || above the product.
     rng = np.random.default_rng(seed)
     stacks = _draws(rng, samples, A, B)
-    arr_A, arr_B = np.array(absA.as_floats()), np.array(absB.as_floats())
+    # In C order: BLAS rounds the images of a transposed (Fortran-ordered)
+    # factor differently.
+    arr_A, arr_B = (np.ascontiguousarray(M.to_float()._values) for M in (absA, absB))
     max_sample = _largest_image(arr_A, stacks, arr_B, assignment)
     sample_excess = max(0.0, max_sample - product_f)
 
@@ -740,14 +753,19 @@ def gap_report(
     # Signs read on the exact stored values, as ``_operator_norms`` reads them.
     signs = tuple(bool((M._values >= 0).all()) for M in (A, B))
     check_sampling(0, A.shape, B.shape, assignment, factor_signs=signs)
-    (A_s, shift_A), (B_s, shift_B) = _binary_scaled(A), _binary_scaled(B)
     n_W, n_X = assignment.n_W, assignment.n_X
     n_Y, n_Z = assignment.n_Y, assignment.n_Z
+    # A factor passed as both A and B (``gap --m``) is scaled once, and
+    # normed once if its two norm pairs agree: the same calls give the same bits.
+    A_s, shift_A = _binary_scaled(A)
     rnA = regular_norm(A_s, n_Y, n_Z, seed=seed)
-    rnB = regular_norm(B_s, n_W, n_X, seed=seed)
-
     norm_A = operator_norm(A_s, n_Y, n_Z, seed=seed)
-    norm_B = operator_norm(B_s, n_W, n_X, seed=seed)
+    B_s, shift_B = (A_s, shift_A) if B is A else _binary_scaled(B)
+    if B is A and (n_W, n_X) == (n_Y, n_Z):
+        rnB, norm_B = rnA, norm_A
+    else:
+        rnB = regular_norm(B_s, n_W, n_X, seed=seed)
+        norm_B = operator_norm(B_s, n_W, n_X, seed=seed)
     # ||A T B|| = ||B'x'|| ||A y*|| >= ||A|| x'(B w*) = ||A|| ||B||.
     side, x_prime = _rank_one_witness(A_s, B_s, norm_A, norm_B, assignment)
     # A searched regular norm is a lower bound, as is || |A| |y*| ||_Z or

@@ -71,15 +71,20 @@ def _canon_scalar(value) -> str:
     raise ReportError(f"unsupported scalar in report: {type(value).__name__}")
 
 
+def _canonical_dict(obj: dict, write) -> str:
+    """The canonical form of a dict whose values ``write`` writes."""
+    parts = []
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise ReportError("report keys must be strings")
+        parts.append(f"{json.dumps(key, ensure_ascii=True)}:{write(obj[key])}")
+    return "{" + ",".join(parts) + "}"
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, 17-sig-digit floats."""
     if isinstance(obj, dict):
-        parts = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise ReportError("report keys must be strings")
-            parts.append(f"{json.dumps(key, ensure_ascii=True)}:{canonical_json(obj[key])}")
-        return "{" + ",".join(parts) + "}"
+        return _canonical_dict(obj, canonical_json)
     if isinstance(obj, (list, tuple)):
         # Lists of strings or of floats: the same bytes as the recursion.
         types = set(map(type, obj))
@@ -94,8 +99,16 @@ def canonical_json(obj) -> str:
 
 
 def digest_inputs(inputs: dict) -> str:
-    """Short stable digest of a JSON-serializable input description."""
-    return hashlib.sha256(canonical_json(inputs).encode("ascii")).hexdigest()[:16]
+    """Short stable digest of an input description, names mapped to
+    JSON-serializable values or containers: the sha256 of its canonical
+    JSON, each distinct object (by ``id``) written once however many names
+    hold it (A is B)."""
+    texts = {}
+    for value in inputs.values():
+        if id(value) not in texts:
+            texts[id(value)] = canonical_json(_json_value(value))
+    text = _canonical_dict(inputs, lambda value: texts[id(value)])
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +204,7 @@ def make_report(
     return VerificationReport(
         claim_id=claim_id,
         status=status,
-        inputs_digest=digest_inputs(
-            {name: _json_value(value) for name, value in inputs.items()}
-        ),
+        inputs_digest=digest_inputs(inputs),
         max_deviation=max_dev,
         exact=exact,
         witnesses=tuple(

@@ -1192,3 +1192,113 @@ def test_gap_never_draws_samples(monkeypatch, ps):
     B = RegularOperator.from_rows([[2, -1], [0, 1], [-3, 1]])
     report = gap_report(A, B, NormAssignment(*[LatticeNorm(p=p) for p in ps]))
     assert report.details["operator_side"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# work shared, bits kept: one factor as A and B, draws, the scaled tolerance
+# ---------------------------------------------------------------------------
+
+
+GAP_SHARING = {
+    "all-1": NormAssignment.uniform(1.0),
+    "all-2": NormAssignment.uniform(2.0),
+    "all-inf": NormAssignment.uniform(math.inf),
+    "p-in-3": NormAssignment(LatticeNorm(3.0), *[LatticeNorm(2.0)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", GAP_SHARING)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_gap_of_one_factor_is_the_gap_of_its_copy(m, name):
+    a = GAP_SHARING[name]
+    H = hadamard_tensor_power(m)
+    shared = gap_report(H, H, a, seed=3).to_json()
+    assert shared == gap_report(H, hadamard_tensor_power(m), a, seed=3).to_json()
+
+
+def _counted(monkeypatch, target, name):
+    """A list that grows by one entry per call of ``target.name``."""
+    calls, inner = [], getattr(target, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, spy)
+    return calls
+
+
+def test_gap_norms_one_factor_passed_as_both_once(monkeypatch):
+    svds = _counted(monkeypatch, np.linalg, "svd")
+    H = hadamard_tensor_power(3)
+    gap_report(H, H, NormAssignment.uniform(2.0))
+    assert len(svds) == 2  # |H| and H, each once
+    gap_report(H, hadamard_tensor_power(3), NormAssignment.uniform(2.0))
+    assert len(svds) == 2 + 4
+
+
+@pytest.mark.parametrize("a", [GAP_SHARING["p-in-3"],
+                               NormAssignment(*[LatticeNorm(p) for p in (2.0, 1.0, 2.0, 2.0)])],
+                         ids=["p-in-3", "p-mid1-1"])
+def test_gap_shares_no_norm_when_the_norm_pairs_differ(monkeypatch, a):
+    norm_calls = _counted(monkeypatch, norms, "_operator_norms")
+    rows = [[1, -2, 0], [3, 4, -1], [0, 1, 1]]
+    A = RegularOperator.from_rows(rows)
+    shared = gap_report(A, A, a).to_json()
+    assert len(norm_calls) == 4
+    assert shared == gap_report(A, RegularOperator.from_rows(rows), a).to_json()
+
+
+@pytest.mark.parametrize("samples", [0, 1, 5, 23, 40])
+def test_draws_are_the_uniform_stacks_bit_for_bit(monkeypatch, samples):
+    # 3 x 3 samples of 9 entries, 5 to a chunk: stacks of 5, ..., 5, rest.
+    monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 45)
+    A = RegularOperator.from_rows([[1, 2, 3]] * 2)
+    B = RegularOperator.from_rows([[1], [2], [3]])
+    stacks = list(norms._draws(np.random.default_rng(11), samples, A, B))
+    assert [len(s) for s in stacks] == [min(5, samples - k) for k in range(0, samples, 5)]
+    old = np.random.default_rng(11)
+    for stack in stacks:
+        assert stack.tobytes() == old.uniform(0.0, 1.0, stack.shape).tobytes()
+    whole = np.random.default_rng(11).uniform(0.0, 1.0, (samples, 3, 3))
+    assert np.concatenate([whole[:0], *stacks]).tobytes() == whole.tobytes()
+
+
+def _wide_pair():
+    A = RegularOperator(1, 20000, [1] * 20000)
+    return A, A.transpose()
+
+
+def test_cor23_tolerance_scales_with_a_large_product():
+    # The SVD value and the 20000-term sum of the witness differ by 5.2e-9,
+    # 2.6e-13 of the product 20000.
+    report = verify_cor23(*_wide_pair(), NormAssignment.uniform(2.0), samples=0)
+    assert report.details["product"] == 20000.0
+    assert 1e-9 < report.details["witness_shortfall"] < 1e-12 * 20000.0
+    assert report.status == "pass"
+
+
+def test_cor23_witness_short_in_relative_terms_still_fails(monkeypatch):
+    witness = norms._rank_one_witness
+
+    def short(*args):
+        value, x_prime = witness(*args)
+        return value * (1.0 - 1e-8), x_prime
+
+    monkeypatch.setattr(norms, "_rank_one_witness", short)
+    report = verify_cor23(*_wide_pair(), NormAssignment.uniform(2.0), samples=0)
+    assert report.details["witness_shortfall"] > 1e-9 * 20000.0
+    assert report.status == "fail"
+
+
+def test_cor23_samples_a_transposed_factor_as_its_copy():
+    # A transposed factor is stored in Fortran order; at these sizes BLAS
+    # gives its batched images other last bits than a C-ordered copy's, and
+    # with OpenBLAS on x86-64 the largest sample at seed 2 shows them.
+    rng = np.random.default_rng(32)
+    A_t = RegularOperator(30, 20, rng.random(600).tolist())
+    B = RegularOperator(25, 10, rng.random(250).tolist())
+    A = RegularOperator.from_rows(A_t.transpose().as_floats())
+    a = NormAssignment.uniform(math.inf)
+    report = verify_cor23(A_t.transpose(), B, a, samples=50, seed=2)
+    assert report.to_json() == verify_cor23(A, B, a, samples=50, seed=2).to_json()

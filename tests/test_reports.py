@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -56,6 +57,38 @@ def test_digest_is_stable_and_order_independent():
     assert d1 == d2
     assert len(d1) == 16
     assert d1 != digest_inputs({"a": 2, "b": Fraction(1, 3)})
+    # Pinned: how the inputs are written may change, their digests may not.
+    assert d1 == "1da470f9c43b7d10"
+    assert digest_inputs({"a": 2, "b": Fraction(1, 3)}) == "15d23d3d6c96de5e"
+
+
+def test_digest_of_one_object_under_two_names_is_that_of_two_equal_objects():
+    entries = {"rows": 2, "cols": 2, "entries": ["1", "-1/2", "3", "0"]}
+    copy = json.loads(json.dumps(entries))
+    shared = digest_inputs({"A": entries, "B": entries, "n": 3})
+    assert shared == digest_inputs({"A": entries, "B": copy, "n": 3})
+    assert shared == hashlib.sha256(
+        canonical_json({"A": entries, "B": copy, "n": 3}).encode("ascii")
+    ).hexdigest()[:16]
+    with pytest.raises(ReportError):
+        digest_inputs({1: entries})
+
+
+def test_make_report_writes_an_input_under_two_names_once():
+    class Input:
+        written = 0
+
+        def to_json(self):
+            Input.written += 1
+            return {"entries": [1.5, -2.0]}
+
+    one, other = Input(), Input()
+    shared = make_report("gap", {"A": one, "B": one}, [0.0], status="info")
+    assert Input.written == 1
+    assert shared.to_json() == make_report(
+        "gap", {"A": one, "B": other}, [0.0], status="info"
+    ).to_json()
+    assert Input.written == 3
 
 
 # ---------------------------------------------------------------------------
