@@ -27,7 +27,6 @@ from .lattice import (
     Partition,
     atomic_partition,
     default_partitions,
-    disjoint_partitions,
     dyadic_partition,
     halves_partition,
     random_convex_partition,
@@ -101,7 +100,6 @@ __all__ = [
     "claim_cases",
     "counterexample_report",
     "digest_inputs",
-    "disjoint_partitions",
     "dual_norm",
     "dyadic_partition",
     "emit_report",

@@ -10,7 +10,8 @@ verifies every step of the derivation that does not depend on singularity:
 
 * B = f (x) e is the positive rank-one matrix whose column k is all ones;
 * every disjoint partition of e feeds exactly one piece with f = 1 to the
-  infimum (``single_support_check``);
+  infimum (``single_support_check``, once over the lab's whole stack of
+  partitions of e);
 * the double-partition infimum over  sum_i sum_j (T_i x_j ^ f(x_j) T_i e)
   (``_double_partition_inf``) collapses to the component formula
   inf { T x : x a component of e, f(x) = 1 }  (``meet_via_components``),
@@ -25,7 +26,11 @@ verifies every step of the derivation that does not depend on singularity:
 All arithmetic is exact; nothing here pretends to simulate a singular
 functional.  The component infimum and the double-partition infimum are
 exact-only integer kernels on the stored numerators; the tests check them
-against Fraction loops.
+against Fraction loops.  The lab's partitions of e are one stack
+(``lattice._partition_stack``'s form): the 0/1 blocks of the first
+``partition_budget`` set partitions and the atomic partition, built as one
+array and checked once.  The double-partition kernel runs on machine words
+when ``lattice._on_words`` proves its sums fit, on Python ints otherwise.
 ``counterexample_report`` refuses a request whose work bound
 exceeds ``LAB_WORK_CAP`` before it does any work.
 """
@@ -33,7 +38,7 @@ exceeds ``LAB_WORK_CAP`` before it does any work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from random import Random
 from typing import List, Optional, Sequence
 
@@ -45,12 +50,15 @@ from .lattice import (
     EnumerationLimitError,
     LatticeVector,
     Partition,
+    _all,
     _chunk_size,
-    _partition_sums,
+    _disjoint,
+    _on_words,
     _product_den,
+    _segment_sums,
+    _set_partitions,
     _stack,
     atomic_partition,
-    disjoint_partitions,
     random_convex_partition,
     trivial_partition,
 )
@@ -143,26 +151,48 @@ def meet_via_components(
     return LatticeVector._of(best, T._den)
 
 
-def single_support_check(f: CoordinateFunctional, partition: Partition) -> int:
-    """The unique piece index j0 of a disjoint partition of e with f = 1.
+def _check_partitions_of_e(f: CoordinateFunctional, stack: tuple):
+    """Each partition of an exact stack (values, bounds, D) is one of e into
+    pairwise disjoint pieces: pieces >= 0, each partition summing to e
+    (D on the numerators), then disjointness."""
+    values, bounds, D = stack
+    if values.shape[1:] != (f.dim,):
+        raise ValueError(f"expected pieces of dimension {f.dim}")
+    if not _all(values >= 0):
+        raise ValueError("partition pieces must be positive")
+    if not _all(np.add.reduceat(values, bounds[:-1], axis=0) == D):
+        raise ValueError("expected partitions of the order unit e = ones")
+    if not _all(_disjoint(stack)):
+        raise ValueError("expected disjoint partitions")
+
+
+def single_support_check(f: CoordinateFunctional, stack: tuple) -> list:
+    """Per partition of a stack (values, bounds, D) of disjoint partitions
+    of e (``lattice._partition_stack``'s form), the index j0 of its unique
+    piece with f = 1.
 
     A Riesz homomorphism with f(e) = 1 sends exactly one piece of any
-    disjoint partition of e to 1 and the rest to 0; violations are
-    internal-consistency failures, not data errors.
+    disjoint partition of e to 1 and the rest to 0.  Every check runs once
+    over the whole stack: a stack that is not one of disjoint partitions of
+    e raises ``ValueError``; a violated dichotomy is an internal-consistency
+    failure, not a data error (``RuntimeError``), and names the pieces of
+    the first partition that violates it.
     """
-    e = LatticeVector.ones(f.dim)
-    if not partition.target.eq(e):
-        raise ValueError("expected a partition of the order unit e = ones")
-    if not partition.is_disjoint():
-        raise ValueError("expected a disjoint partition")
-    column = partition._values[:, f.index]  # f of the pieces, over their denominator
-    hits = np.flatnonzero(column != 0).tolist()
-    if len(hits) != 1 or column[hits[0]] != (partition._den or 1):
+    _check_partitions_of_e(f, stack)
+    values, bounds, D = stack
+    column = values[:, f.index]  # f of the pieces, over their denominator
+    hits = np.flatnonzero(column != 0)
+    owners = np.searchsorted(bounds, hits, "right") - 1
+    ones = np.bincount(owners, minlength=len(bounds) - 1) == 1
+    broken = np.flatnonzero(~ones | (np.add.reduceat(column, bounds[:-1]) != D))
+    if broken.size:
+        start, stop = bounds[broken[0]], bounds[broken[0] + 1]
         raise RuntimeError(
-            "Riesz-homomorphism dichotomy violated on a disjoint partition "
-            f"of e: pieces with f != 0 at positions {hits}"
+            f"Riesz-homomorphism dichotomy violated on disjoint partition {broken[0]} "
+            f"of e: pieces with f != 0 at positions "
+            f"{np.flatnonzero(column[start:stop] != 0).tolist()}"
         )
-    return hits[0]
+    return (hits - bounds[:-1]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +200,23 @@ def single_support_check(f: CoordinateFunctional, partition: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _e_partitions(
-    f: CoordinateFunctional, partition_budget: int
-) -> List[Partition]:
-    """Disjoint partitions of e, capped at the budget, atomic always kept."""
-    e = LatticeVector.ones(f.dim)
-    collected: List[Partition] = []
-    for partition in disjoint_partitions(e):
-        collected.append(partition)
-        if len(collected) >= partition_budget:
-            break
-    if not any(len(p) == f.dim for p in collected):
-        collected.append(atomic_partition(e))
-    return collected
+def _e_partitions(f: CoordinateFunctional, partition_budget: int) -> tuple:
+    """The first ``partition_budget`` disjoint partitions of e, in
+    ``lattice._set_partitions`` order with blocks ordered by their smallest
+    index, then the atomic partition unless it is among them: one stack
+    (values, bounds, 1), the 0/1 indicator rows of the blocks."""
+    n = f.dim
+    partitions = [
+        sorted(partition, key=min)
+        for partition in islice(_set_partitions(tuple(range(n))), partition_budget)
+    ]
+    if max(map(len, partitions)) < n:
+        partitions.append([[i] for i in range(n)])
+    blocks = [block for partition in partitions for block in partition]
+    values = np.zeros((len(blocks), n), dtype=object)
+    rows = [row for row, block in enumerate(blocks) for _ in block]
+    values[rows, [i for block in blocks for i in block]] = 1
+    return values, [0, *accumulate(map(len, partitions))], 1
 
 
 def _positive_splits(
@@ -199,24 +233,27 @@ def _positive_splits(
 
 
 def _double_partition_inf(
-    f: CoordinateFunctional,
-    partitions: Sequence[Partition],
-    splits: Sequence[Partition],
+    f: CoordinateFunctional, stack: tuple, splits: Sequence[Partition]
 ) -> LatticeVector:
-    """Minimum of the double-partition sums at e, over the given disjoint
-    partitions (x_j) of e and the given positive splits sum_i T_i = T of an
-    exact n x n T (checked by the caller).
+    """Minimum of the double-partition sums at e, over a stack (values,
+    bounds, D) of disjoint partitions (x_j) of e, checked by
+    ``single_support_check``, and the given positive splits sum_i T_i = T
+    of an exact n x n T (checked by the caller).
 
     With the singleton split and the atomic partition among them, the
     minimum equals ``meet_via_components(T, f)`` exactly.  An integer kernel
     on the numerators P_i of the split pieces and X_j of the partition
     blocks: each term  T_i x_j ^ f(x_j) T_i e  is  min(P_i X_j,
-    rowsum(P_i) X_j[k])  over their denominators.
+    rowsum(P_i) X_j[k])  over their denominators.  A partition has at most
+    n blocks, so each sum is bounded by n * pieces * n products P X: on
+    int64 when ``_on_words`` proves that bound fits.
     """
     n, k = f.dim, f.index
     # P[i] = D_T T_i as an n x n integer matrix, the pieces of every split in
     # order; P e = its row sums.
     P, D_T = _stack(splits, np.concatenate)
+    values, bounds, D_X = stack
+    P, values = _on_words(P, values, n * len(P) * n)
     Pe = P.sum(axis=2)[:, :, None]
     split_starts = np.cumsum([0] + [len(split) for split in splits[:-1]])
 
@@ -226,8 +263,9 @@ def _double_partition_inf(
         terms = np.minimum(P @ X.T, Pe * X[:, k])  # (pieces, n, blocks)
         return np.add.reduceat(terms, split_starts, axis=0).transpose(2, 0, 1)
 
-    sums, D_X = _partition_sums(partitions, per_split, len(P) * n)
-    return LatticeVector._of(np.minimum.reduce(sums, axis=(0, 1)), _product_den(D_T, D_X))
+    sums = _segment_sums((values, bounds, D_X), per_split, len(P) * n)
+    best = np.minimum.reduce(sums, axis=(0, 1)).astype(object)  # Python ints
+    return LatticeVector._of(best, _product_den(D_T, D_X))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +329,10 @@ def _lab_work(
     """Upper bound on the lab's integer operations: per test operator its
     2^(n-1) component sums of n^2 and the rep mat-vec, the rep's n^4
     entries, and per g-check pieces x n^2 x blocks (at most n blocks per
-    e-partition); each Python object counts at least ``_OBJECT_WORK``."""
+    e-partition); each Python object, and each e-partition (a run of the
+    stacked block array), counts at least ``_OBJECT_WORK``.  An operation
+    on machine words counts as one on Python ints, so what the cap refuses
+    does not depend on which the kernel runs on."""
     pieces = 1 + (n * n if split_samples > 1 else 0) + 4 * max(0, split_samples - 2)
     bell = [1]  # a row of the Bell triangle; e has bell[-1] disjoint partitions
     for _ in range(n - 1):
@@ -376,16 +417,16 @@ def counterexample_report(
     # positive operators, and the double-partition infimum agrees with both.
     for component_inf, image in zip(component_infs, images):
         deviations.append(deviation(component_inf, image))
+    # The homomorphism dichotomy on every enumerated disjoint partition, one
+    # check of the whole stack, before the kernel relies on its blocks.
     partitions = _e_partitions(f, partition_budget)
+    single_support_check(f, partitions)
     g_splits = [
         _positive_splits(test_ops[i], operator_split_samples, seed) for i in g_indices
     ]
     for i, splits in zip(g_indices, g_splits):
         g_inf = _double_partition_inf(f, partitions, splits)
         deviations.append(deviation(g_inf, component_infs[i]))
-    # The homomorphism dichotomy on every enumerated disjoint partition.
-    for partition in partitions:
-        single_support_check(f, partition)
 
     return make_report(
         claim_id="counterexample",
@@ -402,6 +443,6 @@ def counterexample_report(
             "operator_split_samples": operator_split_samples,
             "g_checks": len(g_indices),
             "splits_sampled": len(g_indices) * len(g_splits[0]),
-            "partitions_per_split": len(partitions),
+            "partitions_per_split": len(partitions[1]) - 1,
         },
     )

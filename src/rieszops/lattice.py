@@ -50,15 +50,20 @@ stored values: exactly in exact mode, within the absolute
 
 Partitions.  A ``Partition`` stores its pieces the same way, stacked on a
 first axis over one denominator, and is validated by one sum over that
-axis.  Every builder (trivial, halves, atomic, dyadic, random convex,
-disjoint, and ``default_partitions``, the family the oracles try by
-default) writes that array directly, and trivial, atomic and random convex
-also split the matrices of ``superop`` and ``counterexample``.  The
-segment-sum kernel ``_partition_sums`` serves every partition oracle: the
-images of the pieces of many partitions at once, summed per partition in
-piece order; in float mode one padded ``_left_sum`` per batch of
-consecutive partitions, a batch closed before its padded rows pass the
-kernel's chunk bound.  The random convex splits draw their cuts as
+axis.  Every builder (trivial, halves, atomic, dyadic, random convex, and
+``default_partitions``, the family the oracles try by default) writes that
+array directly, and trivial, atomic and random convex also split the
+matrices of ``superop`` and ``counterexample``.  Many partitions make one
+stack (values, bounds, D): their pieces over one denominator and the
+offsets of each partition's run of pieces (``_partition_stack``; a single
+partition is a stack of one).  ``_disjoint`` tests each partition of a
+stack for pairwise disjoint pieces, and the segment-sum kernel
+``_segment_sums`` sums the images of each partition's pieces in piece
+order, for every partition oracle (through ``_partition_sums``) and for
+the lab's stack of partitions of e, which ``counterexample`` builds
+directly; in float mode one padded ``_left_sum`` per batch of consecutive
+partitions, a batch closed before its padded rows pass the kernel's chunk
+bound.  The random convex splits draw their cuts as
 ``Random.randint(0, 16)`` does, from ``getrandbits`` directly.
 """
 
@@ -281,10 +286,13 @@ class _Entrywise:
 
     def _json_entries(self) -> list:
         """The entries in row-major order for JSON: floats as they are, exact
-        entries as "p" or "p/q" strings in lowest terms, one gcd each."""
+        entries as "p" or "p/q" strings in lowest terms, one gcd each over a
+        denominator D > 1 and none over D = 1."""
         D = self._den
         if D is None:
             return self._values.ravel().tolist()
+        if D == 1:
+            return [str(v) for v in self._values.flat]
         return [str(v // g) if (g := math.gcd(v, D)) == D else f"{v // g}/{D // g}"
                 for v in self._values.flat]
 
@@ -576,39 +584,58 @@ class Partition:
             return _all(self._values == other._values)
         return _all(self._values * other._den == other._values * self._den)
 
-    def is_disjoint(self) -> bool:
-        """Whether the pieces are pairwise disjoint: at every coordinate at
-        most one piece is nonzero (beyond DEFAULT_TOLERANCE in float mode)."""
-        nonzero = ~_zero_mask(self._values, self._den is not None)
-        return _all(np.count_nonzero(nonzero, axis=0) <= 1)
+
+def _partition_stack(partitions: Sequence[Partition]) -> tuple:
+    """Partitions as one stack (values, bounds, D): the pieces of all of
+    them over one denominator D (None for floats), first axis the piece,
+    partition p owning the pieces bounds[p] to bounds[p + 1] - 1.  A
+    single partition is a stack of one."""
+    values, D = _stack(partitions, np.concatenate)
+    return values, [0, *accumulate(len(p) for p in partitions)], D
+
+
+def _disjoint(stack: tuple):
+    """Per partition of a stack, whether its pieces are pairwise disjoint:
+    at every coordinate at most one piece is nonzero (beyond
+    DEFAULT_TOLERANCE in float mode)."""
+    values, bounds, D = stack
+    nonzero = ~_zero_mask(values, D is not None)
+    return (np.add.reduceat(nonzero, bounds[:-1], axis=0) <= 1).all(
+        axis=tuple(range(1, values.ndim))
+    )
 
 
 def _partition_sums(
     partitions: Sequence[Partition], image, image_entries: int
 ) -> tuple:
-    """The segment-sum kernel behind every partition oracle: for each
-    partition, the sum of its pieces' images in piece order.
+    """For each of the partitions, the sum of its pieces' images in piece
+    order, as every partition oracle takes them: (sums, D), the
+    ``_segment_sums`` of the partitions' stack and its denominator."""
+    stack = _partition_stack(partitions)
+    return _segment_sums(stack, image, image_entries), stack[2]
 
-    The pieces of all the partitions are stacked over one denominator D;
-    ``image`` maps a run of them (first axis: the piece) to their images,
+
+def _segment_sums(stack: tuple, image, image_entries: int):
+    """For each partition of a stack (values, bounds, D), the sum of its
+    pieces' images in piece order.
+
+    ``image`` maps a run of pieces (first axis: the piece) to their images,
     at most ``_chunk_size(image_entries)`` pieces at a time, so the
-    intermediates stay bounded however many pieces there are.  Returns
-    (sums, D), sums[p] the sum for partitions[p]: exact sums by
-    ``np.add.reduceat``, float sums by one padded ``_left_sum`` per batch
-    of a chunk's partitions, each row that partition's sum so far and its
-    images in the chunk, so that they match adding the images one at a
-    time bit for bit, however the pieces fall into chunks and batches.
+    intermediates stay bounded however many pieces there are.  sums[p] is
+    the sum for partition p: exact sums by ``np.add.reduceat``, float sums
+    (D None) by one padded ``_left_sum`` per batch of a chunk's partitions,
+    each row that partition's sum so far and its images in the chunk, so
+    that they match adding the images one at a time bit for bit, however
+    the pieces fall into chunks and batches.
     """
-    values, D = _stack(partitions, np.concatenate)
-    # Partition p owns the pieces bounds[p] to bounds[p + 1] - 1.
-    bounds = [0, *accumulate(len(p) for p in partitions)]
+    values, bounds, D = stack
     step = _chunk_size(image_entries)
     sums = None
     for start in range(0, bounds[-1], step):
         stop = min(start + step, bounds[-1])
         terms = image(values[start:stop])
         if sums is None:
-            sums = np.zeros((len(partitions),) + terms.shape[1:], dtype=terms.dtype)
+            sums = np.zeros((len(bounds) - 1,) + terms.shape[1:], dtype=terms.dtype)
         # The partitions lo..hi - 1 have pieces in this chunk, from firsts on.
         lo, hi = bisect_right(bounds, start) - 1, bisect_left(bounds, stop)
         firsts = [max(b, start) - start for b in bounds[lo:hi]]
@@ -635,7 +662,7 @@ def _partition_sums(
             rows[:, 0] += sums[lo + p:lo + q]
             sums[lo + p:lo + q] = _left_sum(rows, axis=1 - rows.ndim)
             p = q
-    return sums, D
+    return sums
 
 
 def _entrywise_best(rows, den, better) -> LatticeVector:
@@ -685,26 +712,6 @@ def _blocks(w: LatticeVector, blocks) -> Partition:
     for row, block in zip(rows, blocks):
         row[block] = values[block]
     return Partition(w, rows, w._den)
-
-
-def disjoint_partitions(e: LatticeVector) -> Iterator[Partition]:
-    """Stream all partitions of e into pairwise-disjoint pieces.
-
-    These correspond to set partitions of the support; blocks are reported
-    ordered by their smallest index.
-    """
-    if not e.is_positive():
-        raise ValueError("disjoint partitions are defined for positive vectors")
-    support = e.support()
-    if len(support) > ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"support size {len(support)} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
-    if not support:
-        yield trivial_partition(e)
-        return
-    for blocks in _set_partitions(tuple(support)):
-        yield _blocks(e, sorted(blocks, key=min))
 
 
 def halves_partition(w: LatticeVector) -> Partition:

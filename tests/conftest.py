@@ -1,6 +1,7 @@
 """Shared strategies, hypothesis configuration, and the test-side
 builders of values the package does not build for its own use: a zero
-container and the pieces of a partition as containers."""
+container, the pieces of a partition as containers, and the partitions of
+a stack as tuples of vectors."""
 
 from fractions import Fraction
 
@@ -64,6 +65,16 @@ def zeros(mode, *shape):
 def pieces_of(partition) -> tuple:
     """The pieces of a partition as containers of its target's class."""
     return tuple(partition.target._of(row, partition._den) for row in partition._values)
+
+
+def stack_pieces(stack) -> list:
+    """The partitions of a stack (values, bounds, D) of vector pieces, each
+    as the tuple of its pieces."""
+    values, bounds, D = stack
+    return [
+        tuple(LatticeVector._of(row, D) for row in values[start:stop])
+        for start, stop in zip(bounds, bounds[1:])
+    ]
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from rieszops import (
     Superoperator,
     build_B,
     counterexample_report,
-    disjoint_partitions,
     identity_meet_B,
     meet_superoperator,
     meet_via_components,
@@ -26,11 +25,12 @@ from rieszops.counterexample import (
     _positive_splits,
     contrast_table,
 )
-from rieszops.lattice import EnumerationLimitError
+from rieszops.lattice import EnumerationLimitError, _disjoint, _on_words, _partition_stack
 from rieszops.scalars import ScalarModeError
 
+import partition_reference as ref
 from cases import enumerate_components
-from conftest import pieces_of, positive_fractions_st, zeros
+from conftest import pieces_of, positive_fractions_st, stack_pieces, zeros
 from partition_reference import g_double_prime_term
 
 
@@ -110,12 +110,19 @@ def test_admissible_components_count(f):
 @given(functionals())
 def test_single_support_dichotomy(f):
     e = LatticeVector.ones(f.dim)
-    for partition in disjoint_partitions(e):
-        j0 = single_support_check(f, partition)
-        assert f(pieces_of(partition)[j0]) == 1
-        for j, piece in enumerate(pieces_of(partition)):
-            if j != j0:
-                assert f(piece) == 0
+    # Every disjoint partition of e: each a stack of one, all of them one
+    # stack, and the lab's own stack.
+    family = [Partition(e, pieces) for pieces in ref.disjoint_partitions(e)]
+    stacks = [_partition_stack([p]) for p in family]
+    stacks += [_partition_stack(family), _e_partitions(f, len(family))]
+    for stack in stacks:
+        j0s = single_support_check(f, stack)
+        assert len(j0s) == len(stack[1]) - 1
+        for j0, pieces in zip(j0s, stack_pieces(stack)):
+            assert f(pieces[j0]) == 1
+            for j, piece in enumerate(pieces):
+                if j != j0:
+                    assert f(piece) == 0
 
 
 def test_single_support_check_rejects_non_disjoint():
@@ -123,19 +130,18 @@ def test_single_support_check_rejects_non_disjoint():
     e = LatticeVector.ones(2)
     halves = Partition(e, (e.scale(Fraction(1, 2)), e.scale(Fraction(1, 2))))
     with pytest.raises(ValueError):
-        single_support_check(f, halves)
+        single_support_check(f, _partition_stack([halves]))
 
 
 @pytest.mark.parametrize("values, hits", [([[2, 0], [0, 1]], [0]), ([[0, 0], [0, 1]], [])])
-def test_single_support_check_names_the_hits_of_a_broken_partition(values, hits):
-    # Disjoint pieces of e whose coordinate 0 is not one piece at 1: only a
-    # family past Partition's own sum check can be one.
+def test_single_support_check_names_the_hits_of_a_broken_partition(values, hits, monkeypatch):
+    # Disjoint pieces whose coordinate 0 is not one piece at 1: pieces >= 0
+    # that sum to e and are disjoint cannot be such, so only a stack past the
+    # partition checks can be one.
     f = CoordinateFunctional(2, 0)
-    broken = object.__new__(Partition)
-    fields = (LatticeVector.ones(2), False, np.array(values, dtype=object), 1)
-    for name, value in zip(Partition.__slots__, fields):
-        object.__setattr__(broken, name, value)
-    assert broken.is_disjoint()
+    broken = (np.array(values, dtype=object), [0, 2], 1)
+    assert _disjoint(broken).all()
+    monkeypatch.setattr(counterexample, "_check_partitions_of_e", lambda f, stack: None)
     with pytest.raises(RuntimeError, match=re.escape(f"at positions {hits}")):
         single_support_check(f, broken)
 
@@ -144,7 +150,50 @@ def test_single_support_check_rejects_wrong_target():
     f = CoordinateFunctional(2, 0)
     v = LatticeVector([2, 1])
     with pytest.raises(ValueError):
-        single_support_check(f, Partition(v, (v,)))
+        single_support_check(f, _partition_stack([Partition(v, (v,))]))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_e_partitions_are_the_set_partitions_cut_at_the_budget(n):
+    e = LatticeVector.ones(n)
+    every = ref.disjoint_partitions(e)
+    atomic = ref.atomic_partition(e)
+    for budget in sorted({1, 2, 6, 10, 40, len(every), len(every) + 3}):
+        values, bounds, D = stack = _e_partitions(CoordinateFunctional(n, n - 1), budget)
+        want = every[:budget] + ([atomic] if budget < len(every) else [])
+        assert stack_pieces(stack) == want, (n, budget)
+        assert D == 1 and values.dtype == object
+        assert {type(v) for v in values.flat} == {int}
+
+
+# A valid first partition (the atomic one, over D = 2), then one that breaks
+# the named check and passes the checks run before it; two pieces at f != 0
+# also overlap, so that case stubs the disjointness check out.
+BROKEN_STACKS = {
+    "negative piece": ([[2, 0], [0, 2], [2, -2], [0, 4]], ValueError, "must be positive"),
+    "wrong sum": ([[2, 0], [0, 2], [2, 0], [0, 4]], ValueError, "order unit e = ones"),
+    "overlapping blocks": ([[2, 0], [0, 2], [2, 1], [0, 1]], ValueError, "disjoint"),
+    "two pieces with f != 0": (
+        [[2, 0], [0, 2], [1, 2], [1, 0]],
+        RuntimeError,
+        "violated on disjoint partition 1 of e: pieces with f != 0 at positions [0, 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_STACKS))
+def test_single_support_check_refuses_each_broken_stack(name, monkeypatch):
+    values, error, message = BROKEN_STACKS[name]
+    stack = (np.array(values, dtype=object), [0, 2, 4], 2)
+    f = CoordinateFunctional(2, 0)
+    if error is RuntimeError:
+        # Pieces >= 0 summing to e with two pieces at f != 0 overlap at
+        # coordinate 0: past the disjointness check, the dichotomy names them.
+        with pytest.raises(ValueError, match="disjoint"):
+            single_support_check(f, stack)
+        monkeypatch.setattr(counterexample, "_disjoint", lambda stack: np.ones(2, bool))
+    with pytest.raises(error, match=re.escape(message)):
+        single_support_check(f, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +328,8 @@ def _reference_inf_G(T, f, partition_budget, operator_split_samples, seed):
             for col in cols:
                 Te = Te + col
             pieces_Te.append(Te)
-        for partition in partitions:
-            value = g_double_prime_term(pieces_cols, pieces_Te, pieces_of(partition), f)
+        for blocks in stack_pieces(partitions):
+            value = g_double_prime_term(pieces_cols, pieces_Te, blocks, f)
             best = value if best is None else best.meet(value)
     return best
 
@@ -324,6 +373,31 @@ def test_integer_kernel_chunks_agree(monkeypatch):
     monkeypatch.setattr(lattice, "_KERNEL_CHUNK_ENTRIES", 1)
     chunked = _inf_G(T, f, partition_budget=52, operator_split_samples=6)
     assert chunked.entries == whole.entries
+
+
+@pytest.mark.parametrize("n, on_words", [(7, True), (8, False)])
+def test_integer_kernel_at_the_word_bound(n, on_words, monkeypatch):
+    # The singleton split alone is one piece, so the kernel's bound is
+    # terms * max|P| * max|X| with terms = n * 1 * n and max|X| = 1: at
+    # n = 7 it is 2^63 - 1 (49 divides it), the largest that runs on words;
+    # at n = 8 it is 2^63, which runs on Python ints.
+    top = ((1 << 63) - on_words) // (n * n)
+    assert n * n * top == (1 << 63) - on_words
+    rng = Random(n)
+    T = RegularOperator(n, n, [top] + [rng.randint(0, top) for _ in range(n * n - 1)])
+    made = []
+
+    def recorded(a, b, terms):
+        words = _on_words(a, b, terms)
+        made.append((terms, *(v.dtype != object for v in words)))
+        return words
+
+    monkeypatch.setattr(counterexample, "_on_words", recorded)
+    f = CoordinateFunctional(n, 2)
+    got = _inf_G(T, f, partition_budget=10, operator_split_samples=1)
+    assert got.entries == _reference_inf_G(T, f, 10, 1, 0).entries
+    assert all(type(v) is Fraction for v in got.entries)
+    assert made == [(n * n, on_words, on_words)]
 
 
 @pytest.mark.parametrize("budget", [0, -3])

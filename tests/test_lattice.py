@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rieszops import (
+    CoordinateFunctional,
     DimensionMismatchError,
     LatticeVector,
     Partition,
     RegularOperator,
     atomic_partition,
-    disjoint_partitions,
     dyadic_partition,
     halves_partition,
     refinement_chain,
     trivial_partition,
 )
-from rieszops.lattice import _on_words, random_convex_partition
+from rieszops.counterexample import _e_partitions
+from rieszops.lattice import _disjoint, _on_words, _partition_stack, random_convex_partition
 from rieszops.scalars import ScalarModeError
 
 from cases import enumerate_components
@@ -228,16 +229,14 @@ def test_builders_refuse_a_target_that_is_not_positive(build):
 def test_atomic_partition_is_disjoint():
     w = LatticeVector([3, 0, 7])
     p = atomic_partition(w)
-    assert p.is_disjoint()
+    assert _disjoint(_partition_stack([p])).tolist() == [True]
     assert len(p) == 2  # zero coordinates contribute no piece
 
 
 def test_disjoint_partitions_count_is_bell_number():
-    e = LatticeVector.ones(3)
-    parts = list(disjoint_partitions(e))
-    assert len(parts) == 5  # Bell(3)
-    for p in parts:
-        assert p.is_disjoint()
+    stack = _e_partitions(CoordinateFunctional(3, 0), 10)
+    assert len(stack[1]) - 1 == 5  # Bell(3)
+    assert _disjoint(stack).tolist() == [True] * 5
 
 
 def test_random_convex_partition_is_exact():

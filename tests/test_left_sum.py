@@ -215,7 +215,7 @@ def test_padded_partition_sums_of_mixed_families_match_the_loop(n, bound, monkey
     padded = []
 
     def recording(terms, factor=None, axis=-1):
-        if sys._getframe(1).f_code.co_name == "_partition_sums":
+        if sys._getframe(1).f_code.co_name == "_segment_sums":
             padded.append(terms.shape)
         return _left_sum(terms, factor, axis)
 

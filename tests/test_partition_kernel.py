@@ -2,7 +2,8 @@
 reference loops of ``partition_reference``.
 
 Every builder must give the pieces the tuple-based builder gave, from the
-same seeded draws; ``is_disjoint`` must agree with the pairwise test; and
+same seeded draws; ``lattice._disjoint`` must agree with the pairwise test
+on every partition of a stack; and
 ``modulus_oracle``, ``meet_oracle`` (value, partitions tried,
 attainment), ``refinement_sums``, prop21's ``_partition_values`` and
 the lab's ``_double_partition_inf`` must equal the loops one piece at a
@@ -24,7 +25,6 @@ from rieszops import (
     RegularOperator,
     atomic_partition,
     default_partitions,
-    disjoint_partitions,
     dyadic_partition,
     halves_partition,
     meet_oracle,
@@ -36,9 +36,10 @@ from rieszops import (
 )
 from rieszops import lattice
 from rieszops.counterexample import _double_partition_inf, _e_partitions, _positive_splits
+from rieszops.lattice import _disjoint, _partition_stack
 from rieszops.superop import _partition_values
 
-from conftest import fractions_st, pieces_of, positive_fractions_st
+from conftest import fractions_st, pieces_of, positive_fractions_st, stack_pieces
 
 MODES = ("exact", "float")
 
@@ -138,11 +139,6 @@ def test_vector_builders_give_the_reference_pieces(mode, data):
     for got, want in zip(refinement_chain(w), ref.refinement_chain(w)):
         _same_pieces(got, want)
     _same_family(lambda: default_partitions(w), w, ref.default_partitions(w))
-    got = list(disjoint_partitions(w))
-    want = ref.disjoint_partitions(w)
-    assert len(got) == len(want)
-    for partition, pieces in zip(got, want):
-        _same_pieces(partition, pieces)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -211,11 +207,10 @@ def test_builders_still_go_through_the_public_constructor(monkeypatch):
     w = LatticeVector([1, 2, 0, 3])
     T = RegularOperator(2, 2, [1, 0, 2, 3])
     default_partitions(w)
-    list(disjoint_partitions(w))
     trivial_partition(T)
     atomic_partition(T)
     random_convex_partition(T, 3, Random(0), signed=True)
-    assert built == ["LatticeVector"] * (9 + 5) + ["RegularOperator"] * 3
+    assert built == ["LatticeVector"] * 9 + ["RegularOperator"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +228,15 @@ def test_is_disjoint_is_the_pairwise_test(mode, data):
         halves_partition(w),
         atomic_partition(w),
         dyadic_partition(w),
-        *disjoint_partitions(w),
+        *(Partition(w, pieces) for pieces in ref.disjoint_partitions(w)),
     ]
     if ref.is_partition(w, ref.random_convex_partition(w, 3, Random(seed))):
         families.append(random_convex_partition(w, 3, Random(seed)))
-    for partition in families:
-        assert partition.is_disjoint() is ref.is_disjoint(pieces_of(partition))
+    want = [ref.is_disjoint(pieces_of(partition)) for partition in families]
+    # Each partition as a stack of one, and the whole family as one stack.
+    for partition, disjoint in zip(families, want):
+        assert bool(_disjoint(_partition_stack([partition]))[0]) is disjoint
+    assert _disjoint(_partition_stack(families)).tolist() == want
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -250,9 +248,11 @@ def test_is_disjoint_at_the_tolerance(mode):
     w = vector([1, 1])
     tiny = Fraction(1, 10**12)
     overlap = Partition(w, [vector([1 - tiny, 0]), vector([tiny, 1])])
-    assert overlap.is_disjoint() is ref.is_disjoint(pieces_of(overlap)) is (mode == "float")
+    disjoint = bool(_disjoint(_partition_stack([overlap]))[0])
+    assert disjoint is ref.is_disjoint(pieces_of(overlap)) is (mode == "float")
     split = Partition(w, [vector([Fraction(1, 2), 0]), vector([Fraction(1, 2), 1])])
-    assert not split.is_disjoint() and not ref.is_disjoint(pieces_of(split))
+    assert not _disjoint(_partition_stack([split]))[0]
+    assert not ref.is_disjoint(pieces_of(split))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def test_oracles_equal_the_per_piece_loops(mode, data):
     _assert_same_result(modulus_oracle(S, w, family), ref.modulus_oracle(S, w, pieces))
     _assert_same_result(meet_oracle(S, T, w, family), ref.meet_oracle(S, T, w, pieces))
     # A stream of many small partitions, given in reverse.
-    family = list(disjoint_partitions(w))[::-1]
+    family = [Partition(w, pieces) for pieces in ref.disjoint_partitions(w)][::-1]
     pieces = [pieces_of(p) for p in family]
     _assert_same_result(modulus_oracle(S, w, family), ref.modulus_oracle(S, w, pieces))
     _assert_same_result(meet_oracle(S, T, w, family), ref.meet_oracle(S, T, w, pieces))
@@ -361,9 +361,7 @@ def test_double_partition_inf_equals_the_per_piece_loop(n, data, budget, samples
     partitions = _e_partitions(f, budget)
     splits = _positive_splits(T, samples, seed)
     got = _double_partition_inf(f, partitions, splits)
-    want = ref.double_partition_inf(
-        f, [pieces_of(p) for p in partitions], [pieces_of(s) for s in splits]
-    )
+    want = ref.double_partition_inf(f, stack_pieces(partitions), [pieces_of(s) for s in splits])
     assert got.entries == want.entries
     assert all(type(e) is Fraction for e in got.entries)
 

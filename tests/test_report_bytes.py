@@ -3,8 +3,8 @@
 ``scripts/verify_all.py --seed 7 --count 20`` writes one canonical report
 per claim.  The eight whose values are all exact rationals are pinned here
 by sha256, so a refactor that moves any byte of them fails at once.
-``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.  Three
-larger meet labs (n = 6, 8, 10, seed 7) are pinned the same way, and so
+``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.  Seven
+more meet labs (n = 5, 6, 8, 10, seed 7) are pinned the same way, and so
 are seven single verifier runs: on float files, with explicit and with
 default inputs, and on float and exact corpora.  None of those touches
 BLAS, so their float bits do not depend on the machine.  The manifests of
@@ -55,6 +55,26 @@ DIGESTS = {
 
 
 LARGER_LABS = {
+    # n = 5 and 6 at the benchmark's n = 5 flags, and at 12 splits and 40
+    # partitions of e.
+    "lab_n5_k2_bench": (
+        ["--n", "5", "--k", "2", "--t-samples", "1", "--split-samples", "2",
+         "--partition-budget", "10"],
+        "b464d947991dd327afbf9fc8445a8216f7faf00b14ec1cf15eb91d641d963fe3",
+    ),
+    "lab_n6_k4_bench": (
+        ["--n", "6", "--k", "4", "--t-samples", "1", "--split-samples", "2",
+         "--partition-budget", "10"],
+        "bb46f712ca84e5e0c85a3dbfced8550db2d05ee34ecf1df6e1b9eb680bedce63",
+    ),
+    "lab_n5_k3_wide": (
+        ["--n", "5", "--k", "3", "--split-samples", "12", "--partition-budget", "40"],
+        "b82efa2c9f725f6dbe8be64a0e423bcefce45521b2c022d9fa98fb1d43e7f035",
+    ),
+    "lab_n6_k5_wide": (
+        ["--n", "6", "--k", "5", "--split-samples", "12", "--partition-budget", "40"],
+        "66db922beac9ecc46f24caebf774812138a852c23dd429de7e2477880374adfc",
+    ),
     "lab_n6_k2": (
         ["--n", "6", "--k", "2", "--t-samples", "3", "--split-samples", "4",
          "--partition-budget", "20"],
