@@ -68,7 +68,7 @@ from .scalars import ScalarModeError
 from .superop import Superoperator, deviation
 
 #: Most integer operations (``_lab_work``) one lab report may need, and the
-#: least that one test operator, split piece or e-partition counts for.
+#: least that one test operator or split piece counts for.
 LAB_WORK_CAP = 1 << 26
 _OBJECT_WORK = 1 << 12
 
@@ -328,20 +328,24 @@ def _lab_work(
 ) -> int:
     """Upper bound on the lab's integer operations: per test operator its
     2^(n-1) component sums of n^2 and the rep mat-vec, the rep's n^4
-    entries, and per g-check pieces x n^2 x blocks (at most n blocks per
-    e-partition); each Python object, and each e-partition (a run of the
-    stacked block array), counts at least ``_OBJECT_WORK``.  An operation
-    on machine words counts as one on Python ints, so what the cap refuses
-    does not depend on which the kernel runs on."""
+    entries, per g-check pieces x n^2 x blocks (at most n blocks per
+    e-partition), and per e-partition its blocks of n entries (at most
+    n x n), which are rows of one stacked array; each Python object (a test
+    operator or a split piece) counts at least ``_OBJECT_WORK``.  An
+    operation on machine words counts as one on Python ints, so what the
+    cap refuses does not depend on which the kernel runs on."""
     pieces = 1 + (n * n if split_samples > 1 else 0) + 4 * max(0, split_samples - 2)
     bell = [1]  # a row of the Bell triangle; e has bell[-1] disjoint partitions
     for _ in range(n - 1):
         bell = list(accumulate(bell, initial=bell[-1]))
     partitions = min(partition_budget, bell[-1]) + 1
-    objects = test_ops + g_checks * pieces + partitions
+    objects = test_ops + g_checks * pieces
     kernel = g_checks * pieces * n**3 * partitions
     per_test_op = (1 << (n - 1)) * n * n + n**4
-    return test_ops * per_test_op + n**4 + kernel + objects * _OBJECT_WORK
+    return (
+        test_ops * per_test_op + n**4 + kernel + partitions * n * n
+        + objects * _OBJECT_WORK
+    )
 
 
 def counterexample_report(

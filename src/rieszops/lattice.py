@@ -49,18 +49,26 @@ stored values: exactly in exact mode, within the absolute
 ``scalars.DEFAULT_TOLERANCE`` in float mode, for every module.
 
 Partitions.  A ``Partition`` stores its pieces the same way, stacked on a
-first axis over one denominator, and is validated by one sum over that
-axis.  Every builder (trivial, halves, atomic, dyadic, random convex, and
-``default_partitions``, the family the oracles try by default) writes that
-array directly, and trivial, atomic and random convex also split the
-matrices of ``superop`` and ``counterexample``.  Many partitions make one
-stack (values, bounds, D): their pieces over one denominator and the
-offsets of each partition's run of pieces (``_partition_stack``; a single
-partition is a stack of one).  ``_disjoint`` tests each partition of a
-stack for pairwise disjoint pieces, and the segment-sum kernel
-``_segment_sums`` sums the images of each partition's pieces in piece
-order, for every partition oracle (through ``_partition_sums``) and for
-the lab's stack of partitions of e, which ``counterexample`` builds
+first axis over one denominator.  Every builder (trivial, halves, atomic,
+dyadic, random convex, and ``default_partitions``, the family the oracles
+try by default) writes that array directly, and trivial, atomic and random
+convex also split the matrices of ``superop`` and ``counterexample``.
+Many partitions make one stack (values, bounds, D): their pieces over one
+denominator and the offsets of each partition's run of pieces
+(``_partition_stack``; a single partition is a stack of one).  One check,
+``_check_stack``, validates a stack: a positive target, pieces >= 0 (or,
+signed, their moduli) that sum to it, by one ``np.add.reduceat`` in exact
+mode and left to right per partition in float mode; ``Partition`` is that
+check on a stack of one.  The oracles' default family (``_default_family``,
+whose first four partitions are the refinement chain ``_chain``) and
+``superop.verify_prop21``'s splits of T (``_signed_splits``) are built as
+one stack, their random splits drawn in one loop (``_convex_split`` with a
+``count``), and checked once, with no ``Partition`` built.  ``_disjoint``
+tests each partition of a stack for pairwise disjoint pieces, and the
+segment-sum kernel ``_segment_sums`` sums the images of each partition's
+pieces in piece order: for those two families, for the partitions a
+caller gives an oracle (stacked by ``_partition_sums``), and for the
+lab's stack of partitions of e, which ``counterexample`` builds
 directly; in float mode one padded ``_left_sum`` per batch of consecutive
 partitions, a batch closed before its padded rows pass the kernel's chunk
 bound.  The random convex splits draw their cuts as
@@ -411,16 +419,19 @@ class _Entrywise:
         rows[np.arange(len(nonzero)), nonzero] = self._values.flat[nonzero]
         return rows.reshape((-1,) + self.shape), self._den
 
-    def _convex_split(self, parts: int, rng: Random, signed: bool = False) -> tuple:
-        """Split each entry over ``parts`` pieces with random convex weights
-        on the grid k/SPLIT_DENOMINATOR (exact in rational mode), each share
-        with a random sign when ``signed``, so the moduli of the pieces sum
-        to a positive self.  Returns the pieces stacked, (array, D), with
-        the exactly-zero pieces dropped, or the one piece self if none is
-        left."""
-        # Per entry, in the order drawn: parts - 1 cuts in [0, 16], whose
-        # sorted gaps are the integer weights c, then (when signed) one
-        # rng.random() per share for its sign.  Each cut is
+    def _convex_split(
+        self, parts: int, rng: Random, signed: bool = False, count: int = 1
+    ) -> tuple:
+        """``count`` splits in a row, each of every entry over ``parts``
+        pieces with random convex weights on the grid k/SPLIT_DENOMINATOR
+        (exact in rational mode), each share with a random sign when
+        ``signed``, so the moduli of a split's pieces sum to a positive
+        self.  Returns the splits as one stack (values, bounds, D), each
+        split's exactly-zero pieces dropped, or the one piece self if none
+        is left."""
+        # Per split, then per entry, in the order drawn: parts - 1 cuts in
+        # [0, 16], whose sorted gaps are the integer weights c, then (when
+        # signed) one rng.random() per share for its sign.  Each cut is
         # rng.randint(0, 16) as CPython draws it, without its call chain:
         # getrandbits(5), drawn again while above 16.  The share c/16 of an
         # entry a is a * c over 16 D, or a * (c / 16) in float mode, where
@@ -431,9 +442,10 @@ class _Entrywise:
         bits = (top + 1).bit_length()
         getrandbits, random = rng.getrandbits, rng.random
         shares = []
-        for _ in range(self._values.size):
+        share_of, draws = shares.append, range(parts - 1)
+        for _ in range(count * self._values.size):
             cuts = []
-            for _ in range(parts - 1):
+            for _ in draws:
                 cut = getrandbits(bits)
                 while cut > top:
                     cut = getrandbits(bits)
@@ -443,15 +455,24 @@ class _Entrywise:
             low = 0
             for cut in cuts:
                 share = (cut - low) * unit
-                shares.append(share if not signed or random() < 0.5 else -share)
+                share_of(share if not signed or random() < 0.5 else -share)
                 low = cut
-        grid = np.array(shares, dtype=self._values.dtype).reshape(-1, parts)
-        columns = (self._values.reshape(-1, 1) * grid).T
-        kept = columns[(columns != 0).any(axis=1)]
-        if not len(kept):
-            return self._values[None], self._den
+        grid = np.array(shares, dtype=self._values.dtype).reshape(count, -1, parts)
+        columns = (self._values.reshape(1, -1, 1) * grid).transpose(0, 2, 1)
+        kept = (columns != 0).any(axis=2)  # (split, piece)
+        sizes = kept.sum(axis=1)
         den = self._den and self._den * SPLIT_DENOMINATOR
-        return kept.reshape((-1,) + self.shape), den
+        if not sizes.all():
+            # A split keeps no piece only of an all-zero exact self, where
+            # every split is empty and self stays over D, or of float
+            # entries so small that every share underflows to zero.
+            empty = sizes == 0
+            columns[empty, 0] = self._values.ravel()
+            kept[empty, 0] = True
+            sizes[empty] = 1
+            den = self._den
+        bounds = [0, *accumulate(sizes.tolist())]
+        return columns[kept].reshape((-1,) + self.shape), bounds, den
 
 
 class LatticeVector(_Entrywise):
@@ -528,9 +549,8 @@ class Partition:
     with D None (float mode).  The target is positive; a positive partition
     has pieces >= 0 that sum to it, a signed one (``signed=True``, such as
     the splits sum_j |T_j| = T of ``superop.verify_prop21``) pieces whose
-    moduli sum to it.  Either is checked once, by one sum over the first
-    axis (left to right in float mode, within ``DEFAULT_TOLERANCE``), so
-    the builders check nothing themselves.
+    moduli sum to it.  Either is checked by ``_check_stack`` on a stack of
+    one, so the builders check nothing themselves.
     """
 
     __slots__ = ("target", "signed", "_values", "_den")
@@ -544,27 +564,7 @@ class Partition:
             for piece in pieces:
                 target._check_compatible(piece)
             pieces, den = _stack(pieces) if pieces else (np.empty(0), None)
-        if not len(pieces) or pieces.shape[1:] != target.shape:
-            raise ValueError("a partition needs pieces of its target's shape")
-        # Exact positive pieces that sum to the target prove it positive; float
-        # pieces within DEFAULT_TOLERANCE of zero, or signed pieces, do not.
-        if (signed or den is None) and not target.is_positive():
-            raise ValueError("partitions target a positive element")
-        if signed:
-            moduli = np.abs(pieces)
-        else:
-            if not _all(_le_mask(0, pieces, den is not None)):
-                raise ValueError("partition pieces must be positive")
-            moduli = pieces
-        if den is None:  # np.add.accumulate adds left to right, as Python does
-            adds_up = _all(_eq_mask(np.add.accumulate(moduli)[-1], target._values, False))
-        else:
-            adds_up = _all(moduli.sum(axis=0) * target._den == target._values * den)
-        if not adds_up:
-            raise ValueError(
-                "moduli of the pieces do not sum to the target"
-                if signed else "partition pieces do not sum to the target"
-            )
+        _check_stack(target, (pieces, [0, len(pieces)], den), 0 if signed else None)
         for name, value in zip(self.__slots__, (target, signed, pieces, den)):
             object.__setattr__(self, name, value)
 
@@ -583,6 +583,63 @@ class Partition:
         if self._den is None:
             return _all(self._values == other._values)
         return _all(self._values * other._den == other._values * self._den)
+
+
+def _check_stack(target: _Entrywise, stack: tuple, positive=None) -> tuple:
+    """The one check of partitions: each partition of ``stack`` (values,
+    bounds, D) splits the positive ``target`` into pieces of its shape.
+    The first ``positive`` partitions (all of them when None) have pieces
+    >= 0 that sum to it, the others signed pieces whose moduli sum to it.
+    The sums are exact (one ``np.add.reduceat``), or left to right per
+    partition within ``DEFAULT_TOLERANCE`` in float mode.  Raises
+    ``ValueError`` on the first check that fails; returns the stack."""
+    values, bounds, D = stack
+    if (not len(values) or values.shape[1:] != target.shape
+            or any(start >= stop for start, stop in zip(bounds, bounds[1:]))):
+        raise ValueError("a partition needs pieces of its target's shape")
+    cut = bounds[-1 if positive is None else positive]  # the first signed piece
+    # Exact positive pieces that sum to the target prove it positive; float
+    # pieces within DEFAULT_TOLERANCE of zero, or signed pieces, do not.
+    if (cut < len(values) or D is None) and not target.is_positive():
+        raise ValueError("partitions target a positive element")
+    if not _all(_le_mask(0, values[:cut], D is not None)):
+        raise ValueError("partition pieces must be positive")
+    moduli = values if cut == len(values) else np.concatenate(
+        [values[:cut], np.abs(values[cut:])]
+    )
+    if D is None:  # np.add.accumulate adds left to right, as Python does
+        sums = [np.add.accumulate(moduli[a:b])[-1] for a, b in zip(bounds, bounds[1:])]
+        adds_up = _eq_mask(np.array(sums), target._values, False)
+    else:
+        adds_up = np.add.reduceat(moduli, bounds[:-1], axis=0) * target._den == (
+            target._values * D
+        )
+    if not _all(adds_up):
+        wrong = np.flatnonzero(~adds_up.reshape(len(bounds) - 1, -1).all(axis=1))[0]
+        raise ValueError(
+            "moduli of the pieces do not sum to the target"
+            if bounds[wrong] >= cut else "partition pieces do not sum to the target"
+        )
+    return stack
+
+
+def _join(stacks) -> tuple:
+    """Stacks (values, bounds, D) of partitions of one target as one stack,
+    in order, over the lcm of their denominators (None for floats)."""
+    if stacks[0][2] is None:
+        values, D = np.concatenate([v for v, _, _ in stacks]), None
+    else:
+        D = math.lcm(*(d for _, _, d in stacks))
+        values = np.concatenate([v if d == D else v * (D // d) for v, _, d in stacks])
+    bounds = [0]
+    for _, run, _ in stacks:
+        bounds += [bounds[-1] + b for b in run[1:]]
+    return values, bounds, D
+
+
+def _one(values, den) -> tuple:
+    """The pieces ``values`` over ``den`` of one partition, as a stack of one."""
+    return values, [0, len(values)], den
 
 
 def _partition_stack(partitions: Sequence[Partition]) -> tuple:
@@ -675,9 +732,14 @@ def _entrywise_best(rows, den, better) -> LatticeVector:
     return LatticeVector._of(best, den)
 
 
+def _trivial(w: _Entrywise) -> tuple:
+    """(pieces, D) of the trivial partition: the one piece w."""
+    return w._values[None], w._den
+
+
 def trivial_partition(w: _Entrywise) -> Partition:
     """The one piece w itself, of a vector or a matrix."""
-    return Partition(w, w._values[None], w._den)
+    return Partition(w, *_trivial(w))
 
 
 def atomic_partition(w: _Entrywise) -> Partition:
@@ -705,29 +767,34 @@ def _set_partitions(items: tuple) -> Iterator[list]:
         yield sub + [[head]]
 
 
-def _blocks(w: LatticeVector, blocks) -> Partition:
-    """The partition of w into its restrictions to the given index blocks."""
+def _halves(w: LatticeVector) -> tuple:
+    """(pieces, D): w restricted to the lower and to the upper half of its
+    support, or the one piece w when the support has fewer than 2 entries."""
+    support = w.support()
+    if len(support) < 2:
+        return _trivial(w)
+    cut = len(support) // 2
     values = w._values
-    rows = np.zeros((len(blocks),) + values.shape, dtype=values.dtype)
-    for row, block in zip(rows, blocks):
+    rows = np.zeros((2,) + values.shape, dtype=values.dtype)
+    for row, block in zip(rows, (list(support[:cut]), list(support[cut:]))):
         row[block] = values[block]
-    return Partition(w, rows, w._den)
+    return rows, w._den
 
 
 def halves_partition(w: LatticeVector) -> Partition:
     """Split w across the lower/upper half of its support (refines trivial)."""
-    support = w.support()
-    if len(support) < 2:
-        return trivial_partition(w)
-    cut = len(support) // 2
-    return _blocks(w, [list(support[:cut]), list(support[cut:])])
+    return Partition(w, *_halves(w))
+
+
+def _dyadic(atoms, den) -> tuple:
+    """(pieces, D): each of the atoms (over ``den``) as two halves."""
+    pieces = np.repeat(atoms, 2, axis=0)
+    return (0.5 * pieces, None) if den is None else (pieces, den * 2)
 
 
 def dyadic_partition(w: LatticeVector) -> Partition:
     """Refine the atomic partition by halving each atom."""
-    atoms, den = w._atoms()
-    pieces = np.repeat(atoms, 2, axis=0)
-    return Partition(w, 0.5 * pieces, None) if den is None else Partition(w, pieces, den * 2)
+    return Partition(w, *_dyadic(*w._atoms()))
 
 
 def random_convex_partition(
@@ -737,7 +804,30 @@ def random_convex_partition(
     per-entry random convex weights on the grid k/SPLIT_DENOMINATOR (exact
     in rational mode): positive pieces that sum to w, or, when ``signed``,
     pieces with random signs whose moduli sum to w."""
-    return Partition(w, *w._convex_split(parts, rng, signed), signed=signed)
+    values, _, den = w._convex_split(parts, rng, signed)
+    return Partition(w, values, den, signed)
+
+
+def _chain(w: LatticeVector) -> list:
+    """The refinement chain of w as stacks of one, unchecked: trivial,
+    halves, atomic, dyadic."""
+    atoms = w._atoms()
+    return [_one(*_trivial(w)), _one(*_halves(w)), _one(*atoms), _one(*_dyadic(*atoms))]
+
+
+def _default_family(w: LatticeVector) -> list:
+    """``default_partitions(w)`` as stacks, unchecked: the refinement chain,
+    then 5 random convex splits into 3 pieces drawn from one ``Random(0)``."""
+    return [*_chain(w), w._convex_split(3, Random(0), count=5)]
+
+
+def _signed_splits(T: _Entrywise, rng: Random) -> tuple:
+    """``superop.verify_prop21``'s splits of a positive T as one stack,
+    checked once: the atomic and the trivial partitions, then 5 signed
+    random convex splits into 3 pieces drawn from ``rng``."""
+    splits = T._convex_split(3, rng, signed=True, count=5)
+    stack = _join([_one(*T._atoms()), _one(*_trivial(T)), splits])
+    return _check_stack(T, stack, positive=2)
 
 
 def refinement_chain(w: LatticeVector) -> list:

@@ -21,14 +21,17 @@ the refinement chain trivial / halves / atomic / dyadic, then seeded random
 convex splits) and report the best bound seen.  In the coordinate model the
 atomic partition attains the supremum/infimum exactly, which the
 test-suite pins down.  Both, and ``refinement_sums``, run as one
-segment-sum kernel (``lattice._partition_sums``) on the stacked pieces of
+segment-sum kernel (``lattice._segment_sums``) on the stacked pieces of
 all the partitions: one matrix product for every image, then ``abs`` or
-the minimum, then each partition's sum in piece order.
+the minimum, then each partition's sum in piece order.  The default family
+and the refinement chain are built as one stack and checked once by
+``lattice._check_stack``, with no ``Partition`` built; partitions a caller
+passes in are stacked by ``lattice._partition_sums``.
 
 The operator-side decompositions ``sum_j |T_j| = T`` used by the
-superoperator formulas are ``lattice.Partition``s of T, built by the same
-trivial, atomic and seeded random convex builders of ``lattice`` that
-split vectors.
+superoperator formulas are partitions of T, built by the same trivial,
+atomic and seeded random convex splitters of ``lattice`` that split
+vectors; ``superop.verify_prop21`` takes them as one checked stack.
 
 ``RegularOperator.apply`` and ``compose`` are one product on the stored
 arrays (``lattice._matmul``), checked by ``lattice``'s operand rule.
@@ -37,22 +40,26 @@ arrays (``lattice._matmul``), checked by ``lattice``'s operand rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .lattice import (
     LatticeVector,
     Partition,
+    _chain,
     _check_operands,
+    _check_stack,
+    _default_family,
     _Entrywise,
     _entrywise_best,
+    _join,
     _matmul,
     _outer,
     _partition_sums,
     _product_den,
+    _segment_sums,
     default_partitions,
-    refinement_chain,
 )
 
 
@@ -192,9 +199,16 @@ def _modulus_images(A: RegularOperator):
     return lambda W: np.abs(_matmul(A._values, W.T).T)
 
 
+#: What the partition oracles try: partitions of w, or a function that
+#: builds them from w (None stands for ``default_partitions``).
+_Partitions = Optional[
+    Union[Sequence[Partition], Callable[[LatticeVector], Sequence[Partition]]]
+]
+
+
 def _best_over_partitions(
     w: LatticeVector,
-    partitions: Optional[Sequence[Partition]],
+    partitions: _Partitions,
     image,
     image_entries: int,
     den,
@@ -204,30 +218,39 @@ def _best_over_partitions(
     """Run a partition oracle: the segment-sum kernel sums the ``image`` rows
     (over ``den`` times the pieces' denominator) of each partition of w,
     then ``lattice._entrywise_best`` folds those sums by ``better``
-    (np.greater for the sup, np.less for the inf)."""
-    partitions = list(default_partitions(w) if partitions is None else partitions)
-    if not partitions:
-        raise ValueError("no partitions to try")
-    if any(p.target is not w and p.target != w for p in partitions):
-        raise ValueError("a partition does not split the test vector w")
-    rows, D = _partition_sums(partitions, image, image_entries)
+    (np.greater for the sup, np.less for the inf).  ``partitions`` is a
+    sequence of partitions of w, which go through
+    ``lattice._partition_sums``, or a function that builds them from w;
+    ``default_partitions``' family (or None) is built as one stack and
+    checked once, with no ``Partition`` built."""
+    if partitions is None or partitions is default_partitions:
+        stack = _check_stack(w, _join(_default_family(w)))
+        rows, D = _segment_sums(stack, image, image_entries), stack[2]
+        tried = len(stack[1]) - 1
+    else:
+        partitions = list(partitions(w) if callable(partitions) else partitions)
+        if not partitions:
+            raise ValueError("no partitions to try")
+        if any(p.target is not w and p.target != w for p in partitions):
+            raise ValueError("a partition does not split the test vector w")
+        (rows, D), tried = _partition_sums(partitions, image, image_entries), len(partitions)
     value = _entrywise_best(rows, _product_den(den, D), better)
     return OracleResult(
         value=value,
         closed_form=closed,
         attained=value.eq(closed),
-        partitions_tried=len(partitions),
+        partitions_tried=tried,
     )
 
 
 def modulus_oracle(
     A: RegularOperator,
     w: LatticeVector,
-    partitions: Optional[Sequence[Partition]] = None,
+    partitions: _Partitions = default_partitions,
 ) -> OracleResult:
     """Evaluate sup { sum_i |A w_i| } over the given partitions of w
-    (default: ``lattice.default_partitions(w)``), all of them in one
-    segment-sum kernel (``lattice._partition_sums``).
+    (default: ``lattice.default_partitions(w)``, as one checked stack), all
+    of them in one segment-sum kernel (``lattice._segment_sums``).
 
     The supremum is directed (refinements only increase the sum) and in the
     coordinate model it is attained by the atomic partition, where the sum
@@ -244,10 +267,11 @@ def meet_oracle(
     S: RegularOperator,
     T: RegularOperator,
     w: LatticeVector,
-    partitions: Optional[Sequence[Partition]] = None,
+    partitions: _Partitions = default_partitions,
 ) -> OracleResult:
     """Evaluate inf { sum_i min(S w_i, T w_i) } over the given partitions
-    of w (default: ``lattice.default_partitions(w)``).  S and T, over one
+    of w (default: ``lattice.default_partitions(w)``, as one checked
+    stack).  S and T, over one
     denominator, act on every piece in one matrix product."""
     _check_test_vector(w, "meet oracle")
     a, b, E = S._aligned(T)
@@ -266,6 +290,7 @@ def refinement_sums(A: RegularOperator, w: LatticeVector) -> list:
     """Partition-modulus sums along a refinement chain of w (monotone up)."""
     _check_test_vector(w, "refinement chain")
     _check_operands(A, w, inner=True)
-    sums, D = _partition_sums(refinement_chain(w), _modulus_images(A), A.rows)
-    return [LatticeVector._of(row, _product_den(A._den, D)) for row in sums]
+    stack = _check_stack(w, _join(_chain(w)))
+    sums = _segment_sums(stack, _modulus_images(A), A.rows)
+    return [LatticeVector._of(row, _product_den(A._den, stack[2])) for row in sums]
 

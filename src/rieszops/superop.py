@@ -29,7 +29,8 @@ The verifiers check, with exact rational arithmetic:
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
 
 ``verify_prop21`` sends its atomic, singleton and random signed splittings
-of T (stacked ``lattice.Partition``s) through one pass of the
+of T (one stack, built and checked once by ``lattice._signed_splits``,
+with no ``Partition`` built) through one pass of the
 segment-sum kernel of ``lattice``, on their stored arrays in chunks of
 bounded size, reads the atomic value off the first row and folds the
 others; the tests check that pass against the loop over partitions and
@@ -59,11 +60,9 @@ from .lattice import (
     _entrywise_best,
     _matmul,
     _outer,
-    _partition_sums,
     _product_den,
-    atomic_partition,
-    random_convex_partition,
-    trivial_partition,
+    _segment_sums,
+    _signed_splits,
 )
 from .operators import RegularOperator
 from .reports import VerificationReport, make_report
@@ -194,15 +193,17 @@ def one_sided_excess(x: LatticeVector, upper: LatticeVector):
 # the operator-partition supremum
 # ---------------------------------------------------------------------------
 
-def _partition_values(A0, B, w, partitions) -> tuple:
+def _partition_values(A0, B, w, stack) -> tuple:
     """(values, D): values[p] = (sum_j |A0 T_j B|) w over the pieces T_j of
-    partitions[p], over the denominator D (None for floats).  One pass of
-    ``lattice._partition_sums`` in chunks of bounded size sums each
-    partition in piece order, as the images one by one would; the inputs
-    are ``verify_prop21``'s, checked there."""
+    partition p of a stack (values, bounds, D_T) of splits of T, over the
+    denominator D (None for floats).  One pass of ``lattice._segment_sums``
+    in chunks of bounded size sums each partition in piece order, as the
+    images one by one would; the inputs are ``verify_prop21``'s, checked
+    there."""
     z, (x, cols) = A0.rows, B.shape
-    sums, D_T = _partition_sums(
-        partitions,
+    D_T = stack[2]
+    sums = _segment_sums(
+        stack,
         lambda P: np.abs(_matmul(_matmul(A0._values, P), B._values)),
         z * max(x, cols),
     )
@@ -231,7 +232,8 @@ def verify_prop21(
     (ii)  (M_{A0,B} v M_{A0,D})(T) = A0 T (B v D)
     (iii) the operator-partition supremum at w: the atomic splitting of T
           attains A0 T |B| w exactly; singleton and random splittings stay
-          componentwise below it.
+          componentwise below it.  The splittings are one stack of T's
+          pieces, checked once.
     """
     if not A0.is_positive():
         raise ValueError("the left factor A0 must be positive")
@@ -250,10 +252,7 @@ def verify_prop21(
 
     rhs_at_w = modulus_at_T.apply(w)
     # One kernel pass: the atomic partition first, then the coarse ones.
-    rng = Random(seed or 0)
-    partitions = [atomic_partition(T), trivial_partition(T)]
-    partitions += [random_convex_partition(T, 3, rng, signed=True) for _ in range(5)]
-    values, den = _partition_values(A0, B, w, partitions)
+    values, den = _partition_values(A0, B, w, _signed_splits(T, Random(seed or 0)))
     atomic_value = LatticeVector._of(values[0], den)
     dev_atomic = deviation(atomic_value, rhs_at_w)
     dev_coarse = one_sided_excess(_entrywise_best(values[1:], den, np.greater), rhs_at_w)

@@ -872,6 +872,17 @@ def test_counterexample_over_lab_work_cap_exits_2_at_once(argv, capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_counterexample_lab_of_20001_partitions_of_e_runs_under_the_cap(capsys):
+    # The partitions of e are rows of one block array, so the work bound
+    # counts their blocks, not a Python object each.
+    argv = ["counterexample", "--n", "10", "--k", "1", "--t-samples", "1",
+            "--split-samples", "1", "--partition-budget", "20000"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["details"]["partitions_per_split"] == 20001
+
+
 def test_counterexample_n16_lab_runs_under_the_cap(capsys):
     argv = ["counterexample", "--n", "16", "--k", "1", "--t-samples", "1",
             "--split-samples", "1", "--partition-budget", "4"]

@@ -15,7 +15,12 @@ from rieszops import (
     refinement_sums,
     trivial_partition,
 )
-from rieszops.lattice import DimensionMismatchError, Partition, default_partitions
+from rieszops.lattice import (
+    DimensionMismatchError,
+    Partition,
+    default_partitions,
+    refinement_chain,
+)
 
 from conftest import matrices, matrix_pairs_same_shape, pieces_of, vectors, zeros
 
@@ -222,6 +227,10 @@ def test_oracles_try_the_partitions_they_are_given():
         by_default, given = run(None), run(family)
         assert by_default.partitions_tried == given.partitions_tried == 9
         assert by_default.value == given.value
+        # A builder of partitions of w, the default one among them.
+        assert run(default_partitions) == by_default
+        chain = run(refinement_chain)
+        assert chain == run(family[:4]) and chain.partitions_tried == 4
         only_atomic = run([atomic_partition(w)])
         assert only_atomic.attained and only_atomic.partitions_tried == 1
         with pytest.raises(ValueError):

@@ -33,8 +33,9 @@ from rieszops import (
     refinement_chain,
     refinement_sums,
     trivial_partition,
+    verify_prop21,
 )
-from rieszops import lattice
+from rieszops import lattice, operators
 from rieszops.counterexample import _double_partition_inf, _e_partitions, _positive_splits
 from rieszops.lattice import _disjoint, _partition_stack
 from rieszops.superop import _partition_values
@@ -185,7 +186,7 @@ def test_split_cuts_are_drawn_as_cpython_randint_draws_them():
             for signed in (False, True):
                 for seed in range(200):
                     got_rng, want_rng = Random(seed), Random(seed)
-                    values, den = ones._convex_split(parts, got_rng, signed)
+                    values, _, den = ones._convex_split(parts, got_rng, signed)
                     grid = [
                         [-c if negated else c for c, negated in weights]
                         for weights in ref.signed_weights(want_rng, size, parts, signed)
@@ -195,22 +196,210 @@ def test_split_cuts_are_drawn_as_cpython_randint_draws_them():
                     assert got_rng.getstate() == want_rng.getstate()
 
 
-def test_builders_still_go_through_the_public_constructor(monkeypatch):
-    built = []
-    init = Partition.__init__
+def test_builders_check_each_partition_and_the_families_check_once(monkeypatch):
+    checks, built = [], []
+    check, init = lattice._check_stack, Partition.__init__
 
-    def counting(self, *args, **kwargs):
+    def counting_check(target, stack, positive=None):
+        checks.append((type(target).__name__, len(stack[1]) - 1))
+        return check(target, stack, positive)
+
+    def counting_init(self, *args, **kwargs):
         built.append(type(args[0]).__name__)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Partition, "__init__", counting)
+    for module in (lattice, operators):
+        monkeypatch.setattr(module, "_check_stack", counting_check)
+    monkeypatch.setattr(Partition, "__init__", counting_init)
     w = LatticeVector([1, 2, 0, 3])
     T = RegularOperator(2, 2, [1, 0, 2, 3])
-    default_partitions(w)
-    trivial_partition(T)
-    atomic_partition(T)
-    random_convex_partition(T, 3, Random(0), signed=True)
-    assert built == ["LatticeVector"] * 9 + ["RegularOperator"] * 3
+    # Each public builder returns Partitions, each checked as a stack of one.
+    for build, count in (
+        (lambda: default_partitions(w), 9),
+        (lambda: refinement_chain(w), 4),
+        (lambda: [trivial_partition(T)], 1),
+        (lambda: [atomic_partition(T)], 1),
+        (lambda: [halves_partition(w), dyadic_partition(w)], 2),
+        (lambda: [random_convex_partition(T, 3, Random(0), signed=True)], 1),
+    ):
+        checks.clear()
+        partitions = build()
+        assert all(type(p) is Partition for p in partitions)
+        assert len(partitions) == count
+        assert checks == [(type(partitions[0].target).__name__, 1)] * count
+    # prop21's splits of T, and the default family and the refinement chain
+    # of the oracles: one check of the whole stack each, and no Partition.
+    A0, B = RegularOperator(2, 2, [1, 2, 0, 1]), RegularOperator(2, 2, [1, -1, 2, 0])
+    S = RegularOperator(2, 4, [1, -2, 3, 0, -1, 1, 1, -4])
+    for run, want in (
+        (lambda: verify_prop21(A0, B, B, T, LatticeVector([1, 2]), seed=3), ("RegularOperator", 7)),
+        (lambda: modulus_oracle(S, w), ("LatticeVector", 9)),
+        (lambda: meet_oracle(S, -S, w), ("LatticeVector", 9)),
+        (lambda: refinement_sums(S, w), ("LatticeVector", 4)),
+    ):
+        checks.clear()
+        built.clear()
+        run()
+        assert checks == [want]
+        assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the stacked families
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def targets(draw, mode, shape):
+    """A positive vector (one dimension) or matrix (two) of ``shape``, with
+    zero entries at times and all zero at others."""
+    count = int(np.prod(shape))
+    if draw(st.integers(0, 4)) == 0:
+        entries = [Fraction(0) if mode == "exact" else 0.0] * count
+    else:
+        entries = _entries(draw, count, mode, positive=True)
+    if len(shape) == 1:
+        return LatticeVector(entries)
+    return RegularOperator(*shape, entries)
+
+
+def _same_stack(got, want):
+    """Two stacks (values, bounds, D) bit for bit: Python ints, or float64 bytes."""
+    (values, bounds, D), (want_values, want_bounds, want_D) = got, want
+    assert bounds == want_bounds and all(type(b) is int for b in bounds)
+    assert D == want_D and type(D) is type(want_D)
+    assert values.dtype == want_values.dtype and values.shape == want_values.shape
+    if values.dtype == object:
+        assert values.tolist() == want_values.tolist()
+        assert all(type(v) is int for v in values.flat)
+    else:
+        assert values.tobytes() == want_values.tobytes()
+
+
+def _built_or_refused(build):
+    """(the value, None) of ``build()``, or (None, its ValueError message)."""
+    try:
+        return build(), None
+    except ValueError as error:
+        return None, str(error)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data(), size=st.integers(1, 6))
+@settings(max_examples=60)
+def test_the_default_family_is_the_public_builders_list(mode, data, size):
+    w = data.draw(targets(mode, (size,)))
+
+    def builders():
+        rng = Random(0)
+        chain = [trivial_partition(w), halves_partition(w), atomic_partition(w),
+                 dyadic_partition(w)]
+        return chain + [random_convex_partition(w, 3, rng) for _ in range(5)]
+
+    # The public builders' list as one stack, or the message of the first
+    # partition they refuse.
+    want, refused = _built_or_refused(lambda: _partition_stack(builders()))
+    got, message = _built_or_refused(
+        lambda: lattice._check_stack(w, lattice._join(lattice._default_family(w)))
+    )
+    assert message == refused
+    if want is None:
+        return
+    _same_stack(got, want)
+    chain = lattice._check_stack(w, lattice._join(lattice._chain(w)))
+    _same_stack(chain, _partition_stack(builders()[:4]))
+    assert default_partitions(w) == builders()
+    assert refinement_chain(w) == builders()[:4]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       seed=st.integers(0, 1 << 16))
+@settings(max_examples=60)
+def test_prop21s_splits_are_the_public_builders_list(mode, data, rows, cols, seed):
+    T = data.draw(targets(mode, (rows, cols)))
+    want_rng, got_rng = Random(seed), Random(seed)
+
+    def builders():
+        splits = [random_convex_partition(T, 3, want_rng, signed=True) for _ in range(5)]
+        return [atomic_partition(T), trivial_partition(T)] + splits
+
+    want, refused = _built_or_refused(lambda: _partition_stack(builders()))
+    got, message = _built_or_refused(lambda: lattice._signed_splits(T, got_rng))
+    assert message == refused
+    if want is not None:
+        _same_stack(got, want)
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data(), size=st.integers(1, 6), parts=st.integers(1, 4),
+       signed=st.booleans(), count=st.integers(1, 5), seed=st.integers(0, 1 << 16))
+def test_a_convex_split_of_count_k_is_k_splits_in_a_row(mode, data, size, parts, signed,
+                                                         count, seed):
+    x = data.draw(targets(mode, (size,)))
+    got_rng, want_rng = Random(seed), Random(seed)
+    got = x._convex_split(parts, got_rng, signed, count)
+    splits = [x._convex_split(parts, want_rng, signed) for _ in range(count)]
+    assert all(bounds == [0, len(values)] for values, bounds, _ in splits)
+    _same_stack(got, lattice._join(splits))
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+def _broken(stack, row, value):
+    """A copy of ``stack`` with the first nonzero entry of piece ``row`` (or
+    its first entry) set to ``value``, a number of the stack's mode."""
+    values, bounds, D = stack
+    values = values.copy()
+    piece = values[row].reshape(-1)
+    nonzero = np.flatnonzero(piece != 0)
+    piece[nonzero[0] if len(nonzero) else 0] = value if D is None else value * D
+    return values, bounds, D
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data(), size=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+@settings(max_examples=40)
+def test_the_one_check_refuses_each_broken_family_as_partition_does(mode, data, size, seed):
+    T = data.draw(targets(mode, (2, size)))
+    w = data.draw(targets(mode, (size,)))
+    default = lattice._join(lattice._default_family(w))
+    splits = lattice._join([
+        lattice._one(*T._atoms()),
+        lattice._one(*lattice._trivial(T)),
+        T._convex_split(3, Random(seed), signed=True, count=5),
+    ])
+    p = data.draw(st.integers(0, 8))
+    q = data.draw(st.integers(2, 6))  # a signed split of prop21's family
+    one = Fraction(1) if mode == "exact" else 1.0
+    cases = [
+        # A negative piece, and a piece one too large, in a positive partition.
+        (w, _broken(default, default[1][p], -1), None, p,
+         "partition pieces must be positive"),
+        (w, _broken(default, default[1][p], 7), None, p,
+         "partition pieces do not sum to the target"),
+        # A signed piece whose modulus is too large.
+        (T, _broken(splits, splits[1][q], 7), 2, q,
+         "moduli of the pieces do not sum to the target"),
+        # A target below zero: the pieces of w, or of T, no longer sum to
+        # it; a signed split of T, or float pieces, refuse it first.
+        (w.scale(-1) - LatticeVector([one] * size), default, None, 0,
+         "partitions target a positive element" if mode == "float"
+         else "partition pieces do not sum to the target"),
+        (-T - RegularOperator(2, size, [one] * 2 * size), splits, 2, q,
+         "partitions target a positive element"),
+    ]
+    for target, stack, positive, partition, message in cases:
+        with pytest.raises(ValueError) as stacked:
+            lattice._check_stack(target, stack, positive)
+        assert str(stacked.value) == message
+        # The partition alone, as Partition checks it.
+        values, bounds, D = stack
+        alone = values[bounds[partition]:bounds[partition + 1]]
+        signed = positive is not None and partition >= positive
+        with pytest.raises(ValueError) as single:
+            Partition(target, alone, D, signed)
+        assert str(single.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +531,8 @@ def test_operator_partition_sup_equals_the_per_piece_loop(mode, data, seed):
     families = [atomic_partition(T), trivial_partition(T)] + [
         random_convex_partition(T, 3, rng, signed=True) for _ in range(3)
     ]
-    got = lattice._entrywise_best(*_partition_values(A0, B, v, families), np.greater)
+    stack = _partition_stack(families)
+    got = lattice._entrywise_best(*_partition_values(A0, B, v, stack), np.greater)
     want = ref.operator_partition_sup(A0, B, v, [pieces_of(p) for p in families])
     assert _same(got, want)
 

@@ -5,8 +5,9 @@ per claim.  The eight whose values are all exact rationals are pinned here
 by sha256, so a refactor that moves any byte of them fails at once.
 ``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.  Seven
 more meet labs (n = 5, 6, 8, 10, seed 7) are pinned the same way, and so
-are seven single verifier runs: on float files, with explicit and with
-default inputs, and on float and exact corpora.  None of those touches
+are eleven single verifier runs: on float files (one T with zero entries,
+one with an entry below the tolerance, whose claim fails), with explicit
+and with default inputs, and on float and exact corpora.  None of those touches
 BLAS, so their float bits do not depend on the machine.  The manifests of
 two ``corpus`` runs, one exact and mixed-sign, one float and positive, are
 pinned too, so the corpus files keep their draws.  So is the ``norm``
@@ -23,20 +24,31 @@ Last, four ``gap`` and ``cor23`` runs at closed forms without BLAS or
 factors ``y_star`` and ``x_prime``: both the report and the report with T
 rebuilt by ``rank_one(x_prime, y_star)`` and spliced back where it was
 written before the factors replaced it, whose bytes are those of the
-earlier reports.
+earlier reports.  Last of all, the results of ``modulus_oracle``,
+``meet_oracle`` and ``refinement_sums`` on their default partitions, exact
+and float, for test vectors of 1 to 6 entries with zeros among them and
+all zero, are pinned as one sha256 per mode and size.
 """
 
 import hashlib
 import importlib.util
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
-from rieszops import LatticeVector, rank_one
+from rieszops import (
+    LatticeVector,
+    RegularOperator,
+    meet_oracle,
+    modulus_oracle,
+    rank_one,
+    refinement_sums,
+)
 from rieszops.cli import main
 from rieszops.reports import canonical_json
 
@@ -125,6 +137,20 @@ VERIFIER_RUNS = {
         "synnatzschke_a --corpus seed=5,dims=3x2x3x2,count=10",
         "1dfb7c759c1dbc5b80e0aa87bd2f60dfeb043675a9e368b333f8ef2a3a957d8d",
     ),
+    # prop21's splits of a 4 x 4 T, exact and float, and of a T with zero
+    # and negative-zero entries.
+    "prop21_corpus_4x4": (
+        "prop21 --corpus seed=5,dims=4x4x4x4,count=5",
+        "10f03c35c3eab1efe33f904756c346783b5da48fce44c8fa5efe1c08bfe3cd3f",
+    ),
+    "prop21_float_corpus_4x4": (
+        "prop21 --corpus seed=5,dims=4x4x4x4,count=5,distribution=float",
+        "b36679cb6eb6f2b7984680fdb9adb77b72563b1ae2d2df42f6e970989abb4cbc",
+    ),
+    "prop21_zero_T_files": (
+        "prop21 --A0 {A_0000} --B {B_0000} --D {B_0001} --T {T_zeros} --w {w}",
+        "8d6a649d3214ef1e7462362187d56e12ad87595f10f699ee55d28414778495af",
+    ),
 }
 
 
@@ -156,6 +182,10 @@ def float_corpus(tmp_path_factory):
             "--seed", "11", "--distribution", "float", "--sign", "positive"]
     assert main(argv) == 0
     (out / "w.json").write_text(json.dumps({"dim": 3, "entries": [0.5, 1.25, 2.0]}))
+    T_zeros = [0.0, 1.5, -0.0, 2.25, 0.0, 0.5, 1.0, 0.0, 3.0]
+    T_tiny = [0.0, 1.5, -0.0, 2.25, 1e-10, 0.5, 1.0, 0.0, 3.0]
+    for name, entries in (("T_zeros", T_zeros), ("T_tiny", T_tiny)):
+        (out / f"{name}.json").write_text(json.dumps({"rows": 3, "cols": 3, "entries": entries}))
     return {path.stem: str(path) for path in out.glob("*.json")}
 
 
@@ -166,6 +196,20 @@ def test_verifier_report_bytes(name, float_corpus, tmp_path):
     argv = ["verify", *template.format(**float_corpus).split(), "--json", str(path)]
     assert main(argv) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_prop21_report_bytes_on_a_T_with_an_entry_below_the_tolerance(float_corpus, tmp_path):
+    # T's 1e-10 entry is zero to the atomic split (DEFAULT_TOLERANCE is 1e-9),
+    # but A0 T |B| w carries it scaled to 3.4e-9, so the atomic value misses
+    # the target by more than the tolerance and the claim fails (exit 1).
+    path = tmp_path / "prop21_tiny.json"
+    argv = ["verify", "prop21", "--A0", float_corpus["A_0000"], "--B", float_corpus["B_0000"],
+            "--D", float_corpus["B_0001"], "--T", float_corpus["T_tiny"],
+            "--w", float_corpus["w"], "--json", str(path)]
+    assert main(argv) == 1
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3e2403e1a7eca189657c021fd93e26d654b8d33ab4b9e0d20abcbef90ece3714"
+    )
 
 
 def _load_script():
@@ -389,3 +433,71 @@ def test_rank_one_witness_report_bytes(name, witness_files, tmp_path):
     text = path.read_text(encoding="ascii")
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
     assert hashlib.sha256(_with_T_spliced_back(text).encode("ascii")).hexdigest() == spliced
+
+
+def _oracle_inputs(mode: str, size: int) -> tuple:
+    """A signed 3 x size A, 2 x size S and T, and three positive test
+    vectors of ``size`` entries (one drawn with zeros among them, one zero
+    at every other entry, one all zero), drawn from ``Random(4409 + size)``:
+    exact entries "p/q" with q <= 6, or uniform floats."""
+    rng = Random(4409 + size)
+
+    def entry(low):
+        if mode == "exact":
+            return Fraction(rng.randint(int(4 * low), 9), rng.randint(1, 6))
+        return rng.uniform(low, 2.25)
+
+    def matrix(rows):
+        return RegularOperator(rows, size, [entry(-2) for _ in range(rows * size)])
+
+    def vector(entries):
+        return LatticeVector([zero if skip else entry(0) for skip in entries])
+
+    zero = Fraction(0) if mode == "exact" else 0.0
+    A, S, T = matrix(3), matrix(2), matrix(2)
+    drawn = vector([rng.random() < 0.3 for _ in range(size)])
+    return A, S, T, [drawn, vector([i % 2 == 0 for i in range(size)]), vector([True] * size)]
+
+
+def _oracle_snapshot(mode: str, size: int) -> str:
+    """The canonical JSON of ``modulus_oracle``, ``meet_oracle`` (value,
+    closed form, attained, partitions tried) and ``refinement_sums`` on
+    ``_oracle_inputs``, floats written by ``float.hex``."""
+
+    def entries(v):
+        return [float.hex(x) for x in v.entries] if mode == "float" else v._json_entries()
+
+    def result(r):
+        return [entries(r.value), entries(r.closed_form), r.attained, r.partitions_tried]
+
+    A, S, T, ws = _oracle_inputs(mode, size)
+    rows = [
+        [result(modulus_oracle(A, w)), result(meet_oracle(S, T, w)),
+         [entries(v) for v in refinement_sums(A, w)]]
+        for w in ws
+    ]
+    return canonical_json(rows)
+
+
+#: sha256 of ``_oracle_snapshot`` per "mode:size".
+ORACLE_DIGESTS = {
+    "exact:1": "44d51af4fea9deaa536d8d69806fa4c4ce9928582da4e1957b1d22549243fcb3",
+    "exact:2": "8c65fdacca3ed4d273088a58114b2786f702dd5bb22c7e9f29fb44b624986d71",
+    "exact:3": "4f54d85b49d1a39c32ff02f2f005dc44cccee30073134af3c777d9383069a98e",
+    "exact:4": "8641260b43bd3f5e2b35848e8507d59937ab9551f32cc5f9c5ebc80c7873decc",
+    "exact:5": "115992581679994fedb679062ed714bbffeac1448841fa52b07d97c3f490a9e3",
+    "exact:6": "3101b768cd547acbc8c4e6a0f3cc1caa86369e83832eb9d5be3eeae50c2fc5e8",
+    "float:1": "dd33806b14ab4e5206acfc840914e80231cea75225e344fbd9a59faabc603096",
+    "float:2": "6268f094496083e16c3d32bb480d5dd383925d64b29cd1eb20a8003a3bd2fbfe",
+    "float:3": "356412ffb38dc5ed43a3d28ef4a15fd1ae9018d35d29816dcb566826b2c805e9",
+    "float:4": "496d7c3d79bab1df447cb17aa7896e476015a9a8aa69ecf1deb952a9eab938ad",
+    "float:5": "7a31ebbc3bcd933c9ec64678133d88df5a1c68ac15d3918216bf260134491fa9",
+    "float:6": "772fc166e6b93c114637c8a960b32fafce130c82e89df68e987ff149d6d86ac5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
+def test_oracle_results_on_the_default_partitions(name):
+    mode, size = name.split(":")
+    snapshot = _oracle_snapshot(mode, int(size))
+    assert hashlib.sha256(snapshot.encode("ascii")).hexdigest() == ORACLE_DIGESTS[name]

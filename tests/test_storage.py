@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 from rieszops import LatticeVector, RegularOperator, kron, unvec, vec
-from rieszops.lattice import SPLIT_DENOMINATOR, _entrywise_best, atomic_partition
+from rieszops.lattice import (
+    SPLIT_DENOMINATOR,
+    _entrywise_best,
+    _partition_stack,
+    atomic_partition,
+)
 from rieszops.scalars import DEFAULT_TOLERANCE, zero_of
 from rieszops.superop import _partition_values, deviation
 
@@ -266,7 +271,8 @@ def test_splitters_match_the_tuple_loop(exact):
             tuple(p) for p in _ref_atoms(x)
         ]
         for parts, signed in ((2, False), (3, True), (4, True)):
-            got = _pieces(x, *x._convex_split(parts, Random(parts), signed))
+            values, _, den = x._convex_split(parts, Random(parts), signed)
+            got = _pieces(x, values, den)
             want = _ref_convex_split(x, parts, Random(parts), signed)
             assert len(got) == len(want)
             for piece, reference in zip(got, want):
@@ -339,7 +345,8 @@ def test_equal_values_by_different_paths_compare_and_hash_equal():
     B = RegularOperator(2, 2, ["3/4", "-1/2", "1/6", "1"])
     T = RegularOperator(2, 2, ["2/5", "1/10", "3", "0"])
     w = LatticeVector(["1/7", "2/7"])
-    got = _entrywise_best(*_partition_values(A0, B, w, [atomic_partition(T)]), np.greater)
+    stack = _partition_stack([atomic_partition(T)])
+    got = _entrywise_best(*_partition_values(A0, B, w, stack), np.greater)
     same = LatticeVector([str(a) for a in got.entries])
     assert _lowest_terms(got)
     assert got == same and hash(got) == hash(same)

@@ -21,7 +21,7 @@ from rieszops import (
     verify_synnatzschke_a,
 )
 from rieszops import lattice, superop
-from rieszops.lattice import EnumerationLimitError
+from rieszops.lattice import EnumerationLimitError, _partition_stack
 
 from conftest import (
     fractions_st,
@@ -150,7 +150,7 @@ def test_corner_decomposition(case):
 def _partition_sup(A0, B, w, partitions):
     """The supremum over the partitions by the kernel ``verify_prop21`` runs."""
     return lattice._entrywise_best(
-        *superop._partition_values(A0, B, w, partitions), np.greater
+        *superop._partition_values(A0, B, w, _partition_stack(partitions)), np.greater
     )
 
 
