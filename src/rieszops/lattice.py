@@ -20,11 +20,15 @@ operation, and the integer kernels of the other modules, read the array
 (``_stack`` puts several over one denominator, ``_chunk_size`` bounds a
 kernel's intermediates).  A kernel runs on int64 copies of numerators only
 where ``_on_words``, the one maker of int64 values, proves by a magnitude
-bound that none of its sums overflows.  Every product of containers takes
-its rules from here: the operand rule ``_check_operands`` (one scalar mode
+bound that none of its sums overflows, and a container made of them
+stores them as Python ints again.  Every product of containers takes its
+rules from here: the operand rule ``_check_operands`` (one scalar mode
 and, for a matrix product, a matching inner dimension), the outer product
-``_outer`` of ``superop.kron`` and ``operators.rank_one``, and the rule
-``_product_den`` (the factors' denominators multiplied, None for floats).
+``_outer`` of ``operators.rank_one`` and of ``superop``'s stacked reps
+(every product of two stacks of containers, or of their i-th pairs, in one
+product), and the rule ``_product_den`` (the factors' denominators
+multiplied, None for floats).  ``_gap`` is the largest entrywise |x - y|
+of two such arrays over their denominators.
 Float results match Python float arithmetic bit for bit, Python's tie rule
 on -0.0 and 0.0 included.
 
@@ -46,7 +50,9 @@ every other x, inf and nan included.  Exact sums are exact in any order.
 
 Comparisons.  ``_zero_mask``, ``_le_mask`` and ``_eq_mask`` alone compare
 stored values: exactly in exact mode, within the absolute
-``scalars.DEFAULT_TOLERANCE`` in float mode, for every module.
+``scalars.DEFAULT_TOLERANCE`` in float mode, for every module.  The one
+exception is the float sum check of ``_check_stack``, which lets k pieces
+miss their target by their rounding bound beyond that tolerance.
 
 Partitions.  A ``Partition`` stores its pieces the same way, stacked on a
 first axis over one denominator.  Every builder (trivial, halves, atomic,
@@ -155,10 +161,53 @@ def _check_operands(left, right, inner: bool = False):
         raise ScalarModeError(f"scalar mode mismatch: {left.mode} vs {right.mode}")
 
 
-def _outer(left, right) -> tuple:
-    """(values, D): the outer product of two containers under the operand rule."""
-    _check_operands(left, right)
-    return np.multiply.outer(left._values, right._values), _product_den(left._den, right._den)
+def _outer(left, right, paired: bool = False, terms: int = 0) -> tuple:
+    """(values, D): every entry of ``left`` times every entry of ``right``,
+    in one ``np.multiply.outer``, under the operand rule.
+
+    A side is a container or a stack of them: a list of containers of one
+    class, shape and mode, put over one denominator by ``_stack`` on a new
+    first axis.  values keeps the operands' axes in order (left's stack,
+    left's shape, right's stack, right's shape), so values[j, k, i, l] is
+    entry k of the j-th left container times entry l of the i-th right one
+    (for vectors); a side given as one container has no stack axis.
+    ``paired`` takes two stacks of one length and multiplies only their
+    i-th containers, in one broadcast product: values[i] is the outer
+    product of the i-th pair, and no other pair of the stacks is formed.
+    Exact products are Python ints or, with ``terms``, int64 where
+    ``_on_words`` proves that every sum of ``terms`` of them fits a machine
+    word, for a caller that compares them as arrays (``_Entrywise`` stores
+    them as Python ints again)."""
+    lefts = left if isinstance(left, list) else [left]
+    rights = right if isinstance(right, list) else [right]
+    for right_item in rights:
+        _check_operands(lefts[0], right_item)
+    for left_item in lefts[1:]:
+        _check_operands(left_item, rights[0])
+    a, D = _side(left)
+    b, E = _side(right)
+    if terms and D is not None:
+        a, b = _on_words(a, b, terms)
+    if not paired:
+        return np.multiply.outer(a, b), _product_den(D, E)
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"cannot pair {len(a)} with {len(b)} containers")
+    spread_a = a.reshape(a.shape + (1,) * (b.ndim - 1))
+    spread_b = b.reshape(b.shape[:1] + (1,) * (a.ndim - 1) + b.shape[1:])
+    return spread_a * spread_b, _product_den(D, E)
+
+
+def _side(side) -> tuple:
+    """(values, D) of one side of ``_outer``: a container's, or a stack's
+    over one denominator, its containers checked alike and stacked on a new
+    first axis."""
+    if not isinstance(side, list):
+        return side._values, side._den
+    for item in side[1:]:
+        side[0]._check_compatible(item)
+    if len(side) == 1:
+        return side[0]._values[None], side[0]._den
+    return _stack(side)
 
 
 def _stack(items, join=np.stack) -> tuple:
@@ -169,7 +218,8 @@ def _stack(items, join=np.stack) -> tuple:
     if items[0]._den is None:
         return join([item._values for item in items]), None
     D = math.lcm(*(item._den for item in items))
-    return join([item._values * (D // item._den) for item in items]), D
+    return join([item._values if item._den == D else item._values * (D // item._den)
+                 for item in items]), D
 
 
 def _left_sum(terms, factor=None, axis: int = -1):
@@ -219,6 +269,38 @@ def _eq_mask(a, b, exact: bool):
     return a == b if exact else np.abs(a - b) <= DEFAULT_TOLERANCE
 
 
+# np.where keeps the first operand on ties, as Python's min and max do:
+# np.maximum would turn max(-0.0, 0.0) into 0.0.
+
+def _lesser(a, b):
+    """The entrywise min(a, b) of two arrays over one denominator."""
+    return np.where(b < a, b, a)
+
+
+def _greater(a, b):
+    """The entrywise max(a, b) of two arrays over one denominator."""
+    return np.where(b > a, b, a)
+
+
+def _scalar(value, den):
+    """One stored value over ``den`` as a scalar: a ``Fraction``, or a float
+    when den is None."""
+    return float(value) if den is None else Fraction(int(value), den)
+
+
+def _gap(x: tuple, y: tuple):
+    """The largest entrywise |x - y| of two arrays of one shape, each given
+    with its denominator as (values, D), as a scalar (a ``Fraction``, or a
+    float when D is None), with no container built."""
+    (a, D), (b, E) = x, y
+    if D != E:  # scaled as Python ints, which machine words might not hold
+        L = math.lcm(D, E)
+        a, b = (np.asarray(v, dtype=object) * (L // d) for v, d in ((a, D), (b, E)))
+        D = L
+    diff = a - b
+    return _scalar(np.abs(diff, out=diff).max(), D)
+
+
 class _Entrywise:
     """One array and one denominator: Python-int numerators over D in
     lowest terms (exact mode) or float64 values with D None (float mode).
@@ -232,14 +314,18 @@ class _Entrywise:
     __slots__ = ("_values", "_den")
 
     @classmethod
-    def _of(cls, values, den):
-        """values / den (den None for floats) in lowest terms, unchecked."""
+    def _of(cls, values, den, lowest: bool = False):
+        """values / den (den None for floats) in lowest terms, unchecked;
+        ``lowest`` says they are already (an image of a container's values
+        that keeps their gcd with den, such as their moduli)."""
         obj = object.__new__(cls)
-        obj._store(values, den)
+        obj._store(values, den, lowest)
         return obj
 
-    def _store(self, values, den):
-        if den is not None and den != 1:
+    def _store(self, values, den, lowest: bool = False):
+        if den is not None and values.dtype != object:  # machine words
+            values = values.astype(object)
+        if den is not None and den != 1 and not lowest:
             g = math.gcd(den, *values.flat)
             if g != 1:
                 values, den = values // g, den // g
@@ -306,7 +392,7 @@ class _Entrywise:
 
     def _scalar(self, value):
         """One stored value as a scalar of the container's mode."""
-        return float(value) if self._den is None else Fraction(value, self._den)
+        return _scalar(value, self._den)
 
     def entry(self, *index):
         """The entry at ``index`` (i for a vector, i, j for an operator)."""
@@ -351,7 +437,7 @@ class _Entrywise:
         return self._of(a - b, D)
 
     def __neg__(self):
-        return self._of(-self._values, self._den)
+        return self._of(-self._values, self._den, lowest=True)
 
     def scale(self, c):
         if not self.is_exact:
@@ -366,19 +452,17 @@ class _Entrywise:
     __mul__ = __rmul__ = scale
 
     # -- lattice operations ------------------------------------------------
-    # np.where keeps the first operand on ties, as Python's min and max do:
-    # np.maximum would turn max(-0.0, 0.0) into 0.0.
 
     def _min(self, other):
         a, b, D = self._aligned(other)
-        return self._of(np.where(b < a, b, a), D)
+        return self._of(_lesser(a, b), D)
 
     def _max(self, other):
         a, b, D = self._aligned(other)
-        return self._of(np.where(b > a, b, a), D)
+        return self._of(_greater(a, b), D)
 
     def __abs__(self):
-        return self._of(np.abs(self._values), self._den)
+        return self._of(np.abs(self._values), self._den, lowest=True)
 
     def pos_part(self):
         return self._of(np.where(self._values < 0, 0, self._values), self._den)
@@ -590,8 +674,9 @@ def _check_stack(target: _Entrywise, stack: tuple, positive=None) -> tuple:
     bounds, D) splits the positive ``target`` into pieces of its shape.
     The first ``positive`` partitions (all of them when None) have pieces
     >= 0 that sum to it, the others signed pieces whose moduli sum to it.
-    The sums are exact (one ``np.add.reduceat``), or left to right per
-    partition within ``DEFAULT_TOLERANCE`` in float mode.  Raises
+    The sums are exact (one ``np.add.reduceat``), or in float mode left to
+    right per partition, within ``DEFAULT_TOLERANCE`` plus the rounding
+    bound gamma_k sum_i |p_i| of k pieces p_i, entry by entry.  Raises
     ``ValueError`` on the first check that fails; returns the stack."""
     values, bounds, D = stack
     if (not len(values) or values.shape[1:] != target.shape
@@ -607,9 +692,18 @@ def _check_stack(target: _Entrywise, stack: tuple, positive=None) -> tuple:
     moduli = values if cut == len(values) else np.concatenate(
         [values[:cut], np.abs(values[cut:])]
     )
-    if D is None:  # np.add.accumulate adds left to right, as Python does
+    if D is None:
+        # np.add.accumulate adds left to right, as Python does.  A sum of k
+        # float pieces may miss the target by their own rounding and the
+        # sum's, at most gamma_k = k u / (1 - k u) times the sum of their
+        # moduli, u = 2^-53 (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 3.5); so it may miss by that beyond DEFAULT_TOLERANCE,
+        # but never by an infinite amount.
         sums = [np.add.accumulate(moduli[a:b])[-1] for a, b in zip(bounds, bounds[1:])]
-        adds_up = _eq_mask(np.array(sums), target._values, False)
+        k_u = np.diff(bounds).reshape((-1,) + (1,) * target._values.ndim) * 2.0**-53
+        spread = np.add.reduceat(np.abs(moduli), bounds[:-1], axis=0)
+        miss = np.abs(np.array(sums) - target._values)
+        adds_up = np.isfinite(miss) & (miss <= DEFAULT_TOLERANCE + k_u / (1 - k_u) * spread)
     else:
         adds_up = np.add.reduceat(moduli, bounds[:-1], axis=0) * target._den == (
             target._values * D

@@ -148,7 +148,7 @@ class RegularOperator(_Entrywise):
         return self.compose(other)
 
     def transpose(self) -> "RegularOperator":
-        return self._of(self._values.T, self._den)
+        return self._of(self._values.T, self._den, lowest=True)
 
     # -- lattice closed forms ---------------------------------------------
 

@@ -28,20 +28,42 @@ The verifiers check, with exact rational arithmetic:
                               |M_{A,B0}| = M_{|A|,B0}  and
                               M_{A,B0} v M_{C,B0} = M_{A v C,B0}.
 
+Stacked reps.  The reps one verifier compares share a factor or are the
+sign corners of one split, so each verifier forms them in one stacked
+product (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl.
+Math. 123, 2000): ``_kron`` takes a stack of transposed right factors and
+a stack of left factors, each put over one denominator, and forms
+rep(M_{A_i,B_j}) for every pair, or with ``paired`` for the i-th pair
+only, in one ``lattice._outer``.  ``verify_cor22`` forms M with
+M_{|A|,|B|} (paired) and the four corners (every pair of A+-, B+-),
+``verify_synnatzschke_a`` M_{A,B0}, M_{C,B0}, M_{|A|,B0} and
+M_{A v C,B0}, and ``verify_prop21`` M_{A0,B} and M_{A0,D}, applying
+|M_{A0,B}| and M_{A0,B} v M_{A0,D} to vec(T) in one batched product.  No
+pair is formed that a verifier does not compare.  The comparisons run on
+those arrays: exact products are int64 where ``lattice._on_words`` proves
+that the verifier's sums of them fit a machine word, float entries are
+the same single products and left-to-right sums a chain of containers
+would give, and an exact value is normalised only where it is written, as
+a witness or a ``Fraction`` deviation (``lattice._gap`` is ``deviation``
+on two arrays).  The corner meets are reduced one pair at a time.  The
+container chains they replaced are the tests' reference, report byte for
+byte.
+
 ``verify_prop21`` sends its atomic, singleton and random signed splittings
 of T (one stack, built and checked once by ``lattice._signed_splits``,
 with no ``Partition`` built) through one pass of the
 segment-sum kernel of ``lattice``, on their stored arrays in chunks of
 bounded size, reads the atomic value off the first row and folds the
 others; the tests check that pass against the loop over partitions and
-pieces it replaced.  The verifiers measure every identity by
-``deviation``, the largest entrywise |X - Y| of two vectors or two
-operators.
+pieces it replaced.  The verifiers measure every identity by the largest
+entrywise |X - Y| of two vectors, operators or reps.
 
-``kron``, ``vec`` and ``unvec`` act on the stored arrays.  ``kron`` refuses
-a product of more than ``KRON_ENTRY_CAP`` (2^20) entries with
-``EnumerationLimitError`` before multiplying anything, so a rep of large
-inputs cannot exhaust memory.
+``kron``, ``vec`` and ``unvec`` act on the stored arrays; ``kron`` and
+``Superoperator.build`` are ``_kron`` on stacks of one.  ``_kron`` checks
+``KRON_ENTRY_CAP`` (2^20 entries) per rep, not per stack, and refuses a
+larger rep with ``EnumerationLimitError`` before multiplying anything, so
+a rep of large inputs cannot exhaust memory; a verifier holds a few reps
+of at most that size at once.
 """
 
 from __future__ import annotations
@@ -58,9 +80,13 @@ from .lattice import (
     EnumerationLimitError,
     LatticeVector,
     _entrywise_best,
+    _gap,
+    _greater,
+    _lesser,
     _matmul,
     _outer,
     _product_den,
+    _scalar,
     _segment_sums,
     _signed_splits,
 )
@@ -75,26 +101,53 @@ from .scalars import DEFAULT_TOLERANCE, zero_of
 KRON_ENTRY_CAP = 1 << 20
 
 
+def _kron(P: list, Q: list, paired: bool = False, terms: int = 0) -> tuple:
+    """(values, D): the Kronecker products of the stacks P and Q (lists of
+    operators of one shape and mode each) over one denominator D, formed
+    in one ``lattice._outer`` after ``KRON_ENTRY_CAP`` has been checked per
+    product.  values[i, j] is P_j (x) Q_i, so rep(M_{A_i,B_j}) for P the
+    transposed right factors B_j^T and Q the left factors A_i; with
+    ``paired``, values[i] is P_i (x) Q_i alone.  Exact values are int64
+    where every sum of ``terms`` products fits a machine word (see
+    ``lattice._outer``).  A product of more than ``KRON_ENTRY_CAP`` entries
+    raises ``EnumerationLimitError`` before anything is multiplied."""
+    (p_rows, p_cols), (q_rows, q_cols) = P[0].shape, Q[0].shape
+    entries_out = p_rows * q_rows * p_cols * q_cols
+    if entries_out > KRON_ENTRY_CAP:
+        raise EnumerationLimitError(
+            f"kron of {P[0].shape} and {Q[0].shape} has {entries_out} entries, "
+            f"above kron entry cap {KRON_ENTRY_CAP}"
+        )
+    values, den = _outer(P, Q, paired, terms)
+    # The outer product's axes are (stack of P,) p_row, p_col, (stack of Q,)
+    # q_row, q_col; a Kronecker block matrix is indexed by (p_row, q_row),
+    # (p_col, q_col).
+    if paired:
+        blocks, stacks = values.transpose(0, 1, 3, 2, 4), (len(P),)
+    else:
+        blocks, stacks = values.transpose(3, 0, 1, 4, 2, 5), (len(Q), len(P))
+    return blocks.reshape(stacks + (p_rows * q_rows, p_cols * q_cols)), den
+
+
 def kron(P: RegularOperator, Q: RegularOperator) -> RegularOperator:
-    """Kronecker product P (x) Q: block matrix of P[i,j] * Q.
+    """Kronecker product P (x) Q: block matrix of P[i,j] * Q, the stacked
+    product of ``_kron`` on stacks of one.
 
     A product of more than ``KRON_ENTRY_CAP`` entries raises
     ``EnumerationLimitError`` before anything is multiplied.
     """
-    entries_out = P.rows * Q.rows * P.cols * Q.cols
-    if entries_out > KRON_ENTRY_CAP:
-        raise EnumerationLimitError(
-            f"kron of {P.shape} and {Q.shape} has {entries_out} entries, "
-            f"above kron entry cap {KRON_ENTRY_CAP}"
-        )
-    blocks, den = _outer(P, Q)
-    shape = (P.rows * Q.rows, P.cols * Q.cols)
-    return RegularOperator._of(blocks.transpose(0, 2, 1, 3).reshape(shape), den)
+    values, den = _kron([P], [Q])
+    return RegularOperator._of(values[0, 0], den)
+
+
+def _column_major(T: RegularOperator) -> tuple:
+    """(values, D): T's entries stacked column by column, over its denominator."""
+    return T._values.ravel(order="F"), T._den
 
 
 def vec(T: RegularOperator) -> LatticeVector:
     """Column-major stacking of a matrix into a vector."""
-    return LatticeVector._of(T._values.ravel(order="F"), T._den)
+    return LatticeVector._of(*_column_major(T))
 
 
 def unvec(v: LatticeVector, rows: int, cols: int) -> RegularOperator:
@@ -180,8 +233,10 @@ class Superoperator:
 
 def deviation(X, Y):
     """Largest entrywise |X - Y| of two vectors or two operators
-    (Fraction in exact mode, float otherwise)."""
-    return abs(X - Y).max_entry()
+    (Fraction in exact mode, float otherwise): ``lattice._gap`` of their
+    stored values."""
+    X._check_compatible(Y)
+    return _gap((X._values, X._den), (Y._values, Y._den))
 
 
 def one_sided_excess(x: LatticeVector, upper: LatticeVector):
@@ -241,14 +296,22 @@ def verify_prop21(
         raise ValueError("the argument T must be positive")
     if not w.is_positive():
         raise ValueError("the vector w must be positive")
-    M_B = Superoperator.build(A0, B)
-    M_D = Superoperator.build(A0, D)
-
-    modulus_at_T = A0 @ T @ abs(B)
-    dev_modulus = deviation(M_B.modulus().apply(T), modulus_at_T)
-    dev_join = deviation(
-        M_B.join(M_D).apply(T), A0 @ T @ B.join_closed_form(D)
-    )
+    # rep(M_{A0,B}) and rep(M_{A0,D}) in one product; then |M_{A0,B}| and
+    # M_{A0,B} v M_{A0,D}, written over them, act on vec(T) in one product.
+    # They stay Python ints: a term of that product has three factors, which
+    # the two-factor bound of machine words does not cover.
+    reps, den = _kron([B.transpose(), D.transpose()], [A0])
+    pair = reps[0]
+    A0_T = A0 @ T
+    modulus_at_T = A0_T @ abs(B)
+    join_at_T = A0_T @ B.join_closed_form(D)
+    pair[1] = _greater(pair[0], pair[1])
+    np.abs(pair[0], out=pair[0])
+    vec_T, den_T = _column_major(T)
+    at_T = _matmul(pair, vec_T[:, None])[..., 0]
+    den_at_T = _product_den(den, den_T)
+    dev_modulus = _gap((at_T[0], den_at_T), _column_major(modulus_at_T))
+    dev_join = _gap((at_T[1], den_at_T), _column_major(join_at_T))
 
     rhs_at_w = modulus_at_T.apply(w)
     # One kernel pass: the atomic partition first, then the coarse ones.
@@ -286,25 +349,30 @@ def verify_cor22(
     expansion  corner(+,+) - corner(+,-) - corner(-,+) + corner(-,-)
     reconstructing M_{A,B}.
     """
-    M = Superoperator.build(A, B)
-    M_abs = Superoperator.build(A.modulus_closed_form(), B.modulus_closed_form())
-    modulus = M.modulus()
-    dev_modulus = deviation(modulus.rep, M_abs.rep)
+    z, y = A.shape
+    x, w = B.shape
+    Bt = B.transpose()
+    # M = M_{A,B} beside M_{|A|,|B|} in one product, the four sign corners in
+    # another, compared on their arrays; |M| is written as M's modulus.  The
+    # longest sum compared, the signed corners less M, has 5 terms.
+    pair, den = _kron([Bt, abs(Bt)], [A, abs(A)], paired=True, terms=5)
+    modulus = Superoperator((w, x, y, z), RegularOperator._of(pair[0], den)).modulus()
+    dev_modulus = _gap((np.abs(pair[0]), den), (pair[1], den))
 
-    Ap, An = A.pos_part(), A.neg_part()
-    Bp, Bn = B.pos_part(), B.neg_part()
-    corners = (
-        Superoperator.build(Ap, Bp),
-        Superoperator.build(Ap, Bn),
-        Superoperator.build(An, Bp),
-        Superoperator.build(An, Bn),
+    corners, corner_den = _kron(
+        [Bt.pos_part(), Bt.neg_part()], [A.pos_part(), A.neg_part()], terms=5
     )
-    dev_disjoint = max(
-        abs(P.meet(Q).rep).max_entry() for P, Q in combinations(corners, 2)
+    # (A+, B+), (A+, B-), (A-, B+), (A-, B-): their meets one pair at a time.
+    corners = corners.reshape((4,) + corners.shape[2:])
+    dev_disjoint = _scalar(
+        max(np.abs(meet, out=meet).max()
+            for meet in (_lesser(P, Q) for P, Q in combinations(corners, 2))),
+        corner_den,
     )
-
-    signed = corners[0] - corners[1] - corners[2] + corners[3]
-    dev_expansion = deviation(signed.rep, M.rep)
+    signed = corners[0] - corners[1]
+    signed -= corners[2]
+    signed += corners[3]
+    dev_expansion = _gap((signed, corner_den), (pair[0], den))
 
     return make_report(
         claim_id="cor22",
@@ -335,20 +403,18 @@ def verify_synnatzschke_a(
     """
     if not B0.is_positive():
         raise ValueError("the right factor B0 must be positive")
-    M_A = Superoperator.build(A, B0)
-    M_C = Superoperator.build(C, B0)
-    dev_modulus = deviation(
-        M_A.modulus().rep, Superoperator.build(A.modulus_closed_form(), B0).rep
-    )
-    join = M_A.join(M_C)
-    dev_join = deviation(
-        join.rep, Superoperator.build(A.join_closed_form(C), B0).rep
-    )
+    # M_{A,B0}, M_{C,B0}, M_{|A|,B0} and M_{A v C,B0} in one product; each
+    # comparison is one rep less another, 2 terms.
+    reps, den = _kron([B0.transpose()], [A, C, abs(A), A.join_closed_form(C)], terms=2)
+    M_A, M_C, M_abs_A, M_join = reps[:, 0]
+    dev_modulus = _gap((np.abs(M_A), den), (M_abs_A, den))
+    join = _greater(M_A, M_C)
+    dev_join = _gap((join, den), (M_join, den))
     return make_report(
         claim_id="synnatzschke_a",
         inputs={"A": A, "C": C, "B0": B0},
         deviations=[dev_modulus, dev_join],
-        witnesses={"join_rep": join.rep},
+        witnesses={"join_rep": RegularOperator._of(join, den)},
         seed=seed,
         details={"modulus_rep_deviation": dev_modulus, "join_rep_deviation": dev_join},
         tol=tol,

@@ -586,3 +586,39 @@ def test_signed_partitions_check_the_moduli():
         Partition(-T, [-T], signed=True)
     with pytest.raises(ValueError, match="positive"):
         Partition(T, [half + T, -half])  # a positive partition refuses -half
+
+
+# ---------------------------------------------------------------------------
+# float sums within their rounding bound
+# ---------------------------------------------------------------------------
+
+BIG = 123456789.123
+
+
+def test_float_splits_of_a_large_entry_pass_their_own_check():
+    # The shares a * (c / 16) of a = 123456789.123, added left to right,
+    # miss a by more than DEFAULT_TOLERANCE but within gamma_3 * sum |p_i|.
+    result = modulus_oracle(RegularOperator(1, 2, [1.0, -1.0]), LatticeVector([BIG, 1.0]))
+    assert result.partitions_tried == 9 and result.attained
+    I = RegularOperator.identity(2).to_float()
+    T = RegularOperator(2, 2, [BIG, 1.0, 0.5, 2.0])
+    report = verify_prop21(I, I, I, T, LatticeVector([1.0, 1.0]))
+    assert report.status == "pass" and not report.exact
+
+
+def test_a_float_piece_beyond_the_rounding_bound_is_refused():
+    w = LatticeVector([BIG, 1.0])
+    values, bounds, D = w._convex_split(3, Random(0))
+    # The pieces' left-to-right sum of the first entry, and how far the
+    # rounding bound lets it miss the target.
+    total = np.add.accumulate(values[:, 0])[-1]
+    bound = 1e-9 + 3 * 2.0**-53 / (1 - 3 * 2.0**-53) * np.abs(values[:, 0]).sum()
+    assert bound > 1e-9 and abs(total - BIG) <= bound
+    lattice._check_stack(w, (values, bounds, D))
+    # One piece moved by twice the bound: the sum misses beyond it.
+    broken = values.copy()
+    broken[0, 0] += 2 * bound
+    with pytest.raises(ValueError, match="partition pieces do not sum to the target"):
+        lattice._check_stack(w, (broken, bounds, D))
+    with pytest.raises(ValueError, match="partition pieces do not sum to the target"):
+        Partition(w, broken, D)

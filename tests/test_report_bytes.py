@@ -5,7 +5,7 @@ per claim.  The eight whose values are all exact rationals are pinned here
 by sha256, so a refactor that moves any byte of them fails at once.
 ``gap.json`` and ``cor23.json`` carry BLAS floats and stay out.  Seven
 more meet labs (n = 5, 6, 8, 10, seed 7) are pinned the same way, and so
-are eleven single verifier runs: on float files (one T with zero entries,
+are fifteen single verifier runs: on float files (one T with zero entries,
 one with an entry below the tolerance, whose claim fails), with explicit
 and with default inputs, and on float and exact corpora.  None of those touches
 BLAS, so their float bits do not depend on the machine.  The manifests of
@@ -146,6 +146,23 @@ VERIFIER_RUNS = {
     "prop21_float_corpus_4x4": (
         "prop21 --corpus seed=5,dims=4x4x4x4,count=5,distribution=float",
         "b36679cb6eb6f2b7984680fdb9adb77b72563b1ae2d2df42f6e970989abb4cbc",
+    ),
+    # cor22's and synnatzschke_a's reps at 25 x 25, exact and float.
+    "cor22_corpus_5x5": (
+        "cor22 --corpus seed=5,dims=5x5x5x5,count=3",
+        "33e07b1216e98942b613ebeef9dfb51a271e7f02483c3b13362a0d7abaebd0bb",
+    ),
+    "cor22_float_corpus_5x5": (
+        "cor22 --corpus seed=5,dims=5x5x5x5,count=3,distribution=float",
+        "6b8052a48a90a378d04acfcbed4d0266d88102151dbe3c15b5003560f34bb44e",
+    ),
+    "synnatzschke_a_corpus_5x5": (
+        "synnatzschke_a --corpus seed=5,dims=5x5x5x5,count=3",
+        "9930b5f232e04c4739d7d5233631a61b4819b393277d58221551d01613ab22eb",
+    ),
+    "synnatzschke_a_float_corpus_5x5": (
+        "synnatzschke_a --corpus seed=5,dims=5x5x5x5,count=3,distribution=float",
+        "1ad42dc4c6f34e87c1aa4619de27d2695cb80b537f131775384319b1973caf48",
     ),
     "prop21_zero_T_files": (
         "prop21 --A0 {A_0000} --B {B_0000} --D {B_0001} --T {T_zeros} --w {w}",

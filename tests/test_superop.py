@@ -319,10 +319,35 @@ def test_kron_cap_raises_before_any_product(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError("the cap must be checked before any product")
 
+    def no_product(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any product")
+
+    def ones(rows, cols, one=Fraction(1)):
+        return RegularOperator(rows, cols, [one] * (rows * cols))
+
+    # Each verifier refuses an over-cap rep before its one stacked product,
+    # exact and float: A is 1025 x 1 and B is 1 x 1024, so rep(M_{A,B}) has
+    # 1025 * 1024 entries, one row block more than the cap, while T is 1 x 1.
+    with monkeypatch.context() as patched:
+        patched.setattr(superop, "_outer", no_product)
+        for one in (Fraction(1), 1.0):
+            tall, wide = ones(1025, 1, one), ones(1, 1024, one)
+            w = LatticeVector([one] * 1024)
+            for run in (
+                lambda: verify_cor22(tall, wide),
+                lambda: verify_synnatzschke_a(tall, tall, wide),
+                lambda: verify_prop21(tall, wide, wide, ones(1, 1, one), w),
+            ):
+                with pytest.raises(EnumerationLimitError, match="kron entry cap"):
+                    run()
+            # At the cap the products begin.
+            with pytest.raises(AssertionError, match="before any product"):
+                verify_cor22(ones(1024, 1, one), wide)
+
     # kron's first numpy call is the product of the two arrays, in
     # lattice._outer.
-    column = RegularOperator(1024, 1, [Fraction(1)] * 1024)
-    taller = RegularOperator(1025, 1, [Fraction(1)] * 1025)
+    column = ones(1024, 1)
+    taller = ones(1025, 1)
     for module in (superop, lattice):
         monkeypatch.setattr(module, "np", NoArrays())
     with pytest.raises(EnumerationLimitError, match="kron entry cap"):
@@ -360,31 +385,39 @@ def test_verify_prop21_passes_exactly(case):
     assert report.max_deviation == 0
 
 
-def test_verify_prop21_builds_two_reps(monkeypatch):
-    built = []
-    build = Superoperator.build.__func__
+def test_each_verifier_forms_its_reps_in_one_stacked_product(monkeypatch):
+    calls = []
+    outer = superop._outer
 
-    def counted_build(cls, A, B):
-        built.append((A, B))
-        return build(cls, A, B)
+    def counted_outer(left, right, paired=False, terms=0):
+        calls.append((len(left), len(right), paired))
+        return outer(left, right, paired, terms)
 
-    monkeypatch.setattr(Superoperator, "build", classmethod(counted_build))
+    monkeypatch.setattr(superop, "_outer", counted_outer)
     A0 = RegularOperator.from_rows([[1, 2], [0, 3]])
     B = RegularOperator.from_rows([[1, -1], [2, 0]])
     D = RegularOperator.from_rows([[0, 1], [-1, 1]])
     T = RegularOperator.from_rows([[1, 0], [2, 1]])
-    report = verify_prop21(A0, B, D, T, LatticeVector.ones(2), seed=1)
-    assert report.status == "pass"
-    # M_{A0,B} and M_{A0,D} only: A0 T |B| and A0 T (B v D) come from the
-    # factors directly.
-    assert built == [(A0, B), (A0, D)]
+    runs = [
+        # M_{A0,B} and M_{A0,D}: A0 T |B| and A0 T (B v D) come from the
+        # factors directly.
+        (lambda: verify_prop21(A0, B, D, T, LatticeVector.ones(2), seed=1), [(2, 1, False)]),
+        # M beside M_{|A|,|B|}, paired; then the four sign corners.
+        (lambda: verify_cor22(B, D), [(2, 2, True), (2, 2, False)]),
+        # M_{A,B0}, M_{C,B0}, M_{|A|,B0} and M_{A v C,B0}.
+        (lambda: verify_synnatzschke_a(B, D, A0), [(1, 4, False)]),
+    ]
+    for run, stacks in runs:
+        calls.clear()
+        assert run().status == "pass"
+        assert calls == stacks
 
 
 def test_verify_prop21_refuses_a_negative_w_before_any_rep(monkeypatch):
-    def no_kron(*args):
+    def no_product(*args):
         raise AssertionError("w must be checked before any rep is built")
 
-    monkeypatch.setattr(superop, "kron", no_kron)
+    monkeypatch.setattr(superop, "_outer", no_product)
     A0 = RegularOperator.from_rows([[1, 2], [0, 3]])
     B = RegularOperator.from_rows([[1, -1], [2, 0]])
     T = RegularOperator.from_rows([[1, 0], [2, 1]])
