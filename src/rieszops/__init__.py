@@ -16,7 +16,6 @@ from .counterexample import (
     build_B,
     counterexample_report,
     identity_meet_B,
-    meet_superoperator,
     meet_via_components,
     single_support_check,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "kron",
     "make_report",
     "meet_oracle",
-    "meet_superoperator",
     "meet_via_components",
     "modulus_oracle",
     "norming_functional",

@@ -26,13 +26,19 @@ verifies every step of the derivation that does not depend on singularity:
 All arithmetic is exact; nothing here pretends to simulate a singular
 functional.  The component infimum and the double-partition infimum are
 exact-only integer kernels on the stored numerators; the tests check them
-against Fraction loops.  The lab's partitions of e are one stack
-(``lattice._partition_stack``'s form): the 0/1 blocks of the first
-``partition_budget`` set partitions and the atomic partition, built as one
-array and checked once.  The double-partition kernel runs on machine words
-when ``lattice._on_words`` proves its sums fit, on Python ints otherwise.
-``counterexample_report`` refuses a request whose work bound
-exceeds ``LAB_WORK_CAP`` before it does any work.
+against Fraction loops.  The lab runs on stacks and builds no
+``Superoperator`` or ``Partition``: one ``superop._kron`` forms rep(M_{I,I}),
+rep(M_{I,B}) and rep(M_{I,I^B}), the meet Lambda is ``lattice._lesser`` of
+the first two, and Lambda acts on every test operator's column-major vec(T)
+in one batched product, compared by ``lattice._gap`` on arrays.  The
+partitions of e are one stack (``lattice._partition_stack``'s form): the 0/1
+blocks of the first ``partition_budget`` set partitions and the atomic
+partition, built as one array and checked once; each g-check's splits of T
+(``_positive_splits``) are another, checked once by ``lattice._check_stack``.
+The double-partition kernel runs on machine words when ``lattice._on_words``
+proves its sums fit, on Python ints otherwise.  ``counterexample_report``
+refuses a request whose work bound exceeds ``LAB_WORK_CAP`` before it does
+any work.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from random import Random
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,23 +55,26 @@ from .lattice import (
     ENUMERATION_CAP,
     EnumerationLimitError,
     LatticeVector,
-    Partition,
     _all,
+    _check_stack,
     _chunk_size,
     _disjoint,
+    _gap,
+    _join,
+    _lesser,
+    _matmul,
     _on_words,
+    _one,
     _product_den,
     _segment_sums,
     _set_partitions,
     _stack,
-    atomic_partition,
-    random_convex_partition,
-    trivial_partition,
+    _trivial,
 )
 from .operators import RegularOperator, rank_one
 from .reports import VerificationReport, make_report
 from .scalars import ScalarModeError
-from .superop import Superoperator, deviation
+from .superop import _kron, deviation
 
 #: Most integer operations (``_lab_work``) one lab report may need, and the
 #: least that one test operator or split piece counts for.
@@ -219,26 +228,27 @@ def _e_partitions(f: CoordinateFunctional, partition_budget: int) -> tuple:
     return values, [0, *accumulate(map(len, partitions))], 1
 
 
-def _positive_splits(
-    T: RegularOperator, split_samples: int, seed: int
-) -> List[Partition]:
-    """Positive decompositions sum_i T_i = T: singleton, atomic, random."""
-    splits = [trivial_partition(T)]
+def _positive_splits(T: RegularOperator, split_samples: int, seed: int) -> tuple:
+    """Positive decompositions sum_i T_i = T as one stack (values, bounds,
+    D), checked once: the singleton, the atomic (for more than one sample),
+    then random convex splits into 2 to 4 pieces drawn from one
+    ``Random(seed)``, up to ``split_samples`` splits."""
+    splits = [_one(*_trivial(T))]
     if split_samples > 1:
-        splits.append(atomic_partition(T))
+        splits.append(_one(*T._atoms()))
     rng = Random(seed)
     while len(splits) < split_samples:
-        splits.append(random_convex_partition(T, parts=rng.randint(2, 4), rng=rng))
-    return splits
+        splits.append(T._convex_split(rng.randint(2, 4), rng))
+    return _check_stack(T, _join(splits))
 
 
 def _double_partition_inf(
-    f: CoordinateFunctional, stack: tuple, splits: Sequence[Partition]
+    f: CoordinateFunctional, stack: tuple, splits: tuple
 ) -> LatticeVector:
     """Minimum of the double-partition sums at e, over a stack (values,
     bounds, D) of disjoint partitions (x_j) of e, checked by
-    ``single_support_check``, and the given positive splits sum_i T_i = T
-    of an exact n x n T (checked by the caller).
+    ``single_support_check``, and a stack of positive splits sum_i T_i = T
+    of an exact n x n T (``_positive_splits``'s, checked there).
 
     With the singleton split and the atomic partition among them, the
     minimum equals ``meet_via_components(T, f)`` exactly.  An integer kernel
@@ -251,17 +261,16 @@ def _double_partition_inf(
     n, k = f.dim, f.index
     # P[i] = D_T T_i as an n x n integer matrix, the pieces of every split in
     # order; P e = its row sums.
-    P, D_T = _stack(splits, np.concatenate)
+    P, split_bounds, D_T = splits
     values, bounds, D_X = stack
     P, values = _on_words(P, values, n * len(P) * n)
     Pe = P.sum(axis=2)[:, :, None]
-    split_starts = np.cumsum([0] + [len(split) for split in splits[:-1]])
 
     def per_split(X):
         """For blocks X[j] = D_X x_j: sum_i (T_i x_j ^ f(x_j) T_i e) per
         split, as a (blocks, splits, n) array."""
         terms = np.minimum(P @ X.T, Pe * X[:, k])  # (pieces, n, blocks)
-        return np.add.reduceat(terms, split_starts, axis=0).transpose(2, 0, 1)
+        return np.add.reduceat(terms, split_bounds[:-1], axis=0).transpose(2, 0, 1)
 
     sums = _segment_sums((values, bounds, D_X), per_split, len(P) * n)
     best = np.minimum.reduce(sums, axis=(0, 1)).astype(object)  # Python ints
@@ -271,12 +280,6 @@ def _double_partition_inf(
 # ---------------------------------------------------------------------------
 # the assembled transcription
 # ---------------------------------------------------------------------------
-
-
-def meet_superoperator(f: CoordinateFunctional):
-    """M_{I,I} ^ M_{I,B} for B = f (x) e."""
-    eye = RegularOperator.identity(f.dim)
-    return Superoperator.build(eye, eye).meet(Superoperator.build(eye, build_B(f)))
 
 
 def contrast_table(f: CoordinateFunctional) -> list:
@@ -398,29 +401,40 @@ def counterexample_report(
     e = LatticeVector.ones(n)
     B = build_B(f)
     IB = identity_meet_B(f)
-    Lambda = meet_superoperator(f)
     eye = RegularOperator.identity(n)
+    # rep(M_{I,I}), rep(M_{I,B}) and rep(M_{I,I^B}) in one stacked product;
+    # the meet Lambda = M_{I,I} ^ M_{I,B} is entrywise on the first two.
+    reps, den = _kron([eye, B.transpose(), IB.transpose()], [eye])
+    M_II, M_IB, restored = reps[0]
+    Lambda = _lesser(M_II, M_IB)
 
-    # One meet image at e and one component infimum per test operator.
+    # Lambda applied to every test operator in one batched product of their
+    # column-major vec(T), each image summed along its rows to its value at
+    # e; and one component infimum per test operator.
     rng = Random(seed)
     test_ops = [B, eye] + [
         random_matrix(rng, n, n, "rational", "positive") for _ in range(t_samples)
     ]
-    images = [Lambda.apply(T).apply(e) for T in test_ops]
+    vecs, den_T = _stack(test_ops)
+    images = _matmul(vecs.transpose(0, 2, 1).reshape(len(test_ops), n * n), Lambda.T)
+    images = images.reshape(-1, n, n).sum(axis=1)
+    image_den = _product_den(den, den_T)
     component_infs = [meet_via_components(T, f) for T in test_ops]
+
+    def gap_to(image, x):
+        return _gap((image, image_den), (x._values, x._den))
 
     deviations = []
     # The meet evaluated at B and then at e comes out to e itself.
-    deviations.append(deviation(images[0], e))
+    deviations.append(gap_to(images[0], e))
     # Finite restoration of the factorized meet.
-    restored = Superoperator.build(eye, IB)
-    deviations.append(deviation(Lambda.rep, restored.rep))
+    deviations.append(_gap((Lambda, den), (restored, den)))
     # At the identity the meet picks out column k.
-    deviations.append(deviation(images[1], f.as_vector()))
+    deviations.append(gap_to(images[1], f.as_vector()))
     # The component formula agrees with the superoperator meet on random
     # positive operators, and the double-partition infimum agrees with both.
     for component_inf, image in zip(component_infs, images):
-        deviations.append(deviation(component_inf, image))
+        deviations.append(gap_to(image, component_inf))
     # The homomorphism dichotomy on every enumerated disjoint partition, one
     # check of the whole stack, before the kernel relies on its blocks.
     partitions = _e_partitions(f, partition_budget)
@@ -436,17 +450,17 @@ def counterexample_report(
         claim_id="counterexample",
         inputs={"n": n, "k": k, "t_samples": t_samples},
         deviations=deviations,
-        witnesses={"B": B, "meet_rep": Lambda.rep},
+        witnesses={"B": B, "meet_rep": RegularOperator._of(Lambda, den)},
         seed=seed,
         details={
             "identity_meet_B": IB,
-            "lambda_B_at_e": images[0],
-            "lambda_at_identity": images[1],
+            "lambda_B_at_e": LatticeVector._of(images[0], image_den),
+            "lambda_at_identity": LatticeVector._of(images[1], image_den),
             "contrast_table": contrast_table(f),
             "partition_budget": partition_budget,
             "operator_split_samples": operator_split_samples,
             "g_checks": len(g_indices),
-            "splits_sampled": len(g_indices) * len(g_splits[0]),
+            "splits_sampled": len(g_indices) * (len(g_splits[0][1]) - 1),
             "partitions_per_split": len(partitions[1]) - 1,
         },
     )

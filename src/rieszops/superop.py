@@ -6,9 +6,8 @@ coordinate Riesz space, M is an operator between coordinate Riesz spaces and
 all the machinery of ``operators`` applies to its matrix representation:
 under column-major stacking, rep(M) = B^T (x) A (Kronecker product).  A
 ``Superoperator`` is that rep and nothing else: its action is
-unvec(rep vec(T)), and its sums, moduli, meets and joins are entrywise on
-rep.  The factors A and B are not kept, since a lattice operation's result
-is generally not a two-sided multiplication.
+unvec(rep vec(T)) and its modulus is entrywise on rep; the factors A and B
+are not kept.
 
 The verifiers check, with exact rational arithmetic:
 
@@ -59,7 +58,8 @@ pieces it replaced.  The verifiers measure every identity by the largest
 entrywise |X - Y| of two vectors, operators or reps.
 
 ``kron``, ``vec`` and ``unvec`` act on the stored arrays; ``kron`` and
-``Superoperator.build`` are ``_kron`` on stacks of one.  ``_kron`` checks
+``Superoperator.build`` are ``_kron`` on stacks of one, and the meet lab
+(``counterexample``) forms its three reps in one ``_kron``.  ``_kron`` checks
 ``KRON_ENTRY_CAP`` (2^20 entries) per rep, not per stack, and refuses a
 larger rep with ``EnumerationLimitError`` before multiplying anything, so
 a rep of large inputs cannot exhaust memory; a verifier holds a few reps
@@ -165,8 +165,8 @@ class Superoperator:
 
     ``dims = (w, x, y, z)`` are the four underlying coordinate-space
     dimensions; ``rep`` is the (z*w) x (y*x) matrix acting on column-stacked
-    inputs.  The action and the lattice operations all go through ``rep``,
-    which for T |-> A T B is B^T (x) A.
+    inputs.  The action and the modulus go through ``rep``, which for
+    T |-> A T B is B^T (x) A.
     """
 
     dims: tuple
@@ -198,32 +198,8 @@ class Superoperator:
             )
         return unvec(self.rep.apply(vec(T)), z, w)
 
-    def _check_compatible(self, other: "Superoperator"):
-        if self.dims != other.dims:
-            raise DimensionMismatchError(
-                f"superoperator dims mismatch: {self.dims} vs {other.dims}"
-            )
-
-    # -- linear and lattice structure (entrywise on rep) ----------------------
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        self._check_compatible(other)
-        return Superoperator(self.dims, self.rep + other.rep)
-
-    def __sub__(self, other: "Superoperator") -> "Superoperator":
-        self._check_compatible(other)
-        return Superoperator(self.dims, self.rep - other.rep)
-
     def modulus(self) -> "Superoperator":
         return Superoperator(self.dims, self.rep.modulus_closed_form())
-
-    def meet(self, other: "Superoperator") -> "Superoperator":
-        self._check_compatible(other)
-        return Superoperator(self.dims, self.rep.meet_closed_form(other.rep))
-
-    def join(self, other: "Superoperator") -> "Superoperator":
-        self._check_compatible(other)
-        return Superoperator(self.dims, self.rep.join_closed_form(other.rep))
 
 
 # ---------------------------------------------------------------------------

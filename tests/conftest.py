@@ -1,7 +1,7 @@
 """Shared strategies, hypothesis configuration, and the test-side
 builders of values the package does not build for its own use: a zero
 container, the pieces of a partition as containers, and the partitions of
-a stack as tuples of vectors."""
+a stack as tuples of containers."""
 
 from fractions import Fraction
 
@@ -67,12 +67,13 @@ def pieces_of(partition) -> tuple:
     return tuple(partition.target._of(row, partition._den) for row in partition._values)
 
 
-def stack_pieces(stack) -> list:
-    """The partitions of a stack (values, bounds, D) of vector pieces, each
-    as the tuple of its pieces."""
+def stack_pieces(stack, cls=LatticeVector) -> list:
+    """The partitions of a stack (values, bounds, D) of vector pieces, or of
+    pieces of another container class ``cls``, each as the tuple of its
+    pieces."""
     values, bounds, D = stack
     return [
-        tuple(LatticeVector._of(row, D) for row in values[start:stop])
+        tuple(cls._of(row, D) for row in values[start:stop])
         for start, stop in zip(bounds, bounds[1:])
     ]
 

@@ -1,7 +1,8 @@
 """Reference verifiers: ``verify_prop21``, ``verify_cor22`` and
-``verify_synnatzschke_a`` as chains of ``Superoperator`` containers, one
-``Superoperator.build`` per rep and one container per lattice operation,
-each normalised over its own denominator.
+``verify_synnatzschke_a`` as chains of containers, one
+``Superoperator.build`` per rep and one ``RegularOperator`` per lattice
+operation on the reps (the entrywise closed forms, ``-`` and ``+``), each
+normalised over its own denominator.
 
 The package's verifiers form the reps they compare in one stacked product
 per verifier and compare them as arrays; these chains are what they must
@@ -38,9 +39,8 @@ def verify_prop21(A0, B, D, T, w, seed=None, tol=DEFAULT_TOLERANCE):
 
     modulus_at_T = A0 @ T @ abs(B)
     dev_modulus = deviation(M_B.modulus().apply(T), modulus_at_T)
-    dev_join = deviation(
-        M_B.join(M_D).apply(T), A0 @ T @ B.join_closed_form(D)
-    )
+    M_join = Superoperator(M_B.dims, M_B.rep.join_closed_form(M_D.rep))
+    dev_join = deviation(M_join.apply(T), A0 @ T @ B.join_closed_form(D))
 
     rhs_at_w = modulus_at_T.apply(w)
     values, den = _partition_values(A0, B, w, _signed_splits(T, Random(seed or 0)))
@@ -79,11 +79,12 @@ def verify_cor22(A, B, seed=None, tol=DEFAULT_TOLERANCE):
         Superoperator.build(An, Bn),
     )
     dev_disjoint = max(
-        abs(P.meet(Q).rep).max_entry() for P, Q in combinations(corners, 2)
+        abs(P.rep.meet_closed_form(Q.rep)).max_entry()
+        for P, Q in combinations(corners, 2)
     )
 
-    signed = corners[0] - corners[1] - corners[2] + corners[3]
-    dev_expansion = deviation(signed.rep, M.rep)
+    signed = corners[0].rep - corners[1].rep - corners[2].rep + corners[3].rep
+    dev_expansion = deviation(signed, M.rep)
 
     return make_report(
         claim_id="cor22",
@@ -108,15 +109,13 @@ def verify_synnatzschke_a(A, C, B0, seed=None, tol=DEFAULT_TOLERANCE):
     dev_modulus = deviation(
         M_A.modulus().rep, Superoperator.build(A.modulus_closed_form(), B0).rep
     )
-    join = M_A.join(M_C)
-    dev_join = deviation(
-        join.rep, Superoperator.build(A.join_closed_form(C), B0).rep
-    )
+    join = M_A.rep.join_closed_form(M_C.rep)
+    dev_join = deviation(join, Superoperator.build(A.join_closed_form(C), B0).rep)
     return make_report(
         claim_id="synnatzschke_a",
         inputs={"A": A, "C": C, "B0": B0},
         deviations=[dev_modulus, dev_join],
-        witnesses={"join_rep": join.rep},
+        witnesses={"join_rep": join},
         seed=seed,
         details={"modulus_rep_deviation": dev_modulus, "join_rep_deviation": dev_join},
         tol=tol,

@@ -11,13 +11,16 @@ from rieszops import (
     LatticeVector,
     Partition,
     RegularOperator,
-    Superoperator,
+    atomic_partition,
     build_B,
     counterexample_report,
     identity_meet_B,
-    meet_superoperator,
     meet_via_components,
+    random_convex_partition,
     single_support_check,
+    trivial_partition,
+    unvec,
+    vec,
 )
 from rieszops import counterexample, lattice
 from rieszops.counterexample import (
@@ -30,7 +33,7 @@ from rieszops.scalars import ScalarModeError
 
 import partition_reference as ref
 from cases import enumerate_components
-from conftest import pieces_of, positive_fractions_st, stack_pieces, zeros
+from conftest import positive_fractions_st, stack_pieces, zeros
 from partition_reference import g_double_prime_term
 
 
@@ -212,12 +215,15 @@ def test_meet_picks_out_column_k(f):
     )
     expected = LatticeVector(T.transpose().to_lists()[f.index])
     assert meet_via_components(T, f).eq(expected)
-    Lambda = meet_superoperator(f)
-    e = LatticeVector.ones(f.dim)
-    assert Lambda.apply(T).apply(e).eq(expected)
+    # Lambda = M_{I,I} ^ M_{I,B} as the lab's report writes its rep.
+    report = counterexample_report(n=f.dim, k=f.index + 1, t_samples=0)
+    (witness,) = [w for w in report.witnesses if w["role"] == "meet_rep"]
+    Lambda = RegularOperator.from_json(witness)
+    image = unvec(Lambda.apply(vec(T)), f.dim, f.dim)
+    assert image.apply(LatticeVector.ones(f.dim)).eq(expected)
     # Lambda(T) = T E_kk for every T, not just positive ones
     E = RegularOperator.diagonal(LatticeVector.unit(f.dim, f.index))
-    assert Lambda.apply(T).eq(T @ E)
+    assert image.eq(T @ E)
 
 
 def test_meet_via_components_rejects_signed_input():
@@ -317,10 +323,11 @@ def _reference_inf_G(T, f, partition_budget, operator_split_samples, seed):
     n = f.dim
     partitions = _e_partitions(f, partition_budget)
     best = None
-    for split in _positive_splits(T, operator_split_samples, seed):
+    splits = _positive_splits(T, operator_split_samples, seed)
+    for split in stack_pieces(splits, RegularOperator):
         pieces_cols = [
             [LatticeVector(col) for col in piece.transpose().to_lists()]
-            for piece in pieces_of(split)
+            for piece in split
         ]
         pieces_Te = []
         for cols in pieces_cols:
@@ -474,7 +481,7 @@ def test_counterexample_report_enumerates_each_list_once(monkeypatch):
     monkeypatch.setattr(counterexample, "_positive_splits", counted_splits)
     report = counterexample_report(n=4, k=2, seed=3, t_samples=4)
     assert report.status == "pass"
-    # One e-partition list for the report; one split list per g-check
+    # One e-partition stack for the report; one split stack per g-check
     # operator, B first.
     assert calls["partitions"] == 1
     assert len(calls["splits"]) == report.details["g_checks"] == 3
@@ -482,33 +489,39 @@ def test_counterexample_report_enumerates_each_list_once(monkeypatch):
 
 
 def test_counterexample_report_computes_each_lab_quantity_once(monkeypatch):
-    applied, component_calls = [], []
-    superop_apply = Superoperator.apply
+    krons, component_calls = [], []
+    kron = counterexample._kron
 
-    def counted_apply(self, T):
-        applied.append(T)
-        return superop_apply(self, T)
+    def counted_kron(P, Q, *args, **kwargs):
+        krons.append((P, Q))
+        return kron(P, Q, *args, **kwargs)
 
     def counted_components(T, f):
         component_calls.append(T)
         return meet_via_components(T, f)
 
-    monkeypatch.setattr(Superoperator, "apply", counted_apply)
+    monkeypatch.setattr(counterexample, "_kron", counted_kron)
     monkeypatch.setattr(counterexample, "meet_via_components", counted_components)
     report = counterexample_report(n=4, k=3, seed=5, t_samples=3)
     assert report.status == "pass"
-    # B, I and three random operators: one meet image and one component
-    # infimum each, reused by the g-checks and the report details.
-    assert len(applied) == len(component_calls) == 5
-    assert applied == component_calls
-    assert len(set(map(id, applied))) == 5
+    # The three reps M_{I,I}, M_{I,B} and M_{I,I^B} in one stacked product.
+    f = CoordinateFunctional(4, 2)
+    eye = RegularOperator.identity(4)
+    assert krons == [
+        ([eye, build_B(f).transpose(), identity_meet_B(f).transpose()], [eye])
+    ]
+    # B, I and three random operators: one component infimum each, reused by
+    # the g-checks and the report details.
+    assert len(component_calls) == 5
+    assert component_calls[:2] == [build_B(f), eye]
+    assert len(set(map(id, component_calls))) == 5
 
 
 def test_lab_work_cap_is_checked_before_any_work(monkeypatch):
-    def no_build(A, B):
-        raise AssertionError("the work cap must be checked before any build")
+    def no_kron(P, Q, *args, **kwargs):
+        raise AssertionError("the work cap must be checked before any product")
 
-    monkeypatch.setattr(Superoperator, "build", no_build)
+    monkeypatch.setattr(counterexample, "_kron", no_kron)
     with pytest.raises(EnumerationLimitError, match="cap"):
         counterexample_report(n=20, k=1)
     with pytest.raises(EnumerationLimitError, match="cap"):
@@ -517,3 +530,34 @@ def test_lab_work_cap_is_checked_before_any_work(monkeypatch):
     with pytest.raises(EnumerationLimitError, match="cap"):
         counterexample_report(n=3, k=1)
 
+
+
+def test_lab_runs_at_its_work_cap_and_is_refused_one_below(monkeypatch):
+    # n = 3, one random operator (so B and it get the g-check), 2 split
+    # samples, budget 3: the cap at exactly its work bound admits the lab.
+    lab = dict(n=3, k=2, t_samples=1, operator_split_samples=2, partition_budget=3)
+    work = counterexample._lab_work(3, 3, 2, 2, 3)
+    monkeypatch.setattr(counterexample, "LAB_WORK_CAP", work)
+    report = counterexample_report(**lab)
+    assert report.status == "pass" and report.details["g_checks"] == 2
+    monkeypatch.setattr(counterexample, "LAB_WORK_CAP", work - 1)
+    with pytest.raises(EnumerationLimitError, match=f"up to {work} integer operations"):
+        counterexample_report(**lab)
+
+
+@pytest.mark.parametrize("samples", range(13))
+def test_positive_splits_are_the_public_builders_stack(samples):
+    # The stack _positive_splits checks once is the public builders' list,
+    # drawn in the same order, stacked: values, bounds and denominator.
+    rng = Random(samples)
+    T = _random_positive(rng, 3)
+    seed = rng.randint(0, 100)
+    partitions = [trivial_partition(T)]
+    if samples > 1:
+        partitions.append(atomic_partition(T))
+    draws = Random(seed)
+    while len(partitions) < samples:
+        partitions.append(random_convex_partition(T, draws.randint(2, 4), draws))
+    got, want = _positive_splits(T, samples, seed), _partition_stack(partitions)
+    assert got[1:] == want[1:]
+    assert got[0].shape == want[0].shape and (got[0] == want[0]).all()

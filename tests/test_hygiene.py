@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private top-level name is left that no module of the package uses, every
-public function, class and method is read by the package, ``scripts/`` or
-``perfbench/`` (a method as an attribute, not as a local variable's name;
-or is one the acceptance spec reads), only
+public function, class and method is read by the package, ``scripts/``,
+``perfbench/`` or README's python blocks (a method as an attribute of a
+value, not as a local variable's name nor as an attribute of a string or
+of an imported module; or is one the acceptance spec reads), only
 ``lattice`` turns exact scalars into numerators over a denominator, only
 ``lattice`` reads ``.entries``, which builds a ``Fraction`` per exact
 entry, only ``lattice`` compares within ``DEFAULT_TOLERANCE`` (elsewhere it
@@ -16,9 +17,12 @@ compares two scalar modes or raises their mismatch, multiplies stored
 denominators, and forms an outer product (once, in ``_outer``)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+
+from test_readme import python_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rieszops"
 PACKAGE = sorted(SRC.glob("*.py"))
@@ -158,7 +162,13 @@ def test_the_dead_code_check_flags_unused_private_names():
 SPEC_ONLY = {"operators.refinement_sums", "lattice._Entrywise.le"}
 
 ROOT = SRC.parent.parent
-READERS = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+#: The sources outside the package that read it, by name: ``scripts/``,
+#: ``perfbench/`` and README's python blocks, which ``test_readme`` runs.
+READERS = {
+    **{str(p): p.read_text(encoding="utf-8")
+       for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))},
+    **{f"README.md python block {i}": block for i, block in enumerate(python_blocks())},
+}
 
 
 def _public_definitions(tree):
@@ -176,19 +186,47 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _module_of(node, modules: dict):
+    """The dotted name of the module an expression names: a name bound by
+    ``import`` (``modules`` maps it to its module), or a loaded submodule of
+    one (``os.path``); None for anything else."""
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute):
+        parent = _module_of(node.value, modules)
+        dotted = parent and f"{parent}.{node.attr}"
+        return dotted if dotted in sys.modules else None
+    return None
+
+
 def _reads(tree, skip=None):
     """(names, attributes) a source reads outside the subtree ``skip``: the
-    bare ``Name``s, and the ``Attribute``s, imports and ``Name``s in a class
-    body (an alias such as ``__mul__ = __rmul__ = scale``)."""
+    bare ``Name``s and the attributes of a module (``np.abs``,
+    ``workloads.build``, ``os.path.join``), and the ``Attribute``s of any
+    other value, imports and the ``Name``s a class body loads (the
+    ``scale`` of an alias such as ``__mul__ = __rmul__ = scale``).  An
+    attribute of a string constant (``", ".join``) is no read."""
+    modules = {}
+    for node in ast.walk(tree):
+        for alias in node.names if isinstance(node, ast.Import) else ():
+            top = alias.name.split(".")[0]
+            modules[alias.asname or top] = alias.name if alias.asname else top
     names, attributes, todo = set(), set(), [(tree, False)]
     while todo:
         node, in_class = todo.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            (attributes if in_class else names).add(node.id)
+            if not in_class:
+                names.add(node.id)
+            elif isinstance(node.ctx, ast.Load):
+                attributes.add(node.id)
         elif isinstance(node, ast.Attribute):
-            attributes.add(node.attr)
+            value = node.value
+            if _module_of(value, modules):
+                names.add(node.attr)
+            elif not (isinstance(value, ast.Constant) and isinstance(value.value, str)):
+                attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             attributes |= {alias.name for alias in node.names}
         inside = isinstance(node, ast.ClassDef) or in_class and not isinstance(
@@ -219,8 +257,7 @@ def unread_public_names(package: dict, readers: dict) -> list:
 
 def test_every_public_name_has_a_reader():
     package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
-    readers = {str(p): p.read_text(encoding="utf-8") for p in READERS}
-    unread = unread_public_names(package, readers)
+    unread = unread_public_names(package, READERS)
     assert sorted(unread) == sorted(SPEC_ONLY), (
         f"public names only tests read: {sorted(set(unread) - SPEC_ONLY)}; "
         f"allowlisted names now read or gone: {sorted(SPEC_ONLY - set(unread))}"
@@ -264,6 +301,29 @@ def test_the_reader_check_flags_unread_public_names():
     assert unread_public_names(package, readers) == [
         "a.recursive", "a.Shape.area", "a.Shape.width", "a.Unread"
     ]
+    # An attribute of a string constant or of a module reads no method, nor
+    # does a name a class body assigns; a module's attribute still reads a
+    # function or class.
+    package = {
+        "a": (
+            "class Lattice:\n"
+            "    def join(self):\n"
+            "        return 0\n"
+            "    def abs(self):\n"
+            "        return 0\n"
+            "    def meet(self):\n"
+            "        return 0\n"
+            "def build():\n"
+            "    return Lattice().meet()\n"
+        ),
+    }
+    readers = {
+        "script": "import os\nimport numpy as np\nimport a\n"
+                  "LABEL = ', '.join(['x'])\nPATH = os.path.join('x')\n"
+                  "SIZE = np.abs(-1)\nBUILT = a.build()\n"
+                  "class Local:\n    join = abs = None\n",
+    }
+    assert unread_public_names(package, readers) == ["a.Lattice.join", "a.Lattice.abs"]
 
 
 def test_every_name_in_all_resolves():

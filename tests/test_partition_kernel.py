@@ -24,6 +24,7 @@ from rieszops import (
     Partition,
     RegularOperator,
     atomic_partition,
+    counterexample_report,
     default_partitions,
     dyadic_partition,
     halves_partition,
@@ -35,7 +36,7 @@ from rieszops import (
     trivial_partition,
     verify_prop21,
 )
-from rieszops import lattice, operators
+from rieszops import counterexample, lattice, operators
 from rieszops.counterexample import _double_partition_inf, _e_partitions, _positive_splits
 from rieszops.lattice import _disjoint, _partition_stack
 from rieszops.superop import _partition_values
@@ -208,7 +209,7 @@ def test_builders_check_each_partition_and_the_families_check_once(monkeypatch):
         built.append(type(args[0]).__name__)
         init(self, *args, **kwargs)
 
-    for module in (lattice, operators):
+    for module in (lattice, operators, counterexample):
         monkeypatch.setattr(module, "_check_stack", counting_check)
     monkeypatch.setattr(Partition, "__init__", counting_init)
     w = LatticeVector([1, 2, 0, 3])
@@ -227,20 +228,27 @@ def test_builders_check_each_partition_and_the_families_check_once(monkeypatch):
         assert all(type(p) is Partition for p in partitions)
         assert len(partitions) == count
         assert checks == [(type(partitions[0].target).__name__, 1)] * count
-    # prop21's splits of T, and the default family and the refinement chain
-    # of the oracles: one check of the whole stack each, and no Partition.
+    # prop21's splits of T, the default family and the refinement chain of
+    # the oracles, and the lab's splits of each g-check operator (B and two
+    # random ones): one check of the whole stack each, and no Partition.
     A0, B = RegularOperator(2, 2, [1, 2, 0, 1]), RegularOperator(2, 2, [1, -1, 2, 0])
     S = RegularOperator(2, 4, [1, -2, 3, 0, -1, 1, 1, -4])
     for run, want in (
-        (lambda: verify_prop21(A0, B, B, T, LatticeVector([1, 2]), seed=3), ("RegularOperator", 7)),
-        (lambda: modulus_oracle(S, w), ("LatticeVector", 9)),
-        (lambda: meet_oracle(S, -S, w), ("LatticeVector", 9)),
-        (lambda: refinement_sums(S, w), ("LatticeVector", 4)),
+        (lambda: verify_prop21(A0, B, B, T, LatticeVector([1, 2]), seed=3), [("RegularOperator", 7)]),
+        (lambda: modulus_oracle(S, w), [("LatticeVector", 9)]),
+        (lambda: meet_oracle(S, -S, w), [("LatticeVector", 9)]),
+        (lambda: refinement_sums(S, w), [("LatticeVector", 4)]),
+        (
+            lambda: counterexample_report(
+                n=3, k=2, t_samples=4, operator_split_samples=5, partition_budget=4
+            ),
+            [("RegularOperator", 5)] * 3,
+        ),
     ):
         checks.clear()
         built.clear()
         run()
-        assert checks == [want]
+        assert checks == want
         assert built == []
 
 
@@ -551,7 +559,9 @@ def test_double_partition_inf_equals_the_per_piece_loop(n, data, budget, samples
     partitions = _e_partitions(f, budget)
     splits = _positive_splits(T, samples, seed)
     got = _double_partition_inf(f, partitions, splits)
-    want = ref.double_partition_inf(f, stack_pieces(partitions), [pieces_of(s) for s in splits])
+    want = ref.double_partition_inf(
+        f, stack_pieces(partitions), stack_pieces(splits, RegularOperator)
+    )
     assert got.entries == want.entries
     assert all(type(e) is Fraction for e in got.entries)
 
@@ -622,3 +632,13 @@ def test_a_float_piece_beyond_the_rounding_bound_is_refused():
         lattice._check_stack(w, (broken, bounds, D))
     with pytest.raises(ValueError, match="partition pieces do not sum to the target"):
         Partition(w, broken, D)
+
+
+def test_float_pieces_whose_sum_overflows_are_refused():
+    # 1e308 + 1e308 overflows to inf: the miss is infinite, and so is the
+    # rounding bound gamma_2 * (1e308 + 1e308), so only the finiteness of the
+    # miss refuses the partition.
+    w = LatticeVector([1e308])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="partition pieces do not sum to the target"):
+            Partition(w, [w] * 2)

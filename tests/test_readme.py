@@ -12,10 +12,13 @@ from rieszops.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def python_blocks() -> list:
+    """The python blocks of README.md, in document order."""
+    return re.findall(r"^```python\n(.*?)^```", README.read_text("utf-8"), re.M | re.S)
+
+
 def test_readme_python_blocks_run():
-    blocks = re.findall(
-        r"^```python\n(.*?)^```", README.read_text("utf-8"), re.M | re.S
-    )
+    blocks = python_blocks()
     assert len(blocks) >= 2
     # The blocks build on each other (the norms example reuses A), so they
     # share one namespace, in document order.
