@@ -263,7 +263,7 @@ def _double_partition_inf(
     # order; P e = its row sums.
     P, split_bounds, D_T = splits
     values, bounds, D_X = stack
-    P, values = _on_words(P, values, n * len(P) * n)
+    P, values = _on_words((P, values), (n * len(P) * n, P, values))
     Pe = P.sum(axis=2)[:, :, None]
 
     def per_split(X):

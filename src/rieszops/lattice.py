@@ -20,15 +20,23 @@ operation, and the integer kernels of the other modules, read the array
 (``_stack`` puts several over one denominator, ``_chunk_size`` bounds a
 kernel's intermediates).  A kernel runs on int64 copies of numerators only
 where ``_on_words``, the one maker of int64 values, proves by a magnitude
-bound that none of its sums overflows, and a container made of them
-stores them as Python ints again.  Every product of containers takes its
-rules from here: the operand rule ``_check_operands`` (one scalar mode
-and, for a matrix product, a matching inner dimension), the outer product
-``_outer`` of ``operators.rank_one`` and of ``superop``'s stacked reps
-(every product of two stacks of containers, or of their i-th pairs, in one
-product), and the rule ``_product_den`` (the factors' denominators
-multiplied, None for floats).  ``_gap`` is the largest entrywise |x - y|
-of two such arrays over their denominators.
+bound, terms * max|f_1| * ... * max|f_n| < 2^63 for each of its products
+of n factors, that none of its sums overflows; the copies of the other
+operands follow the dtype it returns (``_Entrywise._as``), and a
+container made of words stores them as Python ints again.  The word
+kernels are the l1 extreme-point enumeration of ``norms``, the lab's
+double-partition kernel of ``counterexample``, the stacked reps of
+``superop``'s cor22 and synnatzschke_a, and in ``superop.verify_prop21``
+the reps, rep(M) vec(T), the signed splits of T with their check and the
+partition kernel, under one decision per call.  ``_matmul`` of integer
+operands, words too, is numpy's exact a @ b.  Every product of containers
+takes its rules from here: the operand rule ``_check_operands`` (one
+scalar mode and, for a matrix product, a matching inner dimension), the
+outer product ``_outer`` of ``operators.rank_one`` and of ``superop``'s
+stacked reps (every product of two stacks of containers, or of their i-th
+pairs, in one product), and the rule ``_product_den`` (the factors'
+denominators multiplied, None for floats).  ``_gap`` is the largest
+entrywise |x - y| of two such arrays over their denominators.
 Float results match Python float arithmetic bit for bit, Python's tie rule
 on -0.0 and 0.0 included.
 
@@ -133,17 +141,30 @@ def _chunk_size(entries_per_item: int) -> int:
     return max(1, _KERNEL_CHUNK_ENTRIES // entries_per_item)
 
 
-def _on_words(a, b, terms: int) -> tuple:
-    """Integer arrays a and b as int64 when terms * max|a| * max|b| < 2^63,
-    so that every entry and every sum of at most ``terms`` products a_i b_j
-    fits in a machine word (Dumas, Giorgi and Pernet's test for word
-    arithmetic); otherwise a and b as they are, Python-int object arrays.
-    The one place the package makes int64 values: a missed bound would give
-    a wrong exact value silently."""
-    top_a, top_b = (int(np.abs(v).max(initial=0)) for v in (a, b))
-    if max(top_a, top_b, terms * top_a * top_b) < 1 << 63:
-        return a.astype(np.int64), b.astype(np.int64)
-    return a, b
+def _magnitude(factor) -> int:
+    """max|f| of an integer array, or |f| of an int, counted as at least 1."""
+    if not isinstance(factor, int):
+        factor = max(map(abs, factor.flat), default=0)
+    return max(1, abs(int(factor)))
+
+
+def _on_words(arrays, *products) -> tuple:
+    """The integer ``arrays`` as int64 when every one of the ``products``
+    fits a machine word, otherwise as they are, Python-int object arrays.
+
+    A product (terms, f_1, ..., f_n) stands for every sum of at most
+    ``terms`` (>= 1) products of an entry of each factor f_i, an integer
+    array or an int.  It fits when terms * max|f_1| * ... * max|f_n| < 2^63
+    (Dumas, Giorgi and Pernet's test for word arithmetic), each max counted
+    as at least 1: then every factor, every product of some of them and
+    every partial sum fits too, and an all-zero factor, which makes its
+    products zero, cannot vouch for the others.  The one place the package
+    makes int64 values: a missed bound would give a wrong exact value
+    silently."""
+    if all(terms * math.prod(map(_magnitude, factors)) < 1 << 63
+           for terms, *factors in products):
+        return tuple(a.astype(np.int64) for a in arrays)
+    return tuple(arrays)
 
 
 def _product_den(*dens):
@@ -161,7 +182,7 @@ def _check_operands(left, right, inner: bool = False):
         raise ScalarModeError(f"scalar mode mismatch: {left.mode} vs {right.mode}")
 
 
-def _outer(left, right, paired: bool = False, terms: int = 0) -> tuple:
+def _outer(left, right, paired: bool = False, terms=0) -> tuple:
     """(values, D): every entry of ``left`` times every entry of ``right``,
     in one ``np.multiply.outer``, under the operand rule.
 
@@ -177,7 +198,10 @@ def _outer(left, right, paired: bool = False, terms: int = 0) -> tuple:
     Exact products are Python ints or, with ``terms``, int64 where
     ``_on_words`` proves that every sum of ``terms`` of them fits a machine
     word, for a caller that compares them as arrays (``_Entrywise`` stores
-    them as Python ints again)."""
+    them as Python ints again).  ``terms`` may instead be a function of the
+    two sides' arrays that gives the products (see ``_on_words``) of all of
+    a caller's integer work, which then runs on words with these products
+    or not at all."""
     lefts = left if isinstance(left, list) else [left]
     rights = right if isinstance(right, list) else [right]
     for right_item in rights:
@@ -187,7 +211,7 @@ def _outer(left, right, paired: bool = False, terms: int = 0) -> tuple:
     a, D = _side(left)
     b, E = _side(right)
     if terms and D is not None:
-        a, b = _on_words(a, b, terms)
+        a, b = _on_words((a, b), *(terms(a, b) if callable(terms) else [(terms, a, b)]))
     if not paired:
         return np.multiply.outer(a, b), _product_den(D, E)
     if len(a) != len(b):
@@ -242,9 +266,10 @@ def _left_sum(terms, factor=None, axis: int = -1):
 
 
 def _matmul(a, b):
-    """a @ b over the last two axes (broadcast over the others), the
-    products summed by ``_left_sum``."""
-    if a.dtype == object:
+    """a @ b over the last two axes (broadcast over the others), exact for
+    integers (Python ints or int64 words), float products summed by
+    ``_left_sum``."""
+    if a.dtype.kind != "f":
         return a @ b
     return _left_sum(a[..., None], b[..., None, :, :], axis=-2)
 
@@ -320,6 +345,18 @@ class _Entrywise:
         that keeps their gcd with den, such as their moduli)."""
         obj = object.__new__(cls)
         obj._store(values, den, lowest)
+        return obj
+
+    def _as(self, dtype):
+        """self with its values in ``dtype`` and not stored (``_store``
+        would turn int64 back into Python ints): an exact operand of a
+        kernel whose products ``_on_words`` has put on machine words, for
+        that kernel alone.  self if its values are in ``dtype`` already."""
+        if self._values.dtype == dtype:
+            return self
+        obj = object.__new__(type(self))
+        object.__setattr__(obj, "_values", self._values.astype(dtype))
+        object.__setattr__(obj, "_den", self._den)
         return obj
 
     def _store(self, values, den, lowest: bool = False):

@@ -564,7 +564,8 @@ def superop_regular_norm_1chain(A: RegularOperator, B: RegularOperator) -> Fract
     y, x = A.cols, B.rows
     points = _check_extreme_points(y, x)
     modA, modB = A.modulus_closed_form(), B.modulus_closed_form()
-    col_sums, absB = _on_words(modA._values.sum(axis=0), modB._values, x)
+    col_sums = modA._values.sum(axis=0)
+    col_sums, absB = _on_words((col_sums, modB._values), (x, col_sums, modB._values))
     # Digit j of an assignment code (base y) is a_j; under the cap every y**j
     # is below 2^20.  np.unravel_index would need x axes, and numpy has 64.
     radix = y ** np.arange(x)

@@ -51,11 +51,19 @@ byte.
 ``verify_prop21`` sends its atomic, singleton and random signed splittings
 of T (one stack, built and checked once by ``lattice._signed_splits``,
 with no ``Partition`` built) through one pass of the
-segment-sum kernel of ``lattice``, on their stored arrays in chunks of
+segment-sum kernel of ``lattice``, on their arrays in chunks of
 bounded size, reads the atomic value off the first row and folds the
 others; the tests check that pass against the loop over partitions and
-pieces it replaced.  The verifiers measure every identity by the largest
-entrywise |X - Y| of two vectors, operators or reps.
+pieces it replaced.  Its terms have three and four factors (A0, B or D
+and T in rep(M) vec(T); A0, a piece of T, B and w in the kernel), so it
+makes one word decision per call, before any product: one
+``lattice._on_words`` call, in the ``_outer`` that forms its reps, on the
+products of the kernel and of the split check.  If they fit, the reps,
+T, its splits and the kernel all run on int64 words (each takes the dtype
+of the arrays it is given), and otherwise all run on Python ints; the
+direct side A0 T |B| is formed from the containers either way.  The
+verifiers measure every identity by the largest entrywise |X - Y| of two
+vectors, operators or reps.
 
 ``kron``, ``vec`` and ``unvec`` act on the stored arrays; ``kron`` and
 ``Superoperator.build`` are ``_kron`` on stacks of one, and the meet lab
@@ -76,6 +84,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
+    SPLIT_DENOMINATOR,
     DimensionMismatchError,
     EnumerationLimitError,
     LatticeVector,
@@ -229,17 +238,16 @@ def _partition_values(A0, B, w, stack) -> tuple:
     partition p of a stack (values, bounds, D_T) of splits of T, over the
     denominator D (None for floats).  One pass of ``lattice._segment_sums``
     in chunks of bounded size sums each partition in piece order, as the
-    images one by one would; the inputs are ``verify_prop21``'s, checked
-    there."""
+    images one by one would.  A0, B and w take the pieces' dtype: int64
+    words where ``verify_prop21``'s word decision put the splits of T on
+    them, their stored values otherwise.  The inputs are
+    ``verify_prop21``'s, checked there."""
     z, (x, cols) = A0.rows, B.shape
-    D_T = stack[2]
-    sums = _segment_sums(
-        stack,
-        lambda P: np.abs(_matmul(_matmul(A0._values, P), B._values)),
-        z * max(x, cols),
-    )
-    values = _matmul(sums, w._values[:, None])[..., 0]  # (partitions, z)
-    return values, _product_den(A0._den, D_T, B._den, w._den)
+    pieces, _, D_T = stack
+    den = _product_den(A0._den, D_T, B._den, w._den)
+    a, b, v = (M._as(pieces.dtype)._values for M in (A0, B, w))
+    sums = _segment_sums(stack, lambda P: np.abs(_matmul(_matmul(a, P), b)), z * max(x, cols))
+    return _matmul(sums, v[:, None])[..., 0], den  # (partitions, z)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +280,34 @@ def verify_prop21(
         raise ValueError("the argument T must be positive")
     if not w.is_positive():
         raise ValueError("the vector w must be positive")
+    # One word decision before any product.  The partition kernel sums, per
+    # entry, the y x cols terms a0 p b w of each piece p of the longest
+    # partition (the atomic one, or a random split into 3), where b is an
+    # entry of B or D over their common denominator and |p| <= 16 max|T|;
+    # the x y terms a0 b t of rep(M_{A0,B}) vec(T) and rep(M_{A0,D}) vec(T)
+    # are among them.  The split check multiplies each partition's sum of
+    # pieces by D_T.  If both fit, the reps, T, its splits and the kernel
+    # run on int64 words; if not, none do.
+    y, x = T.shape
+    longest, cols = max(y * x, 3), B.cols
+
+    def work(b, a0):
+        return [
+            (longest * y * x * cols, a0, SPLIT_DENOMINATOR, T._values, b, w._values),
+            (longest, SPLIT_DENOMINATOR, T._values, T._den),
+        ]
+
     # rep(M_{A0,B}) and rep(M_{A0,D}) in one product; then |M_{A0,B}| and
     # M_{A0,B} v M_{A0,D}, written over them, act on vec(T) in one product.
-    # They stay Python ints: a term of that product has three factors, which
-    # the two-factor bound of machine words does not cover.
-    reps, den = _kron([B.transpose(), D.transpose()], [A0])
+    reps, den = _kron([B.transpose(), D.transpose()], [A0], terms=work)
     pair = reps[0]
+    T_words = T._as(pair.dtype)
     A0_T = A0 @ T
     modulus_at_T = A0_T @ abs(B)
     join_at_T = A0_T @ B.join_closed_form(D)
     pair[1] = _greater(pair[0], pair[1])
     np.abs(pair[0], out=pair[0])
-    vec_T, den_T = _column_major(T)
+    vec_T, den_T = _column_major(T_words)
     at_T = _matmul(pair, vec_T[:, None])[..., 0]
     den_at_T = _product_den(den, den_T)
     dev_modulus = _gap((at_T[0], den_at_T), _column_major(modulus_at_T))
@@ -291,7 +315,8 @@ def verify_prop21(
 
     rhs_at_w = modulus_at_T.apply(w)
     # One kernel pass: the atomic partition first, then the coarse ones.
-    values, den = _partition_values(A0, B, w, _signed_splits(T, Random(seed or 0)))
+    splits = _signed_splits(T_words, Random(seed or 0))
+    values, den = _partition_values(A0, B, w, splits)
     atomic_value = LatticeVector._of(values[0], den)
     dev_atomic = deviation(atomic_value, rhs_at_w)
     dev_coarse = one_sided_excess(_entrywise_best(values[1:], den, np.greater), rhs_at_w)

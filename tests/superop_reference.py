@@ -7,24 +7,38 @@ normalised over its own denominator.
 The package's verifiers form the reps they compare in one stacked product
 per verifier and compare them as arrays; these chains are what they must
 agree with, report byte for byte, in exact and in float mode.  The
-operator-partition supremum of prop21 is not a rep identity, so it runs
-through the same kernel here as in the package.
+operator-partition values of prop21 are a chain of containers too: the
+splits of T from the tuple builders of ``partition_reference``, and per
+split (sum_j |A0 T_j B|) w, the pieces' images added one at a time in
+piece order; no code of the package's partition kernel, splits or word
+bound runs here.
 """
 
 from itertools import combinations
 from random import Random
 
-import numpy as np
-
-from rieszops.lattice import LatticeVector, _entrywise_best, _signed_splits
+import partition_reference as ref
+from conftest import zeros
 from rieszops.reports import make_report
 from rieszops.scalars import DEFAULT_TOLERANCE
-from rieszops.superop import (
-    Superoperator,
-    _partition_values,
-    deviation,
-    one_sided_excess,
-)
+from rieszops.superop import Superoperator, deviation, one_sided_excess
+
+
+def partition_values(A0, B, w, T, seed) -> list:
+    """(sum_j |A0 T_j B|) w for prop21's splits of T in order: the atomic,
+    the trivial and 5 signed random splits into 3 pieces from one
+    ``Random(seed or 0)``."""
+    rng = Random(seed or 0)
+    splits = [ref.atomic_partition(T), ref.trivial_partition(T)] + [
+        ref.random_convex_partition(T, 3, rng, signed=True) for _ in range(5)
+    ]
+    values = []
+    for pieces in splits:
+        total = zeros(A0.mode, A0.rows, B.cols)
+        for piece in pieces:
+            total = total + abs(A0 @ piece @ B)
+        values.append(total.apply(w))
+    return values
 
 
 def verify_prop21(A0, B, D, T, w, seed=None, tol=DEFAULT_TOLERANCE):
@@ -43,10 +57,12 @@ def verify_prop21(A0, B, D, T, w, seed=None, tol=DEFAULT_TOLERANCE):
     dev_join = deviation(M_join.apply(T), A0 @ T @ B.join_closed_form(D))
 
     rhs_at_w = modulus_at_T.apply(w)
-    values, den = _partition_values(A0, B, w, _signed_splits(T, Random(seed or 0)))
-    atomic_value = LatticeVector._of(values[0], den)
+    atomic_value, *coarse = partition_values(A0, B, w, T, seed)
     dev_atomic = deviation(atomic_value, rhs_at_w)
-    dev_coarse = one_sided_excess(_entrywise_best(values[1:], den, np.greater), rhs_at_w)
+    best = coarse[0]
+    for value in coarse[1:]:
+        best = best.join(value)
+    dev_coarse = one_sided_excess(best, rhs_at_w)
 
     return make_report(
         claim_id="prop21",

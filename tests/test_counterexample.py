@@ -394,9 +394,9 @@ def test_integer_kernel_at_the_word_bound(n, on_words, monkeypatch):
     T = RegularOperator(n, n, [top] + [rng.randint(0, top) for _ in range(n * n - 1)])
     made = []
 
-    def recorded(a, b, terms):
-        words = _on_words(a, b, terms)
-        made.append((terms, *(v.dtype != object for v in words)))
+    def recorded(arrays, *products):
+        words = _on_words(arrays, *products)
+        made.append((*(terms for terms, *_ in products), *(v.dtype != object for v in words)))
         return words
 
     monkeypatch.setattr(counterexample, "_on_words", recorded)

@@ -280,14 +280,18 @@ def _objects(*values):
     ((8, 3), (2**59, 0), 2, False),
     ((2**31, 5), (2**31,), 1, True),
     ((2**31, 5), (2**31,), 2, False),
-    # A zero factor keeps every product zero, yet the other must fit alone.
-    ((0, 0), (2**63 - 1,), 5, True),
+    # A zero factor keeps every product zero, but counts as 1: it cannot
+    # vouch for the other, which must fit times terms.
+    ((0, 0), (2**63 - 1,), 5, False),
     ((0, 0), (2**63,), 5, False),
     ((-(2**63),), (0,), 1, False),
+    ((0, 0), (2**63 - 1,), 1, True),
+    ((0,), (0,), 2**63 - 1, True),
+    ((0,), (0,), 2**63, False),
 ])
 def test_on_words_takes_int64_only_below_2_to_the_63(a, b, terms, words):
     a, b = _objects(*a), _objects(*b)
-    out_a, out_b = _on_words(a, b, terms)
+    out_a, out_b = _on_words((a, b), (terms, a, b))
     dtype = np.dtype(np.int64) if words else np.dtype(object)
     assert out_a.dtype == out_b.dtype == dtype
     assert out_a.tolist() == a.tolist() and out_b.tolist() == b.tolist()

@@ -249,3 +249,25 @@ def test_meet_oracle_with_negative_entries_matches_the_loop_at_any_bound(bound, 
     )
     assert_same_bits(got.value.entries, value.entries)
     assert got.partitions_tried == tried
+
+
+def test_matmul_of_words_is_the_exact_product_on_words():
+    # Integer operands take a @ b: through the float sum rule int64 words
+    # would come back as float64, which rounds 2^63 - 2^35 + 26 to a
+    # multiple of 1024.
+    a = np.array([[2**31 - 1, 2**31 - 3], [-5, 7]], dtype=np.int64)
+    b = np.array([[2**31 - 5, 1], [2**31 - 7, -2]], dtype=np.int64)
+    for left in (a, np.stack([a, -a])):  # one product, and a batch of two
+        got = _matmul(left, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == _matmul(left.astype(object), b.astype(object)).tolist()
+    assert _matmul(a, b)[0, 0] == 2**63 - 2**35 + 26
+
+
+@pytest.mark.parametrize("better", [np.greater, np.less])
+def test_entrywise_best_keeps_the_earlier_of_tied_signed_zeros(better):
+    # -0.0 and 0.0 tie under both orders: the sup and the inf of the rows
+    # keep the earlier one, as Python's max and min do, sign bit included.
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        best = lattice._entrywise_best(np.array([[first], [second]]), None, better)
+        assert math.copysign(1.0, best.entries[0]) == math.copysign(1.0, first)

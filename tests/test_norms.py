@@ -660,8 +660,8 @@ def _word_dtypes(monkeypatch) -> list:
     """The dtypes the kernel's ``_on_words`` calls return, as they happen."""
     dtypes = []
 
-    def spy(a, b, terms):
-        out = lattice._on_words(a, b, terms)
+    def spy(arrays, *products):
+        out = lattice._on_words(arrays, *products)
         dtypes.append(out[0].dtype)
         return out
 
@@ -744,7 +744,7 @@ def test_1chain_word_path_equals_the_object_path(data):
     B = RegularOperator(x, w, [data.draw(entries) for _ in range(x * w)])
     value = superop_regular_norm_1chain(A, B)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(norms, "_on_words", lambda a, b, terms: (a, b))
+        patch.setattr(norms, "_on_words", lambda arrays, *products: arrays)
         assert superop_regular_norm_1chain(A, B) == value
 
 
